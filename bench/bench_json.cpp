@@ -1,9 +1,10 @@
-// Machine-readable perf baseline for the client-side features introduced
-// with the batched pipeline: leaf-location cache, decoded-bucket store,
-// and batched range fan-out. Runs the SAME workload twice in one process —
-// once with everything off (paper-faithful engine) and once with
-// everything on — and emits both sides plus the speedups as JSON, so CI
-// can diff against the committed BENCH_PR2.json without parsing tables.
+// Machine-readable perf baseline for the client-side caches: the
+// leaf-location cache and the decoded-bucket store. Runs the SAME workload
+// twice in one process — once with both off (paper-faithful engine) and
+// once with both on — and emits both sides plus the speedups as JSON, so
+// CI can diff against the committed BENCH_PR2.json without parsing
+// tables. Both sides run the batched range fan-out and bulk load, the
+// index's only path for them.
 //
 // Metrics per phase:
 //   lookup    exact-match finds: avg DHT-lookups, avg rounds, wall ns/op
@@ -61,7 +62,6 @@ core::LhtIndex::Options indexOpts(const Config& cfg, bool optimized) {
   o.thetaSplit = cfg.theta;
   o.useLeafCache = optimized;
   o.cacheDecodedBuckets = optimized;
-  o.batchFanout = optimized;
   return o;
 }
 
@@ -189,8 +189,8 @@ void emitPhase(std::ostream& os, const char* indent, const PhaseStats& s,
 
 int main(int argc, char** argv) {
   common::Flags flags("bench_json",
-                      "Emits BENCH_PR2.json: baseline vs cached+batched "
-                      "client, measured in one run");
+                      "Emits BENCH_PR2.json: baseline vs cached client, "
+                      "measured in one run");
   flags.define("n", "16384", "records in the base dataset");
   flags.define("theta", "100", "bucket split threshold");
   flags.define("lookups", "20000", "exact-match finds per side");

@@ -25,8 +25,6 @@ using namespace lht;
 
 namespace {
 
-bool gBatched = false;  ///< --batched: LHT issues fan-out rounds as multiGet
-
 double avgRangeSteps(sim::IndexKind kind, workload::Distribution dist, size_t n,
                      double span, size_t queries, int repeats) {
   double sum = 0.0;
@@ -37,7 +35,6 @@ double avgRangeSteps(sim::IndexKind kind, workload::Distribution dist, size_t n,
     cfg.dataSize = n;
     cfg.theta = 100;
     cfg.maxDepth = 24;
-    cfg.lhtBatchFanout = gBatched;
     cfg.seed = static_cast<common::u64>(rep + 1);
     sim::Experiment exp(cfg);
     exp.build();
@@ -57,14 +54,10 @@ int main(int argc, char** argv) {
   flags.define("maxpow", "15", "largest data size = 2^maxpow");
   flags.define("sizepow", "14", "fixed data size = 2^sizepow for the span sweep");
   flags.define("csv", "false", "emit CSV instead of a pretty table");
-  flags.define("batched", "false",
-               "issue LHT fan-out rounds as one multiGet per BFS level "
-               "(same DHT-lookup totals; parallelSteps = rounds)");
   flags.define("trace", "",
                "write a Chrome trace-event JSON of one traced LHT run to "
                "this path (empty = off)");
   if (!flags.parse(argc, argv)) return 1;
-  gBatched = flags.getBool("batched");
   const int repeats = static_cast<int>(flags.getInt("repeats"));
   const auto queries = static_cast<size_t>(flags.getInt("queries"));
   const double span = flags.getDouble("span");
@@ -81,7 +74,6 @@ int main(int argc, char** argv) {
       cfg.dataSize = size_t{1} << flags.getInt("sizepow");
       cfg.theta = 100;
       cfg.maxDepth = 24;
-      cfg.lhtBatchFanout = gBatched;
       cfg.seed = 1;
       sim::Experiment exp(cfg);
       exp.build();

@@ -1,6 +1,7 @@
 #include "dht/net_dht.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/types.h"
 
@@ -201,43 +202,45 @@ bool NetDht::apply(const Key& key, const Mutator& fn) {
 
 // --- Batch rounds -----------------------------------------------------------
 
-namespace {
-
-/// One outgoing batch datagram: entry indices packed for one node.
-struct Chunk {
-  size_t node = 0;
-  std::vector<size_t> entries;
-};
-
-/// Groups entry indices by owner node, splitting whenever a chunk hits
-/// the key-count or byte cap. `byteCost(i)` approximates entry i's wire
-/// footprint.
-template <typename ByteCost>
-std::vector<Chunk> packChunks(const std::vector<size_t>& owners,
-                              size_t maxKeys, size_t maxBytes,
-                              ByteCost byteCost) {
-  std::vector<Chunk> chunks;
-  std::vector<int> openChunk(
-      *std::max_element(owners.begin(), owners.end()) + 1, -1);
-  std::vector<size_t> chunkBytes;
-  for (size_t i = 0; i < owners.size(); ++i) {
-    const size_t node = owners[i];
-    int c = openChunk[node];
-    const size_t cost = byteCost(i);
-    if (c < 0 || chunks[c].entries.size() >= maxKeys ||
-        chunkBytes[c] + cost > maxBytes) {
-      openChunk[node] = static_cast<int>(chunks.size());
-      chunks.push_back(Chunk{node, {}});
-      chunkBytes.push_back(0);
-      c = openChunk[node];
+std::vector<detail::Fetched> NetDht::fetch(rpc::RpcClient& cli,
+                                           const std::vector<Key>& keys) {
+  std::vector<detail::Fetched> out(keys.size());
+  std::vector<size_t> pending(keys.size());
+  std::iota(pending.begin(), pending.end(), size_t{0});
+  // Each round re-sends only the unanswered tails of prefix replies; every
+  // reply answers or fails at least one entry, so the loop terminates.
+  while (!pending.empty()) {
+    const auto chunks = detail::packChunks(
+        pending, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
+        [&](size_t i) { return ring_.ownerIndex(keys[i]); },
+        [&](size_t i) { return keys[i].size() + 8; });
+    std::vector<rpc::RpcClient::Token> tokens;
+    tokens.reserve(chunks.size());
+    for (const detail::Chunk& c : chunks) {
+      MultiGetReq req;
+      req.entries.reserve(c.entries.size());
+      for (size_t i : c.entries) req.entries.push_back(GetReq{keys[i]});
+      tokens.push_back(cli.call(addrOf(c.owner), std::move(req)));
     }
-    chunks[c].entries.push_back(i);
-    chunkBytes[c] += cost;
-  }
-  return chunks;
-}
+    cli.settle();
 
-}  // namespace
+    std::vector<size_t> tail;
+    for (size_t ci = 0; ci < chunks.size(); ++ci) {
+      auto r = cli.take(tokens[ci]);
+      if (detail::foldMultiGetReply(chunks[ci], r, out, tail,
+                                    "NetDht::multiGet")) {
+        continue;
+      }
+      const std::string err = r.timedOut
+                                  ? "NetDht::multiGet: rpc timeout"
+                                  : std::string("NetDht::multiGet: status ") +
+                                        statusName(r.status);
+      for (size_t i : chunks[ci].entries) out[i].error = err;
+    }
+    pending = std::move(tail);
+  }
+  return out;
+}
 
 std::vector<GetOutcome> NetDht::multiGet(const std::vector<Key>& keys) {
   if (keys.empty()) return {};
@@ -247,48 +250,8 @@ std::vector<GetOutcome> NetDht::multiGet(const std::vector<Key>& keys) {
   stats_.gets += keys.size();
   stats_.hops += keys.size();
 
-  std::vector<size_t> owners(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) owners[i] = ring_.ownerIndex(keys[i]);
-  const auto chunks =
-      packChunks(owners, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
-                 [&](size_t i) { return keys[i].size() + 8; });
-
   Lease lease(*this);
-  rpc::RpcClient& cli = lease.rpc();
-  std::vector<rpc::RpcClient::Token> tokens;
-  tokens.reserve(chunks.size());
-  for (const Chunk& c : chunks) {
-    MultiGetReq req;
-    req.entries.reserve(c.entries.size());
-    for (size_t i : c.entries) req.entries.push_back(GetReq{keys[i]});
-    tokens.push_back(cli.call(addrOf(c.node), std::move(req)));
-  }
-  cli.settle();
-
-  std::vector<GetOutcome> out(keys.size());
-  for (size_t ci = 0; ci < chunks.size(); ++ci) {
-    auto r = cli.take(tokens[ci]);
-    if (r.timedOut || r.status != Status::Ok) {
-      const std::string err = r.timedOut
-                                  ? "NetDht::multiGet: rpc timeout"
-                                  : std::string("NetDht::multiGet: status ") +
-                                        statusName(r.status);
-      for (size_t i : chunks[ci].entries) out[i].error = err;
-      continue;
-    }
-    auto& rep = std::get<MultiGetRep>(r.body);
-    common::checkInvariant(rep.entries.size() == chunks[ci].entries.size(),
-                           "NetDht::multiGet: entry count mismatch");
-    for (size_t j = 0; j < rep.entries.size(); ++j) {
-      GetOutcome& o = out[chunks[ci].entries[j]];
-      o.ok = true;
-      if (rep.entries[j].present) {
-        stats_.valueBytesMoved += rep.entries[j].value.size();
-        o.value = std::move(rep.entries[j].value);
-      }
-    }
-  }
-  return out;
+  return detail::toGetOutcomes(fetch(lease.rpc(), keys), stats_.valueBytesMoved);
 }
 
 std::vector<ApplyOutcome> NetDht::multiApply(
@@ -304,49 +267,20 @@ std::vector<ApplyOutcome> NetDht::multiApply(
   Lease lease(*this);
   rpc::RpcClient& cli = lease.rpc();
 
-  // Per-entry CAS state, refreshed by GET rounds / conflict replies.
-  struct State {
-    bool present = false;
-    u64 version = 0;
-    Value value;
-    bool existedAtFirstCas = false;
-  };
-  std::vector<State> state(reqs.size());
-  std::vector<size_t> owners(reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    owners[i] = ring_.ownerIndex(reqs[i].key);
-  }
-
-  // Round 0: snapshot every key (batched GETs).
+  // Snapshot phase: every key through the MultiGet path; the fetched
+  // (present, version, value) is each entry's CAS state, refreshed by
+  // conflict replies.
+  std::vector<Key> keys;
+  keys.reserve(reqs.size());
+  for (const ApplyRequest& req : reqs) keys.push_back(req.key);
+  std::vector<detail::Fetched> state = fetch(cli, keys);
+  std::vector<bool> existedAtFirstCas(reqs.size(), false);
   std::vector<size_t> active;
-  {
-    const auto chunks =
-        packChunks(owners, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
-                   [&](size_t i) { return reqs[i].key.size() + 8; });
-    std::vector<rpc::RpcClient::Token> tokens;
-    tokens.reserve(chunks.size());
-    for (const Chunk& c : chunks) {
-      MultiGetReq req;
-      for (size_t i : c.entries) req.entries.push_back(GetReq{reqs[i].key});
-      tokens.push_back(cli.call(addrOf(c.node), std::move(req)));
-    }
-    cli.settle();
-    for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      auto r = cli.take(tokens[ci]);
-      if (r.timedOut || r.status != Status::Ok) {
-        for (size_t i : chunks[ci].entries) {
-          out[i].error = "NetDht::multiApply: snapshot rpc timeout";
-        }
-        continue;
-      }
-      auto& rep = std::get<MultiGetRep>(r.body);
-      for (size_t j = 0; j < rep.entries.size(); ++j) {
-        const size_t i = chunks[ci].entries[j];
-        state[i].present = rep.entries[j].present;
-        state[i].version = rep.entries[j].version;
-        state[i].value = std::move(rep.entries[j].value);
-        active.push_back(i);
-      }
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    if (state[i].ok) {
+      active.push_back(i);
+    } else {
+      out[i].error = "NetDht::multiApply: snapshot failed (" + state[i].error + ")";
     }
   }
 
@@ -356,7 +290,7 @@ std::vector<ApplyOutcome> NetDht::multiApply(
     std::vector<size_t> casEntries;   // indices into reqs
     std::vector<CasReq> casReqs;
     for (size_t i : active) {
-      State& s = state[i];
+      GetRep& s = state[i].rep;
       std::optional<Value> v =
           s.present ? std::optional<Value>(s.value) : std::nullopt;
       reqs[i].fn(v);
@@ -371,7 +305,7 @@ std::vector<ApplyOutcome> NetDht::multiApply(
         continue;
       }
       if (v.has_value()) stats_.valueBytesMoved += v->size();
-      s.existedAtFirstCas = s.present;
+      existedAtFirstCas[i] = s.present;
       casEntries.push_back(i);
       casReqs.push_back(
           CasReq{reqs[i].key, s.version, v.has_value(), v.value_or(Value{})});
@@ -379,19 +313,18 @@ std::vector<ApplyOutcome> NetDht::multiApply(
     active.clear();
     if (casEntries.empty()) break;
 
-    std::vector<size_t> casOwners(casEntries.size());
-    for (size_t j = 0; j < casEntries.size(); ++j) {
-      casOwners[j] = owners[casEntries[j]];
-    }
-    const auto chunks = packChunks(
-        casOwners, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
+    std::vector<size_t> positions(casEntries.size());
+    std::iota(positions.begin(), positions.end(), size_t{0});
+    const auto chunks = detail::packChunks(
+        positions, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
+        [&](size_t j) { return ring_.ownerIndex(casReqs[j].key); },
         [&](size_t j) { return casReqs[j].key.size() + casReqs[j].value.size() + 16; });
     std::vector<rpc::RpcClient::Token> tokens;
     tokens.reserve(chunks.size());
-    for (const Chunk& c : chunks) {
+    for (const detail::Chunk& c : chunks) {
       MultiCasReq req;
       for (size_t j : c.entries) req.entries.push_back(casReqs[j]);
-      tokens.push_back(cli.call(addrOf(c.node), std::move(req)));
+      tokens.push_back(cli.call(addrOf(c.owner), std::move(req)));
     }
     cli.settle();
     for (size_t ci = 0; ci < chunks.size(); ++ci) {
@@ -411,7 +344,7 @@ std::vector<ApplyOutcome> NetDht::multiApply(
         CasRep& cr = rep.entries[k];
         if (cr.applied) {
           out[i].ok = true;
-          out[i].existed = state[i].existedAtFirstCas;
+          out[i].existed = existedAtFirstCas[i];
           toReplicate.emplace_back(
               reqs[i].key,
               std::make_pair(casReqs[j].present
@@ -419,9 +352,10 @@ std::vector<ApplyOutcome> NetDht::multiApply(
                                  : std::nullopt,
                              cr.currentVersion));
         } else {
-          state[i].present = cr.currentPresent;
-          state[i].version = cr.currentVersion;
-          state[i].value = std::move(cr.currentValue);
+          GetRep& s = state[i].rep;
+          s.present = cr.currentPresent;
+          s.version = cr.currentVersion;
+          s.value = std::move(cr.currentValue);
           active.push_back(i);  // conflict: retry next round
         }
       }

@@ -18,7 +18,8 @@
 // multiGet/multiApply group keys by owner node and pack them into
 // MultiGet/MultiCas datagrams (capped per datagram), so a round costs
 // ~one datagram per involved node instead of one per key — the batching
-// win bench_net measures.
+// win bench_net measures. A node answers the longest prefix of a MultiGet
+// that fits one reply datagram; the tail goes out again next round.
 //
 // Transport is injected via factory: UdpTransport for real clusters,
 // SimHub endpoints for deterministic tests. Each concurrent caller
@@ -36,6 +37,7 @@
 #include <mutex>
 
 #include "dht/dht.h"
+#include "dht/net_batch.h"
 #include "rpc/ring.h"
 #include "rpc/rpc_client.h"
 #include "rpc/transport.h"
@@ -121,6 +123,11 @@ class NetDht final : public Dht {
                  const Key& key, const std::optional<Value>& value,
                  common::u64 version);
   void unaccountedPut(const Key& key, Value value);
+  /// MultiGet rounds for `keys` (multiGet and multiApply's snapshot
+  /// phase): groups by owner, re-sends prefix-reply tails until every
+  /// entry is answered or failed.
+  std::vector<detail::Fetched> fetch(rpc::RpcClient& cli,
+                                     const std::vector<Key>& keys);
 
   Options opts_;
   rpc::HashRing ring_;

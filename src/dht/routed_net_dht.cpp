@@ -1,6 +1,7 @@
 #include "dht/routed_net_dht.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/types.h"
 
@@ -357,42 +358,77 @@ bool RoutedNetDht::apply(const Key& key, const Mutator& fn) {
 
 // --- Batch rounds -----------------------------------------------------------
 
-namespace {
-
-/// One outgoing batch datagram: entry positions packed for one owner id.
-struct OwnerChunk {
-  u64 owner = 0;
-  std::vector<size_t> entries;
-};
-
-template <typename OwnerOf, typename ByteCost>
-std::vector<OwnerChunk> packByOwner(const std::vector<size_t>& items,
-                                    size_t maxKeys, size_t maxBytes,
-                                    OwnerOf ownerOf, ByteCost byteCost) {
-  std::vector<OwnerChunk> chunks;
-  std::unordered_map<u64, size_t> open;  // owner -> open chunk index
-  std::vector<size_t> chunkBytes;
-  for (size_t i : items) {
-    const u64 owner = ownerOf(i);
-    const size_t cost = byteCost(i);
-    auto it = open.find(owner);
-    size_t c;
-    if (it == open.end() || chunks[it->second].entries.size() >= maxKeys ||
-        chunkBytes[it->second] + cost > maxBytes) {
-      c = chunks.size();
-      chunks.push_back(OwnerChunk{owner, {}});
-      chunkBytes.push_back(0);
-      open[owner] = c;
-    } else {
-      c = it->second;
+std::vector<detail::Fetched> RoutedNetDht::fetch(rpc::RpcClient& cli,
+                                                 const std::vector<Key>& keys) {
+  std::vector<detail::Fetched> out(keys.size());
+  std::vector<size_t> pending(keys.size());
+  std::iota(pending.begin(), pending.end(), size_t{0});
+  // Only regroups (a Redirect, a timeout, an owner missing from the view)
+  // spend maxBatchRounds. Re-sending the tail of a prefix reply is free:
+  // every reply answers or fails at least one entry.
+  size_t regroups = 0;
+  while (!pending.empty() && regroups < opts_.maxBatchRounds) {
+    auto v = view();
+    if (!v) {
+      if (!refreshView(cli)) break;
+      v = requireView();
     }
-    chunks[c].entries.push_back(i);
-    chunkBytes[c] += cost;
-  }
-  return chunks;
-}
+    const auto chunks = detail::packChunks(
+        pending, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
+        [&](size_t i) { return v->ring.owner(keys[i]); },
+        [&](size_t i) { return keys[i].size() + 8; });
+    std::vector<rpc::RpcClient::Token> tokens(chunks.size(), 0);
+    std::vector<bool> sent(chunks.size(), false);
+    for (size_t ci = 0; ci < chunks.size(); ++ci) {
+      auto it = v->addrs.find(chunks[ci].owner);
+      if (it == v->addrs.end()) continue;  // stale view: regroup
+      MultiGetReq req;
+      req.entries.reserve(chunks[ci].entries.size());
+      for (size_t i : chunks[ci].entries) req.entries.push_back(GetReq{keys[i]});
+      tokens[ci] = cli.call(it->second, std::move(req));
+      sent[ci] = true;
+    }
+    cli.settle();
 
-}  // namespace
+    std::vector<size_t> tail;
+    std::vector<size_t> regroup;
+    for (size_t ci = 0; ci < chunks.size(); ++ci) {
+      const auto& entries = chunks[ci].entries;
+      if (!sent[ci]) {
+        regroup.insert(regroup.end(), entries.begin(), entries.end());
+        continue;
+      }
+      auto r = cli.take(tokens[ci]);
+      noteHint(r.hint);
+      if (detail::foldMultiGetReply(chunks[ci], r, out, tail,
+                                    "RoutedNetDht::multiGet")) {
+        continue;
+      }
+      if (r.timedOut || r.status == Status::Redirect) {
+        // Stale grouping (join/leave in flight) or a dead owner: refresh
+        // and regroup just these entries.
+        regroup.insert(regroup.end(), entries.begin(), entries.end());
+        if (r.status == Status::Redirect) {
+          std::lock_guard<std::mutex> lock(statsMutex_);
+          routedStats_.redirectsFollowed += 1;
+        }
+        continue;
+      }
+      const std::string err =
+          std::string("RoutedNetDht::multiGet: status ") + statusName(r.status);
+      for (size_t i : entries) out[i].error = err;
+    }
+    if (!regroup.empty()) {
+      regroups += 1;
+      stats_.hops += regroup.size();  // each regrouped entry routes again
+      refreshView(cli);
+    }
+    pending = std::move(tail);
+    pending.insert(pending.end(), regroup.begin(), regroup.end());
+  }
+  for (size_t i : pending) out[i].error = "RoutedNetDht::multiGet: rpc timeout";
+  return out;
+}
 
 std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
   if (keys.empty()) return {};
@@ -403,87 +439,7 @@ std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
   stats_.hops += keys.size();
 
   Lease lease(*this);
-  rpc::RpcClient& cli = lease.rpc();
-  std::vector<GetOutcome> out(keys.size());
-  std::vector<size_t> active(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) active[i] = i;
-
-  for (size_t round = 0; round < opts_.maxBatchRounds && !active.empty();
-       ++round) {
-    auto v = view();
-    if (!v) {
-      if (!refreshView(cli)) break;
-      v = requireView();
-    }
-    const auto chunks = packByOwner(
-        active, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
-        [&](size_t i) { return v->ring.owner(keys[i]); },
-        [&](size_t i) { return keys[i].size() + 8; });
-    std::vector<rpc::RpcClient::Token> tokens(chunks.size(), 0);
-    std::vector<bool> sent(chunks.size(), false);
-    for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      auto it = v->addrs.find(chunks[ci].owner);
-      if (it == v->addrs.end()) continue;  // stale view: retry next round
-      MultiGetReq req;
-      req.entries.reserve(chunks[ci].entries.size());
-      for (size_t i : chunks[ci].entries) req.entries.push_back(GetReq{keys[i]});
-      tokens[ci] = cli.call(it->second, std::move(req));
-      sent[ci] = true;
-      if (round > 0) stats_.hops += chunks[ci].entries.size();
-    }
-    cli.settle();
-
-    std::vector<size_t> retry;
-    bool wantRefresh = false;
-    for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      if (!sent[ci]) {
-        retry.insert(retry.end(), chunks[ci].entries.begin(),
-                     chunks[ci].entries.end());
-        wantRefresh = true;
-        continue;
-      }
-      auto r = cli.take(tokens[ci]);
-      noteHint(r.hint);
-      if (r.timedOut || r.status == Status::Redirect) {
-        // Stale grouping (join/leave in flight) or a dead owner: refresh
-        // and regroup just these entries.
-        retry.insert(retry.end(), chunks[ci].entries.begin(),
-                     chunks[ci].entries.end());
-        wantRefresh = true;
-        if (r.status == Status::Redirect) {
-          std::lock_guard<std::mutex> lock(statsMutex_);
-          routedStats_.redirectsFollowed += 1;
-        }
-        continue;
-      }
-      if (r.status != Status::Ok) {
-        const std::string err =
-            std::string("RoutedNetDht::multiGet: status ") +
-            statusName(r.status);
-        for (size_t i : chunks[ci].entries) out[i].error = err;
-        continue;
-      }
-      auto& rep = std::get<MultiGetRep>(r.body);
-      common::checkInvariant(rep.entries.size() == chunks[ci].entries.size(),
-                             "RoutedNetDht::multiGet: entry count mismatch");
-      for (size_t j = 0; j < rep.entries.size(); ++j) {
-        GetOutcome& o = out[chunks[ci].entries[j]];
-        o.ok = true;
-        if (rep.entries[j].present) {
-          stats_.valueBytesMoved += rep.entries[j].value.size();
-          o.value = std::move(rep.entries[j].value);
-        }
-      }
-    }
-    active = std::move(retry);
-    if (wantRefresh && !active.empty()) refreshView(cli);
-  }
-  for (size_t i : active) {
-    if (out[i].error.empty() && !out[i].ok) {
-      out[i].error = "RoutedNetDht::multiGet: rpc timeout";
-    }
-  }
-  return out;
+  return detail::toGetOutcomes(fetch(lease.rpc(), keys), stats_.valueBytesMoved);
 }
 
 std::vector<ApplyOutcome> RoutedNetDht::multiApply(
@@ -499,82 +455,21 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
   rpc::RpcClient& cli = lease.rpc();
   std::vector<ApplyOutcome> out(reqs.size());
 
-  struct State {
-    bool present = false;
-    u64 version = 0;
-    Value value;
-    bool existedAtFirstCas = false;
-  };
-  std::vector<State> state(reqs.size());
-
-  // Snapshot phase (batched GETs, regrouped on redirect/timeout).
+  // Snapshot phase: every key through the MultiGet path (prefix tails,
+  // regroups on redirect/timeout); the fetched (present, version, value)
+  // is each entry's CAS state, refreshed by conflict replies.
+  std::vector<Key> keys;
+  keys.reserve(reqs.size());
+  for (const ApplyRequest& req : reqs) keys.push_back(req.key);
+  std::vector<detail::Fetched> state = fetch(cli, keys);
+  std::vector<bool> existedAtFirstCas(reqs.size(), false);
   std::vector<size_t> active;
-  {
-    std::vector<size_t> pending(reqs.size());
-    for (size_t i = 0; i < reqs.size(); ++i) pending[i] = i;
-    for (size_t round = 0; round < opts_.maxBatchRounds && !pending.empty();
-         ++round) {
-      auto v = view();
-      if (!v) {
-        if (!refreshView(cli)) break;
-        v = requireView();
-      }
-      const auto chunks = packByOwner(
-          pending, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
-          [&](size_t i) { return v->ring.owner(reqs[i].key); },
-          [&](size_t i) { return reqs[i].key.size() + 8; });
-      std::vector<rpc::RpcClient::Token> tokens(chunks.size(), 0);
-      std::vector<bool> sent(chunks.size(), false);
-      for (size_t ci = 0; ci < chunks.size(); ++ci) {
-        auto it = v->addrs.find(chunks[ci].owner);
-        if (it == v->addrs.end()) continue;
-        MultiGetReq req;
-        for (size_t i : chunks[ci].entries) {
-          req.entries.push_back(GetReq{reqs[i].key});
-        }
-        tokens[ci] = cli.call(it->second, std::move(req));
-        sent[ci] = true;
-        if (round > 0) stats_.hops += chunks[ci].entries.size();
-      }
-      cli.settle();
-      std::vector<size_t> retry;
-      bool wantRefresh = false;
-      for (size_t ci = 0; ci < chunks.size(); ++ci) {
-        if (!sent[ci]) {
-          retry.insert(retry.end(), chunks[ci].entries.begin(),
-                       chunks[ci].entries.end());
-          wantRefresh = true;
-          continue;
-        }
-        auto r = cli.take(tokens[ci]);
-        noteHint(r.hint);
-        if (r.timedOut || r.status == Status::Redirect) {
-          retry.insert(retry.end(), chunks[ci].entries.begin(),
-                       chunks[ci].entries.end());
-          wantRefresh = true;
-          continue;
-        }
-        if (r.status != Status::Ok) {
-          for (size_t i : chunks[ci].entries) {
-            out[i].error = std::string("RoutedNetDht::multiApply: status ") +
-                           statusName(r.status);
-          }
-          continue;
-        }
-        auto& rep = std::get<MultiGetRep>(r.body);
-        for (size_t j = 0; j < rep.entries.size(); ++j) {
-          const size_t i = chunks[ci].entries[j];
-          state[i].present = rep.entries[j].present;
-          state[i].version = rep.entries[j].version;
-          state[i].value = std::move(rep.entries[j].value);
-          active.push_back(i);
-        }
-      }
-      pending = std::move(retry);
-      if (wantRefresh && !pending.empty()) refreshView(cli);
-    }
-    for (size_t i : pending) {
-      out[i].error = "RoutedNetDht::multiApply: snapshot rpc timeout";
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    if (state[i].ok) {
+      active.push_back(i);
+    } else {
+      out[i].error =
+          "RoutedNetDht::multiApply: snapshot failed (" + state[i].error + ")";
     }
   }
 
@@ -585,7 +480,7 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
     std::vector<size_t> casEntries;
     std::vector<CasReq> casReqs;
     for (size_t i : active) {
-      State& s = state[i];
+      GetRep& s = state[i].rep;
       std::optional<Value> v =
           s.present ? std::optional<Value>(s.value) : std::nullopt;
       reqs[i].fn(v);
@@ -600,7 +495,7 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
         continue;
       }
       if (v.has_value()) stats_.valueBytesMoved += v->size();
-      s.existedAtFirstCas = s.present;
+      existedAtFirstCas[i] = s.present;
       casEntries.push_back(i);
       casReqs.push_back(
           CasReq{reqs[i].key, s.version, v.has_value(), v.value_or(Value{})});
@@ -610,8 +505,8 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
 
     auto v = requireView();
     std::vector<size_t> positions(casEntries.size());
-    for (size_t j = 0; j < positions.size(); ++j) positions[j] = j;
-    const auto chunks = packByOwner(
+    std::iota(positions.begin(), positions.end(), size_t{0});
+    const auto chunks = detail::packChunks(
         positions, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
         [&](size_t j) { return v->ring.owner(casReqs[j].key); },
         [&](size_t j) {
@@ -657,7 +552,7 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
         CasRep& cr = rep.entries[k];
         if (cr.applied) {
           out[i].ok = true;
-          out[i].existed = state[i].existedAtFirstCas;
+          out[i].existed = existedAtFirstCas[i];
           toReplicate.emplace_back(
               reqs[i].key,
               std::make_pair(casReqs[j].present
@@ -665,9 +560,10 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
                                  : std::nullopt,
                              cr.currentVersion));
         } else {
-          state[i].present = cr.currentPresent;
-          state[i].version = cr.currentVersion;
-          state[i].value = std::move(cr.currentValue);
+          GetRep& s = state[i].rep;
+          s.present = cr.currentPresent;
+          s.version = cr.currentVersion;
+          s.value = std::move(cr.currentValue);
           active.push_back(i);
         }
       }

@@ -25,7 +25,9 @@
 // Batched ops group by owner under the current view; a Redirect on any
 // chunk refreshes the view and regroups just the affected entries, so a
 // single mid-batch topology change costs one extra round for those keys,
-// not a failed batch.
+// not a failed batch. A MultiGet reply may answer only a prefix of its
+// chunk (the datagram cap); the tail goes out again next round without
+// spending a regroup round.
 #pragma once
 
 #include <functional>
@@ -34,6 +36,7 @@
 #include <unordered_map>
 
 #include "dht/dht.h"
+#include "dht/net_batch.h"
 #include "overlay/membership.h"
 #include "rpc/rpc_client.h"
 #include "rpc/transport.h"
@@ -58,7 +61,8 @@ class RoutedNetDht final : public Dht {
     /// Client-side attempts per op (each attempt = route + one RPC);
     /// redirects and refresh-retries consume attempts.
     size_t maxAttempts = 4;
-    /// Batch regroup rounds after Redirects.
+    /// Batch regroup rounds (after a Redirect, a timeout, or an owner
+    /// missing from the view). Re-sending a prefix reply's tail is free.
     size_t maxBatchRounds = 4;
   };
 
@@ -134,6 +138,11 @@ class RoutedNetDht final : public Dht {
 
   void replicate(rpc::RpcClient& cli, const View& v, const Key& key,
                  const std::optional<Value>& value, common::u64 version);
+  /// MultiGet rounds for `keys` (multiGet and multiApply's snapshot
+  /// phase): groups by owner under the current view, re-sends prefix-reply
+  /// tails, and regroups Redirected or timed-out chunks after a refresh.
+  std::vector<detail::Fetched> fetch(rpc::RpcClient& cli,
+                                     const std::vector<Key>& keys);
   void unaccountedPut(const Key& key, Value value);
 
   Options opts_;

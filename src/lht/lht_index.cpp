@@ -384,42 +384,37 @@ LhtIndex::LookupRef LhtIndex::lookupInternal(double key) {
   return out;
 }
 
+std::vector<std::string> LhtIndex::candidateNames(double key) const {
+  const Label mu = Label::fromKey(common::clampToUnit(key), opts_.maxDepth);
+  std::vector<std::string> names;
+  for (u32 len = 1; len <= mu.length(); ++len) {
+    std::string nm = name(mu.prefix(len)).str();
+    if (!names.empty() && nm == names.back()) continue;  // same as the previous prefix
+    names.push_back(std::move(nm));
+  }
+  return names;
+}
+
 bool LhtIndex::repairProbe(double key, cost::OpStats& st) {
   repairStats_.holeProbes += 1;
-  key = common::clampToUnit(key);
-  const Label mu = Label::fromKey(key, opts_.maxDepth);
-  std::vector<std::string> names;
-  std::string lastTried;
-  for (u32 len = 1; len <= mu.length(); ++len) {
-    const std::string nm = name(mu.prefix(len)).str();
-    if (nm == lastTried) continue;
-    lastTried = nm;
-    names.push_back(nm);
-  }
+  // Every candidate prefix name in one round: the probe count is that of
+  // a linear scan, the critical path one round-trip.
+  const auto names = candidateNames(key);
+  auto replies = dht_.multiGet(names);
+  st.dhtLookups += names.size();
   bool repaired = false;
-  if (opts_.batchFanout) {
-    // All candidate prefix names in one round; the probe count is the same
-    // as the sequential scan, the critical path is one round-trip.
-    auto replies = dht_.multiGet(names);
-    st.dhtLookups += names.size();
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (!replies[i].ok) {
-        // Entry failed inside the round: fall back to a sequential probe
-        // of this name so injected faults degrade, not corrupt.
-        auto bucket = getBucketRef(names[i], st);
-        if (bucket && !bucket->clean()) repaired |= repairBucket(names[i], *bucket, st);
-        continue;
-      }
-      if (!replies[i].value.has_value()) continue;
-      auto bucket = store_.decode(names[i], *replies[i].value);
-      noteLeaf(*bucket);
-      if (!bucket->clean()) repaired |= repairBucket(names[i], *bucket, st);
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (!replies[i].ok) {
+      // Entry failed inside the round: fall back to a single probe of this
+      // name so injected faults degrade, not corrupt.
+      auto bucket = getBucketRef(names[i], st);
+      if (bucket && !bucket->clean()) repaired |= repairBucket(names[i], *bucket, st);
+      continue;
     }
-    return repaired;
-  }
-  for (const auto& nm : names) {
-    auto bucket = getBucketRef(nm, st);
-    if (bucket && !bucket->clean()) repaired |= repairBucket(nm, *bucket, st);
+    if (!replies[i].value.has_value()) continue;
+    auto bucket = store_.decode(names[i], *replies[i].value);
+    noteLeaf(*bucket);
+    if (!bucket->clean()) repaired |= repairBucket(names[i], *bucket, st);
   }
   return repaired;
 }
@@ -543,25 +538,10 @@ size_t LhtIndex::repairSweep() {
   size_t guard = 0;
   while (cursor < 1.0) {
     checkInvariant(++guard < 1u << 22, "repairSweep: runaway walk");
-    if (!opts_.batchFanout) {
-      auto out = lookupInternal(cursor);
-      checkInvariant(out.bucket != nullptr, "repairSweep: unrecoverable hole");
-      scratch += out.stats;
-      cursor = out.bucket->label.interval().hi;
-      continue;
-    }
-    // Batched sweep step: every candidate prefix name of the cursor in ONE
-    // round. The leaf covering the cursor is stored under one of these
-    // names, and so is any intent-holder responsible for a hole there.
-    const Label mu = Label::fromKey(common::clampToUnit(cursor), opts_.maxDepth);
-    std::vector<std::string> names;
-    std::string lastTried;
-    for (u32 len = 1; len <= mu.length(); ++len) {
-      const std::string nm = name(mu.prefix(len)).str();
-      if (nm == lastTried) continue;
-      lastTried = nm;
-      names.push_back(nm);
-    }
+    // One round per step: every candidate prefix name of the cursor. The
+    // leaf covering the cursor is stored under one of these names, and so
+    // is any intent-holder responsible for a hole there.
+    const auto names = candidateNames(cursor);
     auto replies = dht_.multiGet(names);
     scratch.dhtLookups += names.size();
     bool repairedAny = false;
@@ -583,13 +563,12 @@ size_t LhtIndex::repairSweep() {
     }
     if (repairedAny) continue;  // re-probe the same cursor post-repair
     if (anyFailed || !covering) {
-      // Faulted round or no covering leaf surfaced: the sequential walker
+      // Faulted round or no covering leaf surfaced: the lookup walker
       // (with its retry/repair loop) resolves this cursor.
       auto out = lookupInternal(cursor);
       checkInvariant(out.bucket != nullptr, "repairSweep: unrecoverable hole");
       scratch += out.stats;
-      cursor = out.bucket->label.interval().hi;
-      continue;
+      covering = std::move(out.bucket);
     }
     cursor = covering->label.interval().hi;
   }
@@ -620,12 +599,7 @@ LhtIndex::LookupOutcome LhtIndex::lookup(double key) {
 LhtIndex::LookupRef LhtIndex::lookupLinearRef(double key) {
   LookupRef out;
   key = common::clampToUnit(key);
-  const Label mu = Label::fromKey(key, opts_.maxDepth);
-  std::string lastTried;
-  for (u32 len = 1; len <= mu.length(); ++len) {
-    const std::string nm = name(mu.prefix(len)).str();
-    if (nm == lastTried) continue;  // same name as the previous prefix
-    lastTried = nm;
+  for (const std::string& nm : candidateNames(key)) {
     auto bucket = getBucketRef(nm, out.stats);
     if (bucket && bucket->covers(key)) {
       out.bucket = std::move(bucket);
@@ -794,63 +768,6 @@ index::UpdateResult LhtIndex::insertBatch(std::vector<index::Record> records) {
                    "LhtIndex::insertBatch: key outside [0,1]");
   }
   std::sort(records.begin(), records.end(), index::recordLess);
-  if (opts_.batchFanout) return insertBatchBatched(std::move(records));
-  obs::SpanScope span("lht.insertBatch", "lht");
-  span.arg("records", static_cast<u64>(records.size()));
-  const SplitPolicy policy{opts_.thetaSplit, opts_.countLabelSlot, opts_.maxDepth};
-
-  // One lookup + one apply per *touched leaf*: consecutive sorted records
-  // that land in the same leaf ride along for free.
-  size_t i = 0;
-  while (i < records.size()) {
-    auto found = lookupInternal(records[i].key);
-    if (!found.bucket) found = lookupLinearRef(records[i].key);
-    checkInvariant(found.bucket != nullptr, "LhtIndex::insertBatch: tree hole");
-    chargeInsertion(found.stats.dhtLookups, 0);
-    result.stats.dhtLookups += found.stats.dhtLookups;
-
-    const Interval leafInterval = found.bucket->label.interval();
-    const double leafHi = leafInterval.hi;
-    size_t j = i;
-    while (j < records.size() && common::clampToUnit(records[j].key) < leafHi) ++j;
-
-    std::vector<LeafBucket> remotes;
-    const u64 token = newToken();
-    applyBucket(found.dhtKey, [&](std::optional<LeafBucket>& ob) {
-      checkInvariant(ob.has_value(), "LhtIndex::insertBatch: bucket vanished");
-      LeafBucket& b = *ob;
-      if (b.hasApplied(token)) return false;
-      remotes.clear();
-      b.records.insert(
-          b.records.end(),
-          std::make_move_iterator(records.begin() + static_cast<long>(i)),
-          std::make_move_iterator(records.begin() + static_cast<long>(j)));
-      b.markApplied(token);
-      b.epoch += 1;
-      splitBucketRecursively(b, policy, remotes);
-      return true;
-    });
-    chargeInsertion(1, j - i);
-    result.stats.dhtLookups += 1;
-    recordCount_ += j - i;
-
-    for (const auto& rb : remotes) {
-      dht_.put(dhtKeyFor(rb.label), rb.serialize());
-      chargeMaintenance(1, rb.records.size());
-      noteSplit();
-      result.splitOrMerged = true;
-    }
-    if (!remotes.empty()) dropCached(leafInterval);
-    i = j;
-  }
-  result.stats.parallelSteps = result.stats.dhtLookups;
-  noteOp("lht.insertBatch", result.stats);
-  return result;
-}
-
-index::UpdateResult LhtIndex::insertBatchBatched(std::vector<index::Record> records) {
-  index::UpdateResult result;
-  result.ok = true;
   obs::SpanScope span("lht.insertBatch", "lht");
   span.arg("records", static_cast<u64>(records.size()));
   const SplitPolicy policy{opts_.thetaSplit, opts_.countLabelSlot, opts_.maxDepth};
@@ -919,7 +836,7 @@ index::UpdateResult LhtIndex::insertBatchBatched(std::vector<index::Record> reco
   }
 
   // Pass 3: ONE more round writes every split-off child (Theorem 2 names
-  // them; overwrite matches the sequential dht_.put).
+  // them; an overwrite, like insert's dht_.put of a remote child).
   std::vector<dht::ApplyRequest> puts;
   for (auto& g : groups) {
     if (!g.remotes.empty()) dropCached(g.leafInterval);
@@ -977,9 +894,7 @@ index::FindResult LhtIndex::successorQuery(double key) {
     }
     if (bucket->label.isRightmostPath()) break;
     const Label beta = rightNeighbor(bucket->label);
-    BucketRef nb;
-    fetchSubtreeEntry(beta, nb, result.stats);  // leftmost leaf of the next subtree
-    bucket = std::move(nb);
+    bucket = fetchSubtreeEntry(beta, result.stats);  // leftmost leaf of the next subtree
   }
   result.stats.parallelSteps = result.stats.dhtLookups;
   chargeQuery(result.stats.dhtLookups);
@@ -1006,9 +921,7 @@ index::FindResult LhtIndex::predecessorQuery(double key) {
     }
     if (bucket->label.isLeftmostPath()) break;
     const Label beta = leftNeighbor(bucket->label);
-    BucketRef nb;
-    fetchSubtreeEntry(beta, nb, result.stats);  // rightmost leaf of the previous subtree
-    bucket = std::move(nb);
+    bucket = fetchSubtreeEntry(beta, result.stats);  // rightmost leaf of the previous subtree
   }
   result.stats.parallelSteps = result.stats.dhtLookups;
   chargeQuery(result.stats.dhtLookups);
@@ -1224,101 +1137,14 @@ Label LhtIndex::computeLca(const Interval& range) const {
   return node;
 }
 
-u64 LhtIndex::fetchSubtreeEntry(const Label& branch, BucketRef& out,
-                                cost::OpStats& st) {
+LhtIndex::BucketRef LhtIndex::fetchSubtreeEntry(const Label& branch,
+                                                cost::OpStats& st) {
   // A lookup of the branch label itself reaches the subtree's entry leaf
   // when the branch is internal; when the branch is itself a leaf the
   // lookup fails — the paper's "at most one failed DHT-lookup" — and the
   // leaf sits under its own name instead.
-  out = getBucketRef(branch.str(), st);
-  if (out) return 1;
-  out = getBucketRef(dhtKeyFor(branch), st);
-  return 2;
-}
-
-std::vector<LhtIndex::ForwardTarget> LhtIndex::forwardTargets(
-    const LeafBucket& bucket, const Interval& range) const {
-  std::vector<ForwardTarget> targets;
-  const Interval mine = bucket.label.interval();
-
-  // Sweep right: cover (mine.hi, range.hi) through the right branch nodes
-  // beta_1, beta_2, ... of the local tree. All fully covered branches are
-  // forwarded in parallel (the local tree names them all at once); only the
-  // final, partially covered branch may need the two-step entry.
-  if (range.hi > mine.hi) {
-    Label beta = bucket.label;
-    while (!beta.isRightmostPath()) {
-      beta = rightNeighbor(beta);
-      const Interval inv = beta.interval();
-      if (inv.lo >= range.hi) break;
-      if (inv.hi <= range.hi) {
-        targets.push_back(ForwardTarget{beta, inv, true});
-      } else {
-        targets.push_back(ForwardTarget{beta, inv.intersect(range), false});
-        break;
-      }
-    }
-  }
-
-  // Sweep left: the mirror image via the left neighbor function.
-  if (range.lo < mine.lo) {
-    Label beta = bucket.label;
-    while (!beta.isLeftmostPath()) {
-      beta = leftNeighbor(beta);
-      const Interval inv = beta.interval();
-      if (inv.hi <= range.lo) break;
-      if (inv.lo >= range.lo) {
-        targets.push_back(ForwardTarget{beta, inv, true});
-      } else {
-        targets.push_back(ForwardTarget{beta, inv.intersect(range), false});
-        break;
-      }
-    }
-  }
-  return targets;
-}
-
-u64 LhtIndex::forwardRange(const LeafBucket& bucket, const Interval& range,
-                           std::vector<index::Record>& out, cost::OpStats& st) {
-  st.bucketsTouched += 1;
-  for (const auto& r : bucket.records) {
-    if (range.contains(r.key)) out.push_back(r);
-  }
-  u64 steps = 0;
-  for (const auto& t : forwardTargets(bucket, range)) {
-    BucketRef nb;
-    u64 hops = 0;
-    if (t.covered) {
-      // tau_i fully inside the range: one hop to its rightmost (resp.
-      // leftmost) leaf, which is the leaf named name(beta). In a quiescent
-      // tree this never fails.
-      nb = getBucketRef(dhtKeyFor(t.branch), st);
-      hops = 1;
-    } else {
-      // beta_k: partially covered; enter at its boundary leaf.
-      hops = fetchSubtreeEntry(t.branch, nb, st);
-    }
-    if (!nb) {
-      // A concurrent split/merge relocated the branch's entry leaf between
-      // our read of `bucket` and this probe. Re-resolve through the
-      // repairing lookup (it finishes any half-done structural change in
-      // the way) and continue the sweep from whatever leaf covers the
-      // clip's lower bound; collection stays filtered by the clip, so
-      // nothing is double-counted.
-      nb = resolveRangeEntry(t.clip, hops, st);
-    }
-    steps = std::max(steps, hops + forwardRange(*nb, t.clip, out, st));
-  }
-  return steps;
-}
-
-LhtIndex::BucketRef LhtIndex::resolveRangeEntry(const Interval& clip,
-                                                u64& hops, cost::OpStats& st) {
-  auto found = lookupInternal(clip.lo);
-  checkInvariant(found.bucket != nullptr, "forwardRange: unresolvable branch");
-  st.dhtLookups += found.stats.dhtLookups;
-  hops += found.stats.parallelSteps;
-  return std::move(found.bucket);
+  if (auto entry = getBucketRef(branch.str(), st)) return entry;
+  return getBucketRef(dhtKeyFor(branch), st);
 }
 
 void LhtIndex::expandBucket(const LeafBucket& bucket, const Interval& clip,
@@ -1328,26 +1154,73 @@ void LhtIndex::expandBucket(const LeafBucket& bucket, const Interval& clip,
   for (const auto& r : bucket.records) {
     if (clip.contains(r.key)) out.push_back(r);
   }
-  for (const auto& t : forwardTargets(bucket, clip)) {
-    next.push_back(FanoutTask{t.branch, t.clip, t.covered, false});
+  const Interval mine = bucket.label.interval();
+
+  // Sweep right: cover (mine.hi, clip.hi) through the right branch nodes
+  // beta_1, beta_2, ... of the local tree. All fully covered branches are
+  // forwarded in parallel (the local tree names them all at once); only the
+  // final, partially covered branch may need the two-step entry.
+  if (clip.hi > mine.hi) {
+    Label beta = bucket.label;
+    while (!beta.isRightmostPath()) {
+      beta = rightNeighbor(beta);
+      const Interval inv = beta.interval();
+      if (inv.lo >= clip.hi) break;
+      if (inv.hi <= clip.hi) {
+        next.push_back(FanoutTask{beta, inv, true, false});
+      } else {
+        next.push_back(FanoutTask{beta, inv.intersect(clip), false, false});
+        break;
+      }
+    }
   }
+
+  // Sweep left: the mirror image via the left neighbor function.
+  if (clip.lo < mine.lo) {
+    Label beta = bucket.label;
+    while (!beta.isLeftmostPath()) {
+      beta = leftNeighbor(beta);
+      const Interval inv = beta.interval();
+      if (inv.hi <= clip.lo) break;
+      if (inv.lo >= clip.lo) {
+        next.push_back(FanoutTask{beta, inv, true, false});
+      } else {
+        next.push_back(FanoutTask{beta, inv.intersect(clip), false, false});
+        break;
+      }
+    }
+  }
+}
+
+LhtIndex::BucketRef LhtIndex::resolveRangeEntry(const Interval& clip,
+                                                u64& hops, cost::OpStats& st) {
+  auto found = lookupInternal(clip.lo);
+  checkInvariant(found.bucket != nullptr, "rangeQuery: unresolvable branch");
+  st.dhtLookups += found.stats.dhtLookups;
+  hops = std::max(hops, found.stats.parallelSteps);
+  return std::move(found.bucket);
 }
 
 u64 LhtIndex::runFanoutRounds(std::vector<FanoutTask> frontier,
                               std::vector<index::Record>& out,
                               cost::OpStats& st) {
   u64 rounds = 0;
+  std::vector<std::string> keys;
+  std::vector<FanoutTask> next;
   while (!frontier.empty()) {
     rounds += 1;
-    std::vector<std::string> keys;
-    keys.reserve(frontier.size());
+    keys.clear();
     for (const auto& t : frontier) {
+      // A covered branch's entry leaf is the leaf named name(beta); a
+      // partial branch is entered at its boundary leaf, found under the
+      // branch label itself unless that probe already missed.
       keys.push_back(t.covered || t.retryUnderName ? dhtKeyFor(t.branch)
                                                    : t.branch.str());
     }
     auto replies = dht_.multiGet(keys);
     st.dhtLookups += keys.size();
-    std::vector<FanoutTask> next;
+    u64 stall = 0;  // longest re-resolution chain inside this round
+    next.clear();
     for (size_t i = 0; i < frontier.size(); ++i) {
       FanoutTask& t = frontier[i];
       auto& reply = replies[i];
@@ -1358,15 +1231,15 @@ u64 LhtIndex::runFanoutRounds(std::vector<FanoutTask> frontier,
         if (t.covered || t.retryUnderName) {
           // A concurrent split/merge relocated this branch's entry leaf
           // mid-fan-out; re-resolve through the repairing lookup and
-          // continue from the leaf covering the clip's lower bound.
-          u64 hops = 0;
-          auto nb = resolveRangeEntry(t.clip, hops, st);
+          // continue from the leaf covering the clip's lower bound. The
+          // collection stays filtered by the clip, so nothing is
+          // double-counted.
+          auto nb = resolveRangeEntry(t.clip, stall, st);
           expandBucket(*nb, t.clip, next, out, st);
           continue;
         }
         // The partial branch is itself a leaf (the paper's one failed
-        // DHT-lookup): re-fetch it under name(branch) next round. The
-        // extra round mirrors the sequential path's extra hop.
+        // DHT-lookup): re-fetch it under name(branch) next round.
         t.retryUnderName = true;
         next.push_back(t);
         continue;
@@ -1375,18 +1248,34 @@ u64 LhtIndex::runFanoutRounds(std::vector<FanoutTask> frontier,
       noteLeaf(*bucket);
       expandBucket(*bucket, t.clip, next, out, st);
     }
-    frontier = std::move(next);
+    rounds += stall;
+    std::swap(frontier, next);
   }
   return rounds;
 }
 
-u64 LhtIndex::forwardRangeBatched(const LeafBucket& entry, const Interval& range,
-                                  std::vector<index::Record>& out,
-                                  cost::OpStats& st) {
-  std::vector<FanoutTask> frontier;
-  expandBucket(entry, range, frontier, out, st);
-  return runFanoutRounds(std::move(frontier), out, st);
+namespace {
+
+/// Orders collected records by recordLess through a (key, index) sort —
+/// cheap to swap, unlike a Record — then moves each record once into
+/// place.
+std::vector<index::Record> sortedByKey(std::vector<index::Record> recs) {
+  std::vector<std::pair<double, u32>> order;
+  order.reserve(recs.size());
+  for (size_t i = 0; i < recs.size(); ++i) {
+    order.emplace_back(recs[i].key, static_cast<u32>(i));
+  }
+  std::sort(order.begin(), order.end(), [&recs](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return recs[a.second].payload < recs[b.second].payload;
+  });
+  std::vector<index::Record> sorted;
+  sorted.reserve(recs.size());
+  for (const auto& [key, i] : order) sorted.push_back(std::move(recs[i]));
+  return sorted;
 }
+
+}  // namespace
 
 index::RangeResult LhtIndex::rangeQuery(double lo, double hi) {
   index::RangeResult result;
@@ -1396,6 +1285,7 @@ index::RangeResult LhtIndex::rangeQuery(double lo, double hi) {
   span.arg("lo", lo);
   span.arg("hi", hi);
   const Interval range{lo, hi};
+  std::vector<index::Record> collected;
 
   // Algorithm 4: jump to the range's lowest common ancestor.
   const Label lca = computeLca(range);
@@ -1411,46 +1301,30 @@ index::RangeResult LhtIndex::rangeQuery(double lo, double hi) {
     steps += found.stats.parallelSteps;
     result.stats.bucketsTouched += 1;
     for (const auto& r : found.bucket->records) {
-      if (range.contains(r.key)) result.records.push_back(r);
+      if (range.contains(r.key)) collected.push_back(r);
     }
-  } else if (entry->label.interval().overlaps(range)) {
-    // Case 2: the entry leaf holds one of the range bounds; the recursive
-    // forwarding strategy applies directly.
-    steps += opts_.batchFanout
-                 ? forwardRangeBatched(*entry, range, result.records, result.stats)
-                 : forwardRange(*entry, range, result.records, result.stats);
   } else {
-    // Case 3: the entry leaf lies outside the range; both halves of the
-    // LCA contain part of it and are processed in parallel.
-    const Interval iv = lca.interval();
-    const double mid = 0.5 * (iv.lo + iv.hi);
-    if (opts_.batchFanout) {
-      std::vector<FanoutTask> frontier;
+    std::vector<FanoutTask> frontier;
+    if (entry->label.interval().overlaps(range)) {
+      // Case 2: the entry leaf holds one of the range bounds; it forwards
+      // the rest of the range directly.
+      expandBucket(*entry, range, frontier, collected, result.stats);
+    } else {
+      // Case 3: the entry leaf lies outside the range; both halves of the
+      // LCA contain part of it and are entered in parallel.
+      const Interval iv = lca.interval();
+      const double mid = 0.5 * (iv.lo + iv.hi);
       frontier.push_back(
           FanoutTask{lca.child(0), range.intersect({iv.lo, mid}), false, false});
       frontier.push_back(
           FanoutTask{lca.child(1), range.intersect({mid, iv.hi}), false, false});
-      steps += runFanoutRounds(std::move(frontier), result.records, result.stats);
-    } else {
-      u64 half = 0;
-      BucketRef nb;
-      Interval clip = range.intersect({iv.lo, mid});
-      u64 hops = fetchSubtreeEntry(lca.child(0), nb, result.stats);
-      if (!nb) nb = resolveRangeEntry(clip, hops, result.stats);
-      half = std::max(half, hops + forwardRange(*nb, clip, result.records,
-                                                result.stats));
-      clip = range.intersect({mid, iv.hi});
-      hops = fetchSubtreeEntry(lca.child(1), nb, result.stats);
-      if (!nb) nb = resolveRangeEntry(clip, hops, result.stats);
-      half = std::max(half, hops + forwardRange(*nb, clip, result.records,
-                                                result.stats));
-      steps += half;
     }
+    steps += runFanoutRounds(std::move(frontier), collected, result.stats);
   }
 
   result.stats.parallelSteps = steps;
   chargeQuery(result.stats.dhtLookups);
-  std::sort(result.records.begin(), result.records.end(), index::recordLess);
+  result.records = sortedByKey(std::move(collected));
   noteOp("lht.rangeQuery", result.stats);
   return result;
 }
@@ -1470,9 +1344,7 @@ index::FindResult LhtIndex::minRecord() {
   // further DHT-lookup) until a record shows up.
   while (bucket && bucket->records.empty() && !bucket->label.isRightmostPath()) {
     const Label beta = rightNeighbor(bucket->label);
-    BucketRef nb;
-    fetchSubtreeEntry(beta, nb, result.stats);
-    bucket = std::move(nb);
+    bucket = fetchSubtreeEntry(beta, result.stats);
   }
   if (bucket) {
     const index::Record* best = nullptr;
@@ -1498,9 +1370,7 @@ index::FindResult LhtIndex::maxRecord() {
   checkInvariant(bucket != nullptr, "maxRecord: rightmost leaf missing");
   while (bucket && bucket->records.empty() && !bucket->label.isLeftmostPath()) {
     const Label beta = leftNeighbor(bucket->label);
-    BucketRef nb;
-    fetchSubtreeEntry(beta, nb, result.stats);
-    bucket = std::move(nb);
+    bucket = fetchSubtreeEntry(beta, result.stats);
   }
   if (bucket) {
     const index::Record* best = nullptr;
@@ -1530,10 +1400,8 @@ index::RangeResult LhtIndex::topMin(size_t k) {
     for (const auto& r : bucket->records) result.records.push_back(r);
     if (result.records.size() >= k || bucket->label.isRightmostPath()) break;
     const Label beta = rightNeighbor(bucket->label);
-    BucketRef nb;
-    fetchSubtreeEntry(beta, nb, result.stats);
-    checkInvariant(nb != nullptr, "topMin: broken leaf chain");
-    bucket = std::move(nb);
+    bucket = fetchSubtreeEntry(beta, result.stats);
+    checkInvariant(bucket != nullptr, "topMin: broken leaf chain");
   }
   std::sort(result.records.begin(), result.records.end(), index::recordLess);
   if (result.records.size() > k) result.records.resize(k);
@@ -1556,10 +1424,8 @@ index::RangeResult LhtIndex::topMax(size_t k) {
     for (const auto& r : bucket->records) result.records.push_back(r);
     if (result.records.size() >= k || bucket->label.isLeftmostPath()) break;
     const Label beta = leftNeighbor(bucket->label);
-    BucketRef nb;
-    fetchSubtreeEntry(beta, nb, result.stats);
-    checkInvariant(nb != nullptr, "topMax: broken leaf chain");
-    bucket = std::move(nb);
+    bucket = fetchSubtreeEntry(beta, result.stats);
+    checkInvariant(bucket != nullptr, "topMax: broken leaf chain");
   }
   std::sort(result.records.begin(), result.records.end(), index::recordLess);
   if (result.records.size() > k) {
@@ -1604,10 +1470,8 @@ index::FindResult LhtIndex::quantileQuery(double q) {
     checkInvariant(!atEnd, "quantileQuery: ran past the end (count drift)");
     const Label beta = fromLeft ? rightNeighbor(bucket->label)
                                 : leftNeighbor(bucket->label);
-    BucketRef nb;
-    fetchSubtreeEntry(beta, nb, result.stats);
-    checkInvariant(nb != nullptr, "quantileQuery: broken leaf chain");
-    bucket = std::move(nb);
+    bucket = fetchSubtreeEntry(beta, result.stats);
+    checkInvariant(bucket != nullptr, "quantileQuery: broken leaf chain");
   }
   result.stats.parallelSteps = result.stats.dhtLookups;
   chargeQuery(result.stats.dhtLookups);
@@ -1627,10 +1491,8 @@ void LhtIndex::forEachBucket(const std::function<void(const LeafBucket&)>& fn) {
     fn(*bucket);
     if (bucket->label.isRightmostPath()) break;
     const Label beta = rightNeighbor(bucket->label);
-    BucketRef nb;
-    fetchSubtreeEntry(beta, nb, scratch);
-    checkInvariant(nb != nullptr, "forEachBucket: broken leaf chain");
-    bucket = std::move(nb);
+    bucket = fetchSubtreeEntry(beta, scratch);
+    checkInvariant(bucket != nullptr, "forEachBucket: broken leaf chain");
   }
 }
 

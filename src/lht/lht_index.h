@@ -14,9 +14,9 @@
 //    locally and pushes exactly one remote child with one DHT-put.
 //  * erase               — lookup + apply; may merge the leaf with its
 //    sibling (the dual of a split: one child already has the parent's name).
-//  * rangeQuery [6, Alg. 3/4] — LCA jump, then recursive parallel
-//    forwarding along locally inferred branch nodes; <= B + 3 DHT-lookups
-//    for B result buckets.
+//  * rangeQuery [6, Alg. 3/4] — LCA jump, then parallel forwarding along
+//    locally inferred branch nodes, one multiGet round per dependency
+//    level; <= B + 3 DHT-lookups for B result buckets.
 //  * min/max [7, Thm. 3]  — a single DHT-lookup of "#" resp. "#0".
 #pragma once
 
@@ -128,13 +128,6 @@ class LhtIndex final : public index::OrderedIndex {
     common::u32 hotLeafReads = 64;
     common::u32 hotSplitDivisor = 4;
 
-    /// Issue range fan-out, bulk-load applies, and repair probes as
-    /// multiGet/multiApply batch rounds (off by default). DHT-lookup
-    /// counts are unchanged; the critical path drops to one round-trip
-    /// per dependency level — the paper's parallel-forwarding model made
-    /// operational.
-    bool batchFanout = false;
-
     /// Cache decoded buckets client-side keyed by DHT key, revalidated by
     /// raw-bytes comparison (off by default). Removes the
     /// deserialize-per-read wall-clock cost; mutators copy-on-write.
@@ -171,7 +164,9 @@ class LhtIndex final : public index::OrderedIndex {
   /// apply regardless of how many records land in it; saturated leaves
   /// split *recursively* on the storing peer (each produced remote bucket
   /// still costs exactly one DHT-put, preserving the Theorem 2 economy).
-  /// Far cheaper than record-at-a-time insertion for large batches.
+  /// Far cheaper than record-at-a-time insertion for large batches. The
+  /// leaf lookups run one by one (cache-accelerated); then ONE multiApply
+  /// round ships every group and ONE more writes every split-off child.
   index::UpdateResult insertBatch(std::vector<index::Record> records);
 
   /// The record with the smallest key >= `key` (nullopt if none). Costs a
@@ -311,31 +306,9 @@ class LhtIndex final : public index::OrderedIndex {
   /// range clip to apply there, and whether the branch is fully covered
   /// (entry under name(branch), guaranteed to exist) or the final
   /// partially-covered branch (entry under the branch label itself, with
-  /// one possible failed lookup).
-  struct ForwardTarget {
-    Label branch;
-    common::Interval clip;
-    bool covered = false;
-  };
-
-  /// The branch nodes a bucket forwards a range to (Alg. 3, both sweep
-  /// directions). Pure local-tree computation, no DHT traffic; shared by
-  /// the sequential recursion and the batched breadth-first fan-out.
-  [[nodiscard]] std::vector<ForwardTarget> forwardTargets(
-      const LeafBucket& bucket, const common::Interval& range) const;
-
-  /// Recursive forwarding (Alg. 3, both sweep directions unified): collects
-  /// bucket ∩ range, then covers the uncovered remainder left and right of
-  /// the bucket through locally inferred branch nodes. Returns the latency
-  /// (longest dependent DHT-lookup chain) of the subtree of forwards; adds
-  /// all lookups to `st`.
-  common::u64 forwardRange(const LeafBucket& bucket, const common::Interval& range,
-                           std::vector<index::Record>& out, cost::OpStats& st);
-
-  /// A ForwardTarget in flight in the batched fan-out; retryUnderName is
-  /// set after a partial branch's primary probe missed (the branch is
-  /// itself a leaf) and it must be re-fetched under name(branch) in the
-  /// next round.
+  /// one possible failed lookup). retryUnderName is set after a partial
+  /// branch's label probe missed (the branch is itself a leaf) and it
+  /// must be re-fetched under name(branch) in the next round.
   struct FanoutTask {
     Label branch;
     common::Interval clip;
@@ -343,44 +316,40 @@ class LhtIndex final : public index::OrderedIndex {
     bool retryUnderName = false;
   };
 
-  /// Collects bucket ∩ clip and enqueues the bucket's forward targets.
+  /// Collects bucket ∩ clip into `out` and enqueues the branch nodes the
+  /// bucket forwards the rest of the clip to (Alg. 3, both sweep
+  /// directions; a pure local-tree computation, no DHT traffic).
   void expandBucket(const LeafBucket& bucket, const common::Interval& clip,
                     std::vector<FanoutTask>& next,
                     std::vector<index::Record>& out, cost::OpStats& st);
 
-  /// Batched Alg. 3: lockstep breadth-first rounds over the frontier, one
-  /// multiGet per round. Same DHT-lookups as the sequential recursion
-  /// (including the one failed probe per final branch, retried in the
-  /// next round); returns the number of rounds — the critical path.
+  /// Alg. 3/4's parallel forwarding: lockstep breadth-first rounds over
+  /// the frontier, one multiGet per round, so the critical path is one
+  /// round-trip per dependency level. Each final partial branch may cost
+  /// one failed probe, retried under its name in the next round. Returns
+  /// the number of rounds on the critical path.
   common::u64 runFanoutRounds(std::vector<FanoutTask> frontier,
                               std::vector<index::Record>& out, cost::OpStats& st);
 
-  /// expandBucket + runFanoutRounds from one entry bucket.
-  common::u64 forwardRangeBatched(const LeafBucket& entry,
-                                  const common::Interval& range,
-                                  std::vector<index::Record>& out,
-                                  cost::OpStats& st);
+  /// Fetches the entry bucket for a branch/half label during a neighbor
+  /// walk: tries the label as a key (leftmost/rightmost named leaf of that
+  /// subtree), retrying name(label) when the label is itself a leaf (the
+  /// paper's "at most one failed DHT-lookup").
+  BucketRef fetchSubtreeEntry(const Label& branch, cost::OpStats& st);
 
-  /// Bulk-load fast path: sequential per-leaf lookups, then ONE
-  /// multiApply round shipping every group and ONE more writing every
-  /// split-off child.
-  index::UpdateResult insertBatchBatched(std::vector<index::Record> records);
-
-  /// Fetches the entry bucket for a branch/half label during range
-  /// processing: tries the label as a key (leftmost/rightmost named leaf of
-  /// that subtree), retrying name(label) when the label is itself a leaf
-  /// (the paper's "at most one failed DHT-lookup"). Returns the sequential
-  /// step count consumed (1 or 2).
-  common::u64 fetchSubtreeEntry(const Label& branch, BucketRef& out,
-                                cost::OpStats& st);
-
-  /// Concurrency fallback for the range sweeps: when a branch's entry-leaf
-  /// probe misses because another client split or merged it mid-query,
-  /// re-resolves through the repairing lookup (which also finishes any
-  /// half-done structural change in the way) and returns the leaf covering
-  /// the clip's lower bound. Adds the lookup's critical path to `hops`.
+  /// Concurrency fallback for the range fan-out: when a branch's
+  /// entry-leaf probe misses because another client split or merged it
+  /// mid-query, re-resolves through the repairing lookup (which also
+  /// finishes any half-done structural change in the way) and returns the
+  /// leaf covering the clip's lower bound. Raises `hops` to at least the
+  /// lookup's critical path (re-resolutions within one round overlap).
   BucketRef resolveRangeEntry(const common::Interval& clip, common::u64& hops,
                               cost::OpStats& st);
+
+  /// Every distinct candidate prefix name of `key` (Alg. 2's probe set),
+  /// root first: the leaf covering the key is stored under one of them,
+  /// and so is any intent-holder responsible for a hole there.
+  [[nodiscard]] std::vector<std::string> candidateNames(double key) const;
 
   /// The longest dyadic label whose interval contains [range.lo, range.hi).
   [[nodiscard]] Label computeLca(const common::Interval& range) const;

@@ -35,7 +35,17 @@ OverlayNode::OverlayNode(Options options, rpc::Transport& transport)
 
 void OverlayNode::stampHint(std::string& reply) {
   if (reply.empty()) return;
-  appendGossipHint(reply, GossipHint{table_.selfId(), table_.version()});
+  const GossipHint hint{table_.selfId(), table_.version()};
+  appendGossipHint(reply, hint);
+  if (reply.size() <= rpc::kMaxDatagramBytes) return;
+  // The cap holds on the final bytes. NodeServer leaves room for the
+  // trailer, but this node's own encodes bypass it (a relayed reply
+  // re-encoded under the origin's request id, a read served from a
+  // replica copy). No transport would carry an overflowing reply, and the
+  // client would retransmit until its deadline: answer TooLarge instead.
+  const Header h = std::get<Header>(decodeHeader(reply));
+  reply = encodeReply(h.requestId, h.op, Status::TooLarge, EmptyRep{});
+  appendGossipHint(reply, hint);
 }
 
 std::string OverlayNode::finishLocal(const NetAddr& from,

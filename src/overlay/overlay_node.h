@@ -228,6 +228,8 @@ class OverlayNode {
   std::string handleRequest(const NetAddr& from, std::string_view payload);
   std::string finishLocal(const NetAddr& from, std::string_view payload);
   std::string makeRedirect(u64 requestId, rpc::wire::Op op, u64 ownerId);
+  /// Appends the gossip hint trailer; a reply the trailer would push over
+  /// kMaxDatagramBytes becomes a hinted TooLarge reply instead.
   void stampHint(std::string& reply);
   /// The key a single-key data op routes on; nullptr for everything else.
   static const std::string* routedKey(const rpc::wire::RequestBody& body);

@@ -6,7 +6,37 @@ namespace lht::rpc {
 
 using namespace wire;  // NOLINT — implementation file for the wire protocol
 
+namespace {
+
+/// Largest encoded reply NodeServer emits: an overlay node appends a
+/// gossip hint trailer after it, and the result must still fit.
+constexpr size_t kReplyBudget = kMaxDatagramBytes - kMaxGossipHintBytes;
+
+/// Requests whose replies the at-most-once cache keeps: the ones that
+/// change the store, where a re-execution would act twice.
+bool changesStore(Op op) {
+  switch (op) {
+    case Op::Put:
+    case Op::Remove:
+    case Op::Cas:
+    case Op::MultiCas:
+    case Op::ReplicaPut:
+    case Op::ReplicaRemove:
+    case Op::Handoff:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
 NodeServer::NodeServer(Options options) : opts_(std::move(options)) {}
+
+size_t NodeServer::dedupSize() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return dedup_.size();
+}
 
 size_t NodeServer::primaryKeyCount() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -154,10 +184,10 @@ CasRep NodeServer::doCas(const CasReq& entry) {
   return rep;
 }
 
-ReplyBody NodeServer::dispatch(const RequestBody& req) {
+ReplyBody NodeServer::dispatch(const RequestBody& req, size_t bodyBudget) {
   // Caller holds mutex_.
   return std::visit(
-      [this](const auto& body) -> ReplyBody {
+      [this, bodyBudget](const auto& body) -> ReplyBody {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, PingReq>) {
           return PingRep{opts_.name};
@@ -174,9 +204,19 @@ ReplyBody NodeServer::dispatch(const RequestBody& req) {
         } else if constexpr (std::is_same_v<T, CasReq>) {
           return doCas(body);
         } else if constexpr (std::is_same_v<T, MultiGetReq>) {
+          // The longest prefix that fits one datagram; the client re-sends
+          // the tail. The count varint is sized for the full request, an
+          // upper bound on the prefix's.
           MultiGetRep rep;
-          rep.entries.reserve(body.entries.size());
-          for (const GetReq& g : body.entries) rep.entries.push_back(doGet(g.key));
+          const size_t countBytes = common::varintSize(body.entries.size());
+          size_t room = bodyBudget > countBytes ? bodyBudget - countBytes : 0;
+          for (const GetReq& g : body.entries) {
+            GetRep entry = doGet(g.key);
+            const size_t bytes = getRepWireBytes(entry);
+            if (bytes > room) break;
+            room -= bytes;
+            rep.entries.push_back(std::move(entry));
+          }
           return rep;
         } else if constexpr (std::is_same_v<T, MultiCasReq>) {
           MultiCasRep rep;
@@ -258,27 +298,39 @@ std::string NodeServer::handle(const NetAddr& from, std::string_view payload) {
   }
 
   const Request& req = std::get<Request>(decoded);
-  const DedupKey dkey{from.host, from.port, req.header.requestId};
+  const u64 id = req.header.requestId;
+  const bool cacheable = changesStore(req.header.op);
+  const DedupKey dkey{from.host, from.port, id};
   std::lock_guard<std::mutex> lock(mutex_);
-  auto cached = dedup_.find(dkey);
-  if (cached != dedup_.end()) {
-    stats_.dedupHits += 1;
-    return cached->second;
+  if (cacheable) {
+    auto cached = dedup_.find(dkey);
+    if (cached != dedup_.end()) {
+      stats_.dedupHits += 1;
+      return cached->second;
+    }
   }
-  const ReplyBody rep = dispatch(req.body);
-  std::string encoded =
-      encodeReply(req.header.requestId, req.header.op, Status::Ok, rep);
-  if (encoded.size() > kMaxDatagramBytes) {
-    encoded =
-        encodeReply(req.header.requestId, req.header.op, Status::TooLarge,
-                    EmptyRep{});
+  // Header: magic, version, op, status, then the request id varint.
+  const size_t headerBytes = 4 + common::varintSize(id);
+  const ReplyBody rep = dispatch(req.body, kReplyBudget - headerBytes);
+  bool emptyPrefix = false;
+  if (const auto* multi = std::get_if<MultiGetRep>(&rep)) {
+    const size_t asked = std::get<MultiGetReq>(req.body).entries.size();
+    emptyPrefix = multi->entries.empty() && asked > 0;
+    if (!emptyPrefix && multi->entries.size() < asked) stats_.prefixReplies += 1;
+  }
+  std::string encoded;
+  if (!emptyPrefix) encoded = encodeReply(id, req.header.op, Status::Ok, rep);
+  if (emptyPrefix || encoded.size() > kReplyBudget) {
+    encoded = encodeReply(id, req.header.op, Status::TooLarge, EmptyRep{});
     stats_.oversizedReplies += 1;
   }
-  dedup_.emplace(dkey, encoded);
-  dedupOrder_.push_back(dkey);
-  while (dedupOrder_.size() > opts_.dedupCapacity) {
-    dedup_.erase(dedupOrder_.front());
-    dedupOrder_.pop_front();
+  if (cacheable) {
+    dedup_.emplace(dkey, encoded);
+    dedupOrder_.push_back(dkey);
+    while (dedupOrder_.size() > opts_.dedupCapacity) {
+      dedup_.erase(dedupOrder_.front());
+      dedupOrder_.pop_front();
+    }
   }
   stats_.requestsHandled += 1;
   return encoded;

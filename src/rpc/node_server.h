@@ -21,7 +21,19 @@
 // At-most-once: retransmitted requests must not re-execute mutations
 // (a retried CAS would spuriously conflict with its own first execution).
 // A bounded FIFO cache keyed by (source host, port, requestId) replays
-// the original reply bytes instead.
+// the original reply bytes instead. It holds only replies to requests
+// that change the store (Put, Remove, Cas, MultiCas, ReplicaPut,
+// ReplicaRemove, Handoff). Reads (Get, MultiGet, ReplicaGet) and the
+// inert admin/membership ops run again on a retransmit: the re-run
+// happens inside the op's own invocation-response window and the client
+// keeps the first matching reply, so a read stays linearizable, and the
+// cache never holds copies of bulky read replies.
+//
+// Datagram bound: every reply leaves room for the overlay's gossip hint
+// trailer under kMaxDatagramBytes. A MultiGet answers the longest prefix
+// of its entries that fits (the client re-sends the tail); any other
+// reply that does not fit, and a MultiGet whose first entry alone does
+// not, is answered Status::TooLarge.
 //
 // handle() is the entire protocol; serve() is a convenience loop for the
 // daemon. handle() is mutex-guarded and safe to call from many threads
@@ -55,6 +67,8 @@ class NodeServer {
     common::RelaxedCounter dedupHits;    ///< replayed cached replies
     common::RelaxedCounter badRequests;  ///< undecodable / rejected
     common::RelaxedCounter oversizedReplies;  ///< downgraded to TooLarge
+    /// MultiGets answered with a strict prefix of their entries.
+    common::RelaxedCounter prefixReplies;
   };
 
   NodeServer() : NodeServer(Options{}) {}
@@ -70,6 +84,8 @@ class NodeServer {
   void serve(Transport& transport, const std::atomic<bool>& stop);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// Replies currently held by the at-most-once cache.
+  [[nodiscard]] size_t dedupSize() const;
   [[nodiscard]] size_t primaryKeyCount() const;
   [[nodiscard]] size_t replicaKeyCount() const;
   [[nodiscard]] std::optional<std::string> primaryValue(
@@ -132,7 +148,9 @@ class NodeServer {
     }
   };
 
-  wire::ReplyBody dispatch(const wire::RequestBody& req);
+  /// Executes a request. `bodyBudget` bounds the encoded reply body (a
+  /// MultiGet answers the longest prefix of entries that fits it).
+  wire::ReplyBody dispatch(const wire::RequestBody& req, size_t bodyBudget);
   wire::GetRep doGet(const std::string& key) const;
   wire::CasRep doCas(const wire::CasReq& entry);
 

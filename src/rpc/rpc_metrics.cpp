@@ -19,6 +19,7 @@ void exportNodeServerMetrics(const NodeServer::Stats& stats,
   registry.counter("rpc.server.dedup_hits").add(stats.dedupHits);
   registry.counter("rpc.server.bad_requests").add(stats.badRequests);
   registry.counter("rpc.server.oversized_replies").add(stats.oversizedReplies);
+  registry.counter("rpc.server.prefix_replies").add(stats.prefixReplies);
 }
 
 void exportTransportMetrics(const TransportStats& stats,

@@ -105,6 +105,17 @@ void putGetRep(Encoder& e, const GetRep& g) {
   }
 }
 
+}  // namespace
+
+size_t getRepWireBytes(const GetRep& g) {
+  // Mirrors putGetRep: flag byte, then (present) version + framed value.
+  if (!g.present) return 1;
+  return 1 + common::varintSize(g.version) + common::varintSize(g.value.size()) +
+         g.value.size();
+}
+
+namespace {
+
 bool getGetRep(Decoder& d, GetRep& out) {
   auto present = getFlag(d);
   if (!present) return false;

@@ -37,6 +37,7 @@
 
 #include "common/codec.h"
 #include "common/types.h"
+#include "common/varint.h"
 
 namespace lht::rpc::wire {
 
@@ -52,6 +53,9 @@ inline constexpr u8 kReplyBit = 0x80;
 /// membership version, both varints) follows the body. Overlay nodes set
 /// it on every reply so clients learn about membership changes for free.
 inline constexpr u8 kGossipHintBit = 0x80;
+/// Longest gossip hint trailer (two u64 varints). A server leaves this
+/// much room under the datagram cap so a hint never pushes a reply over.
+inline constexpr size_t kMaxGossipHintBytes = 2 * common::kMaxVarintBytes;
 /// Request status byte, bit 0: this request was already forwarded once by
 /// an overlay node — the receiver must answer locally or redirect, never
 /// forward again (one-hop forwarding, loop-free by construction).
@@ -238,6 +242,10 @@ struct CasRep {
   bool currentPresent = false;
   std::string currentValue;
 };
+/// Answers a prefix of the request's entries, in order: the longest one
+/// that fits one datagram (at least one entry; a first entry too large
+/// for any datagram is answered Status::TooLarge instead). The client
+/// re-sends the unanswered tail.
 struct MultiGetRep {
   std::vector<GetRep> entries;
 };
@@ -310,6 +318,9 @@ struct Reply {
                                         bool noForward = false);
 [[nodiscard]] std::string encodeReply(u64 requestId, Op op, Status status,
                                       const ReplyBody& body);
+
+/// Bytes one GetRep adds to an encoded Get/MultiGet reply body.
+[[nodiscard]] size_t getRepWireBytes(const GetRep& g);
 
 /// Stamps a gossip hint onto an already-encoded reply in place: sets
 /// kGossipHintBit in the status byte and appends the trailer. Lets the

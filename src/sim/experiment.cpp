@@ -37,7 +37,6 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(cfg) {
       o.maxDepth = cfg_.maxDepth;
       o.countLabelSlot = cfg_.countLabelSlot;
       o.useLeafCache = cfg_.lhtUseLeafCache;
-      o.batchFanout = cfg_.lhtBatchFanout;
       o.cacheDecodedBuckets = cfg_.lhtCacheDecodedBuckets;
       index_ = std::make_unique<core::LhtIndex>(dht_, o);
       break;

@@ -35,7 +35,6 @@ struct ExperimentConfig {
   /// LHT client-side performance features (IndexKind::Lht only; the other
   /// indexes ignore them). Default-off, matching LhtIndex::Options.
   bool lhtUseLeafCache = false;
-  bool lhtBatchFanout = false;
   bool lhtCacheDecodedBuckets = false;
 };
 

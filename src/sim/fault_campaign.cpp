@@ -54,7 +54,6 @@ core::LhtIndex::Options indexOpts(const FaultCampaignConfig& cfg, bool attach,
   o.attachExisting = attach;
   o.clientSeed = clientSeed;
   o.useLeafCache = cfg.useLeafCache;
-  o.batchFanout = cfg.batchFanout;
   o.cacheDecodedBuckets = cfg.cacheDecodedBuckets;
   return o;
 }

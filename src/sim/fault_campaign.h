@@ -43,11 +43,10 @@ struct FaultCampaignConfig {
   size_t maxAttempts = 12;
 
   /// Client-side performance features under test (both the crashing client
-  /// and the recovering client run with them): the leaf-location cache,
-  /// batched multi-key rounds, and the decoded-bucket store. Default-off,
-  /// matching the index defaults; the campaign must pass either way.
+  /// and the recovering client run with them): the leaf-location cache and
+  /// the decoded-bucket store. Default-off, matching the index defaults;
+  /// the campaign must pass either way.
   bool useLeafCache = false;
-  bool batchFanout = false;
   bool cacheDecodedBuckets = false;
 };
 

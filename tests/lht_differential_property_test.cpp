@@ -1,6 +1,6 @@
 // Property-based differential test: LhtIndex with EVERY opt-in feature
-// enabled (leaf cache, batched fan-out, crash-consistent splits, decoded-
-// bucket cache) behind a fault-injecting decorator stack must stay
+// enabled (leaf cache, crash-consistent splits, decoded-bucket cache) and
+// its batched fan-out behind a fault-injecting decorator stack must stay
 // observably equivalent to the in-memory ReferenceIndex on random mixed
 // workloads. Seeds are PCG32-derived and printed on failure so any
 // divergence replays deterministically.
@@ -41,7 +41,6 @@ void runSeed(u64 seed) {
   core::LhtIndex::Options opts;
   opts.thetaSplit = 8;  // small leaves: plenty of splits and merges
   opts.useLeafCache = true;
-  opts.batchFanout = true;
   opts.crashConsistentSplits = true;
   opts.cacheDecodedBuckets = true;
   opts.clientSeed = seed;

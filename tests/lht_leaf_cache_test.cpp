@@ -258,9 +258,7 @@ TEST(LeafCacheIndex, StaleEntryAcrossForeignMergeSelfCorrects) {
 
 TEST(LeafCacheIndex, OracleDifferentialWithAllFeaturesOn) {
   dht::LocalDht store;
-  LhtIndex::Options o = cachedOpts(8);
-  o.batchFanout = true;
-  LhtIndex idx(store, o);
+  LhtIndex idx(store, cachedOpts(8));
 
   std::map<double, std::string> oracle;
   common::Pcg32 rng(21);

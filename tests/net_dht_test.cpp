@@ -22,6 +22,7 @@
 #include "dht/decorators.h"
 #include "lht/lht_index.h"
 #include "net/sim_clock.h"
+#include "net_index_check.h"
 #include "rpc/node_server.h"
 #include "rpc/sim_transport.h"
 
@@ -232,6 +233,63 @@ TEST(NetDht, MultiGetBatchesOneDatagramPerNode) {
   EXPECT_LE(after.datagramsSent - before.datagramsSent, c.servers.size());
 }
 
+TEST(NetDht, MultiGetCompletesAcrossPrefixReplies) {
+  Cluster c(1);
+  auto dht = c.makeDht();
+  std::vector<Key> keys;
+  for (int i = 0; i < 8; ++i) {
+    keys.push_back("big" + std::to_string(i));
+    dht->put(keys.back(), std::string(20 * 1024, 'v') + std::to_string(i));
+  }
+  const auto before = dht->netStats();
+  auto out = dht->multiGet(keys);
+  const auto after = dht->netStats();
+  ASSERT_EQ(out.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(out[i].ok) << out[i].error;
+    EXPECT_EQ(out[i].value, std::string(20 * 1024, 'v') + std::to_string(i));
+  }
+  // 160 KB of values for one node: each reply answers the two-entry prefix
+  // that fits, and the client re-sends the tail until the round is done.
+  EXPECT_EQ(after.requestsStarted - before.requestsStarted, 4u);
+  EXPECT_EQ(c.servers[0]->stats().prefixReplies.load(), 3u);
+  EXPECT_EQ(after.retransmits, before.retransmits);
+  EXPECT_EQ(after.timeouts, before.timeouts);
+}
+
+TEST(NetDht, OversizedEntryFailsAloneAndFast) {
+  Cluster c(1);
+  auto dht = c.makeDht();
+  dht->put("a", "1");
+  dht->put("b", "2");
+  dht->put("c", "3");
+  // A bucket no datagram can carry (installed server-side: no request
+  // could carry it either).
+  c.servers[0]->installPrimary("huge", 1, std::string(rpc::kMaxDatagramBytes, 'x'));
+  const auto before = dht->netStats();
+  auto out = dht->multiGet({"a", "huge", "b", "c"});
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_FALSE(out[1].ok);
+  EXPECT_NE(out[1].error.find("too_large"), std::string::npos) << out[1].error;
+  EXPECT_EQ(out[0].value, "1");
+  EXPECT_EQ(out[2].value, "2");
+  EXPECT_EQ(out[3].value, "3");
+  EXPECT_THROW(dht->get("huge"), DhtError);
+  // multiApply's snapshot phase reads through the same path.
+  bool ranOnHuge = false;
+  auto applied = dht->multiApply(
+      {ApplyRequest{"huge", [&](std::optional<Value>&) { ranOnHuge = true; }},
+       ApplyRequest{"a", [](std::optional<Value>& v) { v = "1+"; }}});
+  EXPECT_FALSE(applied[0].ok);
+  EXPECT_FALSE(ranOnHuge);
+  EXPECT_TRUE(applied[1].ok);
+  EXPECT_EQ(dht->get("a"), "1+");
+  // Nothing waited on a deadline: every failure was an answer.
+  const auto after = dht->netStats();
+  EXPECT_EQ(after.retransmits, before.retransmits);
+  EXPECT_EQ(after.timeouts, before.timeouts);
+}
+
 TEST(NetDht, MultiApplyBatchesAndReportsExistence) {
   Cluster c(4);
   auto dht = c.makeDht();
@@ -362,7 +420,6 @@ TEST(NetDhtIndex, LhtMatchesOracle) {
   iopts.thetaSplit = 8;
   iopts.useLeafCache = true;
   iopts.cacheDecodedBuckets = true;
-  iopts.batchFanout = true;
   core::LhtIndex idx(*dht, iopts);
 
   const auto recs = distinctRecords(150, 91);
@@ -401,6 +458,16 @@ TEST(NetDhtIndex, LhtMatchesOracle) {
   }
   EXPECT_EQ(idx.minRecord().record->key, oracle.begin()->first);
   EXPECT_EQ(idx.maxRecord().record->key, oracle.rbegin()->first);
+}
+
+TEST(NetDhtIndex, Theta100BulkLoadAndSweepsMatchOracle) {
+  Cluster c(4);
+  auto dht = c.makeDht(/*replication=*/2);
+  testing_support::expectBulkLoadAndSweepsMatchOracle(*dht);
+  u64 prefixReplies = 0;
+  for (const auto& s : c.servers) prefixReplies += s->stats().prefixReplies.load();
+  EXPECT_GT(prefixReplies, 0u);  // the rounds really did outgrow a datagram
+  EXPECT_EQ(dht->netStats().timeouts, 0u);
 }
 
 TEST(NetDhtIndex, DeadReplicaHolderDropsLeaseKeepsLocation) {

@@ -2,11 +2,14 @@
 // FIFO cache keyed (source host, source port, request id). These tests
 // pin down its edges — eviction at capacity re-executes an old
 // retransmit, request-id reuse from a different source incarnation is a
-// distinct request, and ids are opaque u64s all the way to the top.
+// distinct request, ids are opaque u64s all the way to the top, and only
+// requests that change the store are cached (reads run again).
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <variant>
+#include <vector>
 
 #include "rpc/node_server.h"
 #include "rpc/wire.h"
@@ -120,6 +123,85 @@ TEST(NodeServerDedup, BadRequestsDoNotPolluteTheCache) {
   EXPECT_EQ(putVersion(ok), 1u);
   EXPECT_EQ(srv.stats().dedupHits, 0u);
   EXPECT_TRUE(srv.primaryRecord("k").has_value());
+}
+
+/// The value a Get / ReplicaGet reply carries ("" when absent).
+std::string getValue(const std::string& replyBytes) {
+  auto decoded = wire::decodeReply(replyBytes);
+  EXPECT_TRUE(std::holds_alternative<wire::Reply>(decoded));
+  return std::get<wire::GetRep>(std::get<wire::Reply>(decoded).body).value;
+}
+
+TEST(NodeServerDedup, ReadRetransmitsRunAgain) {
+  NodeServer srv;
+  const NetAddr from{1, 1000};
+  (void)srv.handle(from, putBytes(1, "k", "old"));
+  (void)srv.handle(from, wire::encodeRequest(
+                             2, wire::ReplicaPutReq{"r", "old", 1}));
+  const std::string get = wire::encodeRequest(3, wire::GetReq{"k"});
+  const std::string replicaGet = wire::encodeRequest(4, wire::ReplicaGetReq{"r"});
+  wire::MultiGetReq mg;
+  mg.entries.push_back(wire::GetReq{"k"});
+  const std::string multiGet = wire::encodeRequest(5, mg);
+  EXPECT_EQ(getValue(srv.handle(from, get)), "old");
+  EXPECT_EQ(getValue(srv.handle(from, replicaGet)), "old");
+  (void)srv.handle(from, multiGet);
+
+  // Writes land between the reads and their retransmits.
+  (void)srv.handle(from, putBytes(6, "k", "new"));
+  (void)srv.handle(from, wire::encodeRequest(
+                             7, wire::ReplicaPutReq{"r", "new", 2}));
+  const size_t cached = srv.dedupSize();
+
+  // Each retransmit executes again and sees the newer value: no dedup
+  // hit, and the cache neither grew nor replayed a stale read.
+  EXPECT_EQ(getValue(srv.handle(from, get)), "new");
+  EXPECT_EQ(getValue(srv.handle(from, replicaGet)), "new");
+  auto decoded = wire::decodeReply(srv.handle(from, multiGet));
+  ASSERT_TRUE(std::holds_alternative<wire::Reply>(decoded));
+  const auto& rep =
+      std::get<wire::MultiGetRep>(std::get<wire::Reply>(decoded).body);
+  ASSERT_EQ(rep.entries.size(), 1u);
+  EXPECT_EQ(rep.entries[0].value, "new");
+  EXPECT_EQ(srv.stats().dedupHits.load(), 0u);
+  EXPECT_EQ(srv.dedupSize(), cached);
+  EXPECT_EQ(cached, 4u);  // the four writes, none of the reads
+}
+
+TEST(NodeServerDedup, MutatingRetransmitsReplayByteIdentical) {
+  NodeServer srv;
+  const NetAddr from{1, 1000};
+  (void)srv.handle(from, putBytes(1, "gone", "x"));
+  wire::MultiCasReq multiCas;
+  multiCas.entries.push_back(wire::CasReq{"m1", 0, true, "a"});
+  multiCas.entries.push_back(wire::CasReq{"m2", 0, true, "b"});
+  const std::vector<std::pair<u64, wire::RequestBody>> writes = {
+      {10, wire::PutReq{"p", "1"}},
+      {11, wire::CasReq{"c", 0, true, "2"}},
+      {12, multiCas},
+      {13, wire::RemoveReq{"gone"}},
+      {14, wire::ReplicaPutReq{"rp", "3", 7}},
+  };
+  std::vector<std::string> firsts;
+  for (const auto& [id, body] : writes) {
+    firsts.push_back(srv.handle(from, wire::encodeRequest(id, body)));
+  }
+  // Move the store on, so a re-execution would answer (or act)
+  // differently: a re-put bumps p's version, a re-CAS conflicts, a
+  // re-remove finds nothing, a replayed ReplicaPut would roll rp back.
+  (void)srv.handle(from, putBytes(20, "p", "newer"));
+  (void)srv.handle(from, wire::encodeRequest(
+                             21, wire::ReplicaPutReq{"rp", "newer", 9}));
+
+  for (size_t i = 0; i < writes.size(); ++i) {
+    EXPECT_EQ(srv.handle(from, wire::encodeRequest(writes[i].first,
+                                                   writes[i].second)),
+              firsts[i])
+        << "request " << writes[i].first;
+  }
+  EXPECT_EQ(srv.stats().dedupHits.load(), writes.size());
+  EXPECT_EQ(srv.primaryValue("p").value(), "newer");
+  EXPECT_EQ(srv.replicaValue("rp").value(), "newer");
 }
 
 }  // namespace

@@ -200,6 +200,43 @@ TEST(OverlayNode, NoForwardGetFallsBackToReplica) {
   EXPECT_EQ(rep.value, "copy");
 }
 
+TEST(OverlayNode, GetReplyNearTheCapFailsFastWithTooLarge) {
+  OverlayCluster c(2);
+  TestClient client(c.hub);
+  // A value whose Get reply lands just under kMaxDatagramBytes, inside the
+  // gossip hint trailer's length of it: the trailer must not push the
+  // final bytes over the cap (no transport would carry them, and the
+  // client would retransmit into its 2 s deadline).
+  const std::string value(rpc::kMaxDatagramBytes - 18, 'v');
+  const std::string mine = keyOwnedBy(c, 0);
+  c.nodes[0]->server().installPrimary(mine, 1, value);
+  const u64 t0 = client.tx->nowMs();
+  auto r = client.call(c, c.addr(0), GetReq{mine});
+  EXPECT_FALSE(r.timedOut);
+  EXPECT_EQ(r.status, Status::TooLarge);
+  EXPECT_EQ(r.sends, 1u);  // answered at once, never retransmitted
+  EXPECT_TRUE(r.hint.has_value());
+
+  // The same on the overlay's own encode path: a forwarded read of a key
+  // node 0 just demoted, served from its replica copy.
+  const std::string theirs = keyOwnedBy(c, 1);
+  c.nodes[0]->server().installPrimary(theirs, 3, value);
+  c.nodes[0]->server().demotePrimary(
+      [&](const std::string& key) { return key == theirs; });
+  auto fromReplica =
+      client.call(c, c.addr(0), GetReq{theirs}, /*noForward=*/true);
+  EXPECT_FALSE(fromReplica.timedOut);
+  EXPECT_EQ(fromReplica.status, Status::TooLarge);
+  EXPECT_EQ(fromReplica.sends, 1u);
+  EXPECT_LT(client.tx->nowMs() - t0, 100u);  // far inside any deadline
+
+  // Smaller values still read normally.
+  c.nodes[0]->server().installPrimary(mine, 2, "small");
+  auto ok = client.call(c, c.addr(0), GetReq{mine});
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(std::get<GetRep>(ok.body).value, "small");
+}
+
 TEST(OverlayNode, RelayAbsorbsOriginRetransmits) {
   OverlayCluster c(2);
   const std::string key = keyOwnedBy(c, 1);

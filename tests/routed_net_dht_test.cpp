@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "net_index_check.h"
 #include "overlay/overlay_node.h"
 #include "rpc/sim_transport.h"
 
@@ -111,6 +112,16 @@ RoutedNetDht::Options clientOptions(const ServedCluster& c,
   RoutedNetDht::Options ro;
   ro.seed = c.addr(0);
   ro.replication = replication;
+  return ro;
+}
+
+/// Client options for tests that assert no request ever times out. The
+/// sim clocks jump by whole idle waits, so under a slow (sanitizer) build
+/// the default 2 s deadline can pass while a server thread is merely
+/// descheduled; this deadline lies far beyond those jumps.
+RoutedNetDht::Options patientClientOptions(const ServedCluster& c) {
+  RoutedNetDht::Options ro = clientOptions(c);
+  ro.rpc.requestDeadlineMs = 4'000'000;
   return ro;
 }
 
@@ -257,6 +268,87 @@ TEST(RoutedNetDht, CrashFailoverPromotesReplicasBehindTheClient) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(dht.knownMembers(), 2u);  // the dead node fell out of the view
+}
+
+TEST(RoutedNetDht, MultiGetCompletesAcrossPrefixReplies) {
+  ServedCluster c(1);
+  c.serveAll();
+  RoutedNetDht dht(patientClientOptions(c), [&] {
+    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
+  });
+  ASSERT_TRUE(dht.bootstrap(20000));
+  std::vector<Key> keys;
+  for (int i = 0; i < 8; ++i) {
+    keys.push_back("big" + std::to_string(i));
+    dht.put(keys.back(), std::string(20 * 1024, 'v') + std::to_string(i));
+  }
+  auto out = dht.multiGet(keys);
+  ASSERT_EQ(out.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(out[i].ok) << out[i].error;
+    EXPECT_EQ(out[i].value, std::string(20 * 1024, 'v') + std::to_string(i));
+  }
+  // Each reply answered the two-entry prefix that fits one datagram; the
+  // tails went out again without any regroup (no refresh, no redirect).
+  // At least 3 prefix replies: a retransmitted read runs again, so racing
+  // server threads may answer some chunk twice.
+  EXPECT_GE(c.nodes[0]->server().stats().prefixReplies.load(), 3u);
+  const auto rs = dht.routedStats();
+  EXPECT_EQ(rs.refreshes, 0u);
+  EXPECT_EQ(rs.redirectsFollowed, 0u);
+}
+
+TEST(RoutedNetDht, OversizedEntryFailsAloneAndFast) {
+  ServedCluster c(1);
+  c.serveAll();
+  RoutedNetDht dht(patientClientOptions(c), [&] {
+    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
+  });
+  ASSERT_TRUE(dht.bootstrap(20000));
+  dht.put("a", "1");
+  dht.put("b", "2");
+  c.nodes[0]->server().installPrimary("huge", 1,
+                                      std::string(rpc::kMaxDatagramBytes, 'x'));
+  auto out = dht.multiGet({"a", "huge", "b"});
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_FALSE(out[1].ok);
+  EXPECT_NE(out[1].error.find("too_large"), std::string::npos) << out[1].error;
+  EXPECT_EQ(out[0].value, "1");
+  EXPECT_EQ(out[2].value, "2");
+  try {
+    (void)dht.get("huge");
+    ADD_FAILURE() << "an oversized bucket read must fail";
+  } catch (const DhtTimeoutError& e) {
+    ADD_FAILURE() << "failed by timeout, not at once: " << e.what();
+  } catch (const DhtError& e) {
+    EXPECT_NE(std::string(e.what()).find("too_large"), std::string::npos);
+  }
+  // No entry waited out a deadline: a timeout would have regrouped it
+  // (and refreshed the view) or been retried.
+  const auto rs = dht.routedStats();
+  EXPECT_EQ(rs.refreshes, 0u);
+  EXPECT_EQ(rs.retriesAfterTimeout, 0u);
+}
+
+TEST(RoutedNetDhtIndex, Theta100BulkLoadAndSweepsMatchOracle) {
+  // A static cluster under a long load: with no gossip rounds, a busy
+  // host cannot time peers out of the ring (the sim clocks jump by whole
+  // idle waits, see patientClientOptions).
+  OverlayNode::Options base;
+  base.gossipIntervalMs = 4'000'000'000;
+  ServedCluster c(4, base);
+  c.serveAll();
+  RoutedNetDht dht(patientClientOptions(c), [&] {
+    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
+  });
+  ASSERT_TRUE(dht.bootstrap(20000));
+  lht::testing_support::expectBulkLoadAndSweepsMatchOracle(dht);
+  u64 prefixReplies = 0;
+  for (const auto& n : c.nodes) {
+    prefixReplies += n->server().stats().prefixReplies.load();
+  }
+  EXPECT_GT(prefixReplies, 0u);  // the rounds really did outgrow a datagram
+  EXPECT_EQ(dht.routedStats().retriesAfterTimeout, 0u);
 }
 
 }  // namespace

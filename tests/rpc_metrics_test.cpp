@@ -37,12 +37,14 @@ TEST(RpcMetrics, ServerCountersLand) {
   stats.dedupHits += 6;
   stats.badRequests += 5;
   stats.oversizedReplies += 4;
+  stats.prefixReplies += 3;
   obs::MetricsRegistry reg;
   exportNodeServerMetrics(stats, reg);
   EXPECT_EQ(reg.counterValue("rpc.server.requests_handled"), 7u);
   EXPECT_EQ(reg.counterValue("rpc.server.dedup_hits"), 6u);
   EXPECT_EQ(reg.counterValue("rpc.server.bad_requests"), 5u);
   EXPECT_EQ(reg.counterValue("rpc.server.oversized_replies"), 4u);
+  EXPECT_EQ(reg.counterValue("rpc.server.prefix_replies"), 3u);
 }
 
 TEST(RpcMetrics, TransportCountersLand) {

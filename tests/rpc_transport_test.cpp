@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "rpc/node_server.h"
 #include "rpc/sim_transport.h"
@@ -282,6 +283,93 @@ TEST(NodeServer, VersionsAdvancePerKey) {
   EXPECT_FALSE(conflict.applied);
   EXPECT_EQ(conflict.currentVersion, 3u);
   EXPECT_EQ(conflict.currentValue, "3");
+}
+
+/// Decodes a reply the test expects to be well formed.
+Reply decodedReply(const std::string& bytes) {
+  auto decoded = decodeReply(bytes);
+  EXPECT_TRUE(std::holds_alternative<Reply>(decoded));
+  return std::get<Reply>(std::move(decoded));
+}
+
+MultiGetReq multiGetOf(const std::vector<std::string>& keys) {
+  MultiGetReq req;
+  for (const auto& k : keys) req.entries.push_back(GetReq{k});
+  return req;
+}
+
+TEST(NodeServer, MultiGetAnswersTheLongestPrefixThatFits) {
+  NodeServer server;
+  const std::string value(20 * 1024, 'v');
+  for (int i = 0; i < 5; ++i) {
+    server.installPrimary("k" + std::to_string(i), 1, value);
+  }
+  // Two 20 KB values fit one datagram, three do not: the reply answers
+  // the first two, in order, and leaves room for a gossip hint trailer.
+  const std::string bytes = server.handle(
+      NetAddr{0, 7}, encodeRequest(1, multiGetOf({"k0", "k1", "k2", "k3", "k4"})));
+  EXPECT_LE(bytes.size() + kMaxGossipHintBytes, kMaxDatagramBytes);
+  Reply reply = decodedReply(bytes);
+  ASSERT_EQ(reply.header.status, Status::Ok);
+  const auto& rep = std::get<MultiGetRep>(reply.body);
+  ASSERT_EQ(rep.entries.size(), 2u);
+  for (const GetRep& g : rep.entries) {
+    EXPECT_TRUE(g.present);
+    EXPECT_EQ(g.value, value);
+  }
+  EXPECT_EQ(server.stats().prefixReplies.load(), 1u);
+
+  // Re-sending the tail answers the next prefix; a tail that fits is
+  // answered whole.
+  Reply next = decodedReply(
+      server.handle(NetAddr{0, 7}, encodeRequest(2, multiGetOf({"k2", "k3", "k4"}))));
+  EXPECT_EQ(std::get<MultiGetRep>(next.body).entries.size(), 2u);
+  Reply last = decodedReply(
+      server.handle(NetAddr{0, 7}, encodeRequest(3, multiGetOf({"k4"}))));
+  EXPECT_EQ(std::get<MultiGetRep>(last.body).entries.size(), 1u);
+  EXPECT_EQ(server.stats().prefixReplies.load(), 2u);
+  EXPECT_EQ(server.stats().oversizedReplies.load(), 0u);
+}
+
+TEST(NodeServer, EntryTooLargeForAnyDatagramIsTooLarge) {
+  NodeServer server;
+  server.installPrimary("big", 1, std::string(kMaxDatagramBytes, 'b'));
+  server.installPrimary("small", 1, "s");
+  // Leading the batch, the oversized entry fails the reply: TooLarge
+  // says "my first entry alone does not fit".
+  Reply first = decodedReply(
+      server.handle(NetAddr{0, 7}, encodeRequest(1, multiGetOf({"big", "small"}))));
+  EXPECT_EQ(first.header.status, Status::TooLarge);
+  // Behind another entry it just ends the prefix.
+  Reply behind = decodedReply(
+      server.handle(NetAddr{0, 7}, encodeRequest(2, multiGetOf({"small", "big"}))));
+  ASSERT_EQ(behind.header.status, Status::Ok);
+  ASSERT_EQ(std::get<MultiGetRep>(behind.body).entries.size(), 1u);
+  EXPECT_EQ(std::get<MultiGetRep>(behind.body).entries[0].value, "s");
+  Reply single = decodedReply(
+      server.handle(NetAddr{0, 7}, encodeRequest(3, GetReq{"big"})));
+  EXPECT_EQ(single.header.status, Status::TooLarge);
+  EXPECT_EQ(server.stats().oversizedReplies.load(), 2u);
+}
+
+TEST(NodeServer, RepliesLeaveRoomForTheHintTrailer) {
+  NodeServer server;
+  // A Get reply is 4 header bytes + the id varint (1 byte for id 1) + a
+  // flag, a 1-byte version and a 3-byte length varint + the value.
+  const size_t overhead = 4 + 1 + 1 + 1 + 3;
+  const size_t fits = kMaxDatagramBytes - kMaxGossipHintBytes - overhead;
+  server.installPrimary("edge", 1, std::string(fits, 'e'));
+  server.installPrimary("window", 1, std::string(fits + 5, 'w'));
+  const std::string edge =
+      server.handle(NetAddr{0, 7}, encodeRequest(1, GetReq{"edge"}));
+  EXPECT_EQ(edge.size(), kMaxDatagramBytes - kMaxGossipHintBytes);
+  EXPECT_EQ(decodedReply(edge).header.status, Status::Ok);
+  // Under the cap, but a hint trailer would push it over: TooLarge now,
+  // not a reply no transport will carry.
+  EXPECT_EQ(decodedReply(server.handle(NetAddr{0, 7},
+                                       encodeRequest(2, GetReq{"window"})))
+                .header.status,
+            Status::TooLarge);
 }
 
 }  // namespace

@@ -43,7 +43,6 @@ TEST(SlowFaultCampaign, LargerWorkloadWithClientFeatures) {
   cfg.inserts = 64;
   cfg.erases = 48;
   cfg.useLeafCache = true;
-  cfg.batchFanout = true;
   cfg.cacheDecodedBuckets = true;
 
   const FaultCampaignReport report = runFaultCampaign(cfg);
