@@ -17,8 +17,9 @@
 #               report line coverage for src/ (warn-only; needs gcov, and
 #               lcov when available for the per-directory summary)
 #   --tsan      also build the tsan preset and run the concurrency suites
-#               (execution engine, shard-locked substrates, obs merging)
-#               under ThreadSanitizer; a reported race fails the gate
+#               (execution engine, shard-locked substrates, obs merging,
+#               the networked clients' per-thread read slots) under
+#               ThreadSanitizer; a reported race fails the gate
 #   --durability  also run the release durability bench (WAL overhead vs
 #               MemEngine + recovery-time curve) into
 #               build-release/BENCH_PR5.json, diffed warn-only against the
@@ -117,7 +118,7 @@ if [[ "$tsan" -eq 1 ]]; then
   cmake --build --preset tsan -j "$jobs" --target lht_tests
   echo "== concurrency suites under ThreadSanitizer =="
   ctest --preset tsan -j "$jobs" -R \
-    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|ObsConcurrentTest|LoggingConcurrentTest'
+    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots'
 fi
 
 if [[ "$bench" -eq 1 ]]; then

@@ -66,76 +66,50 @@ size_t NetDht::replicaFanout() const {
   return std::min(opts_.replication, opts_.nodes.size()) - 1;
 }
 
-std::vector<size_t> NetDht::holdersOf(const Key& key) const {
-  return ring_.holders(key, replicaFanout());
+std::vector<rpc::NetAddr> NetDht::replicaAddrs(const Key& key) const {
+  const auto holders = ring_.holders(key, replicaFanout());
+  std::vector<rpc::NetAddr> out;
+  out.reserve(holders.size());
+  for (size_t i = 1; i < holders.size(); ++i) out.push_back(addrOf(holders[i]));
+  return out;
 }
-
-// --- Helpers ----------------------------------------------------------------
 
 namespace {
 
-[[noreturn]] void throwTimeout(const char* op, const Key& key) {
-  throw DhtTimeoutError(std::string("NetDht::") + op + ": rpc timeout on \"" +
-                        key + "\"");
-}
-
 void checkStatus(const rpc::RpcClient::Result& r, const char* op,
                  const Key& key) {
-  if (r.timedOut) throwTimeout(op, key);
-  if (r.status != Status::Ok) {
-    throw DhtError(std::string("NetDht::") + op + ": status " +
-                   statusName(r.status) + " on \"" + key + "\"");
-  }
+  detail::checkStatus(r, "NetDht", op, key);
 }
 
 }  // namespace
-
-void NetDht::replicate(rpc::RpcClient& cli, const std::vector<size_t>& holders,
-                       const Key& key, const std::optional<Value>& value,
-                       u64 version) {
-  if (holders.size() <= 1) return;
-  std::vector<rpc::RpcClient::Token> tokens;
-  tokens.reserve(holders.size() - 1);
-  for (size_t i = 1; i < holders.size(); ++i) {
-    if (value.has_value()) {
-      tokens.push_back(cli.call(addrOf(holders[i]),
-                                ReplicaPutReq{key, *value, version}));
-    } else {
-      tokens.push_back(cli.call(addrOf(holders[i]), ReplicaRemoveReq{key}));
-    }
-  }
-  cli.settle();
-  // Best-effort: the primary already committed. A silent holder shows up
-  // in netStats().timeouts; a later read of that replica misses (stale),
-  // which failover treats as any other replica miss.
-  for (auto t : tokens) (void)cli.take(t);
-}
 
 // --- Single-key ops ---------------------------------------------------------
 
 void NetDht::put(const Key& key, Value value) {
   RoutedOpScope scope(*this, "dht.put", key);
+  readSlots_.clear();
   stats_.lookups += 1;
   stats_.puts += 1;
   stats_.hops += 1;  // client -> owner, single-hop by construction
   stats_.valueBytesMoved += value.size();
   Lease lease(*this);
-  const auto holders = holdersOf(key);
-  auto r = lease.rpc().callOne(addrOf(holders[0]), PutReq{key, value});
+  auto r = lease.rpc().callOne(ownerAddr(key), PutReq{key, value});
   checkStatus(r, "put", key);
   const u64 version = std::get<PutRep>(r.body).version;
-  replicate(lease.rpc(), holders, key, value, version);
+  detail::replicate(lease.rpc(), replicaAddrs(key), key, value, version);
 }
 
 std::optional<Value> NetDht::get(const Key& key) {
   RoutedOpScope scope(*this, "dht.get", key);
+  readSlots_.clear();  // a get that throws leaves no read behind
   stats_.lookups += 1;
   stats_.gets += 1;
   stats_.hops += 1;
   Lease lease(*this);
-  auto r = lease.rpc().callOne(addrOf(ring_.ownerIndex(key)), GetReq{key});
+  auto r = lease.rpc().callOne(ownerAddr(key), GetReq{key});
   checkStatus(r, "get", key);
   auto& rep = std::get<GetRep>(r.body);
+  readSlots_.fill(key, rep);
   if (!rep.present) return std::nullopt;
   stats_.valueBytesMoved += rep.value.size();
   return std::move(rep.value);
@@ -143,61 +117,34 @@ std::optional<Value> NetDht::get(const Key& key) {
 
 bool NetDht::remove(const Key& key) {
   RoutedOpScope scope(*this, "dht.remove", key);
+  readSlots_.clear();
   stats_.lookups += 1;
   stats_.removes += 1;
   stats_.hops += 1;
   Lease lease(*this);
-  const auto holders = holdersOf(key);
-  auto r = lease.rpc().callOne(addrOf(holders[0]), RemoveReq{key});
+  auto r = lease.rpc().callOne(ownerAddr(key), RemoveReq{key});
   checkStatus(r, "remove", key);
   const bool existed = std::get<RemoveRep>(r.body).existed;
-  if (existed) replicate(lease.rpc(), holders, key, std::nullopt, 0);
+  if (existed) {
+    detail::replicate(lease.rpc(), replicaAddrs(key), key, std::nullopt, 0);
+  }
   return existed;
 }
 
 bool NetDht::apply(const Key& key, const Mutator& fn) {
   RoutedOpScope scope(*this, "dht.apply", key);
+  auto start = readSlots_.take(key);
   stats_.lookups += 1;
   stats_.applies += 1;
   stats_.hops += 1;
   Lease lease(*this);
   rpc::RpcClient& cli = lease.rpc();
-  const auto holders = holdersOf(key);
-  const rpc::NetAddr& owner = addrOf(holders[0]);
-
-  auto g = cli.callOne(owner, GetReq{key});
-  checkStatus(g, "apply", key);
-  auto& snap = std::get<GetRep>(g.body);
-  bool present = snap.present;
-  u64 version = snap.version;
-  Value current = std::move(snap.value);
-
-  for (size_t attempt = 0; attempt < opts_.casRetries; ++attempt) {
-    std::optional<Value> v =
-        present ? std::optional<Value>(current) : std::nullopt;
-    const bool existedBefore = present;
-    fn(v);
-    if (!v.has_value() && !present) return false;   // absent -> absent
-    if (v.has_value() && present && *v == current) return true;  // no change
-    if (v.has_value()) stats_.valueBytesMoved += v->size();
-
-    CasReq cas{key, version, v.has_value(), v.value_or(Value{})};
-    auto r = cli.callOne(owner, std::move(cas));
-    checkStatus(r, "apply", key);
-    auto& rep = std::get<CasRep>(r.body);
-    if (rep.applied) {
-      replicate(cli, holders, key, v, rep.currentVersion);
-      return existedBefore;
-    }
-    // Conflict: the reply carries the fresh state — retry the mutator
-    // against it without another GET round.
-    present = rep.currentPresent;
-    version = rep.currentVersion;
-    current = std::move(rep.currentValue);
-  }
-  throw DhtError("NetDht::apply: CAS contention exhausted " +
-                 std::to_string(opts_.casRetries) + " attempts on \"" + key +
-                 "\"");
+  const rpc::NetAddr& owner = ownerAddr(key);
+  const detail::KeyRoute route{
+      cli, [&](const RequestBody& body) { return cli.callOne(owner, body); },
+      [&] { return replicaAddrs(key); }, "NetDht"};
+  return detail::readModifyWrite(route, key, fn, std::move(start),
+                                 opts_.casRetries, stats_.valueBytesMoved);
 }
 
 // --- Batch rounds -----------------------------------------------------------
@@ -243,6 +190,7 @@ std::vector<detail::Fetched> NetDht::fetch(rpc::RpcClient& cli,
 }
 
 std::vector<GetOutcome> NetDht::multiGet(const std::vector<Key>& keys) {
+  readSlots_.clear();
   if (keys.empty()) return {};
   obs::SpanScope span("dht.multiGet", "dht");
   stats_.batchRounds += 1;
@@ -256,6 +204,7 @@ std::vector<GetOutcome> NetDht::multiGet(const std::vector<Key>& keys) {
 
 std::vector<ApplyOutcome> NetDht::multiApply(
     const std::vector<ApplyRequest>& reqs) {
+  readSlots_.clear();
   if (reqs.empty()) return {};
   obs::SpanScope span("dht.multiApply", "dht");
   stats_.batchRounds += 1;
@@ -366,42 +315,29 @@ std::vector<ApplyOutcome> NetDht::multiApply(
   }
 
   // Replica pushes for every applied mutation, all in one settle.
-  if (replicaFanout() > 0 && !toReplicate.empty()) {
-    std::vector<rpc::RpcClient::Token> tokens;
-    for (const auto& [key, vv] : toReplicate) {
-      const auto holders = holdersOf(key);
-      for (size_t h = 1; h < holders.size(); ++h) {
-        if (vv.first.has_value()) {
-          tokens.push_back(cli.call(
-              addrOf(holders[h]), ReplicaPutReq{key, *vv.first, vv.second}));
-        } else {
-          tokens.push_back(cli.call(addrOf(holders[h]), ReplicaRemoveReq{key}));
-        }
-      }
-    }
-    cli.settle();
-    for (auto t : tokens) (void)cli.take(t);
+  std::vector<rpc::RpcClient::Token> tokens;
+  for (const auto& [key, vv] : toReplicate) {
+    detail::startReplicaWrites(cli, replicaAddrs(key), key, vv.first, vv.second,
+                               tokens);
   }
+  detail::settleReplicaWrites(cli, tokens);
   return out;
 }
 
 // --- Unrouted / admin -------------------------------------------------------
 
-void NetDht::unaccountedPut(const Key& key, Value value) {
-  Lease lease(*this);
-  const auto holders = holdersOf(key);
-  auto r = lease.rpc().callOne(addrOf(holders[0]), PutReq{key, value});
-  checkStatus(r, "storeDirect", key);
-  replicate(lease.rpc(), holders, key, value,
-            std::get<PutRep>(r.body).version);
-}
-
 void NetDht::storeDirect(const Key& key, Value value) {
-  unaccountedPut(key, std::move(value));
+  readSlots_.clear();
+  Lease lease(*this);
+  auto r = lease.rpc().callOne(ownerAddr(key), PutReq{key, value});
+  checkStatus(r, "storeDirect", key);
+  detail::replicate(lease.rpc(), replicaAddrs(key), key, value,
+                    std::get<PutRep>(r.body).version);
 }
 
 std::optional<Value> NetDht::getReplica(const Key& key, size_t replicaIndex) {
   RoutedOpScope scope(*this, "dht.get_replica", key);
+  readSlots_.clear();
   stats_.lookups += 1;
   stats_.gets += 1;
   stats_.hops += 1;
@@ -410,15 +346,13 @@ std::optional<Value> NetDht::getReplica(const Key& key, size_t replicaIndex) {
                    std::to_string(replicaIndex) + " (fanout " +
                    std::to_string(replicaFanout()) + ")");
   }
-  const auto holders = holdersOf(key);
+  const rpc::NetAddr holder = replicaAddrs(key)[replicaIndex];
   Lease lease(*this);
-  auto r = lease.rpc().callOne(addrOf(holders[replicaIndex + 1]),
-                               ReplicaGetReq{key});
+  auto r = lease.rpc().callOne(holder, ReplicaGetReq{key});
   if (r.timedOut) {
     // A holder that stays silent through every retransmit is down, as far
     // as this client can tell — that is the failover decorators' cue.
-    throw DhtPeerDownError("NetDht::getReplica: holder " +
-                           addrOf(holders[replicaIndex + 1]).str() +
+    throw DhtPeerDownError("NetDht::getReplica: holder " + holder.str() +
                            " unresponsive for \"" + key + "\"");
   }
   checkStatus(r, "getReplica", key);
@@ -429,6 +363,7 @@ std::optional<Value> NetDht::getReplica(const Key& key, size_t replicaIndex) {
 }
 
 void NetDht::syncStorage() {
+  readSlots_.clear();
   Lease lease(*this);
   std::vector<rpc::RpcClient::Token> tokens;
   for (size_t n = 0; n < opts_.nodes.size(); ++n) {
@@ -439,6 +374,7 @@ void NetDht::syncStorage() {
 }
 
 void NetDht::compactStorage() {
+  readSlots_.clear();
   Lease lease(*this);
   std::vector<rpc::RpcClient::Token> tokens;
   for (size_t n = 0; n < opts_.nodes.size(); ++n) {
@@ -449,6 +385,7 @@ void NetDht::compactStorage() {
 }
 
 size_t NetDht::size() const {
+  readSlots_.clear();
   Lease lease(*this);
   std::vector<rpc::RpcClient::Token> tokens;
   for (size_t n = 0; n < opts_.nodes.size(); ++n) {

@@ -8,12 +8,16 @@
 // split so getReplica and the failover decorators behave identically.
 //
 // apply() over a network: the mutator is an arbitrary client-side
-// closure, so it cannot run at the server. NetDht uses versioned CAS —
-// GET returns (value, version); the mutator runs locally; CAS applies iff
-// the version is unchanged. A conflict reply carries the current
-// (version, value), so each retry costs one round, not two. Mutators are
-// already required to be idempotent (lost-reply semantics), which is
-// exactly the property that makes CAS retries safe.
+// closure, so it cannot run at the server. NetDht uses versioned CAS
+// through the read-modify-write loop it shares with RoutedNetDht
+// (dht/net_batch.h): the mutator runs locally on (value, version) and the
+// CAS applies iff the version is unchanged. The read is the calling
+// thread's get() of the same key when that was its previous call (the
+// index reads a leaf right before writing it), else a GET round. A
+// conflict reply carries the current (version, value), so each retry
+// costs one round, not two. Mutators are already required to be
+// idempotent (lost-reply semantics), which is exactly the property that
+// makes CAS retries safe.
 //
 // multiGet/multiApply group keys by owner node and pack them into
 // MultiGet/MultiCas datagrams (capped per datagram), so a round costs
@@ -114,15 +118,11 @@ class NetDht final : public Dht {
   [[nodiscard]] const rpc::NetAddr& addrOf(size_t node) const {
     return opts_.nodes[node];
   }
-  /// Owner + replica holders (ring order; holders[0] is the owner).
-  [[nodiscard]] std::vector<size_t> holdersOf(const Key& key) const;
-  /// Pushes/drops replica copies for a mutated key. Best-effort: a silent
-  /// holder is counted (netStats timeouts), not thrown — the write
-  /// already committed at the primary.
-  void replicate(rpc::RpcClient& cli, const std::vector<size_t>& holders,
-                 const Key& key, const std::optional<Value>& value,
-                 common::u64 version);
-  void unaccountedPut(const Key& key, Value value);
+  [[nodiscard]] const rpc::NetAddr& ownerAddr(const Key& key) const {
+    return addrOf(ring_.ownerIndex(key));
+  }
+  /// The key's replica holders (ring successors of the owner).
+  [[nodiscard]] std::vector<rpc::NetAddr> replicaAddrs(const Key& key) const;
   /// MultiGet rounds for `keys` (multiGet and multiApply's snapshot
   /// phase): groups by owner, re-sends prefix-reply tails until every
   /// entry is answered or failed.
@@ -135,6 +135,8 @@ class NetDht final : public Dht {
   mutable std::mutex poolMutex_;
   mutable std::vector<std::unique_ptr<Conn>> conns_;
   mutable std::vector<size_t> freeConns_;
+  /// Each thread's last get(), where apply() starts (net_batch.h).
+  mutable detail::ReadSlots readSlots_;
 };
 
 }  // namespace lht::dht

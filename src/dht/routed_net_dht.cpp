@@ -163,26 +163,16 @@ RoutedNetDht::RoutedStats RoutedNetDht::routedStats() const {
 
 namespace {
 
-[[noreturn]] void throwTimeout(const char* op, const Key& key) {
-  throw DhtTimeoutError(std::string("RoutedNetDht::") + op +
-                        ": rpc timeout on \"" + key + "\"");
-}
-
 void checkStatus(const rpc::RpcClient::Result& r, const char* op,
                  const Key& key) {
-  if (r.timedOut) throwTimeout(op, key);
-  if (r.status != Status::Ok) {
-    throw DhtError(std::string("RoutedNetDht::") + op + ": status " +
-                   statusName(r.status) + " on \"" + key + "\"");
-  }
+  detail::checkStatus(r, "RoutedNetDht", op, key);
 }
 
 }  // namespace
 
 rpc::RpcClient::Result RoutedNetDht::callRouted(rpc::RpcClient& cli,
                                                 const Key& key,
-                                                const RequestBody& body,
-                                                const char* op) {
+                                                const RequestBody& body) {
   bool wantRefresh;
   {
     std::lock_guard<std::mutex> lock(viewMutex_);
@@ -250,52 +240,47 @@ size_t RoutedNetDht::replicaFanout() const {
   return std::min(opts_.replication, std::max<size_t>(members, 1)) - 1;
 }
 
-void RoutedNetDht::replicate(rpc::RpcClient& cli, const View& v,
-                             const Key& key,
-                             const std::optional<Value>& value, u64 version) {
+std::vector<rpc::NetAddr> RoutedNetDht::replicaAddrs(const View& v,
+                                                     const Key& key) const {
+  std::vector<rpc::NetAddr> out;
   const size_t fanout = replicaFanout();
-  if (fanout == 0) return;
+  if (fanout == 0) return out;
   const auto holders = v.ring.holders(key, fanout);
-  std::vector<rpc::RpcClient::Token> tokens;
   for (size_t i = 1; i < holders.size(); ++i) {
     auto it = v.addrs.find(holders[i]);
-    if (it == v.addrs.end()) continue;
-    if (value.has_value()) {
-      tokens.push_back(
-          cli.call(it->second, ReplicaPutReq{key, *value, version}));
-    } else {
-      tokens.push_back(cli.call(it->second, ReplicaRemoveReq{key}));
-    }
+    if (it != v.addrs.end()) out.push_back(it->second);
   }
-  cli.settle();
-  // Best-effort, like NetDht: the primary committed already.
-  for (auto t : tokens) (void)cli.take(t);
+  return out;
 }
 
 // --- Single-key ops ---------------------------------------------------------
 
 void RoutedNetDht::put(const Key& key, Value value) {
   RoutedOpScope scope(*this, "dht.put", key);
+  readSlots_.clear();
   stats_.lookups += 1;
   stats_.puts += 1;
   stats_.hops += 1;
   stats_.valueBytesMoved += value.size();
   Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, PutReq{key, value}, "put");
+  auto r = callRouted(lease.rpc(), key, PutReq{key, value});
   checkStatus(r, "put", key);
   const u64 version = std::get<PutRep>(r.body).version;
-  replicate(lease.rpc(), *requireView(), key, value, version);
+  detail::replicate(lease.rpc(), replicaAddrs(*requireView(), key), key, value,
+                    version);
 }
 
 std::optional<Value> RoutedNetDht::get(const Key& key) {
   RoutedOpScope scope(*this, "dht.get", key);
+  readSlots_.clear();  // a get that throws leaves no read behind
   stats_.lookups += 1;
   stats_.gets += 1;
   stats_.hops += 1;
   Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, GetReq{key}, "get");
+  auto r = callRouted(lease.rpc(), key, GetReq{key});
   checkStatus(r, "get", key);
   auto& rep = std::get<GetRep>(r.body);
+  readSlots_.fill(key, rep);
   if (!rep.present) return std::nullopt;
   stats_.valueBytesMoved += rep.value.size();
   return std::move(rep.value);
@@ -303,57 +288,35 @@ std::optional<Value> RoutedNetDht::get(const Key& key) {
 
 bool RoutedNetDht::remove(const Key& key) {
   RoutedOpScope scope(*this, "dht.remove", key);
+  readSlots_.clear();
   stats_.lookups += 1;
   stats_.removes += 1;
   stats_.hops += 1;
   Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, RemoveReq{key}, "remove");
+  auto r = callRouted(lease.rpc(), key, RemoveReq{key});
   checkStatus(r, "remove", key);
   const bool existed = std::get<RemoveRep>(r.body).existed;
   if (existed) {
-    replicate(lease.rpc(), *requireView(), key, std::nullopt, 0);
+    detail::replicate(lease.rpc(), replicaAddrs(*requireView(), key), key,
+                      std::nullopt, 0);
   }
   return existed;
 }
 
 bool RoutedNetDht::apply(const Key& key, const Mutator& fn) {
   RoutedOpScope scope(*this, "dht.apply", key);
+  auto start = readSlots_.take(key);
   stats_.lookups += 1;
   stats_.applies += 1;
   stats_.hops += 1;
   Lease lease(*this);
   rpc::RpcClient& cli = lease.rpc();
-
-  auto g = callRouted(cli, key, GetReq{key}, "apply");
-  checkStatus(g, "apply", key);
-  auto& snap = std::get<GetRep>(g.body);
-  bool present = snap.present;
-  u64 version = snap.version;
-  Value current = std::move(snap.value);
-
-  for (size_t attempt = 0; attempt < opts_.casRetries; ++attempt) {
-    std::optional<Value> v =
-        present ? std::optional<Value>(current) : std::nullopt;
-    const bool existedBefore = present;
-    fn(v);
-    if (!v.has_value() && !present) return false;        // absent -> absent
-    if (v.has_value() && present && *v == current) return true;  // no change
-    if (v.has_value()) stats_.valueBytesMoved += v->size();
-
-    CasReq cas{key, version, v.has_value(), v.value_or(Value{})};
-    auto r = callRouted(cli, key, cas, "apply");
-    checkStatus(r, "apply", key);
-    auto& rep = std::get<CasRep>(r.body);
-    if (rep.applied) {
-      replicate(cli, *requireView(), key, v, rep.currentVersion);
-      return existedBefore;
-    }
-    present = rep.currentPresent;
-    version = rep.currentVersion;
-    current = std::move(rep.currentValue);
-  }
-  throw DhtError("RoutedNetDht::apply: CAS contention exhausted on \"" + key +
-                 "\"");
+  const detail::KeyRoute route{
+      cli,
+      [&](const RequestBody& body) { return callRouted(cli, key, body); },
+      [&] { return replicaAddrs(*requireView(), key); }, "RoutedNetDht"};
+  return detail::readModifyWrite(route, key, fn, std::move(start),
+                                 opts_.casRetries, stats_.valueBytesMoved);
 }
 
 // --- Batch rounds -----------------------------------------------------------
@@ -431,6 +394,7 @@ std::vector<detail::Fetched> RoutedNetDht::fetch(rpc::RpcClient& cli,
 }
 
 std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
+  readSlots_.clear();
   if (keys.empty()) return {};
   obs::SpanScope span("dht.multiGet", "dht");
   stats_.batchRounds += 1;
@@ -444,6 +408,7 @@ std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
 
 std::vector<ApplyOutcome> RoutedNetDht::multiApply(
     const std::vector<ApplyRequest>& reqs) {
+  readSlots_.clear();
   if (reqs.empty()) return {};
   obs::SpanScope span("dht.multiApply", "dht");
   stats_.batchRounds += 1;
@@ -577,7 +542,7 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
   if (replicaFanout() > 0 && !toReplicate.empty()) {
     auto v = requireView();
     for (const auto& [key, vv] : toReplicate) {
-      replicate(cli, *v, key, vv.first, vv.second);
+      detail::replicate(cli, replicaAddrs(*v, key), key, vv.first, vv.second);
     }
   }
   return out;
@@ -585,21 +550,19 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
 
 // --- Unrouted / admin -------------------------------------------------------
 
-void RoutedNetDht::unaccountedPut(const Key& key, Value value) {
-  Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, PutReq{key, value}, "storeDirect");
-  checkStatus(r, "storeDirect", key);
-  replicate(lease.rpc(), *requireView(), key, value,
-            std::get<PutRep>(r.body).version);
-}
-
 void RoutedNetDht::storeDirect(const Key& key, Value value) {
-  unaccountedPut(key, std::move(value));
+  readSlots_.clear();
+  Lease lease(*this);
+  auto r = callRouted(lease.rpc(), key, PutReq{key, value});
+  checkStatus(r, "storeDirect", key);
+  detail::replicate(lease.rpc(), replicaAddrs(*requireView(), key), key, value,
+                    std::get<PutRep>(r.body).version);
 }
 
 std::optional<Value> RoutedNetDht::getReplica(const Key& key,
                                               size_t replicaIndex) {
   RoutedOpScope scope(*this, "dht.get_replica", key);
+  readSlots_.clear();
   stats_.lookups += 1;
   stats_.gets += 1;
   stats_.hops += 1;
@@ -633,6 +596,7 @@ std::optional<Value> RoutedNetDht::getReplica(const Key& key,
 }
 
 void RoutedNetDht::syncStorage() {
+  readSlots_.clear();
   auto v = requireView();
   Lease lease(*this);
   std::vector<rpc::RpcClient::Token> tokens;
@@ -644,6 +608,7 @@ void RoutedNetDht::syncStorage() {
 }
 
 void RoutedNetDht::compactStorage() {
+  readSlots_.clear();
   auto v = requireView();
   Lease lease(*this);
   std::vector<rpc::RpcClient::Token> tokens;
@@ -655,6 +620,7 @@ void RoutedNetDht::compactStorage() {
 }
 
 size_t RoutedNetDht::size() const {
+  readSlots_.clear();
   auto v = requireView();
   Lease lease(*this);
   std::vector<rpc::RpcClient::Token> tokens;

@@ -22,6 +22,11 @@
 //    op fails with DhtTimeoutError (a crashed node's range moves to the
 //    promoted survivor, so the retry usually lands).
 //
+// apply() is NetDht's read-modify-write loop (dht/net_batch.h) with each
+// GET and CAS routed like any single-key op: it starts from the calling
+// thread's preceding get() of the key when there is one, and otherwise
+// reads first.
+//
 // Batched ops group by owner under the current view; a Redirect on any
 // chunk refreshes the view and regroups just the affected entries, so a
 // single mid-batch topology change costs one extra round for those keys,
@@ -130,20 +135,20 @@ class RoutedNetDht final : public Dht {
   void noteHint(const std::optional<rpc::wire::GossipHint>& hint);
 
   /// Routes a single-key op: resolve owner, call, follow one redirect /
-  /// refresh-and-retry on timeout, up to maxAttempts. Each attempt adds
-  /// one to stats_.hops.
+  /// refresh-and-retry on timeout, up to maxAttempts. Each attempt after
+  /// the first adds one to stats_.hops.
   rpc::RpcClient::Result callRouted(rpc::RpcClient& cli, const Key& key,
-                                    const rpc::wire::RequestBody& body,
-                                    const char* op);
+                                    const rpc::wire::RequestBody& body);
 
-  void replicate(rpc::RpcClient& cli, const View& v, const Key& key,
-                 const std::optional<Value>& value, common::u64 version);
+  /// The key's replica holders under `v` (members missing from the view
+  /// are skipped).
+  [[nodiscard]] std::vector<rpc::NetAddr> replicaAddrs(const View& v,
+                                                       const Key& key) const;
   /// MultiGet rounds for `keys` (multiGet and multiApply's snapshot
   /// phase): groups by owner under the current view, re-sends prefix-reply
   /// tails, and regroups Redirected or timed-out chunks after a refresh.
   std::vector<detail::Fetched> fetch(rpc::RpcClient& cli,
                                      const std::vector<Key>& keys);
-  void unaccountedPut(const Key& key, Value value);
 
   Options opts_;
   TransportFactory makeTransport_;
@@ -159,6 +164,9 @@ class RoutedNetDht final : public Dht {
 
   mutable std::mutex statsMutex_;
   RoutedStats routedStats_;
+
+  /// Each thread's last get(), where apply() starts (net_batch.h).
+  mutable detail::ReadSlots readSlots_;
 };
 
 }  // namespace lht::dht

@@ -28,7 +28,7 @@ WorkStealingPool::~WorkStealingPool() {
     // Destructor cannot propagate; callers who care call wait() first.
   }
   stop_.store(true, std::memory_order_release);
-  workCv_.notify_all();
+  notifyUnderControl(workCv_, /*all=*/true);
   for (auto& t : workers_) t.join();
 }
 
@@ -43,7 +43,19 @@ void WorkStealingPool::submit(Task task) {
     std::lock_guard<std::mutex> lock(queues_[target]->mutex);
     queues_[target]->deque.push_back(std::move(task));
   }
-  workCv_.notify_one();
+  notifyUnderControl(workCv_, /*all=*/false);
+}
+
+void WorkStealingPool::notifyUnderControl(std::condition_variable& cv,
+                                          bool all) {
+  // The waiters' predicates read atomics that change without the lock, so
+  // only the lock orders this notify after a waiter's check-then-sleep.
+  { std::lock_guard<std::mutex> lock(controlMutex_); }
+  if (all) {
+    cv.notify_all();
+  } else {
+    cv.notify_one();
+  }
 }
 
 WorkStealingPool::Task WorkStealingPool::findTask(size_t self) {
@@ -96,7 +108,7 @@ void WorkStealingPool::workerLoop(size_t self) {
       if (exception_ == nullptr) exception_ = std::current_exception();
     }
     if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      idleCv_.notify_all();
+      notifyUnderControl(idleCv_, /*all=*/true);
     }
   }
 }

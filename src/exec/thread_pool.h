@@ -64,6 +64,10 @@ class WorkStealingPool {
   /// Pops from own back, else steals from a victim's front. Null when
   /// every deque is empty.
   Task findTask(size_t self);
+  /// Notifies `cv` (one waiter, or all) after passing through
+  /// controlMutex_, so the notify cannot be lost between a waiter's
+  /// predicate check and its sleep.
+  void notifyUnderControl(std::condition_variable& cv, bool all);
 
   std::vector<std::unique_ptr<Worker>> queues_;
   std::vector<std::thread> workers_;

@@ -29,7 +29,8 @@ LhtIndex::LhtIndex(dht::Dht& dht, Options options)
   if (opts_.mergeThreshold == 0) opts_.mergeThreshold = opts_.thetaSplit;
   if (!opts_.attachExisting) {
     // The empty index: a single leaf "#0" covering [0,1), named "#".
-    LeafBucket root{Label::root(), {}};
+    LeafBucket root;
+    root.label = Label::root();
     dht_.storeDirect(dhtKeyFor(root.label), root.serialize());
   }
 }
@@ -443,7 +444,9 @@ void LhtIndex::completeSplit(const std::string& stayingKey,
   // and it may have absorbed newer inserts — so it is never overwritten.
   applyBucket(dhtKeyFor(intent.movedLabel), [&](std::optional<LeafBucket>& ob) {
     if (ob.has_value()) return false;
-    LeafBucket moved{intent.movedLabel, intent.moving};
+    LeafBucket moved;
+    moved.label = intent.movedLabel;
+    moved.records = intent.moving;
     moved.epoch = 1;
     moved.markApplied(intent.token);
     ob = std::move(moved);
@@ -517,9 +520,7 @@ void LhtIndex::completeMerge(const std::string& absorberKey,
     LeafBucket& b = *ob;
     if (b.mergeIntent && b.mergeIntent->donorLabel == intent.donorLabel) {
       b.label = intent.donorLabel.parent();
-      b.records.insert(b.records.end(),
-                       std::make_move_iterator(moving.begin()),
-                       std::make_move_iterator(moving.end()));
+      b.records.insert(b.records.end(), moving.begin(), moving.end());
       b.mergeIntent.reset();
       b.epoch += 1;
       return true;
@@ -662,11 +663,19 @@ index::UpdateResult LhtIndex::insert(const index::Record& record) {
   // bucket no longer covers the key, or vanished under a merge) instead
   // of applying, and the insert re-resolves the leaf. Every retry sees a
   // strictly newer state of that interval, so the depth budget bounds it.
+  //
+  // One apply may run the mutator several times (a CAS conflict, a re-read
+  // before a no-change verdict, a lost-reply retry), and only the last run
+  // counts. So each run first resets the verdicts it reports (stale,
+  // pendingSplit); the split outputs (remotes, earlySplit) belong to the
+  // run that applies the token and are left alone by the re-runs after it.
   for (u32 attempt = 0;; ++attempt) {
     checkInvariant(attempt <= 2 * opts_.maxDepth + 2,
                    "LhtIndex::insert: leaf kept moving under the apply");
     bool stale = false;
     const bool existed = applyBucket(found.dhtKey, [&](std::optional<LeafBucket>& ob) {
+      stale = false;
+      pendingSplit.reset();
       if (!ob.has_value()) {
         stale = true;
         return false;
@@ -951,11 +960,14 @@ index::UpdateResult LhtIndex::erase(double key) {
   // Same lookup-vs-apply race as insert: if a concurrent split/merge moved
   // the leaf out from under us, re-resolve and retry instead of removing
   // from (or reporting absence against) the wrong bucket.
+  // As in insert, a re-run resets the stale verdict; the removal outputs
+  // belong to the run that applies the token.
   for (u32 attempt = 0;; ++attempt) {
     checkInvariant(attempt <= 2 * opts_.maxDepth + 2,
                    "LhtIndex::erase: leaf kept moving under the apply");
     bool stale = false;
     const bool existed = applyBucket(found.dhtKey, [&](std::optional<LeafBucket>& ob) {
+      stale = false;
       if (!ob.has_value()) {
         stale = true;
         return false;
@@ -1042,13 +1054,13 @@ bool LhtIndex::tryMerge(const Label& bucketLabel) {
     MergeIntent intent{donor.label, donor.records, newToken()};
     bool staged = false;
     applyBucket(parentKey, [&](std::optional<LeafBucket>& ob) {
+      staged = false;
       checkInvariant(ob.has_value(), "LhtIndex::tryMerge: absorber vanished");
       LeafBucket& b = *ob;
       if (b.mergeIntent && b.mergeIntent->token == intent.token) {
         staged = true;  // lost-reply retry: our earlier execution landed
         return false;
       }
-      staged = false;
       if (!b.clean() || b.label != absorber.label) return false;
       b.mergeIntent = intent;
       b.epoch += 1;
@@ -1076,8 +1088,7 @@ bool LhtIndex::tryMerge(const Label& bucketLabel) {
   applyBucket(parentKey, [&](std::optional<LeafBucket>& ob) {
     checkInvariant(ob.has_value(), "LhtIndex::tryMerge: absorber vanished");
     ob->label = parent;
-    ob->records.insert(ob->records.end(), std::make_move_iterator(moving.begin()),
-                       std::make_move_iterator(moving.end()));
+    ob->records.insert(ob->records.end(), moving.begin(), moving.end());
     return true;
   });
   chargeMaintenance(2, donor.records.size());

@@ -12,11 +12,16 @@
 // real, since bulk key install is pure storage.
 //
 // Versioned CAS: every stored value carries a u64 version, bumped on each
-// mutation. Dht::apply's read-modify-write becomes GET (value, version) →
-// run mutator client-side → CAS(expectedVersion). A CAS against a stale
-// version fails and returns the current (version, value) so the client
-// retries the mutator without an extra round. expectedVersion 0 means
-// "expect absent".
+// mutation. Dht::apply's read-modify-write becomes read (value, version)
+// → run mutator client-side → CAS(expectedVersion). The read is the
+// client thread's own get() of the key when that was its previous call
+// (an index write right after its leaf read then costs one round, the
+// CAS), else a GET. A CAS against a stale version fails and returns the
+// current (version, value) so the client retries the mutator without an
+// extra round. expectedVersion 0 means "expect absent". A key created
+// again after an erase restarts at version 1, so a CAS cannot tell that
+// value from an older one with the same version; the clients keep the
+// read-to-CAS window to the caller's work between two adjacent calls.
 //
 // At-most-once: retransmitted requests must not re-execute mutations
 // (a retried CAS would spuriously conflict with its own first execution).

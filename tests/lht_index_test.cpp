@@ -299,5 +299,87 @@ TEST(LhtIndex, DuplicateKeysSupported) {
   EXPECT_EQ(idx.recordCount(), 0u);
 }
 
+/// Forwards to an inner Dht and counts applies. An armed apply first runs
+/// its mutator once on a copy of the stored bucket relabelled to a leaf
+/// that does not cover the op's key, and discards the result: the run a
+/// mutator gets before a CAS conflict, a re-read or a lost-reply retry
+/// shows it the state the write then really applies to.
+class StaleFirstRunDht final : public dht::Dht {
+ public:
+  explicit StaleFirstRunDht(dht::Dht& inner) : inner_(inner) {}
+
+  void armNextApply(const Label& elsewhere) { armed_ = elsewhere; }
+  [[nodiscard]] size_t applies() const { return applies_; }
+
+  bool apply(const dht::Key& key, const dht::Mutator& fn) override {
+    ++applies_;
+    if (armed_) {
+      auto stored = inner_.get(key);
+      auto bucket = LeafBucket::deserialize(stored.value());
+      bucket->label = *armed_;
+      armed_.reset();
+      std::optional<dht::Value> elsewhere = bucket->serialize();
+      fn(elsewhere);
+    }
+    return inner_.apply(key, fn);
+  }
+  void put(const dht::Key& key, dht::Value value) override {
+    inner_.put(key, std::move(value));
+  }
+  std::optional<dht::Value> get(const dht::Key& key) override {
+    return inner_.get(key);
+  }
+  bool remove(const dht::Key& key) override { return inner_.remove(key); }
+  void storeDirect(const dht::Key& key, dht::Value value) override {
+    inner_.storeDirect(key, std::move(value));
+  }
+  [[nodiscard]] size_t size() const override { return inner_.size(); }
+
+ private:
+  dht::Dht& inner_;
+  std::optional<Label> armed_;
+  size_t applies_ = 0;
+};
+
+TEST(LhtIndexMutatorRerun, StaleRunDoesNotOutliveTheRunThatApplies) {
+  // Every insert and erase runs its mutator on a non-covering bucket
+  // first (stale), then for real (applies). The verdict of the first run
+  // must not survive into the second: the op costs one apply, not a
+  // re-resolve and a second apply.
+  dht::LocalDht local;
+  StaleFirstRunDht d(local);
+  LhtIndex::Options opts = smallOpts(6);
+  opts.enableMerge = false;  // one apply per erase, none for merges
+  LhtIndex idx(d, opts);
+  index::ReferenceIndex oracle;
+  common::Pcg32 rng(41);
+  std::vector<double> keys;
+  for (int i = 0; i < 120; ++i) {
+    const index::Record r{rng.nextDouble(), "p" + std::to_string(i)};
+    d.armNextApply(Label::fromKey(r.key, 12).sibling());
+    const size_t before = d.applies();
+    ASSERT_TRUE(idx.insert(r).ok);
+    EXPECT_EQ(d.applies() - before, 1u) << "insert " << i;
+    oracle.insert(r);
+    keys.push_back(r.key);
+  }
+  for (size_t i = 0; i < keys.size(); i += 3) {
+    d.armNextApply(Label::fromKey(keys[i], 12).sibling());
+    const size_t before = d.applies();
+    ASSERT_TRUE(idx.erase(keys[i]).ok);
+    EXPECT_EQ(d.applies() - before, 1u) << "erase " << i;
+    oracle.erase(keys[i]);
+  }
+  ASSERT_EQ(idx.recordCount(), oracle.recordCount());
+  auto mine = idx.rangeQuery(0.0, 1.0);
+  auto truth = oracle.rangeQuery(0.0, 1.0);
+  ASSERT_EQ(mine.records.size(), truth.records.size());
+  std::sort(truth.records.begin(), truth.records.end(), index::recordLess);
+  for (size_t i = 0; i < mine.records.size(); ++i) {
+    EXPECT_EQ(mine.records[i], truth.records[i]) << i;
+  }
+  checkStructure(local, idx);
+}
+
 }  // namespace
 }  // namespace lht::core

@@ -398,6 +398,180 @@ TEST(NetDht, RetryingStackSurvivesHeavyLoss) {
 }
 
 // ---------------------------------------------------------------------------
+// apply() starts from the calling thread's immediately preceding get()
+// ---------------------------------------------------------------------------
+
+/// Requests the cluster's servers have handled so far (the inline hub
+/// never retransmits, so this counts request rounds exactly).
+u64 handled(const Cluster& c) {
+  u64 n = 0;
+  for (const auto& s : c.servers) n += s->stats().requestsHandled.load();
+  return n;
+}
+
+Mutator appendTo(std::string suffix) {
+  return [suffix = std::move(suffix)](std::optional<Value>& v) {
+    v = v.value_or("") + suffix;
+  };
+}
+
+TEST(NetDhtReadSlot, GetThenApplySavesTheGetRound) {
+  Cluster c(3);
+  auto dht = c.makeDht(/*replication=*/2);
+  dht->put("k", "v");
+  // No read before the apply: GET, CAS, replica push.
+  u64 before = handled(c);
+  EXPECT_TRUE(dht->apply("k", appendTo("+1")));
+  EXPECT_EQ(handled(c) - before, 3u);
+  // get(k) right before: the apply CASes against that read.
+  ASSERT_EQ(dht->get("k"), "v+1");
+  before = handled(c);
+  EXPECT_TRUE(dht->apply("k", appendTo("+2")));
+  EXPECT_EQ(handled(c) - before, 2u);
+  EXPECT_EQ(dht->get("k"), "v+1+2");
+  EXPECT_EQ(dht->getReplica("k", 0), "v+1+2");
+  // An absent read works the same way (expect-absent CAS).
+  ASSERT_FALSE(dht->get("fresh").has_value());
+  before = handled(c);
+  EXPECT_FALSE(dht->apply("fresh", appendTo("new")));
+  EXPECT_EQ(handled(c) - before, 2u);
+  EXPECT_EQ(dht->get("fresh"), "new");
+}
+
+TEST(NetDhtReadSlot, WriteBetweenGetAndApplyConflictsAndRerunsOnFreshState) {
+  Cluster c(2);
+  auto dht = c.makeDht();
+  auto rival = c.makeDht();
+  dht->put("k", "base");
+  ASSERT_EQ(dht->get("k"), "base");
+  rival->put("k", "rival");
+  std::vector<std::string> seen;
+  EXPECT_TRUE(dht->apply("k", [&](std::optional<Value>& v) {
+    seen.push_back(v.value_or("<absent>"));
+    v = v.value_or("") + "+applied";
+  }));
+  // The first run used the stale read; the CAS conflict carried the
+  // rival's value, and the stored value is the mutator applied to it.
+  EXPECT_EQ(seen, (std::vector<std::string>{"base", "rival"}));
+  EXPECT_EQ(dht->get("k"), "rival+applied");
+
+  // The key vanishes between the read and the apply: the write lands on
+  // the absent state, and apply reports that the key did not exist.
+  ASSERT_TRUE(dht->get("k").has_value());
+  ASSERT_TRUE(rival->remove("k"));
+  seen.clear();
+  EXPECT_FALSE(dht->apply("k", [&](std::optional<Value>& v) {
+    seen.push_back(v.value_or("<absent>"));
+    v = v.value_or("") + "!";
+  }));
+  EXPECT_EQ(seen, (std::vector<std::string>{"rival+applied", "<absent>"}));
+  EXPECT_EQ(dht->get("k"), "!");
+}
+
+TEST(NetDhtReadSlot, CreateIfAbsentRereadsBeforeTrustingAPresentRead) {
+  Cluster c(2);
+  auto dht = c.makeDht();
+  auto rival = c.makeDht();
+  dht->put("k", "old");
+  ASSERT_EQ(dht->get("k"), "old");
+  ASSERT_TRUE(rival->remove("k"));
+  // On the read, the key is present and the mutator changes nothing. That
+  // verdict must not stand on a read from before the call: the loop
+  // re-reads, finds the key gone, and the mutator creates it.
+  int runs = 0;
+  EXPECT_FALSE(dht->apply("k", [&](std::optional<Value>& v) {
+    ++runs;
+    if (!v.has_value()) v = "created";
+  }));
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(dht->get("k"), "created");
+}
+
+TEST(NetDhtReadSlot, OnlyTheSameThreadsPreviousCallCounts) {
+  Cluster c(2);
+  auto dht = c.makeDht(/*replication=*/1, /*deadlineMs=*/200);
+  dht->put("k", "v");
+  dht->put("other", "o");
+  auto applyRounds = [&] {
+    const u64 before = handled(c);
+    EXPECT_TRUE(dht->apply("k", appendTo(".")));
+    return handled(c) - before;
+  };
+  ASSERT_TRUE(dht->get("k").has_value());
+  EXPECT_EQ(applyRounds(), 1u);  // CAS only
+
+  // Each call between the get and the apply sends the apply back to the
+  // GET round.
+  ASSERT_TRUE(dht->get("k").has_value());
+  dht->put("other", "o2");
+  EXPECT_EQ(applyRounds(), 2u);
+
+  ASSERT_TRUE(dht->get("k").has_value());
+  EXPECT_FALSE(dht->remove("absent"));
+  EXPECT_EQ(applyRounds(), 2u);
+
+  ASSERT_TRUE(dht->get("k").has_value());
+  (void)dht->multiGet({"other", "k"});
+  EXPECT_EQ(applyRounds(), 2u);
+
+  ASSERT_TRUE(dht->get("k").has_value());
+  ASSERT_TRUE(dht->get("other").has_value());
+  EXPECT_EQ(applyRounds(), 2u);
+
+  // A get of the same key that throws leaves no read behind either.
+  ASSERT_TRUE(dht->get("k").has_value());
+  const rpc::u16 owner = c.addrs[c.primaryOf("k")].port;
+  c.hub.setOnline(owner, false);
+  EXPECT_THROW((void)dht->get("k"), DhtTimeoutError);
+  c.hub.setOnline(owner, true);
+  EXPECT_EQ(applyRounds(), 2u);
+
+  // Another thread's read is not this thread's read.
+  ASSERT_TRUE(dht->get("k").has_value());
+  u64 otherThreadRounds = 0;
+  std::thread([&] { otherThreadRounds = applyRounds(); }).join();
+  EXPECT_EQ(otherThreadRounds, 2u);
+  // This thread's read is now stale: the CAS conflicts and the mutator
+  // re-runs on the state the conflict reply carries.
+  EXPECT_EQ(applyRounds(), 2u);
+  EXPECT_EQ(dht->get("k"), "v........");
+}
+
+TEST(NetDhtReadSlot, ThreadsKeepTheirOwnSlots) {
+  // Every thread reads a shared counter and increments it through apply:
+  // each apply starts from its own thread's read, conflicts when another
+  // thread got there first, and no increment is lost.
+  Cluster c(2);
+  NetDht::Options o;
+  o.nodes = c.addrs;
+  o.casRetries = 1000;  // contention is the point here, not its bound
+  auto dht = std::make_unique<NetDht>(o, [&c] { return c.hub.makeEndpoint(); });
+  dht->put("counter", "0");
+  constexpr int kThreads = 4;
+  constexpr int kIncrements = 50;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&dht, t] {
+      const std::string own = "own-" + std::to_string(t);
+      for (int i = 0; i < kIncrements; ++i) {
+        (void)dht->get("counter");
+        EXPECT_TRUE(dht->apply("counter", [](std::optional<Value>& v) {
+          v = std::to_string(std::stoi(v.value()) + 1);
+        }));
+        (void)dht->get(own);
+        dht->apply(own, appendTo("x"));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(dht->get("counter"), std::to_string(kThreads * kIncrements));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(dht->get("own-" + std::to_string(t)),
+              std::string(kIncrements, 'x'));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // LhtIndex end-to-end over the networked substrate
 // ---------------------------------------------------------------------------
 

@@ -12,7 +12,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -147,7 +150,7 @@ bool eventuallyReads(RoutedNetDht& dht, const std::string& key,
 TEST(RoutedNetDht, BootstrapsFromOneSeedAndRoutesWarmOpsInOneHop) {
   ServedCluster c(3);
   c.serveAll();
-  RoutedNetDht dht(clientOptions(c), [&] {
+  RoutedNetDht dht(patientClientOptions(c), [&] {
     return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
   });
   ASSERT_TRUE(dht.bootstrap(/*deadlineMs=*/20000));
@@ -328,6 +331,200 @@ TEST(RoutedNetDht, OversizedEntryFailsAloneAndFast) {
   const auto rs = dht.routedStats();
   EXPECT_EQ(rs.refreshes, 0u);
   EXPECT_EQ(rs.retriesAfterTimeout, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// apply() starts from the calling thread's immediately preceding get()
+// ---------------------------------------------------------------------------
+
+/// The distinct requests a client sent, per opcode. A retransmit repeats
+/// its request id, so it is not counted again.
+class RequestCounts {
+ public:
+  void note(std::string_view datagram) {
+    auto decoded = rpc::wire::decodeHeader(datagram);
+    const auto* h = std::get_if<rpc::wire::Header>(&decoded);
+    if (h == nullptr || h->isReply) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    seen_[h->op].insert(h->requestId);
+  }
+  size_t operator()(rpc::wire::Op op) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = seen_.find(op);
+    return it == seen_.end() ? 0 : it->second.size();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<rpc::wire::Op, std::set<rpc::u64>> seen_;
+};
+
+/// A client endpoint that reports every datagram it sends to `counts`.
+class CountingSim final : public rpc::Transport {
+ public:
+  CountingSim(std::unique_ptr<rpc::Transport> inner, RequestCounts& counts)
+      : inner_(std::move(inner)), counts_(counts) {}
+  bool send(const NetAddr& to, std::string_view payload) override {
+    counts_.note(payload);
+    return inner_->send(to, payload);
+  }
+  size_t receive(std::vector<rpc::Datagram>& out, rpc::u64 timeoutMs) override {
+    return inner_->receive(out, timeoutMs);
+  }
+  rpc::u64 nowMs() override { return inner_->nowMs(); }
+  [[nodiscard]] NetAddr localAddr() const override {
+    return inner_->localAddr();
+  }
+
+ private:
+  std::unique_ptr<rpc::Transport> inner_;
+  RequestCounts& counts_;
+};
+
+RoutedNetDht::TransportFactory countingEndpoints(ServedCluster& c,
+                                                 RequestCounts& counts) {
+  return [&c, &counts] {
+    return std::make_unique<CountingSim>(
+        std::make_unique<ThrottledSim>(c.hub.makeEndpoint()), counts);
+  };
+}
+
+Mutator appendTo(std::string suffix) {
+  return [suffix = std::move(suffix)](std::optional<Value>& v) {
+    v = v.value_or("") + suffix;
+  };
+}
+
+using rpc::wire::Op;
+
+TEST(RoutedNetDhtReadSlot, GetThenApplySavesTheGetRound) {
+  ServedCluster c(3);
+  c.serveAll();
+  RequestCounts sent;
+  RoutedNetDht dht(patientClientOptions(c), countingEndpoints(c, sent));
+  ASSERT_TRUE(dht.bootstrap(20000));
+  dht.put("k", "v");
+  // No read before the apply: a GET round, then the CAS.
+  EXPECT_TRUE(dht.apply("k", appendTo("+1")));
+  EXPECT_EQ(sent(Op::Get), 1u);
+  EXPECT_EQ(sent(Op::Cas), 1u);
+  // get(k) right before: the apply CASes against that read.
+  ASSERT_EQ(dht.get("k"), "v+1");
+  EXPECT_TRUE(dht.apply("k", appendTo("+2")));
+  EXPECT_EQ(sent(Op::Get), 2u);
+  EXPECT_EQ(sent(Op::Cas), 2u);
+  EXPECT_EQ(dht.get("k"), "v+1+2");
+  // Still one hop per DHT-lookup.
+  EXPECT_EQ(dht.stats().hops.load(), dht.stats().lookups.load());
+}
+
+TEST(RoutedNetDhtReadSlot, WriteBetweenGetAndApplyConflictsAndRerunsOnFreshState) {
+  ServedCluster c(2);
+  c.serveAll();
+  auto endpoints = [&] {
+    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
+  };
+  RoutedNetDht dht(patientClientOptions(c), endpoints);
+  RoutedNetDht rival(patientClientOptions(c), endpoints);
+  ASSERT_TRUE(dht.bootstrap(20000));
+  ASSERT_TRUE(rival.bootstrap(20000));
+  dht.put("k", "base");
+  ASSERT_EQ(dht.get("k"), "base");
+  rival.put("k", "rival");
+  std::vector<std::string> seen;
+  EXPECT_TRUE(dht.apply("k", [&](std::optional<Value>& v) {
+    seen.push_back(v.value_or("<absent>"));
+    v = v.value_or("") + "+applied";
+  }));
+  EXPECT_EQ(seen, (std::vector<std::string>{"base", "rival"}));
+  EXPECT_EQ(dht.get("k"), "rival+applied");
+
+  ASSERT_TRUE(dht.get("k").has_value());
+  ASSERT_TRUE(rival.remove("k"));
+  seen.clear();
+  EXPECT_FALSE(dht.apply("k", [&](std::optional<Value>& v) {
+    seen.push_back(v.value_or("<absent>"));
+    v = v.value_or("") + "!";
+  }));
+  EXPECT_EQ(seen, (std::vector<std::string>{"rival+applied", "<absent>"}));
+  EXPECT_EQ(dht.get("k"), "!");
+}
+
+TEST(RoutedNetDhtReadSlot, CreateIfAbsentRereadsBeforeTrustingAPresentRead) {
+  ServedCluster c(2);
+  c.serveAll();
+  auto endpoints = [&] {
+    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
+  };
+  RoutedNetDht dht(patientClientOptions(c), endpoints);
+  RoutedNetDht rival(patientClientOptions(c), endpoints);
+  ASSERT_TRUE(dht.bootstrap(20000));
+  ASSERT_TRUE(rival.bootstrap(20000));
+  dht.put("k", "old");
+  ASSERT_EQ(dht.get("k"), "old");
+  ASSERT_TRUE(rival.remove("k"));
+  int runs = 0;
+  EXPECT_FALSE(dht.apply("k", [&](std::optional<Value>& v) {
+    ++runs;
+    if (!v.has_value()) v = "created";
+  }));
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(dht.get("k"), "created");
+}
+
+TEST(RoutedNetDhtReadSlot, OnlyTheSameThreadsPreviousCallCounts) {
+  ServedCluster c(2);
+  c.serveAll();
+  RequestCounts sent;
+  RoutedNetDht dht(patientClientOptions(c), countingEndpoints(c, sent));
+  ASSERT_TRUE(dht.bootstrap(20000));
+  dht.put("k", "v");
+  dht.put("other", "o");
+  for (auto& n : c.nodes) {  // on every node, so on the owner
+    n->server().installPrimary("huge", 1,
+                               std::string(rpc::kMaxDatagramBytes, 'x'));
+  }
+  // GET rounds the apply itself sends.
+  auto applyGets = [&] {
+    const size_t before = sent(Op::Get);
+    EXPECT_TRUE(dht.apply("k", appendTo(".")));
+    return sent(Op::Get) - before;
+  };
+  ASSERT_TRUE(dht.get("k").has_value());
+  EXPECT_EQ(applyGets(), 0u);
+
+  ASSERT_TRUE(dht.get("k").has_value());
+  dht.put("other", "o2");
+  EXPECT_EQ(applyGets(), 1u);
+
+  ASSERT_TRUE(dht.get("k").has_value());
+  EXPECT_FALSE(dht.remove("absent"));
+  EXPECT_EQ(applyGets(), 1u);
+
+  ASSERT_TRUE(dht.get("k").has_value());
+  (void)dht.multiGet({"other", "k"});
+  EXPECT_EQ(applyGets(), 1u);
+
+  ASSERT_TRUE(dht.get("k").has_value());
+  ASSERT_TRUE(dht.get("other").has_value());
+  EXPECT_EQ(applyGets(), 1u);
+
+  // A get that throws leaves no read behind: not even the one before it.
+  ASSERT_TRUE(dht.get("k").has_value());
+  EXPECT_THROW((void)dht.get("huge"), DhtError);
+  EXPECT_EQ(applyGets(), 1u);
+
+  // Another thread's read is not this thread's read.
+  ASSERT_TRUE(dht.get("k").has_value());
+  size_t otherThreadGets = 0;
+  std::thread([&] { otherThreadGets = applyGets(); }).join();
+  EXPECT_EQ(otherThreadGets, 1u);
+  // This thread's read is now stale: the CAS conflicts and the mutator
+  // re-runs on the state the conflict reply carries, with no GET.
+  const size_t casBefore = sent(Op::Cas);
+  EXPECT_EQ(applyGets(), 0u);
+  EXPECT_EQ(sent(Op::Cas) - casBefore, 2u);
+  EXPECT_EQ(dht.get("k"), "v........");
 }
 
 TEST(RoutedNetDhtIndex, Theta100BulkLoadAndSweepsMatchOracle) {
