@@ -1,13 +1,15 @@
 // Emits BENCH_PR9.json: the networked transport's cost profile
 // (DESIGN.md §14).
 //
-// Three phases over the same mixed KV workload (NetDht, replication=2,
-// oracle-verified against an in-memory map):
-//   * in_process  — NetDht over the SimHub twin (NodeServers inline, no
-//     sockets): the protocol's CPU floor.
-//   * networked   — the same NetDht over real UDP sockets against
-//     fork/exec'd lht_noded daemons on localhost: what a process boundary
-//     and the kernel's loopback stack add.
+// Three phases over the same mixed KV workload (RoutedNetDht,
+// replication=2, oracle-verified against an in-memory map):
+//   * in_process  — the client, given the static launch set, over the
+//     SimHub twin (NodeServers inline, no sockets): the protocol's CPU
+//     floor.
+//   * networked   — the same client over real UDP sockets against
+//     fork/exec'd lht_noded daemons on localhost, grown from one seed
+//     the way run_cluster.sh launches them: what a process boundary and
+//     the kernel's loopback stack add.
 //   * batching    — datagrams spent reading K keys one get() at a time vs
 //     one multiGet() round (clean SimHub, deterministic counts).
 //
@@ -17,7 +19,6 @@
 //     rounds must collapse per-key datagrams into per-node datagrams.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -25,21 +26,20 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
-
-#include <csignal>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "common/flags.h"
 #include "common/random.h"
-#include "dht/net_dht.h"
+#include "dht/routed_net_dht.h"
 #include "rpc/node_server.h"
+#include "rpc/noded_process.h"
 #include "rpc/sim_transport.h"
 #include "rpc/udp_transport.h"
 
 using lht::common::u64;
-using lht::dht::NetDht;
+using lht::dht::RoutedNetDht;
+using lht::rpc::NodedProcess;
 namespace rpc = lht::rpc;
 
 namespace {
@@ -133,82 +133,18 @@ struct SimCluster {
     }
   }
 
-  std::unique_ptr<NetDht> makeDht(size_t replication) {
-    NetDht::Options o;
-    o.nodes = addrs;
+  std::unique_ptr<RoutedNetDht> makeDht(size_t replication) {
+    RoutedNetDht::Options o;
+    o.members = addrs;
     o.replication = replication;
-    return std::make_unique<NetDht>(o, [this] { return hub.makeEndpoint(); });
+    return std::make_unique<RoutedNetDht>(
+        o, [this] { return hub.makeEndpoint(); });
   }
 };
-
-struct Daemon {
-  pid_t pid = -1;
-  rpc::u16 port = 0;
-};
-
-std::string findNoded(const char* argv0) {
-  if (const char* env = std::getenv("LHT_NODED_PATH")) {
-    if (::access(env, X_OK) == 0) return env;
-  }
-  std::string dir(argv0);
-  const size_t slash = dir.rfind('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  for (const char* rel : {"/../src/rpc/lht_noded", "/lht_noded"}) {
-    const std::string candidate = dir + rel;
-    if (::access(candidate.c_str(), X_OK) == 0) return candidate;
-  }
-  return {};
-}
-
-bool spawnDaemon(const std::string& binary, Daemon& out) {
-  int fds[2];
-  if (::pipe(fds) != 0) return false;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return false;
-  }
-  if (pid == 0) {
-    ::dup2(fds[1], STDOUT_FILENO);
-    ::close(fds[0]);
-    ::close(fds[1]);
-    char* argv[] = {const_cast<char*>(binary.c_str()),
-                    const_cast<char*>("--port=0"),
-                    const_cast<char*>("--quiet=true"), nullptr};
-    ::execv(binary.c_str(), argv);
-    _exit(127);
-  }
-  ::close(fds[1]);
-  FILE* pipe = ::fdopen(fds[0], "r");
-  char line[256] = {0};
-  const bool gotLine = pipe != nullptr && std::fgets(line, sizeof(line), pipe);
-  if (pipe != nullptr) std::fclose(pipe);
-  unsigned port = 0;
-  if (!gotLine ||
-      std::sscanf(line, "lht_noded: ready on 127.0.0.1:%u", &port) != 1 ||
-      port == 0 || port > 65535) {
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
-    return false;
-  }
-  out.pid = pid;
-  out.port = static_cast<rpc::u16>(port);
-  return true;
-}
-
-void stopDaemons(std::vector<Daemon>& daemons) {
-  for (auto& d : daemons) {
-    if (d.pid > 0) ::kill(d.pid, SIGTERM);
-  }
-  for (auto& d : daemons) {
-    if (d.pid > 0) ::waitpid(d.pid, nullptr, 0);
-    d.pid = -1;
-  }
-}
 
 void emitWorkload(std::ostringstream& os, const char* name,
-                  const WorkloadResult& r, const NetDht::NetStats& net) {
+                  const WorkloadResult& r,
+                  const RoutedNetDht::RoutedStats& net) {
   os << "  \"" << name << "\": {\n"
      << "    \"ops\": " << r.ops << ",\n"
      << "    \"ops_failed\": " << r.opsFailed << ",\n"
@@ -226,7 +162,8 @@ void emitWorkload(std::ostringstream& os, const char* name,
 int main(int argc, char** argv) {
   lht::common::Flags flags(
       "bench_net",
-      "Emits BENCH_PR9.json: in-process vs multi-process NetDht throughput "
+      "Emits BENCH_PR9.json: in-process vs multi-process RoutedNetDht "
+      "throughput "
       "plus the multiGet batching economy, with oracle verification.");
   flags.define("nodes", "8", "cluster size (both phases)");
   flags.define("ops", "4000", "workload operations per phase");
@@ -244,16 +181,16 @@ int main(int argc, char** argv) {
 
   // Phase 1: in-process (SimHub) ---------------------------------------------
   WorkloadResult inProc;
-  NetDht::NetStats inProcNet;
+  RoutedNetDht::RoutedStats inProcNet;
   {
     SimCluster cluster(nodes);
     auto dht = cluster.makeDht(replication);
     inProc = runWorkload(*dht, ops, seed);
-    inProcNet = dht->netStats();
+    inProcNet = dht->routedStats();
   }
 
   // Phase 2: networked (fork/exec lht_noded, real UDP) -----------------------
-  const std::string noded = findNoded(argv[0]);
+  const std::string noded = rpc::findNoded();
   if (noded.empty()) {
     std::fprintf(stderr,
                  "bench_net: lht_noded binary not found (build it, or set "
@@ -261,32 +198,47 @@ int main(int argc, char** argv) {
     return 1;
   }
   WorkloadResult networked;
-  NetDht::NetStats networkedNet;
+  RoutedNetDht::RoutedStats networkedNet;
   {
-    std::vector<Daemon> daemons(nodes);
+    // Seed first, then joiners through it. The daemons stop when
+    // `daemons` goes out of scope.
+    const std::string repFlag = "--replication=" + std::to_string(replication);
+    std::vector<NodedProcess> daemons;
     for (size_t i = 0; i < nodes; ++i) {
-      if (!spawnDaemon(noded, daemons[i])) {
+      std::vector<std::string> args = {"--port=0", "--quiet=true", repFlag};
+      if (i > 0) {
+        args.push_back("--seed-port=" + std::to_string(daemons[0].port()));
+      }
+      daemons.push_back(NodedProcess::spawn(noded, args));
+      if (!daemons.back().running()) {
         std::fprintf(stderr, "bench_net: failed to spawn daemon %zu\n", i);
-        stopDaemons(daemons);
         return 1;
       }
     }
-    NetDht::Options o;
-    for (const auto& d : daemons) {
-      o.nodes.push_back(rpc::NetAddr{rpc::kLoopbackHost, d.port});
-    }
+    RoutedNetDht::Options o;
+    o.seed = daemons[0].addr();
     o.replication = replication;
-    NetDht dht(o, [] {
+    RoutedNetDht dht(o, [] {
       return std::make_unique<rpc::UdpTransport>(rpc::UdpTransport::Options{});
     });
-    if (!dht.pingAll(10'000)) {
-      std::fprintf(stderr, "bench_net: cluster did not answer pings\n");
-      stopDaemons(daemons);
+    // The joiners may still be mid-join: re-pull until the client's view
+    // holds the whole cluster.
+    const auto formDeadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (dht.knownMembers() < nodes &&
+           std::chrono::steady_clock::now() < formDeadline) {
+      dht.bootstrap(/*deadlineMs=*/2000);
+      if (dht.knownMembers() < nodes) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    }
+    if (dht.knownMembers() != nodes) {
+      std::fprintf(stderr, "bench_net: cluster never formed (%zu/%zu)\n",
+                   dht.knownMembers(), nodes);
       return 1;
     }
     networked = runWorkload(dht, ops, seed);
-    networkedNet = dht.netStats();
-    stopDaemons(daemons);
+    networkedNet = dht.routedStats();
   }
 
   // Phase 3: batching economy (clean SimHub, deterministic) ------------------
@@ -302,14 +254,14 @@ int main(int argc, char** argv) {
       keys.push_back("batch" + std::to_string(i));
       dht->put(keys.back(), "v" + std::to_string(i));
     }
-    const auto afterLoad = dht->netStats();
+    const auto afterLoad = dht->routedStats();
     for (const auto& k : keys) {
       auto got = dht->get(k);
       if (!got.has_value()) batchOracleOk = false;
     }
-    const auto afterSingles = dht->netStats();
+    const auto afterSingles = dht->routedStats();
     auto outcomes = dht->multiGet(keys);
-    const auto afterBatch = dht->netStats();
+    const auto afterBatch = dht->routedStats();
     for (size_t i = 0; i < outcomes.size(); ++i) {
       if (!outcomes[i].ok || outcomes[i].value != "v" + std::to_string(i)) {
         batchOracleOk = false;

@@ -2,7 +2,7 @@
 // (DESIGN.md §15).
 //
 // Every phase runs against REAL overlay daemons — fork/exec'd lht_noded
-// --overlay=true processes on localhost UDP, grown from one seed exactly
+// processes on localhost UDP, grown from one seed exactly
 // the way scripts/run_cluster.sh deploys them — driven by a RoutedNetDht
 // client that knows only the seed address:
 //   * warm_routing — mixed KV workload (oracle-verified), then a
@@ -23,7 +23,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -35,89 +34,19 @@
 #include <vector>
 
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include "common/flags.h"
 #include "common/random.h"
 #include "dht/routed_net_dht.h"
+#include "rpc/noded_process.h"
 #include "rpc/udp_transport.h"
 
 using lht::common::u64;
 using lht::dht::RoutedNetDht;
+using lht::rpc::NodedProcess;
 namespace rpc = lht::rpc;
 
 namespace {
-
-struct Daemon {
-  pid_t pid = -1;
-  rpc::u16 port = 0;
-};
-
-std::string findNoded(const char* argv0) {
-  if (const char* env = std::getenv("LHT_NODED_PATH")) {
-    if (::access(env, X_OK) == 0) return env;
-  }
-  std::string dir(argv0);
-  const size_t slash = dir.rfind('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  for (const char* rel : {"/../src/rpc/lht_noded", "/lht_noded"}) {
-    const std::string candidate = dir + rel;
-    if (::access(candidate.c_str(), X_OK) == 0) return candidate;
-  }
-  return {};
-}
-
-/// fork/execs one overlay daemon and blocks until its ready line (which
-/// overlay joiners print BEFORE the join handshake — the join itself
-/// happens live, which is what the live_join phase measures).
-bool spawnDaemon(const std::string& binary,
-                 const std::vector<std::string>& extraArgs, Daemon& out) {
-  int fds[2];
-  if (::pipe(fds) != 0) return false;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return false;
-  }
-  if (pid == 0) {
-    ::dup2(fds[1], STDOUT_FILENO);
-    ::close(fds[0]);
-    ::close(fds[1]);
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(binary.c_str()));
-    for (const auto& a : extraArgs) argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(binary.c_str(), argv.data());
-    _exit(127);
-  }
-  ::close(fds[1]);
-  FILE* pipe = ::fdopen(fds[0], "r");
-  char line[256] = {0};
-  const bool gotLine = pipe != nullptr && std::fgets(line, sizeof(line), pipe);
-  if (pipe != nullptr) std::fclose(pipe);
-  unsigned port = 0;
-  if (!gotLine ||
-      std::sscanf(line, "lht_noded: ready on 127.0.0.1:%u", &port) != 1 ||
-      port == 0 || port > 65535) {
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
-    return false;
-  }
-  out.pid = pid;
-  out.port = static_cast<rpc::u16>(port);
-  return true;
-}
-
-void stopDaemons(std::vector<Daemon>& daemons) {
-  for (auto& d : daemons) {
-    if (d.pid > 0) ::kill(d.pid, SIGTERM);
-  }
-  for (auto& d : daemons) {
-    if (d.pid > 0) ::waitpid(d.pid, nullptr, 0);
-    d.pid = -1;
-  }
-}
 
 /// One read attempt, churn-tolerant accounting: correct value = available,
 /// anything else (miss, stale, DhtError) = an unavailable sample.
@@ -229,7 +158,7 @@ int main(int argc, char** argv) {
   const size_t replication = static_cast<size_t>(flags.getInt("replication"));
   const u64 seed = static_cast<u64>(flags.getInt("seed"));
 
-  const std::string noded = findNoded(argv[0]);
+  const std::string noded = rpc::findNoded();
   if (noded.empty()) {
     std::fprintf(stderr,
                  "bench_overlay: lht_noded binary not found (build it, or "
@@ -239,8 +168,7 @@ int main(int argc, char** argv) {
 
   const std::string repFlag = "--replication=" + std::to_string(replication);
   auto overlayArgs = [&](size_t i, rpc::u16 seedPort) {
-    std::vector<std::string> args = {"--port=0", "--quiet=true",
-                                     "--overlay=true", repFlag,
+    std::vector<std::string> args = {"--port=0", "--quiet=true", repFlag,
                                      "--name=bench-" + std::to_string(i)};
     if (seedPort != 0) {
       args.push_back("--seed-port=" + std::to_string(seedPort));
@@ -248,24 +176,25 @@ int main(int argc, char** argv) {
     return args;
   };
 
-  // Grow the cluster from one seed, the run_cluster.sh way.
-  std::vector<Daemon> daemons(nodes);
-  if (!spawnDaemon(noded, overlayArgs(0, 0), daemons[0])) {
+  // Grow the cluster from one seed, the run_cluster.sh way. The daemons
+  // stop when `daemons` goes out of scope.
+  std::vector<NodedProcess> daemons;
+  daemons.push_back(NodedProcess::spawn(noded, overlayArgs(0, 0)));
+  if (!daemons[0].running()) {
     std::fprintf(stderr, "bench_overlay: failed to spawn the seed daemon\n");
     return 1;
   }
-  bool spawnedAll = true;
-  for (size_t i = 1; i < nodes && spawnedAll; ++i) {
-    spawnedAll = spawnDaemon(noded, overlayArgs(i, daemons[0].port), daemons[i]);
-  }
-  if (!spawnedAll) {
-    std::fprintf(stderr, "bench_overlay: failed to spawn a member daemon\n");
-    stopDaemons(daemons);
-    return 1;
+  for (size_t i = 1; i < nodes; ++i) {
+    daemons.push_back(
+        NodedProcess::spawn(noded, overlayArgs(i, daemons[0].port())));
+    if (!daemons.back().running()) {
+      std::fprintf(stderr, "bench_overlay: failed to spawn a member daemon\n");
+      return 1;
+    }
   }
 
   RoutedNetDht::Options ro;
-  ro.seed = rpc::NetAddr{rpc::kLoopbackHost, daemons[0].port};
+  ro.seed = daemons[0].addr();
   ro.replication = replication;
   RoutedNetDht dht(ro, [] {
     return std::make_unique<rpc::UdpTransport>(rpc::UdpTransport::Options{});
@@ -284,7 +213,6 @@ int main(int argc, char** argv) {
   if (dht.knownMembers() < nodes) {
     std::fprintf(stderr, "bench_overlay: cluster never formed (%zu/%zu)\n",
                  dht.knownMembers(), nodes);
-    stopDaemons(daemons);
     return 1;
   }
 
@@ -309,13 +237,12 @@ int main(int argc, char** argv) {
   // the availability loop below runs concurrently with the actual key
   // streaming and ring change, and keeps running until the CLIENT's view
   // has healed to the grown ring (or a generous wall cap).
-  Daemon joiner;
-  if (!spawnDaemon(noded, overlayArgs(nodes, daemons[0].port), joiner)) {
+  daemons.push_back(
+      NodedProcess::spawn(noded, overlayArgs(nodes, daemons[0].port())));
+  if (!daemons.back().running()) {
     std::fprintf(stderr, "bench_overlay: failed to spawn the joiner\n");
-    stopDaemons(daemons);
     return 1;
   }
-  daemons.push_back(joiner);
   u64 joinReadsOk = 0;
   u64 joinReadsBad = 0;
   std::vector<std::pair<std::string, std::string>> records(oracle.begin(),
@@ -347,20 +274,16 @@ int main(int argc, char** argv) {
   // Phase 3: graceful leave ----------------------------------------------------
   // SIGUSR1 the last original member: it streams every key to the new
   // owners, announces Left, and exits 0. Nothing may be lost.
-  Daemon& leaver = daemons[nodes - 1];
-  ::kill(leaver.pid, SIGUSR1);
-  int leaveStatus = -1;
-  ::waitpid(leaver.pid, &leaveStatus, 0);
+  const int leaveStatus = daemons[nodes - 1].stop(SIGUSR1);
   const bool leaverExitedClean =
       WIFEXITED(leaveStatus) && WEXITSTATUS(leaveStatus) == 0;
-  leaver.pid = -1;
   u64 lostAfterLeave = 0;
   for (const auto& [k, v] : records) {
     if (!eventuallyReads(dht, k, v, 15)) lostAfterLeave += 1;
   }
 
   const auto rs = dht.routedStats();
-  stopDaemons(daemons);
+  daemons.clear();
 
   const bool warmHopsOk = warmMeanHops <= 1.2 && warmLookups > 0;
   const bool availabilityOk = joinAvailability >= 0.99 && joinHealed;

@@ -18,8 +18,9 @@
 #               lcov when available for the per-directory summary)
 #   --tsan      also build the tsan preset and run the concurrency suites
 #               (execution engine, shard-locked substrates, obs merging,
-#               the networked clients' per-thread read slots) under
-#               ThreadSanitizer; a reported race fails the gate
+#               the networked client's per-thread read slots and
+#               connection pool) under ThreadSanitizer; a reported race
+#               fails the gate
 #   --durability  also run the release durability bench (WAL overhead vs
 #               MemEngine + recovery-time curve) into
 #               build-release/BENCH_PR5.json, diffed warn-only against the
@@ -36,14 +37,16 @@
 #               skew bench (read balance with leases + adaptive splits on
 #               vs off) into build-release/BENCH_PR8.json, diffed warn-only
 #               against the committed BENCH_PR8.json
-#   --net       also run the wire-format, transport, NetDht, and two-process
-#               loopback suites under ASan+UBSan (the fuzz decoders' no-
-#               over-read guarantee is only meaningful with ASan watching),
-#               then the release networked bench (in-process vs N-process
+#   --net       also run the wire-format, transport, networked-client
+#               (static launch-set cluster), and two-process loopback
+#               suites under ASan+UBSan (the fuzz decoders' no-over-read
+#               guarantee is only meaningful with ASan watching), then the
+#               release networked bench (in-process vs N-process
 #               throughput + batching economy) into
 #               build-release/BENCH_PR9.json, diffed warn-only against the
 #               committed BENCH_PR9.json, and an 8-node run_cluster.sh
-#               smoke run with oracle verification
+#               smoke run (seed first, then joiners) with oracle
+#               verification
 #   --overlay   also run the overlay membership/routing/elasticity suites
 #               under ASan+UBSan (gossip merge, forward/redirect, live
 #               join/leave/crash in the sim twin, RoutedNetDht, dedup
@@ -118,7 +121,7 @@ if [[ "$tsan" -eq 1 ]]; then
   cmake --build --preset tsan -j "$jobs" --target lht_tests
   echo "== concurrency suites under ThreadSanitizer =="
   ctest --preset tsan -j "$jobs" -R \
-    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots'
+    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots|StaticCluster.ConcurrentClientsGrowPoolSafely'
 fi
 
 if [[ "$bench" -eq 1 ]]; then
@@ -192,12 +195,12 @@ if [[ "$skew" -eq 1 ]]; then
 fi
 
 if [[ "$net" -eq 1 ]]; then
-  echo "== wire/transport/NetDht/loopback suites under ASan+UBSan =="
+  echo "== wire/transport/networked-client/loopback suites under ASan+UBSan =="
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j "$jobs" --target lht_tests \
     --target lht_noded
   ctest --test-dir build-asan -j "$jobs" --output-on-failure \
-    -R 'Varint|RpcWire|SimTransport|RpcClient|NodeServer|NetDht|NetLoopback'
+    -R 'Varint|RpcWire|SimTransport|RpcClient|NodeServer|StaticCluster|NetDhtReadSlot|NetDhtIndex|NetLoopback'
   echo "== networked bench (in-process vs N-process + batching, release) =="
   cmake --preset release
   cmake --build --preset release -j "$jobs" --target bench_net \

@@ -1,22 +1,22 @@
 #!/usr/bin/env bash
 # Runs a real networked LHT cluster on localhost: N lht_noded daemon
-# processes (one UDP port each), then lht_net_trace — a multi-threaded
-# ClientFleet speaking the binary wire protocol — preloads an oracle data
-# set, replays a mixed trace, and verifies every surviving record against
-# the oracle. Exit 0 means the whole distributed run was verified correct.
+# processes (one UDP port each), grown from one seed the way a live
+# deployment grows — the seed first, then every other daemon joining
+# through it. Then lht_net_trace — a multi-threaded ClientFleet speaking
+# the binary wire protocol, bootstrapped from the seed alone — preloads
+# an oracle data set, replays a mixed trace, and verifies every surviving
+# record against the oracle. Exit 0 means the whole distributed run was
+# verified correct.
 #
 # Usage: scripts/run_cluster.sh [NODES] [CLIENTS] [OPS] [flags]
 #   NODES    daemon processes to launch   (default 8)
 #   CLIENTS  fleet client threads         (default 8)
 #   OPS      trace operations             (default 2000)
 # Flags (anywhere on the command line):
-#   --overlay  run the self-routing overlay: daemons gossip membership and
-#              forward/redirect misrouted ops; the client is a
-#              RoutedNetDht that bootstraps from the first node only
 #   --churn    after the trace, grow and shrink the LIVE cluster —
 #              join a new daemon, SIGUSR1 one member (graceful leave),
 #              SIGKILL another (crash) — re-verifying the full oracle
-#              after every step. Implies --overlay.
+#              after every step.
 #
 # Environment:
 #   BUILD_DIR    build tree holding the binaries (default: build)
@@ -37,12 +37,10 @@ cd "$(dirname "$0")/.."
 nodes=""
 clients=""
 ops=""
-overlay=0
 churn=0
 for arg in "$@"; do
   case "$arg" in
-    --overlay) overlay=1 ;;
-    --churn) overlay=1; churn=1 ;;
+    --churn) churn=1 ;;
     --*) echo "run_cluster: unknown flag $arg" >&2; exit 2 ;;
     *)
       if [[ -z "$nodes" ]]; then nodes="$arg"
@@ -126,52 +124,34 @@ wait_port() {
   return 1
 }
 
-overlay_flags=()
-if [[ "$overlay" -eq 1 ]]; then
-  overlay_flags=(--overlay=true --replication="$replication")
-fi
-
 echo "run_cluster: launching $nodes daemons (rundir $rundir)..." >&2
-ports=()
-if [[ "$overlay" -eq 1 ]]; then
-  # Seed node first; everyone else joins through it, so the cluster forms
-  # the same way a live deployment grows.
-  launch_daemon 0 "${overlay_flags[@]}"
-  seed="$(wait_port 0)"
-  ports+=("$seed")
-  for i in $(seq 1 $((nodes - 1))); do
-    launch_daemon "$i" "${overlay_flags[@]}" --seed-port="$seed"
-  done
-  for i in $(seq 1 $((nodes - 1))); do
-    ports+=("$(wait_port "$i")")
-  done
-else
-  for i in $(seq 0 $((nodes - 1))); do
-    launch_daemon "$i"
-  done
-  for i in $(seq 0 $((nodes - 1))); do
-    ports+=("$(wait_port "$i")")
-  done
-fi
+# Seed node first; everyone else joins through it.
+launch_daemon 0 --replication="$replication"
+seed="$(wait_port 0)"
+ports=("$seed")
+for i in $(seq 1 $((nodes - 1))); do
+  launch_daemon "$i" --replication="$replication" --seed-port="$seed"
+done
+for i in $(seq 1 $((nodes - 1))); do
+  ports+=("$(wait_port "$i")")
+done
 
 node_list="$(IFS=,; echo "${ports[*]}")"
-routed_flag="false"
-if [[ "$overlay" -eq 1 ]]; then routed_flag="true"; fi
-echo "run_cluster: $clients clients x $ops ops against $node_list (routed=$routed_flag)" >&2
-"$trace" --nodes="$node_list" --clients="$clients" --ops="$ops" \
-  --replication="$replication" --routed="$routed_flag"
+echo "run_cluster: $clients clients x $ops ops against $node_list (seed $seed)" >&2
+"$trace" --seed-port="$seed" --clients="$clients" --ops="$ops" \
+  --replication="$replication"
 
 if [[ "$churn" -eq 1 ]]; then
   verify() {
     local label="$1"
     echo "run_cluster: verifying oracle after $label..." >&2
-    "$trace" --nodes="$seed" --routed=true --mode=verify \
+    "$trace" --seed-port="$seed" --mode=verify \
       --replication="$replication" --retry-for-ms=15000
   }
 
   echo "run_cluster: churn step 1 — JOIN a new daemon" >&2
   joiner=$nodes
-  launch_daemon "$joiner" "${overlay_flags[@]}" --seed-port="$seed"
+  launch_daemon "$joiner" --replication="$replication" --seed-port="$seed"
   wait_port "$joiner" > /dev/null
   verify "join"
 

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 
@@ -79,6 +80,27 @@ void Flags::printHelp() const {
   for (const auto& [name, e] : entries_) {
     std::cout << "  --" << name << " (default: " << e.defaultValue << ")\n"
               << "      " << e.help << "\n";
+  }
+}
+
+std::optional<std::uint16_t> parsePort(std::string_view text) {
+  std::uint16_t port = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, port);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return port;
+}
+
+std::optional<std::vector<std::uint16_t>> parsePortList(std::string_view text) {
+  std::vector<std::uint16_t> ports;
+  if (text.empty()) return ports;
+  while (true) {
+    const size_t comma = text.find(',');
+    const auto port = parsePort(text.substr(0, comma));
+    if (!port) return std::nullopt;
+    ports.push_back(*port);
+    if (comma == std::string_view::npos) return ports;
+    text.remove_prefix(comma + 1);
   }
 }
 

@@ -4,9 +4,11 @@
 // binary declares its flags up front so --help can print them.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -53,5 +55,14 @@ class Flags {
   std::map<std::string, Entry> entries_;
   std::vector<std::string> positional_;
 };
+
+/// Parses a port-valued flag: a decimal integer in [0, 65535] and nothing
+/// else (no sign, no spaces). nullopt for anything else.
+[[nodiscard]] std::optional<std::uint16_t> parsePort(std::string_view text);
+
+/// Parses a comma-separated list of ports; "" is the empty list. nullopt
+/// when any entry is not a port, an empty entry included.
+[[nodiscard]] std::optional<std::vector<std::uint16_t>> parsePortList(
+    std::string_view text);
 
 }  // namespace lht::common

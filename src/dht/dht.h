@@ -150,10 +150,10 @@ class Dht {
   /// record travels to the peer; the bucket is rewritten locally.
   ///
   /// `fn` may run several times in one call, and only its last run is
-  /// stored. The networked clients run it client-side on a read and run it
-  /// again after a CAS conflict, or after re-reading when a run changed
-  /// nothing (their first read can be the calling thread's get() of the
-  /// key just before, DESIGN.md §14); a retry layer re-runs it after a
+  /// stored. The networked client runs it client-side on a read and runs
+  /// it again after a CAS conflict, or after re-reading when a run changed
+  /// nothing (its first read can be the calling thread's get() of the key
+  /// just before, DESIGN.md §15); a retry layer re-runs it after a
   /// lost reply. So a mutator resets what it reports to its caller at the
   /// top of each run, and never consumes what it captured.
   virtual bool apply(const Key& key, const Mutator& fn) = 0;

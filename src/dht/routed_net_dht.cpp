@@ -10,7 +10,76 @@ namespace lht::dht {
 using common::u64;
 using namespace rpc::wire;  // NOLINT — this file IS the protocol client
 
-// --- Connection pool (same shape as NetDht's) -------------------------------
+namespace {
+
+/// One outgoing batch datagram: entry positions packed for one owner.
+struct Chunk {
+  u64 owner = 0;
+  std::vector<size_t> entries;
+};
+
+/// Groups `items` by `ownerOf(i)`, opening a new chunk whenever one hits
+/// `maxKeys` entries or `maxBytes` of `byteCost(i)` (the entry's request
+/// footprint).
+template <typename OwnerOf, typename ByteCost>
+std::vector<Chunk> packChunks(const std::vector<size_t>& items, size_t maxKeys,
+                              size_t maxBytes, OwnerOf ownerOf,
+                              ByteCost byteCost) {
+  std::vector<Chunk> chunks;
+  std::vector<size_t> chunkBytes;
+  std::unordered_map<u64, size_t> open;  // owner -> open chunk
+  for (size_t i : items) {
+    const u64 owner = ownerOf(i);
+    const size_t cost = byteCost(i);
+    auto it = open.find(owner);
+    if (it == open.end() || chunks[it->second].entries.size() >= maxKeys ||
+        chunkBytes[it->second] + cost > maxBytes) {
+      it = open.insert_or_assign(owner, chunks.size()).first;
+      chunks.push_back(Chunk{owner, {}});
+      chunkBytes.push_back(0);
+    }
+    chunks[it->second].entries.push_back(i);
+    chunkBytes[it->second] += cost;
+  }
+  return chunks;
+}
+
+/// Throws for a single-key reply that is not Ok: DhtTimeoutError when the
+/// request timed out, DhtError otherwise. `op` names the Dht call.
+void checkStatus(const rpc::RpcClient::Result& r, const char* op,
+                 const Key& key) {
+  if (r.timedOut) {
+    throw DhtTimeoutError(std::string("RoutedNetDht::") + op +
+                          ": rpc timeout on \"" + key + "\"");
+  }
+  if (r.status != Status::Ok) {
+    throw DhtError(std::string("RoutedNetDht::") + op + ": status " +
+                   statusName(r.status) + " on \"" + key + "\"");
+  }
+}
+
+/// Pushes one mutated key to its replica holders and settles: a
+/// ReplicaPut of (`value`, `version`) to each, or a ReplicaRemove when
+/// `value` is empty. The replies are dropped (best-effort, see header).
+void replicate(rpc::RpcClient& cli, const std::vector<rpc::NetAddr>& replicas,
+               const Key& key, const std::optional<Value>& value, u64 version) {
+  if (replicas.empty()) return;
+  std::vector<rpc::RpcClient::Token> tokens;
+  tokens.reserve(replicas.size());
+  for (const rpc::NetAddr& holder : replicas) {
+    if (value.has_value()) {
+      tokens.push_back(cli.call(holder, ReplicaPutReq{key, *value, version}));
+    } else {
+      tokens.push_back(cli.call(holder, ReplicaRemoveReq{key}));
+    }
+  }
+  cli.settle();
+  for (auto t : tokens) (void)cli.take(t);
+}
+
+}  // namespace
+
+// --- Connection pool --------------------------------------------------------
 
 class RoutedNetDht::Lease {
  public:
@@ -27,6 +96,10 @@ class RoutedNetDht::Lease {
       idx_ = dht_.freeConns_.back();
       dht_.freeConns_.pop_back();
     }
+    // Resolve the Conn pointer while still holding poolMutex_: a
+    // concurrent Lease's push_back may reallocate conns_'s buffer, so
+    // rpc() must never re-index it unlocked. The unique_ptr pointee is
+    // stable across reallocation, and this slot is ours until ~Lease.
     conn_ = dht_.conns_[idx_].get();
   }
   ~Lease() {
@@ -52,11 +125,32 @@ RoutedNetDht::RoutedNetDht(Options options, TransportFactory makeTransport)
                          "RoutedNetDht: replication >= 1");
   common::checkInvariant(opts_.maxAttempts >= 1,
                          "RoutedNetDht: maxAttempts >= 1");
+  common::checkInvariant(
+      (opts_.seed != rpc::NetAddr{}) == opts_.members.empty(),
+      "RoutedNetDht: set exactly one of seed and members");
+  if (!opts_.members.empty()) {
+    view_ = makeView(overlay::launchTable(opts_.members));
+  }
 }
 
 RoutedNetDht::~RoutedNetDht() = default;
 
 // --- View maintenance -------------------------------------------------------
+
+std::shared_ptr<const RoutedNetDht::View> RoutedNetDht::makeView(
+    const std::vector<NodeEntry>& table) const {
+  auto v = std::make_shared<View>();
+  v->ring = overlay::MemberRing(table, opts_.virtualNodes);
+  for (const NodeEntry& e : table) {
+    if (e.state > static_cast<common::u8>(overlay::NodeState::Suspect)) {
+      continue;
+    }
+    v->addrs.emplace(e.id, overlay::addrOf(e));
+    v->pullTargets.push_back(overlay::addrOf(e));
+  }
+  if (v->addrs.empty()) return nullptr;
+  return v;
+}
 
 std::shared_ptr<const RoutedNetDht::View> RoutedNetDht::view() const {
   std::lock_guard<std::mutex> lock(viewMutex_);
@@ -95,18 +189,10 @@ bool RoutedNetDht::pullView(rpc::RpcClient& cli, const rpc::NetAddr& from) {
   auto r = cli.callOne(from, GossipSyncReq{});
   if (r.timedOut || r.status != Status::Ok) return false;
   const auto* rep = std::get_if<GossipSyncRep>(&r.body);
-  if (rep == nullptr || rep->entries.empty()) return false;  // not overlay
-
-  auto v = std::make_shared<View>();
-  v->ring = overlay::MemberRing(rep->entries, opts_.virtualNodes);
-  for (const NodeEntry& e : rep->entries) {
-    if (e.state > static_cast<common::u8>(overlay::NodeState::Suspect)) {
-      continue;
-    }
-    v->addrs.emplace(e.id, overlay::addrOf(e));
-    v->pullTargets.push_back(overlay::addrOf(e));
-  }
-  if (v->addrs.empty()) return false;
+  if (rep == nullptr) return false;
+  // An empty table (a bare NodeServer) leaves the view as it is.
+  auto v = makeView(rep->entries);
+  if (!v) return false;
   {
     std::lock_guard<std::mutex> lock(viewMutex_);
     const bool first = view_ == nullptr;
@@ -126,7 +212,7 @@ bool RoutedNetDht::pullView(rpc::RpcClient& cli, const rpc::NetAddr& from) {
 bool RoutedNetDht::refreshView(rpc::RpcClient& cli) {
   std::vector<rpc::NetAddr> targets;
   if (auto v = view()) targets = v->pullTargets;
-  targets.push_back(opts_.seed);
+  if (opts_.members.empty()) targets.push_back(opts_.seed);
   for (const rpc::NetAddr& t : targets) {
     if (pullView(cli, t)) return true;
   }
@@ -134,11 +220,16 @@ bool RoutedNetDht::refreshView(rpc::RpcClient& cli) {
 }
 
 bool RoutedNetDht::bootstrap(u64 deadlineMs) {
+  const std::vector<rpc::NetAddr> from =
+      opts_.members.empty() ? std::vector<rpc::NetAddr>{opts_.seed}
+                            : opts_.members;
   Lease lease(*this);
   rpc::RpcClient& cli = lease.rpc();
   const u64 start = cli.transport().nowMs();
   while (true) {
-    if (pullView(cli, opts_.seed)) return true;
+    for (const rpc::NetAddr& a : from) {
+      if (pullView(cli, a)) return true;
+    }
     if (cli.transport().nowMs() - start >= deadlineMs) return false;
   }
 }
@@ -156,19 +247,19 @@ RoutedNetDht::RoutedStats RoutedNetDht::routedStats() const {
   }
   std::lock_guard<std::mutex> lock(poolMutex_);
   s.connections = conns_.size();
+  for (const auto& conn : conns_) {
+    const auto& t = conn->transport->stats();
+    s.datagramsSent += t.datagramsSent;
+    s.datagramsReceived += t.datagramsReceived;
+    const auto& r = conn->rpc->stats();
+    s.requestsStarted += r.requestsStarted;
+    s.retransmits += r.retransmits;
+    s.timeouts += r.timeouts;
+  }
   return s;
 }
 
 // --- Routed single-key calls ------------------------------------------------
-
-namespace {
-
-void checkStatus(const rpc::RpcClient::Result& r, const char* op,
-                 const Key& key) {
-  detail::checkStatus(r, "RoutedNetDht", op, key);
-}
-
-}  // namespace
 
 rpc::RpcClient::Result RoutedNetDht::callRouted(rpc::RpcClient& cli,
                                                 const Key& key,
@@ -195,10 +286,11 @@ rpc::RpcClient::Result RoutedNetDht::callRouted(rpc::RpcClient& cli,
       v = requireView();
       continue;
     }
-    // Hop accounting matches NetDht: the op's first route is charged by
-    // the caller; only extra rounds (redirects, refresh-retries after a
-    // timeout) add hops — so warm mean hops sits at 1.0 like the static
-    // client, and every topology stumble shows up as the excess.
+    // Hop accounting: the op's first route is charged by the caller, one
+    // hop straight to the owner the view names; only extra rounds
+    // (redirects, refresh-retries after a timeout) add hops — so warm
+    // mean hops sits at 1.0, and every topology stumble shows up as the
+    // excess.
     if (attempt > 0) stats_.hops += 1;
     last = cli.callOne(addrIt->second, body);
     noteHint(last.hint);
@@ -266,8 +358,8 @@ void RoutedNetDht::put(const Key& key, Value value) {
   auto r = callRouted(lease.rpc(), key, PutReq{key, value});
   checkStatus(r, "put", key);
   const u64 version = std::get<PutRep>(r.body).version;
-  detail::replicate(lease.rpc(), replicaAddrs(*requireView(), key), key, value,
-                    version);
+  replicate(lease.rpc(), replicaAddrs(*requireView(), key), key, value,
+            version);
 }
 
 std::optional<Value> RoutedNetDht::get(const Key& key) {
@@ -297,33 +389,71 @@ bool RoutedNetDht::remove(const Key& key) {
   checkStatus(r, "remove", key);
   const bool existed = std::get<RemoveRep>(r.body).existed;
   if (existed) {
-    detail::replicate(lease.rpc(), replicaAddrs(*requireView(), key), key,
-                      std::nullopt, 0);
+    replicate(lease.rpc(), replicaAddrs(*requireView(), key), key,
+              std::nullopt, 0);
   }
   return existed;
 }
 
 bool RoutedNetDht::apply(const Key& key, const Mutator& fn) {
   RoutedOpScope scope(*this, "dht.apply", key);
-  auto start = readSlots_.take(key);
+  std::optional<SlotRead> start = readSlots_.take(key);
   stats_.lookups += 1;
   stats_.applies += 1;
   stats_.hops += 1;
   Lease lease(*this);
   rpc::RpcClient& cli = lease.rpc();
-  const detail::KeyRoute route{
-      cli,
-      [&](const RequestBody& body) { return callRouted(cli, key, body); },
-      [&] { return replicaAddrs(*requireView(), key); }, "RoutedNetDht"};
-  return detail::readModifyWrite(route, key, fn, std::move(start),
-                                 opts_.casRetries, stats_.valueBytesMoved);
+  auto readOwner = [&] {
+    auto g = callRouted(cli, key, GetReq{key});
+    checkStatus(g, "apply", key);
+    return std::move(std::get<GetRep>(g.body));
+  };
+  // `early`: the state is the caller's read from before this call. A
+  // conflict proves it stale and replaces it; a no-change outcome on it
+  // proves nothing, so it re-reads first.
+  bool early = start.has_value();
+  GetRep state = early ? std::move(start->rep) : readOwner();
+  for (size_t casRounds = 0; casRounds < opts_.casRetries;) {
+    std::optional<Value> v =
+        state.present ? std::optional<Value>(state.value) : std::nullopt;
+    fn(v);
+    const bool unchanged = v.has_value() ? state.present && *v == state.value
+                                         : !state.present;
+    if (unchanged) {
+      if (!early) return state.present;
+      state = readOwner();
+      early = false;
+      continue;
+    }
+    ++casRounds;
+    if (v.has_value()) stats_.valueBytesMoved += v->size();
+    auto r = callRouted(cli, key,
+                        CasReq{key, state.version, v.has_value(),
+                               v.value_or(Value{})});
+    checkStatus(r, "apply", key);
+    auto& rep = std::get<CasRep>(r.body);
+    if (rep.applied) {
+      replicate(cli, replicaAddrs(*requireView(), key), key, v,
+                rep.currentVersion);
+      return state.present;
+    }
+    // Conflict: the reply carries the fresh state, so the mutator re-runs
+    // on it without another GET round.
+    state.present = rep.currentPresent;
+    state.version = rep.currentVersion;
+    state.value = std::move(rep.currentValue);
+    early = false;
+  }
+  throw DhtError("RoutedNetDht::apply: CAS contention exhausted " +
+                 std::to_string(opts_.casRetries) + " attempts on \"" + key +
+                 "\"");
 }
 
 // --- Batch rounds -----------------------------------------------------------
 
-std::vector<detail::Fetched> RoutedNetDht::fetch(rpc::RpcClient& cli,
-                                                 const std::vector<Key>& keys) {
-  std::vector<detail::Fetched> out(keys.size());
+std::vector<RoutedNetDht::Fetched> RoutedNetDht::fetch(
+    rpc::RpcClient& cli, const std::vector<Key>& keys) {
+  std::vector<Fetched> out(keys.size());
   std::vector<size_t> pending(keys.size());
   std::iota(pending.begin(), pending.end(), size_t{0});
   // Only regroups (a Redirect, a timeout, an owner missing from the view)
@@ -336,7 +466,7 @@ std::vector<detail::Fetched> RoutedNetDht::fetch(rpc::RpcClient& cli,
       if (!refreshView(cli)) break;
       v = requireView();
     }
-    const auto chunks = detail::packChunks(
+    const auto chunks = packChunks(
         pending, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
         [&](size_t i) { return v->ring.owner(keys[i]); },
         [&](size_t i) { return keys[i].size() + 8; });
@@ -363,8 +493,29 @@ std::vector<detail::Fetched> RoutedNetDht::fetch(rpc::RpcClient& cli,
       }
       auto r = cli.take(tokens[ci]);
       noteHint(r.hint);
-      if (detail::foldMultiGetReply(chunks[ci], r, out, tail,
-                                    "RoutedNetDht::multiGet")) {
+      if (!r.timedOut &&
+          (r.status == Status::Ok || r.status == Status::TooLarge)) {
+        // Ok answers a prefix of the chunk. TooLarge means the first
+        // entry alone exceeds a datagram: it fails, the rest go on. Either
+        // way the unanswered rest is re-sent next round.
+        size_t answered = 1;
+        if (r.status == Status::TooLarge) {
+          out[entries.front()].error =
+              "RoutedNetDht::multiGet: status too_large";
+        } else {
+          auto& rep = std::get<MultiGetRep>(r.body);
+          answered = rep.entries.size();
+          common::checkInvariant(
+              answered >= 1 && answered <= entries.size(),
+              "MultiGet reply answered no prefix of its chunk");
+          for (size_t j = 0; j < answered; ++j) {
+            Fetched& f = out[entries[j]];
+            f.ok = true;
+            f.rep = std::move(rep.entries[j]);
+          }
+        }
+        tail.insert(tail.end(), entries.begin() + static_cast<long>(answered),
+                    entries.end());
         continue;
       }
       if (r.timedOut || r.status == Status::Redirect) {
@@ -403,7 +554,18 @@ std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
   stats_.hops += keys.size();
 
   Lease lease(*this);
-  return detail::toGetOutcomes(fetch(lease.rpc(), keys), stats_.valueBytesMoved);
+  std::vector<Fetched> fetched = fetch(lease.rpc(), keys);
+  std::vector<GetOutcome> out(fetched.size());
+  for (size_t i = 0; i < fetched.size(); ++i) {
+    Fetched& f = fetched[i];
+    out[i].ok = f.ok;
+    out[i].error = std::move(f.error);
+    if (f.ok && f.rep.present) {
+      stats_.valueBytesMoved += f.rep.value.size();
+      out[i].value = std::move(f.rep.value);
+    }
+  }
+  return out;
 }
 
 std::vector<ApplyOutcome> RoutedNetDht::multiApply(
@@ -426,7 +588,7 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
   std::vector<Key> keys;
   keys.reserve(reqs.size());
   for (const ApplyRequest& req : reqs) keys.push_back(req.key);
-  std::vector<detail::Fetched> state = fetch(cli, keys);
+  std::vector<Fetched> state = fetch(cli, keys);
   std::vector<bool> existedAtFirstCas(reqs.size(), false);
   std::vector<size_t> active;
   for (size_t i = 0; i < reqs.size(); ++i) {
@@ -471,7 +633,7 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
     auto v = requireView();
     std::vector<size_t> positions(casEntries.size());
     std::iota(positions.begin(), positions.end(), size_t{0});
-    const auto chunks = detail::packChunks(
+    const auto chunks = packChunks(
         positions, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
         [&](size_t j) { return v->ring.owner(casReqs[j].key); },
         [&](size_t j) {
@@ -542,7 +704,7 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
   if (replicaFanout() > 0 && !toReplicate.empty()) {
     auto v = requireView();
     for (const auto& [key, vv] : toReplicate) {
-      detail::replicate(cli, replicaAddrs(*v, key), key, vv.first, vv.second);
+      replicate(cli, replicaAddrs(*v, key), key, vv.first, vv.second);
     }
   }
   return out;
@@ -555,8 +717,8 @@ void RoutedNetDht::storeDirect(const Key& key, Value value) {
   Lease lease(*this);
   auto r = callRouted(lease.rpc(), key, PutReq{key, value});
   checkStatus(r, "storeDirect", key);
-  detail::replicate(lease.rpc(), replicaAddrs(*requireView(), key), key, value,
-                    std::get<PutRep>(r.body).version);
+  replicate(lease.rpc(), replicaAddrs(*requireView(), key), key, value,
+            std::get<PutRep>(r.body).version);
 }
 
 std::optional<Value> RoutedNetDht::getReplica(const Key& key,
@@ -637,6 +799,34 @@ size_t RoutedNetDht::size() const {
     total += static_cast<size_t>(std::get<SizeRep>(r.body).primaryKeys);
   }
   return total;
+}
+
+// --- Per-thread read slots --------------------------------------------------
+
+void RoutedNetDht::ReadSlots::clear() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = slots_.find(std::this_thread::get_id());
+  if (it != slots_.end()) it->second.full = false;
+}
+
+void RoutedNetDht::ReadSlots::fill(const Key& key, const GetRep& rep) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Slot& s = slots_[std::this_thread::get_id()];
+  s.full = true;
+  s.read.key = key;
+  s.read.rep.present = rep.present;
+  s.read.rep.version = rep.version;
+  s.read.rep.value = rep.value;
+}
+
+std::optional<RoutedNetDht::SlotRead> RoutedNetDht::ReadSlots::take(
+    const Key& key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = slots_.find(std::this_thread::get_id());
+  if (it == slots_.end() || !it->second.full) return std::nullopt;
+  it->second.full = false;
+  if (it->second.read.key != key) return std::nullopt;
+  return std::move(it->second.read);
 }
 
 }  // namespace lht::dht

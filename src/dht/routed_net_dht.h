@@ -1,15 +1,20 @@
-// RoutedNetDht: the Dht interface against a self-routing overlay cluster
-// (DESIGN.md §15).
+// RoutedNetDht: the Dht interface over real datagrams, against a cluster
+// of overlay daemons (DESIGN.md §15).
 //
-// Where NetDht is configured with the complete node list up front,
-// RoutedNetDht knows only one seed endpoint. It bootstraps by
-// gossip-pulling the seed's membership table (GossipSync with senderId 0
-// marks a client pull), builds the same ring every overlay node computes
-// (MemberRing is a pure function of the table), and from then on routes
-// ops directly to owners — warm lookups are one hop, exactly like the
-// static client.
+// The client holds a full view of the cluster — the membership table and
+// the ring every overlay node computes from it (MemberRing is a pure
+// function of the table) — and routes each op straight to the key's
+// owner: one hop, the single-hop DHT design. It gets its first view one
+// of two ways:
+//  * members — a static launch set, given at construction. The view is
+//    the table an `lht_noded --peers` launch seeds on every daemon
+//    (overlay::launchTable), so the client routes its first op with no
+//    bootstrap round. A static cluster is an overlay that never churns.
+//  * seed — any one live member. bootstrap() gossip-pulls its table
+//    (GossipSync with senderId 0 marks a client pull).
 //
-// The view heals itself three ways, all lazy:
+// Either way the view then heals itself from its members, three ways,
+// all lazy:
 //  * Redirect — an op that lands on the wrong node (stale view during a
 //    join/leave) comes back Status::Redirect with the fresh owner
 //    endpoint; the client re-pulls the table and retries. When
@@ -21,30 +26,63 @@
 //  * Timeouts — a silent owner gets one view refresh + retry before the
 //    op fails with DhtTimeoutError (a crashed node's range moves to the
 //    promoted survivor, so the retry usually lands).
+// A member that answers a pull with an empty table (a bare NodeServer)
+// leaves the view as it is.
 //
-// apply() is NetDht's read-modify-write loop (dht/net_batch.h) with each
-// GET and CAS routed like any single-key op: it starts from the calling
-// thread's preceding get() of the key when there is one, and otherwise
-// reads first.
+// Replication is client-driven: the writer pushes copies to the key's
+// successor holders, mirroring ChordDht's primary/replica split so
+// getReplica and the failover decorators behave identically. The push is
+// best-effort: the primary already committed, and a silent holder only
+// shows up in the timeout count (a later read of that replica misses,
+// which failover treats as any other replica miss).
 //
-// Batched ops group by owner under the current view; a Redirect on any
-// chunk refreshes the view and regroups just the affected entries, so a
-// single mid-batch topology change costs one extra round for those keys,
-// not a failed batch. A MultiGet reply may answer only a prefix of its
-// chunk (the datagram cap); the tail goes out again next round without
-// spending a regroup round.
+// apply() over a network: the mutator is an arbitrary client-side
+// closure, so it cannot run at the server. apply() is a read-modify-write
+// loop over versioned CAS: the mutator runs locally on (value, version)
+// and the CAS applies iff the version is unchanged. The read is the
+// calling thread's get() of the same key when that was its previous call
+// (the index reads a leaf right before writing it), else a GET round. A
+// conflict reply carries the current (version, value), so each retry
+// costs one round, not two. GET and CAS are routed like any single-key
+// op, so a redirect or timeout inside the loop is followed like any
+// other.
+//
+// Batched ops group keys by owner under the current view and pack them
+// into MultiGet/MultiCas datagrams (capped per datagram), so a round
+// costs ~one datagram per involved node instead of one per key. A node
+// answers the longest prefix of a MultiGet that fits one reply datagram
+// (DESIGN.md §14); the tail goes out again next round without spending a
+// regroup round. Every reply answers at least one entry, or fails the
+// first one with TooLarge, so re-sending tails terminates. A Redirect or
+// timeout on a chunk refreshes the view and regroups just the affected
+// entries, so a single mid-batch topology change costs one extra round
+// for those keys, not a failed batch.
+//
+// Transport is injected via factory: UdpTransport for real clusters,
+// SimHub endpoints for deterministic tests. Each concurrent caller
+// borrows a (transport, RpcClient) connection from an internal pool, so
+// a ClientFleet drives one client from many threads.
+//
+// Failure mapping: an RPC that exhausts its deadline surfaces as
+// DhtTimeoutError (getReplica: DhtPeerDownError — a silent holder is a
+// down holder), which is what the Retrying/Failover decorators and the
+// leaf-cache lease machinery key on.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
+#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "dht/dht.h"
-#include "dht/net_batch.h"
 #include "overlay/membership.h"
 #include "rpc/rpc_client.h"
 #include "rpc/transport.h"
+#include "rpc/wire.h"
 
 namespace lht::dht {
 
@@ -53,15 +91,23 @@ class RoutedNetDht final : public Dht {
   using TransportFactory = std::function<std::unique_ptr<rpc::Transport>()>;
 
   struct Options {
-    /// Any live overlay member; everything else is learned.
+    /// Any live overlay member; bootstrap() learns everything else.
     rpc::NetAddr seed;
+    /// Or the static launch set: the first view, with no bootstrap.
+    /// Exactly one of `seed` and `members` is set.
+    std::vector<rpc::NetAddr> members;
     /// Must match the cluster's overlay options (the ring is a pure
     /// function of table + these).
     size_t virtualNodes = 32;
+    /// Total copies of each key (primary + replicas), clamped to the
+    /// member count. 1 = no replication.
     size_t replication = 1;
     rpc::RpcClient::Options rpc;
+    /// Batch packing caps: keys per MultiGet/MultiCas datagram, and a
+    /// soft byte budget per datagram (hard cap is kMaxDatagramBytes).
     size_t maxKeysPerDatagram = 32;
     size_t maxBytesPerDatagram = 48 * 1024;
+    /// CAS attempts per apply before giving up (contention bound).
     size_t casRetries = 16;
     /// Client-side attempts per op (each attempt = route + one RPC);
     /// redirects and refresh-retries consume attempts.
@@ -78,21 +124,38 @@ class RoutedNetDht final : public Dht {
     common::u64 staleHints = 0;       ///< hint version bumps observed
     common::u64 retriesAfterTimeout = 0;
     common::u64 connections = 0;
+    // Transport and RPC totals across the connection pool.
+    common::u64 datagramsSent = 0;
+    common::u64 datagramsReceived = 0;
+    common::u64 requestsStarted = 0;
+    common::u64 retransmits = 0;
+    common::u64 timeouts = 0;
   };
 
   RoutedNetDht(Options options, TransportFactory makeTransport);
   ~RoutedNetDht() override;
 
-  /// Pulls the membership table from the seed, retrying until it answers
-  /// with a non-empty table or `deadlineMs` of transport time passes.
-  /// Ops before a successful bootstrap throw DhtTimeoutError. Safe to
-  /// call again (acts as a forced refresh).
+  /// Pulls the membership table from the seed (a static client: from its
+  /// members), retrying until one answers with a non-empty table or
+  /// `deadlineMs` of transport time passes. A seeded client's ops before
+  /// a successful bootstrap throw DhtTimeoutError. Safe to call again
+  /// (acts as a forced refresh).
   bool bootstrap(common::u64 deadlineMs);
 
   // Dht interface ------------------------------------------------------------
   void put(const Key& key, Value value) override;
   std::optional<Value> get(const Key& key) override;
   bool remove(const Key& key) override;
+  /// Starts from the calling thread's preceding read of the key or, with
+  /// none, from a GET round; runs `fn` on the state, CASes the result
+  /// against the state's version, and on a conflict re-runs `fn` on the
+  /// (version, value) the conflict reply carries. A no-change outcome
+  /// (value unchanged, or absent stays absent) ends the call only when it
+  /// rests on a read made during the call; one reached on the preceding
+  /// read re-reads with a GET round and runs `fn` again. An applied CAS
+  /// is replicated. At most `casRetries` CAS rounds; throws DhtError when
+  /// all conflict. Returns whether the key existed before the write (or,
+  /// for a no-change outcome, at the read).
   bool apply(const Key& key, const Mutator& fn) override;
   std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
   std::vector<ApplyOutcome> multiApply(
@@ -124,11 +187,57 @@ class RoutedNetDht final : public Dht {
     std::vector<rpc::NetAddr> pullTargets;  // members to refresh from
   };
 
+  /// One entry's MultiGet result: the stored record, or why it failed.
+  struct Fetched {
+    bool ok = false;
+    rpc::wire::GetRep rep;  ///< present/version/value (valid when ok)
+    std::string error;      ///< failure description when !ok
+  };
+
+  /// One primary read of `key`: the (present, version, value) the owner
+  /// returned.
+  struct SlotRead {
+    Key key;
+    rpc::wire::GetRep rep;
+  };
+
+  /// The last primary get() of each calling thread (DESIGN.md §15). get()
+  /// fills its thread's slot; every other Dht call clears it when it
+  /// starts, and apply() takes it, so a slot holds the read immediately
+  /// preceding the call. (A thread that exits leaves its slot to a later
+  /// thread given the same id; that read is merely stale.) The slot is a
+  /// starting guess, never a verdict: the CAS validates it, and apply()
+  /// re-reads before it trusts a no-change outcome.
+  class ReadSlots {
+   public:
+    /// Empties the calling thread's slot.
+    void clear();
+    /// Replaces the calling thread's slot with a read of `key`.
+    void fill(const Key& key, const rpc::wire::GetRep& rep);
+    /// Empties the calling thread's slot and returns its read if it is
+    /// one of `key`.
+    [[nodiscard]] std::optional<SlotRead> take(const Key& key);
+
+   private:
+    /// An emptied slot keeps its strings, so the thread's next fill
+    /// reuses their buffers instead of allocating.
+    struct Slot {
+      bool full = false;
+      SlotRead read;
+    };
+    std::mutex mutex_;
+    std::unordered_map<std::thread::id, Slot> slots_;
+  };
+
+  /// A view of `table`'s ring members; nullptr when it has none.
+  [[nodiscard]] std::shared_ptr<const View> makeView(
+      const std::vector<rpc::wire::NodeEntry>& table) const;
   [[nodiscard]] std::shared_ptr<const View> view() const;
   [[nodiscard]] std::shared_ptr<const View> requireView() const;
   /// Pulls the table from `from` and installs a fresh view on success.
   bool pullView(rpc::RpcClient& cli, const rpc::NetAddr& from);
-  /// Re-pulls from any current member (falling back to the seed).
+  /// Re-pulls from any current member (a seeded client falls back to the
+  /// seed).
   bool refreshView(rpc::RpcClient& cli);
   /// Tracks per-sender table versions from reply hints; a bump schedules
   /// a refresh before the next routed attempt.
@@ -147,8 +256,7 @@ class RoutedNetDht final : public Dht {
   /// MultiGet rounds for `keys` (multiGet and multiApply's snapshot
   /// phase): groups by owner under the current view, re-sends prefix-reply
   /// tails, and regroups Redirected or timed-out chunks after a refresh.
-  std::vector<detail::Fetched> fetch(rpc::RpcClient& cli,
-                                     const std::vector<Key>& keys);
+  std::vector<Fetched> fetch(rpc::RpcClient& cli, const std::vector<Key>& keys);
 
   Options opts_;
   TransportFactory makeTransport_;
@@ -165,8 +273,8 @@ class RoutedNetDht final : public Dht {
   mutable std::mutex statsMutex_;
   RoutedStats routedStats_;
 
-  /// Each thread's last get(), where apply() starts (net_batch.h).
-  mutable detail::ReadSlots readSlots_;
+  /// Each thread's last get(), where apply() starts.
+  mutable ReadSlots readSlots_;
 };
 
 }  // namespace lht::dht

@@ -96,7 +96,7 @@ class LeafCache {
   void noteLeaseServed() { leaseHits_ += 1; }
   void noteLeaseStale() { leaseStale_ += 1; }
   void noteLeaseExpired() { leaseExpired_ += 1; }
-  /// A replica read hit a transport-level timeout (NetDht deadline, as
+  /// A replica read hit a transport-level timeout (an RPC deadline, as
   /// opposed to a substrate that *knows* the peer is down and throws
   /// DhtPeerDownError). Counted apart from generic drops so a networked
   /// run can tell silent holders from stale ones.

@@ -24,6 +24,24 @@ u64 nodeIdFor(const NetAddr& addr) {
   return id == 0 ? 1 : id;
 }
 
+NodeEntry launchEntry(const NetAddr& addr) {
+  NodeEntry e;
+  e.id = nodeIdFor(addr);
+  e.host = addr.host;
+  e.port = addr.port;
+  e.incarnation = 1;
+  e.state = static_cast<u8>(NodeState::Alive);
+  e.ringBase = e.id;
+  return e;
+}
+
+std::vector<NodeEntry> launchTable(const std::vector<NetAddr>& members) {
+  std::vector<NodeEntry> table;
+  table.reserve(members.size());
+  for (const NetAddr& addr : members) table.push_back(launchEntry(addr));
+  return table;
+}
+
 // --- MemberRing -------------------------------------------------------------
 
 MemberRing::MemberRing(const std::vector<NodeEntry>& table,

@@ -53,6 +53,15 @@ enum class NodeState : u8 {
 /// gossip-pull with senderId 0, MemberRing uses 0 for "nobody").
 [[nodiscard]] u64 nodeIdFor(const NetAddr& addr);
 
+/// The table entry of a launch-time member at `addr`: Alive at
+/// incarnation 1, ring seeded by its id. A node's own first entry, and
+/// the static launch set every daemon of an `lht_noded --peers` launch
+/// seeds and a client given the same members starts from — so both
+/// compute the identical ring with no exchange at all.
+[[nodiscard]] rpc::wire::NodeEntry launchEntry(const NetAddr& addr);
+[[nodiscard]] std::vector<rpc::wire::NodeEntry> launchTable(
+    const std::vector<NetAddr>& members);
+
 /// Consistent-hash ring over a membership snapshot. Members with state
 /// Alive or Suspect own keys; Dead/Left contribute nothing.
 class MemberRing {

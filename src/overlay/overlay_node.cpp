@@ -15,17 +15,7 @@ OverlayNode::OverlayNode(Options options, rpc::Transport& transport)
     : opts_(std::move(options)),
       transport_(transport),
       server_(opts_.server),
-      table_(
-          [&] {
-            NodeEntry self;
-            const NetAddr addr = transport.localAddr();
-            self.id = nodeIdFor(addr);
-            self.host = addr.host;
-            self.port = addr.port;
-            self.ringBase = self.id;
-            return self;
-          }(),
-          /*incarnation=*/1),
+      table_(launchEntry(transport.localAddr()), /*incarnation=*/1),
       client_(transport, opts_.rpc),
       rng_(table_.selfId(), 0x5eed) {
   refreshRing();
@@ -340,7 +330,7 @@ void OverlayNode::drainResolved() {
       case Pending::Kind::Gossip: resolveGossip(p.gossip, r); break;
       case Pending::Kind::WarmFetch: resolveWarmFetch(p.warm, r); break;
       case Pending::Kind::Handoff: resolveHandoff(p.handoff, r); break;
-      case Pending::Kind::ReplicaPush: break;  // best-effort, like NetDht
+      case Pending::Kind::ReplicaPush: break;  // best-effort, like the client's
     }
   }
 }

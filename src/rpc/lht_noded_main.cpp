@@ -1,20 +1,21 @@
 // lht_noded: one storage peer of a networked LHT cluster.
 //
 // Binds a UDP port on localhost and answers the wire protocol
-// (rpc/wire.h) until SIGTERM/SIGINT. Two personalities:
+// (rpc/wire.h) until SIGTERM/SIGINT. The store sits inside an
+// overlay::OverlayNode — gossip membership, server-side forward/redirect
+// for misrouted ops, and live join/leave. The node starts from one of:
 //
-//  * Plain (default): a dumb versioned KV store; all routing lives in the
-//    clients (NetDht). This is the PR 9 daemon, unchanged.
-//  * Overlay (--overlay=true): wraps the store in an overlay::OverlayNode
-//    — gossip membership, server-side forward/redirect for misrouted
-//    ops, and live join/leave. Bootstrap either from a static peer list
-//    (--peers=9301,9302,... — every daemon of a fixed launch seeds the
-//    same table) or by joining a running cluster via any live member
-//    (--seed-port=9301). SIGUSR1 triggers a graceful leave: stream every
-//    key to its new owner, announce Left, exit 0.
+//  * a static launch set (--peers=9301,9302,... — every daemon of a
+//    fixed launch seeds the same table, the one a client given the same
+//    members starts from; overlay::launchTable);
+//  * a running cluster, joined via any live member (--seed-port=9301);
+//  * neither: a cluster of one, which others may then join.
+//
+// SIGUSR1 triggers a graceful leave: stream every key to its new owner,
+// announce Left, exit 0.
 //
 //   lht_noded --port=9101 --name=node-1
-//   lht_noded --port=0 --overlay=true --seed-port=9101 --port-file=/tmp/n2
+//   lht_noded --port=0 --seed-port=9101 --port-file=/tmp/n2
 //
 // Prints exactly one line when it is ready to serve:
 //   lht_noded: ready on 127.0.0.1:<port>
@@ -23,7 +24,8 @@
 // ephemeral ports. Both are part of the daemon's contract.
 //
 // Exit codes: 0 clean shutdown (including leave), 1 bind/setup failure,
-// 2 flag error, 3 join failed (seed never answered / all refused).
+// 2 flag error (including a malformed port or port list), 3 join failed
+// (seed never answered / all refused).
 
 #include <atomic>
 #include <csignal>
@@ -35,7 +37,6 @@
 
 #include "common/flags.h"
 #include "overlay/overlay_node.h"
-#include "rpc/node_server.h"
 #include "rpc/udp_transport.h"
 
 namespace {
@@ -45,19 +46,6 @@ std::atomic<bool> g_leave{false};
 
 void onSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
 void onLeave(int) { g_leave.store(true, std::memory_order_relaxed); }
-
-std::vector<lht::rpc::u16> parsePorts(const std::string& csv) {
-  std::vector<lht::rpc::u16> out;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    out.push_back(
-        static_cast<lht::rpc::u16>(std::stoi(csv.substr(pos, comma - pos))));
-    pos = comma + 1;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -70,23 +58,31 @@ int main(int argc, char** argv) {
   flags.define("quiet", "false", "suppress the shutdown summary");
   flags.define("port-file", "",
                "write the bound port to this file once ready");
-  flags.define("overlay", "false",
-               "run the self-routing overlay (gossip + forwarding)");
-  flags.define("peers", "",
-               "overlay: comma-separated ports of the static launch set");
-  flags.define("seed-port", "0",
-               "overlay: join a live cluster via this member port");
-  flags.define("join-deadline-ms", "10000", "overlay: join handshake budget");
-  flags.define("leave-deadline-ms", "10000",
-               "overlay: graceful-leave streaming budget");
-  flags.define("virtual-nodes", "32", "overlay: ring points per member");
-  flags.define("replication", "1", "overlay: copies per key (crash repair)");
-  flags.define("gossip-interval-ms", "250", "overlay: anti-entropy cadence");
+  flags.define("overlay", "true",
+               "ignored: every daemon runs the overlay (accepted so older "
+               "launch scripts keep working)");
+  flags.define("peers", "", "comma-separated ports of the static launch set");
+  flags.define("seed-port", "0", "join a live cluster via this member port");
+  flags.define("join-deadline-ms", "10000", "join handshake budget");
+  flags.define("leave-deadline-ms", "10000", "graceful-leave streaming budget");
+  flags.define("virtual-nodes", "32", "ring points per member");
+  flags.define("replication", "1", "copies per key (crash repair)");
+  flags.define("gossip-interval-ms", "250", "anti-entropy cadence");
   if (!flags.parse(argc, argv)) return 2;
+  const auto port = common::parsePort(flags.getString("port"));
+  const auto peerPorts = common::parsePortList(flags.getString("peers"));
+  const auto seedPort = common::parsePort(flags.getString("seed-port"));
+  if (!port || !peerPorts || !seedPort) {
+    std::fprintf(stderr,
+                 "lht_noded: --port, --seed-port and --peers take decimal "
+                 "ports in [0, 65535] (--peers: comma-separated, no empty "
+                 "entries)\n");
+    return 2;
+  }
 
   // SIGTERM/SIGINT flip the stop flag; epoll_wait returns with EINTR and
-  // the serve loop notices. No SA_RESTART, by design. SIGUSR1 asks an
-  // overlay node to leave gracefully (plain nodes treat it as stop).
+  // the serve loop notices. No SA_RESTART, by design. SIGUSR1 asks the
+  // node to leave gracefully.
   struct sigaction sa{};
   sa.sa_handler = onSignal;
   sigaction(SIGTERM, &sa, nullptr);
@@ -96,7 +92,7 @@ int main(int argc, char** argv) {
   sigaction(SIGUSR1, &sl, nullptr);
 
   rpc::UdpTransport::Options topts;
-  topts.bindPort = static_cast<rpc::u16>(flags.getInt("port"));
+  topts.bindPort = *port;
   std::unique_ptr<rpc::UdpTransport> transport;
   try {
     transport = std::make_unique<rpc::UdpTransport>(topts);
@@ -125,27 +121,6 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   };
 
-  if (!flags.getBool("overlay")) {
-    rpc::NodeServer::Options nopts;
-    nopts.name = name;
-    rpc::NodeServer server(nopts);
-    announceReady();
-    server.serve(*transport, g_stop);
-    if (!flags.getBool("quiet")) {
-      std::fprintf(
-          stderr,
-          "lht_noded: %s stopping (handled=%llu dedup_hits=%llu "
-          "bad=%llu primary_keys=%zu)\n",
-          name.c_str(),
-          static_cast<unsigned long long>(server.stats().requestsHandled),
-          static_cast<unsigned long long>(server.stats().dedupHits),
-          static_cast<unsigned long long>(server.stats().badRequests),
-          server.primaryKeyCount());
-    }
-    return 0;
-  }
-
-  // Overlay personality.
   overlay::OverlayNode::Options oopts;
   oopts.name = name;
   oopts.server.name = name;
@@ -155,30 +130,20 @@ int main(int argc, char** argv) {
       static_cast<common::u64>(flags.getInt("gossip-interval-ms"));
   overlay::OverlayNode node(oopts, *transport);
 
-  const auto peerPorts = parsePorts(flags.getString("peers"));
-  if (!peerPorts.empty()) {
-    std::vector<rpc::wire::NodeEntry> entries;
-    for (const rpc::u16 p : peerPorts) {
-      rpc::wire::NodeEntry e;
-      e.host = rpc::kLoopbackHost;
-      e.port = p;
-      e.id = overlay::nodeIdFor(rpc::NetAddr{e.host, e.port});
-      e.ringBase = e.id;
-      e.incarnation = 1;
-      e.state = static_cast<common::u8>(overlay::NodeState::Alive);
-      entries.push_back(e);
+  if (!peerPorts->empty()) {
+    std::vector<rpc::NetAddr> members;
+    for (const rpc::u16 p : *peerPorts) {
+      members.push_back(rpc::NetAddr{rpc::kLoopbackHost, p});
     }
-    node.seedMembership(entries);
+    node.seedMembership(overlay::launchTable(members));
   }
 
-  const int seedPort = flags.getInt("seed-port");
-  if (seedPort != 0) {
+  if (*seedPort != 0) {
     // Announce readiness BEFORE joining: the parent may gate the next
     // daemon's launch on this one's port file, and the join handshake
     // below already serves traffic (pumpOnce-driven).
     announceReady();
-    const rpc::NetAddr seed{rpc::kLoopbackHost,
-                            static_cast<rpc::u16>(seedPort)};
+    const rpc::NetAddr seed{rpc::kLoopbackHost, *seedPort};
     if (!node.joinCluster(
             seed, static_cast<common::u64>(flags.getInt("join-deadline-ms")))) {
       std::fprintf(stderr, "lht_noded: %s failed to join via %s\n",

@@ -1,13 +1,13 @@
 // lht_net_trace: drives a real LHT client fleet against a running
 // lht_noded cluster and verifies the result against an oracle.
 //
-// The cluster is someone else's problem (run_cluster.sh / bench_net /
-// bench_overlay fork the daemons); this binary is pure client: build a
-// NetDht (static node list) or RoutedNetDht (--routed: one seed, ring
-// learned via gossip pull + redirects) over UDP, preload one record per
-// oracle cell through a loader index, run a mixed insert/find/range
-// trace through a concurrent ClientFleet, then re-read every preloaded
-// record through a fresh verifier client and compare payloads.
+// The cluster is someone else's problem (run_cluster.sh forks the
+// daemons); this binary is pure client: build a RoutedNetDht over UDP
+// that knows only one seed member (--seed-port; the ring is learned via
+// gossip pull + redirects), preload one record per oracle cell through a
+// loader index, run a mixed insert/find/range trace through a concurrent
+// ClientFleet, then re-read every preloaded record through a fresh
+// verifier client and compare payloads.
 //
 // --mode splits the phases so churn scripts can interleave topology
 // changes between them:
@@ -18,8 +18,8 @@
 // a missing or timed-out record is retried until the window closes, so
 // transient unavailability is separated from actual data loss.
 //
-// Prints one JSON object on stdout. Exit codes: 0 ok, 3 cluster never
-// came up, 4 trace ops failed, 5 oracle mismatch.
+// Prints one JSON object on stdout. Exit codes: 0 ok, 2 flag error,
+// 3 cluster never came up, 4 trace ops failed, 5 oracle mismatch.
 
 #include <chrono>
 #include <cstdio>
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "dht/net_dht.h"
 #include "dht/routed_net_dht.h"
 #include "exec/client_fleet.h"
 #include "exec/thread_pool.h"
@@ -40,20 +39,6 @@
 namespace {
 
 using namespace lht;
-
-std::vector<rpc::NetAddr> parsePorts(const std::string& csv) {
-  std::vector<rpc::NetAddr> out;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    const int port = std::stoi(csv.substr(pos, comma - pos));
-    out.push_back(rpc::NetAddr{rpc::kLoopbackHost,
-                               static_cast<rpc::u16>(port)});
-    pos = comma + 1;
-  }
-  return out;
-}
 
 double nowWallMs() {
   return std::chrono::duration<double, std::milli>(
@@ -66,32 +51,31 @@ double nowWallMs() {
 int main(int argc, char** argv) {
   common::Flags flags("lht_net_trace",
                       "mixed-trace client fleet against an lht_noded cluster");
-  flags.define("nodes", "", "comma-separated UDP ports of the cluster");
+  flags.define("seed-port", "0", "UDP port of any live cluster member");
   flags.define("clients", "8", "concurrent fleet clients");
   flags.define("ops", "2000", "trace operations");
   flags.define("preload", "64", "oracle records preloaded before the trace");
   flags.define("replication", "2", "copies per key (primary + replicas)");
   flags.define("dist", "uniform", "key distribution: uniform|gaussian|zipf");
   flags.define("seed", "42", "workload seed");
-  flags.define("ping-deadline-ms", "10000", "how long to wait for the cluster");
-  flags.define("routed", "false",
-               "use RoutedNetDht: bootstrap from the first --nodes port, "
-               "learn the ring from gossip/redirects");
+  flags.define("ping-deadline-ms", "10000",
+               "how long to wait for the seed to answer");
   flags.define("mode", "run", "run | preload | verify (see header comment)");
   flags.define("retry-for-ms", "0",
                "verify: retry a missing/timed-out oracle record this long");
   if (!flags.parse(argc, argv)) return 2;
 
-  const auto nodes = parsePorts(flags.getString("nodes"));
-  if (nodes.empty()) {
-    std::fprintf(stderr, "lht_net_trace: --nodes is required\n");
+  const auto seedPort = common::parsePort(flags.getString("seed-port"));
+  if (!seedPort || *seedPort == 0) {
+    std::fprintf(stderr,
+                 "lht_net_trace: --seed-port takes a decimal port in "
+                 "[1, 65535]\n");
     return 2;
   }
   const auto clients = static_cast<size_t>(flags.getInt("clients"));
   const auto ops = static_cast<size_t>(flags.getInt("ops"));
   const auto preload = static_cast<size_t>(flags.getInt("preload"));
   const common::u64 seed = static_cast<common::u64>(flags.getInt("seed"));
-  const bool routed = flags.getBool("routed");
   const std::string mode = flags.getString("mode");
   const double retryForMs = static_cast<double>(flags.getInt("retry-for-ms"));
   if (mode != "run" && mode != "preload" && mode != "verify") {
@@ -105,33 +89,15 @@ int main(int argc, char** argv) {
   const auto pingDeadline =
       static_cast<common::u64>(flags.getInt("ping-deadline-ms"));
 
-  std::unique_ptr<dht::NetDht> staticDht;
-  std::unique_ptr<dht::RoutedNetDht> routedDht;
-  dht::Dht* dhtPtr = nullptr;
-  if (routed) {
-    dht::RoutedNetDht::Options ro;
-    ro.seed = nodes[0];
-    ro.replication = static_cast<size_t>(flags.getInt("replication"));
-    routedDht = std::make_unique<dht::RoutedNetDht>(ro, makeTransport);
-    if (!routedDht->bootstrap(pingDeadline)) {
-      std::fprintf(stderr,
-                   "lht_net_trace: overlay seed %s never answered\n",
-                   nodes[0].str().c_str());
-      return 3;
-    }
-    dhtPtr = routedDht.get();
-  } else {
-    dht::NetDht::Options no;
-    no.nodes = nodes;
-    no.replication = static_cast<size_t>(flags.getInt("replication"));
-    staticDht = std::make_unique<dht::NetDht>(no, makeTransport);
-    if (!staticDht->pingAll(pingDeadline)) {
-      std::fprintf(stderr, "lht_net_trace: cluster did not answer ping\n");
-      return 3;
-    }
-    dhtPtr = staticDht.get();
+  dht::RoutedNetDht::Options ro;
+  ro.seed = rpc::NetAddr{rpc::kLoopbackHost, *seedPort};
+  ro.replication = static_cast<size_t>(flags.getInt("replication"));
+  dht::RoutedNetDht ndht(ro, makeTransport);
+  if (!ndht.bootstrap(pingDeadline)) {
+    std::fprintf(stderr, "lht_net_trace: seed %s never answered\n",
+                 ro.seed.str().c_str());
+    return 3;
   }
-  dht::Dht& ndht = *dhtPtr;
 
   auto indexOptions = [&](common::u64 clientSeed, bool attach) {
     core::LhtIndex::Options io;
@@ -216,37 +182,33 @@ int main(int argc, char** argv) {
           ? 0.0
           : static_cast<double>(ds.hops.load()) /
                 static_cast<double>(ds.lookups.load());
+  const auto rs = ndht.routedStats();
   std::printf(
-      "{\"mode\": \"%s\", \"routed\": %s, \"nodes\": %zu, \"clients\": %zu, "
+      "{\"mode\": \"%s\", \"clients\": %zu, "
       "\"ops\": %zu, \"ops_failed\": %zu, \"elapsed_wall_ms\": %.1f, "
       "\"oracle_records\": %zu, \"oracle_misses\": %zu, \"oracle_ok\": %s, "
       "\"verify_retries\": %zu, ",
-      mode.c_str(), routed ? "true" : "false", nodes.size(), clients,
-      result.opsTotal, result.opsFailed, result.elapsedWallMs, oracle.size(),
-      oracleMisses, oracleMisses == 0 ? "true" : "false", verifyRetries);
-  if (routed) {
-    const auto rs = routedDht->routedStats();
-    std::printf(
-        "\"routed_stats\": {\"bootstraps\": %llu, \"refreshes\": %llu, "
-        "\"redirects_followed\": %llu, \"stale_hints\": %llu, "
-        "\"retries_after_timeout\": %llu, \"known_members\": %zu}, ",
-        static_cast<unsigned long long>(rs.bootstraps),
-        static_cast<unsigned long long>(rs.refreshes),
-        static_cast<unsigned long long>(rs.redirectsFollowed),
-        static_cast<unsigned long long>(rs.staleHints),
-        static_cast<unsigned long long>(rs.retriesAfterTimeout),
-        routedDht->knownMembers());
-  } else {
-    const auto ns = staticDht->netStats();
-    std::printf(
-        "\"net\": {\"datagrams_sent\": %llu, \"datagrams_received\": %llu, "
-        "\"retransmits\": %llu, \"timeouts\": %llu, \"connections\": %llu}, ",
-        static_cast<unsigned long long>(ns.datagramsSent),
-        static_cast<unsigned long long>(ns.datagramsReceived),
-        static_cast<unsigned long long>(ns.retransmits),
-        static_cast<unsigned long long>(ns.timeouts),
-        static_cast<unsigned long long>(ns.connections));
-  }
+      mode.c_str(), clients, result.opsTotal, result.opsFailed,
+      result.elapsedWallMs, oracle.size(), oracleMisses,
+      oracleMisses == 0 ? "true" : "false", verifyRetries);
+  std::printf(
+      "\"routed_stats\": {\"bootstraps\": %llu, \"refreshes\": %llu, "
+      "\"redirects_followed\": %llu, \"stale_hints\": %llu, "
+      "\"retries_after_timeout\": %llu, \"known_members\": %zu}, ",
+      static_cast<unsigned long long>(rs.bootstraps),
+      static_cast<unsigned long long>(rs.refreshes),
+      static_cast<unsigned long long>(rs.redirectsFollowed),
+      static_cast<unsigned long long>(rs.staleHints),
+      static_cast<unsigned long long>(rs.retriesAfterTimeout),
+      ndht.knownMembers());
+  std::printf(
+      "\"net\": {\"datagrams_sent\": %llu, \"datagrams_received\": %llu, "
+      "\"retransmits\": %llu, \"timeouts\": %llu, \"connections\": %llu}, ",
+      static_cast<unsigned long long>(rs.datagramsSent),
+      static_cast<unsigned long long>(rs.datagramsReceived),
+      static_cast<unsigned long long>(rs.retransmits),
+      static_cast<unsigned long long>(rs.timeouts),
+      static_cast<unsigned long long>(rs.connections));
   std::printf(
       "\"dht\": {\"lookups\": %llu, \"hops\": %llu, \"mean_hops\": %.3f, "
       "\"batch_rounds\": %llu}}\n",

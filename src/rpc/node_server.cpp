@@ -263,11 +263,11 @@ ReplyBody NodeServer::dispatch(const RequestBody& req, size_t bodyBudget) {
           }
           return rep;
         } else if constexpr (std::is_same_v<T, GossipSyncReq>) {
-          // A plain node has no membership table; the empty reply tells an
-          // overlay-aware caller this endpoint is not running the overlay.
+          // A bare node has no membership table; the empty reply leaves a
+          // pulling client's view as it is.
           return GossipSyncRep{};
         } else if constexpr (std::is_same_v<T, JoinReq>) {
-          return JoinRep{};  // accepted=false: plain nodes refuse joins
+          return JoinRep{};  // accepted=false: bare nodes refuse joins
         } else {
           static_assert(std::is_same_v<T, LeaveReq>);
           return LeaveRep{};  // known=false

@@ -5,11 +5,13 @@
 // primary map (keys this node owns) and a replica map (keys it holds for
 // fanout reads), mirroring Chord's primary/replica split so getReplica
 // and failover reads work identically over the network. All routing and
-// replication intelligence stays in the client (NetDht) or in the
-// OverlayNode wrapper (src/overlay), which is what keeps the node
-// protocol flat. A plain NodeServer answers the overlay membership ops
-// (GossipSync/Join/Leave) with inert refusals; Handoff it executes for
-// real, since bulk key install is pure storage.
+// replication intelligence stays in the client (RoutedNetDht) or in the
+// OverlayNode wrapper (src/overlay) every lht_noded runs, which is what
+// keeps the node protocol flat. A bare NodeServer (the inline clusters of
+// the tests and of bench_net) answers the overlay membership ops with
+// inert replies: GossipSync with an empty table, which leaves a pulling
+// client's view as it is, and Join/Leave with refusals. Handoff it
+// executes for real, since bulk key install is pure storage.
 //
 // Versioned CAS: every stored value carries a u64 version, bumped on each
 // mutation. Dht::apply's read-modify-write becomes read (value, version)
@@ -20,7 +22,7 @@
 // current (version, value) so the client retries the mutator without an
 // extra round. expectedVersion 0 means "expect absent". A key created
 // again after an erase restarts at version 1, so a CAS cannot tell that
-// value from an older one with the same version; the clients keep the
+// value from an older one with the same version; the client keeps the
 // read-to-CAS window to the caller's work between two adjacent calls.
 //
 // At-most-once: retransmitted requests must not re-execute mutations

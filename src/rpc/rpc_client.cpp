@@ -79,7 +79,7 @@ void RpcClient::handleDatagram(const Datagram& d) {
   // dedup cache keyed by (host, port, requestId) can replay a previous
   // incarnation's reply for a colliding id; accepting it would hand the
   // caller the wrong ReplyBody alternative (std::bad_variant_access in
-  // NetDht). Id randomization makes collisions unlikely; this makes
+  // RoutedNetDht). Id randomization makes collisions unlikely; this makes
   // them harmless.
   if (reply.header.op != p.result.op) {
     stats_.staleReplies += 1;

@@ -5,8 +5,8 @@
 // every request gets a fresh id, sits in a request table, and is
 // retransmitted on a doubling backoff until a reply with that id arrives
 // or the per-request deadline passes. Many requests can be in flight at
-// once — NetDht leans on that to run a whole batched round (one datagram
-// per node) as a single settle().
+// once — RoutedNetDht leans on that to run a whole batched round (one
+// datagram per node) as a single settle().
 //
 // Usage:
 //   Token t1 = client.call(nodeA, GetReq{key1});

@@ -63,7 +63,7 @@ inline constexpr u8 kNoForwardBit = 0x01;
 
 /// Request opcodes. Replica* ops address a holder's replica table (the
 /// client routes them). GossipSync/Join/Leave/Handoff are the overlay
-/// membership protocol (src/overlay): plain NodeServers answer them with
+/// membership protocol (src/overlay): bare NodeServers answer them with
 /// empty/refusal bodies, OverlayNode implements them for real.
 enum class Op : u8 {
   Ping = 1,

@@ -65,5 +65,22 @@ TEST(Flags, HelpReturnsFalse) {
   EXPECT_FALSE(f.parse(2, argv));
 }
 
+TEST(Flags, PortsAreDecimalsInRange) {
+  EXPECT_EQ(parsePort("0"), 0);
+  EXPECT_EQ(parsePort("9301"), 9301);
+  EXPECT_EQ(parsePort("65535"), 65535);
+  for (const char* bad : {"", "abc", "70000", "65536", "-1", "+5", " 80",
+                          "80 ", "9301x", "0x10"}) {
+    EXPECT_FALSE(parsePort(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parsePortList(""), std::vector<std::uint16_t>{});
+  EXPECT_EQ(parsePortList("9301,9302"),
+            (std::vector<std::uint16_t>{9301, 9302}));
+  for (const char* bad : {"abc", "9301,,9302", "9301,", ",9301", "70000",
+                          "9301,70000"}) {
+    EXPECT_FALSE(parsePortList(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace lht::common

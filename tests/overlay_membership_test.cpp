@@ -16,14 +16,9 @@ using rpc::wire::NodeEntry;
 
 NodeEntry entryFor(u16 port, u64 incarnation = 1,
                    NodeState state = NodeState::Alive) {
-  const NetAddr addr{0, port};
-  NodeEntry e;
-  e.id = nodeIdFor(addr);
-  e.host = addr.host;
-  e.port = addr.port;
+  NodeEntry e = launchEntry(NetAddr{0, port});
   e.incarnation = incarnation;
   e.state = static_cast<u8>(state);
-  e.ringBase = e.id;
   return e;
 }
 

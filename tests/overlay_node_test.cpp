@@ -47,14 +47,7 @@ struct OverlayCluster {
   explicit OverlayCluster(size_t n, OverlayNode::Options base = {}) {
     for (size_t i = 0; i < n; ++i) {
       tx.push_back(hub.makeEndpoint(static_cast<u16>(kBasePort + i)));
-      const NetAddr addr = tx.back()->localAddr();
-      NodeEntry e;
-      e.id = nodeIdFor(addr);
-      e.host = addr.host;
-      e.port = addr.port;
-      e.incarnation = 1;
-      e.ringBase = e.id;
-      entries.push_back(e);
+      entries.push_back(launchEntry(tx.back()->localAddr()));
     }
     for (size_t i = 0; i < n; ++i) {
       OverlayNode::Options opts = base;

@@ -1,15 +1,30 @@
-// RoutedNetDht against a live (sim-transport) overlay cluster: bootstrap
-// from a single seed, warm one-hop routing, redirect-following across a
-// membership change, and crash failover through replica promotion — the
-// deterministic twin of the kernel-UDP paths bench_overlay measures.
+// RoutedNetDht over the SimHub transport twin, from both ways a client
+// gets its first view:
 //
-// The overlay nodes run real serve() loops on background threads (the
-// client's calls block inside settle(), so somebody must pump the
-// servers); virtual clocks make that spin fast without wall-clock sleeps.
+//  * StaticCluster — NodeServers inline in one SimHub, the client given
+//    their addresses as its launch set (Options::members). Deterministic:
+//    no threads, no retransmits, and a node taken offline times out on a
+//    short deadline. The StaticCluster, NetDhtReadSlot and NetDhtIndex
+//    suites run here: Dht conformance (put/get/remove/apply/batches/
+//    replica reads), failure mapping (offline node -> DhtTimeoutError,
+//    silent replica holder -> DhtPeerDownError), decorator stacking, the
+//    connection pool under concurrent callers, and the full LhtIndex
+//    against an oracle.
+//  * ServedCluster — overlay nodes running serve() loops on background
+//    threads (the client's calls block inside settle(), so somebody must
+//    pump the servers); virtual clocks make that spin fast without
+//    wall-clock sleeps. The RoutedNetDht* suites run here: bootstrap
+//    from a single seed, a launch-set client on the daemons' own ring,
+//    warm one-hop routing, redirect-following across a membership
+//    change, and crash failover through replica promotion — the
+//    deterministic twin of the kernel-UDP paths bench_overlay measures.
+//
+// Cases that check the same behaviour run one body over both clusters.
 #include "dht/routed_net_dht.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -20,8 +35,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
+#include "dht/decorators.h"
+#include "lht/lht_index.h"
+#include "net/sim_clock.h"
 #include "net_index_check.h"
 #include "overlay/overlay_node.h"
+#include "rpc/node_server.h"
 #include "rpc/sim_transport.h"
 
 namespace lht::dht {
@@ -31,8 +51,62 @@ using overlay::OverlayNode;
 using rpc::NetAddr;
 using rpc::SimHub;
 using rpc::SimTransport;
+using rpc::wire::Op;
 
-constexpr rpc::u16 kBasePort = 6100;
+// ---------------------------------------------------------------------------
+// Transport wrappers
+// ---------------------------------------------------------------------------
+
+/// The distinct requests a client sent, per opcode. A retransmit repeats
+/// its request id, so it is not counted again.
+class RequestCounts {
+ public:
+  void note(std::string_view datagram) {
+    auto decoded = rpc::wire::decodeHeader(datagram);
+    const auto* h = std::get_if<rpc::wire::Header>(&decoded);
+    if (h == nullptr || h->isReply) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    seen_[h->op].insert(h->requestId);
+  }
+  size_t operator()(Op op) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = seen_.find(op);
+    return it == seen_.end() ? 0 : it->second.size();
+  }
+  /// Requests of every opcode.
+  size_t total() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    size_t n = 0;
+    for (const auto& [op, ids] : seen_) n += ids.size();
+    return n;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<Op, std::set<rpc::u64>> seen_;
+};
+
+/// A client endpoint that reports every datagram it sends to `counts`.
+class CountingSim final : public rpc::Transport {
+ public:
+  CountingSim(std::unique_ptr<rpc::Transport> inner, RequestCounts& counts)
+      : inner_(std::move(inner)), counts_(counts) {}
+  bool send(const NetAddr& to, std::string_view payload) override {
+    counts_.note(payload);
+    return inner_->send(to, payload);
+  }
+  size_t receive(std::vector<rpc::Datagram>& out, rpc::u64 timeoutMs) override {
+    return inner_->receive(out, timeoutMs);
+  }
+  rpc::u64 nowMs() override { return inner_->nowMs(); }
+  [[nodiscard]] NetAddr localAddr() const override {
+    return inner_->localAddr();
+  }
+
+ private:
+  std::unique_ptr<rpc::Transport> inner_;
+  RequestCounts& counts_;
+};
 
 /// Wall-throttled sim endpoint. A SimTransport's idle receive() advances
 /// its PRIVATE virtual clock by the full wait instantly, so a blocked
@@ -62,7 +136,105 @@ class ThrottledSim final : public rpc::Transport {
   std::unique_ptr<SimTransport> inner_;
 };
 
-struct ServedCluster {
+/// `t`, reporting to `counts` when given.
+std::unique_ptr<rpc::Transport> maybeCounted(std::unique_ptr<rpc::Transport> t,
+                                             RequestCounts* counts) {
+  if (counts == nullptr) return t;
+  return std::make_unique<CountingSim>(std::move(t), *counts);
+}
+
+// ---------------------------------------------------------------------------
+// Clusters
+// ---------------------------------------------------------------------------
+
+/// What the shared cases need from a cluster.
+class AnyCluster {
+ public:
+  virtual ~AnyCluster() = default;
+  /// A client ready for traffic; `counts`, when given, sees every request
+  /// it sends.
+  virtual std::unique_ptr<RoutedNetDht> client(size_t replication,
+                                               RequestCounts* counts) = 0;
+  /// Every node's store.
+  virtual std::vector<rpc::NodeServer*> stores() = 0;
+  /// Servers answer inline and the hub never loses a datagram, so
+  /// per-datagram counts are exact (no retransmits, no re-run reads).
+  [[nodiscard]] virtual bool exact() const = 0;
+};
+
+/// N NodeServers living inline in one SimHub, ports 5000..5000+N-1.
+class StaticCluster final : public AnyCluster {
+ public:
+  rpc::SimHub hub;
+  std::vector<std::unique_ptr<rpc::NodeServer>> servers;
+  std::vector<NetAddr> addrs;
+
+  explicit StaticCluster(size_t n, rpc::SimHub::Options hopts = {})
+      : hub(hopts) {
+    for (size_t i = 0; i < n; ++i) {
+      rpc::NodeServer::Options sopts;
+      sopts.name = "n" + std::to_string(i);
+      auto server = std::make_unique<rpc::NodeServer>(sopts);
+      const auto port = static_cast<rpc::u16>(5000 + i);
+      hub.registerHandler(
+          port, [srv = server.get()](const rpc::Datagram& d,
+                                     const std::function<void(std::string)>& reply) {
+            std::string out = srv->handle(d.from, d.payload);
+            if (!out.empty()) reply(std::move(out));
+          });
+      servers.push_back(std::move(server));
+      addrs.push_back(NetAddr{0, port});
+    }
+  }
+
+  std::unique_ptr<RoutedNetDht> makeDht(size_t replication = 1,
+                                        common::u64 deadlineMs = 2000,
+                                        RequestCounts* counts = nullptr) {
+    RoutedNetDht::Options o;
+    o.members = addrs;
+    o.replication = replication;
+    o.rpc.requestDeadlineMs = deadlineMs;
+    o.rpc.initialRetransmitMs = 20;
+    return std::make_unique<RoutedNetDht>(
+        o, [this, counts] { return maybeCounted(hub.makeEndpoint(), counts); });
+  }
+
+  std::unique_ptr<RoutedNetDht> client(size_t replication,
+                                       RequestCounts* counts) override {
+    return makeDht(replication, 2000, counts);
+  }
+  std::vector<rpc::NodeServer*> stores() override {
+    std::vector<rpc::NodeServer*> out;
+    for (auto& s : servers) out.push_back(s.get());
+    return out;
+  }
+  [[nodiscard]] bool exact() const override { return true; }
+
+  /// Index of the server holding `key` in its primary map (put it first).
+  size_t primaryOf(const std::string& key) const {
+    for (size_t i = 0; i < servers.size(); ++i) {
+      if (servers[i]->primaryValue(key).has_value()) return i;
+    }
+    ADD_FAILURE() << "no primary holds " << key;
+    return 0;
+  }
+
+  /// Index of the first server holding anything in its replica map.
+  size_t replicaHolder() const {
+    for (size_t i = 0; i < servers.size(); ++i) {
+      if (servers[i]->replicaKeyCount() > 0) return i;
+    }
+    ADD_FAILURE() << "no server holds a replica";
+    return 0;
+  }
+};
+
+constexpr rpc::u16 kBasePort = 6100;
+
+/// N overlay nodes seeded with the same static launch set, each serving
+/// on its own thread once serveAll() runs. Clients bootstrap from node 0.
+class ServedCluster final : public AnyCluster {
+ public:
   SimHub hub;
   std::vector<std::unique_ptr<ThrottledSim>> tx;
   std::vector<std::unique_ptr<OverlayNode>> nodes;
@@ -70,37 +242,26 @@ struct ServedCluster {
   std::vector<std::thread> threads;
 
   explicit ServedCluster(size_t n, OverlayNode::Options base = {}) {
-    std::vector<rpc::wire::NodeEntry> entries;
     for (size_t i = 0; i < n; ++i) {
       tx.push_back(std::make_unique<ThrottledSim>(
           hub.makeEndpoint(static_cast<rpc::u16>(kBasePort + i))));
-      const NetAddr addr = tx.back()->localAddr();
-      rpc::wire::NodeEntry e;
-      e.id = overlay::nodeIdFor(addr);
-      e.host = addr.host;
-      e.port = addr.port;
-      e.incarnation = 1;
-      e.ringBase = e.id;
-      entries.push_back(e);
     }
+    const auto launchSet = overlay::launchTable(addrs());
     for (size_t i = 0; i < n; ++i) {
       OverlayNode::Options opts = base;
       opts.name = "served-" + std::to_string(i);
       nodes.push_back(std::make_unique<OverlayNode>(opts, *tx[i]));
-      nodes[i]->seedMembership(entries);
+      nodes[i]->seedMembership(launchSet);
     }
   }
 
-  ~ServedCluster() {
+  ~ServedCluster() override {
     stop.store(true);
     for (std::thread& t : threads) t.join();
   }
 
   void serveAll() {
-    for (auto& n : nodes) {
-      OverlayNode* p = n.get();
-      threads.emplace_back([this, p] { p->serve(stop); });
-    }
+    for (auto& n : nodes) serveOne(n.get());
   }
 
   void serveOne(OverlayNode* p) {
@@ -108,6 +269,28 @@ struct ServedCluster {
   }
 
   [[nodiscard]] NetAddr addr(size_t i) const { return tx[i]->localAddr(); }
+  [[nodiscard]] std::vector<NetAddr> addrs() const {
+    std::vector<NetAddr> out;
+    for (size_t i = 0; i < tx.size(); ++i) out.push_back(addr(i));
+    return out;
+  }
+
+  /// A fresh client endpoint, reporting to `counts` when given.
+  RoutedNetDht::TransportFactory endpoints(RequestCounts* counts = nullptr) {
+    return [this, counts] {
+      return maybeCounted(std::make_unique<ThrottledSim>(hub.makeEndpoint()),
+                          counts);
+    };
+  }
+
+  std::unique_ptr<RoutedNetDht> client(size_t replication,
+                                       RequestCounts* counts) override;
+  std::vector<rpc::NodeServer*> stores() override {
+    std::vector<rpc::NodeServer*> out;
+    for (auto& n : nodes) out.push_back(&n->server());
+    return out;
+  }
+  [[nodiscard]] bool exact() const override { return false; }
 };
 
 RoutedNetDht::Options clientOptions(const ServedCluster& c,
@@ -122,10 +305,19 @@ RoutedNetDht::Options clientOptions(const ServedCluster& c,
 /// sim clocks jump by whole idle waits, so under a slow (sanitizer) build
 /// the default 2 s deadline can pass while a server thread is merely
 /// descheduled; this deadline lies far beyond those jumps.
-RoutedNetDht::Options patientClientOptions(const ServedCluster& c) {
-  RoutedNetDht::Options ro = clientOptions(c);
+RoutedNetDht::Options patientClientOptions(const ServedCluster& c,
+                                           size_t replication = 1) {
+  RoutedNetDht::Options ro = clientOptions(c, replication);
   ro.rpc.requestDeadlineMs = 4'000'000;
   return ro;
+}
+
+std::unique_ptr<RoutedNetDht> ServedCluster::client(size_t replication,
+                                                    RequestCounts* counts) {
+  auto dht = std::make_unique<RoutedNetDht>(
+      patientClientOptions(*this, replication), endpoints(counts));
+  EXPECT_TRUE(dht->bootstrap(/*deadlineMs=*/20000));
+  return dht;
 }
 
 /// get() with churn tolerance: a topology change mid-read surfaces as a
@@ -147,16 +339,20 @@ bool eventuallyReads(RoutedNetDht& dht, const std::string& key,
   return false;
 }
 
-TEST(RoutedNetDht, BootstrapsFromOneSeedAndRoutesWarmOpsInOneHop) {
-  ServedCluster c(3);
-  c.serveAll();
-  RoutedNetDht dht(patientClientOptions(c), [&] {
-    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
-  });
-  ASSERT_TRUE(dht.bootstrap(/*deadlineMs=*/20000));
-  EXPECT_EQ(dht.knownMembers(), 3u);
-  EXPECT_GE(dht.routedStats().bootstraps, 1u);
+Mutator appendTo(std::string suffix) {
+  return [suffix = std::move(suffix)](std::optional<Value>& v) {
+    v = v.value_or("") + suffix;
+  };
+}
 
+// ---------------------------------------------------------------------------
+// Shared cases
+// ---------------------------------------------------------------------------
+
+/// 25 puts, 25 gets and a multiGet over a stable view: every op routes
+/// straight to its owner, exactly one hop per lookup, zero redirects — the
+/// bench gate (<= 1.2 warm mean hops) with the slack removed.
+void expectWarmOpsInOneHop(RoutedNetDht& dht) {
   for (int i = 0; i < 25; ++i) {
     dht.put("key-" + std::to_string(i), "val-" + std::to_string(i));
   }
@@ -165,10 +361,6 @@ TEST(RoutedNetDht, BootstrapsFromOneSeedAndRoutesWarmOpsInOneHop) {
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, "val-" + std::to_string(i));
   }
-
-  // A stable view routes every op straight to its owner: exactly one hop
-  // per lookup, zero redirects — the bench gate (≤ 1.2 warm mean hops)
-  // with the slack removed.
   const auto& ds = dht.stats();
   EXPECT_EQ(ds.hops.load(), ds.lookups.load());
   EXPECT_EQ(dht.routedStats().redirectsFollowed, 0u);
@@ -186,6 +378,749 @@ TEST(RoutedNetDht, BootstrapsFromOneSeedAndRoutesWarmOpsInOneHop) {
   EXPECT_EQ(ds.hops.load(), ds.lookups.load());
 }
 
+/// One node holding 160 KB of values: each MultiGet reply answers the
+/// two-entry prefix that fits a datagram, and the client re-sends the tail
+/// until the round is done, without any regroup (no refresh, no redirect).
+void expectMultiGetCompletesAcrossPrefixReplies(AnyCluster& c) {
+  auto dht = c.client(1, nullptr);
+  std::vector<Key> keys;
+  for (int i = 0; i < 8; ++i) {
+    keys.push_back("big" + std::to_string(i));
+    dht->put(keys.back(), std::string(20 * 1024, 'v') + std::to_string(i));
+  }
+  const auto before = dht->routedStats();
+  auto out = dht->multiGet(keys);
+  const auto after = dht->routedStats();
+  ASSERT_EQ(out.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(out[i].ok) << out[i].error;
+    EXPECT_EQ(out[i].value, std::string(20 * 1024, 'v') + std::to_string(i));
+  }
+  EXPECT_EQ(after.requestsStarted - before.requestsStarted, 4u);
+  EXPECT_EQ(after.timeouts, before.timeouts);
+  EXPECT_EQ(after.refreshes, 0u);
+  EXPECT_EQ(after.redirectsFollowed, 0u);
+  const common::u64 prefixReplies =
+      c.stores()[0]->stats().prefixReplies.load();
+  if (c.exact()) {
+    EXPECT_EQ(prefixReplies, 3u);
+    EXPECT_EQ(after.retransmits, before.retransmits);
+  } else {
+    // A retransmitted read runs again, so racing server threads may
+    // answer some chunk twice.
+    EXPECT_GE(prefixReplies, 3u);
+  }
+}
+
+/// A bucket no datagram can carry fails alone and at once, in multiGet,
+/// get and multiApply's snapshot phase.
+void expectOversizedEntryFailsAloneAndFast(AnyCluster& c) {
+  auto dht = c.client(1, nullptr);
+  dht->put("a", "1");
+  dht->put("b", "2");
+  dht->put("c", "3");
+  // Installed server-side: no request could carry it either.
+  c.stores()[0]->installPrimary("huge", 1,
+                                std::string(rpc::kMaxDatagramBytes, 'x'));
+  const auto before = dht->routedStats();
+  auto out = dht->multiGet({"a", "huge", "b", "c"});
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_FALSE(out[1].ok);
+  EXPECT_NE(out[1].error.find("too_large"), std::string::npos) << out[1].error;
+  EXPECT_EQ(out[0].value, "1");
+  EXPECT_EQ(out[2].value, "2");
+  EXPECT_EQ(out[3].value, "3");
+  try {
+    (void)dht->get("huge");
+    ADD_FAILURE() << "an oversized bucket read must fail";
+  } catch (const DhtTimeoutError& e) {
+    ADD_FAILURE() << "failed by timeout, not at once: " << e.what();
+  } catch (const DhtError& e) {
+    EXPECT_NE(std::string(e.what()).find("too_large"), std::string::npos);
+  }
+  // multiApply's snapshot phase reads through the same path.
+  bool ranOnHuge = false;
+  auto applied = dht->multiApply(
+      {ApplyRequest{"huge", [&](std::optional<Value>&) { ranOnHuge = true; }},
+       ApplyRequest{"a", [](std::optional<Value>& v) { v = "1+"; }}});
+  EXPECT_FALSE(applied[0].ok);
+  EXPECT_FALSE(ranOnHuge);
+  EXPECT_TRUE(applied[1].ok);
+  EXPECT_EQ(dht->get("a"), "1+");
+  // Nothing waited on a deadline: every failure was an answer. A timeout
+  // would have regrouped the entry (and refreshed the view) or been
+  // retried.
+  const auto after = dht->routedStats();
+  EXPECT_EQ(after.timeouts, before.timeouts);
+  EXPECT_EQ(after.refreshes, 0u);
+  EXPECT_EQ(after.retriesAfterTimeout, 0u);
+  if (c.exact()) {
+    EXPECT_EQ(after.retransmits, before.retransmits);
+  }
+}
+
+// apply() starts from the calling thread's immediately preceding get().
+
+void expectGetThenApplySavesTheGetRound(AnyCluster& c) {
+  RequestCounts sent;
+  auto dht = c.client(/*replication=*/2, &sent);
+  dht->put("k", "v");
+  // No read before the apply: GET, CAS, replica push.
+  size_t before = sent.total();
+  EXPECT_TRUE(dht->apply("k", appendTo("+1")));
+  EXPECT_EQ(sent.total() - before, 3u);
+  EXPECT_EQ(sent(Op::Get), 1u);
+  EXPECT_EQ(sent(Op::Cas), 1u);
+  // get(k) right before: the apply CASes against that read.
+  ASSERT_EQ(dht->get("k"), "v+1");
+  before = sent.total();
+  EXPECT_TRUE(dht->apply("k", appendTo("+2")));
+  EXPECT_EQ(sent.total() - before, 2u);
+  EXPECT_EQ(sent(Op::Get), 2u);
+  EXPECT_EQ(sent(Op::Cas), 2u);
+  EXPECT_EQ(dht->get("k"), "v+1+2");
+  EXPECT_EQ(dht->getReplica("k", 0), "v+1+2");
+  // An absent read works the same way (expect-absent CAS).
+  ASSERT_FALSE(dht->get("fresh").has_value());
+  before = sent.total();
+  EXPECT_FALSE(dht->apply("fresh", appendTo("new")));
+  EXPECT_EQ(sent.total() - before, 2u);
+  EXPECT_EQ(dht->get("fresh"), "new");
+  // Still one hop per DHT-lookup.
+  EXPECT_EQ(dht->stats().hops.load(), dht->stats().lookups.load());
+}
+
+void expectWriteBetweenGetAndApplyConflictsAndRerunsOnFreshState(
+    AnyCluster& c) {
+  auto dht = c.client(1, nullptr);
+  auto rival = c.client(1, nullptr);
+  dht->put("k", "base");
+  ASSERT_EQ(dht->get("k"), "base");
+  rival->put("k", "rival");
+  std::vector<std::string> seen;
+  EXPECT_TRUE(dht->apply("k", [&](std::optional<Value>& v) {
+    seen.push_back(v.value_or("<absent>"));
+    v = v.value_or("") + "+applied";
+  }));
+  // The first run used the stale read; the CAS conflict carried the
+  // rival's value, and the stored value is the mutator applied to it.
+  EXPECT_EQ(seen, (std::vector<std::string>{"base", "rival"}));
+  EXPECT_EQ(dht->get("k"), "rival+applied");
+
+  // The key vanishes between the read and the apply: the write lands on
+  // the absent state, and apply reports that the key did not exist.
+  ASSERT_TRUE(dht->get("k").has_value());
+  ASSERT_TRUE(rival->remove("k"));
+  seen.clear();
+  EXPECT_FALSE(dht->apply("k", [&](std::optional<Value>& v) {
+    seen.push_back(v.value_or("<absent>"));
+    v = v.value_or("") + "!";
+  }));
+  EXPECT_EQ(seen, (std::vector<std::string>{"rival+applied", "<absent>"}));
+  EXPECT_EQ(dht->get("k"), "!");
+}
+
+void expectCreateIfAbsentRereadsBeforeTrustingAPresentRead(AnyCluster& c) {
+  auto dht = c.client(1, nullptr);
+  auto rival = c.client(1, nullptr);
+  dht->put("k", "old");
+  ASSERT_EQ(dht->get("k"), "old");
+  ASSERT_TRUE(rival->remove("k"));
+  // On the read, the key is present and the mutator changes nothing. That
+  // verdict must not stand on a read from before the call: the loop
+  // re-reads, finds the key gone, and the mutator creates it.
+  int runs = 0;
+  EXPECT_FALSE(dht->apply("k", [&](std::optional<Value>& v) {
+    ++runs;
+    if (!v.has_value()) v = "created";
+  }));
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(dht->get("k"), "created");
+}
+
+void expectOnlyTheSameThreadsPreviousCallCounts(AnyCluster& c) {
+  RequestCounts sent;
+  auto dht = c.client(1, &sent);
+  dht->put("k", "v");
+  dht->put("other", "o");
+  for (rpc::NodeServer* s : c.stores()) {  // on every node, so on the owner
+    s->installPrimary("huge", 1, std::string(rpc::kMaxDatagramBytes, 'x'));
+  }
+  // Rounds the apply itself sends: its GET, if any, and its CAS.
+  auto applyRounds = [&] {
+    const size_t before = sent(Op::Get) + sent(Op::Cas);
+    EXPECT_TRUE(dht->apply("k", appendTo(".")));
+    return sent(Op::Get) + sent(Op::Cas) - before;
+  };
+  ASSERT_TRUE(dht->get("k").has_value());
+  EXPECT_EQ(applyRounds(), 1u);  // CAS only
+
+  // Each call between the get and the apply sends the apply back to the
+  // GET round.
+  ASSERT_TRUE(dht->get("k").has_value());
+  dht->put("other", "o2");
+  EXPECT_EQ(applyRounds(), 2u);
+
+  ASSERT_TRUE(dht->get("k").has_value());
+  EXPECT_FALSE(dht->remove("absent"));
+  EXPECT_EQ(applyRounds(), 2u);
+
+  ASSERT_TRUE(dht->get("k").has_value());
+  (void)dht->multiGet({"other", "k"});
+  EXPECT_EQ(applyRounds(), 2u);
+
+  ASSERT_TRUE(dht->get("k").has_value());
+  ASSERT_TRUE(dht->get("other").has_value());
+  EXPECT_EQ(applyRounds(), 2u);
+
+  // A get that throws leaves no read behind: not even the one before it.
+  ASSERT_TRUE(dht->get("k").has_value());
+  EXPECT_THROW((void)dht->get("huge"), DhtError);
+  EXPECT_EQ(applyRounds(), 2u);
+
+  // Another thread's read is not this thread's read.
+  ASSERT_TRUE(dht->get("k").has_value());
+  size_t otherThreadRounds = 0;
+  std::thread([&] { otherThreadRounds = applyRounds(); }).join();
+  EXPECT_EQ(otherThreadRounds, 2u);
+  // This thread's read is now stale: the CAS conflicts and the mutator
+  // re-runs on the state the conflict reply carries, with no GET.
+  const size_t getsBefore = sent(Op::Get);
+  EXPECT_EQ(applyRounds(), 2u);
+  EXPECT_EQ(sent(Op::Get), getsBefore);
+  EXPECT_EQ(dht->get("k"), "v........");
+}
+
+// ---------------------------------------------------------------------------
+// Static launch set over inline NodeServers
+// ---------------------------------------------------------------------------
+
+TEST(StaticCluster, PutGetRemove) {
+  StaticCluster c(4);
+  auto dht = c.makeDht();
+  EXPECT_FALSE(dht->get("a").has_value());
+  dht->put("a", "1");
+  dht->put("b", std::string("\x00\xff", 2));
+  EXPECT_EQ(dht->get("a"), "1");
+  EXPECT_EQ(dht->get("b"), std::string("\x00\xff", 2));
+  EXPECT_EQ(dht->size(), 2u);
+  EXPECT_TRUE(dht->remove("a"));
+  EXPECT_FALSE(dht->remove("a"));
+  EXPECT_FALSE(dht->get("a").has_value());
+  EXPECT_EQ(dht->size(), 1u);
+}
+
+TEST(StaticCluster, ConcurrentClientsGrowPoolSafely) {
+  // A cluster whose servers hold each RPC open for ~1ms of wall time, so
+  // concurrent callers' leases genuinely overlap: the pool must grow, and
+  // every thread's first Lease push_back can reallocate conns_ while
+  // other threads are mid-RPC — the reallocation window each Lease must
+  // pin its Conn* across (the fleet-warmup shape lht_net_trace drives).
+  rpc::SimHub hub;
+  std::vector<std::unique_ptr<rpc::NodeServer>> servers;
+  RoutedNetDht::Options o;
+  for (rpc::u16 port : {5100, 5101}) {
+    servers.push_back(std::make_unique<rpc::NodeServer>());
+    hub.registerHandler(
+        port, [srv = servers.back().get()](
+                  const rpc::Datagram& d,
+                  const std::function<void(std::string)>& reply) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          std::string out = srv->handle(d.from, d.payload);
+          if (!out.empty()) reply(std::move(out));
+        });
+    o.members.push_back(NetAddr{0, port});
+  }
+  auto dht =
+      std::make_unique<RoutedNetDht>(o, [&hub] { return hub.makeEndpoint(); });
+
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 20;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&dht, &ready, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const std::string key =
+            "t" + std::to_string(t) + "-" + std::to_string(i);
+        dht->put(key, key);
+        EXPECT_EQ(dht->get(key), key);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(dht->size(), size_t{kThreads} * kOpsPerThread);
+  EXPECT_GE(dht->routedStats().connections, 2u);
+}
+
+TEST(StaticCluster, ApplyCreatesMutatesErases) {
+  StaticCluster c(4);
+  auto dht = c.makeDht();
+  // Create through apply (expect-absent CAS).
+  EXPECT_FALSE(dht->apply("k", [](std::optional<Value>& v) {
+    EXPECT_FALSE(v.has_value());
+    v = "1";
+  }));
+  EXPECT_EQ(dht->get("k"), "1");
+  // Mutate.
+  EXPECT_TRUE(dht->apply("k", [](std::optional<Value>& v) {
+    ASSERT_TRUE(v.has_value());
+    *v += "+2";
+  }));
+  EXPECT_EQ(dht->get("k"), "1+2");
+  // A mutator that leaves the value untouched is a no-op round.
+  EXPECT_TRUE(dht->apply("k", [](std::optional<Value>&) {}));
+  // Erase through apply.
+  EXPECT_TRUE(dht->apply("k", [](std::optional<Value>& v) { v.reset(); }));
+  EXPECT_FALSE(dht->get("k").has_value());
+}
+
+TEST(StaticCluster, ApplyRetriesCasConflict) {
+  StaticCluster c(2);
+  auto dht = c.makeDht();
+  auto rival = c.makeDht();
+  dht->put("k", "base");
+  // The mutator's first run races a rival write between the GET snapshot
+  // and the CAS: the CAS conflicts, the conflict reply carries the
+  // rival's value, and the retried mutator sees it.
+  int runs = 0;
+  EXPECT_TRUE(dht->apply("k", [&](std::optional<Value>& v) {
+    ASSERT_TRUE(v.has_value());
+    if (runs++ == 0) {
+      EXPECT_EQ(*v, "base");
+      rival->put("k", "rival");
+    }
+    *v += "+applied";
+  }));
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(dht->get("k"), "rival+applied");
+}
+
+TEST(StaticCluster, MultiGetBatchesOneDatagramPerNode) {
+  StaticCluster c(4);
+  auto dht = c.makeDht();
+  std::vector<Key> keys;
+  for (int i = 0; i < 32; ++i) {
+    keys.push_back("key" + std::to_string(i));
+    if (i % 2 == 0) dht->put(keys.back(), "v" + std::to_string(i));
+  }
+  const auto before = dht->routedStats();
+  auto outcomes = dht->multiGet(keys);
+  const auto after = dht->routedStats();
+  ASSERT_EQ(outcomes.size(), keys.size());
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+    if (i % 2 == 0) {
+      EXPECT_EQ(outcomes[i].value, "v" + std::to_string(i));
+    } else {
+      EXPECT_FALSE(outcomes[i].value.has_value());
+    }
+  }
+  // The whole 32-key round cost at most one datagram per node (no
+  // retransmits in a clean hub) — not one per key.
+  EXPECT_EQ(after.retransmits, before.retransmits);
+  EXPECT_LE(after.datagramsSent - before.datagramsSent, c.servers.size());
+}
+
+TEST(StaticCluster, MultiGetCompletesAcrossPrefixReplies) {
+  StaticCluster c(1);
+  expectMultiGetCompletesAcrossPrefixReplies(c);
+}
+
+TEST(StaticCluster, OversizedEntryFailsAloneAndFast) {
+  StaticCluster c(1);
+  expectOversizedEntryFailsAloneAndFast(c);
+}
+
+TEST(StaticCluster, MultiApplyBatchesAndReportsExistence) {
+  StaticCluster c(4);
+  auto dht = c.makeDht();
+  dht->put("old0", "x");
+  dht->put("old1", "y");
+  std::vector<ApplyRequest> reqs;
+  for (const char* k : {"old0", "old1", "new0", "new1"}) {
+    reqs.push_back(ApplyRequest{
+        k, [](std::optional<Value>& v) { v = v.value_or("") + "!"; }});
+  }
+  const auto before = dht->routedStats();
+  auto outcomes = dht->multiApply(reqs);
+  const auto after = dht->routedStats();
+  ASSERT_EQ(outcomes.size(), 4u);
+  EXPECT_TRUE(outcomes[0].ok && outcomes[0].existed);
+  EXPECT_TRUE(outcomes[1].ok && outcomes[1].existed);
+  EXPECT_TRUE(outcomes[2].ok && !outcomes[2].existed);
+  EXPECT_TRUE(outcomes[3].ok && !outcomes[3].existed);
+  EXPECT_EQ(dht->get("old0"), "x!");
+  EXPECT_EQ(dht->get("new1"), "!");
+  // One GET round + one CAS round, each <= one datagram per node.
+  EXPECT_LE(after.datagramsSent - before.datagramsSent, 2 * c.servers.size());
+}
+
+TEST(StaticCluster, ReplicationServesReplicaReads) {
+  StaticCluster c(4);
+  auto dht = c.makeDht(/*replication=*/3);
+  EXPECT_EQ(dht->replicaFanout(), 2u);
+  dht->put("k", "v");
+  EXPECT_EQ(dht->getReplica("k", 0), "v");
+  EXPECT_EQ(dht->getReplica("k", 1), "v");
+  EXPECT_THROW((void)dht->getReplica("k", 2), DhtError);
+  // Exactly one primary and two replica copies across the cluster.
+  size_t primaries = 0, replicas = 0;
+  for (const auto& s : c.servers) {
+    primaries += s->primaryKeyCount();
+    replicas += s->replicaKeyCount();
+  }
+  EXPECT_EQ(primaries, 1u);
+  EXPECT_EQ(replicas, 2u);
+  // remove() drops the replica copies too.
+  EXPECT_TRUE(dht->remove("k"));
+  EXPECT_FALSE(dht->getReplica("k", 0).has_value());
+  EXPECT_FALSE(dht->getReplica("k", 1).has_value());
+}
+
+TEST(StaticCluster, OfflineClusterTimesOut) {
+  StaticCluster c(2);
+  auto dht = c.makeDht(/*replication=*/1, /*deadlineMs=*/200);
+  dht->put("k", "v");
+  for (const auto& a : c.addrs) c.hub.setOnline(a.port, false);
+  EXPECT_THROW((void)dht->get("k"), DhtTimeoutError);
+  EXPECT_THROW(dht->put("k", "w"), DhtTimeoutError);
+  EXPECT_GT(dht->routedStats().timeouts, 0u);
+  // Batch entries fail individually instead of throwing.
+  auto outcomes = dht->multiGet({"k", "other"});
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_FALSE(outcomes[1].ok);
+  // Back online: the same client recovers with no reconnection step.
+  for (const auto& a : c.addrs) c.hub.setOnline(a.port, true);
+  EXPECT_EQ(dht->get("k"), "v");
+}
+
+TEST(StaticCluster, SilentReplicaHolderIsPeerDown) {
+  StaticCluster c(3);
+  auto dht = c.makeDht(/*replication=*/2, /*deadlineMs=*/200);
+  dht->put("k", "v");
+  c.hub.setOnline(c.addrs[c.replicaHolder()].port, false);
+  EXPECT_THROW((void)dht->getReplica("k", 0), DhtPeerDownError);
+  // The primary is untouched.
+  EXPECT_EQ(dht->get("k"), "v");
+}
+
+TEST(StaticCluster, FailoverRescuesReadsFromDeadOwner) {
+  StaticCluster c(3);
+  auto dht = c.makeDht(/*replication=*/2, /*deadlineMs=*/200);
+  dht->put("k", "v");
+  net::SimClock clock;
+  FailoverDht::Options fopts;
+  fopts.failover = true;
+  FailoverDht failover(*dht, clock, fopts);
+  c.hub.setOnline(c.addrs[c.primaryOf("k")].port, false);
+  // The primary read times out; the replica holder answers the rescue.
+  EXPECT_EQ(failover.get("k"), "v");
+  EXPECT_EQ(failover.rescues(), 1u);
+  EXPECT_GE(failover.failoverAttempts(), 1u);
+}
+
+TEST(StaticCluster, RetryingStackSurvivesHeavyLoss) {
+  rpc::SimHub::Options hopts;
+  hopts.dropProbability = 0.15;
+  hopts.duplicateProbability = 0.05;
+  hopts.reorderProbability = 0.1;
+  hopts.seed = 7;
+  StaticCluster c(3, hopts);
+  auto dht = c.makeDht(/*replication=*/2, /*deadlineMs=*/5000);
+  RetryingDht retrying(*dht, /*maxAttempts=*/4);
+  for (int i = 0; i < 60; ++i) {
+    const std::string k = "k" + std::to_string(i);
+    retrying.put(k, std::to_string(i));
+    EXPECT_EQ(retrying.get(k), std::to_string(i)) << k;
+  }
+  // The loss was real (the RPC layer absorbed it below the Dht surface).
+  EXPECT_GT(dht->routedStats().retransmits, 0u);
+}
+
+TEST(NetDhtReadSlot, GetThenApplySavesTheGetRound) {
+  StaticCluster c(3);
+  expectGetThenApplySavesTheGetRound(c);
+}
+
+TEST(NetDhtReadSlot, WriteBetweenGetAndApplyConflictsAndRerunsOnFreshState) {
+  StaticCluster c(2);
+  expectWriteBetweenGetAndApplyConflictsAndRerunsOnFreshState(c);
+}
+
+TEST(NetDhtReadSlot, CreateIfAbsentRereadsBeforeTrustingAPresentRead) {
+  StaticCluster c(2);
+  expectCreateIfAbsentRereadsBeforeTrustingAPresentRead(c);
+}
+
+TEST(NetDhtReadSlot, OnlyTheSameThreadsPreviousCallCounts) {
+  StaticCluster c(2);
+  expectOnlyTheSameThreadsPreviousCallCounts(c);
+
+  // A get of the same key that times out leaves no read behind either (a
+  // short deadline only the inline hub honours deterministically).
+  RequestCounts sent;
+  auto dht = c.makeDht(/*replication=*/1, /*deadlineMs=*/200, &sent);
+  ASSERT_TRUE(dht->get("k").has_value());
+  const rpc::u16 owner = c.addrs[c.primaryOf("k")].port;
+  c.hub.setOnline(owner, false);
+  EXPECT_THROW((void)dht->get("k"), DhtTimeoutError);
+  c.hub.setOnline(owner, true);
+  const size_t before = sent(Op::Get) + sent(Op::Cas);
+  EXPECT_TRUE(dht->apply("k", appendTo(".")));
+  EXPECT_EQ(sent(Op::Get) + sent(Op::Cas) - before, 2u);
+}
+
+TEST(NetDhtReadSlot, ThreadsKeepTheirOwnSlots) {
+  // Every thread reads a shared counter and increments it through apply:
+  // each apply starts from its own thread's read, conflicts when another
+  // thread got there first, and no increment is lost.
+  StaticCluster c(2);
+  RoutedNetDht::Options o;
+  o.members = c.addrs;
+  o.casRetries = 1000;  // contention is the point here, not its bound
+  auto dht =
+      std::make_unique<RoutedNetDht>(o, [&c] { return c.hub.makeEndpoint(); });
+  dht->put("counter", "0");
+  constexpr int kThreads = 4;
+  constexpr int kIncrements = 50;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&dht, t] {
+      const std::string own = "own-" + std::to_string(t);
+      for (int i = 0; i < kIncrements; ++i) {
+        (void)dht->get("counter");
+        EXPECT_TRUE(dht->apply("counter", [](std::optional<Value>& v) {
+          v = std::to_string(std::stoi(v.value()) + 1);
+        }));
+        (void)dht->get(own);
+        dht->apply(own, appendTo("x"));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(dht->get("counter"), std::to_string(kThreads * kIncrements));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(dht->get("own-" + std::to_string(t)),
+              std::string(kIncrements, 'x'));
+  }
+}
+
+// LhtIndex end-to-end over the static cluster.
+
+std::vector<index::Record> distinctRecords(size_t n, common::u64 seed) {
+  common::Pcg32 rng(seed);
+  std::set<double> used;
+  std::vector<index::Record> recs;
+  while (recs.size() < n) {
+    const double k = rng.nextDouble();
+    if (k <= 0.0 || k >= 1.0 || !used.insert(k).second) continue;
+    recs.push_back(index::Record{k, "p" + std::to_string(recs.size())});
+  }
+  return recs;
+}
+
+TEST(NetDhtIndex, LhtMatchesOracle) {
+  StaticCluster c(4);
+  auto dht = c.makeDht(/*replication=*/2);
+  core::LhtIndex::Options iopts;
+  iopts.thetaSplit = 8;
+  iopts.useLeafCache = true;
+  iopts.cacheDecodedBuckets = true;
+  core::LhtIndex idx(*dht, iopts);
+
+  const auto recs = distinctRecords(150, 91);
+  std::map<double, std::string> oracle;
+  for (const auto& r : recs) {
+    ASSERT_TRUE(idx.insert(r).ok);
+    oracle[r.key] = r.payload;
+  }
+  // Erase every third record.
+  for (size_t i = 0; i < recs.size(); i += 3) {
+    EXPECT_TRUE(idx.erase(recs[i].key).ok);
+    oracle.erase(recs[i].key);
+  }
+  EXPECT_EQ(idx.recordCount(), oracle.size());
+  for (const auto& r : recs) {
+    auto found = idx.find(r.key);
+    auto it = oracle.find(r.key);
+    if (it == oracle.end()) {
+      EXPECT_FALSE(found.record.has_value()) << r.key;
+    } else {
+      ASSERT_TRUE(found.record.has_value()) << r.key;
+      EXPECT_EQ(found.record->payload, it->second);
+    }
+  }
+  // Range query versus the oracle.
+  auto range = idx.rangeQuery(0.25, 0.75);
+  std::vector<double> want;
+  for (const auto& [k, v] : oracle) {
+    if (k >= 0.25 && k < 0.75) want.push_back(k);
+  }
+  ASSERT_EQ(range.records.size(), want.size());
+  std::sort(range.records.begin(), range.records.end(),
+            [](const auto& a, const auto& b) { return a.key < b.key; });
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(range.records[i].key, want[i]);
+  }
+  EXPECT_EQ(idx.minRecord().record->key, oracle.begin()->first);
+  EXPECT_EQ(idx.maxRecord().record->key, oracle.rbegin()->first);
+}
+
+TEST(NetDhtIndex, Theta100BulkLoadAndSweepsMatchOracle) {
+  StaticCluster c(4);
+  auto dht = c.makeDht(/*replication=*/2);
+  testing_support::expectBulkLoadAndSweepsMatchOracle(*dht);
+  u64 prefixReplies = 0;
+  for (const auto& s : c.servers) prefixReplies += s->stats().prefixReplies.load();
+  EXPECT_GT(prefixReplies, 0u);  // the rounds really did outgrow a datagram
+  EXPECT_EQ(dht->routedStats().timeouts, 0u);
+}
+
+TEST(NetDhtIndex, DeadReplicaHolderDropsLeaseKeepsLocation) {
+  StaticCluster c(3);
+  auto dht = c.makeDht(/*replication=*/2, /*deadlineMs=*/200);
+  core::LhtIndex::Options iopts;
+  iopts.thetaSplit = 8;
+  iopts.useLeafCache = true;
+  iopts.leasedReads = true;
+  iopts.leaseTtlMs = 1'000'000;  // no clock: epoch validation only
+  core::LhtIndex idx(*dht, iopts);
+  const auto recs = distinctRecords(40, 5);
+  for (const auto& r : recs) idx.insert(r);
+  const double hotKey = recs[0].key;
+  ASSERT_TRUE(idx.find(hotKey).record.has_value());  // location + lease
+
+  // Kill exactly the server holding the hot leaf's replica copy: the
+  // lease's replica turns now hit silence and surface as DhtPeerDownError
+  // from RoutedNetDht::getReplica, while the leaf's primary stays up.
+  const std::string leafKey = idx.lookup(hotKey).dhtKey;
+  bool killed = false;
+  for (size_t i = 0; i < c.servers.size(); ++i) {
+    if (c.servers[i]->replicaValue(leafKey).has_value()) {
+      c.hub.setOnline(c.addrs[i].port, false);
+      killed = true;
+    }
+  }
+  ASSERT_TRUE(killed);
+  // Reads keep succeeding: the replica turn drops the lease (not the
+  // location) and the primary turn serves and re-grants.
+  const common::u64 missesBefore = idx.leafCache().misses();
+  for (int i = 0; i < 8; ++i) {
+    auto r = idx.find(hotKey);
+    ASSERT_TRUE(r.record.has_value()) << "read " << i;
+    EXPECT_EQ(r.record->payload, recs[0].payload);
+  }
+  EXPECT_GT(idx.leafCache().leaseDrops(), 0u);
+  EXPECT_EQ(idx.leafCache().misses(), missesBefore);
+}
+
+/// Forwards everything to an inner Dht but makes every replica read hit a
+/// transport-style deadline — the substrate shape the DhtTimeoutError
+/// branch of tryLeaseRead exists for (a TimeoutDht over the networked
+/// client, where the replica deadline surfaces as DhtTimeoutError, not
+/// PeerDown).
+class TimeoutReplicaDht final : public Dht {
+ public:
+  explicit TimeoutReplicaDht(Dht& inner) : inner_(inner) {}
+  void put(const Key& key, Value value) override {
+    inner_.put(key, std::move(value));
+  }
+  std::optional<Value> get(const Key& key) override { return inner_.get(key); }
+  bool remove(const Key& key) override { return inner_.remove(key); }
+  bool apply(const Key& key, const Mutator& fn) override {
+    return inner_.apply(key, fn);
+  }
+  void storeDirect(const Key& key, Value value) override {
+    inner_.storeDirect(key, std::move(value));
+  }
+  [[nodiscard]] size_t replicaFanout() const override {
+    return inner_.replicaFanout();
+  }
+  std::optional<Value> getReplica(const Key& key, size_t) override {
+    throw DhtTimeoutError("replica read deadline for \"" + key + "\"");
+  }
+  [[nodiscard]] size_t size() const override { return inner_.size(); }
+
+ private:
+  Dht& inner_;
+};
+
+TEST(NetDhtIndex, ReplicaTimeoutDropsLeaseAndAdvancesRotation) {
+  StaticCluster c(3);
+  auto dht = c.makeDht(/*replication=*/2);
+  TimeoutReplicaDht flaky(*dht);
+  core::LhtIndex::Options iopts;
+  iopts.thetaSplit = 8;
+  iopts.useLeafCache = true;
+  iopts.leasedReads = true;
+  iopts.leaseTtlMs = 1'000'000;
+  core::LhtIndex idx(flaky, iopts);
+  const auto recs = distinctRecords(40, 6);
+  for (const auto& r : recs) idx.insert(r);
+  const double hotKey = recs[0].key;
+  ASSERT_TRUE(idx.find(hotKey).record.has_value());  // location + lease
+  const common::u64 missesBefore = idx.leafCache().misses();
+  for (int i = 0; i < 10; ++i) {
+    auto r = idx.find(hotKey);
+    ASSERT_TRUE(r.record.has_value()) << "read " << i;
+    EXPECT_EQ(r.record->payload, recs[0].payload);
+  }
+  // Timeouts were counted on their own ledger, the lease was dropped each
+  // time (never the location), and because note() preserves the rotation
+  // cursor across re-grants the cursor kept moving instead of hammering
+  // slot 0 forever.
+  EXPECT_GT(idx.leafCache().leaseTimeouts(), 0u);
+  EXPECT_EQ(idx.leafCache().leaseTimeouts(), idx.leafCache().leaseDrops());
+  EXPECT_EQ(idx.leafCache().misses(), missesBefore);
+  EXPECT_EQ(idx.leafCache().leaseHits(), 0u);  // every replica turn timed out
+  EXPECT_GT(idx.leafCache().primaryHits(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Served overlay cluster
+// ---------------------------------------------------------------------------
+
+TEST(RoutedNetDht, BootstrapsFromOneSeedAndRoutesWarmOpsInOneHop) {
+  ServedCluster c(3);
+  c.serveAll();
+  RoutedNetDht dht(patientClientOptions(c), c.endpoints());
+  ASSERT_TRUE(dht.bootstrap(/*deadlineMs=*/20000));
+  EXPECT_EQ(dht.knownMembers(), 3u);
+  EXPECT_GE(dht.routedStats().bootstraps, 1u);
+  expectWarmOpsInOneHop(dht);
+}
+
+TEST(RoutedNetDht, LaunchSetClientRoutesOnTheDaemonsRingWithoutGossip) {
+  // The client's first view is the launch set the daemons were seeded
+  // with: its ring is theirs, so a static cluster is an overlay that never
+  // churns. With forwarding off, an op sent to a node that does not own
+  // its key would come back as a Redirect; none does, nothing is pulled.
+  // (No gossip rounds either: under a slow build the sim clocks jump by
+  // whole idle waits, and a timed-out round would bump the table.)
+  OverlayNode::Options base;
+  base.forwardData = false;
+  base.gossipIntervalMs = 4'000'000'000;
+  ServedCluster c(3, base);
+  c.serveAll();
+  RequestCounts sent;
+  RoutedNetDht::Options o;
+  o.members = c.addrs();
+  o.rpc.requestDeadlineMs = 4'000'000;  // see patientClientOptions
+  RoutedNetDht dht(o, c.endpoints(&sent));
+  EXPECT_EQ(dht.knownMembers(), 3u);
+  expectWarmOpsInOneHop(dht);
+  const auto rs = dht.routedStats();
+  EXPECT_EQ(rs.bootstraps, 0u);
+  EXPECT_EQ(rs.refreshes, 0u);
+  EXPECT_EQ(rs.redirectsFollowed, 0u);
+  EXPECT_EQ(sent(Op::GossipSync), 0u);
+}
+
 TEST(RoutedNetDht, FollowsRedirectsAcrossAliveJoin) {
   // Forwarding off: every stale-view op comes back as an explicit
   // Redirect, so this pins the client's follow-and-refresh path.
@@ -193,9 +1128,7 @@ TEST(RoutedNetDht, FollowsRedirectsAcrossAliveJoin) {
   base.forwardData = false;
   ServedCluster c(2, base);
   c.serveAll();
-  RoutedNetDht dht(clientOptions(c), [&] {
-    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
-  });
+  RoutedNetDht dht(clientOptions(c), c.endpoints());
   ASSERT_TRUE(dht.bootstrap(20000));
   EXPECT_EQ(dht.knownMembers(), 2u);
 
@@ -240,9 +1173,7 @@ TEST(RoutedNetDht, CrashFailoverPromotesReplicasBehindTheClient) {
   c.serveAll();
   // replication=2 on the client too: every put fans a replica copy to the
   // key's ring successor, which is what the survivors promote from.
-  RoutedNetDht dht(clientOptions(c, /*replication=*/2), [&] {
-    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
-  });
+  RoutedNetDht dht(clientOptions(c, /*replication=*/2), c.endpoints());
   ASSERT_TRUE(dht.bootstrap(20000));
 
   std::vector<std::string> keys;
@@ -276,255 +1207,37 @@ TEST(RoutedNetDht, CrashFailoverPromotesReplicasBehindTheClient) {
 TEST(RoutedNetDht, MultiGetCompletesAcrossPrefixReplies) {
   ServedCluster c(1);
   c.serveAll();
-  RoutedNetDht dht(patientClientOptions(c), [&] {
-    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
-  });
-  ASSERT_TRUE(dht.bootstrap(20000));
-  std::vector<Key> keys;
-  for (int i = 0; i < 8; ++i) {
-    keys.push_back("big" + std::to_string(i));
-    dht.put(keys.back(), std::string(20 * 1024, 'v') + std::to_string(i));
-  }
-  auto out = dht.multiGet(keys);
-  ASSERT_EQ(out.size(), keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_TRUE(out[i].ok) << out[i].error;
-    EXPECT_EQ(out[i].value, std::string(20 * 1024, 'v') + std::to_string(i));
-  }
-  // Each reply answered the two-entry prefix that fits one datagram; the
-  // tails went out again without any regroup (no refresh, no redirect).
-  // At least 3 prefix replies: a retransmitted read runs again, so racing
-  // server threads may answer some chunk twice.
-  EXPECT_GE(c.nodes[0]->server().stats().prefixReplies.load(), 3u);
-  const auto rs = dht.routedStats();
-  EXPECT_EQ(rs.refreshes, 0u);
-  EXPECT_EQ(rs.redirectsFollowed, 0u);
+  expectMultiGetCompletesAcrossPrefixReplies(c);
 }
 
 TEST(RoutedNetDht, OversizedEntryFailsAloneAndFast) {
   ServedCluster c(1);
   c.serveAll();
-  RoutedNetDht dht(patientClientOptions(c), [&] {
-    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
-  });
-  ASSERT_TRUE(dht.bootstrap(20000));
-  dht.put("a", "1");
-  dht.put("b", "2");
-  c.nodes[0]->server().installPrimary("huge", 1,
-                                      std::string(rpc::kMaxDatagramBytes, 'x'));
-  auto out = dht.multiGet({"a", "huge", "b"});
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_FALSE(out[1].ok);
-  EXPECT_NE(out[1].error.find("too_large"), std::string::npos) << out[1].error;
-  EXPECT_EQ(out[0].value, "1");
-  EXPECT_EQ(out[2].value, "2");
-  try {
-    (void)dht.get("huge");
-    ADD_FAILURE() << "an oversized bucket read must fail";
-  } catch (const DhtTimeoutError& e) {
-    ADD_FAILURE() << "failed by timeout, not at once: " << e.what();
-  } catch (const DhtError& e) {
-    EXPECT_NE(std::string(e.what()).find("too_large"), std::string::npos);
-  }
-  // No entry waited out a deadline: a timeout would have regrouped it
-  // (and refreshed the view) or been retried.
-  const auto rs = dht.routedStats();
-  EXPECT_EQ(rs.refreshes, 0u);
-  EXPECT_EQ(rs.retriesAfterTimeout, 0u);
+  expectOversizedEntryFailsAloneAndFast(c);
 }
-
-// ---------------------------------------------------------------------------
-// apply() starts from the calling thread's immediately preceding get()
-// ---------------------------------------------------------------------------
-
-/// The distinct requests a client sent, per opcode. A retransmit repeats
-/// its request id, so it is not counted again.
-class RequestCounts {
- public:
-  void note(std::string_view datagram) {
-    auto decoded = rpc::wire::decodeHeader(datagram);
-    const auto* h = std::get_if<rpc::wire::Header>(&decoded);
-    if (h == nullptr || h->isReply) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    seen_[h->op].insert(h->requestId);
-  }
-  size_t operator()(rpc::wire::Op op) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = seen_.find(op);
-    return it == seen_.end() ? 0 : it->second.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::map<rpc::wire::Op, std::set<rpc::u64>> seen_;
-};
-
-/// A client endpoint that reports every datagram it sends to `counts`.
-class CountingSim final : public rpc::Transport {
- public:
-  CountingSim(std::unique_ptr<rpc::Transport> inner, RequestCounts& counts)
-      : inner_(std::move(inner)), counts_(counts) {}
-  bool send(const NetAddr& to, std::string_view payload) override {
-    counts_.note(payload);
-    return inner_->send(to, payload);
-  }
-  size_t receive(std::vector<rpc::Datagram>& out, rpc::u64 timeoutMs) override {
-    return inner_->receive(out, timeoutMs);
-  }
-  rpc::u64 nowMs() override { return inner_->nowMs(); }
-  [[nodiscard]] NetAddr localAddr() const override {
-    return inner_->localAddr();
-  }
-
- private:
-  std::unique_ptr<rpc::Transport> inner_;
-  RequestCounts& counts_;
-};
-
-RoutedNetDht::TransportFactory countingEndpoints(ServedCluster& c,
-                                                 RequestCounts& counts) {
-  return [&c, &counts] {
-    return std::make_unique<CountingSim>(
-        std::make_unique<ThrottledSim>(c.hub.makeEndpoint()), counts);
-  };
-}
-
-Mutator appendTo(std::string suffix) {
-  return [suffix = std::move(suffix)](std::optional<Value>& v) {
-    v = v.value_or("") + suffix;
-  };
-}
-
-using rpc::wire::Op;
 
 TEST(RoutedNetDhtReadSlot, GetThenApplySavesTheGetRound) {
   ServedCluster c(3);
   c.serveAll();
-  RequestCounts sent;
-  RoutedNetDht dht(patientClientOptions(c), countingEndpoints(c, sent));
-  ASSERT_TRUE(dht.bootstrap(20000));
-  dht.put("k", "v");
-  // No read before the apply: a GET round, then the CAS.
-  EXPECT_TRUE(dht.apply("k", appendTo("+1")));
-  EXPECT_EQ(sent(Op::Get), 1u);
-  EXPECT_EQ(sent(Op::Cas), 1u);
-  // get(k) right before: the apply CASes against that read.
-  ASSERT_EQ(dht.get("k"), "v+1");
-  EXPECT_TRUE(dht.apply("k", appendTo("+2")));
-  EXPECT_EQ(sent(Op::Get), 2u);
-  EXPECT_EQ(sent(Op::Cas), 2u);
-  EXPECT_EQ(dht.get("k"), "v+1+2");
-  // Still one hop per DHT-lookup.
-  EXPECT_EQ(dht.stats().hops.load(), dht.stats().lookups.load());
+  expectGetThenApplySavesTheGetRound(c);
 }
 
 TEST(RoutedNetDhtReadSlot, WriteBetweenGetAndApplyConflictsAndRerunsOnFreshState) {
   ServedCluster c(2);
   c.serveAll();
-  auto endpoints = [&] {
-    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
-  };
-  RoutedNetDht dht(patientClientOptions(c), endpoints);
-  RoutedNetDht rival(patientClientOptions(c), endpoints);
-  ASSERT_TRUE(dht.bootstrap(20000));
-  ASSERT_TRUE(rival.bootstrap(20000));
-  dht.put("k", "base");
-  ASSERT_EQ(dht.get("k"), "base");
-  rival.put("k", "rival");
-  std::vector<std::string> seen;
-  EXPECT_TRUE(dht.apply("k", [&](std::optional<Value>& v) {
-    seen.push_back(v.value_or("<absent>"));
-    v = v.value_or("") + "+applied";
-  }));
-  EXPECT_EQ(seen, (std::vector<std::string>{"base", "rival"}));
-  EXPECT_EQ(dht.get("k"), "rival+applied");
-
-  ASSERT_TRUE(dht.get("k").has_value());
-  ASSERT_TRUE(rival.remove("k"));
-  seen.clear();
-  EXPECT_FALSE(dht.apply("k", [&](std::optional<Value>& v) {
-    seen.push_back(v.value_or("<absent>"));
-    v = v.value_or("") + "!";
-  }));
-  EXPECT_EQ(seen, (std::vector<std::string>{"rival+applied", "<absent>"}));
-  EXPECT_EQ(dht.get("k"), "!");
+  expectWriteBetweenGetAndApplyConflictsAndRerunsOnFreshState(c);
 }
 
 TEST(RoutedNetDhtReadSlot, CreateIfAbsentRereadsBeforeTrustingAPresentRead) {
   ServedCluster c(2);
   c.serveAll();
-  auto endpoints = [&] {
-    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
-  };
-  RoutedNetDht dht(patientClientOptions(c), endpoints);
-  RoutedNetDht rival(patientClientOptions(c), endpoints);
-  ASSERT_TRUE(dht.bootstrap(20000));
-  ASSERT_TRUE(rival.bootstrap(20000));
-  dht.put("k", "old");
-  ASSERT_EQ(dht.get("k"), "old");
-  ASSERT_TRUE(rival.remove("k"));
-  int runs = 0;
-  EXPECT_FALSE(dht.apply("k", [&](std::optional<Value>& v) {
-    ++runs;
-    if (!v.has_value()) v = "created";
-  }));
-  EXPECT_EQ(runs, 2);
-  EXPECT_EQ(dht.get("k"), "created");
+  expectCreateIfAbsentRereadsBeforeTrustingAPresentRead(c);
 }
 
 TEST(RoutedNetDhtReadSlot, OnlyTheSameThreadsPreviousCallCounts) {
   ServedCluster c(2);
   c.serveAll();
-  RequestCounts sent;
-  RoutedNetDht dht(patientClientOptions(c), countingEndpoints(c, sent));
-  ASSERT_TRUE(dht.bootstrap(20000));
-  dht.put("k", "v");
-  dht.put("other", "o");
-  for (auto& n : c.nodes) {  // on every node, so on the owner
-    n->server().installPrimary("huge", 1,
-                               std::string(rpc::kMaxDatagramBytes, 'x'));
-  }
-  // GET rounds the apply itself sends.
-  auto applyGets = [&] {
-    const size_t before = sent(Op::Get);
-    EXPECT_TRUE(dht.apply("k", appendTo(".")));
-    return sent(Op::Get) - before;
-  };
-  ASSERT_TRUE(dht.get("k").has_value());
-  EXPECT_EQ(applyGets(), 0u);
-
-  ASSERT_TRUE(dht.get("k").has_value());
-  dht.put("other", "o2");
-  EXPECT_EQ(applyGets(), 1u);
-
-  ASSERT_TRUE(dht.get("k").has_value());
-  EXPECT_FALSE(dht.remove("absent"));
-  EXPECT_EQ(applyGets(), 1u);
-
-  ASSERT_TRUE(dht.get("k").has_value());
-  (void)dht.multiGet({"other", "k"});
-  EXPECT_EQ(applyGets(), 1u);
-
-  ASSERT_TRUE(dht.get("k").has_value());
-  ASSERT_TRUE(dht.get("other").has_value());
-  EXPECT_EQ(applyGets(), 1u);
-
-  // A get that throws leaves no read behind: not even the one before it.
-  ASSERT_TRUE(dht.get("k").has_value());
-  EXPECT_THROW((void)dht.get("huge"), DhtError);
-  EXPECT_EQ(applyGets(), 1u);
-
-  // Another thread's read is not this thread's read.
-  ASSERT_TRUE(dht.get("k").has_value());
-  size_t otherThreadGets = 0;
-  std::thread([&] { otherThreadGets = applyGets(); }).join();
-  EXPECT_EQ(otherThreadGets, 1u);
-  // This thread's read is now stale: the CAS conflicts and the mutator
-  // re-runs on the state the conflict reply carries, with no GET.
-  const size_t casBefore = sent(Op::Cas);
-  EXPECT_EQ(applyGets(), 0u);
-  EXPECT_EQ(sent(Op::Cas) - casBefore, 2u);
-  EXPECT_EQ(dht.get("k"), "v........");
+  expectOnlyTheSameThreadsPreviousCallCounts(c);
 }
 
 TEST(RoutedNetDhtIndex, Theta100BulkLoadAndSweepsMatchOracle) {
@@ -535,9 +1248,7 @@ TEST(RoutedNetDhtIndex, Theta100BulkLoadAndSweepsMatchOracle) {
   base.gossipIntervalMs = 4'000'000'000;
   ServedCluster c(4, base);
   c.serveAll();
-  RoutedNetDht dht(patientClientOptions(c), [&] {
-    return std::make_unique<ThrottledSim>(c.hub.makeEndpoint());
-  });
+  RoutedNetDht dht(patientClientOptions(c), c.endpoints());
   ASSERT_TRUE(dht.bootstrap(20000));
   lht::testing_support::expectBulkLoadAndSweepsMatchOracle(dht);
   u64 prefixReplies = 0;
