@@ -19,7 +19,8 @@
 #   --tsan      also build the tsan preset and run the concurrency suites
 #               (execution engine, shard-locked substrates, obs merging,
 #               the networked client's per-thread read slots and
-#               connection pool) under ThreadSanitizer; a reported race
+#               connection pool, cache-planned ranges racing splits and
+#               merges) under ThreadSanitizer; a reported race
 #               fails the gate
 #   --durability  also run the release durability bench (WAL overhead vs
 #               MemEngine + recovery-time curve) into
@@ -121,7 +122,7 @@ if [[ "$tsan" -eq 1 ]]; then
   cmake --build --preset tsan -j "$jobs" --target lht_tests
   echo "== concurrency suites under ThreadSanitizer =="
   ctest --preset tsan -j "$jobs" -R \
-    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots|StaticCluster.ConcurrentClientsGrowPoolSafely'
+    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|PlannedRangeCampaign|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots|StaticCluster.ConcurrentClientsGrowPoolSafely'
 fi
 
 if [[ "$bench" -eq 1 ]]; then

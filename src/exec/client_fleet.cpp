@@ -37,9 +37,13 @@ OpKind historyKind(workload::Operation::Kind k) {
       return OpKind::Erase;
     case Kind::Find:
       return OpKind::Find;
-    default:
-      return OpKind::Range;  // range/min/max: not register-checked
+    case Kind::Range:
+      return OpKind::Range;
+    case Kind::Min:
+    case Kind::Max:
+      return OpKind::MinMax;
   }
+  return OpKind::MinMax;
 }
 
 }  // namespace
@@ -108,7 +112,8 @@ bool ClientFleet::runOp(Client& c, const workload::Operation& op) {
       case Kind::Range: {
         const auto r = c.index->rangeQuery(op.key, op.hi);
         rec.ok = true;
-        rec.value = std::to_string(r.records.size());
+        rec.keys.reserve(r.records.size());
+        for (const auto& record : r.records) rec.keys.push_back(record.key);
         break;
       }
       case Kind::Min: {

@@ -10,8 +10,9 @@
 // Two op vocabularies share the record type:
 //  * raw DHT register ops (Put/Get/Remove on one DHT key) — checked by the
 //    single-key linearizability checker;
-//  * LHT index ops (Insert/Erase/Find/Range) — checked by the grow-only
-//    set checker and the atomic-split scan.
+//  * LHT index ops (Insert/Erase/Find/Range/MinMax) — checked by the
+//    grow-only set checker, the range-answer checker and the atomic-split
+//    scan.
 #pragma once
 
 #include <optional>
@@ -32,6 +33,7 @@ enum class OpKind : common::u8 {
   Erase = 11,
   Find = 12,
   Range = 13,
+  MinMax = 14,  ///< min/max probes: recorded, not checked
 };
 
 struct OpRecord {
@@ -57,6 +59,8 @@ struct OpRecord {
   /// Observed value: Get -> stored value (nullopt = absent); Find ->
   /// payload (nullopt = not found); Put -> the written value.
   std::optional<std::string> value;
+  /// Range -> the returned record keys, in answer order.
+  std::vector<double> keys;
   size_t clientId = 0;
 };
 

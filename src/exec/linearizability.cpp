@@ -197,6 +197,7 @@ CheckResult checkGrowOnlySet(const std::vector<OpRecord>& merged) {
         break;
       case OpKind::Erase:
       case OpKind::Range:
+      case OpKind::MinMax:
         return {false,
                 "checkGrowOnlySet: history contains erase/range ops — this "
                 "checker covers insert/find workloads only"};
@@ -255,6 +256,46 @@ CheckResult checkGrowOnlySet(const std::vector<OpRecord>& merged) {
                          std::to_string(seen->second) +
                          " but absent to a find starting at t=" +
                          std::to_string(op.invokeMs)};
+    }
+  }
+  return {};
+}
+
+CheckResult checkRangeAnswers(const std::vector<OpRecord>& merged,
+                              const std::set<double>& preloaded) {
+  std::set<double> produced = preloaded;
+  std::set<double> erased;
+  for (const auto& op : merged) {
+    if (op.kind == OpKind::Insert) produced.insert(op.key);
+    if (op.kind == OpKind::Erase) erased.insert(op.key);
+  }
+  for (const auto& op : merged) {
+    if (op.kind != OpKind::Range || !op.ok) continue;  // a throw saw nothing
+    const common::Interval range{op.key, op.hi};
+    const auto fail = [&](const std::string& what, double key) {
+      std::ostringstream os;
+      os.precision(17);
+      os << "checkRangeAnswers: range " << range.lo << ".." << range.hi
+         << " of client " << op.clientId << " (t=" << op.invokeMs << ") "
+         << what << " " << key;
+      return CheckResult{false, os.str()};
+    };
+    for (size_t i = 0; i < op.keys.size(); ++i) {
+      const double k = op.keys[i];
+      if (!range.contains(k)) return fail("returned out-of-range key", k);
+      if (i > 0 && k <= op.keys[i - 1]) {
+        return fail("is not sorted and distinct at key", k);
+      }
+      if (produced.count(k) == 0) {
+        return fail("returned a key neither preloaded nor inserted:", k);
+      }
+    }
+    for (auto it = preloaded.lower_bound(range.lo);
+         it != preloaded.end() && *it < range.hi; ++it) {
+      if (erased.count(*it) != 0) continue;  // not stable
+      if (!std::binary_search(op.keys.begin(), op.keys.end(), *it)) {
+        return fail("missed the stable key", *it);
+      }
     }
   }
   return {};

@@ -16,7 +16,11 @@
 //    successful return must see it (monotonic over real time: inserts are
 //    never un-done in a grow-only run).
 //
-// 3. scanAtomicSplits — the post-run structural check: walks every leaf
+// 3. checkRangeAnswers — range answers under concurrent splits and
+//    merges: well-formed, never missing a key no op could have removed,
+//    never holding a key no op could have produced.
+//
+// 4. scanAtomicSplits — the post-run structural check: walks every leaf
 //    bucket and verifies the leaves partition [0, 1) exactly with no
 //    leftover split/merge intents (no torn buckets — a lookup during the
 //    run could only ever see the pre-split parent or a post-split child),
@@ -57,6 +61,14 @@ CheckResult checkSingleKeyHistories(const std::vector<OpRecord>& merged,
 /// Grow-only-set check over LHT Insert/Find records (ranges and erases are
 /// rejected — use it on insert/lookup workloads only).
 CheckResult checkGrowOnlySet(const std::vector<OpRecord>& merged);
+
+/// Range answers over LHT Insert/Erase/Range records, against the keys
+/// preloaded before the run: each answer is sorted, distinct and inside
+/// its [lo, hi); it holds every stable key in its range (preloaded, and
+/// erased by no op of the history); and it holds no key that neither the
+/// preload nor any insert produced. Ranges that threw observed nothing.
+CheckResult checkRangeAnswers(const std::vector<OpRecord>& merged,
+                              const std::set<double>& preloaded);
 
 /// Keys with a successful insert return (must be present afterwards).
 std::set<double> definiteKeys(const std::vector<OpRecord>& merged);

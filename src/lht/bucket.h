@@ -44,9 +44,12 @@ struct SplitIntent {
   friend bool operator==(const SplitIntent&, const SplitIntent&) = default;
 };
 
-/// Write-ahead marker for a merge in flight, held by the absorbing child
-/// (the one already stored under the parent's name): a durable copy of the
-/// donor's records, staged until the donor is deleted and the absorber is
+/// Write-ahead marker for a merge in flight. The donor carries it first,
+/// with its own label as donorLabel and no records: the donor is frozen,
+/// so its records stay exactly as they are until it is deleted. Then the
+/// absorbing child (the one already stored under the parent's name)
+/// carries it with the same token and a durable copy of the donor's
+/// records, staged until the donor is deleted and the absorber is
 /// committed as the parent leaf.
 struct MergeIntent {
   Label donorLabel;                    ///< the sibling being drained
@@ -96,6 +99,12 @@ struct LeafBucket {
 
   /// No structural change in flight.
   [[nodiscard]] bool clean() const { return !splitIntent && !mergeIntent; }
+
+  /// A merge donor frozen by the merge's first step: no insert or erase
+  /// may land in it.
+  [[nodiscard]] bool frozenDonor() const {
+    return mergeIntent && mergeIntent->donorLabel == label;
+  }
 
   /// Size in "record slots": the stored records plus, when
   /// `countLabelSlot`, one slot for the leaf label itself (the paper's

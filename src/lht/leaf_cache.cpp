@@ -29,6 +29,23 @@ std::optional<LeafCache::Entry> LeafCache::find(double key) {
   return it->second;
 }
 
+std::vector<LeafCache::Entry> LeafCache::tiling(const common::Interval& iv) {
+  std::vector<Entry> tiles;
+  double reach = iv.lo;  // [iv.lo, reach) is tiled so far
+  auto it = byLo_.upper_bound(iv.lo);
+  if (it != byLo_.begin()) {
+    for (--it; it != byLo_.end() && reach < iv.hi; ++it) {
+      const common::Interval cell = it->second.label.interval();
+      if (cell.lo > reach || cell.hi <= reach) break;  // a gap at `reach`
+      tiles.push_back(it->second);
+      reach = cell.hi;
+    }
+  }
+  if (reach < iv.hi) tiles.clear();
+  (tiles.empty() ? misses_ : hits_) += 1;
+  return tiles;
+}
+
 void LeafCache::note(const common::Label& label, common::u64 epoch,
                      common::u64 leaseExpiresAtMs) {
   // Re-noting the same leaf (every primary read does) must not restart

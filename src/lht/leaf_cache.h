@@ -3,12 +3,16 @@
 // LeafCache — leaf *location* cache: maps a key interval to the label of
 // the leaf last observed covering it. Because every leaf is stored under
 // name(label), a cached entry turns Algorithm 2's binary search (~log D
-// DHT-lookups) into a single get. Correctness never depends on freshness:
-// a hit is validated by the fetched bucket itself (does it still cover the
-// key? is it clean?), and a stale entry is simply invalidated and the
-// lookup falls back to the full binary search. This is the PHT-style
-// location cache subsuming the single-slot depth hint. Epochs (bucket wire
-// format v2) are remembered so callers can observe how stale an entry was.
+// DHT-lookups) into a single get. It plans range queries the same way:
+// when the cached leaves tile the range, one round fetches them all in
+// place of Algorithm 4's jump and Algorithm 3's forwarding rounds.
+// Correctness never depends on freshness: a hit is validated by the
+// fetched bucket itself (does it still cover the key? is it clean?), and
+// a stale entry is simply invalidated and the lookup falls back to the
+// full binary search (a range re-resolves only the tiles that moved).
+// This is the PHT-style location cache subsuming the single-slot depth
+// hint. Epochs (bucket wire format v2) are remembered so callers can
+// observe how stale an entry was.
 //
 // Leases (DESIGN.md §13): an entry can additionally carry a time-bounded
 // *read lease* over the epoch-stamped bucket snapshot. While the lease is
@@ -34,6 +38,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/label.h"
 #include "common/types.h"
@@ -59,6 +64,11 @@ class LeafCache {
 
   /// Greatest cached leaf whose interval covers `key`, if any.
   [[nodiscard]] std::optional<Entry> find(double key);
+
+  /// The cached leaves tiling `iv` left to right, each starting where the
+  /// previous one ends; empty when the cache leaves part of `iv`
+  /// uncovered. Counts as one hit or one miss, like a find.
+  [[nodiscard]] std::vector<Entry> tiling(const common::Interval& iv);
 
   /// Records an observed clean leaf. Entries overlapping its interval are
   /// dropped first (sibling leaves that no longer exist after a merge).

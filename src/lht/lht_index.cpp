@@ -429,7 +429,11 @@ bool LhtIndex::repairBucket(const std::string& key, const LeafBucket& bucket,
     repaired = true;
   }
   if (bucket.mergeIntent) {
-    completeMerge(key, *bucket.mergeIntent, st);
+    if (bucket.frozenDonor()) {
+      resumeFrozenDonor(key, bucket, st);
+    } else {
+      completeMerge(key, *bucket.mergeIntent, st);
+    }
     repairStats_.mergeRepairs += 1;
     repaired = true;
   }
@@ -457,9 +461,11 @@ void LhtIndex::completeSplit(const std::string& stayingKey,
 
   // Step 3: clear the intent from the staying child. Guarded by the
   // intent token so a stale retry cannot clear a newer intent.
+  const Label parent = intent.movedLabel.parent();
+  bool mergedBack = false;
   applyBucket(stayingKey, [&](std::optional<LeafBucket>& ob) {
-    checkInvariant(ob.has_value(), "completeSplit: staying bucket vanished");
-    if (ob->splitIntent && ob->splitIntent->token == intent.token) {
+    mergedBack = !ob || ob->label.isPrefixOf(parent);
+    if (ob && ob->splitIntent && ob->splitIntent->token == intent.token) {
       ob->splitIntent.reset();
       ob->epoch += 1;
       return true;
@@ -468,68 +474,113 @@ void LhtIndex::completeSplit(const std::string& stayingKey,
   });
   st.dhtLookups += 1;
   chargeMaintenance(1, 0);
-  dropCached(intent.movedLabel.parent().interval());
+  if (mergedBack) {
+    // A completer that read the intent before another one finished the
+    // split can reach step 2 after the two children have merged back, and
+    // recreate the moved child beside its merged parent. The staying key
+    // holding the parent, an ancestor or nothing gives that away: delete
+    // the copy step 2 may have made, unless a write has reached it since.
+    applyBucket(dhtKeyFor(intent.movedLabel), [&](std::optional<LeafBucket>& ob) {
+      if (!ob || ob->epoch != 1 || !ob->hasApplied(intent.token)) return false;
+      ob.reset();
+      return true;
+    });
+    st.dhtLookups += 1;
+    chargeMaintenance(1, 0);
+  }
+  dropCached(parent.interval());
 }
 
-void LhtIndex::completeMerge(const std::string& absorberKey,
-                             const MergeIntent& intent, cost::OpStats& st) {
-  const std::string donorKey = dhtKeyFor(intent.donorLabel);
-
-  // The staged copy may be stale: if the donor still exists it could have
-  // absorbed writes after the intent was recorded (a crash between the
-  // staging and the delete, followed by normal traffic). Refresh the copy
-  // from the live donor before destroying anything.
-  auto donorNow = getBucketRef(donorKey, st);
-  chargeMaintenance(1, 0);
-  u64 token = intent.token;
-  if (donorNow && donorNow->label == intent.donorLabel) {
-    if (donorNow->records != intent.moving) {
-      token = newToken();
-      applyBucket(absorberKey, [&](std::optional<LeafBucket>& ob) {
-        checkInvariant(ob.has_value(), "completeMerge: absorber vanished");
-        if (ob->mergeIntent && ob->mergeIntent->donorLabel == intent.donorLabel) {
-          ob->mergeIntent->moving = donorNow->records;
-          ob->mergeIntent->token = token;
-          ob->epoch += 1;
-          return true;
-        }
-        return false;
-      });
-      st.dhtLookups += 1;
-      chargeMaintenance(1, 0);
-    }
-  }
-
-  // Delete the donor (idempotent: only a bucket still carrying the donor
-  // label is dropped; the staged copy is now authoritative).
-  std::vector<index::Record> moving =
-      donorNow && donorNow->label == intent.donorLabel ? donorNow->records
-                                                       : intent.moving;
-  applyBucket(donorKey, [&](std::optional<LeafBucket>& ob) {
+bool LhtIndex::stageMerge(const std::string& absorberKey,
+                          const Label& absorberLabel, const MergeIntent& intent,
+                          cost::OpStats& st) {
+  // Step 2 of the merge state machine: copy the frozen donor's records into
+  // the absorber, provided it is still the clean sibling leaf.
+  bool staged = false;
+  applyBucket(absorberKey, [&](std::optional<LeafBucket>& ob) {
+    staged = false;
     if (!ob.has_value()) return false;
-    if (ob->label != intent.donorLabel) return false;
+    LeafBucket& b = *ob;
+    if (b.mergeIntent && b.mergeIntent->token == intent.token) {
+      staged = true;  // staged already: a lost reply, or another completer
+      return false;
+    }
+    if (!b.clean() || b.label != absorberLabel) return false;
+    b.mergeIntent = intent;
+    b.epoch += 1;
+    staged = true;
+    return true;
+  });
+  st.dhtLookups += 1;
+  chargeMaintenance(1, 0);
+  return staged;
+}
+
+void LhtIndex::thawDonor(const std::string& donorKey, u64 token, cost::OpStats& st) {
+  applyBucket(donorKey, [&](std::optional<LeafBucket>& ob) {
+    if (!ob || !ob->mergeIntent || ob->mergeIntent->token != token) return false;
+    ob->mergeIntent.reset();
+    ob->epoch += 1;
+    return true;
+  });
+  st.dhtLookups += 1;
+  chargeMaintenance(1, 0);
+}
+
+void LhtIndex::resumeFrozenDonor(const std::string& donorKey,
+                                 const LeafBucket& donor, cost::OpStats& st) {
+  // A merge stranded between freezing the donor and staging the absorber
+  // (or still on its way there): stage it, or, if the sibling has stopped
+  // being a clean leaf, thaw the donor.
+  const MergeIntent intent{donor.label, donor.records, donor.mergeIntent->token};
+  const std::string absorberKey = dhtKeyFor(donor.label.parent());
+  if (stageMerge(absorberKey, donor.label.sibling(), intent, st)) {
+    completeMerge(absorberKey, intent, st);
+  } else {
+    thawDonor(donorKey, intent.token, st);
+  }
+}
+
+bool LhtIndex::completeMerge(const std::string& absorberKey,
+                             const MergeIntent& intent, cost::OpStats& st) {
+  // Step 3: delete the donor, only while it is still frozen by this merge.
+  // A donor that is gone was deleted by an earlier attempt (ours, its reply
+  // lost, or a concurrent completer's). One that is present but no longer
+  // frozen by this token was thawed by a client that found the absorber
+  // unmergeable: the merge is off.
+  bool thawed = false;
+  applyBucket(dhtKeyFor(intent.donorLabel), [&](std::optional<LeafBucket>& ob) {
+    thawed = false;
+    if (!ob.has_value()) return false;
+    if (!ob->mergeIntent || ob->mergeIntent->token != intent.token) {
+      thawed = true;
+      return false;
+    }
     ob.reset();  // erase
     return true;
   });
   st.dhtLookups += 1;
   chargeMaintenance(1, 0);
 
-  // Commit: the absorber becomes the parent leaf and takes the records.
+  // Step 4: the absorber becomes the parent leaf and takes the staged copy
+  // of the donor's records, or, when the merge is off, drops the intent.
   applyBucket(absorberKey, [&](std::optional<LeafBucket>& ob) {
-    checkInvariant(ob.has_value(), "completeMerge: absorber vanished");
-    LeafBucket& b = *ob;
-    if (b.mergeIntent && b.mergeIntent->donorLabel == intent.donorLabel) {
-      b.label = intent.donorLabel.parent();
-      b.records.insert(b.records.end(), moving.begin(), moving.end());
-      b.mergeIntent.reset();
-      b.epoch += 1;
-      return true;
+    if (!ob || !ob->mergeIntent || ob->mergeIntent->token != intent.token) {
+      return false;
     }
-    return false;
+    LeafBucket& b = *ob;
+    if (!thawed) {
+      b.label = intent.donorLabel.parent();
+      b.records.insert(b.records.end(), intent.moving.begin(), intent.moving.end());
+    }
+    b.mergeIntent.reset();
+    b.epoch += 1;
+    return true;
   });
   st.dhtLookups += 1;
-  chargeMaintenance(1, moving.size());
+  chargeMaintenance(1, thawed ? 0 : intent.moving.size());
   dropCached(intent.donorLabel.parent().interval());
+  return !thawed;
 }
 
 size_t LhtIndex::repairSweep() {
@@ -689,7 +740,7 @@ index::UpdateResult LhtIndex::insert(const index::Record& record) {
       // execution split the bucket, the staying child no longer needs to
       // cover the key.
       if (!b.hasApplied(token)) {
-        if (!b.covers(common::clampToUnit(record.key))) {
+        if (b.frozenDonor() || !b.covers(common::clampToUnit(record.key))) {
           stale = true;
           return false;
         }
@@ -977,7 +1028,7 @@ index::UpdateResult LhtIndex::erase(double key) {
       // twice (harmless here) nor clobber the outputs of the execution that
       // actually removed the records.
       if (b.hasApplied(token)) return false;
-      if (!b.covers(common::clampToUnit(key))) {
+      if (b.frozenDonor() || !b.covers(common::clampToUnit(key))) {
         stale = true;
         return false;
       }
@@ -1044,33 +1095,40 @@ bool LhtIndex::tryMerge(const Label& bucketLabel) {
                  "LhtIndex::tryMerge: both children named to parent");
 
   if (opts_.crashConsistentSplits) {
-    // Durable merge state machine: step 1 stages a copy of the donor's
+    // Durable merge state machine: step 1 freezes the donor, so no insert
+    // or erase lands in it and it cannot split; step 2 stages a copy of its
     // records as a MergeIntent inside the absorber (the records are in the
-    // DHT before anything is destroyed), steps 2–3 run in completeMerge
-    // (delete donor, commit absorber as the parent leaf). A crash or lost
-    // reply between any two steps is repaired by the next reader of the
-    // absorber.
+    // DHT before anything is destroyed); steps 3–4 run in completeMerge
+    // (delete the donor, commit the absorber as the parent leaf). A crash
+    // or lost reply between any two steps is repaired by the next reader
+    // of either bucket, and a concurrent writer either lands before the
+    // freeze, and so in the copy, or re-resolves to the merged parent.
     if (!absorber.clean() || !donor.clean()) return false;
-    MergeIntent intent{donor.label, donor.records, newToken()};
-    bool staged = false;
-    applyBucket(parentKey, [&](std::optional<LeafBucket>& ob) {
-      staged = false;
-      checkInvariant(ob.has_value(), "LhtIndex::tryMerge: absorber vanished");
+    const u64 token = newToken();
+    const std::string donorKey = dhtKeyFor(donor.label);
+    std::optional<MergeIntent> intent;
+    applyBucket(donorKey, [&](std::optional<LeafBucket>& ob) {
+      intent.reset();
+      if (!ob.has_value()) return false;
       LeafBucket& b = *ob;
-      if (b.mergeIntent && b.mergeIntent->token == intent.token) {
-        staged = true;  // lost-reply retry: our earlier execution landed
+      if (b.mergeIntent && b.mergeIntent->token == token) {
+        intent = MergeIntent{b.label, b.records, token};  // lost-reply retry
         return false;
       }
-      if (!b.clean() || b.label != absorber.label) return false;
-      b.mergeIntent = intent;
+      if (!b.clean() || b.label != donor.label) return false;
+      b.mergeIntent = MergeIntent{b.label, {}, token};
       b.epoch += 1;
-      staged = true;
+      intent = MergeIntent{b.label, b.records, token};
       return true;
     });
     chargeMaintenance(1, 0);
-    if (!staged) return false;
+    if (!intent) return false;
     cost::OpStats st;
-    completeMerge(parentKey, intent, st);
+    if (!stageMerge(parentKey, absorber.label, *intent, st)) {
+      thawDonor(donorKey, token, st);
+      return false;
+    }
+    if (!completeMerge(parentKey, *intent, st)) return false;
     noteMerge();
     return true;
   }
@@ -1178,9 +1236,9 @@ void LhtIndex::expandBucket(const LeafBucket& bucket, const Interval& clip,
       const Interval inv = beta.interval();
       if (inv.lo >= clip.hi) break;
       if (inv.hi <= clip.hi) {
-        next.push_back(FanoutTask{beta, inv, true, false});
+        next.push_back(FanoutTask{beta, inv, true});
       } else {
-        next.push_back(FanoutTask{beta, inv.intersect(clip), false, false});
+        next.push_back(FanoutTask{beta, inv.intersect(clip), false});
         break;
       }
     }
@@ -1194,9 +1252,9 @@ void LhtIndex::expandBucket(const LeafBucket& bucket, const Interval& clip,
       const Interval inv = beta.interval();
       if (inv.hi <= clip.lo) break;
       if (inv.lo >= clip.lo) {
-        next.push_back(FanoutTask{beta, inv, true, false});
+        next.push_back(FanoutTask{beta, inv, true});
       } else {
-        next.push_back(FanoutTask{beta, inv.intersect(clip), false, false});
+        next.push_back(FanoutTask{beta, inv.intersect(clip), false});
         break;
       }
     }
@@ -1222,11 +1280,7 @@ u64 LhtIndex::runFanoutRounds(std::vector<FanoutTask> frontier,
     rounds += 1;
     keys.clear();
     for (const auto& t : frontier) {
-      // A covered branch's entry leaf is the leaf named name(beta); a
-      // partial branch is entered at its boundary leaf, found under the
-      // branch label itself unless that probe already missed.
-      keys.push_back(t.covered || t.retryUnderName ? dhtKeyFor(t.branch)
-                                                   : t.branch.str());
+      keys.push_back(t.underName ? dhtKeyFor(t.branch) : t.branch.str());
     }
     auto replies = dht_.multiGet(keys);
     st.dhtLookups += keys.size();
@@ -1238,25 +1292,30 @@ u64 LhtIndex::runFanoutRounds(std::vector<FanoutTask> frontier,
       if (!reply.ok) {
         throw dht::DhtError("LhtIndex: range fan-out entry failed: " + reply.error);
       }
-      if (!reply.value.has_value()) {
-        if (t.covered || t.retryUnderName) {
-          // A concurrent split/merge relocated this branch's entry leaf
-          // mid-fan-out; re-resolve through the repairing lookup and
-          // continue from the leaf covering the clip's lower bound. The
-          // collection stays filtered by the clip, so nothing is
-          // double-counted.
-          auto nb = resolveRangeEntry(t.clip, stall, st);
-          expandBucket(*nb, t.clip, next, out, st);
-          continue;
-        }
+      BucketRef bucket;
+      if (reply.value.has_value()) {
+        bucket = store_.decode(keys[i], *reply.value);
+        noteLeaf(*bucket);
+      } else if (!t.underName) {
         // The partial branch is itself a leaf (the paper's one failed
         // DHT-lookup): re-fetch it under name(branch) next round.
-        t.retryUnderName = true;
+        t.underName = true;
         next.push_back(t);
         continue;
       }
-      auto bucket = store_.decode(keys[i], *reply.value);
-      noteLeaf(*bucket);
+      if (!bucket || !bucket->label.interval().overlaps(t.clip)) {
+        // A split or merge moved the entry leaf: mid-fan-out, or for a
+        // planned range since the leaf was cached. Its name is gone, or
+        // now holds the child on the far side of the clip, from which
+        // expandBucket's sweeps (they assume the bucket borders its clip)
+        // would forward keys outside the range. Drop the stale cache
+        // entry, so the repairing lookup does not fetch it again, and
+        // continue from the leaf covering the clip's lower bound. The
+        // collection stays filtered by the clip, so nothing is
+        // double-counted.
+        dropCached(t.clip);
+        bucket = resolveRangeEntry(t.clip, stall, st);
+      }
       expandBucket(*bucket, t.clip, next, out, st);
     }
     rounds += stall;
@@ -1297,26 +1356,37 @@ index::RangeResult LhtIndex::rangeQuery(double lo, double hi) {
   span.arg("hi", hi);
   const Interval range{lo, hi};
   std::vector<index::Record> collected;
+  std::vector<FanoutTask> frontier;
+  u64 steps = 0;
 
-  // Algorithm 4: jump to the range's lowest common ancestor.
-  const Label lca = computeLca(range);
-  auto entry = getBucketRef(dhtKeyFor(lca), result.stats);
-  u64 steps = 1;
-
-  if (!entry) {
-    // Case 1: the whole range lies inside a single leaf; resolve with an
-    // exact lookup of the lower bound.
-    auto found = lookupInternal(lo);
-    checkInvariant(found.bucket != nullptr, "rangeQuery: tree hole");
-    result.stats.dhtLookups += found.stats.dhtLookups;
-    steps += found.stats.parallelSteps;
-    result.stats.bucketsTouched += 1;
-    for (const auto& r : found.bucket->records) {
-      if (range.contains(r.key)) collected.push_back(r);
+  const auto tiles = opts_.useLeafCache ? leafCache_.tiling(range)
+                                        : std::vector<LeafCache::Entry>{};
+  if (!tiles.empty()) {
+    // Warm plan: the cached leaves tile the range, so the first fan-out
+    // round fetches every one of them under its name and expands it over
+    // tile ∩ range. A leaf that split since it was cached forwards the
+    // rest of its clip to the next round.
+    for (const auto& tile : tiles) {
+      frontier.push_back(
+          FanoutTask{tile.label, tile.label.interval().intersect(range), true});
     }
   } else {
-    std::vector<FanoutTask> frontier;
-    if (entry->label.interval().overlaps(range)) {
+    // Algorithm 4: jump to the range's lowest common ancestor.
+    const Label lca = computeLca(range);
+    auto entry = getBucketRef(dhtKeyFor(lca), result.stats);
+    steps = 1;  // the LCA get
+    if (!entry) {
+      // Case 1: the whole range lies inside a single leaf; resolve with an
+      // exact lookup of the lower bound.
+      auto found = lookupInternal(lo);
+      checkInvariant(found.bucket != nullptr, "rangeQuery: tree hole");
+      result.stats.dhtLookups += found.stats.dhtLookups;
+      steps += found.stats.parallelSteps;
+      result.stats.bucketsTouched += 1;
+      for (const auto& r : found.bucket->records) {
+        if (range.contains(r.key)) collected.push_back(r);
+      }
+    } else if (entry->label.interval().overlaps(range)) {
       // Case 2: the entry leaf holds one of the range bounds; it forwards
       // the rest of the range directly.
       expandBucket(*entry, range, frontier, collected, result.stats);
@@ -1325,13 +1395,11 @@ index::RangeResult LhtIndex::rangeQuery(double lo, double hi) {
       // LCA contain part of it and are entered in parallel.
       const Interval iv = lca.interval();
       const double mid = 0.5 * (iv.lo + iv.hi);
-      frontier.push_back(
-          FanoutTask{lca.child(0), range.intersect({iv.lo, mid}), false, false});
-      frontier.push_back(
-          FanoutTask{lca.child(1), range.intersect({mid, iv.hi}), false, false});
+      frontier.push_back(FanoutTask{lca.child(0), range.intersect({iv.lo, mid}), false});
+      frontier.push_back(FanoutTask{lca.child(1), range.intersect({mid, iv.hi}), false});
     }
-    steps += runFanoutRounds(std::move(frontier), collected, result.stats);
   }
+  steps += runFanoutRounds(std::move(frontier), collected, result.stats);
 
   result.stats.parallelSteps = steps;
   chargeQuery(result.stats.dhtLookups);

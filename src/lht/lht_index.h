@@ -16,7 +16,9 @@
 //    sibling (the dual of a split: one child already has the parent's name).
 //  * rangeQuery [6, Alg. 3/4] — LCA jump, then parallel forwarding along
 //    locally inferred branch nodes, one multiGet round per dependency
-//    level; <= B + 3 DHT-lookups for B result buckets.
+//    level; <= B + 3 DHT-lookups for B result buckets. With the leaf
+//    cache on and tiling the range, one multiGet of the cached leaves
+//    replaces the jump: B DHT-lookups in one round when warm.
 //  * min/max [7, Thm. 3]  — a single DHT-lookup of "#" resp. "#0".
 #pragma once
 
@@ -89,7 +91,9 @@ class LhtIndex final : public index::OrderedIndex {
     /// leaf label last covered each key interval, validated by the fetched
     /// bucket itself, so a repeat lookup costs ~1 DHT-lookup instead of
     /// Algorithm 2's ~log2(D/2). Subsumes useDepthHint (the cache is
-    /// consulted first; the hint still steers the fallback search).
+    /// consulted first; the hint still steers the fallback search). A
+    /// range query whose interval the cached leaves tile fetches them all
+    /// in one round instead of running Alg. 4's jump and Alg. 3's rounds.
     /// Stale entries are detected and invalidated, never trusted.
     bool useLeafCache = false;
     size_t leafCacheCapacity = 4096;
@@ -303,17 +307,16 @@ class LhtIndex final : public index::OrderedIndex {
   LookupRef lookupLinearRef(double key);
 
   /// One pending forward of Algorithm 3: a branch node to enter, the
-  /// range clip to apply there, and whether the branch is fully covered
-  /// (entry under name(branch), guaranteed to exist) or the final
-  /// partially-covered branch (entry under the branch label itself, with
-  /// one possible failed lookup). retryUnderName is set after a partial
-  /// branch's label probe missed (the branch is itself a leaf) and it
-  /// must be re-fetched under name(branch) in the next round.
+  /// range clip to apply there, and where its entry leaf is stored. A
+  /// fully covered branch is entered under name(branch) (guaranteed to
+  /// exist), as is a cached leaf of a planned range. The final, partially
+  /// covered branch is entered under the branch label itself, with one
+  /// possible failed lookup, after which underName is set and it is
+  /// re-fetched under name(branch) in the next round.
   struct FanoutTask {
     Label branch;
     common::Interval clip;
-    bool covered = false;
-    bool retryUnderName = false;
+    bool underName = false;
   };
 
   /// Collects bucket ∩ clip into `out` and enqueues the branch nodes the
@@ -326,8 +329,10 @@ class LhtIndex final : public index::OrderedIndex {
   /// Alg. 3/4's parallel forwarding: lockstep breadth-first rounds over
   /// the frontier, one multiGet per round, so the critical path is one
   /// round-trip per dependency level. Each final partial branch may cost
-  /// one failed probe, retried under its name in the next round. Returns
-  /// the number of rounds on the critical path.
+  /// one failed probe, retried under its name in the next round. An entry
+  /// leaf that moved (its name is gone, or holds a leaf wholly outside
+  /// the clip) is re-resolved through the repairing lookup. Returns the
+  /// number of rounds on the critical path.
   common::u64 runFanoutRounds(std::vector<FanoutTask> frontier,
                               std::vector<index::Record>& out, cost::OpStats& st);
 
@@ -388,11 +393,27 @@ class LhtIndex final : public index::OrderedIndex {
                      cost::OpStats& st);
 
   /// Completes the merge recorded in the absorber stored under
-  /// `absorberKey`: refreshes the staged copy from the donor if it still
-  /// exists, deletes the donor, then commits the absorber as the parent
-  /// leaf. Idempotent.
-  void completeMerge(const std::string& absorberKey, const MergeIntent& intent,
+  /// `absorberKey`: deletes the donor while it is still frozen by the
+  /// intent's token, then commits the absorber as the parent leaf. A donor
+  /// thawed in the meantime calls the merge off and the absorber drops the
+  /// intent instead. Idempotent; returns whether the merge happened.
+  bool completeMerge(const std::string& absorberKey, const MergeIntent& intent,
                      cost::OpStats& st);
+
+  /// Stages `intent` (the frozen donor's records) in the absorber stored
+  /// under `absorberKey`, if it is still the clean leaf `absorberLabel` or
+  /// already carries the intent. Returns whether it carries it now.
+  bool stageMerge(const std::string& absorberKey, const Label& absorberLabel,
+                  const MergeIntent& intent, cost::OpStats& st);
+
+  /// Clears the freeze marker `token` left on the donor under `donorKey`.
+  void thawDonor(const std::string& donorKey, common::u64 token,
+                 cost::OpStats& st);
+
+  /// Repairs a frozen donor: stages and completes its merge, or thaws it
+  /// when its sibling is no longer a clean leaf.
+  void resumeFrozenDonor(const std::string& donorKey, const LeafBucket& donor,
+                         cost::OpStats& st);
 
   /// Completes any intent carried by `bucket` (stored under `key`).
   /// Returns true when a repair ran.

@@ -18,6 +18,7 @@
 #include "dht/local_dht.h"
 #include "exec/linearizability.h"
 #include "exec/thread_pool.h"
+#include "range_campaign.h"
 
 namespace lht {
 namespace {
@@ -123,6 +124,14 @@ TEST(ClientFleetTest, FaultCampaignsHoldAcrossSeeds) {
     SCOPED_TRACE("campaign seed " + std::to_string(seed) +
                  (seed % 2 == 1 ? " (with crash)" : ""));
     runCampaign({.seed = seed, .crashClient = seed % 2 == 1});
+  }
+}
+
+TEST(PlannedRangeCampaign, RangesHoldUnderConcurrentSplitsAndMerges) {
+  // Two seeds here; slow_campaign_test.cpp runs sixteen.
+  for (common::u64 seed = 0; seed < 2; ++seed) {
+    SCOPED_TRACE("range campaign seed " + std::to_string(seed));
+    testing_support::runPlannedRangeCampaign(seed);
   }
 }
 

@@ -1,23 +1,28 @@
 // Client-side leaf-location cache + decoded-bucket store: warm lookups
-// cost one DHT-lookup, stale entries (another client split or merged the
-// leaf) self-correct instead of returning wrong answers, and the decoded
-// store never changes observable behavior — only wall-clock cost.
+// cost one DHT-lookup, warm ranges one round of one DHT-lookup per leaf,
+// stale entries (another client split or merged the leaf) self-correct
+// instead of returning wrong answers, and the decoded store never changes
+// observable behavior — only wall-clock cost.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "dht/can.h"
 #include "dht/chord.h"
+#include "dht/decorators.h"
 #include "dht/kademlia.h"
 #include "dht/local_dht.h"
 #include "dht/pastry.h"
 #include "lht/leaf_cache.h"
 #include "lht/lht_index.h"
+#include "lht/naming.h"
 #include "net/sim_network.h"
 
 namespace lht::core {
@@ -109,6 +114,31 @@ TEST(LeafCacheUnit, TimeoutDropAccounting) {
   auto e = cache.find(0.3);
   ASSERT_TRUE(e.has_value());
   EXPECT_FALSE(e->leased());
+}
+
+TEST(LeafCacheUnit, TilingCountsOneHitOrOneMiss) {
+  LeafCache cache(8);
+  cache.note(*Label::parse("#000"), 1);   // [0, 0.25)
+  cache.note(*Label::parse("#001"), 1);   // [0.25, 0.5)
+  cache.note(*Label::parse("#0110"), 1);  // [0.75, 0.875)
+  cache.note(*Label::parse("#0111"), 1);  // [0.875, 1); [0.5, 0.75) uncached
+
+  const auto labels = [](const std::vector<LeafCache::Entry>& tiles) {
+    std::vector<std::string> out;
+    for (const auto& e : tiles) out.push_back(e.label.str());
+    return out;
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(labels(cache.tiling({0.1, 0.4})), (Names{"#000", "#001"}));
+  EXPECT_EQ(labels(cache.tiling({0.25, 0.5})), (Names{"#001"}));
+  EXPECT_EQ(labels(cache.tiling({0.8, 1.0})), (Names{"#0110", "#0111"}));
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 0u);
+
+  EXPECT_TRUE(cache.tiling({0.3, 0.8}).empty());   // the gap at 0.5
+  EXPECT_TRUE(cache.tiling({0.55, 0.6}).empty());  // nothing covers 0.55
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST(LeafCacheUnit, OverflowFlushesInsteadOfEvicting) {
@@ -298,6 +328,269 @@ TEST(LeafCacheIndex, OracleDifferentialWithAllFeaturesOn) {
   // The features actually ran: cache hits and batch rounds both nonzero.
   EXPECT_GT(idx.leafCache().hits(), 0u);
   EXPECT_GT(store.stats().batchRounds, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Cache-planned range queries
+// ---------------------------------------------------------------------------
+
+/// The writer/reader pair of StaleEntryAcrossForeignSplitSelfCorrects: a
+/// writer without a cache changes the tree behind a cached reader, whose
+/// cache a cold rangeQuery(0, 1) filled with every leaf. The writer goes
+/// through a CrashDht, so a test can kill it in the middle of a split.
+struct WarmReader {
+  WarmReader()
+      : crash(store), writer(crash, writerOptions()), reader(store, readerOptions()) {
+    for (const auto& r : distinctRecords(200, 5)) insert(r.key, r.payload);
+    reader.rangeQuery(0.0, 1.0);
+  }
+
+  static LhtIndex::Options writerOptions() {
+    LhtIndex::Options o;
+    o.thetaSplit = 8;
+    o.crashConsistentSplits = true;
+    return o;
+  }
+  static LhtIndex::Options readerOptions() {
+    LhtIndex::Options o = cachedOpts(8);
+    o.crashConsistentSplits = true;
+    o.attachExisting = true;
+    o.clientSeed = 99;
+    return o;
+  }
+
+  void insert(double key, const std::string& payload) {
+    writer.insert({key, payload});
+    oracle[key] = payload;
+  }
+  void erase(double key) {
+    writer.erase(key);
+    oracle.erase(key);
+  }
+
+  /// Inserts fresh keys drawn from `iv` until the writer has split once.
+  void splitWith(const common::Interval& iv) {
+    const auto before = writer.meters().maintenance.splits;
+    common::Pcg32 rng(17);
+    while (writer.meters().maintenance.splits == before) {
+      const double k = iv.lo + rng.nextDouble() * iv.width();
+      if (iv.contains(k) && oracle.count(k) == 0) insert(k, "s" + std::to_string(k));
+    }
+  }
+
+  /// The leaves left to right, read by a fresh client without a cache.
+  std::vector<LeafBucket> leaves() {
+    LhtIndex::Options o;
+    o.attachExisting = true;
+    o.clientSeed = 7;
+    LhtIndex view(store, o);
+    std::vector<LeafBucket> out;
+    view.forEachBucket([&](const LeafBucket& b) { out.push_back(b); });
+    return out;
+  }
+  LeafBucket leafAt(double key) {
+    for (auto& b : leaves()) {
+      if (b.covers(key)) return b;
+    }
+    ADD_FAILURE() << "no leaf covers " << key;
+    return {};
+  }
+  size_t leavesOverlapping(const common::Interval& iv) {
+    const auto all = leaves();
+    return static_cast<size_t>(std::count_if(all.begin(), all.end(), [&](const LeafBucket& b) {
+      return b.label.interval().overlaps(iv);
+    }));
+  }
+
+  /// The reader's range query, checked against the oracle.
+  index::RangeResult expectExactRange(double lo, double hi) {
+    auto rr = reader.rangeQuery(lo, hi);
+    std::vector<std::pair<double, std::string>> got;
+    for (const auto& r : rr.records) got.emplace_back(r.key, r.payload);
+    const std::vector<std::pair<double, std::string>> want(oracle.lower_bound(lo),
+                                                           oracle.lower_bound(hi));
+    EXPECT_EQ(got, want) << "[" << lo << ", " << hi << ")";
+    return rr;
+  }
+
+  dht::LocalDht store;
+  dht::CrashDht crash;
+  LhtIndex writer;
+  LhtIndex reader;
+  std::map<double, std::string> oracle;
+};
+
+TEST(PlannedRange, WarmRangeCostsOneLookupPerLeafInOneRound) {
+  WarmReader f;
+  const std::vector<common::Interval> ranges{
+      {0.1, 0.3}, {0.0, 1.0}, {0.42, 0.4205}, {0.6, 0.95}};
+  for (const auto& range : ranges) {
+    const common::u64 hits = f.reader.leafCache().hits();
+    const common::u64 misses = f.reader.leafCache().misses();
+    const auto rr = f.expectExactRange(range.lo, range.hi);
+    EXPECT_EQ(rr.stats.dhtLookups, f.leavesOverlapping(range)) << range.str();
+    EXPECT_EQ(rr.stats.parallelSteps, 1u) << range.str();
+    // One planned range is one cache hit.
+    EXPECT_EQ(f.reader.leafCache().hits(), hits + 1);
+    EXPECT_EQ(f.reader.leafCache().misses(), misses);
+  }
+}
+
+TEST(PlannedRange, UntiledRangeCostsWhatTheCacheOffPathCosts) {
+  WarmReader f;
+  LhtIndex::Options plain = WarmReader::writerOptions();
+  plain.attachExisting = true;
+  plain.clientSeed = 5;
+  LhtIndex twin(f.store, plain);
+  LhtIndex::Options cached = WarmReader::readerOptions();
+  cached.clientSeed = 6;
+  LhtIndex cold(f.store, cached);
+  cached.clientSeed = 8;
+  LhtIndex partial(f.store, cached);
+  // Finds fill the partial client's cache below 0.5 only.
+  for (const auto& [k, v] : f.oracle) {
+    if (k < 0.5) {
+      ASSERT_TRUE(partial.find(k).record.has_value());
+    }
+  }
+
+  const auto expectSameAsTwin = [&](LhtIndex& idx, const common::Interval& range) {
+    const common::u64 hits = idx.leafCache().hits();
+    const common::u64 misses = idx.leafCache().misses();
+    const auto got = idx.rangeQuery(range.lo, range.hi);
+    const auto want = twin.rangeQuery(range.lo, range.hi);
+    EXPECT_EQ(got.records, want.records) << range.str();
+    EXPECT_EQ(got.stats.dhtLookups, want.stats.dhtLookups) << range.str();
+    EXPECT_EQ(got.stats.parallelSteps, want.stats.parallelSteps) << range.str();
+    // A range the cache cannot tile is one cache miss.
+    EXPECT_EQ(idx.leafCache().hits(), hits);
+    EXPECT_EQ(idx.leafCache().misses(), misses + 1);
+  };
+  expectSameAsTwin(cold, {0.0, 1.0});
+  expectSameAsTwin(partial, {0.3, 0.8});
+  expectSameAsTwin(partial, {0.55, 0.9});
+}
+
+TEST(PlannedRange, ForeignSplitOfAnInteriorTileCostsOneFanoutRound) {
+  WarmReader f;
+  const common::Interval range{0.2, 0.7};
+  const LeafBucket tile = f.leafAt(0.45);
+  ASSERT_TRUE(tile.label.interval().subsetOf(range));
+  ASSERT_NE(tile.label.interval().lo, range.lo);
+  ASSERT_NE(tile.label.interval().hi, range.hi);
+  const size_t tiles = f.leavesOverlapping(range);
+
+  f.splitWith(tile.label.interval());
+  ASSERT_EQ(f.leavesOverlapping(range), tiles + 1);
+
+  // name(tile) holds the child that kept it; the moved child is forwarded.
+  const auto rr = f.expectExactRange(range.lo, range.hi);
+  EXPECT_EQ(rr.stats.dhtLookups, tiles + 1);
+  EXPECT_EQ(rr.stats.parallelSteps, 2u);
+}
+
+TEST(PlannedRange, EdgeTileWhoseNameHoldsTheFarChildIsReResolved) {
+  // The leftmost leaf λ ends in 0: after it splits, name(λ) holds its left
+  // child and the moved right child sits under λ. A range starting inside
+  // the right child finds the left one under name(λ), wholly outside the
+  // clip; expanded from there, it would forward the whole right child,
+  // keys below lo included.
+  WarmReader f;
+  const Label tile = f.leaves().front().label;
+  ASSERT_EQ(tile.lastBit(), 0);
+  const common::Interval right = tile.child(1).interval();
+  f.splitWith(right);
+  const auto first = f.oracle.lower_bound(right.lo);
+  ASSERT_TRUE(first != f.oracle.end() && right.contains(first->first));
+
+  const common::Interval range{std::nextafter(first->first, 1.0),
+                               tile.interval().hi + 0.1};
+  const auto rr = f.expectExactRange(range.lo, range.hi);
+  // The tile's fetch plus its re-resolving lookup.
+  EXPECT_GT(rr.stats.dhtLookups, f.leavesOverlapping(range));
+  EXPECT_GT(rr.stats.parallelSteps, 1u);
+}
+
+/// Drains two sibling leaves, the one that keeps their parent's name first,
+/// until the writer merges them. Returns {absorber, donor}: the absorber's
+/// name now holds the parent, the donor's name is gone.
+std::pair<Label, Label> mergeSiblings(WarmReader& f) {
+  const auto leaves = f.leaves();
+  for (size_t i = 0; i + 1 < leaves.size(); ++i) {
+    const Label& left = leaves[i].label;
+    if (left.length() < 2 || left.sibling() != leaves[i + 1].label) continue;
+    const bool leftAbsorbs = dhtKeyFor(left) == dhtKeyFor(left.parent());
+    const LeafBucket& absorber = leaves[leftAbsorbs ? i : i + 1];
+    const LeafBucket& donor = leaves[leftAbsorbs ? i + 1 : i];
+    if (absorber.records.empty() || donor.records.size() < 2) continue;
+    const auto before = f.writer.meters().maintenance.merges;
+    std::vector<double> keys;
+    for (const auto& r : absorber.records) keys.push_back(r.key);
+    for (const auto& r : donor.records) keys.push_back(r.key);
+    for (double k : keys) {
+      f.erase(k);
+      if (f.writer.meters().maintenance.merges != before) break;
+    }
+    EXPECT_EQ(f.writer.meters().maintenance.merges, before + 1);
+    return {absorber.label, donor.label};
+  }
+  ADD_FAILURE() << "no sibling leaves to merge";
+  return {};
+}
+
+TEST(PlannedRange, ForeignMergeReResolvesTheTileWhoseNameWasDeleted) {
+  WarmReader f;
+  const auto [absorber, donor] = mergeSiblings(f);
+  const common::Interval range = donor.interval();
+  const auto rr = f.expectExactRange(range.lo, range.hi);
+  EXPECT_GT(rr.stats.dhtLookups, 1u);
+  // Every lookup after the tile's is the re-resolve's sequential search:
+  // the merged parent covers the clip, so nothing was forwarded.
+  EXPECT_EQ(rr.stats.parallelSteps, rr.stats.dhtLookups);
+  EXPECT_EQ(rr.stats.bucketsTouched, 1u);
+}
+
+TEST(PlannedRange, ForeignMergeClipsTheParentUnderTheTilesName) {
+  WarmReader f;
+  const auto [absorber, donor] = mergeSiblings(f);
+  // The donor's records now sit in the parent, outside the clip.
+  ASSERT_NE(f.oracle.lower_bound(donor.interval().lo),
+            f.oracle.lower_bound(donor.interval().hi));
+  const common::Interval range = absorber.interval();
+  const auto rr = f.expectExactRange(range.lo, range.hi);
+  EXPECT_EQ(rr.stats.dhtLookups, 1u);
+  EXPECT_EQ(rr.stats.parallelSteps, 1u);
+  EXPECT_EQ(rr.stats.bucketsTouched, 1u);
+}
+
+TEST(PlannedRange, HalfFinishedSplitIsAnsweredExactlyAndRepaired) {
+  WarmReader f;
+  const common::Interval range{0.2, 0.7};
+  const LeafBucket tile = f.leafAt(0.45);
+  ASSERT_TRUE(tile.label.interval().subsetOf(range));
+
+  // Kill the writer between staging a split of the tile (the insert's own
+  // apply) and shipping the moved child.
+  const common::Interval iv = tile.label.interval();
+  common::Pcg32 rng(23);
+  for (bool crashed = false; !crashed;) {
+    const double k = iv.lo + rng.nextDouble() * iv.width();
+    if (!iv.contains(k) || f.oracle.count(k) != 0) continue;
+    f.crash.armAfterWrites(1);
+    try {
+      f.writer.insert({k, "c"});
+    } catch (const dht::CrashError&) {
+      crashed = true;
+    }
+    f.oracle[k] = "c";  // the apply landed either way
+  }
+  const auto staged = f.store.get(dhtKeyFor(tile.label));
+  ASSERT_TRUE(staged.has_value());
+  ASSERT_TRUE(LeafBucket::deserialize(*staged)->splitIntent.has_value());
+
+  f.expectExactRange(range.lo, range.hi);
+  EXPECT_EQ(f.reader.repairStats().splitRepairs, 1u);
+  for (const auto& b : f.leaves()) EXPECT_TRUE(b.clean()) << b.label.str();
 }
 
 // ---------------------------------------------------------------------------

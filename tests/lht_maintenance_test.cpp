@@ -1,9 +1,16 @@
 // Maintenance-cost behaviour (paper Secs. 4, 8, 9.2): split cost accounting,
-// Theorem 2 locality, merge as the dual of split, and the alpha statistics.
+// Theorem 2 locality, merge as the dual of split (also with a concurrent
+// writer racing it), and the alpha statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "dht/decorators.h"
 #include "dht/local_dht.h"
 #include "lht/bucket.h"
 #include "lht/lht_index.h"
@@ -164,6 +171,105 @@ TEST(Maintenance, MergeIsDualOfSplit) {
   size_t buckets = 0;
   idx.forEachBucket([&](const LeafBucket&) { ++buckets; });
   EXPECT_LE(buckets, 16u);
+}
+
+/// Forwards to an inner Dht, and runs a one-shot hook just before the
+/// next apply to one key: another client's write, slipped in between two
+/// steps of a protocol.
+class HookBeforeApply final : public dht::Dht {
+ public:
+  explicit HookBeforeApply(dht::Dht& inner) : inner_(inner) {}
+  void arm(std::string key, std::function<void()> hook) {
+    key_ = std::move(key);
+    hook_ = std::move(hook);
+  }
+  void put(const dht::Key& key, dht::Value value) override {
+    inner_.put(key, std::move(value));
+  }
+  std::optional<dht::Value> get(const dht::Key& key) override { return inner_.get(key); }
+  bool remove(const dht::Key& key) override { return inner_.remove(key); }
+  bool apply(const dht::Key& key, const dht::Mutator& fn) override {
+    if (hook_ && key == key_) std::exchange(hook_, nullptr)();
+    return inner_.apply(key, fn);
+  }
+  void storeDirect(const dht::Key& key, dht::Value value) override {
+    inner_.storeDirect(key, std::move(value));
+  }
+  [[nodiscard]] size_t size() const override { return inner_.size(); }
+
+ private:
+  dht::Dht& inner_;
+  std::string key_;
+  std::function<void()> hook_;
+};
+
+TEST(Maintenance, InsertRacingACrashConsistentMergeIsKept) {
+  // Two leaves, #00 {0.1, 0.2, 0.3, 0.4} under "#" and #01 {0.6, 0.7, 0.8}
+  // under "#0". Erasing 0.1 merges them, #01 being the donor. Just before
+  // the merging client's first write to the donor, another client inserts
+  // 0.75 there. The merge must carry it into the parent, not delete it
+  // with the donor.
+  dht::LocalDht store;
+  HookBeforeApply hooked(store);
+  LhtIndex::Options o;
+  o.thetaSplit = 8;
+  o.crashConsistentSplits = true;
+  LhtIndex merger(hooked, o);
+  for (double k : {0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8}) merger.insert({k, "m"});
+  LhtIndex::Options other = o;
+  other.attachExisting = true;
+  other.clientSeed = 2;
+  LhtIndex writer(store, other);
+
+  hooked.arm(dhtKeyFor(*Label::parse("#01")),
+             [&] { ASSERT_TRUE(writer.insert({0.75, "w"}).ok); });
+  ASSERT_TRUE(merger.erase(0.1).ok);
+  ASSERT_EQ(merger.meters().maintenance.merges, 1u);
+
+  std::vector<double> keys;
+  merger.forEachBucket([&](const LeafBucket& b) {
+    EXPECT_TRUE(b.clean());
+    EXPECT_EQ(b.label, Label::root());
+    for (const auto& r : b.records) keys.push_back(r.key);
+  });
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, (std::vector<double>{0.2, 0.3, 0.4, 0.6, 0.7, 0.75, 0.8}));
+}
+
+TEST(Maintenance, InsertIntoAFrozenDonorFinishesTheMergeFirst) {
+  // The same two leaves. Another client looks up #01 for 0.75; just before
+  // its apply, the merging client freezes #01 and dies. The insert must
+  // not land in the frozen donor: it re-resolves, its lookup finishes the
+  // stranded merge, and the record lands in the parent (which it then
+  // splits, being the seventh).
+  dht::LocalDht store;
+  dht::CrashDht crash(store);
+  LhtIndex::Options o;
+  o.thetaSplit = 8;
+  o.crashConsistentSplits = true;
+  LhtIndex merger(crash, o);
+  for (double k : {0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8}) merger.insert({k, "m"});
+  HookBeforeApply hooked(store);
+  LhtIndex::Options other = o;
+  other.attachExisting = true;
+  other.clientSeed = 2;
+  LhtIndex writer(hooked, other);
+
+  hooked.arm(dhtKeyFor(*Label::parse("#01")), [&] {
+    crash.armAfterWrites(2);  // the erase, then the freeze
+    EXPECT_THROW(merger.erase(0.1), dht::CrashError);
+  });
+  ASSERT_TRUE(writer.insert({0.75, "w"}).ok);
+  EXPECT_EQ(writer.repairStats().mergeRepairs, 1u);
+  EXPECT_EQ(writer.meters().maintenance.splits, 1u);
+
+  std::vector<double> keys;
+  writer.forEachBucket([&](const LeafBucket& b) {
+    EXPECT_TRUE(b.clean());
+    for (const auto& r : b.records) keys.push_back(r.key);
+  });
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, (std::vector<double>{0.2, 0.3, 0.4, 0.6, 0.7, 0.75, 0.8}));
 }
 
 TEST(Maintenance, OneSplitPerInsert) {

@@ -244,5 +244,55 @@ TEST(LinearizabilityTest, DefiniteAndMaybeKeySets) {
   EXPECT_EQ(maybeKeys(h), (std::set<double>{0.2}));
 }
 
+// ---------------------------------------------------------------------------
+// Range-answer checker
+// ---------------------------------------------------------------------------
+
+OpRecord rangeOp(double lo, double hi, std::vector<double> keys,
+                 bool ok = true) {
+  OpRecord r;
+  r.kind = OpKind::Range;
+  r.key = lo;
+  r.hi = hi;
+  r.keys = std::move(keys);
+  r.ok = ok;
+  return r;
+}
+
+OpRecord eraseOp(double key) {
+  OpRecord r;
+  r.kind = OpKind::Erase;
+  r.key = key;
+  r.ok = true;
+  return r;
+}
+
+TEST(LinearizabilityTest, RangeAnswersAcceptConsistentRun) {
+  const std::set<double> preloaded{0.1, 0.2, 0.3, 0.6};
+  std::vector<OpRecord> h{
+      insertOp(0.25, 1, 2),
+      eraseOp(0.3),
+      rangeOp(0.15, 0.5, {0.2, 0.3}),   // the erase had not landed yet
+      rangeOp(0.15, 0.5, {0.2, 0.25}),  // the insert had
+      rangeOp(0.0, 1.0, {}, /*ok=*/false),  // threw: observed nothing
+  };
+  EXPECT_TRUE(checkRangeAnswers(h, preloaded).ok);
+}
+
+TEST(LinearizabilityTest, RangeAnswersRejectMalformedAnswers) {
+  const std::set<double> preloaded{0.1, 0.2, 0.3};
+  const auto rejects = [&](std::vector<double> keys, const std::string& why) {
+    const auto r = checkRangeAnswers({rangeOp(0.15, 0.35, std::move(keys))},
+                                     preloaded);
+    EXPECT_FALSE(r.ok) << why;
+    EXPECT_NE(r.explanation.find(why), std::string::npos) << r.explanation;
+  };
+  rejects({0.1, 0.2, 0.3}, "out-of-range");
+  rejects({0.3, 0.2}, "sorted and distinct");
+  rejects({0.2, 0.2, 0.3}, "sorted and distinct");
+  rejects({0.2, 0.25, 0.3}, "neither preloaded nor inserted");
+  rejects({0.2}, "missed the stable key");
+}
+
 }  // namespace
 }  // namespace lht::exec

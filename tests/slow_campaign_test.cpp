@@ -5,6 +5,7 @@
 
 #include <filesystem>
 
+#include "range_campaign.h"
 #include "sim/fault_campaign.h"
 #include "sim/restart_campaign.h"
 #include "sim/skew_campaign.h"
@@ -132,6 +133,15 @@ TEST(SlowLeaseCampaign, SixteenSeedLeaseLinearizability) {
   EXPECT_GT(rep.leaseStale + rep.leaseExpired, 0u);
   EXPECT_GT(rep.leaseDrops, 0u);
   EXPECT_GT(rep.repairTicks, 0u);
+}
+
+TEST(SlowPlannedRangeCampaign, SixteenSeeds) {
+  // The full-size run of the tier-1 two-seed slice in client_fleet_test.cpp:
+  // cache-planned ranges racing splits and merges in a hot interval.
+  for (common::u64 seed = 0; seed < 16; ++seed) {
+    SCOPED_TRACE("range campaign seed " + std::to_string(seed));
+    testing_support::runPlannedRangeCampaign(seed);
+  }
 }
 
 }  // namespace
