@@ -25,16 +25,14 @@ int main(int argc, char** argv) {
   const auto n = static_cast<size_t>(flags.getInt("datasize"));
   const auto queries = static_cast<size_t>(flags.getInt("queries"));
 
-  common::Table t({"D", "lht_binary", "lht_hinted", "lht_linear", "pht_binary",
-                   "log2_D_half", "log2_D"});
+  common::Table t({"D", "lht_binary", "lht_linear", "pht_binary", "log2_D_half",
+                   "log2_D"});
   for (common::u32 depth : {12u, 16u, 20u, 28u, 36u, 48u}) {
-    dht::LocalDht d1, d2, d3;
+    dht::LocalDht d1, d2;
     core::LhtIndex::Options lo;
     lo.thetaSplit = 100;
     lo.maxDepth = depth;
     core::LhtIndex lht(d1, lo);
-    lo.useDepthHint = true;
-    core::LhtIndex hinted(d3, lo);
     pht::PhtIndex::Options po;
     po.thetaSplit = 100;
     po.maxDepth = depth;
@@ -43,15 +41,13 @@ int main(int argc, char** argv) {
     auto data = workload::makeDataset(workload::Distribution::Uniform, n, 1);
     for (const auto& r : data) {
       lht.insert(r);
-      hinted.insert(r);
       pht.insert(r);
     }
     common::Pcg32 rng(99);
-    double bin = 0, hint = 0, lin = 0, phtCost = 0;
+    double bin = 0, lin = 0, phtCost = 0;
     for (size_t q = 0; q < queries; ++q) {
       const double key = rng.nextDouble();
       bin += static_cast<double>(lht.lookup(key).stats.dhtLookups);
-      hint += static_cast<double>(hinted.lookup(key).stats.dhtLookups);
       lin += static_cast<double>(lht.lookupLinear(key).stats.dhtLookups);
       phtCost += static_cast<double>(pht.lookup(key).stats.dhtLookups);
     }
@@ -59,7 +55,6 @@ int main(int argc, char** argv) {
     t.row()
         .add(static_cast<common::i64>(depth))
         .add(bin / qd)
-        .add(hint / qd)
         .add(lin / qd)
         .add(phtCost / qd)
         .add(std::log2(depth / 2.0))

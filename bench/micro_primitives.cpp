@@ -158,20 +158,6 @@ void BM_NextName(benchmark::State& state) {
 }
 BENCHMARK(BM_NextName);
 
-void BM_LhtLookupHintedWarm(benchmark::State& state) {
-  dht::LocalDht d;
-  core::LhtIndex idx(
-      d, {.thetaSplit = 100, .maxDepth = 24, .useDepthHint = true});
-  auto data = workload::makeDataset(workload::Distribution::Uniform, 1 << 14, 13);
-  for (const auto& r : data) idx.insert(r);
-  common::Pcg32 rng(14);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.lookup(rng.nextDouble()));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LhtLookupHintedWarm);
-
 void BM_PhtInsert(benchmark::State& state) {
   dht::LocalDht d;
   pht::PhtIndex::Options o;

@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
     net::SimClock clock;
     dht::LocalDht store;
     dht::LatencyDht latency(store, clock, {.baseMs = 10, .jitterMs = 5, .seed = 2});
-    dht::LostReplyDht lossy(latency, rate, 3);
+    dht::FaultDht lossy(latency, dht::FaultDht::Point::Reply, rate, 3);
     dht::RetryingDht::Options ropts;
     ropts.maxAttempts = 16;
     ropts.baseBackoffMs = 20;
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
     const WorkloadResult r = runWorkload(retrying, /*durable=*/true, ops, theta);
     t2.row()
         .add(rate)
-        .add(static_cast<common::i64>(lossy.injectedLostReplies()))
+        .add(static_cast<common::i64>(lossy.injected()))
         .add(static_cast<common::i64>(retrying.retries()))
         .add(static_cast<common::i64>(retrying.exhausted()))
         .add(static_cast<common::i64>(retrying.backoffWaitedMs()))

@@ -20,7 +20,8 @@
 #               (execution engine, shard-locked substrates, obs merging,
 #               the networked client's per-thread read slots and
 #               connection pool, cache-planned ranges racing splits and
-#               merges) under ThreadSanitizer; a reported race
+#               merges, one decorator stack shared by four threads) under
+#               ThreadSanitizer; a reported race
 #               fails the gate
 #   --durability  also run the release durability bench (WAL overhead vs
 #               MemEngine + recovery-time curve) into
@@ -122,7 +123,7 @@ if [[ "$tsan" -eq 1 ]]; then
   cmake --build --preset tsan -j "$jobs" --target lht_tests
   echo "== concurrency suites under ThreadSanitizer =="
   ctest --preset tsan -j "$jobs" -R \
-    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|PlannedRangeCampaign|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots|StaticCluster.ConcurrentClientsGrowPoolSafely'
+    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|PlannedRangeCampaign|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots|StaticCluster.ConcurrentClientsGrowPoolSafely|SharedDecoratorStack'
 fi
 
 if [[ "$bench" -eq 1 ]]; then

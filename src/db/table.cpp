@@ -22,35 +22,46 @@ double Normalizer::fromKey(double key) const { return lo_ + key * (hi_ - lo_); }
 
 // --- namespaced DHT adapter -------------------------------------------------
 
-namespace {
+void NamespacedDht::put(const dht::Key& key, dht::Value value) {
+  inner_.put(prefix_ + key, std::move(value));
+}
 
-/// Prefixes every key with "<column>/" so multiple indexes share one DHT.
-class NamespacedDht final : public dht::Dht {
- public:
-  NamespacedDht(dht::Dht& inner, std::string prefix)
-      : inner_(inner), prefix_(std::move(prefix)) {}
+std::optional<dht::Value> NamespacedDht::get(const dht::Key& key) {
+  return inner_.get(prefix_ + key);
+}
 
-  void put(const dht::Key& key, dht::Value value) override {
-    inner_.put(prefix_ + key, std::move(value));
-  }
-  std::optional<dht::Value> get(const dht::Key& key) override {
-    return inner_.get(prefix_ + key);
-  }
-  bool remove(const dht::Key& key) override { return inner_.remove(prefix_ + key); }
-  bool apply(const dht::Key& key, const dht::Mutator& fn) override {
-    return inner_.apply(prefix_ + key, fn);
-  }
-  void storeDirect(const dht::Key& key, dht::Value value) override {
-    inner_.storeDirect(prefix_ + key, std::move(value));
-  }
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
+bool NamespacedDht::remove(const dht::Key& key) {
+  return inner_.remove(prefix_ + key);
+}
 
- private:
-  dht::Dht& inner_;
-  std::string prefix_;
-};
+bool NamespacedDht::apply(const dht::Key& key, const dht::Mutator& fn) {
+  return inner_.apply(prefix_ + key, fn);
+}
 
-}  // namespace
+std::vector<dht::GetOutcome> NamespacedDht::multiGet(
+    const std::vector<dht::Key>& keys) {
+  std::vector<dht::Key> prefixed;
+  prefixed.reserve(keys.size());
+  for (const auto& key : keys) prefixed.push_back(prefix_ + key);
+  return inner_.multiGet(prefixed);
+}
+
+std::vector<dht::ApplyOutcome> NamespacedDht::multiApply(
+    const std::vector<dht::ApplyRequest>& reqs) {
+  std::vector<dht::ApplyRequest> prefixed;
+  prefixed.reserve(reqs.size());
+  for (const auto& req : reqs) prefixed.push_back({prefix_ + req.key, req.fn});
+  return inner_.multiApply(prefixed);
+}
+
+void NamespacedDht::storeDirect(const dht::Key& key, dht::Value value) {
+  inner_.storeDirect(prefix_ + key, std::move(value));
+}
+
+std::optional<dht::Value> NamespacedDht::getReplica(const dht::Key& key,
+                                                    size_t replicaIndex) {
+  return inner_.getReplica(prefix_ + key, replicaIndex);
+}
 
 Table::Table(dht::Dht& dht, Options options)
     : columns_(std::move(options.indexedColumns)) {

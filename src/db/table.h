@@ -20,6 +20,30 @@
 
 namespace lht::db {
 
+/// A Table column's view of the shared DHT: prefixes the key of every call
+/// that takes one with "<column>/", so the indexes of several columns
+/// share one DHT without key collisions. Everything else forwards.
+class NamespacedDht final : public dht::ForwardingDht {
+ public:
+  NamespacedDht(dht::Dht& inner, std::string prefix)
+      : ForwardingDht(inner), prefix_(std::move(prefix)) {}
+
+  void put(const dht::Key& key, dht::Value value) override;
+  std::optional<dht::Value> get(const dht::Key& key) override;
+  bool remove(const dht::Key& key) override;
+  bool apply(const dht::Key& key, const dht::Mutator& fn) override;
+  std::vector<dht::GetOutcome> multiGet(
+      const std::vector<dht::Key>& keys) override;
+  std::vector<dht::ApplyOutcome> multiApply(
+      const std::vector<dht::ApplyRequest>& reqs) override;
+  void storeDirect(const dht::Key& key, dht::Value value) override;
+  std::optional<dht::Value> getReplica(const dht::Key& key,
+                                       size_t replicaIndex) override;
+
+ private:
+  std::string prefix_;
+};
+
 /// One tuple: named numeric attributes plus an opaque payload.
 struct Row {
   std::map<std::string, double> values;
@@ -89,7 +113,7 @@ class Table {
   std::vector<std::string> columns_;
   // One key-namespacing DHT adapter per column (indexes share the caller's
   // DHT without key collisions); adapters must outlive their indexes.
-  std::vector<std::unique_ptr<dht::Dht>> adapters_;
+  std::vector<std::unique_ptr<NamespacedDht>> adapters_;
   std::map<std::string, std::unique_ptr<core::LhtIndex>> indexes_;
   size_t rowCount_ = 0;
 };

@@ -1,6 +1,5 @@
 #include "dht/can.h"
 
-#include "dht/batch_round.h"
 
 #include <algorithm>
 #include <cmath>
@@ -41,7 +40,10 @@ bool touches1d(double ahi, double blo) {
 }  // namespace
 
 CanDht::CanDht(net::SimNetwork& network, Options options)
-    : net_(network), opts_(options), rng_(options.seed, /*stream=*/0xCA17u) {
+    : Dht(network),
+      net_(network),
+      opts_(options),
+      rng_(options.seed, /*stream=*/0xCA17u) {
   common::checkInvariant(opts_.initialPeers >= 1, "CanDht: need >= 1 peer");
   for (size_t i = 0; i < opts_.initialPeers; ++i) {
     join("can-peer-" + std::to_string(i));
@@ -525,19 +527,6 @@ bool CanDht::checkZones() const {
     }
   }
   return true;
-}
-
-std::vector<GetOutcome> CanDht::multiGet(const std::vector<Key>& keys) {
-  if (keys.empty()) return {};
-  stats_.batchRounds += 1;
-  return detail::roundMultiGet(*this, net_, keys);
-}
-
-std::vector<ApplyOutcome> CanDht::multiApply(
-    const std::vector<ApplyRequest>& reqs) {
-  if (reqs.empty()) return {};
-  stats_.batchRounds += 1;
-  return detail::roundMultiApply(*this, net_, reqs);
 }
 
 }  // namespace lht::dht

@@ -52,13 +52,6 @@ class CanDht final : public Dht {
   void storeDirect(const Key& key, Value value) override;
   [[nodiscard]] size_t size() const override;
 
-  /// One batch = one parallel round on the simulated network: per-entry
-  /// routing hops and bytes are accounted normally; simulated time
-  /// advances by the longest entry only (critical-path RTT).
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
   /// Adds a peer: splits the zone containing its random point.
   common::u64 join(const std::string& name);
   /// Removes a peer via CAN's takeover rule. Requires >= 2 peers.

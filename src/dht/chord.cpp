@@ -1,6 +1,5 @@
 #include "dht/chord.h"
 
-#include "dht/batch_round.h"
 
 #include <algorithm>
 
@@ -29,7 +28,10 @@ bool inRangeOpen(u64 x, u64 a, u64 b) {
 }  // namespace
 
 ChordDht::ChordDht(net::SimNetwork& network, Options options)
-    : net_(network), opts_(options), rng_(options.seed, /*stream=*/0x9E37u) {
+    : Dht(network),
+      net_(network),
+      opts_(options),
+      rng_(options.seed, /*stream=*/0x9E37u) {
   common::checkInvariant(opts_.initialPeers >= 1, "ChordDht: need >= 1 peer");
   common::checkInvariant(opts_.virtualNodes >= 1, "ChordDht: need >= 1 vnode");
   for (size_t i = 0; i < opts_.initialPeers; ++i) {
@@ -697,19 +699,6 @@ void ChordDht::resetReadLoad() {
     auto lock = storeLocks_.guard(id);
     node.servedReads = 0;
   }
-}
-
-std::vector<GetOutcome> ChordDht::multiGet(const std::vector<Key>& keys) {
-  if (keys.empty()) return {};
-  stats_.batchRounds += 1;
-  return detail::roundMultiGet(*this, net_, keys);
-}
-
-std::vector<ApplyOutcome> ChordDht::multiApply(
-    const std::vector<ApplyRequest>& reqs) {
-  if (reqs.empty()) return {};
-  stats_.batchRounds += 1;
-  return detail::roundMultiApply(*this, net_, reqs);
 }
 
 }  // namespace lht::dht

@@ -60,13 +60,6 @@ class ChordDht final : public Dht {
   void storeDirect(const Key& key, Value value) override;
   [[nodiscard]] size_t size() const override;
 
-  /// One batch = one parallel round on the simulated network: per-entry
-  /// routing hops and bytes are accounted normally; simulated time
-  /// advances by the longest entry only (critical-path RTT).
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
   // Membership -------------------------------------------------------------
   /// Adds a peer named `name` (with Options::virtualNodes ring points);
   /// keys it now owns move from their previous successors. Returns the

@@ -46,204 +46,139 @@ const char* attemptCounterName(DhtOp op) {
   return "dht.?.attempts";
 }
 
+// A failed batch entry: the reply never arrived, so a read carries no value.
+void failEntry(GetOutcome& o, const std::string& error) {
+  o.ok = false;
+  o.value.reset();
+  o.error = error;
+}
+
+void failEntry(ApplyOutcome& o, const std::string& error) {
+  o.ok = false;
+  o.error = error;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// FlakyDht — lost requests
+// FaultDht — lost requests and lost replies
 // ---------------------------------------------------------------------------
 
-FlakyDht::FlakyDht(Dht& inner, double failProbability, common::u64 seed)
-    : inner_(inner), failProbability_(failProbability), rng_(seed, 0xF1A6u) {
-  common::checkInvariant(failProbability >= 0.0 && failProbability <= 1.0,
-                         "FlakyDht: probability must be in [0, 1]");
+FaultDht::FaultDht(Dht& inner, Point point, double probability,
+                   common::u64 seed)
+    : ForwardingDht(inner),
+      point_(point),
+      probability_(probability),
+      // One RNG stream per fault point, so a point's schedule depends only
+      // on (seed, call sequence).
+      rng_(seed, point == Point::Request ? 0xF1A6u : 0x105Eu) {
+  common::checkInvariant(probability >= 0.0 && probability <= 1.0,
+                         "FaultDht: probability must be in [0, 1]");
 }
 
-bool FlakyDht::shouldFail() {
-  bool fail;
+bool FaultDht::shouldFault() {
+  bool fault;
   {
     std::lock_guard<std::mutex> lock(rngMutex_);
-    fail = rng_.nextDouble() < failProbability_;
+    fault = rng_.nextDouble() < probability_;
   }
-  if (fail) {
+  if (fault) {
     injected_ += 1;
-    obs::count("fault.lost_request");
-    obs::instantEvent("fault.lost_request", "fault");
+    const char* event =
+        point_ == Point::Request ? "fault.lost_request" : "fault.lost_reply";
+    obs::count(event);
+    obs::instantEvent(event, "fault");
   }
-  return fail;
+  return fault;
 }
 
-void FlakyDht::maybeFail(const char* op) {
-  if (shouldFail()) {
-    throw DhtError(std::string("FlakyDht: lost ") + op + " request");
-  }
+std::string FaultDht::message(const char* op) const {
+  return std::string("FaultDht: lost ") + op +
+         (point_ == Point::Request ? " request" : " reply");
 }
 
-void FlakyDht::put(const Key& key, Value value) {
-  maybeFail("put");
+void FaultDht::maybeFault(Point point, const char* op) {
+  if (point == point_ && shouldFault()) throw DhtError(message(op));
+}
+
+void FaultDht::put(const Key& key, Value value) {
+  maybeFault(Point::Request, "put");
   inner_.put(key, std::move(value));
+  maybeFault(Point::Reply, "put");
 }
 
-std::optional<Value> FlakyDht::get(const Key& key) {
-  maybeFail("get");
-  return inner_.get(key);
-}
-
-bool FlakyDht::remove(const Key& key) {
-  maybeFail("remove");
-  return inner_.remove(key);
-}
-
-bool FlakyDht::apply(const Key& key, const Mutator& fn) {
-  maybeFail("apply");
-  return inner_.apply(key, fn);
-}
-
-void FlakyDht::storeDirect(const Key& key, Value value) {
-  inner_.storeDirect(key, std::move(value));
-}
-
-std::vector<GetOutcome> FlakyDht::multiGet(const std::vector<Key>& keys) {
-  std::vector<GetOutcome> out(keys.size());
-  if (keys.empty()) return out;
-  stats_.batchRounds += 1;
-  std::vector<size_t> surviving;
-  std::vector<Key> sub;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (shouldFail()) {
-      out[i].error = "FlakyDht: lost get request";
-    } else {
-      surviving.push_back(i);
-      sub.push_back(keys[i]);
-    }
-  }
-  if (!sub.empty()) {
-    auto innerOut = inner_.multiGet(sub);
-    for (size_t j = 0; j < surviving.size(); ++j) {
-      out[surviving[j]] = std::move(innerOut[j]);
-    }
-  }
-  return out;
-}
-
-std::vector<ApplyOutcome> FlakyDht::multiApply(
-    const std::vector<ApplyRequest>& reqs) {
-  std::vector<ApplyOutcome> out(reqs.size());
-  if (reqs.empty()) return out;
-  stats_.batchRounds += 1;
-  std::vector<size_t> surviving;
-  std::vector<ApplyRequest> sub;
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    if (shouldFail()) {
-      out[i].error = "FlakyDht: lost apply request";
-    } else {
-      surviving.push_back(i);
-      sub.push_back(reqs[i]);
-    }
-  }
-  if (!sub.empty()) {
-    auto innerOut = inner_.multiApply(sub);
-    for (size_t j = 0; j < surviving.size(); ++j) {
-      out[surviving[j]] = std::move(innerOut[j]);
-    }
-  }
-  return out;
-}
-
-std::optional<Value> FlakyDht::getReplica(const Key& key, size_t replicaIndex) {
-  maybeFail("getReplica");
-  return inner_.getReplica(key, replicaIndex);
-}
-
-// ---------------------------------------------------------------------------
-// LostReplyDht — the mutation lands, the acknowledgement does not
-// ---------------------------------------------------------------------------
-
-LostReplyDht::LostReplyDht(Dht& inner, double lossProbability, common::u64 seed)
-    : inner_(inner), lossProbability_(lossProbability), rng_(seed, 0x105Eu) {
-  common::checkInvariant(lossProbability >= 0.0 && lossProbability <= 1.0,
-                         "LostReplyDht: probability must be in [0, 1]");
-}
-
-bool LostReplyDht::shouldDrop() {
-  bool drop;
-  {
-    std::lock_guard<std::mutex> lock(rngMutex_);
-    drop = rng_.nextDouble() < lossProbability_;
-  }
-  if (drop) {
-    injected_ += 1;
-    obs::count("fault.lost_reply");
-    obs::instantEvent("fault.lost_reply", "fault");
-  }
-  return drop;
-}
-
-void LostReplyDht::maybeDropReply(const char* op) {
-  if (shouldDrop()) {
-    throw DhtError(std::string("LostReplyDht: lost ") + op + " reply");
-  }
-}
-
-void LostReplyDht::put(const Key& key, Value value) {
-  inner_.put(key, std::move(value));
-  maybeDropReply("put");
-}
-
-std::optional<Value> LostReplyDht::get(const Key& key) {
+std::optional<Value> FaultDht::get(const Key& key) {
+  maybeFault(Point::Request, "get");
   auto v = inner_.get(key);
-  maybeDropReply("get");
+  maybeFault(Point::Reply, "get");
   return v;
 }
 
-bool LostReplyDht::remove(const Key& key) {
+bool FaultDht::remove(const Key& key) {
+  maybeFault(Point::Request, "remove");
   const bool existed = inner_.remove(key);
-  maybeDropReply("remove");
+  maybeFault(Point::Reply, "remove");
   return existed;
 }
 
-bool LostReplyDht::apply(const Key& key, const Mutator& fn) {
+bool FaultDht::apply(const Key& key, const Mutator& fn) {
+  maybeFault(Point::Request, "apply");
   const bool existed = inner_.apply(key, fn);
-  maybeDropReply("apply");
+  maybeFault(Point::Reply, "apply");
   return existed;
 }
 
-void LostReplyDht::storeDirect(const Key& key, Value value) {
-  inner_.storeDirect(key, std::move(value));
-}
-
-std::vector<GetOutcome> LostReplyDht::multiGet(const std::vector<Key>& keys) {
-  if (keys.empty()) return {};
-  stats_.batchRounds += 1;
-  auto out = inner_.multiGet(keys);
-  for (auto& o : out) {
-    if (o.ok && shouldDrop()) {
-      o.ok = false;
-      o.value.reset();
-      o.error = "LostReplyDht: lost get reply";
-    }
-  }
-  return out;
-}
-
-std::vector<ApplyOutcome> LostReplyDht::multiApply(
-    const std::vector<ApplyRequest>& reqs) {
-  if (reqs.empty()) return {};
-  stats_.batchRounds += 1;
-  auto out = inner_.multiApply(reqs);
-  for (auto& o : out) {
-    if (o.ok && shouldDrop()) {
-      o.ok = false;
-      o.error = "LostReplyDht: lost apply reply";
-    }
-  }
-  return out;
-}
-
-std::optional<Value> LostReplyDht::getReplica(const Key& key,
-                                              size_t replicaIndex) {
+std::optional<Value> FaultDht::getReplica(const Key& key, size_t replicaIndex) {
+  maybeFault(Point::Request, "getReplica");
   auto v = inner_.getReplica(key, replicaIndex);
-  maybeDropReply("getReplica");
+  maybeFault(Point::Reply, "getReplica");
   return v;
+}
+
+template <typename Outcome, typename Item, typename Round>
+std::vector<Outcome> FaultDht::faultRound(const char* op,
+                                          const std::vector<Item>& items,
+                                          Round round) {
+  if (items.empty()) return {};
+  if (point_ == Point::Reply) {
+    auto out = round(items);
+    for (auto& o : out) {
+      if (o.ok && shouldFault()) failEntry(o, message(op));
+    }
+    return out;
+  }
+  std::vector<Outcome> out(items.size());
+  std::vector<size_t> surviving;
+  std::vector<Item> sub;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (shouldFault()) {
+      out[i].error = message(op);
+    } else {
+      surviving.push_back(i);
+      sub.push_back(items[i]);
+    }
+  }
+  if (!sub.empty()) {
+    auto innerOut = round(sub);
+    for (size_t j = 0; j < surviving.size(); ++j) {
+      out[surviving[j]] = std::move(innerOut[j]);
+    }
+  }
+  return out;
+}
+
+std::vector<GetOutcome> FaultDht::multiGet(const std::vector<Key>& keys) {
+  return faultRound<GetOutcome>("get", keys, [this](const std::vector<Key>& k) {
+    return inner_.multiGet(k);
+  });
+}
+
+std::vector<ApplyOutcome> FaultDht::multiApply(
+    const std::vector<ApplyRequest>& reqs) {
+  return faultRound<ApplyOutcome>(
+      "apply", reqs, [this](const std::vector<ApplyRequest>& r) {
+        return inner_.multiApply(r);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +186,10 @@ std::optional<Value> LostReplyDht::getReplica(const Key& key,
 // ---------------------------------------------------------------------------
 
 LatencyDht::LatencyDht(Dht& inner, net::SimClock& clock, Options options)
-    : inner_(inner), clock_(clock), opts_(options), rng_(options.seed, 0x1A7Eu) {}
+    : ForwardingDht(inner),
+      clock_(clock),
+      opts_(options),
+      rng_(options.seed, 0x1A7Eu) {}
 
 void LatencyDht::charge() {
   common::u64 ms = opts_.baseMs;
@@ -285,13 +223,8 @@ bool LatencyDht::apply(const Key& key, const Mutator& fn) {
   return inner_.apply(key, fn);
 }
 
-void LatencyDht::storeDirect(const Key& key, Value value) {
-  inner_.storeDirect(key, std::move(value));
-}
-
 std::vector<GetOutcome> LatencyDht::multiGet(const std::vector<Key>& keys) {
   if (keys.empty()) return {};
-  stats_.batchRounds += 1;
   charge();  // one critical-path RTT for the whole round
   return inner_.multiGet(keys);
 }
@@ -299,7 +232,6 @@ std::vector<GetOutcome> LatencyDht::multiGet(const std::vector<Key>& keys) {
 std::vector<ApplyOutcome> LatencyDht::multiApply(
     const std::vector<ApplyRequest>& reqs) {
   if (reqs.empty()) return {};
-  stats_.batchRounds += 1;
   charge();
   return inner_.multiApply(reqs);
 }
@@ -315,106 +247,83 @@ std::optional<Value> LatencyDht::getReplica(const Key& key,
 // ---------------------------------------------------------------------------
 
 TimeoutDht::TimeoutDht(Dht& inner, net::SimClock& clock, common::u64 deadlineMs)
-    : inner_(inner), clock_(clock), deadlineMs_(deadlineMs) {
+    : ForwardingDht(inner), clock_(clock), deadlineMs_(deadlineMs) {
   common::checkInvariant(deadlineMs >= 1, "TimeoutDht: deadline must be >= 1ms");
 }
 
-void TimeoutDht::checkDeadline(common::u64 startMs, const char* op) {
+std::optional<std::string> TimeoutDht::missedDeadline(common::u64 startMs,
+                                                      const char* op,
+                                                      const char* what) {
   const common::u64 elapsed = clock_.nowMs() - startMs;
-  if (elapsed > deadlineMs_) {
-    timeouts_ += 1;
-    obs::count("dht.timeouts");
-    obs::instantEvent("dht.timeout", "dht",
-                      {obs::arg("op", op), obs::arg("elapsed_ms", elapsed)});
-    throw DhtTimeoutError(std::string("TimeoutDht: ") + op + " took " +
-                          std::to_string(elapsed) + "ms > " +
-                          std::to_string(deadlineMs_) + "ms deadline");
+  if (elapsed <= deadlineMs_) return std::nullopt;
+  timeouts_ += 1;  // one deadline, one miss — a round is not one per entry
+  obs::count("dht.timeouts");
+  obs::instantEvent("dht.timeout", "dht",
+                    {obs::arg("op", op), obs::arg("elapsed_ms", elapsed)});
+  return std::string("TimeoutDht: ") + what + " took " +
+         std::to_string(elapsed) + "ms > " + std::to_string(deadlineMs_) +
+         "ms deadline";
+}
+
+template <typename F>
+auto TimeoutDht::timed(const char* op, F&& call) -> decltype(call()) {
+  const common::u64 t0 = clock_.nowMs();
+  if constexpr (std::is_void_v<decltype(call())>) {
+    call();
+    if (auto err = missedDeadline(t0, op, op)) throw DhtTimeoutError(*err);
+  } else {
+    auto r = call();
+    if (auto err = missedDeadline(t0, op, op)) throw DhtTimeoutError(*err);
+    return r;
   }
 }
 
 void TimeoutDht::put(const Key& key, Value value) {
-  const common::u64 t0 = clock_.nowMs();
-  inner_.put(key, std::move(value));
-  checkDeadline(t0, "put");
+  timed("put", [&] { inner_.put(key, std::move(value)); });
 }
 
 std::optional<Value> TimeoutDht::get(const Key& key) {
-  const common::u64 t0 = clock_.nowMs();
-  auto v = inner_.get(key);
-  checkDeadline(t0, "get");
-  return v;
+  return timed("get", [&] { return inner_.get(key); });
 }
 
 bool TimeoutDht::remove(const Key& key) {
-  const common::u64 t0 = clock_.nowMs();
-  const bool existed = inner_.remove(key);
-  checkDeadline(t0, "remove");
-  return existed;
+  return timed("remove", [&] { return inner_.remove(key); });
 }
 
 bool TimeoutDht::apply(const Key& key, const Mutator& fn) {
-  const common::u64 t0 = clock_.nowMs();
-  const bool existed = inner_.apply(key, fn);
-  checkDeadline(t0, "apply");
-  return existed;
+  return timed("apply", [&] { return inner_.apply(key, fn); });
 }
 
-void TimeoutDht::storeDirect(const Key& key, Value value) {
-  inner_.storeDirect(key, std::move(value));
+std::optional<Value> TimeoutDht::getReplica(const Key& key,
+                                            size_t replicaIndex) {
+  return timed("getReplica",
+               [&] { return inner_.getReplica(key, replicaIndex); });
+}
+
+// The deadline applies to the whole round. A missed one fails every entry,
+// but the round has executed: only the acknowledgements are late.
+template <typename Outcome, typename Round>
+std::vector<Outcome> TimeoutDht::timedRound(const char* op, const char* what,
+                                            Round round) {
+  const common::u64 t0 = clock_.nowMs();
+  auto out = round();
+  if (auto err = missedDeadline(t0, op, what)) {
+    for (auto& o : out) failEntry(o, *err);
+  }
+  return out;
 }
 
 std::vector<GetOutcome> TimeoutDht::multiGet(const std::vector<Key>& keys) {
   if (keys.empty()) return {};
-  stats_.batchRounds += 1;
-  const common::u64 t0 = clock_.nowMs();
-  auto out = inner_.multiGet(keys);
-  const common::u64 elapsed = clock_.nowMs() - t0;
-  if (elapsed > deadlineMs_) {
-    timeouts_ += 1;  // one deadline, one miss — not one per entry
-    obs::count("dht.timeouts");
-    obs::instantEvent("dht.timeout", "dht",
-                      {obs::arg("op", "multiGet"), obs::arg("elapsed_ms", elapsed)});
-    const std::string err = "TimeoutDht: batch get round took " +
-                            std::to_string(elapsed) + "ms > " +
-                            std::to_string(deadlineMs_) + "ms deadline";
-    for (auto& o : out) {
-      o.ok = false;
-      o.value.reset();
-      o.error = err;
-    }
-  }
-  return out;
+  return timedRound<GetOutcome>("multiGet", "batch get round",
+                                [&] { return inner_.multiGet(keys); });
 }
 
 std::vector<ApplyOutcome> TimeoutDht::multiApply(
     const std::vector<ApplyRequest>& reqs) {
   if (reqs.empty()) return {};
-  stats_.batchRounds += 1;
-  const common::u64 t0 = clock_.nowMs();
-  auto out = inner_.multiApply(reqs);
-  const common::u64 elapsed = clock_.nowMs() - t0;
-  if (elapsed > deadlineMs_) {
-    timeouts_ += 1;
-    obs::count("dht.timeouts");
-    obs::instantEvent("dht.timeout", "dht",
-                      {obs::arg("op", "multiApply"), obs::arg("elapsed_ms", elapsed)});
-    const std::string err = "TimeoutDht: batch apply round took " +
-                            std::to_string(elapsed) + "ms > " +
-                            std::to_string(deadlineMs_) + "ms deadline";
-    for (auto& o : out) {
-      o.ok = false;  // the round executed; only the acknowledgements are late
-      o.error = err;
-    }
-  }
-  return out;
-}
-
-std::optional<Value> TimeoutDht::getReplica(const Key& key,
-                                            size_t replicaIndex) {
-  const common::u64 t0 = clock_.nowMs();
-  auto v = inner_.getReplica(key, replicaIndex);
-  checkDeadline(t0, "getReplica");
-  return v;
+  return timedRound<ApplyOutcome>("multiApply", "batch apply round",
+                                  [&] { return inner_.multiApply(reqs); });
 }
 
 // ---------------------------------------------------------------------------
@@ -425,7 +334,7 @@ RetryingDht::RetryingDht(Dht& inner, size_t maxAttempts)
     : RetryingDht(inner, Options{.maxAttempts = maxAttempts}) {}
 
 RetryingDht::RetryingDht(Dht& inner, Options options)
-    : inner_(inner), opts_(options), rng_(options.seed, 0xBACC0FFu) {
+    : ForwardingDht(inner), opts_(options), rng_(options.seed, 0xBACC0FFu) {
   common::checkInvariant(opts_.maxAttempts >= 1, "RetryingDht: need >= 1 attempt");
   common::checkInvariant(opts_.jitter >= 0.0 && opts_.jitter <= 1.0,
                          "RetryingDht: jitter must be in [0, 1]");
@@ -514,48 +423,46 @@ bool RetryingDht::apply(const Key& key, const Mutator& fn) {
   return withRetries(DhtOp::Apply, [&] { return inner_.apply(key, fn); });
 }
 
-void RetryingDht::storeDirect(const Key& key, Value value) {
-  inner_.storeDirect(key, std::move(value));
-}
-
-std::vector<GetOutcome> RetryingDht::multiGet(const std::vector<Key>& keys) {
-  std::vector<GetOutcome> out(keys.size());
-  if (keys.empty()) return out;
-  stats_.batchRounds += 1;
-  obs::count(logicalCounterName(DhtOp::Get), keys.size());
-  std::vector<size_t> pending(keys.size());
+// Retries only the entries that failed; an exhausted entry stays failed so
+// the rest of the batch still lands.
+template <typename Outcome, typename Item, typename Round>
+std::vector<Outcome> RetryingDht::retryRound(DhtOp op,
+                                             const std::vector<Item>& items,
+                                             Round round) {
+  std::vector<Outcome> out(items.size());
+  if (items.empty()) return out;
+  obs::count(logicalCounterName(op), items.size());
+  std::vector<size_t> pending(items.size());
   for (size_t i = 0; i < pending.size(); ++i) pending[i] = i;
   for (size_t attempt = 1; !pending.empty(); ++attempt) {
-    std::vector<Key> sub;
+    std::vector<Item> sub;
     sub.reserve(pending.size());
-    for (size_t idx : pending) sub.push_back(keys[idx]);
-    obs::count(attemptCounterName(DhtOp::Get), sub.size());
-    auto round = inner_.multiGet(sub);
+    for (size_t idx : pending) sub.push_back(items[idx]);
+    obs::count(attemptCounterName(op), sub.size());
+    auto results = round(sub);
     std::vector<size_t> still;
     common::u64 wait = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       for (size_t j = 0; j < pending.size(); ++j) {
         const size_t idx = pending[j];
-        if (round[j].ok) {
+        if (results[j].ok) {
           histogram_[std::min(attempt, kHistogramBins) - 1] += 1;
-          out[idx] = std::move(round[j]);
+          out[idx] = std::move(results[j]);
           continue;
         }
-        lastError_ = round[j].error;
+        lastError_ = results[j].error;
         if (attempt >= opts_.maxAttempts) {
-          // Per-entry exhaustion: unlike the single-op path, the rest of
-          // the batch still lands, so report instead of throwing.
           exhausted_ += 1;
           obs::count("dht.retries_exhausted");
           out[idx].ok = false;
-          out[idx].error = "RetryingDht: get failed after " +
-                           std::to_string(attempt) +
-                           " attempts (last: " + round[j].error + ")";
+          out[idx].error = std::string("RetryingDht: ") + dhtOpName(op) +
+                           " failed after " + std::to_string(attempt) +
+                           " attempts (last: " + results[j].error + ")";
           continue;
         }
         retries_ += 1;
-        retriesPerOp_[static_cast<size_t>(DhtOp::Get)] += 1;
+        retriesPerOp_[static_cast<size_t>(op)] += 1;
         obs::count("dht.retries");
         still.push_back(idx);
       }
@@ -568,57 +475,21 @@ std::vector<GetOutcome> RetryingDht::multiGet(const std::vector<Key>& keys) {
     if (opts_.clock != nullptr && wait > 0) opts_.clock->advance(wait);
   }
   return out;
+}
+
+std::vector<GetOutcome> RetryingDht::multiGet(const std::vector<Key>& keys) {
+  return retryRound<GetOutcome>(
+      DhtOp::Get, keys,
+      [this](const std::vector<Key>& sub) { return inner_.multiGet(sub); });
 }
 
 std::vector<ApplyOutcome> RetryingDht::multiApply(
     const std::vector<ApplyRequest>& reqs) {
-  std::vector<ApplyOutcome> out(reqs.size());
-  if (reqs.empty()) return out;
-  stats_.batchRounds += 1;
-  obs::count(logicalCounterName(DhtOp::Apply), reqs.size());
-  std::vector<size_t> pending(reqs.size());
-  for (size_t i = 0; i < pending.size(); ++i) pending[i] = i;
-  for (size_t attempt = 1; !pending.empty(); ++attempt) {
-    std::vector<ApplyRequest> sub;
-    sub.reserve(pending.size());
-    for (size_t idx : pending) sub.push_back(reqs[idx]);
-    obs::count(attemptCounterName(DhtOp::Apply), sub.size());
-    auto round = inner_.multiApply(sub);
-    std::vector<size_t> still;
-    common::u64 wait = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (size_t j = 0; j < pending.size(); ++j) {
-        const size_t idx = pending[j];
-        if (round[j].ok) {
-          histogram_[std::min(attempt, kHistogramBins) - 1] += 1;
-          out[idx] = std::move(round[j]);
-          continue;
-        }
-        lastError_ = round[j].error;
-        if (attempt >= opts_.maxAttempts) {
-          exhausted_ += 1;
-          obs::count("dht.retries_exhausted");
-          out[idx].ok = false;
-          out[idx].error = "RetryingDht: apply failed after " +
-                           std::to_string(attempt) +
-                           " attempts (last: " + round[j].error + ")";
-          continue;
-        }
-        retries_ += 1;
-        retriesPerOp_[static_cast<size_t>(DhtOp::Apply)] += 1;
-        obs::count("dht.retries");
-        still.push_back(idx);
-      }
-      pending = std::move(still);
-      if (!pending.empty()) {
-        wait = backoffDelayMs(attempt);
-        backoffWaitedMs_ += wait;
-      }
-    }
-    if (opts_.clock != nullptr && wait > 0) opts_.clock->advance(wait);
-  }
-  return out;
+  return retryRound<ApplyOutcome>(
+      DhtOp::Apply, reqs,
+      [this](const std::vector<ApplyRequest>& sub) {
+        return inner_.multiApply(sub);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -627,7 +498,7 @@ std::vector<ApplyOutcome> RetryingDht::multiApply(
 
 CircuitBreakerDht::CircuitBreakerDht(Dht& inner, net::SimClock& clock,
                                      Options options)
-    : inner_(inner), clock_(clock), opts_(options) {
+    : ForwardingDht(inner), clock_(clock), opts_(options) {
   common::checkInvariant(opts_.failureThreshold >= 1,
                          "CircuitBreakerDht: threshold must be >= 1");
 }
@@ -706,48 +577,23 @@ bool CircuitBreakerDht::apply(const Key& key, const Mutator& fn) {
   return guarded("apply", [&] { return inner_.apply(key, fn); });
 }
 
-void CircuitBreakerDht::storeDirect(const Key& key, Value value) {
-  inner_.storeDirect(key, std::move(value));
-}
-
-std::vector<GetOutcome> CircuitBreakerDht::multiGet(
-    const std::vector<Key>& keys) {
-  std::vector<GetOutcome> out;
-  if (keys.empty()) return out;
-  stats_.batchRounds += 1;
+// While open, the whole round fast-fails (every entry rejected, no inner
+// call). Otherwise the round is one observation, success iff fully clean.
+template <typename Outcome, typename Round>
+std::vector<Outcome> CircuitBreakerDht::guardedRound(const char* op,
+                                                     size_t entries,
+                                                     Round round) {
+  if (entries == 0) return {};
   try {
-    admit("get", keys.size());
+    admit(op, entries);
   } catch (const DhtCircuitOpenError& e) {
-    out.resize(keys.size());
+    std::vector<Outcome> out(entries);
     for (auto& o : out) o.error = e.what();
     return out;
   }
-  out = inner_.multiGet(keys);
-  bool allOk = true;
-  for (const auto& o : out) allOk = allOk && o.ok;
-  if (allOk) {
-    onSuccess();
-  } else {
-    onFailure();  // the round is one observation, success iff fully clean
-  }
-  return out;
-}
-
-std::vector<ApplyOutcome> CircuitBreakerDht::multiApply(
-    const std::vector<ApplyRequest>& reqs) {
-  std::vector<ApplyOutcome> out;
-  if (reqs.empty()) return out;
-  stats_.batchRounds += 1;
-  try {
-    admit("apply", reqs.size());
-  } catch (const DhtCircuitOpenError& e) {
-    out.resize(reqs.size());
-    for (auto& o : out) o.error = e.what();
-    return out;
-  }
-  out = inner_.multiApply(reqs);
-  bool allOk = true;
-  for (const auto& o : out) allOk = allOk && o.ok;
+  auto out = round();
+  const bool allOk = std::all_of(out.begin(), out.end(),
+                                 [](const Outcome& o) { return o.ok; });
   if (allOk) {
     onSuccess();
   } else {
@@ -756,12 +602,24 @@ std::vector<ApplyOutcome> CircuitBreakerDht::multiApply(
   return out;
 }
 
+std::vector<GetOutcome> CircuitBreakerDht::multiGet(
+    const std::vector<Key>& keys) {
+  return guardedRound<GetOutcome>("get", keys.size(),
+                                  [&] { return inner_.multiGet(keys); });
+}
+
+std::vector<ApplyOutcome> CircuitBreakerDht::multiApply(
+    const std::vector<ApplyRequest>& reqs) {
+  return guardedRound<ApplyOutcome>("apply", reqs.size(),
+                                    [&] { return inner_.multiApply(reqs); });
+}
+
 // ---------------------------------------------------------------------------
 // FailoverDht
 // ---------------------------------------------------------------------------
 
 FailoverDht::FailoverDht(Dht& inner, net::SimClock& clock, Options options)
-    : inner_(inner), clock_(clock), opts_(options) {
+    : ForwardingDht(inner), clock_(clock), opts_(options) {
   common::checkInvariant(
       opts_.hedgeQuantile > 0.0 && opts_.hedgeQuantile <= 1.0,
       "FailoverDht: hedge quantile must be in (0, 1]");
@@ -843,23 +701,8 @@ std::optional<Value> FailoverDht::get(const Key& key) {
   }
 }
 
-void FailoverDht::put(const Key& key, Value value) {
-  inner_.put(key, std::move(value));
-}
-
-bool FailoverDht::remove(const Key& key) { return inner_.remove(key); }
-
-bool FailoverDht::apply(const Key& key, const Mutator& fn) {
-  return inner_.apply(key, fn);
-}
-
-void FailoverDht::storeDirect(const Key& key, Value value) {
-  inner_.storeDirect(key, std::move(value));
-}
-
 std::vector<GetOutcome> FailoverDht::multiGet(const std::vector<Key>& keys) {
   if (keys.empty()) return {};
-  stats_.batchRounds += 1;
   auto out = inner_.multiGet(keys);
   if (!opts_.failover) return out;
   const size_t fanout = std::min(inner_.replicaFanout(), opts_.maxReplicas);
@@ -887,18 +730,11 @@ std::vector<GetOutcome> FailoverDht::multiGet(const std::vector<Key>& keys) {
   return out;
 }
 
-std::vector<ApplyOutcome> FailoverDht::multiApply(
-    const std::vector<ApplyRequest>& reqs) {
-  if (reqs.empty()) return {};
-  stats_.batchRounds += 1;
-  return inner_.multiApply(reqs);
-}
-
 // ---------------------------------------------------------------------------
 // CrashDht
 // ---------------------------------------------------------------------------
 
-CrashDht::CrashDht(Dht& inner) : inner_(inner) {}
+CrashDht::CrashDht(Dht& inner) : ForwardingDht(inner) {}
 
 void CrashDht::armAfterWrites(size_t allowedWrites) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -963,14 +799,9 @@ bool CrashDht::apply(const Key& key, const Mutator& fn) {
   return existed;
 }
 
-void CrashDht::storeDirect(const Key& key, Value value) {
-  inner_.storeDirect(key, std::move(value));
-}
-
 std::vector<GetOutcome> CrashDht::multiGet(const std::vector<Key>& keys) {
   if (keys.empty()) return {};
   beforeRead();
-  stats_.batchRounds += 1;
   return inner_.multiGet(keys);
 }
 
@@ -991,7 +822,6 @@ std::vector<ApplyOutcome> CrashDht::multiApply(
     // across it); a concurrent batch sees the budget already consumed.
     writesCompleted_ += allowed;
   }
-  stats_.batchRounds += 1;
   if (allowed == reqs.size()) {
     return inner_.multiApply(reqs);
   }

@@ -2,17 +2,19 @@
 //
 // Real DHT requests get lost; over-DHT indexes assume the substrate
 // resolves that (the paper leaves robustness "to and well done by [the]
-// underlying DHT"). These decorators make the assumption testable, and
-// separate the two fundamentally different loss modes:
+// underlying DHT"). These decorators make the assumption testable. Each
+// is a ForwardingDht (dht/dht.h) that overrides only the calls it
+// changes. FaultDht separates the two fundamentally different loss modes
+// by where the fault strikes:
 //
-//  * FlakyDht injects lost *requests*: with probability p an operation
-//    throws DhtError *before* executing. Retries are always safe — no
-//    mutation happened.
-//  * LostReplyDht injects lost *replies*: the operation executes at the
-//    storing peer, then the acknowledgement is dropped and the caller
-//    sees DhtError. A naive retry re-executes the mutation — this is the
-//    decorator that makes idempotence (bucket op tokens, lht/bucket.h)
-//    necessary rather than theoretical.
+//  * FaultDht at Point::Request injects lost *requests*: with probability
+//    p an operation throws DhtError *before* executing. Retries are always
+//    safe — no mutation happened.
+//  * FaultDht at Point::Reply injects lost *replies*: the operation
+//    executes at the storing peer, then the acknowledgement is dropped and
+//    the caller sees DhtError. A naive retry re-executes the mutation —
+//    this is the fault that makes idempotence (bucket op tokens,
+//    lht/bucket.h) necessary rather than theoretical.
 //  * LatencyDht charges each routed operation simulated time on a shared
 //    SimClock (base + deterministic jitter).
 //  * TimeoutDht enforces a deadline against that clock: an operation
@@ -37,14 +39,16 @@
 //    every intermediate step.
 //
 // Stack them: RetryingDht over CircuitBreakerDht over TimeoutDht over
-// LatencyDht over LostReplyDht over a real substrate.
+// LatencyDht over a reply-point FaultDht over a real substrate.
 //
-// Thread safety (DESIGN.md §10): every decorator is re-entrant — inner
-// calls run outside any decorator lock; only the small mutable islands
-// (rng draws, diagnostics, breaker/crash state machines) are mutex-
-// guarded, and event counters are relaxed atomics. Diagnostic accessors
-// that return references (lastError, attemptHistogram) are exact only
-// once concurrent callers have quiesced (e.g. after a fleet join).
+// Thread safety (DESIGN.md §10): every decorator is re-entrant, so one
+// stack may be shared by many threads — inner calls run outside any
+// decorator lock; only the small mutable islands (rng draws, diagnostics,
+// breaker/crash state machines) are mutex-guarded, and event counters are
+// relaxed atomics (SharedDecoratorStack.* runs a shared stack under
+// ThreadSanitizer). Diagnostic accessors that return references
+// (lastError, attemptHistogram) are exact only once concurrent callers
+// have quiesced (e.g. after a fleet join).
 #pragma once
 
 #include <array>
@@ -68,94 +72,61 @@ enum class DhtOp : size_t { Put = 0, Get = 1, Remove = 2, Apply = 3 };
 inline constexpr size_t kDhtOpCount = 4;
 const char* dhtOpName(DhtOp op);
 
-class FlakyDht final : public Dht {
+class FaultDht final : public ForwardingDht {
  public:
-  /// Fails each routed operation with probability `failProbability`
-  /// *before* it executes (lost request), deterministic given `seed`.
-  /// storeDirect never fails (bootstrap).
-  FlakyDht(Dht& inner, double failProbability, common::u64 seed = 1);
+  /// Where an injected fault strikes a routed call.
+  enum class Point {
+    /// Lost request: the call throws DhtError *before* it executes. A
+    /// retry is always safe, no mutation happened.
+    Request,
+    /// Lost reply: the call executes at the storing peer, then its
+    /// acknowledgement is dropped and the caller sees DhtError. A naive
+    /// retry re-executes the mutation.
+    Reply,
+  };
+
+  /// Faults each routed call (put, get, remove, apply, every batch entry,
+  /// getReplica) with probability `probability` at `point`, deterministic
+  /// given `seed`. storeDirect never fails (bootstrap).
+  FaultDht(Dht& inner, Point point, double probability, common::u64 seed = 1);
 
   void put(const Key& key, Value value) override;
   std::optional<Value> get(const Key& key) override;
   bool remove(const Key& key) override;
   bool apply(const Key& key, const Mutator& fn) override;
-  void storeDirect(const Key& key, Value value) override;
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
-  void syncStorage() override { inner_.syncStorage(); }
-  void compactStorage() override { inner_.compactStorage(); }
 
-  /// Per-entry lost requests: each entry independently fails *before*
-  /// execution; the survivors travel to the inner DHT as one round.
+  /// Per-entry faults. Request: each entry independently fails before
+  /// execution and the survivors travel to the inner DHT as one round.
+  /// Reply: the whole round executes, then each answered entry's reply is
+  /// independently dropped (ok=false, value discarded).
   std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
   std::vector<ApplyOutcome> multiApply(
       const std::vector<ApplyRequest>& reqs) override;
 
-  /// Replica reads are routed operations too: they can be lost like any
-  /// other request.
-  [[nodiscard]] size_t replicaFanout() const override {
-    return inner_.replicaFanout();
-  }
+  /// Replica reads are routed calls too: they fault like any other.
   std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override;
 
-  /// Failures injected so far.
-  [[nodiscard]] size_t injectedFailures() const { return injected_; }
+  /// Faults injected so far (lost requests, or lost replies each of which
+  /// is a successfully executed call).
+  [[nodiscard]] size_t injected() const { return injected_; }
 
  private:
-  void maybeFail(const char* op);
-  bool shouldFail();
+  bool shouldFault();
+  [[nodiscard]] std::string message(const char* op) const;
+  /// Throws the fault for `op` when it strikes at `point`.
+  void maybeFault(Point point, const char* op);
+  template <typename Outcome, typename Item, typename Round>
+  std::vector<Outcome> faultRound(const char* op,
+                                  const std::vector<Item>& items, Round round);
 
-  Dht& inner_;
-  double failProbability_;
+  Point point_;
+  double probability_;
   common::Pcg32 rng_;
   mutable std::mutex rngMutex_;
   common::RelaxedCounter injected_;
 };
 
-class LostReplyDht final : public Dht {
- public:
-  /// With probability `lossProbability` an operation *executes* on the
-  /// inner DHT and then throws DhtError — the mutation happened but the
-  /// caller cannot know. Deterministic given `seed`. storeDirect is
-  /// exempt (bootstrap).
-  LostReplyDht(Dht& inner, double lossProbability, common::u64 seed = 1);
-
-  void put(const Key& key, Value value) override;
-  std::optional<Value> get(const Key& key) override;
-  bool remove(const Key& key) override;
-  bool apply(const Key& key, const Mutator& fn) override;
-  void storeDirect(const Key& key, Value value) override;
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
-  void syncStorage() override { inner_.syncStorage(); }
-  void compactStorage() override { inner_.compactStorage(); }
-
-  /// Per-entry lost replies: the whole round executes on the inner DHT,
-  /// then each entry's reply is independently dropped (ok=false, value
-  /// discarded) — the mutation/lookup happened regardless.
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
-  /// A replica read executes at the holder, then its reply may drop.
-  [[nodiscard]] size_t replicaFanout() const override {
-    return inner_.replicaFanout();
-  }
-  std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override;
-
-  /// Replies dropped so far (each one a successfully executed operation).
-  [[nodiscard]] size_t injectedLostReplies() const { return injected_; }
-
- private:
-  void maybeDropReply(const char* op);
-  bool shouldDrop();
-
-  Dht& inner_;
-  double lossProbability_;
-  common::Pcg32 rng_;
-  mutable std::mutex rngMutex_;
-  common::RelaxedCounter injected_;
-};
-
-class LatencyDht final : public Dht {
+class LatencyDht final : public ForwardingDht {
  public:
   struct Options {
     common::u64 baseMs = 10;    ///< charged to every routed operation
@@ -171,10 +142,6 @@ class LatencyDht final : public Dht {
   std::optional<Value> get(const Key& key) override;
   bool remove(const Key& key) override;
   bool apply(const Key& key, const Mutator& fn) override;
-  void storeDirect(const Key& key, Value value) override;
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
-  void syncStorage() override { inner_.syncStorage(); }
-  void compactStorage() override { inner_.compactStorage(); }
 
   /// A batch round is dispatched concurrently: it is charged ONE sampled
   /// latency (the critical-path RTT), not one per entry.
@@ -183,9 +150,6 @@ class LatencyDht final : public Dht {
       const std::vector<ApplyRequest>& reqs) override;
 
   /// Each replica read is its own round trip and is charged like one.
-  [[nodiscard]] size_t replicaFanout() const override {
-    return inner_.replicaFanout();
-  }
   std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override;
 
   /// Total simulated milliseconds injected so far.
@@ -194,7 +158,6 @@ class LatencyDht final : public Dht {
  private:
   void charge();
 
-  Dht& inner_;
   net::SimClock& clock_;
   Options opts_;
   common::Pcg32 rng_;
@@ -202,7 +165,7 @@ class LatencyDht final : public Dht {
   common::RelaxedCounter injectedMs_;
 };
 
-class TimeoutDht final : public Dht {
+class TimeoutDht final : public ForwardingDht {
  public:
   /// Throws DhtTimeoutError when an inner operation consumed more than
   /// `deadlineMs` of simulated time. The throw happens *after* the inner
@@ -213,10 +176,6 @@ class TimeoutDht final : public Dht {
   std::optional<Value> get(const Key& key) override;
   bool remove(const Key& key) override;
   bool apply(const Key& key, const Mutator& fn) override;
-  void storeDirect(const Key& key, Value value) override;
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
-  void syncStorage() override { inner_.syncStorage(); }
-  void compactStorage() override { inner_.compactStorage(); }
 
   /// The deadline applies to the whole round (it is one critical-path
   /// RTT). A missed deadline fails every entry in the round — but the
@@ -227,24 +186,29 @@ class TimeoutDht final : public Dht {
 
   /// Each replica read gets its own deadline (it is an independent
   /// request, not part of the primary's budget).
-  [[nodiscard]] size_t replicaFanout() const override {
-    return inner_.replicaFanout();
-  }
   std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override;
 
   /// Deadline misses so far.
   [[nodiscard]] size_t timeouts() const { return timeouts_; }
 
  private:
-  void checkDeadline(common::u64 startMs, const char* op);
+  /// Runs `call` and throws DhtTimeoutError when it overran the deadline.
+  template <typename F>
+  auto timed(const char* op, F&& call) -> decltype(call());
+  template <typename Outcome, typename Round>
+  std::vector<Outcome> timedRound(const char* op, const char* what,
+                                  Round round);
+  /// Counts and describes a missed deadline of a call that started at
+  /// `startMs`; nullopt when the call made it.
+  std::optional<std::string> missedDeadline(common::u64 startMs,
+                                            const char* op, const char* what);
 
-  Dht& inner_;
   net::SimClock& clock_;
   common::u64 deadlineMs_;
   common::RelaxedCounter timeouts_;
 };
 
-class RetryingDht final : public Dht {
+class RetryingDht final : public ForwardingDht {
  public:
   struct Options {
     size_t maxAttempts = 8;
@@ -270,10 +234,6 @@ class RetryingDht final : public Dht {
   std::optional<Value> get(const Key& key) override;
   bool remove(const Key& key) override;
   bool apply(const Key& key, const Mutator& fn) override;
-  void storeDirect(const Key& key, Value value) override;
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
-  void syncStorage() override { inner_.syncStorage(); }
-  void compactStorage() override { inner_.compactStorage(); }
 
   /// Retries only the entries that failed: each attempt re-issues the
   /// still-failing subset as one inner round, with backoff between
@@ -284,15 +244,9 @@ class RetryingDht final : public Dht {
   std::vector<ApplyOutcome> multiApply(
       const std::vector<ApplyRequest>& reqs) override;
 
-  /// Replica reads forward untouched: FailoverDht owns the iteration over
-  /// holders, so wrapping each rescue in this decorator's retry loop would
-  /// multiply the recovery machinery against itself.
-  [[nodiscard]] size_t replicaFanout() const override {
-    return inner_.replicaFanout();
-  }
-  std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override {
-    return inner_.getReplica(key, replicaIndex);
-  }
+  // Replica reads forward untouched: FailoverDht owns the iteration over
+  // holders, so wrapping each rescue in this decorator's retry loop would
+  // multiply the recovery machinery against itself.
 
   // Diagnostics --------------------------------------------------------------
   /// Retries performed so far (failures absorbed), total and per op type.
@@ -317,10 +271,12 @@ class RetryingDht final : public Dht {
  private:
   template <typename F>
   auto withRetries(DhtOp op, F&& f) -> decltype(f());
+  template <typename Outcome, typename Item, typename Round>
+  std::vector<Outcome> retryRound(DhtOp op, const std::vector<Item>& items,
+                                  Round round);
   /// Caller must hold mutex_ (rng draw).
   common::u64 backoffDelayMs(size_t attempt);
 
-  Dht& inner_;
   Options opts_;
   common::Pcg32 rng_;
   /// Guards rng_ and all diagnostics below. Inner DHT calls never run
@@ -334,7 +290,7 @@ class RetryingDht final : public Dht {
   common::u64 backoffWaitedMs_ = 0;
 };
 
-class CircuitBreakerDht final : public Dht {
+class CircuitBreakerDht final : public ForwardingDht {
  public:
   struct Options {
     /// Consecutive failures that trip the breaker open.
@@ -351,10 +307,6 @@ class CircuitBreakerDht final : public Dht {
   std::optional<Value> get(const Key& key) override;
   bool remove(const Key& key) override;
   bool apply(const Key& key, const Mutator& fn) override;
-  void storeDirect(const Key& key, Value value) override;
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
-  void syncStorage() override { inner_.syncStorage(); }
-  void compactStorage() override { inner_.compactStorage(); }
 
   /// While open, the whole round fast-fails (every entry rejected, no
   /// inner call). Otherwise the round counts as a single observation:
@@ -363,16 +315,10 @@ class CircuitBreakerDht final : public Dht {
   std::vector<ApplyOutcome> multiApply(
       const std::vector<ApplyRequest>& reqs) override;
 
-  /// Replica rescues bypass the breaker: a rescue read is what *prevents*
-  /// a primary failure from becoming a client-visible one, so it must run
-  /// exactly when the substrate looks unhealthy. The primary op's outcome
-  /// still feeds the state machine (FailoverDht sits below this layer).
-  [[nodiscard]] size_t replicaFanout() const override {
-    return inner_.replicaFanout();
-  }
-  std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override {
-    return inner_.getReplica(key, replicaIndex);
-  }
+  // Replica rescues bypass the breaker: a rescue read is what *prevents*
+  // a primary failure from becoming a client-visible one, so it must run
+  // exactly when the substrate looks unhealthy. The primary op's outcome
+  // still feeds the state machine (FailoverDht sits below this layer).
 
   [[nodiscard]] State state() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -386,6 +332,9 @@ class CircuitBreakerDht final : public Dht {
  private:
   template <typename F>
   auto guarded(const char* op, F&& f) -> decltype(f());
+  template <typename Outcome, typename Round>
+  std::vector<Outcome> guardedRound(const char* op, size_t entries,
+                                    Round round);
   void onSuccess();
   void onFailure();
   /// Admission decision under mutex_: throws when open and cooling down,
@@ -395,7 +344,6 @@ class CircuitBreakerDht final : public Dht {
   /// single-probe property that is relaxed.
   void admit(const char* op, size_t rejectedOps);
 
-  Dht& inner_;
   net::SimClock& clock_;
   Options opts_;
   /// Guards the state machine; never held across inner DHT calls.
@@ -428,7 +376,7 @@ class CircuitBreakerDht final : public Dht {
 /// is a success — it must not trip the breaker or burn retry attempts) and
 /// above TimeoutDht/LatencyDht (each rescue is charged and deadlined like
 /// the independent request it models).
-class FailoverDht final : public Dht {
+class FailoverDht final : public ForwardingDht {
  public:
   struct Options {
     /// Rescue failed reads from replicas. Off = pure pass-through (the
@@ -448,28 +396,12 @@ class FailoverDht final : public Dht {
 
   FailoverDht(Dht& inner, net::SimClock& clock, Options options);
 
-  void put(const Key& key, Value value) override;
   std::optional<Value> get(const Key& key) override;
-  bool remove(const Key& key) override;
-  bool apply(const Key& key, const Mutator& fn) override;
-  void storeDirect(const Key& key, Value value) override;
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
-  void syncStorage() override { inner_.syncStorage(); }
-  void compactStorage() override { inner_.compactStorage(); }
 
   /// Batch reads: the round executes once, then each failed entry is
   /// individually rescued from replicas (batches are not hedged — the
   /// round already costs one critical-path RTT).
   std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
-  [[nodiscard]] size_t replicaFanout() const override {
-    return inner_.replicaFanout();
-  }
-  std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override {
-    return inner_.getReplica(key, replicaIndex);
-  }
 
   // Diagnostics --------------------------------------------------------------
   /// Replica reads issued while rescuing failed primaries.
@@ -492,7 +424,6 @@ class FailoverDht final : public Dht {
   /// `hedged` routes the success accounting to hedge wins.
   std::optional<Value> rescueRead(const Key& key, bool hedged);
 
-  Dht& inner_;
   net::SimClock& clock_;
   Options opts_;
   common::RelaxedCounter failoverAttempts_;
@@ -502,7 +433,7 @@ class FailoverDht final : public Dht {
   common::RelaxedCounter hedgesCancelled_;
 };
 
-class CrashDht final : public Dht {
+class CrashDht final : public ForwardingDht {
  public:
   explicit CrashDht(Dht& inner);
 
@@ -532,10 +463,6 @@ class CrashDht final : public Dht {
   std::optional<Value> get(const Key& key) override;
   bool remove(const Key& key) override;
   bool apply(const Key& key, const Mutator& fn) override;
-  void storeDirect(const Key& key, Value value) override;
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
-  void syncStorage() override { inner_.syncStorage(); }
-  void compactStorage() override { inner_.compactStorage(); }
 
   /// A crash can strike mid-round: if the armed write budget runs out
   /// inside a multiApply, only the allowed prefix of entries is forwarded
@@ -546,9 +473,6 @@ class CrashDht final : public Dht {
       const std::vector<ApplyRequest>& reqs) override;
 
   /// A dead client cannot issue rescue reads either.
-  [[nodiscard]] size_t replicaFanout() const override {
-    return inner_.replicaFanout();
-  }
   std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override {
     beforeRead();
     return inner_.getReplica(key, replicaIndex);
@@ -559,7 +483,6 @@ class CrashDht final : public Dht {
   void beforeRead();
   void noteWriteCompleted();
 
-  Dht& inner_;
   /// Guards the crash state machine; never held across inner DHT calls,
   /// so the budget counts exactly the writes that completed (a write in
   /// flight when the budget empties is not retroactively crashed).

@@ -1,5 +1,8 @@
 #include "dht/dht.h"
 
+#include <optional>
+
+#include "net/sim_network.h"
 #include "obs/obs.h"
 
 namespace lht::dht {
@@ -28,32 +31,36 @@ std::optional<Value> Dht::getReplica(const Key& key, size_t replicaIndex) {
                  " read unsupported by this substrate");
 }
 
-// Base batch rounds: sequential loops with per-entry error translation.
-// Substrates and decorators override these to add round-level latency and
-// fault semantics; the base keeps the contract (DhtError -> failed entry,
-// CrashError and everything else propagates). Each entry gets its own span
-// flow-linked to the round span, so a trace shows which logical batch a
-// routed op belonged to even after decorators re-issue entries.
+// The one per-entry batch loop. DhtError becomes a failed entry; CrashError
+// and everything else propagates. Each entry gets its own span flow-linked
+// to the round span, so a trace shows which logical batch a routed op
+// belonged to even after wrappers re-send entries. On a simulated network
+// the entries run as one parallel round (critical-path RTT).
 
-std::vector<GetOutcome> Dht::multiGet(const std::vector<Key>& keys) {
-  std::vector<GetOutcome> out;
-  out.reserve(keys.size());
-  if (keys.empty()) return out;
-  stats_.batchRounds += 1;
-  obs::SpanScope round("dht.multiGet", "dht");
-  round.arg("entries", static_cast<u64>(keys.size()));
+namespace {
+
+template <typename Outcome, typename Item, typename Call>
+std::vector<Outcome> perEntryRound(const char* spanName,
+                                   net::SimNetwork* network,
+                                   const std::vector<Item>& items,
+                                   Call call) {
+  std::vector<Outcome> out;
+  out.reserve(items.size());
+  obs::SpanScope round(spanName, "dht");
+  round.arg("entries", static_cast<u64>(items.size()));
   obs::count("dht.round.count");
-  obs::count("dht.round.entries", keys.size());
-  for (const Key& key : keys) {
+  obs::count("dht.round.entries", items.size());
+  std::optional<net::SimNetwork::ParallelRound> parallel;
+  if (network != nullptr) parallel.emplace(*network);
+  for (const Item& item : items) {
+    if (parallel) parallel->nextEntry();
     obs::SpanScope entry("dht.round.entry", "dht");
     obs::flow(round.id(), entry.id());
-    GetOutcome o;
+    Outcome o;
     try {
-      o.value = get(key);
+      call(item, o);
       o.ok = true;
     } catch (const DhtError& e) {
-      o.ok = false;
-      o.value.reset();
       o.error = e.what();
     }
     out.push_back(std::move(o));
@@ -61,29 +68,24 @@ std::vector<GetOutcome> Dht::multiGet(const std::vector<Key>& keys) {
   return out;
 }
 
-std::vector<ApplyOutcome> Dht::multiApply(const std::vector<ApplyRequest>& reqs) {
-  std::vector<ApplyOutcome> out;
-  out.reserve(reqs.size());
-  if (reqs.empty()) return out;
+}  // namespace
+
+std::vector<GetOutcome> Dht::multiGet(const std::vector<Key>& keys) {
+  if (keys.empty()) return {};
   stats_.batchRounds += 1;
-  obs::SpanScope round("dht.multiApply", "dht");
-  round.arg("entries", static_cast<u64>(reqs.size()));
-  obs::count("dht.round.count");
-  obs::count("dht.round.entries", reqs.size());
-  for (const ApplyRequest& req : reqs) {
-    obs::SpanScope entry("dht.round.entry", "dht");
-    obs::flow(round.id(), entry.id());
-    ApplyOutcome o;
-    try {
-      o.existed = apply(req.key, req.fn);
-      o.ok = true;
-    } catch (const DhtError& e) {
-      o.ok = false;
-      o.error = e.what();
-    }
-    out.push_back(std::move(o));
-  }
-  return out;
+  return perEntryRound<GetOutcome>(
+      "dht.multiGet", roundNetwork_, keys,
+      [this](const Key& key, GetOutcome& o) { o.value = get(key); });
+}
+
+std::vector<ApplyOutcome> Dht::multiApply(const std::vector<ApplyRequest>& reqs) {
+  if (reqs.empty()) return {};
+  stats_.batchRounds += 1;
+  return perEntryRound<ApplyOutcome>(
+      "dht.multiApply", roundNetwork_, reqs,
+      [this](const ApplyRequest& req, ApplyOutcome& o) {
+        o.existed = apply(req.key, req.fn);
+      });
 }
 
 }  // namespace lht::dht

@@ -12,11 +12,16 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/relaxed_counter.h"
 #include "common/types.h"
 #include "obs/obs.h"
+
+namespace lht::net {
+class SimNetwork;
+}  // namespace lht::net
 
 namespace lht::dht {
 
@@ -166,9 +171,11 @@ class Dht {
   /// timeouts); the round itself never throws DhtError. CrashError does
   /// propagate — a dead client cannot observe partial outcomes.
   ///
-  /// The base implementation loops get() per entry, translating DhtError
-  /// into a failed outcome; substrates and decorators override it to get
-  /// round-level latency/fault semantics.
+  /// The base implementation is the one per-entry loop: it runs get()
+  /// per entry, translating DhtError into a failed outcome, inside one
+  /// SimNetwork::ParallelRound when the substrate runs on a simulated
+  /// network. Networked clients and wrappers override it to ship the round
+  /// or to get round-level latency/fault semantics.
   virtual std::vector<GetOutcome> multiGet(const std::vector<Key>& keys);
 
   /// Read-modify-write counterpart of multiGet: one round, independent
@@ -184,7 +191,7 @@ class Dht {
   // Replica failover reads ---------------------------------------------------
   /// How many replica copies of a key can be read besides the primary
   /// (substrate replication factor - 1). 0 means replica reads are
-  /// unsupported; decorators forward to their inner DHT.
+  /// unsupported; wrappers forward to their inner DHT.
   [[nodiscard]] virtual size_t replicaFanout() const { return 0; }
 
   /// Reads `key` from its `replicaIndex`-th replica holder instead of the
@@ -199,7 +206,7 @@ class Dht {
   /// Storage administration (unaccounted, unrouted). Substrates backed by
   /// a durable storage engine flush pending log appends to stable storage
   /// (syncStorage) or snapshot + truncate the log (compactStorage);
-  /// volatile substrates no-op. Decorators forward both, so a client
+  /// volatile substrates no-op. Wrappers forward both, so a client
   /// holding only the decorated stack can still drive durability.
   virtual void syncStorage() {}
   virtual void compactStorage() {}
@@ -211,6 +218,13 @@ class Dht {
   void resetStats() { stats_.reset(); }
 
  protected:
+  Dht() = default;
+  /// A substrate simulated on `network`: the base multiGet/multiApply run
+  /// each batch as one parallel round on it, so the round costs the
+  /// longest entry's hop chain of simulated time (critical-path RTT) while
+  /// every entry's hops and bytes are accounted normally.
+  explicit Dht(net::SimNetwork& network) : roundNetwork_(&network) {}
+
   /// RAII scope a substrate opens around one routed operation. Emits a
   /// substrate-level trace span (named e.g. "dht.get") carrying the key and
   /// the overlay hop count (delta of stats_.hops across the scope), and
@@ -232,6 +246,50 @@ class Dht {
   };
 
   DhtStats stats_;
+
+ private:
+  net::SimNetwork* roundNetwork_ = nullptr;
+};
+
+/// A Dht over another Dht: forwards every call to `inner_`. Wrappers
+/// (fault injection, recovery, key namespacing, test doubles) derive from
+/// it and override only the calls they change, so a new Dht call reaches
+/// every wrapper through one edit here. The forwards count nothing: the
+/// substrate underneath keeps the DhtStats.
+class ForwardingDht : public Dht {
+ public:
+  explicit ForwardingDht(Dht& inner) : inner_(inner) {}
+
+  void put(const Key& key, Value value) override {
+    inner_.put(key, std::move(value));
+  }
+  std::optional<Value> get(const Key& key) override { return inner_.get(key); }
+  bool remove(const Key& key) override { return inner_.remove(key); }
+  bool apply(const Key& key, const Mutator& fn) override {
+    return inner_.apply(key, fn);
+  }
+  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override {
+    return inner_.multiGet(keys);
+  }
+  std::vector<ApplyOutcome> multiApply(
+      const std::vector<ApplyRequest>& reqs) override {
+    return inner_.multiApply(reqs);
+  }
+  void storeDirect(const Key& key, Value value) override {
+    inner_.storeDirect(key, std::move(value));
+  }
+  [[nodiscard]] size_t replicaFanout() const override {
+    return inner_.replicaFanout();
+  }
+  std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override {
+    return inner_.getReplica(key, replicaIndex);
+  }
+  void syncStorage() override { inner_.syncStorage(); }
+  void compactStorage() override { inner_.compactStorage(); }
+  [[nodiscard]] size_t size() const override { return inner_.size(); }
+
+ protected:
+  Dht& inner_;
 };
 
 }  // namespace lht::dht

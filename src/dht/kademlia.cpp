@@ -1,6 +1,5 @@
 #include "dht/kademlia.h"
 
-#include "dht/batch_round.h"
 
 #include <algorithm>
 #include <bit>
@@ -17,7 +16,10 @@ int topDifferingBit(u64 a, u64 b) { return 63 - std::countl_zero(a ^ b); }
 }  // namespace
 
 KademliaDht::KademliaDht(net::SimNetwork& network, Options options)
-    : net_(network), opts_(options), rng_(options.seed, /*stream=*/0x6b6164u) {
+    : Dht(network),
+      net_(network),
+      opts_(options),
+      rng_(options.seed, /*stream=*/0x6b6164u) {
   common::checkInvariant(opts_.initialPeers >= 1, "KademliaDht: need >= 1 peer");
   common::checkInvariant(opts_.bucketSize >= 1, "KademliaDht: k must be >= 1");
   for (size_t i = 0; i < opts_.initialPeers; ++i) {
@@ -335,19 +337,6 @@ bool KademliaDht::checkTables() const {
     }
   }
   return true;
-}
-
-std::vector<GetOutcome> KademliaDht::multiGet(const std::vector<Key>& keys) {
-  if (keys.empty()) return {};
-  stats_.batchRounds += 1;
-  return detail::roundMultiGet(*this, net_, keys);
-}
-
-std::vector<ApplyOutcome> KademliaDht::multiApply(
-    const std::vector<ApplyRequest>& reqs) {
-  if (reqs.empty()) return {};
-  stats_.batchRounds += 1;
-  return detail::roundMultiApply(*this, net_, reqs);
 }
 
 }  // namespace lht::dht

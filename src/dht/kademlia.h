@@ -47,13 +47,6 @@ class KademliaDht final : public Dht {
   void storeDirect(const Key& key, Value value) override;
   [[nodiscard]] size_t size() const override;
 
-  /// One batch = one parallel round on the simulated network: per-entry
-  /// routing hops and bytes are accounted normally; simulated time
-  /// advances by the longest entry only (critical-path RTT).
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
   /// Adds a peer; keys now XOR-closest to it move over. Returns its id.
   common::u64 join(const std::string& name);
   /// Removes a peer; its keys re-home to their new closest owners.

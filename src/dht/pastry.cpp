@@ -1,6 +1,5 @@
 #include "dht/pastry.h"
 
-#include "dht/batch_round.h"
 
 #include <algorithm>
 #include <bit>
@@ -40,7 +39,10 @@ bool closerTo(u64 key, u64 a, u64 b) {
 }  // namespace
 
 PastryDht::PastryDht(net::SimNetwork& network, Options options)
-    : net_(network), opts_(options), rng_(options.seed, /*stream=*/0x9a57u) {
+    : Dht(network),
+      net_(network),
+      opts_(options),
+      rng_(options.seed, /*stream=*/0x9a57u) {
   common::checkInvariant(opts_.initialPeers >= 1, "PastryDht: need >= 1 peer");
   common::checkInvariant(opts_.leafSetHalf >= 1, "PastryDht: leaf set empty");
   for (size_t i = 0; i < opts_.initialPeers; ++i) {
@@ -410,19 +412,6 @@ bool PastryDht::checkTables() const {
     }
   }
   return true;
-}
-
-std::vector<GetOutcome> PastryDht::multiGet(const std::vector<Key>& keys) {
-  if (keys.empty()) return {};
-  stats_.batchRounds += 1;
-  return detail::roundMultiGet(*this, net_, keys);
-}
-
-std::vector<ApplyOutcome> PastryDht::multiApply(
-    const std::vector<ApplyRequest>& reqs) {
-  if (reqs.empty()) return {};
-  stats_.batchRounds += 1;
-  return detail::roundMultiApply(*this, net_, reqs);
 }
 
 }  // namespace lht::dht

@@ -56,13 +56,6 @@ class PastryDht final : public Dht {
   void storeDirect(const Key& key, Value value) override;
   [[nodiscard]] size_t size() const override;
 
-  /// One batch = one parallel round on the simulated network: per-entry
-  /// routing hops and bytes are accounted normally; simulated time
-  /// advances by the longest entry only (critical-path RTT).
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
   /// Adds a peer; keys it now owns move over. Returns its id.
   common::u64 join(const std::string& name);
   /// Gracefully removes a peer; its keys move to their new owners.

@@ -307,7 +307,6 @@ LhtIndex::LookupRef LhtIndex::lookupInternal(double key) {
         }
         if (bucket && bucket->covers(key)) {
           if (!leaseServed) leafCache_.notePrimaryServed();
-          depthHint_ = bucket->label.length();
           out.bucket = std::move(bucket);
           out.dhtKey = nm;
           break;
@@ -320,15 +319,8 @@ LhtIndex::LookupRef LhtIndex::lookupInternal(double key) {
 
     u32 shorter = 1;             // candidate leaf-label bit lengths
     u32 longer = opts_.maxDepth; // (paper lengths 2..D+1 count the '#')
-    bool useHint = opts_.useDepthHint && depthHint_ != 0;
     while (shorter <= longer) {
-      u32 mid = (shorter + longer) / 2;
-      if (useHint) {
-        // First probe at the last successful depth; leaf depths concentrate,
-        // so this usually resolves the search in one DHT-lookup.
-        mid = std::clamp(depthHint_, shorter, longer);
-        useHint = false;
-      }
+      const u32 mid = (shorter + longer) / 2;
       const Label x = mu.prefix(mid);
       const Label nm = name(x);
       auto bucket = getBucketRef(nm.str(), out.stats);
@@ -348,7 +340,6 @@ LhtIndex::LookupRef LhtIndex::lookupInternal(double key) {
         break;
       }
       if (bucket->covers(key)) {
-        depthHint_ = bucket->label.length();
         out.bucket = std::move(bucket);
         out.dhtKey = nm.str();
         break;

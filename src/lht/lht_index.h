@@ -60,14 +60,6 @@ class LhtIndex final : public index::OrderedIndex {
     common::u32 mergeThreshold = 0;
     bool enableMerge = true;
 
-    /// Client-side optimization (off by default to keep the paper's
-    /// figures faithful): probe the depth of the last successful lookup
-    /// first. Tree depths concentrate around log(n/theta), so the first
-    /// probe usually hits and a lookup costs ~1 DHT-lookup instead of
-    /// ~log2(D/2). Falls back to the normal binary search on a miss; pure
-    /// client state, nothing extra is maintained in the DHT.
-    bool useDepthHint = false;
-
     /// The paper restricts each insertion to at most one split (Sec. 5),
     /// deferring residual overflow to later inserts. Enabling this lets an
     /// insert split recursively until no bucket is saturated — an ablation
@@ -90,9 +82,7 @@ class LhtIndex final : public index::OrderedIndex {
     /// Client-side leaf-location cache (off by default): remembers which
     /// leaf label last covered each key interval, validated by the fetched
     /// bucket itself, so a repeat lookup costs ~1 DHT-lookup instead of
-    /// Algorithm 2's ~log2(D/2). Subsumes useDepthHint (the cache is
-    /// consulted first; the hint still steers the fallback search). A
-    /// range query whose interval the cached leaves tile fetches them all
+    /// Algorithm 2's ~log2(D/2). A range query whose interval the cached leaves tile fetches them all
     /// in one round instead of running Alg. 4's jump and Alg. 3's rounds.
     /// Stale entries are detected and invalidated, never trusted.
     bool useLeafCache = false;
@@ -429,7 +419,6 @@ class LhtIndex final : public index::OrderedIndex {
   dht::Dht& dht_;
   Options opts_;
   size_t recordCount_ = 0;
-  common::u32 depthHint_ = 0;  ///< bit length of the last found leaf
   common::Pcg32 tokenRng_;
   RepairStats repairStats_;
   BucketStore store_;

@@ -69,14 +69,14 @@ dht::RetryingDht::Options retryOpts(const FaultCampaignConfig& cfg, u64 seed) {
 /// CrashDht outermost so a "write" means one completed index protocol step
 /// regardless of how many retries it took underneath.
 struct ClientStack {
-  dht::LostReplyDht lossy;
+  dht::FaultDht lossy;
   dht::RetryingDht retrying;
   dht::CrashDht crash;
   core::LhtIndex index;
 
   ClientStack(dht::Dht& store, const FaultCampaignConfig& cfg, u64 lossSeed,
               core::LhtIndex::Options opts)
-      : lossy(store, cfg.lostReplyRate, lossSeed),
+      : lossy(store, dht::FaultDht::Point::Reply, cfg.lostReplyRate, lossSeed),
         retrying(lossy, retryOpts(cfg, lossSeed ^ 0x5EEDu)),
         crash(retrying),
         index(crash, opts) {}
@@ -117,7 +117,8 @@ void recoverAndVerify(dht::LocalDht& store, const FaultCampaignConfig& cfg,
                       const std::map<double, std::string>& oracle, u64 seed,
                       const Scenario& s, u64 scenarioSalt,
                       FaultCampaignReport& report) {
-  dht::LostReplyDht lossy(store, cfg.lostReplyRate, scenarioSalt ^ 0xDEADu);
+  dht::FaultDht lossy(store, dht::FaultDht::Point::Reply, cfg.lostReplyRate,
+                      scenarioSalt ^ 0xDEADu);
   dht::RetryingDht retrying(lossy, retryOpts(cfg, scenarioSalt ^ 0xBEEFu));
   core::LhtIndex recovered(
       retrying, indexOpts(cfg, /*attach=*/true,
@@ -143,7 +144,7 @@ void recoverAndVerify(dht::LocalDht& store, const FaultCampaignConfig& cfg,
   recovered.repairSweep();
   report.splitRepairs += recovered.repairStats().splitRepairs;
   report.mergeRepairs += recovered.repairStats().mergeRepairs;
-  report.lostRepliesInjected += lossy.injectedLostReplies();
+  report.lostRepliesInjected += lossy.injected();
 
   // Exhaustive walk: exactly the oracle's records, each exactly once, and
   // no intent marker left anywhere.
@@ -193,7 +194,7 @@ void runSeed(const FaultCampaignConfig& cfg, u64 seed,
         scenarios.push_back(Scenario{i, k, split});
       }
     }
-    report.lostRepliesInjected += client.lossy.injectedLostReplies();
+    report.lostRepliesInjected += client.lossy.injected();
   }
 
   // Crash pass: one full deterministic replay per scenario, killed at the
@@ -227,7 +228,7 @@ void runSeed(const FaultCampaignConfig& cfg, u64 seed,
 
     report.scenarios += 1;
     (s.isSplit ? report.splitCrashes : report.mergeCrashes) += 1;
-    report.lostRepliesInjected += client.lossy.injectedLostReplies();
+    report.lostRepliesInjected += client.lossy.injected();
 
     const u64 salt = (seed << 20) ^ (static_cast<u64>(s.opIdx) << 8) ^
                      static_cast<u64>(s.crashStep) ^ 0x5A17u;

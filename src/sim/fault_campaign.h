@@ -7,7 +7,7 @@
 // (structural op, crash step k < W) pair, killing the client — via
 // CrashDht — after exactly k completed writes of that operation, so every
 // intermediate state of the split and merge state machines is actually
-// reached and abandoned. Lost replies are injected throughout (LostReplyDht
+// reached and abandoned. Lost replies are injected throughout (FaultDht
 // under RetryingDht), so retries and re-executed mutators are part of every
 // scenario, not a separate test.
 //

@@ -69,8 +69,9 @@ void runCampaign(const CampaignConfig& cfg) {
             base, clock,
             dht::LatencyDht::Options{
                 .baseMs = 5, .jitterMs = 3, .seed = cfg.seed * 31 + i});
-        auto lossy = std::make_unique<dht::LostReplyDht>(
-            *latency, /*lossProbability=*/0.15, cfg.seed * 17 + i + 1);
+        auto lossy = std::make_unique<dht::FaultDht>(
+            *latency, dht::FaultDht::Point::Reply, /*probability=*/0.15,
+            cfg.seed * 17 + i + 1);
         dht::RetryingDht::Options ro;
         ro.maxAttempts = 10;
         ro.baseBackoffMs = 2;

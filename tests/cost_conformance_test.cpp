@@ -177,7 +177,7 @@ TEST(CostConformance, InjectedFaultsLeaveLogicalCostsUnchanged) {
   obs::MetricsRegistry reg;
   obs::ScopedObservability install(&reg, nullptr);
   dht::LocalDht store;
-  dht::LostReplyDht lossy(store, 0.10, /*seed=*/5);
+  dht::FaultDht lossy(store, dht::FaultDht::Point::Reply, 0.10, /*seed=*/5);
   dht::RetryingDht retrying(lossy, /*maxAttempts=*/10);
   core::LhtIndex::Options opts;
   opts.thetaSplit = kTheta;
@@ -185,7 +185,7 @@ TEST(CostConformance, InjectedFaultsLeaveLogicalCostsUnchanged) {
   for (const auto& r : records) idx.insert(r);
   for (int i = 0; i < 50; ++i) idx.find(records[static_cast<size_t>(i)].key);
 
-  ASSERT_GT(lossy.injectedLostReplies(), 0u);
+  ASSERT_GT(lossy.injected(), 0u);
   // Retries are absorbed below the index: logical cost meters match the
   // fault-free run exactly.
   EXPECT_EQ(idx.meters().insertion, clean.insertion);

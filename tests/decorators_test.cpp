@@ -1,4 +1,4 @@
-// Tests for failure injection (FlakyDht) and recovery (RetryingDht), and
+// Tests for failure injection (FaultDht) and recovery (RetryingDht), and
 // for the index's behaviour over an unreliable-but-retried substrate.
 #include "dht/decorators.h"
 
@@ -14,7 +14,7 @@ namespace {
 
 TEST(FlakyDht, InjectsFailuresAtTheConfiguredRate) {
   LocalDht inner;
-  FlakyDht flaky(inner, 0.3, /*seed=*/1);
+  FaultDht flaky(inner, FaultDht::Point::Request, 0.3, /*seed=*/1);
   size_t failures = 0;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
@@ -24,7 +24,7 @@ TEST(FlakyDht, InjectsFailuresAtTheConfiguredRate) {
       ++failures;
     }
   }
-  EXPECT_EQ(failures, flaky.injectedFailures());
+  EXPECT_EQ(failures, flaky.injected());
   EXPECT_NEAR(static_cast<double>(failures) / n, 0.3, 0.04);
   // Failed puts must not have reached the inner store.
   EXPECT_EQ(inner.size(), static_cast<size_t>(n) - failures);
@@ -32,9 +32,9 @@ TEST(FlakyDht, InjectsFailuresAtTheConfiguredRate) {
 
 TEST(FlakyDht, ZeroProbabilityNeverFails) {
   LocalDht inner;
-  FlakyDht flaky(inner, 0.0);
+  FaultDht flaky(inner, FaultDht::Point::Request, 0.0);
   for (int i = 0; i < 100; ++i) flaky.put("k" + std::to_string(i), "v");
-  EXPECT_EQ(flaky.injectedFailures(), 0u);
+  EXPECT_EQ(flaky.injected(), 0u);
   EXPECT_EQ(flaky.size(), 100u);
 }
 
@@ -42,7 +42,7 @@ TEST(FlakyDht, FailuresHappenBeforeExecution) {
   // A lost apply must not have executed its mutation (at-most-once).
   LocalDht inner;
   inner.storeDirect("k", "original");
-  FlakyDht flaky(inner, 0.5, /*seed=*/3);
+  FaultDht flaky(inner, FaultDht::Point::Request, 0.5, /*seed=*/3);
   int mutations = 0;
   int successes = 0;
   for (int i = 0; i < 200; ++i) {
@@ -60,7 +60,7 @@ TEST(FlakyDht, FailuresHappenBeforeExecution) {
 
 TEST(RetryingDht, AbsorbsFailures) {
   LocalDht inner;
-  FlakyDht flaky(inner, 0.4, /*seed=*/5);
+  FaultDht flaky(inner, FaultDht::Point::Request, 0.4, /*seed=*/5);
   RetryingDht retrying(flaky, /*maxAttempts=*/32);
   for (int i = 0; i < 500; ++i) retrying.put("k" + std::to_string(i), "v");
   EXPECT_EQ(inner.size(), 500u);
@@ -72,7 +72,7 @@ TEST(RetryingDht, AbsorbsFailures) {
 
 TEST(RetryingDht, GivesUpAfterMaxAttempts) {
   LocalDht inner;
-  FlakyDht flaky(inner, 0.99, /*seed=*/7);
+  FaultDht flaky(inner, FaultDht::Point::Request, 0.99, /*seed=*/7);
   RetryingDht retrying(flaky, /*maxAttempts=*/3);
   EXPECT_THROW(
       {
@@ -86,7 +86,7 @@ TEST(LhtOverFlakySubstrate, RetriesMakeItExactlyCorrect) {
   // client-side retries over a 25%-lossy substrate, every index operation
   // behaves exactly as over a reliable one.
   LocalDht inner;
-  FlakyDht flaky(inner, 0.25, /*seed=*/11);
+  FaultDht flaky(inner, FaultDht::Point::Request, 0.25, /*seed=*/11);
   RetryingDht retrying(flaky, /*maxAttempts=*/64);
   core::LhtIndex idx(retrying, {.thetaSplit = 8, .maxDepth = 24});
   index::ReferenceIndex oracle;
@@ -96,7 +96,7 @@ TEST(LhtOverFlakySubstrate, RetriesMakeItExactlyCorrect) {
     idx.insert(r);
     oracle.insert(r);
   }
-  EXPECT_GT(flaky.injectedFailures(), 200u);
+  EXPECT_GT(flaky.injected(), 200u);
 
   auto mine = idx.rangeQuery(0.0, 1.0);
   ASSERT_EQ(mine.records.size(), oracle.recordCount());

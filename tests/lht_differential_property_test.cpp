@@ -34,8 +34,10 @@ void runSeed(u64 seed) {
                " (rerun: LhtDifferentialProperty with this seed)");
 
   dht::LocalDht store;
-  dht::FlakyDht flaky(store, 0.02, seed ^ 0xF1A6u);
-  dht::LostReplyDht lossy(flaky, 0.05, seed ^ 0x10057u);
+  dht::FaultDht flaky(store, dht::FaultDht::Point::Request, 0.02,
+                      seed ^ 0xF1A6u);
+  dht::FaultDht lossy(flaky, dht::FaultDht::Point::Reply, 0.05,
+                      seed ^ 0x10057u);
   dht::RetryingDht retrying(lossy, /*maxAttempts=*/16);
 
   core::LhtIndex::Options opts;
@@ -121,7 +123,7 @@ void runSeed(u64 seed) {
   EXPECT_EQ(idx.recordCount(), ref.recordCount());
 
   // Faults must actually have fired for the run to mean anything.
-  EXPECT_GT(flaky.injectedFailures() + lossy.injectedLostReplies(), 0u);
+  EXPECT_GT(flaky.injected() + lossy.injected(), 0u);
 }
 
 TEST(LhtDifferentialProperty, AllFeaturesOnUnderFaultsMatchesReference) {

@@ -186,52 +186,6 @@ TEST(SuccessorQuery, BoundaryBehaviour) {
   EXPECT_DOUBLE_EQ(idx.successorQuery(0.0).record->key, 0.5);
 }
 
-TEST(DepthHint, SameAnswersFewerLookups) {
-  dht::LocalDht d1, d2;
-  LhtIndex::Options base{.thetaSplit = 8, .maxDepth = 26};
-  LhtIndex plain(d1, base);
-  base.useDepthHint = true;
-  LhtIndex hinted(d2, base);
-  auto data = workload::makeDataset(workload::Distribution::Uniform, 2000, 21);
-  for (const auto& r : data) {
-    plain.insert(r);
-    hinted.insert(r);
-  }
-  common::Pcg32 rng(22);
-  double plainCost = 0, hintedCost = 0;
-  for (int q = 0; q < 300; ++q) {
-    const double key = rng.nextDouble();
-    auto a = plain.lookup(key);
-    auto b = hinted.lookup(key);
-    ASSERT_EQ(a.bucket->label, b.bucket->label) << key;  // same answer
-    plainCost += static_cast<double>(a.stats.dhtLookups);
-    hintedCost += static_cast<double>(b.stats.dhtLookups);
-  }
-  // Uniform data concentrates leaf depths, so the hint usually hits first.
-  EXPECT_LT(hintedCost, plainCost);
-  EXPECT_LT(hintedCost / 300.0, 2.0);
-}
-
-TEST(DepthHint, StaysCorrectOnSkewedDepths) {
-  // Gaussian trees have widely varying depths; the hint may miss but must
-  // never change results.
-  dht::LocalDht d1, d2;
-  LhtIndex::Options base{.thetaSplit = 8, .maxDepth = 30};
-  LhtIndex plain(d1, base);
-  base.useDepthHint = true;
-  LhtIndex hinted(d2, base);
-  auto data = workload::makeDataset(workload::Distribution::Gaussian, 1500, 23);
-  for (const auto& r : data) {
-    plain.insert(r);
-    hinted.insert(r);
-  }
-  common::Pcg32 rng(24);
-  for (int q = 0; q < 300; ++q) {
-    const double key = rng.nextDouble();
-    ASSERT_EQ(plain.lookup(key).bucket->label, hinted.lookup(key).bucket->label);
-  }
-}
-
 TEST(TreeStats, CountsMatchIndex) {
   dht::LocalDht d;
   LhtIndex idx(d, {.thetaSplit = 8, .maxDepth = 24});

@@ -303,10 +303,11 @@ TEST(LhtIndex, DuplicateKeysSupported) {
 /// its mutator once on a copy of the stored bucket relabelled to a leaf
 /// that does not cover the op's key, and discards the result: the run a
 /// mutator gets before a CAS conflict, a re-read or a lost-reply retry
-/// shows it the state the write then really applies to.
-class StaleFirstRunDht final : public dht::Dht {
+/// shows it the state the write then really applies to. Batched applies
+/// run through Dht's per-entry loop, so they count (and can be armed) too.
+class StaleFirstRunDht final : public dht::ForwardingDht {
  public:
-  explicit StaleFirstRunDht(dht::Dht& inner) : inner_(inner) {}
+  explicit StaleFirstRunDht(dht::Dht& inner) : ForwardingDht(inner) {}
 
   void armNextApply(const Label& elsewhere) { armed_ = elsewhere; }
   [[nodiscard]] size_t applies() const { return applies_; }
@@ -323,20 +324,12 @@ class StaleFirstRunDht final : public dht::Dht {
     }
     return inner_.apply(key, fn);
   }
-  void put(const dht::Key& key, dht::Value value) override {
-    inner_.put(key, std::move(value));
+  std::vector<dht::ApplyOutcome> multiApply(
+      const std::vector<dht::ApplyRequest>& reqs) override {
+    return Dht::multiApply(reqs);
   }
-  std::optional<dht::Value> get(const dht::Key& key) override {
-    return inner_.get(key);
-  }
-  bool remove(const dht::Key& key) override { return inner_.remove(key); }
-  void storeDirect(const dht::Key& key, dht::Value value) override {
-    inner_.storeDirect(key, std::move(value));
-  }
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
 
  private:
-  dht::Dht& inner_;
   std::optional<Label> armed_;
   size_t applies_ = 0;
 };

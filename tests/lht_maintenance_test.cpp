@@ -175,30 +175,25 @@ TEST(Maintenance, MergeIsDualOfSplit) {
 
 /// Forwards to an inner Dht, and runs a one-shot hook just before the
 /// next apply to one key: another client's write, slipped in between two
-/// steps of a protocol.
-class HookBeforeApply final : public dht::Dht {
+/// steps of a protocol. Batched applies run through Dht's per-entry loop,
+/// so the hook fires on them too.
+class HookBeforeApply final : public dht::ForwardingDht {
  public:
-  explicit HookBeforeApply(dht::Dht& inner) : inner_(inner) {}
+  explicit HookBeforeApply(dht::Dht& inner) : ForwardingDht(inner) {}
   void arm(std::string key, std::function<void()> hook) {
     key_ = std::move(key);
     hook_ = std::move(hook);
   }
-  void put(const dht::Key& key, dht::Value value) override {
-    inner_.put(key, std::move(value));
-  }
-  std::optional<dht::Value> get(const dht::Key& key) override { return inner_.get(key); }
-  bool remove(const dht::Key& key) override { return inner_.remove(key); }
   bool apply(const dht::Key& key, const dht::Mutator& fn) override {
     if (hook_ && key == key_) std::exchange(hook_, nullptr)();
     return inner_.apply(key, fn);
   }
-  void storeDirect(const dht::Key& key, dht::Value value) override {
-    inner_.storeDirect(key, std::move(value));
+  std::vector<dht::ApplyOutcome> multiApply(
+      const std::vector<dht::ApplyRequest>& reqs) override {
+    return Dht::multiApply(reqs);
   }
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
 
  private:
-  dht::Dht& inner_;
   std::string key_;
   std::function<void()> hook_;
 };

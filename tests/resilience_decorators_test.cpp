@@ -2,9 +2,10 @@
 // semantics, simulated-clock latency and deadlines, backoff, the circuit
 // breaker, client crashes, stacking order, and cross-substrate determinism
 // of the injection streams. Companion to decorators_test.cpp (which covers
-// the original FlakyDht/RetryingDht pair).
+// request-point FaultDht and RetryingDht).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -20,10 +21,12 @@ namespace {
 
 /// Fails the first `failures` routed operations with DhtError, then lets
 /// everything through — the minimal scriptable inner for breaker/retry
-/// lifecycle tests.
-class ScriptedDht final : public Dht {
+/// lifecycle tests. Batch entries run through Dht's per-entry loop, so
+/// each one is a scripted step too.
+class ScriptedDht final : public ForwardingDht {
  public:
-  ScriptedDht(Dht& inner, size_t failures) : inner_(inner), left_(failures) {}
+  ScriptedDht(Dht& inner, size_t failures)
+      : ForwardingDht(inner), left_(failures) {}
 
   void put(const Key& key, Value value) override {
     step();
@@ -41,10 +44,13 @@ class ScriptedDht final : public Dht {
     step();
     return inner_.apply(key, fn);
   }
-  void storeDirect(const Key& key, Value value) override {
-    inner_.storeDirect(key, std::move(value));
+  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override {
+    return Dht::multiGet(keys);
   }
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
+  std::vector<ApplyOutcome> multiApply(
+      const std::vector<ApplyRequest>& reqs) override {
+    return Dht::multiApply(reqs);
+  }
 
  private:
   void step() {
@@ -53,7 +59,6 @@ class ScriptedDht final : public Dht {
     throw DhtError("ScriptedDht: scripted failure");
   }
 
-  Dht& inner_;
   size_t left_;
 };
 
@@ -63,7 +68,8 @@ class ScriptedDht final : public Dht {
 
 TEST(LostReply, MutationExecutesEvenThoughCallerSeesError) {
   LocalDht store;
-  LostReplyDht lossy(store, /*lossProbability=*/1.0, /*seed=*/7);
+  FaultDht lossy(store, FaultDht::Point::Reply, /*probability=*/1.0,
+                 /*seed=*/7);
 
   EXPECT_THROW(lossy.put("k", "v"), DhtError);
   // The defining property: the caller got an error, the write landed.
@@ -81,14 +87,14 @@ TEST(LostReply, MutationExecutesEvenThoughCallerSeesError) {
 
   EXPECT_THROW(lossy.remove("k"), DhtError);
   EXPECT_FALSE(store.get("k").has_value());
-  EXPECT_EQ(lossy.injectedLostReplies(), 3u);
+  EXPECT_EQ(lossy.injected(), 3u);
 }
 
 TEST(LostReply, NaiveRetryDuplicatesAppends) {
   // The motivating failure: retrying a lost-reply append without
   // idempotence tokens applies it twice.
   LocalDht store;
-  LostReplyDht lossy(store, 1.0, 3);
+  FaultDht lossy(store, FaultDht::Point::Reply, 1.0, 3);
   store.storeDirect("list", "");
 
   const auto append = [](Dht& d) {
@@ -173,7 +179,7 @@ TEST(Backoff, JitteredDelaysAreSeedDeterministic) {
 
 TEST(Retrying, ExhaustionDiagnosticsSurviveTheThrow) {
   LocalDht store;
-  FlakyDht dead(store, 1.0, 5);
+  FaultDht dead(store, FaultDht::Point::Request, 1.0, 5);
   RetryingDht retry(dead, /*maxAttempts=*/3);
 
   try {
@@ -265,7 +271,7 @@ TEST(Stacking, FlakyAboveLatencyChargesOnlyExecutedAttempts) {
   net::SimClock clock;
   LocalDht store;
   LatencyDht lat(store, clock, {.baseMs = 10, .jitterMs = 0, .seed = 1});
-  FlakyDht flaky(lat, 0.3, 21);
+  FaultDht flaky(lat, FaultDht::Point::Request, 0.3, 21);
   RetryingDht retry(flaky, 64);
 
   const size_t kOps = 50;
@@ -281,7 +287,7 @@ TEST(Stacking, FlakyBelowLatencyChargesEveryAttempt) {
   // network round-trip first.
   net::SimClock clock;
   LocalDht store;
-  FlakyDht flaky(store, 0.3, 21);
+  FaultDht flaky(store, FaultDht::Point::Request, 0.3, 21);
   LatencyDht lat(flaky, clock, {.baseMs = 10, .jitterMs = 0, .seed = 1});
   RetryingDht retry(lat, 64);
 
@@ -296,25 +302,36 @@ TEST(Stacking, FlakyBelowLatencyChargesEveryAttempt) {
 // Cross-substrate determinism
 // ---------------------------------------------------------------------------
 
-TEST(Determinism, FlakyFailurePatternIsSubstrateIndependent) {
+/// Outcome of each of `n` puts through a FaultDht over `substrate`: '1' where
+/// the fault struck, '0' where the put succeeded.
+std::string faultSchedule(Dht& substrate, FaultDht::Point point, double p,
+                          common::u64 seed, int n) {
+  FaultDht fault(substrate, point, p, seed);
+  std::string schedule;
+  for (int i = 0; i < n; ++i) {
+    try {
+      fault.put("k" + std::to_string(i), "v");
+      schedule += '0';
+    } catch (const DhtError&) {
+      schedule += '1';
+    }
+  }
+  return schedule;
+}
+
+// The first 64 outcomes at seed 77, p = 0.4, one per fault point. Each point
+// draws from its own RNG stream (0xF1A6 for requests, 0x105E for replies);
+// a changed stream shifts every seeded fault experiment, so it must show
+// up here first.
+constexpr const char* kRequestSchedule77 =
+    "1010100001101100011111001011101011111001000001010100010010111001";
+constexpr const char* kReplySchedule77 =
+    "1010001101100001100100101001001001010010000000000100001000010001";
+
+TEST(Determinism, RequestFaultPatternIsSubstrateIndependent) {
   // The injection stream depends only on (seed, op sequence), never on
   // what the substrate underneath does — the same experiment on LocalDht
   // and on a Chord ring sees byte-identical fault schedules.
-  auto failurePattern = [](Dht& substrate) {
-    FlakyDht flaky(substrate, 0.4, /*seed=*/77);
-    std::vector<bool> failed;
-    for (int i = 0; i < 200; ++i) {
-      const std::string key = "k" + std::to_string(i);
-      try {
-        flaky.put(key, "v");
-        failed.push_back(false);
-      } catch (const DhtError&) {
-        failed.push_back(true);
-      }
-    }
-    return failed;
-  };
-
   LocalDht local;
   net::SimNetwork net;
   ChordDht::Options co;
@@ -322,25 +339,26 @@ TEST(Determinism, FlakyFailurePatternIsSubstrateIndependent) {
   co.seed = 5;
   ChordDht chord(net, co);
 
-  EXPECT_EQ(failurePattern(local), failurePattern(chord));
+  const auto onLocal =
+      faultSchedule(local, FaultDht::Point::Request, 0.4, 77, 200);
+  EXPECT_EQ(onLocal,
+            faultSchedule(chord, FaultDht::Point::Request, 0.4, 77, 200));
+  EXPECT_EQ(onLocal.substr(0, 64), kRequestSchedule77);
 }
 
-TEST(Determinism, LostReplyPatternIsSeedDeterministic) {
+TEST(Determinism, ReplyFaultPatternIsSeedDeterministic) {
   auto lossCount = [](common::u64 seed) {
     LocalDht store;
-    LostReplyDht lossy(store, 0.25, seed);
-    size_t losses = 0;
-    for (int i = 0; i < 300; ++i) {
-      try {
-        lossy.put("k" + std::to_string(i), "v");
-      } catch (const DhtError&) {
-        losses += 1;
-      }
-    }
-    return losses;
+    const auto schedule =
+        faultSchedule(store, FaultDht::Point::Reply, 0.25, seed, 300);
+    return std::count(schedule.begin(), schedule.end(), '1');
   };
   EXPECT_EQ(lossCount(9), lossCount(9));
   EXPECT_NE(lossCount(9), lossCount(10));
+
+  LocalDht store;
+  EXPECT_EQ(faultSchedule(store, FaultDht::Point::Reply, 0.4, 77, 64),
+            kReplySchedule77);
 }
 
 // ---------------------------------------------------------------------------
@@ -377,7 +395,7 @@ TEST(ChurnValidation, RejectsFailuresOnUnreplicatedRing) {
 TEST(BatchRounds, FlakyFailsEntriesIndependently) {
   LocalDht store;
   for (int i = 0; i < 10; ++i) store.storeDirect("k" + std::to_string(i), "v");
-  FlakyDht flaky(store, 0.5, /*seed=*/42);
+  FaultDht flaky(store, FaultDht::Point::Request, 0.5, /*seed=*/42);
 
   std::vector<Key> keys;
   for (int i = 0; i < 10; ++i) keys.push_back("k" + std::to_string(i));
@@ -399,12 +417,13 @@ TEST(BatchRounds, FlakyFailsEntriesIndependently) {
   // per-entry, never all-or-nothing.
   EXPECT_GT(ok, 0u);
   EXPECT_GT(failed, 0u);
-  EXPECT_EQ(flaky.injectedFailures(), failed);
+  EXPECT_EQ(flaky.injected(), failed);
 }
 
 TEST(BatchRounds, LostReplyExecutesEntriesWhoseAcksDrop) {
   LocalDht store;
-  LostReplyDht lossy(store, /*lossProbability=*/1.0, /*seed=*/5);
+  FaultDht lossy(store, FaultDht::Point::Reply, /*probability=*/1.0,
+                 /*seed=*/5);
 
   std::vector<ApplyRequest> reqs;
   for (int i = 0; i < 4; ++i) {
@@ -420,7 +439,7 @@ TEST(BatchRounds, LostReplyExecutesEntriesWhoseAcksDrop) {
     EXPECT_EQ(store.get("k" + std::to_string(i)),
               std::optional<Value>("v" + std::to_string(i)));
   }
-  EXPECT_EQ(lossy.injectedLostReplies(), 4u);
+  EXPECT_EQ(lossy.injected(), 4u);
 }
 
 TEST(BatchRounds, RetryingRetriesOnlyTheFailedSubset) {
@@ -537,7 +556,7 @@ TEST(BatchRounds, StackedFlakyOverLatencyChargesSurvivorsOneRound) {
   net::SimClock clock;
   LocalDht store;
   LatencyDht lat(store, clock, {.baseMs = 10, .jitterMs = 0, .seed = 1});
-  FlakyDht flaky(lat, 0.5, /*seed=*/42);
+  FaultDht flaky(lat, FaultDht::Point::Request, 0.5, /*seed=*/42);
 
   std::vector<Key> keys;
   for (int i = 0; i < 10; ++i) {

@@ -26,7 +26,7 @@ TEST(RetryCostAccounting, LostRepliesDoNotInflateLogicalCount) {
   obs::ScopedObservability install(&reg, nullptr);
 
   LocalDht store;
-  LostReplyDht lossy(store, 0.25, /*seed=*/3);
+  FaultDht lossy(store, FaultDht::Point::Reply, 0.25, /*seed=*/3);
   RetryingDht retrying(lossy, /*maxAttempts=*/12);
 
   const size_t kOps = 200;
@@ -60,7 +60,7 @@ TEST(RetryCostAccounting, LostRepliesDoNotInflateLogicalCount) {
             static_cast<u64>(retrying.retries()));
   EXPECT_EQ(reg.counterValue("dht.retries_exhausted"), 0u);
   EXPECT_EQ(reg.counterValue("fault.lost_reply"),
-            static_cast<u64>(lossy.injectedLostReplies()));
+            static_cast<u64>(lossy.injected()));
 }
 
 TEST(RetryCostAccounting, LostRequestsNeverReachTheSubstrate) {
@@ -68,14 +68,14 @@ TEST(RetryCostAccounting, LostRequestsNeverReachTheSubstrate) {
   obs::ScopedObservability install(&reg, nullptr);
 
   LocalDht store;
-  FlakyDht flaky(store, 0.25, /*seed=*/9);
+  FaultDht flaky(store, FaultDht::Point::Request, 0.25, /*seed=*/9);
   RetryingDht retrying(flaky, /*maxAttempts=*/12);
 
   const size_t kOps = 200;
   for (size_t i = 0; i < kOps; ++i) {
     retrying.put("k" + std::to_string(i), "v");
   }
-  ASSERT_GT(flaky.injectedFailures(), 0u);
+  ASSERT_GT(flaky.injected(), 0u);
 
   EXPECT_EQ(reg.counterValue("dht.put.logical"), kOps);
   EXPECT_EQ(reg.counterValue("dht.put.attempts"),
@@ -84,7 +84,7 @@ TEST(RetryCostAccounting, LostRequestsNeverReachTheSubstrate) {
   // op reaches the substrate.
   EXPECT_EQ(reg.counterValue("dht.put.raw"), kOps);
   EXPECT_EQ(reg.counterValue("fault.lost_request"),
-            static_cast<u64>(flaky.injectedFailures()));
+            static_cast<u64>(flaky.injected()));
 }
 
 TEST(RetryCostAccounting, BatchRoundsCountLogicalPerEntry) {
@@ -92,7 +92,7 @@ TEST(RetryCostAccounting, BatchRoundsCountLogicalPerEntry) {
   obs::ScopedObservability install(&reg, nullptr);
 
   LocalDht store;
-  LostReplyDht lossy(store, 0.25, /*seed=*/17);
+  FaultDht lossy(store, FaultDht::Point::Reply, 0.25, /*seed=*/17);
   RetryingDht retrying(lossy, /*maxAttempts=*/12);
 
   std::vector<Key> keys;
@@ -116,7 +116,8 @@ TEST(RetryCostAccounting, ExhaustionIsCountedSeparately) {
   obs::ScopedObservability install(&reg, nullptr);
 
   LocalDht store;
-  LostReplyDht lossy(store, 1.0, /*seed=*/1);  // every reply lost
+  // Every reply lost.
+  FaultDht lossy(store, FaultDht::Point::Reply, 1.0, /*seed=*/1);
   RetryingDht retrying(lossy, /*maxAttempts=*/3);
 
   EXPECT_THROW(retrying.put("k", "v"), DhtRetriesExhausted);

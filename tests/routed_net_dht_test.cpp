@@ -1024,30 +1024,12 @@ TEST(NetDhtIndex, DeadReplicaHolderDropsLeaseKeepsLocation) {
 /// branch of tryLeaseRead exists for (a TimeoutDht over the networked
 /// client, where the replica deadline surfaces as DhtTimeoutError, not
 /// PeerDown).
-class TimeoutReplicaDht final : public Dht {
+class TimeoutReplicaDht final : public ForwardingDht {
  public:
-  explicit TimeoutReplicaDht(Dht& inner) : inner_(inner) {}
-  void put(const Key& key, Value value) override {
-    inner_.put(key, std::move(value));
-  }
-  std::optional<Value> get(const Key& key) override { return inner_.get(key); }
-  bool remove(const Key& key) override { return inner_.remove(key); }
-  bool apply(const Key& key, const Mutator& fn) override {
-    return inner_.apply(key, fn);
-  }
-  void storeDirect(const Key& key, Value value) override {
-    inner_.storeDirect(key, std::move(value));
-  }
-  [[nodiscard]] size_t replicaFanout() const override {
-    return inner_.replicaFanout();
-  }
+  explicit TimeoutReplicaDht(Dht& inner) : ForwardingDht(inner) {}
   std::optional<Value> getReplica(const Key& key, size_t) override {
     throw DhtTimeoutError("replica read deadline for \"" + key + "\"");
   }
-  [[nodiscard]] size_t size() const override { return inner_.size(); }
-
- private:
-  Dht& inner_;
 };
 
 TEST(NetDhtIndex, ReplicaTimeoutDropsLeaseAndAdvancesRotation) {
