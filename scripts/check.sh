@@ -19,10 +19,11 @@
 #   --tsan      also build the tsan preset and run the concurrency suites
 #               (execution engine, shard-locked substrates, obs merging,
 #               the networked client's per-thread read slots and
-#               connection pool, cache-planned ranges racing splits and
-#               merges, one decorator stack shared by four threads) under
-#               ThreadSanitizer; a reported race
-#               fails the gate
+#               connection pool, the RoutedNetDht suites against overlay
+#               nodes serving on their own threads, cache-planned ranges
+#               racing splits and merges, one decorator stack shared by
+#               four threads) under ThreadSanitizer; a reported race fails
+#               the gate
 #   --durability  also run the release durability bench (WAL overhead vs
 #               MemEngine + recovery-time curve) into
 #               build-release/BENCH_PR5.json, diffed warn-only against the
@@ -123,7 +124,7 @@ if [[ "$tsan" -eq 1 ]]; then
   cmake --build --preset tsan -j "$jobs" --target lht_tests
   echo "== concurrency suites under ThreadSanitizer =="
   ctest --preset tsan -j "$jobs" -R \
-    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|PlannedRangeCampaign|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots|StaticCluster.ConcurrentClientsGrowPoolSafely|SharedDecoratorStack'
+    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|PlannedRangeCampaign|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots|StaticCluster.ConcurrentClientsGrowPoolSafely|SharedDecoratorStack|RoutedNetDht\.|RoutedNetDhtReadSlot\.'
 fi
 
 if [[ "$bench" -eq 1 ]]; then

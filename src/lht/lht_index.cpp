@@ -20,13 +20,11 @@ LhtIndex::LhtIndex(dht::Dht& dht, Options options)
     : dht_(dht),
       opts_(options),
       tokenRng_(options.clientSeed, 0x70CE17u),
-      store_(options.cacheDecodedBuckets,
-             std::max<size_t>(1, options.leafCacheCapacity)),
-      leafCache_(std::max<size_t>(1, options.leafCacheCapacity)) {
+      store_(options.cacheDecodedBuckets, kCacheCapacity),
+      leafCache_(kCacheCapacity) {
   checkInvariant(opts_.thetaSplit >= 2, "LhtIndex: thetaSplit must be >= 2");
   if (opts_.maxDepth > Label::kMaxBits) opts_.maxDepth = Label::kMaxBits;
   checkInvariant(opts_.maxDepth >= 2, "LhtIndex: maxDepth must be >= 2");
-  if (opts_.mergeThreshold == 0) opts_.mergeThreshold = opts_.thetaSplit;
   if (!opts_.attachExisting) {
     // The empty index: a single leaf "#0" covering [0,1), named "#".
     LeafBucket root;
@@ -1048,7 +1046,7 @@ index::UpdateResult LhtIndex::erase(double key) {
   result.ok = removed > 0;
 
   if (result.ok && opts_.enableMerge && bucketLabel.length() >= 2 &&
-      remainingEffective < opts_.mergeThreshold) {
+      remainingEffective < opts_.thetaSplit) {
     result.splitOrMerged = tryMerge(bucketLabel);
   }
   noteOp("lht.erase", result.stats);
@@ -1072,7 +1070,7 @@ bool LhtIndex::tryMerge(const Label& bucketLabel) {
 
   const size_t combined = ownBucket->records.size() + sibBucket->records.size() +
                           (opts_.countLabelSlot ? 1 : 0);
-  if (combined >= opts_.mergeThreshold) return false;
+  if (combined >= opts_.thetaSplit) return false;
 
   // The merged leaf is the parent; one child's bucket already lives under
   // the parent's name (the reverse of Theorem 2) and absorbs; the other is

@@ -55,9 +55,8 @@ class LhtIndex final : public index::OrderedIndex {
     bool countLabelSlot = true;
 
     /// Merge two sibling leaves when their combined effective size drops
-    /// below this. 0 selects the paper's rule (< thetaSplit). Set
-    /// enableMerge=false to disable structural shrinking entirely.
-    common::u32 mergeThreshold = 0;
+    /// below thetaSplit (the paper's rule). Set enableMerge=false to
+    /// disable structural shrinking entirely.
     bool enableMerge = true;
 
     /// The paper restricts each insertion to at most one split (Sec. 5),
@@ -82,11 +81,11 @@ class LhtIndex final : public index::OrderedIndex {
     /// Client-side leaf-location cache (off by default): remembers which
     /// leaf label last covered each key interval, validated by the fetched
     /// bucket itself, so a repeat lookup costs ~1 DHT-lookup instead of
-    /// Algorithm 2's ~log2(D/2). A range query whose interval the cached leaves tile fetches them all
-    /// in one round instead of running Alg. 4's jump and Alg. 3's rounds.
-    /// Stale entries are detected and invalidated, never trusted.
+    /// Algorithm 2's ~log2(D/2). A range query whose interval the cached
+    /// leaves tile fetches them all in one round instead of running
+    /// Alg. 4's jump and Alg. 3's rounds. Stale entries are detected and
+    /// invalidated, never trusted. It holds kCacheCapacity entries.
     bool useLeafCache = false;
-    size_t leafCacheCapacity = 4096;
 
     /// Lease-based replicated reads (off by default; needs useLeafCache
     /// and a substrate with replicaFanout() >= 1). Every clean leaf
@@ -415,6 +414,9 @@ class LhtIndex final : public index::OrderedIndex {
   /// intent found. Returns true when something was repaired (the caller
   /// should restart its search).
   bool repairProbe(double key, cost::OpStats& st);
+
+  /// Entries the leaf cache and the decoded-bucket store each hold.
+  static constexpr size_t kCacheCapacity = 4096;
 
   dht::Dht& dht_;
   Options opts_;

@@ -38,9 +38,8 @@ void OverlayNode::stampHint(std::string& reply) {
   appendGossipHint(reply, hint);
 }
 
-std::string OverlayNode::finishLocal(const NetAddr& from,
-                                     std::string_view payload) {
-  std::string reply = server_.handle(from, payload);
+std::string OverlayNode::finishLocal(const NetAddr& from, const Request& req) {
+  std::string reply = server_.handle(from, req);
   stampHint(reply);
   return reply;
 }
@@ -77,7 +76,9 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
   if (std::holds_alternative<DecodeError>(decoded)) {
     // NodeServer owns the garbage policy (reply BadRequest/UnknownOp when
     // the header parsed, silence otherwise).
-    return finishLocal(from, payload);
+    std::string reply = server_.handle(from, payload);
+    stampHint(reply);
+    return reply;
   }
   Request& req = std::get<Request>(decoded);
   const u64 reqId = req.header.requestId;
@@ -159,7 +160,7 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
             }
           }
         }
-        return finishLocal(from, payload);
+        return finishLocal(from, req);
       }
       auto entry = table_.find(owner);
       const bool ownerAlive =
@@ -202,13 +203,13 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
         auto job = std::make_shared<WarmJob>();
         job->origin = from;
         job->originId = reqId;
-        job->payload = std::string(payload);
         job->outstanding = 1;
         PendingWarmFetch fetch;
         fetch.job = job;
         fetch.key = *key;
         const RpcClient::Token t = client_.call(
             addrOf(*prevEntry), GetReq{*key}, /*noForward=*/true);
+        job->request = std::move(req);  // `key` points into it: moved last
         Pending p;
         p.kind = Pending::Kind::WarmFetch;
         p.warm = std::move(fetch);
@@ -218,7 +219,7 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
         return {};  // reply follows once the previous owner answered
       }
     }
-    return finishLocal(from, payload);
+    return finishLocal(from, req);
   }
 
   // Batched ops: never forwarded — a foreign key means the client's
@@ -263,7 +264,6 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
           }
           job->origin = from;
           job->originId = reqId;
-          job->payload = std::string(payload);
           trackRelay(rkey);
         }
         PendingWarmFetch fetch;
@@ -278,13 +278,16 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
         job->outstanding += 1;
         stats_.warmFetches += 1;
       }
-      if (job->outstanding > 0) return {};
+      if (job->outstanding > 0) {
+        job->request = std::move(req);  // the loop above reads its keys
+        return {};
+      }
     }
   }
 
   // Everything else (Ping/Size/Sync/Compact, replica ops, Handoff) is
   // plain storage — the wrapped server executes it.
-  return finishLocal(from, payload);
+  return finishLocal(from, req);
 }
 
 void OverlayNode::trackRelay(const RelayKey& key) {
@@ -385,7 +388,7 @@ void OverlayNode::resolveWarmFetch(const PendingWarmFetch& p,
                          "OverlayNode: warm job underflow");
   if (--job.outstanding > 0) return;
   const RelayKey rkey{job.origin.host, job.origin.port, job.originId};
-  finishRelay(rkey, job.origin, finishLocal(job.origin, job.payload));
+  finishRelay(rkey, job.origin, finishLocal(job.origin, job.request));
 }
 
 void OverlayNode::resolveHandoff(const PendingHandoff& p,

@@ -199,7 +199,7 @@ class OverlayNode {
   struct WarmJob {
     NetAddr origin;
     u64 originId = 0;
-    std::string payload;  // original request datagram, re-dispatched last
+    rpc::wire::Request request;  // the origin's request, executed last
     size_t outstanding = 0;
   };
   struct HandoffJob {
@@ -226,7 +226,7 @@ class OverlayNode {
 
   // Request path.
   std::string handleRequest(const NetAddr& from, std::string_view payload);
-  std::string finishLocal(const NetAddr& from, std::string_view payload);
+  std::string finishLocal(const NetAddr& from, const rpc::wire::Request& req);
   std::string makeRedirect(u64 requestId, rpc::wire::Op op, u64 ownerId);
   /// Appends the gossip hint trailer; a reply the trailer would push over
   /// kMaxDatagramBytes becomes a hinted TooLarge reply instead.

@@ -26,7 +26,6 @@ PhtIndex::PhtIndex(dht::Dht& dht, Options options) : dht_(dht), opts_(options) {
   checkInvariant(opts_.thetaSplit >= 2, "PhtIndex: thetaSplit must be >= 2");
   if (opts_.maxDepth > Label::kMaxBits) opts_.maxDepth = Label::kMaxBits;
   checkInvariant(opts_.maxDepth >= 2, "PhtIndex: maxDepth must be >= 2");
-  if (opts_.mergeThreshold == 0) opts_.mergeThreshold = opts_.thetaSplit;
   PhtNode root;
   root.kind = PhtNode::Kind::Leaf;
   root.label = Label::root();
@@ -194,7 +193,7 @@ index::UpdateResult PhtIndex::erase(double key) {
   result.ok = removed > 0;
 
   if (result.ok && opts_.enableMerge && leafLabel.length() >= 2 &&
-      remainingEffective < opts_.mergeThreshold) {
+      remainingEffective < opts_.thetaSplit) {
     result.splitOrMerged = tryMerge(leafLabel);
   }
   return result;
@@ -210,7 +209,7 @@ bool PhtIndex::tryMerge(const Label& leafLabel) {
 
   const size_t combined = ownNode->records.size() + sibNode->records.size() +
                           (opts_.countLabelSlot ? 1 : 0);
-  if (combined >= opts_.mergeThreshold) return false;
+  if (combined >= opts_.thetaSplit) return false;
 
   const PhtNode& left = leafLabel.lastBit() == 0 ? *ownNode : *sibNode;
   const PhtNode& right = leafLabel.lastBit() == 0 ? *sibNode : *ownNode;

@@ -34,8 +34,7 @@ class PhtIndex final : public index::OrderedIndex {
     common::u32 thetaSplit = 100;
     common::u32 maxDepth = 20;
     bool countLabelSlot = true;  ///< same capacity accounting as LhtIndex
-    common::u32 mergeThreshold = 0;  ///< 0 selects "< thetaSplit"
-    bool enableMerge = true;
+    bool enableMerge = true;  ///< merge siblings below thetaSplit combined
     RangeMode rangeMode = RangeMode::Sequential;
   };
 

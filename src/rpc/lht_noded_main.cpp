@@ -80,9 +80,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // SIGTERM/SIGINT flip the stop flag; epoll_wait returns with EINTR and
-  // the serve loop notices. No SA_RESTART, by design. SIGUSR1 asks the
-  // node to leave gracefully.
+  // SIGTERM/SIGINT flip the stop flag; the transport's poll() returns
+  // with EINTR and the pump loop below notices. No SA_RESTART, by design.
+  // SIGUSR1 asks the node to leave gracefully.
   struct sigaction sa{};
   sa.sa_handler = onSignal;
   sigaction(SIGTERM, &sa, nullptr);

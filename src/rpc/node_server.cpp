@@ -296,8 +296,10 @@ std::string NodeServer::handle(const NetAddr& from, std::string_view payload) {
     }
     return encodeReply(hd.requestId, hd.op, Status::BadRequest, EmptyRep{});
   }
+  return handle(from, std::get<Request>(decoded));
+}
 
-  const Request& req = std::get<Request>(decoded);
+std::string NodeServer::handle(const NetAddr& from, const Request& req) {
   const u64 id = req.header.requestId;
   const bool cacheable = changesStore(req.header.op);
   const DedupKey dkey{from.host, from.port, id};
@@ -334,18 +336,6 @@ std::string NodeServer::handle(const NetAddr& from, std::string_view payload) {
   }
   stats_.requestsHandled += 1;
   return encoded;
-}
-
-void NodeServer::serve(Transport& transport, const std::atomic<bool>& stop) {
-  std::vector<Datagram> batch;
-  while (!stop.load(std::memory_order_relaxed)) {
-    batch.clear();
-    transport.receive(batch, 200);  // short timeout: re-check stop flag
-    for (const Datagram& d : batch) {
-      std::string reply = handle(d.from, d.payload);
-      if (!reply.empty()) transport.send(d.from, reply);
-    }
-  }
 }
 
 }  // namespace lht::rpc

@@ -42,12 +42,13 @@
 // reply that does not fit, and a MultiGet whose first entry alone does
 // not, is answered Status::TooLarge.
 //
-// handle() is the entire protocol; serve() is a convenience loop for the
-// daemon. handle() is mutex-guarded and safe to call from many threads
-// (the SimHub invokes it inline from concurrent fleet clients).
+// handle() is the entire protocol: the bytes overload decodes a datagram
+// and owns the answer to garbage, and an OverlayNode, which has already
+// decoded the request to route it, hands that over instead. handle() is
+// mutex-guarded and safe to call from many threads (the SimHub invokes it
+// inline from concurrent fleet clients).
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -86,9 +87,10 @@ class NodeServer {
   /// truncated garbage — replying to noise would amplify junk traffic).
   [[nodiscard]] std::string handle(const NetAddr& from,
                                    std::string_view payload);
-
-  /// Pumps `transport` until `stop` becomes true: receive, handle, reply.
-  void serve(Transport& transport, const std::atomic<bool>& stop);
+  /// Processes a request its caller already decoded from `from`'s
+  /// datagram. Returns the encoded reply.
+  [[nodiscard]] std::string handle(const NetAddr& from,
+                                   const wire::Request& req);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   /// Replies currently held by the at-most-once cache.

@@ -2,9 +2,9 @@
 //
 // Everything above this interface — the RPC client's request table, the
 // node server, RoutedNetDht — is written against Transport, so the same
-// code runs over real UDP sockets (UdpTransport, epoll event loop) and over
-// the in-process SimHub (SimTransport, seeded loss/reorder injection,
-// virtual time). That is the twin structure DESIGN.md §14 describes: ctest drives
+// code runs over real UDP sockets (UdpTransport) and over the in-process
+// SimHub (SimTransport, seeded loss/reorder injection, virtual time).
+// That is the twin structure DESIGN.md §14 describes: ctest drives
 // the full RPC stack deterministically without opening a socket, while
 // lht_noded and the cluster bench run the identical bytes over localhost
 // UDP.

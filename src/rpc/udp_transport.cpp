@@ -3,10 +3,12 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <system_error>
 
@@ -67,14 +69,10 @@ UdpTransport::UdpTransport(Options options) {
     throwErrno("UdpTransport: getsockname");
   }
   local_ = fromSockaddr(actual);
-  loop_.add(fd_, [] {});  // readiness only; receive() drains explicitly
 }
 
 UdpTransport::~UdpTransport() {
-  if (fd_ >= 0) {
-    loop_.remove(fd_);
-    ::close(fd_);
-  }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 bool UdpTransport::send(const NetAddr& to, std::string_view payload) {
@@ -125,7 +123,12 @@ size_t UdpTransport::receive(std::vector<Datagram>& out, u64 timeoutMs) {
   size_t appended = drain(out);
   if (appended > 0 || timeoutMs == 0) return appended;
   constexpr u64 kMaxWait = 1u << 30;
-  loop_.runOnce(static_cast<int>(timeoutMs > kMaxWait ? kMaxWait : timeoutMs));
+  pollfd pfd{fd_, POLLIN, 0};
+  // A signal ends the wait early (EINTR); the caller re-checks its state.
+  if (::poll(&pfd, 1, static_cast<int>(std::min(timeoutMs, kMaxWait))) < 0 &&
+      errno != EINTR) {
+    throwErrno("UdpTransport: poll");
+  }
   return appended + drain(out);
 }
 

@@ -1,16 +1,15 @@
-// Real-socket transport: one non-blocking UDP socket on an epoll loop.
+// Real-socket transport: one non-blocking UDP socket.
 //
-// send() is a sendto(); receive() parks in epoll_wait up to the caller's
-// timeout, then drains the socket without blocking. One UdpTransport is
+// send() is a sendto(); receive() drains the socket without blocking and,
+// when it found nothing, waits in one poll() on the socket up to the
+// caller's timeout, then drains again. A signal ends the wait early (no
+// SA_RESTART), which is how lht_noded notices SIGTERM. One UdpTransport is
 // one endpoint: a daemon binds a fixed port, a client binds an ephemeral
 // one (bindPort 0) and learns it from localAddr(). All RPC reliability
 // (retransmit, deadlines, dedup) lives above, in rpc_client/node_server —
 // this layer is datagrams in, datagrams out.
 #pragma once
 
-#include <memory>
-
-#include "rpc/event_loop.h"
 #include "rpc/transport.h"
 
 namespace lht::rpc {
@@ -34,18 +33,12 @@ class UdpTransport final : public Transport {
   u64 nowMs() override;
   [[nodiscard]] NetAddr localAddr() const override { return local_; }
 
-  [[nodiscard]] int fd() const { return fd_; }
-  /// The epoll loop the socket is registered on (the daemon shares it).
-  [[nodiscard]] EventLoop& loop() { return loop_; }
-
+ private:
   /// Drains every datagram currently readable (non-blocking) into `out`.
-  /// Exposed so a serve loop driving its own epoll can pump the socket.
   size_t drain(std::vector<Datagram>& out);
 
- private:
   int fd_ = -1;
   NetAddr local_;
-  EventLoop loop_;
 };
 
 }  // namespace lht::rpc

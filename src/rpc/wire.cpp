@@ -1,5 +1,11 @@
 #include "rpc/wire.h"
 
+#include <concepts>
+#include <limits>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+
 namespace lht::rpc::wire {
 
 using common::Decoder;
@@ -28,10 +34,6 @@ const char* opName(Op op) {
   return "?";
 }
 
-bool opKnown(u8 raw) {
-  return raw >= static_cast<u8>(Op::Ping) && raw <= static_cast<u8>(Op::Handoff);
-}
-
 const char* statusName(Status s) {
   switch (s) {
     case Status::Ok: return "ok";
@@ -57,297 +59,342 @@ const char* decodeErrorName(DecodeError e) {
 
 namespace {
 
-void putHeader(Encoder& e, u8 opByte, Status status, u64 requestId) {
+// --- Field lists -------------------------------------------------------------
+//
+// Each body's layout is written once, as a field list: fields(v, body)
+// names the body's fields in wire order, and the visitor `v` decides what
+// naming a field does. Writer<Encoder> appends it, Writer<ByteCount> counts
+// its bytes and Reader reads it back. A field may depend on an earlier
+// flag, so a list is code, not a table. The field kinds:
+//
+//   varint     ULEB128 u64              fixed32    4-byte little-endian u32
+//   flag       one byte, strictly 0/1   bytes      varint length, then bytes
+//   port       varint, at most 65535    nodeState  one byte, ≤ kMaxNodeState
+//   list       varint count, then each element's own field list
+//
+// A body without members needs no list. A body with members and no list
+// does not compile: the encoder visits every alternative of both body
+// variants, and no overload of fields() matches it.
+
+template <class B, class... Bodies>
+concept OneOf = (std::same_as<std::remove_const_t<B>, Bodies> || ...);
+
+template <class V, class B>
+  requires std::is_empty_v<B>
+void fields(V&, B&) {}
+
+template <class V, OneOf<NodeEntry> B>
+void fields(V& v, B& n) {
+  v.varint(n.id);
+  v.fixed32(n.host);
+  v.port(n.port);
+  v.varint(n.incarnation);
+  v.nodeState(n.state);
+  v.varint(n.ringBase);
+}
+
+// Requests. PingReq, SizeReq, SyncReq and CompactReq are empty.
+
+template <class V, OneOf<GetReq, RemoveReq, ReplicaRemoveReq, ReplicaGetReq> B>
+void fields(V& v, B& b) { v.bytes(b.key); }
+
+template <class V, OneOf<PutReq> B>
+void fields(V& v, B& b) {
+  v.bytes(b.key);
+  v.bytes(b.value);
+}
+
+template <class V, OneOf<CasReq> B>
+void fields(V& v, B& b) {
+  v.bytes(b.key);
+  v.varint(b.expectedVersion);
+  v.flag(b.present);
+  if (b.present) v.bytes(b.value);  // an erase carries no value
+}
+
+template <class V, OneOf<ReplicaPutReq> B>
+void fields(V& v, B& b) {
+  v.bytes(b.key);
+  v.bytes(b.value);
+  v.varint(b.version);
+}
+
+template <class V, OneOf<GossipSyncReq> B>
+void fields(V& v, B& b) {
+  v.varint(b.senderId);
+  v.varint(b.version);
+  v.list(b.entries);
+}
+
+template <class V, OneOf<JoinReq> B>
+void fields(V& v, B& b) { fields(v, b.joiner); }
+
+template <class V, OneOf<LeaveReq> B>
+void fields(V& v, B& b) {
+  v.varint(b.nodeId);
+  v.varint(b.incarnation);
+}
+
+template <class V, OneOf<HandoffEntry> B>
+void fields(V& v, B& b) {
+  v.bytes(b.key);
+  v.varint(b.version);
+  v.bytes(b.value);
+}
+
+// Batches, both ways: a list of single-entry bodies.
+template <class V, OneOf<MultiGetReq, MultiCasReq, HandoffReq, MultiGetRep,
+                         MultiCasRep> B>
+void fields(V& v, B& b) { v.list(b.entries); }
+
+// Replies. EmptyRep, ReplicaPutRep, SyncRep and CompactRep are empty.
+
+template <class V, OneOf<PingRep> B>
+void fields(V& v, B& b) { v.bytes(b.nodeName); }
+
+template <class V, OneOf<PutRep> B>
+void fields(V& v, B& b) { v.varint(b.version); }
+
+template <class V, OneOf<GetRep> B>
+void fields(V& v, B& b) {
+  v.flag(b.present);
+  if (b.present) {
+    v.varint(b.version);
+    v.bytes(b.value);
+  }
+}
+
+template <class V, OneOf<RemoveRep, ReplicaRemoveRep> B>
+void fields(V& v, B& b) { v.flag(b.existed); }
+
+template <class V, OneOf<CasRep> B>
+void fields(V& v, B& b) {
+  v.flag(b.applied);
+  v.flag(b.existedBefore);
+  v.varint(b.currentVersion);
+  v.flag(b.currentPresent);
+  // The value rides only on a conflict, for the caller's re-run.
+  if (!b.applied && b.currentPresent) v.bytes(b.currentValue);
+}
+
+template <class V, OneOf<SizeRep> B>
+void fields(V& v, B& b) { v.varint(b.primaryKeys); }
+
+template <class V, OneOf<GossipSyncRep> B>
+void fields(V& v, B& b) {
+  v.varint(b.version);
+  v.list(b.entries);
+}
+
+template <class V, OneOf<JoinRep> B>
+void fields(V& v, B& b) {
+  v.flag(b.accepted);
+  v.varint(b.keysStreamed);
+  v.varint(b.version);
+  v.list(b.entries);
+}
+
+template <class V, OneOf<LeaveRep> B>
+void fields(V& v, B& b) { v.flag(b.known); }
+
+template <class V, OneOf<HandoffRep> B>
+void fields(V& v, B& b) { v.varint(b.installed); }
+
+template <class V, OneOf<RedirectRep> B>
+void fields(V& v, B& b) {
+  v.varint(b.ownerId);
+  v.fixed32(b.host);
+  v.port(b.port);
+  v.varint(b.version);
+}
+
+// --- Visitors ----------------------------------------------------------------
+
+/// Appends each field to `Sink`: an Encoder, or a ByteCount to size it.
+template <class Sink>
+class Writer {
+ public:
+  explicit Writer(Sink& sink) : sink_(sink) {}
+  void varint(u64 x) { sink_.putVarint(x); }
+  void fixed32(u32 x) { sink_.putU32(x); }
+  void flag(bool b) { sink_.putU8(b ? 1 : 0); }
+  void port(u16 p) { sink_.putVarint(p); }
+  void nodeState(u8 s) { sink_.putU8(s); }
+  void bytes(std::string_view s) { sink_.putVarBytes(s); }
+  template <class T>
+  void list(const std::vector<T>& xs) {
+    sink_.putVarint(xs.size());
+    for (const T& x : xs) fields(*this, x);
+  }
+
+ private:
+  Sink& sink_;
+};
+
+/// The bytes each Encoder call appends, counted instead of written.
+struct ByteCount {
+  size_t n = 0;
+  void putU8(u8) { n += 1; }
+  void putU32(u32) { n += sizeof(u32); }
+  void putVarint(u64 v) { n += common::varintSize(v); }
+  void putVarBytes(std::string_view s) {
+    n += common::varintSize(s.size()) + s.size();
+  }
+};
+
+/// Reads each field back, totally: the first missing or invalid field
+/// stops the read, and error() then types it. Like every decode here, a
+/// failure with no bytes left is Truncated, any other a BadField.
+class Reader {
+ public:
+  explicit Reader(Decoder& d) : d_(d) {}
+  void varint(u64& x) { read(x, &Decoder::getVarint); }
+  void fixed32(u32& x) { read(x, &Decoder::getU32); }
+  // Flags are strict booleans: a lax decode would let bit-flipped
+  // datagrams pass as valid.
+  void flag(bool& b) { read(b, &Decoder::getU8, u8{1}); }
+  void port(u16& p) { read(p, &Decoder::getVarint, u64{65535}); }
+  void nodeState(u8& s) { read(s, &Decoder::getU8, kMaxNodeState); }
+  void bytes(std::string& s) {
+    if (!ok_) return;
+    auto v = d_.getVarBytes();
+    ok_ = v.has_value();
+    if (ok_) s = std::move(*v);
+  }
+  template <class T>
+  void list(std::vector<T>& xs) {
+    u64 n = 0;
+    varint(n);
+    // A count is bounded by what can physically fit in the datagram that
+    // carried it, so a corrupt count cannot drive allocation.
+    ok_ = ok_ && n <= d_.remaining();
+    if (!ok_) return;
+    xs.reserve(n);
+    for (u64 i = 0; i < n && ok_; ++i) fields(*this, xs.emplace_back());
+  }
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] DecodeError error() const {
+    return d_.remaining() == 0 ? DecodeError::Truncated : DecodeError::BadField;
+  }
+
+ private:
+  template <class U, class T>
+  void read(U& out, std::optional<T> (Decoder::*get)(),
+            T max = std::numeric_limits<T>::max()) {
+    if (!ok_) return;
+    const std::optional<T> v = (d_.*get)();
+    ok_ = v && *v <= max;
+    if (ok_) out = static_cast<U>(*v);
+  }
+
+  Decoder& d_;
+  bool ok_ = true;
+};
+
+// --- Opcodes -----------------------------------------------------------------
+
+/// An opcode with the body its request carries and the one its Ok reply
+/// carries.
+template <Op kOp, class Req, class Rep>
+struct Route {
+  static constexpr Op op = kOp;
+  using Request = Req;
+  using Reply = Rep;
+};
+
+/// Every opcode, in Op order. A reply's body mirrors its request's, except
+/// that ReplicaGet answers with a GetRep.
+using Routes = std::tuple<
+    Route<Op::Ping, PingReq, PingRep>,
+    Route<Op::Put, PutReq, PutRep>,
+    Route<Op::Get, GetReq, GetRep>,
+    Route<Op::Remove, RemoveReq, RemoveRep>,
+    Route<Op::Cas, CasReq, CasRep>,
+    Route<Op::MultiGet, MultiGetReq, MultiGetRep>,
+    Route<Op::MultiCas, MultiCasReq, MultiCasRep>,
+    Route<Op::ReplicaPut, ReplicaPutReq, ReplicaPutRep>,
+    Route<Op::ReplicaRemove, ReplicaRemoveReq, ReplicaRemoveRep>,
+    Route<Op::ReplicaGet, ReplicaGetReq, GetRep>,
+    Route<Op::Size, SizeReq, SizeRep>,
+    Route<Op::Sync, SyncReq, SyncRep>,
+    Route<Op::Compact, CompactReq, CompactRep>,
+    Route<Op::GossipSync, GossipSyncReq, GossipSyncRep>,
+    Route<Op::Join, JoinReq, JoinRep>,
+    Route<Op::Leave, LeaveReq, LeaveRep>,
+    Route<Op::Handoff, HandoffReq, HandoffRep>>;
+constexpr size_t kOps = std::tuple_size_v<Routes>;
+
+// Opcodes run 1..kOps, and RequestBody's alternative i is Op(i + 1)'s
+// request: opOf and the decode tables index by that.
+template <size_t... I>
+constexpr bool inOpOrder(std::index_sequence<I...>) {
+  return ((std::tuple_element_t<I, Routes>::op == static_cast<Op>(I + 1) &&
+           std::is_same_v<typename std::tuple_element_t<I, Routes>::Request,
+                          std::variant_alternative_t<I, RequestBody>>) &&
+          ...);
+}
+static_assert(std::variant_size_v<RequestBody> == kOps);
+static_assert(inOpOrder(std::make_index_sequence<kOps>()),
+              "Routes and RequestBody must list the opcodes in Op order");
+
+template <class Variant, class Body>
+Variant readAs(Reader& r) {
+  Variant v(std::in_place_type<Body>);
+  fields(r, std::get<Body>(v));
+  return v;
+}
+
+/// Body readers indexed by opcode - 1.
+template <class Table>
+struct ReadersByOp;
+template <class... R>
+struct ReadersByOp<std::tuple<R...>> {
+  static constexpr RequestBody (*request[])(Reader&) = {
+      &readAs<RequestBody, typename R::Request>...};
+  static constexpr ReplyBody (*reply[])(Reader&) = {
+      &readAs<ReplyBody, typename R::Reply>...};
+};
+using Readers = ReadersByOp<Routes>;
+
+template <class Body>
+std::string encode(u8 opByte, u8 flags, u64 requestId, const Body& body) {
+  Encoder e(64);
   e.putU8(kMagic);
   e.putU8(kVersion);
   e.putU8(opByte);
-  e.putU8(static_cast<u8>(status));
+  e.putU8(flags);
   e.putVarint(requestId);
-}
-
-// Flag bytes are strict booleans on the wire: 0 or 1, anything else is a
-// BadField. (A lax decode would let bit-flipped datagrams pass as valid.)
-std::optional<bool> getFlag(Decoder& d) {
-  auto v = d.getU8();
-  if (!v || *v > 1) return std::nullopt;
-  return *v == 1;
-}
-
-void putCasEntry(Encoder& e, const CasReq& c) {
-  e.putVarBytes(c.key);
-  e.putVarint(c.expectedVersion);
-  e.putU8(c.present ? 1 : 0);
-  if (c.present) e.putVarBytes(c.value);
-}
-
-bool getCasEntry(Decoder& d, CasReq& out) {
-  auto key = d.getVarBytes();
-  auto ver = d.getVarint();
-  if (!key || !ver) return false;
-  auto present = getFlag(d);
-  if (!present) return false;
-  out.key = std::move(*key);
-  out.expectedVersion = *ver;
-  out.present = *present;
-  if (out.present) {
-    auto value = d.getVarBytes();
-    if (!value) return false;
-    out.value = std::move(*value);
-  }
-  return true;
-}
-
-void putGetRep(Encoder& e, const GetRep& g) {
-  e.putU8(g.present ? 1 : 0);
-  if (g.present) {
-    e.putVarint(g.version);
-    e.putVarBytes(g.value);
-  }
+  Writer<Encoder> w(e);
+  std::visit([&w](const auto& b) { fields(w, b); }, body);
+  return std::move(e).take();
 }
 
 }  // namespace
 
-size_t getRepWireBytes(const GetRep& g) {
-  // Mirrors putGetRep: flag byte, then (present) version + framed value.
-  if (!g.present) return 1;
-  return 1 + common::varintSize(g.version) + common::varintSize(g.value.size()) +
-         g.value.size();
-}
+bool opKnown(u8 raw) { return raw >= 1 && raw <= kOps; }
 
-namespace {
-
-bool getGetRep(Decoder& d, GetRep& out) {
-  auto present = getFlag(d);
-  if (!present) return false;
-  out.present = *present;
-  if (out.present) {
-    auto ver = d.getVarint();
-    if (!ver) return false;
-    auto value = d.getVarBytes();
-    if (!value) return false;
-    out.version = *ver;
-    out.value = std::move(*value);
-  }
-  return true;
-}
-
-void putCasRep(Encoder& e, const CasRep& c) {
-  e.putU8(c.applied ? 1 : 0);
-  e.putU8(c.existedBefore ? 1 : 0);
-  e.putVarint(c.currentVersion);
-  e.putU8(c.currentPresent ? 1 : 0);
-  if (!c.applied && c.currentPresent) e.putVarBytes(c.currentValue);
-}
-
-bool getCasRep(Decoder& d, CasRep& out) {
-  auto applied = getFlag(d);
-  if (!applied) return false;
-  auto existed = getFlag(d);
-  if (!existed) return false;
-  auto ver = d.getVarint();
-  if (!ver) return false;
-  auto present = getFlag(d);
-  if (!present) return false;
-  out.applied = *applied;
-  out.existedBefore = *existed;
-  out.currentVersion = *ver;
-  out.currentPresent = *present;
-  if (!out.applied && out.currentPresent) {
-    auto value = d.getVarBytes();
-    if (!value) return false;
-    out.currentValue = std::move(*value);
-  }
-  return true;
-}
-
-// List counts are bounded by what can physically fit in the datagram that
-// carried them, so a corrupt count cannot drive allocation.
-std::optional<u64> getCount(Decoder& d) {
-  auto n = d.getVarint();
-  if (!n || *n > d.remaining()) return std::nullopt;
-  return n;
-}
-
-void putNodeEntry(Encoder& e, const NodeEntry& n) {
-  e.putVarint(n.id);
-  e.putU32(n.host);
-  e.putVarint(n.port);
-  e.putVarint(n.incarnation);
-  e.putU8(n.state);
-  e.putVarint(n.ringBase);
-}
-
-bool getNodeEntry(Decoder& d, NodeEntry& out) {
-  auto id = d.getVarint();
-  if (!id) return false;
-  auto host = d.getU32();
-  if (!host) return false;
-  auto port = d.getVarint();
-  if (!port || *port > 65535) return false;
-  auto inc = d.getVarint();
-  if (!inc) return false;
-  auto state = d.getU8();
-  if (!state || *state > kMaxNodeState) return false;
-  auto ring = d.getVarint();
-  if (!ring) return false;
-  out.id = *id;
-  out.host = *host;
-  out.port = static_cast<u16>(*port);
-  out.incarnation = *inc;
-  out.state = *state;
-  out.ringBase = *ring;
-  return true;
-}
-
-void putNodeEntries(Encoder& e, const std::vector<NodeEntry>& entries) {
-  e.putVarint(entries.size());
-  for (const NodeEntry& n : entries) putNodeEntry(e, n);
-}
-
-bool getNodeEntries(Decoder& d, std::vector<NodeEntry>& out) {
-  auto n = getCount(d);
-  if (!n) return false;
-  out.reserve(*n);
-  for (u64 i = 0; i < *n; ++i) {
-    NodeEntry entry;
-    if (!getNodeEntry(d, entry)) return false;
-    out.push_back(entry);
-  }
-  return true;
-}
-
-}  // namespace
-
-Op opOf(const RequestBody& body) {
-  return std::visit(
-      [](const auto& b) -> Op {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, PingReq>) return Op::Ping;
-        else if constexpr (std::is_same_v<T, PutReq>) return Op::Put;
-        else if constexpr (std::is_same_v<T, GetReq>) return Op::Get;
-        else if constexpr (std::is_same_v<T, RemoveReq>) return Op::Remove;
-        else if constexpr (std::is_same_v<T, CasReq>) return Op::Cas;
-        else if constexpr (std::is_same_v<T, MultiGetReq>) return Op::MultiGet;
-        else if constexpr (std::is_same_v<T, MultiCasReq>) return Op::MultiCas;
-        else if constexpr (std::is_same_v<T, ReplicaPutReq>) return Op::ReplicaPut;
-        else if constexpr (std::is_same_v<T, ReplicaRemoveReq>) return Op::ReplicaRemove;
-        else if constexpr (std::is_same_v<T, ReplicaGetReq>) return Op::ReplicaGet;
-        else if constexpr (std::is_same_v<T, SizeReq>) return Op::Size;
-        else if constexpr (std::is_same_v<T, SyncReq>) return Op::Sync;
-        else if constexpr (std::is_same_v<T, CompactReq>) return Op::Compact;
-        else if constexpr (std::is_same_v<T, GossipSyncReq>) return Op::GossipSync;
-        else if constexpr (std::is_same_v<T, JoinReq>) return Op::Join;
-        else if constexpr (std::is_same_v<T, LeaveReq>) return Op::Leave;
-        else return Op::Handoff;
-      },
-      body);
-}
+Op opOf(const RequestBody& body) { return static_cast<Op>(body.index() + 1); }
 
 // --- Encode ----------------------------------------------------------------
 
 std::string encodeRequest(u64 requestId, const RequestBody& body,
                           bool noForward) {
-  Encoder e(64);
-  e.putU8(kMagic);
-  e.putU8(kVersion);
-  e.putU8(static_cast<u8>(opOf(body)));
-  e.putU8(noForward ? kNoForwardBit : 0);
-  e.putVarint(requestId);
-  std::visit(
-      [&e](const auto& b) {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, PutReq>) {
-          e.putVarBytes(b.key);
-          e.putVarBytes(b.value);
-        } else if constexpr (std::is_same_v<T, GetReq> ||
-                             std::is_same_v<T, RemoveReq> ||
-                             std::is_same_v<T, ReplicaRemoveReq> ||
-                             std::is_same_v<T, ReplicaGetReq>) {
-          e.putVarBytes(b.key);
-        } else if constexpr (std::is_same_v<T, CasReq>) {
-          putCasEntry(e, b);
-        } else if constexpr (std::is_same_v<T, MultiGetReq>) {
-          e.putVarint(b.entries.size());
-          for (const GetReq& g : b.entries) e.putVarBytes(g.key);
-        } else if constexpr (std::is_same_v<T, MultiCasReq>) {
-          e.putVarint(b.entries.size());
-          for (const CasReq& c : b.entries) putCasEntry(e, c);
-        } else if constexpr (std::is_same_v<T, ReplicaPutReq>) {
-          e.putVarBytes(b.key);
-          e.putVarBytes(b.value);
-          e.putVarint(b.version);
-        } else if constexpr (std::is_same_v<T, GossipSyncReq>) {
-          e.putVarint(b.senderId);
-          e.putVarint(b.version);
-          putNodeEntries(e, b.entries);
-        } else if constexpr (std::is_same_v<T, JoinReq>) {
-          putNodeEntry(e, b.joiner);
-        } else if constexpr (std::is_same_v<T, LeaveReq>) {
-          e.putVarint(b.nodeId);
-          e.putVarint(b.incarnation);
-        } else if constexpr (std::is_same_v<T, HandoffReq>) {
-          e.putVarint(b.entries.size());
-          for (const HandoffEntry& h : b.entries) {
-            e.putVarBytes(h.key);
-            e.putVarint(h.version);
-            e.putVarBytes(h.value);
-          }
-        }
-        // Ping/Size/Sync/Compact: empty bodies.
-      },
-      body);
-  return std::move(e).take();
+  return encode(static_cast<u8>(opOf(body)), noForward ? kNoForwardBit : 0,
+                requestId, body);
 }
 
 std::string encodeReply(u64 requestId, Op op, Status status,
                         const ReplyBody& body) {
-  Encoder e(64);
-  putHeader(e, static_cast<u8>(op) | kReplyBit, status, requestId);
-  std::visit(
-      [&e](const auto& b) {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, PingRep>) {
-          e.putVarBytes(b.nodeName);
-        } else if constexpr (std::is_same_v<T, PutRep>) {
-          e.putVarint(b.version);
-        } else if constexpr (std::is_same_v<T, GetRep>) {
-          putGetRep(e, b);
-        } else if constexpr (std::is_same_v<T, RemoveRep>) {
-          e.putU8(b.existed ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, CasRep>) {
-          putCasRep(e, b);
-        } else if constexpr (std::is_same_v<T, MultiGetRep>) {
-          e.putVarint(b.entries.size());
-          for (const GetRep& g : b.entries) putGetRep(e, g);
-        } else if constexpr (std::is_same_v<T, MultiCasRep>) {
-          e.putVarint(b.entries.size());
-          for (const CasRep& c : b.entries) putCasRep(e, c);
-        } else if constexpr (std::is_same_v<T, ReplicaRemoveRep>) {
-          e.putU8(b.existed ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, SizeRep>) {
-          e.putVarint(b.primaryKeys);
-        } else if constexpr (std::is_same_v<T, GossipSyncRep>) {
-          e.putVarint(b.version);
-          putNodeEntries(e, b.entries);
-        } else if constexpr (std::is_same_v<T, JoinRep>) {
-          e.putU8(b.accepted ? 1 : 0);
-          e.putVarint(b.keysStreamed);
-          e.putVarint(b.version);
-          putNodeEntries(e, b.entries);
-        } else if constexpr (std::is_same_v<T, LeaveRep>) {
-          e.putU8(b.known ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, HandoffRep>) {
-          e.putVarint(b.installed);
-        } else if constexpr (std::is_same_v<T, RedirectRep>) {
-          e.putVarint(b.ownerId);
-          e.putU32(b.host);
-          e.putVarint(b.port);
-          e.putVarint(b.version);
-        }
-        // EmptyRep/ReplicaPutRep/SyncRep/CompactRep: empty bodies.
-      },
-      body);
-  return std::move(e).take();
+  return encode(static_cast<u8>(op) | kReplyBit, static_cast<u8>(status),
+                requestId, body);
+}
+
+size_t getRepWireBytes(const GetRep& g) {
+  ByteCount count;
+  Writer<ByteCount> w(count);
+  fields(w, g);
+  return count.n;
 }
 
 void appendGossipHint(std::string& encodedReply, const GossipHint& hint) {
@@ -402,17 +449,7 @@ DecodeResult<Header> decodeHeaderFrom(Decoder& d, bool requireKnownOp) {
   return h;
 }
 
-DecodeResult<Reply> decodeGossipTrailer(Decoder& d, Reply rep) {
-  if (rep.header.hasGossipHint) {
-    auto sender = d.getVarint();
-    if (!sender) return DecodeError::Truncated;
-    auto version = d.getVarint();
-    if (!version) return DecodeError::Truncated;
-    rep.hint = GossipHint{*sender, *version};
-  }
-  if (!d.atEnd()) return DecodeError::TrailingBytes;
-  return rep;
-}
+size_t opIndex(const Header& h) { return static_cast<size_t>(h.op) - 1; }
 
 }  // namespace
 
@@ -430,133 +467,9 @@ DecodeResult<Request> decodeRequest(std::string_view datagram) {
   Request req;
   req.header = std::get<Header>(h);
   if (req.header.isReply) return DecodeError::BadOpcode;
-
-  auto fail = [&]() -> DecodeError {
-    return d.remaining() == 0 ? DecodeError::Truncated : DecodeError::BadField;
-  };
-  switch (req.header.op) {
-    case Op::Ping: req.body = PingReq{}; break;
-    case Op::Size: req.body = SizeReq{}; break;
-    case Op::Sync: req.body = SyncReq{}; break;
-    case Op::Compact: req.body = CompactReq{}; break;
-    case Op::Put: {
-      PutReq b;
-      auto key = d.getVarBytes();
-      if (!key) return fail();
-      auto value = d.getVarBytes();
-      if (!value) return fail();
-      b.key = std::move(*key);
-      b.value = std::move(*value);
-      req.body = std::move(b);
-      break;
-    }
-    case Op::Get: case Op::Remove: case Op::ReplicaRemove: case Op::ReplicaGet: {
-      auto key = d.getVarBytes();
-      if (!key) return fail();
-      if (req.header.op == Op::Get) req.body = GetReq{std::move(*key)};
-      else if (req.header.op == Op::Remove) req.body = RemoveReq{std::move(*key)};
-      else if (req.header.op == Op::ReplicaRemove)
-        req.body = ReplicaRemoveReq{std::move(*key)};
-      else req.body = ReplicaGetReq{std::move(*key)};
-      break;
-    }
-    case Op::Cas: {
-      CasReq b;
-      if (!getCasEntry(d, b)) return fail();
-      req.body = std::move(b);
-      break;
-    }
-    case Op::MultiGet: {
-      auto n = getCount(d);
-      if (!n) return fail();
-      MultiGetReq b;
-      b.entries.reserve(*n);
-      for (u64 i = 0; i < *n; ++i) {
-        auto key = d.getVarBytes();
-        if (!key) return fail();
-        b.entries.push_back(GetReq{std::move(*key)});
-      }
-      req.body = std::move(b);
-      break;
-    }
-    case Op::MultiCas: {
-      auto n = getCount(d);
-      if (!n) return fail();
-      MultiCasReq b;
-      b.entries.reserve(*n);
-      for (u64 i = 0; i < *n; ++i) {
-        CasReq c;
-        if (!getCasEntry(d, c)) return fail();
-        b.entries.push_back(std::move(c));
-      }
-      req.body = std::move(b);
-      break;
-    }
-    case Op::ReplicaPut: {
-      ReplicaPutReq b;
-      auto key = d.getVarBytes();
-      if (!key) return fail();
-      auto value = d.getVarBytes();
-      if (!value) return fail();
-      auto ver = d.getVarint();
-      if (!ver) return fail();
-      b.key = std::move(*key);
-      b.value = std::move(*value);
-      b.version = *ver;
-      req.body = std::move(b);
-      break;
-    }
-    case Op::GossipSync: {
-      GossipSyncReq b;
-      auto sender = d.getVarint();
-      if (!sender) return fail();
-      auto ver = d.getVarint();
-      if (!ver) return fail();
-      b.senderId = *sender;
-      b.version = *ver;
-      if (!getNodeEntries(d, b.entries)) return fail();
-      req.body = std::move(b);
-      break;
-    }
-    case Op::Join: {
-      JoinReq b;
-      if (!getNodeEntry(d, b.joiner)) return fail();
-      req.body = std::move(b);
-      break;
-    }
-    case Op::Leave: {
-      LeaveReq b;
-      auto id = d.getVarint();
-      if (!id) return fail();
-      auto inc = d.getVarint();
-      if (!inc) return fail();
-      b.nodeId = *id;
-      b.incarnation = *inc;
-      req.body = std::move(b);
-      break;
-    }
-    case Op::Handoff: {
-      auto n = getCount(d);
-      if (!n) return fail();
-      HandoffReq b;
-      b.entries.reserve(*n);
-      for (u64 i = 0; i < *n; ++i) {
-        HandoffEntry h2;
-        auto key = d.getVarBytes();
-        if (!key) return fail();
-        auto ver = d.getVarint();
-        if (!ver) return fail();
-        auto value = d.getVarBytes();
-        if (!value) return fail();
-        h2.key = std::move(*key);
-        h2.version = *ver;
-        h2.value = std::move(*value);
-        b.entries.push_back(std::move(h2));
-      }
-      req.body = std::move(b);
-      break;
-    }
-  }
+  Reader r(d);
+  req.body = Readers::request[opIndex(req.header)](r);
+  if (!r.ok()) return r.error();
   if (!d.atEnd()) return DecodeError::TrailingBytes;
   return req;
 }
@@ -568,140 +481,22 @@ DecodeResult<Reply> decodeReply(std::string_view datagram) {
   Reply rep;
   rep.header = std::get<Header>(h);
   if (!rep.header.isReply) return DecodeError::BadOpcode;
-  auto fail = [&]() -> DecodeError {
-    return d.remaining() == 0 ? DecodeError::Truncated : DecodeError::BadField;
-  };
-  if (rep.header.status == Status::Redirect) {
-    RedirectRep b;
-    auto owner = d.getVarint();
-    if (!owner) return fail();
-    auto host = d.getU32();
-    if (!host) return fail();
-    auto port = d.getVarint();
-    if (!port || *port > 65535) return fail();
-    auto ver = d.getVarint();
-    if (!ver) return fail();
-    b.ownerId = *owner;
-    b.host = *host;
-    b.port = static_cast<u16>(*port);
-    b.version = *ver;
-    rep.body = std::move(b);
-    return decodeGossipTrailer(d, std::move(rep));
+  Reader r(d);
+  if (rep.header.status == Status::Ok) {
+    rep.body = Readers::reply[opIndex(rep.header)](r);
+  } else if (rep.header.status == Status::Redirect) {
+    rep.body = readAs<ReplyBody, RedirectRep>(r);
+  }  // other statuses carry no body: rep.body stays EmptyRep
+  if (!r.ok()) return r.error();
+  if (rep.header.hasGossipHint) {
+    auto sender = d.getVarint();
+    if (!sender) return DecodeError::Truncated;
+    auto version = d.getVarint();
+    if (!version) return DecodeError::Truncated;
+    rep.hint = GossipHint{*sender, *version};
   }
-  if (rep.header.status != Status::Ok) {
-    rep.body = EmptyRep{};
-    return decodeGossipTrailer(d, std::move(rep));
-  }
-  switch (rep.header.op) {
-    case Op::Ping: {
-      auto name = d.getVarBytes();
-      if (!name) return fail();
-      rep.body = PingRep{std::move(*name)};
-      break;
-    }
-    case Op::Put: {
-      auto ver = d.getVarint();
-      if (!ver) return fail();
-      rep.body = PutRep{*ver};
-      break;
-    }
-    case Op::Get: case Op::ReplicaGet: {
-      GetRep b;
-      if (!getGetRep(d, b)) return fail();
-      rep.body = std::move(b);
-      break;
-    }
-    case Op::Remove: {
-      auto existed = getFlag(d);
-      if (!existed) return fail();
-      rep.body = RemoveRep{*existed};
-      break;
-    }
-    case Op::Cas: {
-      CasRep b;
-      if (!getCasRep(d, b)) return fail();
-      rep.body = std::move(b);
-      break;
-    }
-    case Op::MultiGet: {
-      auto n = getCount(d);
-      if (!n) return fail();
-      MultiGetRep b;
-      b.entries.reserve(*n);
-      for (u64 i = 0; i < *n; ++i) {
-        GetRep g;
-        if (!getGetRep(d, g)) return fail();
-        b.entries.push_back(std::move(g));
-      }
-      rep.body = std::move(b);
-      break;
-    }
-    case Op::MultiCas: {
-      auto n = getCount(d);
-      if (!n) return fail();
-      MultiCasRep b;
-      b.entries.reserve(*n);
-      for (u64 i = 0; i < *n; ++i) {
-        CasRep c;
-        if (!getCasRep(d, c)) return fail();
-        b.entries.push_back(std::move(c));
-      }
-      rep.body = std::move(b);
-      break;
-    }
-    case Op::ReplicaPut: rep.body = ReplicaPutRep{}; break;
-    case Op::ReplicaRemove: {
-      auto existed = getFlag(d);
-      if (!existed) return fail();
-      rep.body = ReplicaRemoveRep{*existed};
-      break;
-    }
-    case Op::Size: {
-      auto n = d.getVarint();
-      if (!n) return fail();
-      rep.body = SizeRep{*n};
-      break;
-    }
-    case Op::Sync: rep.body = SyncRep{}; break;
-    case Op::Compact: rep.body = CompactRep{}; break;
-    case Op::GossipSync: {
-      GossipSyncRep b;
-      auto ver = d.getVarint();
-      if (!ver) return fail();
-      b.version = *ver;
-      if (!getNodeEntries(d, b.entries)) return fail();
-      rep.body = std::move(b);
-      break;
-    }
-    case Op::Join: {
-      JoinRep b;
-      auto accepted = getFlag(d);
-      if (!accepted) return fail();
-      auto streamed = d.getVarint();
-      if (!streamed) return fail();
-      auto ver = d.getVarint();
-      if (!ver) return fail();
-      b.accepted = *accepted;
-      b.keysStreamed = *streamed;
-      b.version = *ver;
-      if (!getNodeEntries(d, b.entries)) return fail();
-      rep.body = std::move(b);
-      break;
-    }
-    case Op::Leave: {
-      auto known = getFlag(d);
-      if (!known) return fail();
-      rep.body = LeaveRep{*known};
-      break;
-    }
-    case Op::Handoff: {
-      auto installed = d.getVarint();
-      if (!installed) return fail();
-      rep.body = HandoffRep{*installed};
-      break;
-    }
-  }
-  return decodeGossipTrailer(d, std::move(rep));
+  if (!d.atEnd()) return DecodeError::TrailingBytes;
+  return rep;
 }
 
 }  // namespace lht::rpc::wire

@@ -18,6 +18,10 @@
 //   ..      gossip hint trailer (replies, only when bit 7 of status set):
 //           sender node id (varint), membership version (varint)
 //
+// Each body's layout is written once, as a field list in wire.cpp that
+// encoding, decoding and sizing (getRepWireBytes) all run; DESIGN.md §14
+// says how to add an opcode.
+//
 // Decoding is total: any truncated, overlong, or type-violating input
 // yields a typed DecodeError, never a crash or an over-read — these bytes
 // arrive from the network, and the fuzz suite (rpc_wire_test) bit-flips
@@ -147,16 +151,19 @@ struct GossipHint {
 
 // --- Request bodies --------------------------------------------------------
 
-struct PingReq {};
+struct PingReq { bool operator==(const PingReq&) const = default; };
 struct PutReq {
   std::string key;
   std::string value;
+  bool operator==(const PutReq&) const = default;
 };
 struct GetReq {
   std::string key;
+  bool operator==(const GetReq&) const = default;
 };
 struct RemoveReq {
   std::string key;
+  bool operator==(const RemoveReq&) const = default;
 };
 /// Optimistic read-modify-write: applies iff the key's stored version
 /// still equals expectedVersion (0 = expect absent). present=false erases.
@@ -165,12 +172,15 @@ struct CasReq {
   u64 expectedVersion = 0;
   bool present = true;
   std::string value;
+  bool operator==(const CasReq&) const = default;
 };
 struct MultiGetReq {
   std::vector<GetReq> entries;
+  bool operator==(const MultiGetReq&) const = default;
 };
 struct MultiCasReq {
   std::vector<CasReq> entries;
+  bool operator==(const MultiCasReq&) const = default;
 };
 /// Replica copy install: carries the primary's version so a holder's copy
 /// is identifiable with the snapshot it mirrors.
@@ -178,16 +188,19 @@ struct ReplicaPutReq {
   std::string key;
   std::string value;
   u64 version = 0;
+  bool operator==(const ReplicaPutReq&) const = default;
 };
 struct ReplicaRemoveReq {
   std::string key;
+  bool operator==(const ReplicaRemoveReq&) const = default;
 };
 struct ReplicaGetReq {
   std::string key;
+  bool operator==(const ReplicaGetReq&) const = default;
 };
-struct SizeReq {};
-struct SyncReq {};
-struct CompactReq {};
+struct SizeReq { bool operator==(const SizeReq&) const = default; };
+struct SyncReq { bool operator==(const SyncReq&) const = default; };
+struct CompactReq { bool operator==(const CompactReq&) const = default; };
 /// Anti-entropy exchange: the sender pushes its table, the receiver merges
 /// and answers with its own (post-merge) table. A client pulls by sending
 /// senderId 0 with no entries.
@@ -195,42 +208,51 @@ struct GossipSyncReq {
   u64 senderId = 0;
   u64 version = 0;
   std::vector<NodeEntry> entries;
+  bool operator==(const GossipSyncReq&) const = default;
 };
 /// Join handshake, sent by the joiner to every current member: "stream the
 /// primary keys I will own to my endpoint". The receiver streams via
 /// Handoff batches before replying.
 struct JoinReq {
   NodeEntry joiner;
+  bool operator==(const JoinReq&) const = default;
 };
 struct LeaveReq {
   u64 nodeId = 0;
   u64 incarnation = 0;
+  bool operator==(const LeaveReq&) const = default;
 };
 /// One transferred record (primary copy with its version).
 struct HandoffEntry {
   std::string key;
   u64 version = 0;
   std::string value;
+  bool operator==(const HandoffEntry&) const = default;
 };
 struct HandoffReq {
   std::vector<HandoffEntry> entries;
+  bool operator==(const HandoffReq&) const = default;
 };
 
 // --- Reply bodies ----------------------------------------------------------
 
 struct PingRep {
   std::string nodeName;
+  bool operator==(const PingRep&) const = default;
 };
 struct PutRep {
   u64 version = 0;  ///< version assigned to the stored value
+  bool operator==(const PutRep&) const = default;
 };
 struct GetRep {
   bool present = false;
   u64 version = 0;
   std::string value;
+  bool operator==(const GetRep&) const = default;
 };
 struct RemoveRep {
   bool existed = false;
+  bool operator==(const RemoveRep&) const = default;
 };
 struct CasRep {
   bool applied = false;
@@ -241,6 +263,7 @@ struct CasRep {
   u64 currentVersion = 0;
   bool currentPresent = false;
   std::string currentValue;
+  bool operator==(const CasRep&) const = default;
 };
 /// Answers a prefix of the request's entries, in order: the longest one
 /// that fits one datagram (at least one entry; a first entry too large
@@ -248,34 +271,42 @@ struct CasRep {
 /// re-sends the unanswered tail.
 struct MultiGetRep {
   std::vector<GetRep> entries;
+  bool operator==(const MultiGetRep&) const = default;
 };
 struct MultiCasRep {
   std::vector<CasRep> entries;
+  bool operator==(const MultiCasRep&) const = default;
 };
-struct ReplicaPutRep {};
+struct ReplicaPutRep { bool operator==(const ReplicaPutRep&) const = default; };
 struct ReplicaRemoveRep {
   bool existed = false;
+  bool operator==(const ReplicaRemoveRep&) const = default;
 };
 struct SizeRep {
   u64 primaryKeys = 0;
+  bool operator==(const SizeRep&) const = default;
 };
-struct SyncRep {};
-struct CompactRep {};
+struct SyncRep { bool operator==(const SyncRep&) const = default; };
+struct CompactRep { bool operator==(const CompactRep&) const = default; };
 struct GossipSyncRep {
   u64 version = 0;
   std::vector<NodeEntry> entries;
+  bool operator==(const GossipSyncRep&) const = default;
 };
 struct JoinRep {
   bool accepted = false;
   u64 keysStreamed = 0;
   u64 version = 0;
   std::vector<NodeEntry> entries;  ///< the member's current table
+  bool operator==(const JoinRep&) const = default;
 };
 struct LeaveRep {
   bool known = false;
+  bool operator==(const LeaveRep&) const = default;
 };
 struct HandoffRep {
   u64 installed = 0;
+  bool operator==(const HandoffRep&) const = default;
 };
 /// Status::Redirect body: the receiver's idea of the key's owner, so the
 /// client retries in one extra hop and knows its table (at `version`) is
@@ -285,8 +316,10 @@ struct RedirectRep {
   u32 host = 0;
   u16 port = 0;
   u64 version = 0;
+  bool operator==(const RedirectRep&) const = default;
 };
-struct EmptyRep {};  ///< other non-Ok replies carry no body
+/// The body of every other non-Ok reply: none.
+struct EmptyRep { bool operator==(const EmptyRep&) const = default; };
 
 using RequestBody =
     std::variant<PingReq, PutReq, GetReq, RemoveReq, CasReq, MultiGetReq,

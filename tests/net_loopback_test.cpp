@@ -1,7 +1,7 @@
 // Real-socket smoke tests: fork/exec lht_noded daemons on ephemeral UDP
 // ports and drive them through UdpTransport — the only tests that cross a
 // process boundary, so they pin the parts the SimHub twin cannot: the
-// epoll loop, real sockaddr round-trips, the daemon's ready-line and
+// socket wait, real sockaddr round-trips, the daemon's ready-line and
 // flag-error contract, and clean SIGTERM shutdown. Skipped (not failed)
 // when the lht_noded binary is not where the build puts it.
 #include <gtest/gtest.h>
