@@ -123,7 +123,9 @@ void BM_LhtFindWarmObs(benchmark::State& state) {
 }
 BENCHMARK(BM_LhtFindWarmObs)->Arg(0)->Arg(1);
 
-void BM_LhtRangeQueryWarm(benchmark::State& state) {
+// A range over Alg. 3/4 with the leaf cache off: the LCA jump plus one
+// forwarding round per dependency level, every time.
+void BM_LhtRangeQueryUncached(benchmark::State& state) {
   dht::LocalDht d;
   core::LhtIndex idx(d, {.thetaSplit = 100, .maxDepth = 24});
   auto data = workload::makeDataset(workload::Distribution::Uniform, 1 << 14, 8);
@@ -135,7 +137,35 @@ void BM_LhtRangeQueryWarm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_LhtRangeQueryWarm);
+BENCHMARK(BM_LhtRangeQueryUncached);
+
+// A warm range planned from the leaf cache, with perfbench's client options,
+// preload size and span (100k records, span 0.005: ~500 records over ~7
+// leaves). Arg 0 bulk-loads the records, which leaves every bucket sorted;
+// arg 1 inserts them one at a time, which leaves buckets unsorted.
+void BM_LhtRangeQueryPlanned(benchmark::State& state) {
+  dht::LocalDht d;
+  core::LhtIndex::Options o;
+  o.useLeafCache = true;
+  o.cacheDecodedBuckets = true;
+  o.crashConsistentSplits = true;
+  core::LhtIndex idx(d, o);
+  auto data = workload::makeDataset(workload::Distribution::Uniform, 100'000, 8);
+  if (state.range(0) == 0) {
+    idx.insertBatch(std::move(data));
+  } else {
+    for (const auto& r : data) idx.insert(r);
+  }
+  (void)idx.rangeQuery(0.0, 1.0);  // warms the leaf cache and bucket store
+  constexpr double kSpan = 0.005;
+  common::Pcg32 rng(9);
+  for (auto _ : state) {
+    auto spec = workload::makeRange(kSpan, rng);
+    benchmark::DoNotOptimize(idx.rangeQuery(spec.lo, spec.hi));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LhtRangeQueryPlanned)->ArgName("single_inserts")->Arg(0)->Arg(1);
 
 void BM_ZOrderEncode(benchmark::State& state) {
   common::Pcg32 rng(11);

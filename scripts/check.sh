@@ -190,8 +190,9 @@ if [[ "$skew" -eq 1 ]]; then
   echo "== skew bench (read balance + lease accounting, release) =="
   cmake --preset release
   cmake --build --preset release -j "$jobs" --target bench_skew
-  ./build-release/bench/bench_skew --out=build-release/BENCH_PR8.json \
-    > /dev/null
+  # The committed baseline's own configuration (its "config" block).
+  ./build-release/bench/bench_skew --seeds=2 --ops=1200 \
+    --out=build-release/BENCH_PR8.json > /dev/null
   python3 scripts/diff_bench.py BENCH_PR8.json build-release/BENCH_PR8.json \
     || echo "check.sh: WARNING: skew metrics drifted from the committed" \
             "baseline (warn-only, see above)"

@@ -83,9 +83,9 @@ struct LeafBucket {
   Label label;
   std::vector<index::Record> records;
   common::u64 epoch = 0;
-  std::vector<common::u64> appliedOps;  ///< newest last, bounded window
-  std::optional<SplitIntent> splitIntent;
-  std::optional<MergeIntent> mergeIntent;
+  std::vector<common::u64> appliedOps{};  ///< newest last, bounded window
+  std::optional<SplitIntent> splitIntent{};
+  std::optional<MergeIntent> mergeIntent{};
 
   /// How many op tokens a bucket remembers. Wide enough that a client's
   /// retry horizon (one in-flight op at a time, bounded retry counts)

@@ -48,14 +48,16 @@ std::vector<LeafCache::Entry> LeafCache::tiling(const common::Interval& iv) {
 
 void LeafCache::note(const common::Label& label, common::u64 epoch,
                      common::u64 leaseExpiresAtMs) {
-  // Re-noting the same leaf (every primary read does) must not restart
-  // replica rotation: a reset cursor pins the next lease reads back onto
-  // slot 0 — exactly the holder that may have just timed out. Carry the
-  // cursor across the erase/re-insert.
-  common::u32 cursor = 0;
-  auto prev = byLo_.find(label.interval().lo);
-  if (prev != byLo_.end() && prev->second.label == label) {
-    cursor = prev->second.replicaCursor;
+  // Re-noting a cached leaf (every find, insert and planned tile does)
+  // refreshes it in place. Entries never overlap, so nothing else can need
+  // evicting, and the full-cache valve below has nothing to make room for.
+  // The replica cursor stays: a reset would pin the next lease reads back
+  // onto slot 0, exactly the holder that may have just timed out.
+  auto it = byLo_.find(label.interval().lo);
+  if (it != byLo_.end() && it->second.label == label) {
+    it->second.epoch = epoch;
+    it->second.leaseExpiresAtMs = leaseExpiresAtMs;
+    return;
   }
   invalidate(label.interval());
   if (byLo_.size() >= capacity_) {
@@ -65,7 +67,7 @@ void LeafCache::note(const common::Label& label, common::u64 epoch,
     byLo_.clear();
     flushes_ += 1;
   }
-  byLo_[label.interval().lo] = Entry{label, epoch, leaseExpiresAtMs, cursor};
+  byLo_.emplace(label.interval().lo, Entry{label, epoch, leaseExpiresAtMs});
 }
 
 void LeafCache::invalidate(const common::Interval& iv) {

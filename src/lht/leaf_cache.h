@@ -70,8 +70,11 @@ class LeafCache {
   /// uncovered. Counts as one hit or one miss, like a find.
   [[nodiscard]] std::vector<Entry> tiling(const common::Interval& iv);
 
-  /// Records an observed clean leaf. Entries overlapping its interval are
-  /// dropped first (sibling leaves that no longer exist after a merge).
+  /// Records an observed clean leaf. A leaf already cached under the same
+  /// label is refreshed in place: its epoch and lease are updated, its
+  /// replica cursor kept, and nothing is evicted or flushed. A new label
+  /// first drops the entries overlapping its interval (sibling leaves that
+  /// no longer exist after a merge, or the parent of a split).
   /// leaseExpiresAtMs != 0 grants (or renews) a read lease on the entry.
   void note(const common::Label& label, common::u64 epoch,
             common::u64 leaseExpiresAtMs = 0);
@@ -95,6 +98,8 @@ class LeafCache {
   [[nodiscard]] size_t size() const { return byLo_.size(); }
   [[nodiscard]] common::u64 hits() const { return hits_; }
   [[nodiscard]] common::u64 misses() const { return misses_; }
+  /// Entries evicted because they overlapped a newly noted leaf or an
+  /// invalidated interval; an in-place refresh is not one.
   [[nodiscard]] common::u64 invalidations() const { return invalidations_; }
   [[nodiscard]] common::u64 flushes() const { return flushes_; }
 

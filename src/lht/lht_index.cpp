@@ -1205,13 +1205,82 @@ LhtIndex::BucketRef LhtIndex::fetchSubtreeEntry(const Label& branch,
   return getBucketRef(dhtKeyFor(branch), st);
 }
 
-void LhtIndex::expandBucket(const LeafBucket& bucket, const Interval& clip,
-                            std::vector<FanoutTask>& next,
-                            std::vector<index::Record>& out, cost::OpStats& st) {
-  st.bucketsTouched += 1;
+/// A range answer assembled one piece per expanded bucket: the bucket's
+/// records inside the clip, copied once, in recordLess order, keyed by the
+/// low end of bucket interval ∩ clip. Pieces cover disjoint key intervals:
+/// the fan-out's clips partition the range, and a leaf holds only keys its
+/// interval covers. So concatenating the pieces by low end gives the answer
+/// in order, with no sort over records.
+class LhtIndex::RangeAnswer {
+ public:
+  /// Appends bucket ∩ clip as one piece (nothing when it is empty).
+  void addPiece(const LeafBucket& bucket, const Interval& clip);
+  /// The records of every piece, in recordLess order. A planned range's
+  /// pieces usually arrive in order, and then this is a move; otherwise
+  /// the pieces are sorted and each record moves once.
+  std::vector<index::Record> take() &&;
+
+ private:
+  struct Piece {
+    double lo;
+    size_t begin, end;  ///< [begin, end) of records_
+  };
+  std::vector<index::Record> records_;
+  std::vector<Piece> pieces_;
+  std::vector<const index::Record*> picked_;  ///< reused by addPiece
+};
+
+void LhtIndex::RangeAnswer::addPiece(const LeafBucket& bucket,
+                                     const Interval& clip) {
+  // Point at the records inside the clip, checking their order on the
+  // way: a bulk load leaves a bucket sorted and a split keeps its order,
+  // but single inserts append out of order. Sorting pointers, not the
+  // shared records, keeps the copy single.
+  picked_.clear();
+  picked_.reserve(bucket.records.size());
+  bool sorted = true;
   for (const auto& r : bucket.records) {
-    if (clip.contains(r.key)) out.push_back(r);
+    if (!clip.contains(r.key)) continue;
+    if (!picked_.empty() && index::recordLess(r, *picked_.back())) sorted = false;
+    picked_.push_back(&r);
   }
+  if (picked_.empty()) return;
+  if (!sorted) {
+    std::sort(picked_.begin(), picked_.end(),
+              [](const index::Record* a, const index::Record* b) {
+                return index::recordLess(*a, *b);
+              });
+  }
+  const size_t begin = records_.size();
+  if (records_.capacity() < begin + picked_.size()) {
+    records_.reserve(std::max(2 * records_.capacity(), begin + picked_.size()));
+  }
+  for (const index::Record* r : picked_) records_.push_back(*r);
+  pieces_.push_back(
+      Piece{std::max(bucket.label.interval().lo, clip.lo), begin, records_.size()});
+}
+
+std::vector<index::Record> LhtIndex::RangeAnswer::take() && {
+  const auto byLo = [](const Piece& a, const Piece& b) { return a.lo < b.lo; };
+  if (std::is_sorted(pieces_.begin(), pieces_.end(), byLo)) {
+    return std::move(records_);
+  }
+  std::sort(pieces_.begin(), pieces_.end(), byLo);
+  std::vector<index::Record> ordered;
+  ordered.reserve(records_.size());
+  for (const Piece& p : pieces_) {
+    for (size_t i = p.begin; i < p.end; ++i) {
+      ordered.push_back(std::move(records_[i]));
+    }
+  }
+  return ordered;
+}
+
+void LhtIndex::expandBucket(const LeafBucket& bucket, const Interval& clip,
+                            std::vector<FanoutTask>& next, RangeAnswer& out,
+                            cost::OpStats& st) {
+  st.bucketsTouched += 1;
+  out.addPiece(bucket, clip);
   const Interval mine = bucket.label.interval();
 
   // Sweep right: cover (mine.hi, clip.hi) through the right branch nodes
@@ -1260,8 +1329,7 @@ LhtIndex::BucketRef LhtIndex::resolveRangeEntry(const Interval& clip,
 }
 
 u64 LhtIndex::runFanoutRounds(std::vector<FanoutTask> frontier,
-                              std::vector<index::Record>& out,
-                              cost::OpStats& st) {
+                              RangeAnswer& out, cost::OpStats& st) {
   u64 rounds = 0;
   std::vector<std::string> keys;
   std::vector<FanoutTask> next;
@@ -1313,29 +1381,6 @@ u64 LhtIndex::runFanoutRounds(std::vector<FanoutTask> frontier,
   return rounds;
 }
 
-namespace {
-
-/// Orders collected records by recordLess through a (key, index) sort —
-/// cheap to swap, unlike a Record — then moves each record once into
-/// place.
-std::vector<index::Record> sortedByKey(std::vector<index::Record> recs) {
-  std::vector<std::pair<double, u32>> order;
-  order.reserve(recs.size());
-  for (size_t i = 0; i < recs.size(); ++i) {
-    order.emplace_back(recs[i].key, static_cast<u32>(i));
-  }
-  std::sort(order.begin(), order.end(), [&recs](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return recs[a.second].payload < recs[b.second].payload;
-  });
-  std::vector<index::Record> sorted;
-  sorted.reserve(recs.size());
-  for (const auto& [key, i] : order) sorted.push_back(std::move(recs[i]));
-  return sorted;
-}
-
-}  // namespace
-
 index::RangeResult LhtIndex::rangeQuery(double lo, double hi) {
   index::RangeResult result;
   if (hi <= lo) return result;
@@ -1344,7 +1389,7 @@ index::RangeResult LhtIndex::rangeQuery(double lo, double hi) {
   span.arg("lo", lo);
   span.arg("hi", hi);
   const Interval range{lo, hi};
-  std::vector<index::Record> collected;
+  RangeAnswer collected;
   std::vector<FanoutTask> frontier;
   u64 steps = 0;
 
@@ -1372,9 +1417,7 @@ index::RangeResult LhtIndex::rangeQuery(double lo, double hi) {
       result.stats.dhtLookups += found.stats.dhtLookups;
       steps += found.stats.parallelSteps;
       result.stats.bucketsTouched += 1;
-      for (const auto& r : found.bucket->records) {
-        if (range.contains(r.key)) collected.push_back(r);
-      }
+      collected.addPiece(*found.bucket, range);
     } else if (entry->label.interval().overlaps(range)) {
       // Case 2: the entry leaf holds one of the range bounds; it forwards
       // the rest of the range directly.
@@ -1392,7 +1435,7 @@ index::RangeResult LhtIndex::rangeQuery(double lo, double hi) {
 
   result.stats.parallelSteps = steps;
   chargeQuery(result.stats.dhtLookups);
-  result.records = sortedByKey(std::move(collected));
+  result.records = std::move(collected).take();
   noteOp("lht.rangeQuery", result.stats);
   return result;
 }

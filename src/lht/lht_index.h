@@ -308,12 +308,16 @@ class LhtIndex final : public index::OrderedIndex {
     bool underName = false;
   };
 
-  /// Collects bucket ∩ clip into `out` and enqueues the branch nodes the
-  /// bucket forwards the rest of the clip to (Alg. 3, both sweep
-  /// directions; a pure local-tree computation, no DHT traffic).
+  /// A range answer under assembly, one key-ordered piece per expanded
+  /// bucket (defined in lht_index.cpp).
+  class RangeAnswer;
+
+  /// Adds bucket ∩ clip to `out` as one piece and enqueues the branch
+  /// nodes the bucket forwards the rest of the clip to (Alg. 3, both
+  /// sweep directions; a pure local-tree computation, no DHT traffic).
   void expandBucket(const LeafBucket& bucket, const common::Interval& clip,
-                    std::vector<FanoutTask>& next,
-                    std::vector<index::Record>& out, cost::OpStats& st);
+                    std::vector<FanoutTask>& next, RangeAnswer& out,
+                    cost::OpStats& st);
 
   /// Alg. 3/4's parallel forwarding: lockstep breadth-first rounds over
   /// the frontier, one multiGet per round, so the critical path is one
@@ -323,7 +327,7 @@ class LhtIndex final : public index::OrderedIndex {
   /// the clip) is re-resolved through the repairing lookup. Returns the
   /// number of rounds on the critical path.
   common::u64 runFanoutRounds(std::vector<FanoutTask> frontier,
-                              std::vector<index::Record>& out, cost::OpStats& st);
+                              RangeAnswer& out, cost::OpStats& st);
 
   /// Fetches the entry bucket for a branch/half label during a neighbor
   /// walk: tries the label as a key (leftmost/rightmost named leaf of that

@@ -101,7 +101,9 @@ void runCampaign(const CampaignConfig& cfg) {
 
   EXPECT_EQ(result.opsTotal, trace.size());
   EXPECT_GT(result.elapsedSimMs, 0u);
-  if (cfg.crashClient) EXPECT_GT(result.opsFailed, 0u);
+  if (cfg.crashClient) {
+    EXPECT_GT(result.opsFailed, 0u);
+  }
 
   const auto merged = exec::mergeHistories(result.histories);
   const auto grow = exec::checkGrowOnlySet(merged);

@@ -20,9 +20,9 @@ namespace {
 
 /// Drives inserts interleaved with join/leave events, then checks a full
 /// range query against the oracle.
-template <typename DhtT, typename JoinFn, typename LeaveFn>
-void runChurnWorkload(DhtT& d, index::OrderedIndex& idx, JoinFn join,
-                      LeaveFn leave, common::u64 seed) {
+template <typename JoinFn, typename LeaveFn>
+void runChurnWorkload(index::OrderedIndex& idx, JoinFn join, LeaveFn leave,
+                      common::u64 seed) {
   index::ReferenceIndex oracle;
   common::Pcg32 rng(seed);
   auto data = workload::makeDataset(workload::Distribution::Uniform, 350, seed);
@@ -46,7 +46,7 @@ TEST(CrossSubstrateChurn, LhtOnPastry) {
   core::LhtIndex idx(d, {.thetaSplit = 8, .maxDepth = 24});
   common::Pcg32 pick(1);
   runChurnWorkload(
-      d, idx, [&](const std::string& n) { d.join(n); },
+      idx, [&](const std::string& n) { d.join(n); },
       [&] {
         auto ids = d.nodeIds();
         if (ids.size() > 4) d.leave(ids[pick.below(static_cast<common::u32>(ids.size()))]);
@@ -63,7 +63,7 @@ TEST(CrossSubstrateChurn, LhtOnCan) {
   core::LhtIndex idx(d, {.thetaSplit = 8, .maxDepth = 24});
   common::Pcg32 pick(2);
   runChurnWorkload(
-      d, idx, [&](const std::string& n) { d.join(n); },
+      idx, [&](const std::string& n) { d.join(n); },
       [&] {
         auto ids = d.peerIds();
         if (ids.size() > 4) d.leave(ids[pick.below(static_cast<common::u32>(ids.size()))]);
@@ -80,7 +80,7 @@ TEST(CrossSubstrateChurn, LhtOnKademlia) {
   core::LhtIndex idx(d, {.thetaSplit = 8, .maxDepth = 24});
   common::Pcg32 pick(3);
   runChurnWorkload(
-      d, idx, [&](const std::string& n) { d.join(n); },
+      idx, [&](const std::string& n) { d.join(n); },
       [&] {
         auto ids = d.nodeIds();
         if (ids.size() > 4) d.leave(ids[pick.below(static_cast<common::u32>(ids.size()))]);
@@ -102,7 +102,7 @@ TEST(CrossSubstrateChurn, PhtOnChord) {
   pht::PhtIndex idx(d, po);
   common::Pcg32 pick(4);
   runChurnWorkload(
-      d, idx, [&](const std::string& n) { d.join(n); },
+      idx, [&](const std::string& n) { d.join(n); },
       [&] {
         auto ids = d.nodeIds();
         if (d.peerCount() > 4) d.leave(ids[pick.below(static_cast<common::u32>(ids.size()))]);
@@ -198,7 +198,7 @@ TEST(CrossSubstrateFail, LhtStaysOracleCorrectOverReplicatedKademlia) {
   core::LhtIndex idx(d, {.thetaSplit = 8, .maxDepth = 24});
   common::Pcg32 pick(6);
   runChurnWorkload(
-      d, idx, [&](const std::string& n) { d.join(n); },
+      idx, [&](const std::string& n) { d.join(n); },
       [&] {
         auto ids = d.nodeIds();
         if (ids.size() > 4) d.fail(ids[pick.below(static_cast<common::u32>(ids.size()))]);
@@ -218,7 +218,7 @@ TEST(CrossSubstrateChurn, PhtOnPastry) {
   pht::PhtIndex idx(d, po);
   common::Pcg32 pick(5);
   runChurnWorkload(
-      d, idx, [&](const std::string& n) { d.join(n); },
+      idx, [&](const std::string& n) { d.join(n); },
       [&] {
         auto ids = d.nodeIds();
         if (ids.size() > 4) d.leave(ids[pick.below(static_cast<common::u32>(ids.size()))]);

@@ -103,7 +103,9 @@ TEST_P(IndexConformance, FullContractAgainstOracle) {
     auto mine = idx.find(key);
     auto truth = oracle.find(key);
     ASSERT_EQ(mine.record.has_value(), truth.record.has_value()) << key;
-    if (mine.record) EXPECT_DOUBLE_EQ(mine.record->key, truth.record->key);
+    if (mine.record) {
+      EXPECT_DOUBLE_EQ(mine.record->key, truth.record->key);
+    }
   }
 
   // Range conformance across spans, including degenerate and full-space.

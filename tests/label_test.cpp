@@ -58,7 +58,7 @@ TEST(Label, BitAccess) {
 TEST(Label, Sibling) {
   EXPECT_EQ(Label::parse("#010")->sibling().str(), "#011");
   EXPECT_EQ(Label::parse("#011")->sibling().str(), "#010");
-  EXPECT_THROW(Label::root().sibling(), InvariantError);
+  EXPECT_THROW((void)Label::root().sibling(), InvariantError);
 }
 
 TEST(Label, PrefixAndIsPrefixOf) {

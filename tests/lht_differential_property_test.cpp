@@ -114,7 +114,9 @@ void runSeed(u64 seed) {
         auto mine = isMin ? idx.minRecord() : idx.maxRecord();
         auto oracle = isMin ? ref.minRecord() : ref.maxRecord();
         ASSERT_EQ(mine.record.has_value(), oracle.record.has_value());
-        if (mine.record) EXPECT_EQ(mine.record->key, oracle.record->key);
+        if (mine.record) {
+          EXPECT_EQ(mine.record->key, oracle.record->key);
+        }
         break;
       }
     }

@@ -101,6 +101,42 @@ TEST(LeafCacheUnit, ReGrantPreservesReplicaCursor) {
   EXPECT_EQ(cache.find(0.3)->replicaCursor, 0u);
 }
 
+TEST(LeafCacheUnit, ReNoteRefreshesInPlace) {
+  LeafCache cache(8);
+  const Label l = *Label::parse("#001");  // [0.25, 0.5)
+  cache.note(*Label::parse("#000"), 1);
+  cache.note(l, 3, /*leaseExpiresAtMs=*/100);
+  cache.bumpReplicaCursor(l);
+  ASSERT_EQ(cache.size(), 2u);
+  cache.note(l, 4, /*leaseExpiresAtMs=*/250);
+  auto e = cache.find(0.3);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->epoch, 4u);
+  EXPECT_EQ(e->leaseExpiresAtMs, 250u);
+  EXPECT_EQ(e->replicaCursor, 1u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.invalidations(), 0u);
+  // A plain re-note (no lease) clears the lease in place, as a fresh note
+  // would.
+  cache.note(l, 5);
+  EXPECT_FALSE(cache.find(0.3)->leased());
+  EXPECT_EQ(cache.find(0.3)->replicaCursor, 1u);
+  EXPECT_EQ(cache.invalidations(), 0u);
+}
+
+TEST(LeafCacheUnit, ReNoteInAFullCacheDoesNotFlush) {
+  LeafCache cache(2);
+  cache.note(*Label::parse("#000"), 1);
+  cache.note(*Label::parse("#001"), 1);
+  ASSERT_EQ(cache.size(), 2u);
+  cache.note(*Label::parse("#001"), 2);  // already cached: nothing to make room for
+  EXPECT_EQ(cache.flushes(), 0u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.find(0.1)->epoch, 1u);
+  EXPECT_EQ(cache.find(0.3)->epoch, 2u);
+  EXPECT_EQ(cache.invalidations(), 0u);
+}
+
 TEST(LeafCacheUnit, TimeoutDropAccounting) {
   LeafCache cache(8);
   const Label l = *Label::parse("#001");

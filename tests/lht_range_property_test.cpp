@@ -1,5 +1,8 @@
-// Property tests for range queries (paper Sec. 6): completeness against the
-// oracle on randomized trees and workloads, plus the B+3 bandwidth bound.
+// Property tests for range queries (paper Sec. 6): completeness and order
+// against the oracle on randomized trees and workloads, plus the B+3
+// bandwidth bound. Each case runs through three clients of one tree: the
+// cache-off writer (Alg. 3/4), a reader whose warm leaf cache plans every
+// range, and a reader whose cache the writer's later splits made stale.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -29,14 +32,37 @@ TEST_P(LhtRangeProperty, MatchesOracleOnRandomRanges) {
   o.thetaSplit = c.theta;
   o.maxDepth = 30;
   LhtIndex idx(d, o);
+  LhtIndex::Options cached = o;
+  cached.useLeafCache = true;
+  cached.cacheDecodedBuckets = true;
+  cached.attachExisting = true;
+  cached.clientSeed = 2;
+  LhtIndex stale(d, cached);
+  cached.clientSeed = 3;
+  LhtIndex warm(d, cached);
   index::ReferenceIndex oracle;
   auto data = workload::makeDataset(c.dist, c.n, c.seed);
-  for (const auto& r : data) {
-    idx.insert(r);
-    oracle.insert(r);
+  for (size_t i = 0; i < data.size(); ++i) {
+    // The stale reader caches the tree as it stands halfway through; the
+    // writer's later splits move the leaves it planned with.
+    if (i == data.size() / 2) (void)stale.rangeQuery(0.0, 1.0);
+    idx.insert(data[i]);
+    oracle.insert(data[i]);
+    if (i % 7 == 0) {
+      // A second payload under the same key, ordered before the first:
+      // recordLess breaks the tie inside one leaf.
+      const index::Record dup{data[i].key, "dup" + data[i].payload};
+      idx.insert(dup);
+      oracle.insert(dup);
+    }
   }
+  (void)warm.rangeQuery(0.0, 1.0);
+  const common::u64 warmHits = warm.leafCache().hits();
+  const common::u64 warmMisses = warm.leafCache().misses();
+  const common::u64 staleHits = stale.leafCache().hits();
 
   common::Pcg32 rng(c.seed ^ 0xABCDu);
+  common::u64 ranges = 0;
   for (int q = 0; q < 120; ++q) {
     // Random spans across four orders of magnitude, plus boundary-aligned
     // and degenerate ranges.
@@ -69,24 +95,35 @@ TEST_P(LhtRangeProperty, MatchesOracleOnRandomRanges) {
         break;
     }
     if (hi <= lo) continue;
-    auto mine = idx.rangeQuery(lo, hi);
+    ranges += 1;
     auto truth = oracle.rangeQuery(lo, hi);
     std::sort(truth.records.begin(), truth.records.end(), index::recordLess);
-    ASSERT_EQ(mine.records.size(), truth.records.size())
-        << "[" << lo << ", " << hi << ") q=" << q;
-    for (size_t i = 0; i < mine.records.size(); ++i) {
-      ASSERT_EQ(mine.records[i], truth.records[i]) << i;
+    for (LhtIndex* client : {&idx, &warm, &stale}) {
+      const char* who = client == &idx ? "cache off" : client == &warm ? "warm" : "stale";
+      auto mine = client->rangeQuery(lo, hi);
+      ASSERT_EQ(mine.records.size(), truth.records.size())
+          << who << " [" << lo << ", " << hi << ") q=" << q;
+      for (size_t i = 0; i < mine.records.size(); ++i) {
+        ASSERT_EQ(mine.records[i], truth.records[i]) << who << " " << i;
+      }
+      // Latency never exceeds bandwidth, and both are positive.
+      EXPECT_LE(mine.stats.parallelSteps, mine.stats.dhtLookups) << who;
+      EXPECT_GE(mine.stats.dhtLookups, 1u) << who;
+      if (client != &idx) continue;
+      // Paper Sec. 6.3: at most B + 3 DHT-lookups for B >= 2 result
+      // buckets (a single-leaf range degenerates to an exact-match lookup
+      // instead). The bound is Alg. 3/4's, with no client state.
+      if (mine.stats.bucketsTouched >= 2) {
+        EXPECT_LE(mine.stats.dhtLookups, mine.stats.bucketsTouched + 3)
+            << "[" << lo << ", " << hi << ")";
+      }
     }
-    // Paper Sec. 6.3: at most B + 3 DHT-lookups for B >= 2 result buckets
-    // (a single-leaf range degenerates to an exact-match lookup instead).
-    if (mine.stats.bucketsTouched >= 2) {
-      EXPECT_LE(mine.stats.dhtLookups, mine.stats.bucketsTouched + 3)
-          << "[" << lo << ", " << hi << ")";
-    }
-    // Latency never exceeds bandwidth, and both are positive.
-    EXPECT_LE(mine.stats.parallelSteps, mine.stats.dhtLookups);
-    EXPECT_GE(mine.stats.dhtLookups, 1u);
   }
+  // Every range of the warm reader was planned from its cache: one tiling
+  // hit each, and no miss. The stale reader planned too.
+  EXPECT_EQ(warm.leafCache().misses(), warmMisses);
+  EXPECT_GE(warm.leafCache().hits() - warmHits, ranges);
+  EXPECT_GT(stale.leafCache().hits(), staleHits);
 }
 
 INSTANTIATE_TEST_SUITE_P(

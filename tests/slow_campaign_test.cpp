@@ -87,8 +87,9 @@ TEST(SlowStormCampaign, SixteenSeedFullStorm) {
 }
 
 TEST(SlowSkewCampaign, FullSkewGateLeasesBeatBaselineThreeFold) {
-  // The full-size balance gate (BENCH_PR8.json mirrors this run): default
-  // 8-seed zipfian campaign, both arms on identical traces. Leases +
+  // The full-size balance gate: the default 8-seed zipfian campaign, both
+  // arms on identical traces. (BENCH_PR8.json is a smaller run, 2 seeds x
+  // 1200 ops, which `scripts/check.sh --skew` repeats.) Leases +
   // adaptive splits must cut the busiest peer's max/mean read imbalance
   // by at least 3x and every seed must oracle-verify in both arms.
   SkewCampaignConfig on;  // defaults: 8 seeds, 16 peers, replication 4
