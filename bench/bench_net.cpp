@@ -60,8 +60,8 @@ WorkloadResult runWorkload(lht::dht::Dht& dht, u64 ops, u64 seed) {
   std::map<std::string, std::string> oracle;
   // Preload half the keyspace so gets mostly hit.
   for (size_t i = 0; i < keyspace; i += 2) {
-    const std::string k = "k" + std::to_string(i);
-    const std::string v = "v" + std::to_string(i);
+    const std::string k = lht::common::numbered("k", i);
+    const std::string v = lht::common::numbered("v", i);
     dht.put(k, v);
     oracle[k] = v;
   }
@@ -70,7 +70,7 @@ WorkloadResult runWorkload(lht::dht::Dht& dht, u64 ops, u64 seed) {
   res.ops = ops;
   const auto start = std::chrono::steady_clock::now();
   for (u64 i = 0; i < ops; ++i) {
-    const std::string k = "k" + std::to_string(rng.below(keyspace));
+    const std::string k = lht::common::numbered("k", rng.below(keyspace));
     const u64 dice = rng.below(10);
     try {
       if (dice < 5) {
@@ -81,7 +81,7 @@ WorkloadResult runWorkload(lht::dht::Dht& dht, u64 ops, u64 seed) {
           res.opsFailed += 1;
         }
       } else if (dice < 8) {
-        const std::string v = "w" + std::to_string(i);
+        const std::string v = lht::common::numbered("w", i);
         dht.put(k, v);
         oracle[k] = v;
       } else {
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> keys;
     for (size_t i = 0; i < batchKeys; ++i) {
       keys.push_back("batch" + std::to_string(i));
-      dht->put(keys.back(), "v" + std::to_string(i));
+      dht->put(keys.back(), lht::common::numbered("v", i));
     }
     const auto afterLoad = dht->routedStats();
     for (const auto& k : keys) {
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
     auto outcomes = dht->multiGet(keys);
     const auto afterBatch = dht->routedStats();
     for (size_t i = 0; i < outcomes.size(); ++i) {
-      if (!outcomes[i].ok || outcomes[i].value != "v" + std::to_string(i)) {
+      if (!outcomes[i].ok || outcomes[i].value != lht::common::numbered("v", i)) {
         batchOracleOk = false;
       }
     }

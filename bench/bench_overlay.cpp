@@ -88,8 +88,8 @@ WorkloadResult runWorkload(RoutedNetDht& dht, u64 ops, u64 seed,
   lht::common::Pcg32 rng(seed);
   const size_t keyspace = 512;
   for (size_t i = 0; i < keyspace; i += 2) {
-    const std::string k = "k" + std::to_string(i);
-    const std::string v = "v" + std::to_string(i);
+    const std::string k = lht::common::numbered("k", i);
+    const std::string v = lht::common::numbered("v", i);
     dht.put(k, v);
     oracle[k] = v;
   }
@@ -98,7 +98,7 @@ WorkloadResult runWorkload(RoutedNetDht& dht, u64 ops, u64 seed,
   res.ops = ops;
   const auto start = std::chrono::steady_clock::now();
   for (u64 i = 0; i < ops; ++i) {
-    const std::string k = "k" + std::to_string(rng.below(keyspace));
+    const std::string k = lht::common::numbered("k", rng.below(keyspace));
     const u64 dice = rng.below(10);
     try {
       if (dice < 5) {
@@ -109,7 +109,7 @@ WorkloadResult runWorkload(RoutedNetDht& dht, u64 ops, u64 seed,
           res.opsFailed += 1;
         }
       } else if (dice < 8) {
-        const std::string v = "w" + std::to_string(i);
+        const std::string v = lht::common::numbered("w", i);
         dht.put(k, v);
         oracle[k] = v;
       } else {

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
 
     workload::KeyGenerator gen(workload::Distribution::Uniform, 17);
     for (size_t i = 0; i < ops; ++i) {
-      index::Record r{gen.next(), "r" + std::to_string(i)};
+      index::Record r{gen.next(), common::numbered("r", i)};
       idx.insert(r);
       oracle.insert(r);
       if (period != 0) churn.maybeChurn();

@@ -41,7 +41,7 @@ WorkloadResult runWorkload(dht::Dht& substrate, bool durable, size_t ops,
 
   std::vector<double> keys;
   for (size_t i = 0; i < ops; ++i) {
-    index::Record r{gen.next(), "r" + std::to_string(i)};
+    index::Record r{gen.next(), common::numbered("r", i)};
     idx.insert(r);
     oracle.insert(r);
     keys.push_back(r.key);

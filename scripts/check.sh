@@ -93,6 +93,9 @@ for arg in "$@"; do
 done
 
 jobs="$(nproc 2>/dev/null || echo 4)"
+# Every build but coverage is warning-free and must stay so (LHT_WERROR;
+# the option itself defaults to off).
+werror=-DLHT_WERROR=ON
 
 # Build trees must never be committed: .gitignore covers build*/, and this
 # guard catches anything force-added in spite of it.
@@ -103,14 +106,14 @@ if git ls-files -- 'build/*' 'build-*/*' | grep -q .; then
 fi
 
 echo "== configure + build (default) =="
-cmake --preset default
+cmake --preset default "$werror"
 cmake --build --preset default -j "$jobs"
 echo "== ctest (default) =="
 ctest --preset default -j "$jobs"
 
 if [[ "$fast" -eq 0 ]]; then
   echo "== configure + build (asan-ubsan) =="
-  cmake --preset asan-ubsan
+  cmake --preset asan-ubsan "$werror"
   cmake --build --preset asan-ubsan -j "$jobs"
   echo "== ctest (asan-ubsan) =="
   ctest --preset asan-ubsan -j "$jobs"
@@ -120,7 +123,7 @@ fi
 
 if [[ "$tsan" -eq 1 ]]; then
   echo "== configure + build (tsan) =="
-  cmake --preset tsan
+  cmake --preset tsan "$werror"
   cmake --build --preset tsan -j "$jobs" --target lht_tests
   echo "== concurrency suites under ThreadSanitizer =="
   ctest --preset tsan -j "$jobs" -R \
@@ -129,7 +132,7 @@ fi
 
 if [[ "$bench" -eq 1 ]]; then
   echo "== configure + build (release) =="
-  cmake --preset release
+  cmake --preset release "$werror"
   cmake --build --preset release -j "$jobs" --target bench_json \
     --target bench_scaling
   echo "== perf bench (release) vs committed BENCH_PR2.json (warn-only) =="
@@ -145,7 +148,7 @@ fi
 
 if [[ "$durability" -eq 1 ]]; then
   echo "== durability bench (WAL overhead + recovery curve, release) =="
-  cmake --preset release
+  cmake --preset release "$werror"
   cmake --build --preset release -j "$jobs" --target bench_durability
   ./build-release/bench/bench_durability \
     --out=build-release/BENCH_PR5.json > /dev/null
@@ -156,12 +159,12 @@ fi
 
 if [[ "$churn" -eq 1 ]]; then
   echo "== 16-seed churn-storm campaign under ASan (ctest: slow.storm_campaign) =="
-  cmake --preset asan-ubsan
+  cmake --preset asan-ubsan "$werror"
   cmake --build --preset asan-ubsan -j "$jobs" --target lht_slow_tests
   ctest --test-dir build-asan -C slow -L slow -R slow.storm_campaign \
     -j "$jobs" --output-on-failure
   echo "== churn-storm bench (availability + convergence, release) =="
-  cmake --preset release
+  cmake --preset release "$werror"
   cmake --build --preset release -j "$jobs" --target bench_storm
   ./build-release/bench/bench_storm --out=build-release/BENCH_PR6.json \
     > /dev/null
@@ -172,14 +175,14 @@ fi
 
 if [[ "$skew" -eq 1 ]]; then
   echo "== 16-seed lease-linearizability + skew campaigns under ASan =="
-  cmake --preset asan-ubsan
+  cmake --preset asan-ubsan "$werror"
   cmake --build --preset asan-ubsan -j "$jobs" --target lht_slow_tests
   ctest --test-dir build-asan -C slow -L slow \
     -R 'slow.lease_campaign|slow.skew_campaign' \
     -j "$jobs" --output-on-failure
   if [[ "$tsan" -eq 1 ]]; then
     echo "== 16-seed lease-linearizability campaign under TSan =="
-    cmake --preset tsan
+    cmake --preset tsan "$werror"
     cmake --build --preset tsan -j "$jobs" --target lht_slow_tests
     # Same TSAN_OPTIONS as the tsan test preset (AllGuard exceeds TSan's
     # 64-lock deadlock-detector cap; races still fail the gate).
@@ -188,7 +191,7 @@ if [[ "$skew" -eq 1 ]]; then
       -j "$jobs" --output-on-failure
   fi
   echo "== skew bench (read balance + lease accounting, release) =="
-  cmake --preset release
+  cmake --preset release "$werror"
   cmake --build --preset release -j "$jobs" --target bench_skew
   # The committed baseline's own configuration (its "config" block).
   ./build-release/bench/bench_skew --seeds=2 --ops=1200 \
@@ -200,13 +203,13 @@ fi
 
 if [[ "$net" -eq 1 ]]; then
   echo "== wire/transport/networked-client/loopback suites under ASan+UBSan =="
-  cmake --preset asan-ubsan
+  cmake --preset asan-ubsan "$werror"
   cmake --build --preset asan-ubsan -j "$jobs" --target lht_tests \
     --target lht_noded
   ctest --test-dir build-asan -j "$jobs" --output-on-failure \
     -R 'Varint|RpcWire|SimTransport|RpcClient|NodeServer|StaticCluster|NetDhtReadSlot|NetDhtIndex|NetLoopback'
   echo "== networked bench (in-process vs N-process + batching, release) =="
-  cmake --preset release
+  cmake --preset release "$werror"
   cmake --build --preset release -j "$jobs" --target bench_net \
     --target lht_net_trace
   ./build-release/bench/bench_net --out=build-release/BENCH_PR9.json \
@@ -220,13 +223,13 @@ fi
 
 if [[ "$overlay" -eq 1 ]]; then
   echo "== overlay membership/routing/elasticity suites under ASan+UBSan =="
-  cmake --preset asan-ubsan
+  cmake --preset asan-ubsan "$werror"
   cmake --build --preset asan-ubsan -j "$jobs" --target lht_tests \
     --target lht_noded
   ctest --test-dir build-asan -j "$jobs" --output-on-failure \
     -R 'NodeId|MembershipTable|MemberRing|OverlayNode|RoutedNetDht|NodeServerDedup|RpcMetrics|RpcWire'
   echo "== overlay bench (warm hops + live-join availability, release) =="
-  cmake --preset release
+  cmake --preset release "$werror"
   cmake --build --preset release -j "$jobs" --target bench_overlay \
     --target lht_net_trace
   ./build-release/bench/bench_overlay --out=build-release/BENCH_PR10.json \

@@ -24,4 +24,15 @@ inline void checkInvariant(bool ok, const char* msg) {
   if (!ok) throw InvariantError(msg);
 }
 
+/// `prefix` followed by the decimal digits of `n`: numbered("k", 12) is
+/// "k12". It appends rather than writing "k" + std::to_string(12), whose
+/// operator+(const char*, std::string&&) draws a false -Wrestrict from
+/// GCC 12 once inlined.
+template <typename Int>
+std::string numbered(const char* prefix, Int n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 }  // namespace lht::common

@@ -142,11 +142,6 @@ BucketStore::Ref BucketStore::decode(const std::string& dhtKey,
   return ref;
 }
 
-LeafBucket BucketStore::decodeCopy(const std::string& dhtKey,
-                                   const std::string& raw) {
-  return *decode(dhtKey, raw);
-}
-
 void BucketStore::note(const std::string& dhtKey, std::string raw,
                        LeafBucket bucket) {
   if (!enabled_) return;

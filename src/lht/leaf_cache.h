@@ -153,11 +153,6 @@ class BucketStore {
   /// like the index's decode path always has) and caches.
   Ref decode(const std::string& dhtKey, const std::string& raw);
 
-  /// Mutable copy for read-modify-write (copy-on-write: the shared cached
-  /// value is never mutated in place).
-  [[nodiscard]] LeafBucket decodeCopy(const std::string& dhtKey,
-                                      const std::string& raw);
-
   /// Records the post-image of a write: `raw` is what was stored under
   /// `dhtKey`, `bucket` its already-decoded form.
   void note(const std::string& dhtKey, std::string raw, LeafBucket bucket);

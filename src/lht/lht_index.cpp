@@ -210,23 +210,64 @@ bool LhtIndex::leafIsHot(const std::string& dhtKey) const {
   return it != leafReads_.end() && it->second >= opts_.hotLeafReads;
 }
 
-dht::Mutator LhtIndex::makeBucketMutator(std::string key, BucketMutator fn) {
-  return [this, key = std::move(key), fn = std::move(fn)](std::optional<dht::Value>& v) {
+namespace {
+
+/// The one generic mutator, the index's single decode/serialize seam: runs
+/// `op` on a copy of the bucket stored under `key`, re-serializes it on
+/// change and keeps the store coherent; `kept` follows keepRun's rule.
+dht::Mutator bucketMutator(BucketStore& store, const std::string& key,
+                           const BucketOp& op, BucketOpResult& kept) {
+  return [&store, &key, &op, &kept](std::optional<dht::Value>& v) {
     std::optional<LeafBucket> b;
-    if (v.has_value()) b = store_.decodeCopy(key, *v);
-    if (!fn(b)) return;  // unchanged: the stored bytes stay as they are
+    if (v.has_value()) b = *store.decode(key, *v);  // copy-on-write
+    BucketOpResult run = executeBucketOp(b, op);
+    const bool changed = run.changed;
+    keepRun(kept, std::move(run));
+    if (!changed) return;  // the stored bytes stay as they are
     if (b.has_value()) {
       v = b->serialize();
-      store_.note(key, *v, std::move(*b));
+      store.note(key, *v, std::move(*b));
     } else {
       v.reset();
-      store_.forget(key);
+      store.forget(key);
     }
   };
 }
 
-bool LhtIndex::applyBucket(const std::string& key, const BucketMutator& fn) {
-  return dht_.apply(key, makeBucketMutator(key, fn));
+/// Whether `l` is the last leaf toward `side`, and its neighbor branch
+/// (Def. 3's f_rn or f_ln) there.
+bool atEnd(const Label& l, Side side) {
+  return side == Side::Right ? l.isRightmostPath() : l.isLeftmostPath();
+}
+Label neighbor(const Label& l, Side side) {
+  return side == Side::Right ? rightNeighbor(l) : leftNeighbor(l);
+}
+
+}  // namespace
+
+BucketOpResult LhtIndex::applyOp(const std::string& key, const BucketOp& op) {
+  BucketOpResult kept;
+  dht_.apply(key, bucketMutator(store_, key, op, kept));
+  return kept;
+}
+
+std::vector<dht::ApplyOutcome> LhtIndex::applyOps(const std::vector<KeyedOp>& ops,
+                                                  std::vector<BucketOpResult>& kept) {
+  kept.assign(ops.size(), BucketOpResult{});
+  std::vector<dht::ApplyRequest> reqs;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const KeyedOp& o = ops[i];
+    reqs.push_back(dht::ApplyRequest{o.key, bucketMutator(store_, o.key, o.op, kept[i])});
+  }
+  return dht_.multiApply(reqs);
+}
+
+BucketOpResult LhtIndex::applyStep(const std::string& key, const BucketOp& op,
+                                   cost::OpStats& st) {
+  BucketOpResult r = applyOp(key, op);
+  st.dhtLookups += 1;
+  chargeMaintenance(1, 0);
+  return r;
 }
 
 LhtIndex::LookupOutcome LhtIndex::toOutcome(LookupRef&& ref) {
@@ -235,17 +276,6 @@ LhtIndex::LookupOutcome LhtIndex::toOutcome(LookupRef&& ref) {
   out.stats = ref.stats;
   if (ref.bucket) out.bucket = *ref.bucket;  // one copy, at the API boundary
   return out;
-}
-
-bool LhtIndex::shouldSplit(const LeafBucket& b) const {
-  u32 threshold = opts_.thetaSplit;
-  if (opts_.adaptiveSplits && leafIsHot(dhtKeyFor(b.label))) {
-    // A persistently hot leaf splits early so its read traffic spreads
-    // over more owners; the floor keeps the split meaningful.
-    threshold = std::max<u32>(2, opts_.thetaSplit / opts_.hotSplitDivisor);
-  }
-  if (b.effectiveSize(opts_.countLabelSlot) < threshold) return false;
-  return b.label.length() < opts_.maxDepth;
 }
 
 // ---------------------------------------------------------------------------
@@ -385,28 +415,38 @@ std::vector<std::string> LhtIndex::candidateNames(double key) const {
   return names;
 }
 
-bool LhtIndex::repairProbe(double key, cost::OpStats& st) {
-  repairStats_.holeProbes += 1;
-  // Every candidate prefix name in one round: the probe count is that of
-  // a linear scan, the critical path one round-trip.
+LhtIndex::ProbeRound LhtIndex::probeCandidates(double key, bool retryFailed,
+                                               cost::OpStats& st) {
+  // The probe count of a linear scan in one round-trip. The leaf covering
+  // the key is stored under one of these names, and so is any
+  // intent-holder responsible for a hole there.
   const auto names = candidateNames(key);
   auto replies = dht_.multiGet(names);
   st.dhtLookups += names.size();
-  bool repaired = false;
+  ProbeRound round;
   for (size_t i = 0; i < names.size(); ++i) {
+    BucketRef bucket;
     if (!replies[i].ok) {
-      // Entry failed inside the round: fall back to a single probe of this
-      // name so injected faults degrade, not corrupt.
-      auto bucket = getBucketRef(names[i], st);
-      if (bucket && !bucket->clean()) repaired |= repairBucket(names[i], *bucket, st);
-      continue;
+      round.anyFailed = true;
+      // A single probe of this name: injected faults degrade, not corrupt.
+      if (retryFailed) bucket = getBucketRef(names[i], st);
+    } else if (replies[i].value.has_value()) {
+      bucket = store_.decode(names[i], *replies[i].value);
+      noteLeaf(*bucket);
     }
-    if (!replies[i].value.has_value()) continue;
-    auto bucket = store_.decode(names[i], *replies[i].value);
-    noteLeaf(*bucket);
-    if (!bucket->clean()) repaired |= repairBucket(names[i], *bucket, st);
+    if (!bucket) continue;
+    if (!bucket->clean()) {
+      round.repaired |= repairBucket(names[i], *bucket, st);
+    } else if (bucket->covers(common::clampToUnit(key))) {
+      round.covering = std::move(bucket);
+    }
   }
-  return repaired;
+  return round;
+}
+
+bool LhtIndex::repairProbe(double key, cost::OpStats& st) {
+  repairStats_.holeProbes += 1;
+  return probeCandidates(key, true, st).repaired;
 }
 
 bool LhtIndex::repairBucket(const std::string& key, const LeafBucket& bucket,
@@ -419,7 +459,11 @@ bool LhtIndex::repairBucket(const std::string& key, const LeafBucket& bucket,
   }
   if (bucket.mergeIntent) {
     if (bucket.frozenDonor()) {
-      resumeFrozenDonor(key, bucket, st);
+      // A merge stranded between freezing the donor and staging the
+      // absorber, or still on its way there: finish it, or thaw the donor.
+      const MergeIntent intent{bucket.label, bucket.records, bucket.mergeIntent->token};
+      mergeFrozenDonor(key, dhtKeyFor(bucket.label.parent()), bucket.label.sibling(),
+                       intent, st);
     } else {
       completeMerge(key, *bucket.mergeIntent, st);
     }
@@ -435,99 +479,36 @@ void LhtIndex::completeSplit(const std::string& stayingKey,
   // its own key. Create-if-absent: if a bucket already lives there, a
   // previous attempt (possibly ours, its reply lost) already landed it —
   // and it may have absorbed newer inserts — so it is never overwritten.
-  applyBucket(dhtKeyFor(intent.movedLabel), [&](std::optional<LeafBucket>& ob) {
-    if (ob.has_value()) return false;
-    LeafBucket moved;
-    moved.label = intent.movedLabel;
-    moved.records = intent.moving;
-    moved.epoch = 1;
-    moved.markApplied(intent.token);
-    ob = std::move(moved);
-    return true;
-  });
-  st.dhtLookups += 1;
-  chargeMaintenance(1, 0);
+  const std::string movedKey = dhtKeyFor(intent.movedLabel);
+  applyStep(movedKey, CreateMovedChild{&intent}, st);
 
   // Step 3: clear the intent from the staying child. Guarded by the
   // intent token so a stale retry cannot clear a newer intent.
   const Label parent = intent.movedLabel.parent();
-  bool mergedBack = false;
-  applyBucket(stayingKey, [&](std::optional<LeafBucket>& ob) {
-    mergedBack = !ob || ob->label.isPrefixOf(parent);
-    if (ob && ob->splitIntent && ob->splitIntent->token == intent.token) {
-      ob->splitIntent.reset();
-      ob->epoch += 1;
-      return true;
-    }
-    return false;
-  });
-  st.dhtLookups += 1;
-  chargeMaintenance(1, 0);
-  if (mergedBack) {
+  if (applyStep(stayingKey, ClearSplitIntent{parent, intent.token}, st)
+          .observed.mergedBack) {
     // A completer that read the intent before another one finished the
     // split can reach step 2 after the two children have merged back, and
     // recreate the moved child beside its merged parent. The staying key
     // holding the parent, an ancestor or nothing gives that away: delete
     // the copy step 2 may have made, unless a write has reached it since.
-    applyBucket(dhtKeyFor(intent.movedLabel), [&](std::optional<LeafBucket>& ob) {
-      if (!ob || ob->epoch != 1 || !ob->hasApplied(intent.token)) return false;
-      ob.reset();
-      return true;
-    });
-    st.dhtLookups += 1;
-    chargeMaintenance(1, 0);
+    applyStep(movedKey, DropRecreatedChild{intent.token}, st);
   }
   dropCached(parent.interval());
 }
 
-bool LhtIndex::stageMerge(const std::string& absorberKey,
-                          const Label& absorberLabel, const MergeIntent& intent,
-                          cost::OpStats& st) {
+bool LhtIndex::mergeFrozenDonor(const std::string& donorKey,
+                                const std::string& absorberKey,
+                                const Label& absorberLabel, const MergeIntent& intent,
+                                cost::OpStats& st) {
   // Step 2 of the merge state machine: copy the frozen donor's records into
-  // the absorber, provided it is still the clean sibling leaf.
-  bool staged = false;
-  applyBucket(absorberKey, [&](std::optional<LeafBucket>& ob) {
-    staged = false;
-    if (!ob.has_value()) return false;
-    LeafBucket& b = *ob;
-    if (b.mergeIntent && b.mergeIntent->token == intent.token) {
-      staged = true;  // staged already: a lost reply, or another completer
-      return false;
-    }
-    if (!b.clean() || b.label != absorberLabel) return false;
-    b.mergeIntent = intent;
-    b.epoch += 1;
-    staged = true;
-    return true;
-  });
-  st.dhtLookups += 1;
-  chargeMaintenance(1, 0);
-  return staged;
-}
-
-void LhtIndex::thawDonor(const std::string& donorKey, u64 token, cost::OpStats& st) {
-  applyBucket(donorKey, [&](std::optional<LeafBucket>& ob) {
-    if (!ob || !ob->mergeIntent || ob->mergeIntent->token != token) return false;
-    ob->mergeIntent.reset();
-    ob->epoch += 1;
-    return true;
-  });
-  st.dhtLookups += 1;
-  chargeMaintenance(1, 0);
-}
-
-void LhtIndex::resumeFrozenDonor(const std::string& donorKey,
-                                 const LeafBucket& donor, cost::OpStats& st) {
-  // A merge stranded between freezing the donor and staging the absorber
-  // (or still on its way there): stage it, or, if the sibling has stopped
-  // being a clean leaf, thaw the donor.
-  const MergeIntent intent{donor.label, donor.records, donor.mergeIntent->token};
-  const std::string absorberKey = dhtKeyFor(donor.label.parent());
-  if (stageMerge(absorberKey, donor.label.sibling(), intent, st)) {
-    completeMerge(absorberKey, intent, st);
-  } else {
-    thawDonor(donorKey, intent.token, st);
+  // the absorber, provided it is still the clean sibling leaf. If it is
+  // not, thaw the donor: the merge is off.
+  if (!applyStep(absorberKey, StageMerge{absorberLabel, &intent}, st).observed.staged) {
+    applyStep(donorKey, ClearMergeIntent{intent.token}, st);
+    return false;
   }
+  return completeMerge(absorberKey, intent, st);
 }
 
 bool LhtIndex::completeMerge(const std::string& absorberKey,
@@ -537,37 +518,14 @@ bool LhtIndex::completeMerge(const std::string& absorberKey,
   // lost, or a concurrent completer's). One that is present but no longer
   // frozen by this token was thawed by a client that found the absorber
   // unmergeable: the merge is off.
-  bool thawed = false;
-  applyBucket(dhtKeyFor(intent.donorLabel), [&](std::optional<LeafBucket>& ob) {
-    thawed = false;
-    if (!ob.has_value()) return false;
-    if (!ob->mergeIntent || ob->mergeIntent->token != intent.token) {
-      thawed = true;
-      return false;
-    }
-    ob.reset();  // erase
-    return true;
-  });
-  st.dhtLookups += 1;
-  chargeMaintenance(1, 0);
+  const bool thawed =
+      applyStep(dhtKeyFor(intent.donorLabel), DeleteFrozenDonor{intent.token}, st)
+          .observed.thawed;
 
   // Step 4: the absorber becomes the parent leaf and takes the staged copy
   // of the donor's records, or, when the merge is off, drops the intent.
-  applyBucket(absorberKey, [&](std::optional<LeafBucket>& ob) {
-    if (!ob || !ob->mergeIntent || ob->mergeIntent->token != intent.token) {
-      return false;
-    }
-    LeafBucket& b = *ob;
-    if (!thawed) {
-      b.label = intent.donorLabel.parent();
-      b.records.insert(b.records.end(), intent.moving.begin(), intent.moving.end());
-    }
-    b.mergeIntent.reset();
-    b.epoch += 1;
-    return true;
-  });
-  st.dhtLookups += 1;
-  chargeMaintenance(1, thawed ? 0 : intent.moving.size());
+  applyStep(absorberKey, ClearMergeIntent{intent.token, thawed ? nullptr : &intent}, st);
+  if (!thawed) chargeMaintenance(0, intent.moving.size());
   dropCached(intent.donorLabel.parent().interval());
   return !thawed;
 }
@@ -579,31 +537,11 @@ size_t LhtIndex::repairSweep() {
   size_t guard = 0;
   while (cursor < 1.0) {
     checkInvariant(++guard < 1u << 22, "repairSweep: runaway walk");
-    // One round per step: every candidate prefix name of the cursor. The
-    // leaf covering the cursor is stored under one of these names, and so
-    // is any intent-holder responsible for a hole there.
-    const auto names = candidateNames(cursor);
-    auto replies = dht_.multiGet(names);
-    scratch.dhtLookups += names.size();
-    bool repairedAny = false;
-    bool anyFailed = false;
-    BucketRef covering;
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (!replies[i].ok) {
-        anyFailed = true;
-        continue;
-      }
-      if (!replies[i].value.has_value()) continue;
-      auto b = store_.decode(names[i], *replies[i].value);
-      noteLeaf(*b);
-      if (!b->clean()) {
-        repairedAny |= repairBucket(names[i], *b, scratch);
-        continue;
-      }
-      if (b->covers(common::clampToUnit(cursor))) covering = b;
-    }
-    if (repairedAny) continue;  // re-probe the same cursor post-repair
-    if (anyFailed || !covering) {
+    // One round per step: every candidate prefix name of the cursor.
+    ProbeRound round = probeCandidates(cursor, false, scratch);
+    BucketRef covering = std::move(round.covering);
+    if (round.repaired) continue;  // re-probe the same cursor post-repair
+    if (round.anyFailed || !covering) {
       // Faulted round or no covering leaf surfaced: the lookup walker
       // (with its retry/repair loop) resolves this cursor.
       auto out = lookupInternal(cursor);
@@ -619,12 +557,10 @@ size_t LhtIndex::repairSweep() {
 
 size_t LhtIndex::repairSweepStep(double& cursor, size_t maxBuckets) {
   const RepairStats before = repairStats_;
-  cost::OpStats scratch;
   size_t visited = 0;
   while (cursor < 1.0 && visited < maxBuckets) {
     auto out = lookupInternal(cursor);
     checkInvariant(out.bucket != nullptr, "repairSweepStep: unrecoverable hole");
-    scratch += out.stats;
     cursor = out.bucket->label.interval().hi;
     ++visited;
   }
@@ -658,6 +594,41 @@ LhtIndex::LookupOutcome LhtIndex::lookupLinear(double key) {
   return toOutcome(lookupLinearRef(key));
 }
 
+LhtIndex::LookupRef LhtIndex::resolveLeaf(double key) {
+  auto found = lookupInternal(key);
+  if (found.bucket) return found;
+  // A null bucket would read as "key absent" or "tree hole", which is a
+  // verdict, not a shrug: exhaust the linear walk first, and count the
+  // failed search's probes with it.
+  auto linear = lookupLinearRef(key);
+  linear.stats += found.stats;
+  return linear;
+}
+
+template <typename OpForLeaf>
+LhtIndex::LeafWrite LhtIndex::writeLeaf(double key, const OpForLeaf& opFor,
+                                        const char* hole, const char* moving,
+                                        cost::OpStats& st) {
+  // A concurrent client can split or merge the looked-up leaf between our
+  // lookup and our apply; the op then reports stale instead of applying,
+  // and the write re-resolves the leaf. Every retry sees a strictly newer
+  // state of that interval, so the depth budget bounds it.
+  LeafWrite w;
+  for (u32 attempt = 0;; ++attempt) {
+    w.leaf = resolveLeaf(key);
+    checkInvariant(w.leaf.bucket != nullptr, hole);
+    chargeInsertion(w.leaf.stats.dhtLookups, 0);
+    st += w.leaf.stats;
+    checkInvariant(attempt <= 2 * opts_.maxDepth + 2, moving);
+    w.result = applyOp(w.leaf.dhtKey, opFor(w.leaf.dhtKey));
+    chargeInsertion(1, 0);
+    st.dhtLookups += 1;
+    st.parallelSteps += 1;
+    if (!w.result.observed.stale) return w;
+    dropCached(w.leaf.bucket->label.interval());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Insert (Sec. 5 + Algorithm 1)
 // ---------------------------------------------------------------------------
@@ -666,118 +637,45 @@ index::UpdateResult LhtIndex::insert(const index::Record& record) {
   checkInvariant(record.key >= 0.0 && record.key <= 1.0,
                  "LhtIndex::insert: key outside [0,1]");
   obs::SpanScope span("lht.insert", "lht");
-  auto found = lookupInternal(record.key);
-  if (!found.bucket) found = lookupLinearRef(record.key);  // defensive fallback
-  checkInvariant(found.bucket != nullptr,
-                 "LhtIndex::insert: tree does not cover the key (D too small?)");
-
   index::UpdateResult result;
   result.ok = true;
-  result.stats = found.stats;
-  chargeInsertion(found.stats.dhtLookups, 0);
-  Interval preInterval = found.bucket->label.interval();
 
   // Ship the record to the bucket's peer (the paper's "DHT-put towards
   // kappa") and, when the leaf saturates, run Algorithm 1 right there: the
   // local child overwrites the stored bucket in place, each remote child
   // is handed back for a single DHT-put. At most one split per insert
-  // unless cascading splits are enabled (an ablation option).
-  //
-  // The apply is stamped with an idempotence token: if the substrate loses
-  // the *reply* and a retry layer re-executes the mutator, the second
-  // execution sees the token already recorded and leaves the bucket alone
-  // — the record lands exactly once.
+  // unless cascading splits are enabled (an ablation option). The op's
+  // token makes a lost-reply retry a no-op: the record lands exactly once.
   //
   // With crashConsistentSplits the split does not hand the moved child to
   // the client: it is staged as a SplitIntent inside the rewritten bucket
   // (step 1), then materialized (step 2) and acknowledged (step 3) by
   // completeSplit. A crash between any two steps leaves a state any
   // reader can finish.
-  std::vector<LeafBucket> remotes;
-  std::optional<SplitIntent> pendingSplit;
-  bool earlySplit = false;  // hot-leaf split below theta: no alpha sample
   const u64 token = newToken();
-  const u64 completionToken = newToken();
-  // A concurrent client can split or merge the looked-up leaf between our
-  // lookup and our apply; the mutator then reports staleness (the stored
-  // bucket no longer covers the key, or vanished under a merge) instead
-  // of applying, and the insert re-resolves the leaf. Every retry sees a
-  // strictly newer state of that interval, so the depth budget bounds it.
-  //
-  // One apply may run the mutator several times (a CAS conflict, a re-read
-  // before a no-change verdict, a lost-reply retry), and only the last run
-  // counts. So each run first resets the verdicts it reports (stale,
-  // pendingSplit); the split outputs (remotes, earlySplit) belong to the
-  // run that applies the token and are left alone by the re-runs after it.
-  for (u32 attempt = 0;; ++attempt) {
-    checkInvariant(attempt <= 2 * opts_.maxDepth + 2,
-                   "LhtIndex::insert: leaf kept moving under the apply");
-    bool stale = false;
-    const bool existed = applyBucket(found.dhtKey, [&](std::optional<LeafBucket>& ob) {
-      stale = false;
-      pendingSplit.reset();
-      if (!ob.has_value()) {
-        stale = true;
-        return false;
-      }
-      LeafBucket& b = *ob;
-      bool changed = false;
-      // A lost reply makes a retry layer re-execute this mutator; the token
-      // check turns the re-execution into a no-op, and the outputs captured
-      // by the execution that actually applied stay valid. The staleness
-      // check only runs on the applying execution: once the first
-      // execution split the bucket, the staying child no longer needs to
-      // cover the key.
-      if (!b.hasApplied(token)) {
-        if (b.frozenDonor() || !b.covers(common::clampToUnit(record.key))) {
-          stale = true;
-          return false;
-        }
-        remotes.clear();
-        earlySplit = false;
-        b.records.push_back(record);
-        b.markApplied(token);
-        b.epoch += 1;
-        // A bucket still carrying an intent defers its split to a later
-        // insert, mirroring the paper's one-split-per-insert deferral.
-        if (b.clean() && shouldSplit(b)) {
-          earlySplit =
-              b.effectiveSize(opts_.countLabelSlot) < opts_.thetaSplit;
-          if (opts_.allowCascadingSplits) {
-            const SplitPolicy policy{opts_.thetaSplit, opts_.countLabelSlot,
-                                     opts_.maxDepth};
-            splitBucketRecursively(b, policy, remotes);
-          } else if (opts_.crashConsistentSplits) {
-            LeafBucket moved = splitBucket(b);
-            b.splitIntent = SplitIntent{moved.label, std::move(moved.records),
-                                        completionToken};
-          } else {
-            remotes.push_back(splitBucket(b));
-          }
-        }
-        changed = true;
-      }
-      pendingSplit = b.splitIntent;
-      return changed;
-    });
-    result.stats.dhtLookups += 1;
-    result.stats.parallelSteps += 1;
-    if (existed && !stale) {
-      chargeInsertion(1, 1);
-      break;
-    }
-    chargeInsertion(1, 0);
-    dropCached(preInterval);
-    found = lookupInternal(record.key);
-    if (!found.bucket) found = lookupLinearRef(record.key);
-    checkInvariant(found.bucket != nullptr,
-                   "LhtIndex::insert: tree does not cover the key (D too small?)");
-    chargeInsertion(found.stats.dhtLookups, 0);
-    result.stats += found.stats;
-    preInterval = found.bucket->label.interval();
-  }
+  SplitRule rule{{opts_.thetaSplit, opts_.countLabelSlot, opts_.maxDepth},
+                 opts_.thetaSplit,
+                 opts_.allowCascadingSplits    ? SplitMode::Cascade
+                 : opts_.crashConsistentSplits ? SplitMode::Intent
+                                               : SplitMode::Remote,
+                 newToken()};
+  const LeafWrite w = writeLeaf(
+      record.key,
+      [&](const std::string& leafKey) -> BucketOp {
+        // A persistently hot leaf splits early so its read traffic spreads
+        // over more owners; the floor keeps the split meaningful.
+        rule.threshold = leafIsHot(leafKey)
+                             ? std::max<u32>(2, opts_.thetaSplit / opts_.hotSplitDivisor)
+                             : opts_.thetaSplit;
+        return InsertRecords{{&record, 1}, token, rule};
+      },
+      "LhtIndex::insert: tree does not cover the key (D too small?)",
+      "LhtIndex::insert: leaf kept moving under the apply", result.stats);
+  chargeInsertion(0, 1);
   recordCount_ += 1;
 
+  std::optional<size_t> moved;  // records the one split moved, for alpha
+  const std::vector<LeafBucket>& remotes = w.result.products.remotes;
   for (const LeafBucket& remote : remotes) {
     // Theorem 2: each remote child is named exactly its pre-split label.
     dht_.put(dhtKeyFor(remote.label), remote.serialize());
@@ -785,23 +683,20 @@ index::UpdateResult LhtIndex::insert(const index::Record& record) {
     noteSplit();
     result.splitOrMerged = true;
   }
-  if (!remotes.empty()) dropCached(preInterval);
-  if (pendingSplit) {
-    const size_t movedCount = pendingSplit->moving.size();
-    completeSplit(found.dhtKey, *pendingSplit, result.stats);
-    chargeMaintenance(0, movedCount);
+  if (!remotes.empty()) dropCached(w.leaf.bucket->label.interval());
+  if (remotes.size() == 1) moved = remotes.front().records.size();
+  if (const auto& pendingSplit = w.result.observed.splitIntent) {
+    moved = pendingSplit->moving.size();
+    completeSplit(w.leaf.dhtKey, *pendingSplit, result.stats);
+    chargeMaintenance(0, *moved);
     noteSplit();
     result.splitOrMerged = true;
-    if (!earlySplit) {
-      recordAlpha(
-          static_cast<double>(movedCount + (opts_.countLabelSlot ? 1 : 0)) /
-          static_cast<double>(opts_.thetaSplit));
-    }
   }
-  if (remotes.size() == 1 && !earlySplit) {
-    const double remoteSize =
-        static_cast<double>(remotes.front().effectiveSize(opts_.countLabelSlot));
-    recordAlpha(remoteSize / static_cast<double>(opts_.thetaSplit));
+  // A hot leaf's early split gives no alpha sample: the paper defines
+  // alpha at theta-triggered splits only.
+  if (moved && !w.result.products.earlySplit) {
+    recordAlpha(static_cast<double>(*moved + (opts_.countLabelSlot ? 1 : 0)) /
+                static_cast<double>(opts_.thetaSplit));
   }
   noteOp("lht.insert", result.stats);
   span.arg("dht_lookups", result.stats.dhtLookups);
@@ -819,101 +714,71 @@ index::UpdateResult LhtIndex::insertBatch(std::vector<index::Record> records) {
   std::sort(records.begin(), records.end(), index::recordLess);
   obs::SpanScope span("lht.insertBatch", "lht");
   span.arg("records", static_cast<u64>(records.size()));
-  const SplitPolicy policy{opts_.thetaSplit, opts_.countLabelSlot, opts_.maxDepth};
+  // Each group splits recursively, at theta (no hot-leaf rule).
+  const SplitRule rule{{opts_.thetaSplit, opts_.countLabelSlot, opts_.maxDepth},
+                       opts_.thetaSplit, SplitMode::Cascade, 0};
 
   // Pass 1 (sequential, cache-accelerated): resolve the target leaf of each
-  // sorted run. Groups are complete before any request captures a pointer
-  // into the vector, so the pointers stay stable.
-  struct Group {
-    std::string dhtKey;
-    Interval leafInterval;
-    size_t begin = 0;
-    size_t end = 0;
-    u64 token = 0;
-    std::vector<LeafBucket> remotes;
-  };
-  std::vector<Group> groups;
+  // sorted run. Each group's op refers to its slice of the sorted batch.
+  std::vector<KeyedOp> groups;
+  std::vector<Interval> leafIntervals;
+  const std::span<const index::Record> sorted(records);
   size_t i = 0;
   while (i < records.size()) {
-    auto found = lookupInternal(records[i].key);
-    if (!found.bucket) found = lookupLinearRef(records[i].key);
+    auto found = resolveLeaf(records[i].key);
     checkInvariant(found.bucket != nullptr, "LhtIndex::insertBatch: tree hole");
     chargeInsertion(found.stats.dhtLookups, 0);
     result.stats.dhtLookups += found.stats.dhtLookups;
     result.stats.parallelSteps += found.stats.parallelSteps;
 
-    const double leafHi = found.bucket->label.interval().hi;
+    const Interval leaf = found.bucket->label.interval();
     size_t j = i;
-    while (j < records.size() && common::clampToUnit(records[j].key) < leafHi) ++j;
-    groups.push_back(Group{found.dhtKey, found.bucket->label.interval(), i, j,
-                           newToken(), {}});
+    while (j < records.size() && common::clampToUnit(records[j].key) < leaf.hi) ++j;
+    groups.push_back(
+        KeyedOp{found.dhtKey, InsertRecords{sorted.subspan(i, j - i), newToken(), rule}});
+    leafIntervals.push_back(leaf);
     i = j;
   }
 
   // Pass 2: ONE multiApply round ships every group to its leaf (splits run
-  // inside the mutators, children handed back per group).
-  std::vector<dht::ApplyRequest> reqs;
-  reqs.reserve(groups.size());
-  for (auto& g : groups) {
-    Group* gp = &g;
-    reqs.push_back(dht::ApplyRequest{
-        g.dhtKey,
-        makeBucketMutator(g.dhtKey, [this, gp, &records, policy](std::optional<LeafBucket>& ob) {
-          checkInvariant(ob.has_value(), "LhtIndex::insertBatch: bucket vanished");
-          LeafBucket& b = *ob;
-          if (b.hasApplied(gp->token)) return false;
-          gp->remotes.clear();
-          b.records.insert(b.records.end(),
-                           records.begin() + static_cast<long>(gp->begin),
-                           records.begin() + static_cast<long>(gp->end));
-          b.markApplied(gp->token);
-          b.epoch += 1;
-          splitBucketRecursively(b, policy, gp->remotes);
-          return true;
-        })});
-  }
-  auto applied = dht_.multiApply(reqs);
-  if (!reqs.empty()) result.stats.parallelSteps += 1;
+  // inside the ops, children handed back per group).
+  std::vector<BucketOpResult> applied;
+  const auto outcomes = applyOps(groups, applied);
+  result.stats.parallelSteps += 1;
   for (size_t g = 0; g < groups.size(); ++g) {
-    if (!applied[g].ok) {
+    if (!outcomes[g].ok) {
       throw dht::DhtError("LhtIndex::insertBatch: apply round entry failed: " +
-                          applied[g].error);
+                          outcomes[g].error);
     }
-    chargeInsertion(1, groups[g].end - groups[g].begin);
+    checkInvariant(!applied[g].observed.stale, "LhtIndex::insertBatch: bucket vanished");
+    const size_t count = std::get<InsertRecords>(groups[g].op).records.size();
+    chargeInsertion(1, count);
     result.stats.dhtLookups += 1;
-    recordCount_ += groups[g].end - groups[g].begin;
+    recordCount_ += count;
   }
 
   // Pass 3: ONE more round writes every split-off child (Theorem 2 names
   // them; an overwrite, like insert's dht_.put of a remote child).
-  std::vector<dht::ApplyRequest> puts;
-  for (auto& g : groups) {
-    if (!g.remotes.empty()) dropCached(g.leafInterval);
-    for (auto& rb : g.remotes) {
-      const std::string key = dhtKeyFor(rb.label);
-      const LeafBucket* rbp = &rb;
-      puts.push_back(dht::ApplyRequest{
-          key, makeBucketMutator(key, [rbp](std::optional<LeafBucket>& ob) {
-            ob = *rbp;
-            return true;
-          })});
+  std::vector<KeyedOp> puts;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const auto& remotes = applied[g].products.remotes;
+    if (!remotes.empty()) dropCached(leafIntervals[g]);
+    for (const auto& rb : remotes) {
+      puts.push_back(KeyedOp{dhtKeyFor(rb.label), WriteChild{&rb}});
     }
   }
   if (!puts.empty()) {
-    auto putOut = dht_.multiApply(puts);
+    std::vector<BucketOpResult> written;
+    const auto putOut = applyOps(puts, written);
     result.stats.parallelSteps += 1;
-    size_t k = 0;
-    for (const auto& g : groups) {
-      for (const auto& rb : g.remotes) {
-        if (!putOut[k].ok) {
-          throw dht::DhtError("LhtIndex::insertBatch: split put failed: " +
-                              putOut[k].error);
-        }
-        chargeMaintenance(1, rb.records.size());
-        noteSplit();
-        result.splitOrMerged = true;
-        ++k;
+    for (size_t k = 0; k < puts.size(); ++k) {
+      if (!putOut[k].ok) {
+        throw dht::DhtError("LhtIndex::insertBatch: split put failed: " +
+                            putOut[k].error);
       }
+      chargeMaintenance(1, std::get<WriteChild>(puts[k].op).bucket->records.size());
+      noteSplit();
+      result.splitOrMerged = true;
     }
   }
   noteOp("lht.insertBatch", result.stats);
@@ -924,57 +789,33 @@ index::UpdateResult LhtIndex::insertBatch(std::vector<index::Record> records) {
 // Successor / predecessor queries (extension)
 // ---------------------------------------------------------------------------
 
-index::FindResult LhtIndex::successorQuery(double key) {
-  checkInvariant(key >= 0.0 && key <= 1.0, "LhtIndex::successorQuery: bad key");
-  obs::SpanScope span("lht.successorQuery", "lht");
+index::FindResult LhtIndex::neighborQuery(double key, Side side) {
+  const bool right = side == Side::Right;
+  checkInvariant(key >= 0.0 && key <= 1.0, right ? "LhtIndex::successorQuery: bad key"
+                                                 : "LhtIndex::predecessorQuery: bad key");
+  obs::SpanScope span(right ? "lht.successorQuery" : "lht.predecessorQuery", "lht");
   auto found = lookupInternal(key);
-  checkInvariant(found.bucket != nullptr, "successorQuery: tree hole");
+  checkInvariant(found.bucket != nullptr,
+                 right ? "successorQuery: tree hole" : "predecessorQuery: tree hole");
   index::FindResult result;
   result.stats = found.stats;
-  BucketRef bucket = std::move(found.bucket);
-  while (bucket) {
+  // The nearest key >= `key` to the right, or < `key` to the left; a leaf
+  // with none passes the search on to its neighbor.
+  for (BucketRef bucket = std::move(found.bucket); bucket;
+       bucket = stepLeaf(*bucket, side, result.stats)) {
     const index::Record* best = nullptr;
     for (const auto& r : bucket->records) {
-      if (r.key >= key && (best == nullptr || r.key < best->key)) best = &r;
+      if (right ? r.key < key : r.key >= key) continue;
+      if (best == nullptr || (right ? r.key < best->key : r.key > best->key)) best = &r;
     }
     if (best != nullptr) {
       result.record = *best;
       break;
     }
-    if (bucket->label.isRightmostPath()) break;
-    const Label beta = rightNeighbor(bucket->label);
-    bucket = fetchSubtreeEntry(beta, result.stats);  // leftmost leaf of the next subtree
   }
   result.stats.parallelSteps = result.stats.dhtLookups;
   chargeQuery(result.stats.dhtLookups);
-  noteOp("lht.successorQuery", result.stats);
-  return result;
-}
-
-index::FindResult LhtIndex::predecessorQuery(double key) {
-  checkInvariant(key >= 0.0 && key <= 1.0, "LhtIndex::predecessorQuery: bad key");
-  obs::SpanScope span("lht.predecessorQuery", "lht");
-  auto found = lookupInternal(key);
-  checkInvariant(found.bucket != nullptr, "predecessorQuery: tree hole");
-  index::FindResult result;
-  result.stats = found.stats;
-  BucketRef bucket = std::move(found.bucket);
-  while (bucket) {
-    const index::Record* best = nullptr;
-    for (const auto& r : bucket->records) {
-      if (r.key < key && (best == nullptr || r.key > best->key)) best = &r;
-    }
-    if (best != nullptr) {
-      result.record = *best;
-      break;
-    }
-    if (bucket->label.isLeftmostPath()) break;
-    const Label beta = leftNeighbor(bucket->label);
-    bucket = fetchSubtreeEntry(beta, result.stats);  // rightmost leaf of the previous subtree
-  }
-  result.stats.parallelSteps = result.stats.dhtLookups;
-  chargeQuery(result.stats.dhtLookups);
-  noteOp("lht.predecessorQuery", result.stats);
+  noteOp(right ? "lht.successorQuery" : "lht.predecessorQuery", result.stats);
   return result;
 }
 
@@ -985,69 +826,20 @@ index::FindResult LhtIndex::predecessorQuery(double key) {
 index::UpdateResult LhtIndex::erase(double key) {
   checkInvariant(key >= 0.0 && key <= 1.0, "LhtIndex::erase: key outside [0,1]");
   obs::SpanScope span("lht.erase", "lht");
-  auto found = lookupInternal(key);
-  if (!found.bucket) found = lookupLinearRef(key);
-  checkInvariant(found.bucket != nullptr, "LhtIndex::erase: tree hole");
-
   index::UpdateResult result;
-  result.stats = found.stats;
-  chargeInsertion(found.stats.dhtLookups, 0);
+  // Token-guarded like insert: a lost-reply retry neither removes twice
+  // nor loses the counts of the run that removed the records.
+  const BucketOp op = EraseKey{key, newToken(), opts_.countLabelSlot};
+  const auto removal = writeLeaf(key, [&op](const std::string&) { return op; },
+                                 "LhtIndex::erase: tree hole",
+                                 "LhtIndex::erase: leaf kept moving under the apply",
+                                 result.stats).result.products;
+  recordCount_ -= std::min(removal.removed, recordCount_);
+  result.ok = removal.removed > 0;
 
-  size_t removed = 0;
-  size_t remainingEffective = 0;
-  Label bucketLabel;
-  const u64 token = newToken();
-  // Same lookup-vs-apply race as insert: if a concurrent split/merge moved
-  // the leaf out from under us, re-resolve and retry instead of removing
-  // from (or reporting absence against) the wrong bucket.
-  // As in insert, a re-run resets the stale verdict; the removal outputs
-  // belong to the run that applies the token.
-  for (u32 attempt = 0;; ++attempt) {
-    checkInvariant(attempt <= 2 * opts_.maxDepth + 2,
-                   "LhtIndex::erase: leaf kept moving under the apply");
-    bool stale = false;
-    const bool existed = applyBucket(found.dhtKey, [&](std::optional<LeafBucket>& ob) {
-      stale = false;
-      if (!ob.has_value()) {
-        stale = true;
-        return false;
-      }
-      LeafBucket& b = *ob;
-      // Token-guarded like insert: a lost-reply retry must neither remove
-      // twice (harmless here) nor clobber the outputs of the execution that
-      // actually removed the records.
-      if (b.hasApplied(token)) return false;
-      if (b.frozenDonor() || !b.covers(common::clampToUnit(key))) {
-        stale = true;
-        return false;
-      }
-      auto it = std::remove_if(b.records.begin(), b.records.end(),
-                               [&](const index::Record& r) { return r.key == key; });
-      removed = static_cast<size_t>(b.records.end() - it);
-      b.records.erase(it, b.records.end());
-      b.markApplied(token);
-      b.epoch += 1;
-      remainingEffective = b.effectiveSize(opts_.countLabelSlot);
-      bucketLabel = b.label;
-      return true;
-    });
-    chargeInsertion(1, 0);
-    result.stats.dhtLookups += 1;
-    result.stats.parallelSteps += 1;
-    if (existed && !stale) break;
-    dropCached(found.bucket->label.interval());
-    found = lookupInternal(key);
-    if (!found.bucket) found = lookupLinearRef(key);
-    checkInvariant(found.bucket != nullptr, "LhtIndex::erase: tree hole");
-    chargeInsertion(found.stats.dhtLookups, 0);
-    result.stats += found.stats;
-  }
-  recordCount_ -= std::min(removed, recordCount_);
-  result.ok = removed > 0;
-
-  if (result.ok && opts_.enableMerge && bucketLabel.length() >= 2 &&
-      remainingEffective < opts_.thetaSplit) {
-    result.splitOrMerged = tryMerge(bucketLabel);
+  if (result.ok && opts_.enableMerge && removal.bucketLabel.length() >= 2 &&
+      removal.remainingEffective < opts_.thetaSplit) {
+    result.splitOrMerged = tryMerge(removal.bucketLabel);
   }
   noteOp("lht.erase", result.stats);
   return result;
@@ -1057,15 +849,14 @@ bool LhtIndex::tryMerge(const Label& bucketLabel) {
   const Label sib = bucketLabel.sibling();
   // The sibling participates only if it is itself a leaf, i.e. a bucket
   // labelled exactly `sib` sits under name(sib).
-  cost::OpStats probe;
-  auto sibBucket = getBucketRef(dhtKeyFor(sib), probe);
-  chargeMaintenance(probe.dhtLookups, 0);
+  cost::OpStats st;  // the merge's probes and steps, charged as maintenance
+  auto sibBucket = getBucketRef(dhtKeyFor(sib), st);
+  chargeMaintenance(1, 0);
   if (!sibBucket || sibBucket->label != sib) return false;
 
   // Refresh our own bucket to get an exact combined size.
-  cost::OpStats self;
-  auto ownBucket = getBucketRef(dhtKeyFor(bucketLabel), self);
-  chargeMaintenance(self.dhtLookups, 0);
+  auto ownBucket = getBucketRef(dhtKeyFor(bucketLabel), st);
+  chargeMaintenance(1, 0);
   if (!ownBucket || ownBucket->label != bucketLabel) return false;
 
   const size_t combined = ownBucket->records.size() + sibBucket->records.size() +
@@ -1080,7 +871,8 @@ bool LhtIndex::tryMerge(const Label& bucketLabel) {
   const bool ownIsAbsorber = dhtKeyFor(bucketLabel) == parentKey;
   const LeafBucket& donor = ownIsAbsorber ? *sibBucket : *ownBucket;
   const LeafBucket& absorber = ownIsAbsorber ? *ownBucket : *sibBucket;
-  checkInvariant(dhtKeyFor(donor.label) != parentKey,
+  const std::string donorKey = dhtKeyFor(donor.label);
+  checkInvariant(donorKey != parentKey,
                  "LhtIndex::tryMerge: both children named to parent");
 
   if (opts_.crashConsistentSplits) {
@@ -1094,51 +886,19 @@ bool LhtIndex::tryMerge(const Label& bucketLabel) {
     // freeze, and so in the copy, or re-resolves to the merged parent.
     if (!absorber.clean() || !donor.clean()) return false;
     const u64 token = newToken();
-    const std::string donorKey = dhtKeyFor(donor.label);
-    std::optional<MergeIntent> intent;
-    applyBucket(donorKey, [&](std::optional<LeafBucket>& ob) {
-      intent.reset();
-      if (!ob.has_value()) return false;
-      LeafBucket& b = *ob;
-      if (b.mergeIntent && b.mergeIntent->token == token) {
-        intent = MergeIntent{b.label, b.records, token};  // lost-reply retry
-        return false;
-      }
-      if (!b.clean() || b.label != donor.label) return false;
-      b.mergeIntent = MergeIntent{b.label, {}, token};
-      b.epoch += 1;
-      intent = MergeIntent{b.label, b.records, token};
-      return true;
-    });
-    chargeMaintenance(1, 0);
+    const std::optional<MergeIntent> intent =
+        applyStep(donorKey, FreezeDonor{donor.label, token}, st).observed.frozen;
     if (!intent) return false;
-    cost::OpStats st;
-    if (!stageMerge(parentKey, absorber.label, *intent, st)) {
-      thawDonor(donorKey, token, st);
-      return false;
-    }
-    if (!completeMerge(parentKey, *intent, st)) return false;
+    if (!mergeFrozenDonor(donorKey, parentKey, absorber.label, *intent, st)) return false;
     noteMerge();
     return true;
   }
 
   // Drop the donor (its peer ships the records), then rewrite the absorber
   // in place as the parent leaf.
-  std::vector<index::Record> moving;
-  applyBucket(dhtKeyFor(donor.label), [&](std::optional<LeafBucket>& ob) {
-    checkInvariant(ob.has_value(), "LhtIndex::tryMerge: donor vanished");
-    checkInvariant(ob->label == donor.label, "LhtIndex::tryMerge: donor stale");
-    moving = std::move(ob->records);
-    ob.reset();  // erase
-    return true;
-  });
-  applyBucket(parentKey, [&](std::optional<LeafBucket>& ob) {
-    checkInvariant(ob.has_value(), "LhtIndex::tryMerge: absorber vanished");
-    ob->label = parent;
-    ob->records.insert(ob->records.end(), moving.begin(), moving.end());
-    return true;
-  });
-  chargeMaintenance(2, donor.records.size());
+  const auto moving = applyStep(donorKey, TakeDonor{donor.label}, st).products.moving;
+  applyStep(parentKey, AbsorbDonor{parent, &moving}, st);
+  chargeMaintenance(0, donor.records.size());
   noteMerge();
   dropCached(parent.interval());
   return true;
@@ -1151,15 +911,7 @@ bool LhtIndex::tryMerge(const Label& bucketLabel) {
 index::FindResult LhtIndex::find(double key) {
   checkInvariant(key >= 0.0 && key <= 1.0, "LhtIndex::find: key outside [0,1]");
   obs::SpanScope span("lht.find", "lht");
-  auto found = lookupInternal(key);
-  if (!found.bucket) {
-    // Same defensive fallback as insert: a null bucket here would read as
-    // "key absent", which is an answer, not a shrug — so exhaust the
-    // linear walk before claiming it.
-    auto linear = lookupLinearRef(key);
-    linear.stats += found.stats;
-    found = std::move(linear);
-  }
+  auto found = resolveLeaf(key);
   index::FindResult result;
   result.stats = found.stats;
   chargeQuery(found.stats.dhtLookups);
@@ -1193,16 +945,6 @@ Label LhtIndex::computeLca(const Interval& range) const {
     }
   }
   return node;
-}
-
-LhtIndex::BucketRef LhtIndex::fetchSubtreeEntry(const Label& branch,
-                                                cost::OpStats& st) {
-  // A lookup of the branch label itself reaches the subtree's entry leaf
-  // when the branch is internal; when the branch is itself a leaf the
-  // lookup fails — the paper's "at most one failed DHT-lookup" — and the
-  // leaf sits under its own name instead.
-  if (auto entry = getBucketRef(branch.str(), st)) return entry;
-  return getBucketRef(dhtKeyFor(branch), st);
 }
 
 /// A range answer assembled one piece per expanded bucket: the bucket's
@@ -1283,38 +1025,21 @@ void LhtIndex::expandBucket(const LeafBucket& bucket, const Interval& clip,
   out.addPiece(bucket, clip);
   const Interval mine = bucket.label.interval();
 
-  // Sweep right: cover (mine.hi, clip.hi) through the right branch nodes
-  // beta_1, beta_2, ... of the local tree. All fully covered branches are
-  // forwarded in parallel (the local tree names them all at once); only the
-  // final, partially covered branch may need the two-step entry.
-  if (clip.hi > mine.hi) {
-    Label beta = bucket.label;
-    while (!beta.isRightmostPath()) {
-      beta = rightNeighbor(beta);
+  // Sweep right, then left: cover the rest of the clip on each side through
+  // the branch nodes beta_1, beta_2, ... of the local tree. All fully
+  // covered branches are forwarded in parallel (the local tree names them
+  // all at once); only the final, partially covered branch may need the
+  // two-step entry.
+  for (const Side side : {Side::Right, Side::Left}) {
+    const bool right = side == Side::Right;
+    if (right ? clip.hi <= mine.hi : clip.lo >= mine.lo) continue;
+    for (Label beta = bucket.label; !atEnd(beta, side);) {
+      beta = neighbor(beta, side);
       const Interval inv = beta.interval();
-      if (inv.lo >= clip.hi) break;
-      if (inv.hi <= clip.hi) {
-        next.push_back(FanoutTask{beta, inv, true});
-      } else {
-        next.push_back(FanoutTask{beta, inv.intersect(clip), false});
-        break;
-      }
-    }
-  }
-
-  // Sweep left: the mirror image via the left neighbor function.
-  if (clip.lo < mine.lo) {
-    Label beta = bucket.label;
-    while (!beta.isLeftmostPath()) {
-      beta = leftNeighbor(beta);
-      const Interval inv = beta.interval();
-      if (inv.hi <= clip.lo) break;
-      if (inv.lo >= clip.lo) {
-        next.push_back(FanoutTask{beta, inv, true});
-      } else {
-        next.push_back(FanoutTask{beta, inv.intersect(clip), false});
-        break;
-      }
+      if (right ? inv.lo >= clip.hi : inv.hi <= clip.lo) break;
+      const bool whole = right ? inv.hi <= clip.hi : inv.lo >= clip.lo;
+      next.push_back(FanoutTask{beta, whole ? inv : inv.intersect(clip), whole});
+      if (!whole) break;
     }
   }
 }
@@ -1444,108 +1169,85 @@ index::RangeResult LhtIndex::rangeQuery(double lo, double hi) {
 // Min/Max (Theorem 3)
 // ---------------------------------------------------------------------------
 
-index::FindResult LhtIndex::minRecord() {
+LhtIndex::BucketRef LhtIndex::fetchEndLeaf(Side side, cost::OpStats& st) {
+  // Theorem 3: the leftmost leaf (#00*) is named "#", the rightmost (#01*)
+  // "#0" — or "#" as well when the tree is a single leaf.
+  if (side == Side::Right) {
+    if (auto bucket = getBucketRef("#0", st)) return bucket;
+  }
+  return getBucketRef("#", st);
+}
+
+LhtIndex::BucketRef LhtIndex::stepLeaf(const LeafBucket& from, Side side,
+                                       cost::OpStats& st, const char* broken) {
+  if (atEnd(from.label, side)) return nullptr;
+  // A lookup of the neighbor branch's label itself reaches the subtree's
+  // entry leaf when the branch is internal; when the branch is itself a
+  // leaf the lookup fails — the paper's "at most one failed DHT-lookup" —
+  // and the leaf sits under its own name instead.
+  const Label branch = neighbor(from.label, side);
+  auto next = getBucketRef(branch.str(), st);
+  if (!next) next = getBucketRef(dhtKeyFor(branch), st);
+  if (broken != nullptr) checkInvariant(next != nullptr, broken);
+  return next;
+}
+
+index::FindResult LhtIndex::endRecord(Side side) {
+  const bool left = side == Side::Left;
   index::FindResult result;
-  obs::SpanScope span("lht.minRecord", "lht");
-  // Theorem 3: the leaf holding the smallest key is labelled #00* and is
-  // therefore named "#": one DHT-lookup.
-  auto bucket = getBucketRef("#", result.stats);
-  checkInvariant(bucket != nullptr, "minRecord: leftmost leaf missing");
-  // Deletions may have emptied the leftmost leaf; sweep right (each hop one
+  obs::SpanScope span(left ? "lht.minRecord" : "lht.maxRecord", "lht");
+  // Theorem 3: one DHT-lookup.
+  auto bucket = fetchEndLeaf(side, result.stats);
+  checkInvariant(bucket != nullptr, left ? "minRecord: leftmost leaf missing"
+                                         : "maxRecord: rightmost leaf missing");
+  // Deletions may have emptied the end leaf; sweep inward (each hop one
   // further DHT-lookup) until a record shows up.
-  while (bucket && bucket->records.empty() && !bucket->label.isRightmostPath()) {
-    const Label beta = rightNeighbor(bucket->label);
-    bucket = fetchSubtreeEntry(beta, result.stats);
+  while (bucket && bucket->records.empty()) {
+    bucket = stepLeaf(*bucket, left ? Side::Right : Side::Left, result.stats);
   }
   if (bucket) {
-    const index::Record* best = nullptr;
-    for (const auto& r : bucket->records) {
-      if (best == nullptr || r.key < best->key) best = &r;
-    }
-    if (best != nullptr) result.record = *best;
+    const auto& rs = bucket->records;
+    const auto byKey = [](const index::Record& a, const index::Record& b) {
+      return a.key < b.key;
+    };
+    result.record = left ? *std::min_element(rs.begin(), rs.end(), byKey)
+                         : *std::max_element(rs.begin(), rs.end(), byKey);
   }
   result.stats.parallelSteps = result.stats.dhtLookups;
   chargeQuery(result.stats.dhtLookups);
-  noteOp("lht.minRecord", result.stats);
+  noteOp(left ? "lht.minRecord" : "lht.maxRecord", result.stats);
   return result;
 }
 
-index::FindResult LhtIndex::maxRecord() {
-  index::FindResult result;
-  obs::SpanScope span("lht.maxRecord", "lht");
-  // Theorem 3: the leaf holding the largest key is labelled #01* and is
-  // therefore named "#0". When the tree is a single leaf no node is named
-  // "#0" and the root leaf (under "#") answers instead.
-  auto bucket = getBucketRef("#0", result.stats);
-  if (!bucket) bucket = getBucketRef("#", result.stats);
-  checkInvariant(bucket != nullptr, "maxRecord: rightmost leaf missing");
-  while (bucket && bucket->records.empty() && !bucket->label.isLeftmostPath()) {
-    const Label beta = leftNeighbor(bucket->label);
-    bucket = fetchSubtreeEntry(beta, result.stats);
-  }
-  if (bucket) {
-    const index::Record* best = nullptr;
-    for (const auto& r : bucket->records) {
-      if (best == nullptr || r.key > best->key) best = &r;
-    }
-    if (best != nullptr) result.record = *best;
-  }
-  result.stats.parallelSteps = result.stats.dhtLookups;
-  chargeQuery(result.stats.dhtLookups);
-  noteOp("lht.maxRecord", result.stats);
-  return result;
-}
-
-index::RangeResult LhtIndex::topMin(size_t k) {
+index::RangeResult LhtIndex::topK(size_t k, Side side) {
   index::RangeResult result;
   if (k == 0) return result;
-  obs::SpanScope span("lht.topMin", "lht");
+  const bool left = side == Side::Left;
+  obs::SpanScope span(left ? "lht.topMin" : "lht.topMax", "lht");
   span.arg("k", static_cast<u64>(k));
-  // Sweep leaves left to right: every record in a later bucket is larger
-  // than every record in an earlier one, so we may stop as soon as k
+  // Sweep leaves inward from the end: every record in a later bucket lies
+  // beyond every record in an earlier one, so we may stop as soon as k
   // records are collected.
-  auto bucket = getBucketRef("#", result.stats);
-  checkInvariant(bucket != nullptr, "topMin: leftmost leaf missing");
-  for (;;) {
+  auto bucket = fetchEndLeaf(side, result.stats);
+  checkInvariant(bucket != nullptr, left ? "topMin: leftmost leaf missing"
+                                         : "topMax: rightmost leaf missing");
+  while (bucket) {
     result.stats.bucketsTouched += 1;
-    for (const auto& r : bucket->records) result.records.push_back(r);
-    if (result.records.size() >= k || bucket->label.isRightmostPath()) break;
-    const Label beta = rightNeighbor(bucket->label);
-    bucket = fetchSubtreeEntry(beta, result.stats);
-    checkInvariant(bucket != nullptr, "topMin: broken leaf chain");
+    result.records.insert(result.records.end(), bucket->records.begin(),
+                          bucket->records.end());
+    if (result.records.size() >= k) break;
+    bucket = stepLeaf(*bucket, left ? Side::Right : Side::Left, result.stats,
+                      left ? "topMin: broken leaf chain" : "topMax: broken leaf chain");
   }
   std::sort(result.records.begin(), result.records.end(), index::recordLess);
-  if (result.records.size() > k) result.records.resize(k);
-  result.stats.parallelSteps = result.stats.dhtLookups;
-  chargeQuery(result.stats.dhtLookups);
-  noteOp("lht.topMin", result.stats);
-  return result;
-}
-
-index::RangeResult LhtIndex::topMax(size_t k) {
-  index::RangeResult result;
-  if (k == 0) return result;
-  obs::SpanScope span("lht.topMax", "lht");
-  span.arg("k", static_cast<u64>(k));
-  auto bucket = getBucketRef("#0", result.stats);
-  if (!bucket) bucket = getBucketRef("#", result.stats);  // single-leaf tree
-  checkInvariant(bucket != nullptr, "topMax: rightmost leaf missing");
-  for (;;) {
-    result.stats.bucketsTouched += 1;
-    for (const auto& r : bucket->records) result.records.push_back(r);
-    if (result.records.size() >= k || bucket->label.isLeftmostPath()) break;
-    const Label beta = leftNeighbor(bucket->label);
-    bucket = fetchSubtreeEntry(beta, result.stats);
-    checkInvariant(bucket != nullptr, "topMax: broken leaf chain");
-  }
-  std::sort(result.records.begin(), result.records.end(), index::recordLess);
-  if (result.records.size() > k) {
-    result.records.erase(result.records.begin(),
-                         result.records.end() - static_cast<long>(k));
+  if (result.records.size() > k) {  // drop the excess beyond the k-th
+    const auto excess = static_cast<long>(result.records.size() - k);
+    const auto from = left ? result.records.end() - excess : result.records.begin();
+    result.records.erase(from, from + excess);
   }
   result.stats.parallelSteps = result.stats.dhtLookups;
   chargeQuery(result.stats.dhtLookups);
-  noteOp("lht.topMax", result.stats);
+  noteOp(left ? "lht.topMin" : "lht.topMax", result.stats);
   return result;
 }
 
@@ -1561,29 +1263,18 @@ index::FindResult LhtIndex::quantileQuery(double q) {
   // Sweep from whichever end is nearer to the target rank.
   const bool fromLeft = rank <= recordCount_ / 2;
   size_t remaining = fromLeft ? rank : recordCount_ - 1 - rank;
-
-  auto bucket = fromLeft ? getBucketRef("#", result.stats)
-                         : getBucketRef("#0", result.stats);
-  if (!fromLeft && !bucket) bucket = getBucketRef("#", result.stats);
+  auto bucket = fetchEndLeaf(fromLeft ? Side::Left : Side::Right, result.stats);
   checkInvariant(bucket != nullptr, "quantileQuery: end bucket missing");
-  for (;;) {
-    if (bucket->records.size() > remaining) {
-      // The target rank lies in this bucket: order its records locally.
-      std::vector<index::Record> recs = bucket->records;
-      std::sort(recs.begin(), recs.end(), index::recordLess);
-      result.record =
-          fromLeft ? recs[remaining] : recs[recs.size() - 1 - remaining];
-      break;
-    }
+  while (bucket->records.size() <= remaining) {
     remaining -= bucket->records.size();
-    const bool atEnd = fromLeft ? bucket->label.isRightmostPath()
-                                : bucket->label.isLeftmostPath();
-    checkInvariant(!atEnd, "quantileQuery: ran past the end (count drift)");
-    const Label beta = fromLeft ? rightNeighbor(bucket->label)
-                                : leftNeighbor(bucket->label);
-    bucket = fetchSubtreeEntry(beta, result.stats);
-    checkInvariant(bucket != nullptr, "quantileQuery: broken leaf chain");
+    bucket = stepLeaf(*bucket, fromLeft ? Side::Right : Side::Left, result.stats,
+                      "quantileQuery: broken leaf chain");
+    checkInvariant(bucket != nullptr, "quantileQuery: ran past the end (count drift)");
   }
+  // The target rank lies in this bucket: order its records locally.
+  std::vector<index::Record> recs = bucket->records;
+  std::sort(recs.begin(), recs.end(), index::recordLess);
+  result.record = fromLeft ? recs[remaining] : recs[recs.size() - 1 - remaining];
   result.stats.parallelSteps = result.stats.dhtLookups;
   chargeQuery(result.stats.dhtLookups);
   noteOp("lht.quantileQuery", result.stats);
@@ -1596,14 +1287,11 @@ index::FindResult LhtIndex::quantileQuery(double q) {
 
 void LhtIndex::forEachBucket(const std::function<void(const LeafBucket&)>& fn) {
   cost::OpStats scratch;
-  auto bucket = getBucketRef("#", scratch);
+  auto bucket = fetchEndLeaf(Side::Left, scratch);
   checkInvariant(bucket != nullptr, "forEachBucket: leftmost leaf missing");
-  for (;;) {
+  for (; bucket; bucket = stepLeaf(*bucket, Side::Right, scratch,
+                                   "forEachBucket: broken leaf chain")) {
     fn(*bucket);
-    if (bucket->label.isRightmostPath()) break;
-    const Label beta = rightNeighbor(bucket->label);
-    bucket = fetchSubtreeEntry(beta, scratch);
-    checkInvariant(bucket != nullptr, "forEachBucket: broken leaf chain");
   }
 }
 

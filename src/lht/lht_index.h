@@ -33,10 +33,14 @@
 #include "dht/dht.h"
 #include "index/ordered_index.h"
 #include "lht/bucket.h"
+#include "lht/bucket_op.h"
 #include "lht/leaf_cache.h"
 #include "net/sim_clock.h"
 
 namespace lht::core {
+
+/// A direction along the key space: the neighbor walks (Def. 3) go one way.
+enum class Side : common::u8 { Left, Right };
 
 class LhtIndex final : public index::OrderedIndex {
  public:
@@ -146,8 +150,8 @@ class LhtIndex final : public index::OrderedIndex {
   index::UpdateResult erase(double key) override;
   index::FindResult find(double key) override;
   index::RangeResult rangeQuery(double lo, double hi) override;
-  index::FindResult minRecord() override;
-  index::FindResult maxRecord() override;
+  index::FindResult minRecord() override { return endRecord(Side::Left); }
+  index::FindResult maxRecord() override { return endRecord(Side::Right); }
   [[nodiscard]] size_t recordCount() const override { return recordCount_; }
 
   // Extensions beyond the paper's operation set -----------------------------
@@ -164,17 +168,21 @@ class LhtIndex final : public index::OrderedIndex {
 
   /// The record with the smallest key >= `key` (nullopt if none). Costs a
   /// lookup plus one neighbor hop per empty leaf crossed.
-  index::FindResult successorQuery(double key);
+  index::FindResult successorQuery(double key) {
+    return neighborQuery(key, Side::Right);
+  }
 
   /// The record with the largest key < `key` (nullopt if none).
-  index::FindResult predecessorQuery(double key);
+  index::FindResult predecessorQuery(double key) {
+    return neighborQuery(key, Side::Left);
+  }
 
   /// The k smallest / largest records, ascending by key (fewer when the
   /// index holds fewer). Generalizes Theorem 3: the sweep starts at the
   /// one-lookup min/max bucket and only crosses as many neighbor subtrees
   /// as the answer spans.
-  index::RangeResult topMin(size_t k);
-  index::RangeResult topMax(size_t k);
+  index::RangeResult topMin(size_t k) { return topK(k, Side::Left); }
+  index::RangeResult topMax(size_t k) { return topK(k, Side::Right); }
 
   /// The record at rank floor(q * (n-1)) by key order (q in [0, 1]): an
   /// exact quantile. LHT keeps no rank information on internal nodes (they
@@ -250,19 +258,19 @@ class LhtIndex final : public index::OrderedIndex {
   /// observed clean leaves in the location cache.
   BucketRef getBucketRef(const std::string& key, cost::OpStats& st);
 
-  /// A read-modify-write body over the *decoded* bucket. Returns whether
-  /// it changed the bucket; false leaves the stored bytes untouched.
-  /// Creation: engage the optional. Deletion: reset() it.
-  using BucketMutator = std::function<bool(std::optional<LeafBucket>&)>;
+  /// One dht_.apply of `op` on `key`, through the one generic mutator
+  /// (lht_index.cpp): decode via the bucket store, keepRun's rule.
+  BucketOpResult applyOp(const std::string& key, const BucketOp& op);
 
-  /// Wraps a BucketMutator into a dht::Mutator that decodes via the
-  /// bucket store (copy-on-write), re-serializes on change, and keeps the
-  /// store coherent. The single decode/serialize seam of the index.
-  dht::Mutator makeBucketMutator(std::string key, BucketMutator fn);
+  /// One dht_.multiApply round of every op; `kept` gets one result each.
+  struct KeyedOp { std::string key; BucketOp op; };
+  std::vector<dht::ApplyOutcome> applyOps(const std::vector<KeyedOp>& ops,
+                                          std::vector<BucketOpResult>& kept);
 
-  /// dht_.apply through makeBucketMutator. Returns whether the key
-  /// existed before the call.
-  bool applyBucket(const std::string& key, const BucketMutator& fn);
+  /// One step of a split or merge: applyOp, charged as one maintenance
+  /// DHT-lookup and counted into `st`.
+  BucketOpResult applyStep(const std::string& key, const BucketOp& op,
+                           cost::OpStats& st);
 
   /// Records an observed clean leaf in the location cache; with
   /// leasedReads this also grants/renews a read lease on the entry.
@@ -294,6 +302,20 @@ class LhtIndex final : public index::OrderedIndex {
   /// Shared walk for find/insert target resolution.
   LookupRef lookupInternal(double key);
   LookupRef lookupLinearRef(double key);
+  /// lookupInternal, falling back to the linear walk when it finds no
+  /// covering leaf; the stats count both walks.
+  LookupRef resolveLeaf(double key);
+
+  /// Insert's and erase's write loop: resolves the leaf covering `key`,
+  /// applies the op `opFor` builds for its DHT key, and re-resolves while
+  /// the op finds the leaf stale; charges every lookup and apply to the
+  /// insertion meter and `st`. Returns the leaf that took the op and what
+  /// its apply kept. `hole` and `moving` are the invariant messages for an
+  /// uncovered key and for a leaf that kept moving.
+  struct LeafWrite { LookupRef leaf; BucketOpResult result; };
+  template <typename OpForLeaf>  // BucketOp(const std::string& leafKey)
+  LeafWrite writeLeaf(double key, const OpForLeaf& opFor, const char* hole,
+                      const char* moving, cost::OpStats& st);
 
   /// One pending forward of Algorithm 3: a branch node to enter, the
   /// range clip to apply there, and where its entry leaf is stored. A
@@ -329,11 +351,17 @@ class LhtIndex final : public index::OrderedIndex {
   common::u64 runFanoutRounds(std::vector<FanoutTask> frontier,
                               RangeAnswer& out, cost::OpStats& st);
 
-  /// Fetches the entry bucket for a branch/half label during a neighbor
-  /// walk: tries the label as a key (leftmost/rightmost named leaf of that
-  /// subtree), retrying name(label) when the label is itself a leaf (the
-  /// paper's "at most one failed DHT-lookup").
-  BucketRef fetchSubtreeEntry(const Label& branch, cost::OpStats& st);
+  /// The order-statistic queries' leaf walk (Theorem 3): the leftmost or
+  /// rightmost leaf, and the next leaf toward `side` (nullptr past the
+  /// last, or for a neighbor subtree with no entry leaf unless `broken`
+  /// names the invariant that fails instead).
+  BucketRef fetchEndLeaf(Side side, cost::OpStats& st);
+  BucketRef stepLeaf(const LeafBucket& from, Side side, cost::OpStats& st,
+                     const char* broken = nullptr);
+  /// successor/predecessorQuery, min/maxRecord and topMin/Max by side.
+  index::FindResult neighborQuery(double key, Side side);
+  index::FindResult endRecord(Side side);
+  index::RangeResult topK(size_t k, Side side);
 
   /// Concurrency fallback for the range fan-out: when a branch's
   /// entry-leaf probe misses because another client split or merged it
@@ -351,9 +379,6 @@ class LhtIndex final : public index::OrderedIndex {
 
   /// The longest dyadic label whose interval contains [range.lo, range.hi).
   [[nodiscard]] Label computeLca(const common::Interval& range) const;
-
-  /// Effective-size split trigger (see Options::countLabelSlot).
-  [[nodiscard]] bool shouldSplit(const LeafBucket& b) const;
 
   /// Attempts the sibling merge after an erase. `bucketLabel` is the leaf
   /// the erase landed in. Counted under meters_.maintenance.
@@ -393,20 +418,13 @@ class LhtIndex final : public index::OrderedIndex {
   bool completeMerge(const std::string& absorberKey, const MergeIntent& intent,
                      cost::OpStats& st);
 
-  /// Stages `intent` (the frozen donor's records) in the absorber stored
-  /// under `absorberKey`, if it is still the clean leaf `absorberLabel` or
-  /// already carries the intent. Returns whether it carries it now.
-  bool stageMerge(const std::string& absorberKey, const Label& absorberLabel,
-                  const MergeIntent& intent, cost::OpStats& st);
-
-  /// Clears the freeze marker `token` left on the donor under `donorKey`.
-  void thawDonor(const std::string& donorKey, common::u64 token,
-                 cost::OpStats& st);
-
-  /// Repairs a frozen donor: stages and completes its merge, or thaws it
-  /// when its sibling is no longer a clean leaf.
-  void resumeFrozenDonor(const std::string& donorKey, const LeafBucket& donor,
-                         cost::OpStats& st);
+  /// Steps 2-4 of a merge whose donor is frozen by `intent`: stages it in
+  /// the absorber and completes the merge, or thaws the donor when the
+  /// absorber is no longer the clean leaf `absorberLabel`. Returns whether
+  /// the merge happened.
+  bool mergeFrozenDonor(const std::string& donorKey, const std::string& absorberKey,
+                        const Label& absorberLabel, const MergeIntent& intent,
+                        cost::OpStats& st);
 
   /// Completes any intent carried by `bucket` (stored under `key`).
   /// Returns true when a repair ran.
@@ -418,6 +436,12 @@ class LhtIndex final : public index::OrderedIndex {
   /// intent found. Returns true when something was repaired (the caller
   /// should restart its search).
   bool repairProbe(double key, cost::OpStats& st);
+
+  /// One multiGet of every candidate name of `key`: repairs each unclean
+  /// bucket and reports the leaf covering the key (`retryFailed`: re-read a
+  /// failed entry on its own).
+  struct ProbeRound { bool repaired = false, anyFailed = false; BucketRef covering; };
+  ProbeRound probeCandidates(double key, bool retryFailed, cost::OpStats& st);
 
   /// Entries the leaf cache and the decoded-bucket store each hold.
   static constexpr size_t kCacheCapacity = 4096;

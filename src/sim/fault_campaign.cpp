@@ -35,7 +35,7 @@ std::vector<Op> makeWorkload(const FaultCampaignConfig& cfg, u64 seed) {
     const double k = rng.nextDouble();
     if (k <= 0.0 || k >= 1.0 || !used.insert(k).second) continue;
     keys.push_back(k);
-    ops.push_back(Op{true, k, "v" + std::to_string(keys.size())});
+    ops.push_back(Op{true, k, common::numbered("v", keys.size())});
   }
   for (size_t i = keys.size(); i > 1; --i) {
     std::swap(keys[i - 1], keys[rng.below(static_cast<u32>(i))]);

@@ -51,7 +51,7 @@ std::vector<index::Record> makeDataset(Distribution dist, size_t n,
   std::vector<index::Record> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    out.push_back(index::Record{gen.next(), "r" + std::to_string(i)});
+    out.push_back(index::Record{gen.next(), common::numbered("r", i)});
   }
   return out;
 }

@@ -79,7 +79,7 @@ std::vector<Operation> makeMixedTrace(Distribution dist, size_t ops,
     if (live.empty() || pick < mix.insert) {
       op.kind = Operation::Kind::Insert;
       op.key = gen.next();
-      op.payload = "t" + std::to_string(i);
+      op.payload = common::numbered("t", i);
       live.push_back(op.key);
     } else if ((pick -= mix.insert) < mix.erase) {
       op.kind = Operation::Kind::Erase;
@@ -128,7 +128,7 @@ std::vector<Operation> makeSkewedTrace(size_t ops, const SkewConfig& skew,
       double k = center + (rng.nextDouble() - 0.5) * cellWidth * 0.98;
       if (k == center) k += cellWidth * 0.25;
       op.key = std::min(std::max(k, 0.0), 1.0);
-      op.payload = "sk" + std::to_string(i);
+      op.payload = common::numbered("sk", i);
     }
     out.push_back(std::move(op));
   }

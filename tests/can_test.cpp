@@ -32,7 +32,7 @@ TEST(CanDht, BasicPutGet) {
 TEST(CanDht, ZonesTileTheTorus) {
   net::SimNetwork net;
   CanDht d = makeCan(net, 40);
-  for (int i = 0; i < 300; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 300; ++i) d.put(common::numbered("k", i), "v");
   EXPECT_TRUE(d.checkZones());
   EXPECT_EQ(d.size(), 300u);
   EXPECT_EQ(d.peerCount(), 40u);
@@ -42,10 +42,10 @@ TEST(CanDht, RoutingReachesExactOwner) {
   net::SimNetwork net;
   CanDht d = makeCan(net, 64);
   for (int i = 0; i < 400; ++i) {
-    d.storeDirect("k" + std::to_string(i), "v" + std::to_string(i));
+    d.storeDirect(common::numbered("k", i), common::numbered("v", i));
   }
   for (int i = 0; i < 400; ++i) {
-    EXPECT_EQ(d.get("k" + std::to_string(i)), "v" + std::to_string(i)) << i;
+    EXPECT_EQ(d.get(common::numbered("k", i)), common::numbered("v", i)) << i;
   }
 }
 
@@ -55,7 +55,7 @@ TEST(CanDht, HopsScaleLikeSqrtN) {
   net::SimNetwork net;
   CanDht d = makeCan(net, 144);
   d.resetStats();
-  for (int i = 0; i < 300; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 300; ++i) d.put(common::numbered("k", i), "v");
   const double meanHops =
       static_cast<double>(d.stats().hops) / static_cast<double>(d.stats().lookups);
   EXPECT_LT(meanHops, 4.0 * 12.0);  // well under a multiple of sqrt(144)
@@ -65,7 +65,7 @@ TEST(CanDht, HopsScaleLikeSqrtN) {
 TEST(CanDht, JoinSplitsLeaveMerges) {
   net::SimNetwork net;
   CanDht d = makeCan(net, 8);
-  for (int i = 0; i < 200; ++i) d.put("k" + std::to_string(i), "v" + std::to_string(i));
+  for (int i = 0; i < 200; ++i) d.put(common::numbered("k", i), common::numbered("v", i));
   d.join("late-1");
   EXPECT_EQ(d.peerCount(), 9u);
   EXPECT_TRUE(d.checkZones());
@@ -76,14 +76,14 @@ TEST(CanDht, JoinSplitsLeaveMerges) {
   EXPECT_TRUE(d.checkZones());
   EXPECT_EQ(d.size(), 200u);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(d.get("k" + std::to_string(i)), "v" + std::to_string(i)) << i;
+    EXPECT_EQ(d.get(common::numbered("k", i)), common::numbered("v", i)) << i;
   }
 }
 
 TEST(CanDht, ChurnStormKeepsPartitionConsistent) {
   net::SimNetwork net;
   CanDht d = makeCan(net, 10);
-  for (int i = 0; i < 120; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 120; ++i) d.put(common::numbered("k", i), "v");
   common::Pcg32 rng(5);
   for (int round = 0; round < 30; ++round) {
     if (rng.below(2) == 0 || d.peerCount() < 4) {
@@ -95,13 +95,13 @@ TEST(CanDht, ChurnStormKeepsPartitionConsistent) {
     ASSERT_TRUE(d.checkZones()) << round;
     ASSERT_EQ(d.size(), 120u) << round;
   }
-  for (int i = 0; i < 120; ++i) EXPECT_TRUE(d.get("k" + std::to_string(i)).has_value());
+  for (int i = 0; i < 120; ++i) EXPECT_TRUE(d.get(common::numbered("k", i)).has_value());
 }
 
 TEST(CanDht, ApplySemantics) {
   net::SimNetwork net;
   CanDht d = makeCan(net, 8);
-  EXPECT_FALSE(d.apply("k", [](std::optional<Value>& v) { v = "a"; }));
+  EXPECT_FALSE(d.apply("k", [](std::optional<Value>& v) { v = Value("a"); }));
   EXPECT_TRUE(d.apply("k", [](std::optional<Value>& v) { *v += "b"; }));
   EXPECT_EQ(d.get("k"), "ab");
 }

@@ -26,7 +26,7 @@ ChordDht makeRing(net::SimNetwork& net, size_t peers, size_t replication) {
 TEST(ChordReplication, ReplicasPlacedOnSuccessors) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 16, 3);
-  for (int i = 0; i < 200; ++i) d.put("k" + std::to_string(i), "v" + std::to_string(i));
+  for (int i = 0; i < 200; ++i) d.put(common::numbered("k", i), common::numbered("v", i));
   EXPECT_TRUE(d.checkRing());
   EXPECT_TRUE(d.checkReplication());
 }
@@ -34,7 +34,7 @@ TEST(ChordReplication, ReplicasPlacedOnSuccessors) {
 TEST(ChordReplication, SurvivesUngracefulFailure) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 12, 3);
-  for (int i = 0; i < 300; ++i) d.put("k" + std::to_string(i), "v" + std::to_string(i));
+  for (int i = 0; i < 300; ++i) d.put(common::numbered("k", i), common::numbered("v", i));
   common::Pcg32 rng(4);
   for (int round = 0; round < 6; ++round) {
     auto ids = d.nodeIds();
@@ -44,14 +44,14 @@ TEST(ChordReplication, SurvivesUngracefulFailure) {
     ASSERT_EQ(d.size(), 300u) << round;
   }
   for (int i = 0; i < 300; ++i) {
-    EXPECT_EQ(d.get("k" + std::to_string(i)), "v" + std::to_string(i)) << i;
+    EXPECT_EQ(d.get(common::numbered("k", i)), common::numbered("v", i)) << i;
   }
 }
 
 TEST(ChordReplication, WithoutReplicationFailureLosesData) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 8, 1);
-  for (int i = 0; i < 200; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 200; ++i) d.put(common::numbered("k", i), "v");
   auto ids = d.nodeIds();
   // Fail the peer holding the most keys: data must actually disappear.
   common::u64 victim = ids[0];
@@ -91,7 +91,7 @@ TEST(ChordReplication, ApplyRefreshesReplicas) {
 TEST(ChordReplication, JoinAndLeaveKeepReplicationInvariant) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 8, 3);
-  for (int i = 0; i < 150; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 150; ++i) d.put(common::numbered("k", i), "v");
   d.join("late-a");
   ASSERT_TRUE(d.checkReplication());
   d.join("late-b");
@@ -165,7 +165,7 @@ TEST(ChurnDriver, FailEventsNeedReplicationToBeLossless) {
   o.initialPeers = 12;
   o.replication = 3;
   dht::ChordDht d(net, o);
-  for (int i = 0; i < 200; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 200; ++i) d.put(common::numbered("k", i), "v");
   ChurnConfig cfg;
   cfg.joinWeight = 1.0;
   cfg.leaveWeight = 0.5;

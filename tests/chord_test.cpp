@@ -30,7 +30,7 @@ TEST(ChordDht, BasicPutGet) {
 TEST(ChordDht, RingInvariantsHold) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 32);
-  for (int i = 0; i < 200; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 200; ++i) d.put(common::numbered("k", i), "v");
   EXPECT_TRUE(d.checkRing());
   EXPECT_EQ(d.size(), 200u);
 }
@@ -38,7 +38,7 @@ TEST(ChordDht, RingInvariantsHold) {
 TEST(ChordDht, ApplySameSemanticsAsLocal) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 8);
-  EXPECT_FALSE(d.apply("k", [](std::optional<Value>& v) { v = "a"; }));
+  EXPECT_FALSE(d.apply("k", [](std::optional<Value>& v) { v = Value("a"); }));
   EXPECT_TRUE(d.apply("k", [](std::optional<Value>& v) { *v += "b"; }));
   EXPECT_EQ(d.get("k"), "ab");
   EXPECT_TRUE(d.apply("k", [](std::optional<Value>& v) { v.reset(); }));
@@ -50,7 +50,7 @@ TEST(ChordDht, LookupHopsAreLogarithmic) {
   ChordDht d = makeRing(net, 256);
   d.resetStats();
   const int n = 500;
-  for (int i = 0; i < n; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < n; ++i) d.put(common::numbered("k", i), "v");
   const double meanHops =
       static_cast<double>(d.stats().hops) / static_cast<double>(d.stats().lookups);
   // O(log N): for 256 peers expect on the order of log2(256)/2 = 4 hops,
@@ -62,33 +62,33 @@ TEST(ChordDht, LookupHopsAreLogarithmic) {
 TEST(ChordDht, JoinMovesOnlyOwedKeys) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 8);
-  for (int i = 0; i < 300; ++i) d.put("k" + std::to_string(i), "v" + std::to_string(i));
+  for (int i = 0; i < 300; ++i) d.put(common::numbered("k", i), common::numbered("v", i));
   d.join("late-joiner");
   EXPECT_TRUE(d.checkRing());
   EXPECT_EQ(d.size(), 300u);
   for (int i = 0; i < 300; ++i) {
-    EXPECT_EQ(d.get("k" + std::to_string(i)), "v" + std::to_string(i)) << i;
+    EXPECT_EQ(d.get(common::numbered("k", i)), common::numbered("v", i)) << i;
   }
 }
 
 TEST(ChordDht, LeaveHandsKeysToSuccessor) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 8);
-  for (int i = 0; i < 200; ++i) d.put("k" + std::to_string(i), "v" + std::to_string(i));
+  for (int i = 0; i < 200; ++i) d.put(common::numbered("k", i), common::numbered("v", i));
   auto ids = d.nodeIds();
   d.leave(ids[3]);
   d.leave(ids[5]);
   EXPECT_TRUE(d.checkRing());
   EXPECT_EQ(d.size(), 200u);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(d.get("k" + std::to_string(i)), "v" + std::to_string(i)) << i;
+    EXPECT_EQ(d.get(common::numbered("k", i)), common::numbered("v", i)) << i;
   }
 }
 
 TEST(ChordDht, ChurnStorm) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 16);
-  for (int i = 0; i < 100; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 100; ++i) d.put(common::numbered("k", i), "v");
   common::Pcg32 rng(99);
   for (int round = 0; round < 30; ++round) {
     if (rng.below(2) == 0 || d.nodeIds().size() < 4) {
@@ -100,7 +100,7 @@ TEST(ChordDht, ChurnStorm) {
     ASSERT_TRUE(d.checkRing()) << "round " << round;
     ASSERT_EQ(d.size(), 100u) << "round " << round;
   }
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(d.get("k" + std::to_string(i)).has_value());
+  for (int i = 0; i < 100; ++i) EXPECT_TRUE(d.get(common::numbered("k", i)).has_value());
 }
 
 TEST(ChordDht, OwnerIsDeterministic) {
@@ -123,7 +123,7 @@ TEST(ChordDht, NetworkTrafficRecorded) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 64);
   net.resetStats();
-  for (int i = 0; i < 50; ++i) d.put("k" + std::to_string(i), "payload");
+  for (int i = 0; i < 50; ++i) d.put(common::numbered("k", i), "payload");
   EXPECT_GT(net.stats().messages, 0u);
   EXPECT_GT(net.stats().bytes, 0u);
 }

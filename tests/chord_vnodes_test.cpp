@@ -44,8 +44,8 @@ TEST(ChordVirtualNodes, ImproveKeyBalance) {
   ChordDht flat = makeRing(net1, 16, 1);
   ChordDht smooth = makeRing(net2, 16, 16);
   for (int i = 0; i < keys; ++i) {
-    flat.put("k" + std::to_string(i), "v");
-    smooth.put("k" + std::to_string(i), "v");
+    flat.put(common::numbered("k", i), "v");
+    smooth.put(common::numbered("k", i), "v");
   }
   // With 16 peers the fair share is 1/16 = 6.25%. A single ring point per
   // peer routinely gives some peer several times that; 16 vnodes per peer
@@ -57,7 +57,7 @@ TEST(ChordVirtualNodes, ImproveKeyBalance) {
 TEST(ChordVirtualNodes, LeaveRemovesAllRingPoints) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 6, 4);
-  for (int i = 0; i < 200; ++i) d.put("k" + std::to_string(i), "v" + std::to_string(i));
+  for (int i = 0; i < 200; ++i) d.put(common::numbered("k", i), common::numbered("v", i));
   auto ids = d.nodeIds();
   d.leave(ids[5]);
   EXPECT_EQ(d.peerCount(), 5u);
@@ -65,14 +65,14 @@ TEST(ChordVirtualNodes, LeaveRemovesAllRingPoints) {
   EXPECT_EQ(d.size(), 200u);
   EXPECT_TRUE(d.checkRing());
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(d.get("k" + std::to_string(i)), "v" + std::to_string(i)) << i;
+    EXPECT_EQ(d.get(common::numbered("k", i)), common::numbered("v", i)) << i;
   }
 }
 
 TEST(ChordVirtualNodes, ReplicasLandOnDistinctPeers) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 8, 8, /*replication=*/3);
-  for (int i = 0; i < 300; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 300; ++i) d.put(common::numbered("k", i), "v");
   ASSERT_TRUE(d.checkReplication());
   // Kill any peer: every key must survive, because its replicas live on
   // other *peers*, not merely other ring points of the same peer.
@@ -85,7 +85,7 @@ TEST(ChordVirtualNodes, ReplicasLandOnDistinctPeers) {
 TEST(ChordVirtualNodes, FailWithVnodesLosesNothingWithReplication) {
   net::SimNetwork net;
   ChordDht d = makeRing(net, 10, 4, /*replication=*/2);
-  for (int i = 0; i < 250; ++i) d.put("k" + std::to_string(i), "v" + std::to_string(i));
+  for (int i = 0; i < 250; ++i) d.put(common::numbered("k", i), common::numbered("v", i));
   common::Pcg32 rng(9);
   for (int round = 0; round < 4; ++round) {
     auto ids = d.nodeIds();

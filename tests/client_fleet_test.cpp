@@ -35,7 +35,7 @@ std::vector<workload::Operation> makeInsertFindTrace(size_t ops,
     if (inserted.empty() || rng.nextDouble() < 0.65) {
       op.kind = workload::Operation::Kind::Insert;
       op.key = rng.nextDouble();
-      op.payload = "p" + std::to_string(i);
+      op.payload = common::numbered("p", i);
       inserted.push_back(op.key);
     } else {
       op.kind = workload::Operation::Kind::Find;

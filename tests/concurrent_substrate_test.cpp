@@ -44,7 +44,7 @@ std::vector<exec::OpRecord> hammer(dht::Dht& dht) {
         switch (r % 3) {
           case 0: {
             rec.kind = exec::OpKind::Put;
-            rec.value = "t" + std::to_string(t) + "-r" + std::to_string(r);
+            rec.value = common::numbered("t", t) + "-r" + std::to_string(r);
             dht.put(key, *rec.value);
             rec.ok = true;
             break;
@@ -139,7 +139,7 @@ TEST(ConcurrentSubstrateTest, ChordStaysLinearizableUnderConcurrentChurn) {
         rec.invokeMs = exec::nextTick();
         if (r % 2 == 0) {
           rec.kind = exec::OpKind::Put;
-          rec.value = "t" + std::to_string(t) + "-r" + std::to_string(r);
+          rec.value = common::numbered("t", t) + "-r" + std::to_string(r);
           dht.put(key, *rec.value);
         } else {
           rec.kind = exec::OpKind::Get;
@@ -175,7 +175,7 @@ TEST(ConcurrentSubstrateTest, CanSurvivesConcurrentChurn) {
   for (size_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&dht, t] {
       for (size_t r = 0; r < kRounds; ++r) {
-        const std::string key = "k" + std::to_string((t + r) % 5);
+        const std::string key = common::numbered("k", (t + r) % 5);
         dht.put(key, "v");
         (void)dht.get(key);
       }

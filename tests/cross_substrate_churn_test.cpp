@@ -120,7 +120,7 @@ void runFailThenRead(DhtT& d, IdsFn ids, CheckFn check, size_t replication,
                      common::u64 seed) {
   constexpr size_t kKeys = 120;
   for (size_t i = 0; i < kKeys; ++i) {
-    d.put("k" + std::to_string(i), "v" + std::to_string(i));
+    d.put(common::numbered("k", i), common::numbered("v", i));
   }
   common::Pcg32 pick(seed);
   for (int round = 0; round < 4; ++round) {
@@ -130,9 +130,9 @@ void runFailThenRead(DhtT& d, IdsFn ids, CheckFn check, size_t replication,
   }
   size_t alive = 0;
   for (size_t i = 0; i < kKeys; ++i) {
-    auto v = d.get("k" + std::to_string(i));
+    auto v = d.get(common::numbered("k", i));
     if (!v.has_value()) continue;
-    EXPECT_EQ(*v, "v" + std::to_string(i));
+    EXPECT_EQ(*v, common::numbered("v", i));
     alive += 1;
   }
   if (replication >= 2) {

@@ -81,7 +81,7 @@ TEST(Table, MinMaxAreOneLookup) {
   double minPrice = 2.0, maxRating = -1.0;
   std::string minName, maxName;
   for (int i = 0; i < 200; ++i) {
-    auto row = makeRow(rng.nextDouble(), rng.nextDouble(), "r" + std::to_string(i));
+    auto row = makeRow(rng.nextDouble(), rng.nextDouble(), common::numbered("r", i));
     if (row.values["price"] < minPrice) {
       minPrice = row.values["price"];
       minName = row.payload;
@@ -118,7 +118,7 @@ TEST(Table, CountRange) {
   dht::LocalDht d;
   Table t(d, twoColumnOpts());
   for (int i = 0; i < 100; ++i) {
-    t.insert(makeRow((i + 0.5) / 100.0, 0.5, "r" + std::to_string(i)));
+    t.insert(makeRow((i + 0.5) / 100.0, 0.5, common::numbered("r", i)));
   }
   EXPECT_EQ(t.countRange("price", 0.0, 0.5), 50u);
   EXPECT_EQ(t.countRange("price", 0.25, 0.26), 1u);
@@ -133,7 +133,7 @@ TEST(Table, IndexesShareOneDhtWithoutCollisions) {
   common::Pcg32 rng(3);
   for (int i = 0; i < 200; ++i) {
     t.insert(makeRow(rng.nextDouble(), 0.5 + 0.4 * rng.nextDouble(),
-                     "x" + std::to_string(i)));
+                     common::numbered("x", i)));
   }
   EXPECT_GT(t.indexOf("price").meters().maintenance.splits, 0u);
   EXPECT_GT(t.indexOf("rating").meters().maintenance.splits, 0u);
@@ -149,7 +149,7 @@ TEST(Table, WorksOverChord) {
   Table t(d, twoColumnOpts());
   common::Pcg32 rng(4);
   for (int i = 0; i < 150; ++i) {
-    t.insert(makeRow(rng.nextDouble(), rng.nextDouble(), "c" + std::to_string(i)));
+    t.insert(makeRow(rng.nextDouble(), rng.nextDouble(), common::numbered("c", i)));
   }
   EXPECT_EQ(t.selectRange("price", 0.0, 1.0).rows.size(), 150u);
   EXPECT_TRUE(d.checkRing());
@@ -168,7 +168,7 @@ TEST(Table, RangeSelectOverChordRunsAsBatchRounds) {
   std::vector<Row> rows;
   for (int i = 0; i < 150; ++i) {
     rows.push_back(
-        makeRow(rng.nextDouble(), rng.nextDouble(), "c" + std::to_string(i)));
+        makeRow(rng.nextDouble(), rng.nextDouble(), common::numbered("c", i)));
     t.insert(rows.back());
   }
 

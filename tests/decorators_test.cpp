@@ -19,7 +19,7 @@ TEST(FlakyDht, InjectsFailuresAtTheConfiguredRate) {
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
     try {
-      flaky.put("k" + std::to_string(i), "v");
+      flaky.put(common::numbered("k", i), "v");
     } catch (const DhtError&) {
       ++failures;
     }
@@ -33,7 +33,7 @@ TEST(FlakyDht, InjectsFailuresAtTheConfiguredRate) {
 TEST(FlakyDht, ZeroProbabilityNeverFails) {
   LocalDht inner;
   FaultDht flaky(inner, FaultDht::Point::Request, 0.0);
-  for (int i = 0; i < 100; ++i) flaky.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 100; ++i) flaky.put(common::numbered("k", i), "v");
   EXPECT_EQ(flaky.injected(), 0u);
   EXPECT_EQ(flaky.size(), 100u);
 }
@@ -49,7 +49,7 @@ TEST(FlakyDht, FailuresHappenBeforeExecution) {
     try {
       flaky.apply("k", [&](std::optional<Value>& v) {
         ++mutations;
-        *v = "m" + std::to_string(i);
+        *v = common::numbered("m", i);
       });
       ++successes;
     } catch (const DhtError&) {
@@ -62,11 +62,11 @@ TEST(RetryingDht, AbsorbsFailures) {
   LocalDht inner;
   FaultDht flaky(inner, FaultDht::Point::Request, 0.4, /*seed=*/5);
   RetryingDht retrying(flaky, /*maxAttempts=*/32);
-  for (int i = 0; i < 500; ++i) retrying.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 500; ++i) retrying.put(common::numbered("k", i), "v");
   EXPECT_EQ(inner.size(), 500u);
   EXPECT_GT(retrying.retries(), 100u);  // ~0.4/(1-0.4) * 500
   for (int i = 0; i < 500; ++i) {
-    EXPECT_TRUE(retrying.get("k" + std::to_string(i)).has_value());
+    EXPECT_TRUE(retrying.get(common::numbered("k", i)).has_value());
   }
 }
 
@@ -76,7 +76,7 @@ TEST(RetryingDht, GivesUpAfterMaxAttempts) {
   RetryingDht retrying(flaky, /*maxAttempts=*/3);
   EXPECT_THROW(
       {
-        for (int i = 0; i < 50; ++i) retrying.put("k" + std::to_string(i), "v");
+        for (int i = 0; i < 50; ++i) retrying.put(common::numbered("k", i), "v");
       },
       DhtError);
 }

@@ -35,7 +35,7 @@ std::vector<std::string> preload(ChordDht& d, size_t n) {
   keys.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     keys.push_back("key-" + std::to_string(i));
-    d.put(keys.back(), "v" + std::to_string(i));
+    d.put(keys.back(), common::numbered("v", i));
   }
   return keys;
 }
@@ -281,7 +281,7 @@ TEST(FailoverDht, MultiGetRescuesFailedEntries) {
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_TRUE(out[i].ok) << "entry " << i << ": " << out[i].error;
     ASSERT_TRUE(out[i].value.has_value());
-    EXPECT_EQ(*out[i].value, "v" + std::to_string(i));
+    EXPECT_EQ(*out[i].value, common::numbered("v", i));
   }
   EXPECT_GE(failover.rescues(), 1u);
 }
@@ -295,7 +295,7 @@ TEST(LeafCacheDeadPeer, CachedLocationDroppedWhenItsPeerIsDark) {
   ChordDht d(net, chordOpts(10, 3));
   core::LhtIndex idx(d, {.thetaSplit = 8, .useLeafCache = true});
   for (int i = 0; i < 60; ++i) {
-    idx.insert({(i + 0.5) / 60.0, "p" + std::to_string(i)});
+    idx.insert({(i + 0.5) / 60.0, common::numbered("p", i)});
   }
 
   const double probe = (30 + 0.5) / 60.0;  // an actually-inserted key
@@ -390,7 +390,7 @@ TEST(RepairScheduler, BoundedTicksConvergeDhtAndIndex) {
   ChordDht d(net, chordOpts(12, 3));
   core::LhtIndex idx(d, {.thetaSplit = 8, .useLeafCache = true});
   for (int i = 0; i < 80; ++i) {
-    idx.insert({(i + 0.5) / 80.0, "p" + std::to_string(i)});
+    idx.insert({(i + 0.5) / 80.0, common::numbered("p", i)});
   }
 
   d.crash(safeVictim(d));

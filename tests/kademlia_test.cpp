@@ -33,17 +33,17 @@ TEST(KademliaDht, GreedyRoutingReachesExactOwner) {
   net::SimNetwork net;
   KademliaDht d = makeKad(net, 128);
   for (int i = 0; i < 500; ++i) {
-    d.storeDirect("k" + std::to_string(i), "v" + std::to_string(i));
+    d.storeDirect(common::numbered("k", i), common::numbered("v", i));
   }
   for (int i = 0; i < 500; ++i) {
-    EXPECT_EQ(d.get("k" + std::to_string(i)), "v" + std::to_string(i)) << i;
+    EXPECT_EQ(d.get(common::numbered("k", i)), common::numbered("v", i)) << i;
   }
 }
 
 TEST(KademliaDht, TablesConsistent) {
   net::SimNetwork net;
   KademliaDht d = makeKad(net, 64);
-  for (int i = 0; i < 100; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 100; ++i) d.put(common::numbered("k", i), "v");
   EXPECT_TRUE(d.checkTables());
   EXPECT_EQ(d.size(), 100u);
 }
@@ -52,7 +52,7 @@ TEST(KademliaDht, HopsLogarithmic) {
   net::SimNetwork net;
   KademliaDht d = makeKad(net, 256);
   d.resetStats();
-  for (int i = 0; i < 400; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 400; ++i) d.put(common::numbered("k", i), "v");
   const double meanHops =
       static_cast<double>(d.stats().hops) / static_cast<double>(d.stats().lookups);
   EXPECT_LT(meanHops, 2.0 * std::log2(256.0));
@@ -61,7 +61,7 @@ TEST(KademliaDht, HopsLogarithmic) {
 TEST(KademliaDht, JoinAndLeavePreserveData) {
   net::SimNetwork net;
   KademliaDht d = makeKad(net, 8);
-  for (int i = 0; i < 150; ++i) d.put("k" + std::to_string(i), "v" + std::to_string(i));
+  for (int i = 0; i < 150; ++i) d.put(common::numbered("k", i), common::numbered("v", i));
   d.join("newcomer-1");
   d.join("newcomer-2");
   auto ids = d.nodeIds();
@@ -69,14 +69,14 @@ TEST(KademliaDht, JoinAndLeavePreserveData) {
   EXPECT_TRUE(d.checkTables());
   EXPECT_EQ(d.size(), 150u);
   for (int i = 0; i < 150; ++i) {
-    EXPECT_EQ(d.get("k" + std::to_string(i)), "v" + std::to_string(i)) << i;
+    EXPECT_EQ(d.get(common::numbered("k", i)), common::numbered("v", i)) << i;
   }
 }
 
 TEST(KademliaDht, ApplySemantics) {
   net::SimNetwork net;
   KademliaDht d = makeKad(net, 8);
-  EXPECT_FALSE(d.apply("k", [](std::optional<Value>& v) { v = "x"; }));
+  EXPECT_FALSE(d.apply("k", [](std::optional<Value>& v) { v = Value("x"); }));
   EXPECT_TRUE(d.apply("k", [](std::optional<Value>& v) { *v += "y"; }));
   EXPECT_EQ(d.get("k"), "xy");
 }

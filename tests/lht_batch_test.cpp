@@ -30,7 +30,7 @@ std::vector<index::Record> distinctRecords(size_t n, common::u64 seed) {
   while (recs.size() < n) {
     const double k = rng.nextDouble();
     if (k <= 0.0 || k >= 1.0 || !used.insert(k).second) continue;
-    recs.push_back(index::Record{k, "p" + std::to_string(recs.size())});
+    recs.push_back(index::Record{k, common::numbered("p", recs.size())});
   }
   return recs;
 }

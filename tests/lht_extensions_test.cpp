@@ -99,7 +99,7 @@ TEST(CascadingSplits, ClearsOverflowImmediately) {
   bool sawBurst = false;
   for (int i = 0; i < 600; ++i) {
     // Clustered keys provoke multi-level splits.
-    index::Record r{0.40625 + rng.nextDouble() / 2048.0, "c" + std::to_string(i)};
+    index::Record r{0.40625 + rng.nextDouble() / 2048.0, common::numbered("c", i)};
     idx.insert(r);
     oracle.insert(r);
     const common::u64 s = idx.meters().maintenance.splits;

@@ -162,7 +162,7 @@ TEST(LhtIndex, AgreesWithOracleOnMixedWorkload) {
   for (int step = 0; step < 1500; ++step) {
     const double key = rng.nextDouble();
     if (rng.below(4) != 0) {
-      index::Record r{key, "p" + std::to_string(step)};
+      index::Record r{key, common::numbered("p", step)};
       idx.insert(r);
       oracle.insert(r);
     } else {
@@ -274,7 +274,7 @@ TEST(LhtIndex, SurvivesChordChurnBetweenOperations) {
   index::ReferenceIndex oracle;
   common::Pcg32 rng(33);
   for (int step = 0; step < 400; ++step) {
-    index::Record r{rng.nextDouble(), "p" + std::to_string(step)};
+    index::Record r{rng.nextDouble(), common::numbered("p", step)};
     idx.insert(r);
     oracle.insert(r);
     if (step % 40 == 20) d.join("late-" + std::to_string(step));
@@ -291,7 +291,7 @@ TEST(LhtIndex, SurvivesChordChurnBetweenOperations) {
 TEST(LhtIndex, DuplicateKeysSupported) {
   dht::LocalDht d;
   LhtIndex idx(d, smallOpts(4));
-  for (int i = 0; i < 10; ++i) idx.insert({0.5, "dup" + std::to_string(i)});
+  for (int i = 0; i < 10; ++i) idx.insert({0.5, common::numbered("dup", i)});
   EXPECT_EQ(idx.recordCount(), 10u);
   auto rr = idx.rangeQuery(0.5, 0.500001);
   EXPECT_EQ(rr.records.size(), 10u);
@@ -348,7 +348,7 @@ TEST(LhtIndexMutatorRerun, StaleRunDoesNotOutliveTheRunThatApplies) {
   common::Pcg32 rng(41);
   std::vector<double> keys;
   for (int i = 0; i < 120; ++i) {
-    const index::Record r{rng.nextDouble(), "p" + std::to_string(i)};
+    const index::Record r{rng.nextDouble(), common::numbered("p", i)};
     d.armNextApply(Label::fromKey(r.key, 12).sibling());
     const size_t before = d.applies();
     ASSERT_TRUE(idx.insert(r).ok);
@@ -371,6 +371,84 @@ TEST(LhtIndexMutatorRerun, StaleRunDoesNotOutliveTheRunThatApplies) {
   for (size_t i = 0; i < mine.records.size(); ++i) {
     EXPECT_EQ(mine.records[i], truth.records[i]) << i;
   }
+  checkStructure(local, idx);
+}
+
+/// Forwards to an inner Dht, but reads one key as absent until the index
+/// has run `rounds` multiGet rounds. With the leaf cache off, the only
+/// rounds a write's lookup runs are its hole probes, one per failed
+/// binary search: hiding the covering leaf for all of them makes the
+/// search give up, and the linear walk that follows (plain gets) finds the
+/// leaf. Every hidden read still reaches the inner substrate and counts.
+class HidingDht final : public dht::ForwardingDht {
+ public:
+  explicit HidingDht(dht::Dht& inner) : ForwardingDht(inner) {}
+
+  void hide(std::string key, size_t rounds) {
+    hidden_ = std::move(key);
+    roundsLeft_ = rounds;
+  }
+
+  std::optional<dht::Value> get(const dht::Key& key) override {
+    auto v = inner_.get(key);
+    if (hiding(key)) return std::nullopt;
+    return v;
+  }
+  std::vector<dht::GetOutcome> multiGet(const std::vector<dht::Key>& keys) override {
+    auto out = inner_.multiGet(keys);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (hiding(keys[i])) out[i].value.reset();
+    }
+    if (roundsLeft_ > 0) --roundsLeft_;
+    return out;
+  }
+
+ private:
+  [[nodiscard]] bool hiding(const dht::Key& key) const {
+    return roundsLeft_ > 0 && key == hidden_;
+  }
+
+  std::string hidden_;
+  size_t roundsLeft_ = 0;
+};
+
+TEST(LhtIndexLookupFallback, WritesChargeTheSearchThatFoundNoLeaf) {
+  // A write whose binary search finds no covering leaf falls back to the
+  // linear walk. Both walks' probes reached the substrate, so the op must
+  // report and charge both, as find does.
+  dht::LocalDht local;
+  HidingDht d(local);
+  LhtIndex::Options opts = smallOpts(8);
+  opts.enableMerge = false;  // an erase is its lookups and one apply
+  LhtIndex idx(d, opts);
+  common::Pcg32 rng(23);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(idx.insert({rng.nextDouble(), "seed"}).ok);
+  }
+  constexpr size_t kHoleProbeRounds = 4;  // one per binary search lookupInternal runs
+
+  const auto check = [&](const char* what, double key, const auto& write) {
+    d.hide(idx.lookup(key).dhtKey, kHoleProbeRounds);
+    const auto holeProbes = idx.repairStats().holeProbes;
+    const common::u64 counted = local.stats().lookups;
+    const auto before = idx.meters();
+    const index::UpdateResult r = write();
+    const auto& after = idx.meters();
+    ASSERT_TRUE(r.ok) << what;
+    EXPECT_EQ(idx.repairStats().holeProbes - holeProbes, kHoleProbeRounds) << what;
+    const common::u64 substrate = local.stats().lookups - counted;
+    const common::u64 insertion =
+        after.insertion.dhtLookups - before.insertion.dhtLookups;
+    const common::u64 maintenance =
+        after.maintenance.dhtLookups - before.maintenance.dhtLookups;
+    EXPECT_EQ(r.stats.dhtLookups, insertion) << what;
+    EXPECT_EQ(insertion + maintenance, substrate) << what;
+  };
+  check("insert", 0.3, [&] { return idx.insert({0.3, "x"}); });
+  check("erase", 0.3, [&] { return idx.erase(0.3); });
+  check("insertBatch", 0.6, [&] {
+    return idx.insertBatch({{0.6, "a"}, {0.6000001, "b"}, {0.9, "c"}});
+  });
   checkStructure(local, idx);
 }
 

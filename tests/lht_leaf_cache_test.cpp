@@ -45,7 +45,7 @@ std::vector<index::Record> distinctRecords(size_t n, common::u64 seed) {
   while (recs.size() < n) {
     const double k = rng.nextDouble();
     if (k <= 0.0 || k >= 1.0 || !used.insert(k).second) continue;
-    recs.push_back(index::Record{k, "p" + std::to_string(recs.size())});
+    recs.push_back(index::Record{k, common::numbered("p", recs.size())});
   }
   return recs;
 }
@@ -332,7 +332,7 @@ TEST(LeafCacheIndex, OracleDifferentialWithAllFeaturesOn) {
     const double roll = rng.nextDouble();
     const double key = common::clampToUnit(rng.nextDouble());
     if (roll < 0.55) {
-      const std::string payload = "p" + std::to_string(step);
+      const std::string payload = common::numbered("p", step);
       idx.insert(index::Record{key, payload});
       oracle[key] = payload;
     } else if (roll < 0.75 && !oracle.empty()) {
@@ -410,7 +410,7 @@ struct WarmReader {
     common::Pcg32 rng(17);
     while (writer.meters().maintenance.splits == before) {
       const double k = iv.lo + rng.nextDouble() * iv.width();
-      if (iv.contains(k) && oracle.count(k) == 0) insert(k, "s" + std::to_string(k));
+      if (iv.contains(k) && oracle.count(k) == 0) insert(k, common::numbered("s", k));
     }
   }
 

@@ -39,7 +39,7 @@ TEST(LocalDht, EveryRoutedOpCountsOneLookup) {
   d.put("a", "1");
   d.get("a");
   d.get("missing");
-  d.apply("a", [](std::optional<Value>& v) { *v = "2"; });
+  d.apply("a", [](std::optional<Value>& v) { *v = Value("2"); });
   d.remove("a");
   const auto& st = d.stats();
   EXPECT_EQ(st.lookups, 5u);

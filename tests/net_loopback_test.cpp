@@ -79,12 +79,12 @@ TEST(NetLoopback, NetDhtAcrossTwoProcesses) {
   ASSERT_EQ(dht.knownMembers(), 2u);
 
   for (int i = 0; i < 20; ++i) {
-    dht.put("key" + std::to_string(i), "v" + std::to_string(i));
+    dht.put(common::numbered("key", i), common::numbered("v", i));
   }
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(dht.get("key" + std::to_string(i)), "v" + std::to_string(i));
-    EXPECT_EQ(dht.getReplica("key" + std::to_string(i), 0),
-              "v" + std::to_string(i));
+    EXPECT_EQ(dht.get(common::numbered("key", i)), common::numbered("v", i));
+    EXPECT_EQ(dht.getReplica(common::numbered("key", i), 0),
+              common::numbered("v", i));
   }
   EXPECT_TRUE(dht.apply("key0", [](std::optional<dht::Value>& v) {
     ASSERT_TRUE(v.has_value());
@@ -93,7 +93,7 @@ TEST(NetLoopback, NetDhtAcrossTwoProcesses) {
   EXPECT_EQ(dht.get("key0"), "v0+applied");
 
   std::vector<dht::Key> keys;
-  for (int i = 0; i < 20; ++i) keys.push_back("key" + std::to_string(i));
+  for (int i = 0; i < 20; ++i) keys.push_back(common::numbered("key", i));
   auto outcomes = dht.multiGet(keys);
   for (size_t i = 0; i < outcomes.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok) << keys[i] << ": " << outcomes[i].error;

@@ -164,7 +164,7 @@ TEST(MemberRing, DeadAndLeftContributeNothing) {
   EXPECT_EQ(ring.memberCount(), 1u);
   const u64 survivor = nodeIdFor(NetAddr{0, 7001});
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(ring.owner("k" + std::to_string(i)), survivor);
+    EXPECT_EQ(ring.owner(common::numbered("k", i)), survivor);
   }
   // Suspect members still own keys (they may yet refute).
   std::vector<NodeEntry> suspect = {entryFor(7001),
@@ -180,7 +180,7 @@ TEST(MemberRing, OwnerExcludingPredictsDeparture) {
   MemberRing shrunk(without, 32);
   const u64 leaving = nodeIdFor(NetAddr{0, 7002});
   for (int i = 0; i < 200; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = common::numbered("k", i);
     // ownerExcluding on the full ring == owner on the ring without the
     // excluded node: the leave handoff targets exactly the future owners.
     EXPECT_EQ(ring.ownerExcluding(key, leaving), shrunk.owner(key));
@@ -192,7 +192,7 @@ TEST(MemberRing, HoldersDistinctAndLedByOwner) {
                                   entryFor(7003), entryFor(7004)};
   MemberRing ring(table, 32);
   for (int i = 0; i < 100; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = common::numbered("k", i);
     const auto holders = ring.holders(key, 2);
     ASSERT_EQ(holders.size(), 3u);
     EXPECT_EQ(holders[0], ring.owner(key));

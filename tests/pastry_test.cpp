@@ -34,10 +34,10 @@ TEST(PastryDht, RoutingReachesExactOwnerForManyKeys) {
   net::SimNetwork net;
   PastryDht d = makePastry(net, 128);
   for (int i = 0; i < 600; ++i) {
-    d.storeDirect("k" + std::to_string(i), "v" + std::to_string(i));
+    d.storeDirect(common::numbered("k", i), common::numbered("v", i));
   }
   for (int i = 0; i < 600; ++i) {
-    EXPECT_EQ(d.get("k" + std::to_string(i)), "v" + std::to_string(i)) << i;
+    EXPECT_EQ(d.get(common::numbered("k", i)), common::numbered("v", i)) << i;
   }
   EXPECT_TRUE(d.checkTables());
 }
@@ -46,7 +46,7 @@ TEST(PastryDht, HopsAreLogarithmic) {
   net::SimNetwork net;
   PastryDht d = makePastry(net, 256);
   d.resetStats();
-  for (int i = 0; i < 400; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 400; ++i) d.put(common::numbered("k", i), "v");
   const double meanHops =
       static_cast<double>(d.stats().hops) / static_cast<double>(d.stats().lookups);
   // Prefix routing resolves ~1 hex digit per hop: far below log2(N).
@@ -57,7 +57,7 @@ TEST(PastryDht, HopsAreLogarithmic) {
 TEST(PastryDht, JoinAndLeavePreserveData) {
   net::SimNetwork net;
   PastryDht d = makePastry(net, 8);
-  for (int i = 0; i < 200; ++i) d.put("k" + std::to_string(i), "v" + std::to_string(i));
+  for (int i = 0; i < 200; ++i) d.put(common::numbered("k", i), common::numbered("v", i));
   d.join("late-1");
   d.join("late-2");
   auto ids = d.nodeIds();
@@ -65,14 +65,14 @@ TEST(PastryDht, JoinAndLeavePreserveData) {
   EXPECT_TRUE(d.checkTables());
   EXPECT_EQ(d.size(), 200u);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(d.get("k" + std::to_string(i)), "v" + std::to_string(i)) << i;
+    EXPECT_EQ(d.get(common::numbered("k", i)), common::numbered("v", i)) << i;
   }
 }
 
 TEST(PastryDht, ChurnStormStaysConsistent) {
   net::SimNetwork net;
   PastryDht d = makePastry(net, 12);
-  for (int i = 0; i < 100; ++i) d.put("k" + std::to_string(i), "v");
+  for (int i = 0; i < 100; ++i) d.put(common::numbered("k", i), "v");
   common::Pcg32 rng(5);
   for (int round = 0; round < 25; ++round) {
     if (rng.below(2) == 0 || d.nodeIds().size() < 4) {
@@ -89,7 +89,7 @@ TEST(PastryDht, ChurnStormStaysConsistent) {
 TEST(PastryDht, ApplySemantics) {
   net::SimNetwork net;
   PastryDht d = makePastry(net, 8);
-  EXPECT_FALSE(d.apply("k", [](std::optional<Value>& v) { v = "a"; }));
+  EXPECT_FALSE(d.apply("k", [](std::optional<Value>& v) { v = Value("a"); }));
   EXPECT_TRUE(d.apply("k", [](std::optional<Value>& v) { *v += "b"; }));
   EXPECT_EQ(d.get("k"), "ab");
   EXPECT_TRUE(d.apply("k", [](std::optional<Value>& v) { v.reset(); }));
@@ -100,9 +100,9 @@ TEST(PastryDht, SmallRingsWork) {
   for (size_t peers : {1u, 2u, 3u}) {
     net::SimNetwork net;
     PastryDht d = makePastry(net, peers);
-    for (int i = 0; i < 30; ++i) d.put("k" + std::to_string(i), "v");
+    for (int i = 0; i < 30; ++i) d.put(common::numbered("k", i), "v");
     EXPECT_EQ(d.size(), 30u) << peers;
-    for (int i = 0; i < 30; ++i) EXPECT_TRUE(d.get("k" + std::to_string(i)).has_value());
+    for (int i = 0; i < 30; ++i) EXPECT_TRUE(d.get(common::numbered("k", i)).has_value());
   }
 }
 

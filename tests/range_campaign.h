@@ -75,7 +75,7 @@ inline void runPlannedRangeCampaign(common::u64 seed) {
         if (mine.empty() || rng.nextDouble() < insertShare) {
           op.kind = Kind::Insert;
           op.key = hotKey();
-          op.payload = "w" + std::to_string(round) + "." + std::to_string(c);
+          op.payload = common::numbered("w", round) + "." + std::to_string(c);
           mine.push_back(op.key);
         } else {
           const size_t i = rng.below(static_cast<common::u32>(mine.size()));

@@ -275,7 +275,7 @@ TEST(Stacking, FlakyAboveLatencyChargesOnlyExecutedAttempts) {
   RetryingDht retry(flaky, 64);
 
   const size_t kOps = 50;
-  for (size_t i = 0; i < kOps; ++i) retry.put("k" + std::to_string(i), "v");
+  for (size_t i = 0; i < kOps; ++i) retry.put(common::numbered("k", i), "v");
 
   EXPECT_GT(retry.retries(), 0u);  // the flaky layer really did fail ops
   EXPECT_EQ(lat.injectedLatencyMs(), 10u * kOps);
@@ -292,7 +292,7 @@ TEST(Stacking, FlakyBelowLatencyChargesEveryAttempt) {
   RetryingDht retry(lat, 64);
 
   const size_t kOps = 50;
-  for (size_t i = 0; i < kOps; ++i) retry.put("k" + std::to_string(i), "v");
+  for (size_t i = 0; i < kOps; ++i) retry.put(common::numbered("k", i), "v");
 
   EXPECT_GT(retry.retries(), 0u);
   EXPECT_EQ(lat.injectedLatencyMs(), 10u * (kOps + retry.retries()));
@@ -310,7 +310,7 @@ std::string faultSchedule(Dht& substrate, FaultDht::Point point, double p,
   std::string schedule;
   for (int i = 0; i < n; ++i) {
     try {
-      fault.put("k" + std::to_string(i), "v");
+      fault.put(common::numbered("k", i), "v");
       schedule += '0';
     } catch (const DhtError&) {
       schedule += '1';
@@ -394,11 +394,11 @@ TEST(ChurnValidation, RejectsFailuresOnUnreplicatedRing) {
 
 TEST(BatchRounds, FlakyFailsEntriesIndependently) {
   LocalDht store;
-  for (int i = 0; i < 10; ++i) store.storeDirect("k" + std::to_string(i), "v");
+  for (int i = 0; i < 10; ++i) store.storeDirect(common::numbered("k", i), "v");
   FaultDht flaky(store, FaultDht::Point::Request, 0.5, /*seed=*/42);
 
   std::vector<Key> keys;
-  for (int i = 0; i < 10; ++i) keys.push_back("k" + std::to_string(i));
+  for (int i = 0; i < 10; ++i) keys.push_back(common::numbered("k", i));
   auto out = flaky.multiGet(keys);
   ASSERT_EQ(out.size(), keys.size());
   size_t ok = 0;
@@ -428,16 +428,16 @@ TEST(BatchRounds, LostReplyExecutesEntriesWhoseAcksDrop) {
   std::vector<ApplyRequest> reqs;
   for (int i = 0; i < 4; ++i) {
     reqs.push_back(ApplyRequest{
-        "k" + std::to_string(i),
-        [i](std::optional<Value>& v) { v = "v" + std::to_string(i); }});
+        common::numbered("k", i),
+        [i](std::optional<Value>& v) { v = common::numbered("v", i); }});
   }
   auto out = lossy.multiApply(reqs);
   ASSERT_EQ(out.size(), reqs.size());
   for (const auto& o : out) EXPECT_FALSE(o.ok);  // every reply dropped
   // ... but every mutation executed: the lost-reply shape, batched.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(store.get("k" + std::to_string(i)),
-              std::optional<Value>("v" + std::to_string(i)));
+    EXPECT_EQ(store.get(common::numbered("k", i)),
+              std::optional<Value>(common::numbered("v", i)));
   }
   EXPECT_EQ(lossy.injected(), 4u);
 }
@@ -446,8 +446,8 @@ TEST(BatchRounds, RetryingRetriesOnlyTheFailedSubset) {
   LocalDht store;
   std::vector<Key> keys;
   for (int i = 0; i < 5; ++i) {
-    keys.push_back("k" + std::to_string(i));
-    store.storeDirect(keys.back(), "v" + std::to_string(i));
+    keys.push_back(common::numbered("k", i));
+    store.storeDirect(keys.back(), common::numbered("v", i));
   }
   ScriptedDht inner(store, /*failures=*/2);  // first two entries of round 1
   RetryingDht retry(inner, 8);
@@ -456,7 +456,7 @@ TEST(BatchRounds, RetryingRetriesOnlyTheFailedSubset) {
   ASSERT_EQ(out.size(), keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_TRUE(out[i].ok);
-    EXPECT_EQ(out[i].value, std::optional<Value>("v" + std::to_string(i)));
+    EXPECT_EQ(out[i].value, std::optional<Value>(common::numbered("v", i)));
   }
   // Round 1 succeeded for three entries; only the two scripted failures
   // rode the second round.
@@ -473,8 +473,8 @@ TEST(BatchRounds, TimeoutTimesTheWholeRoundOnce) {
   TimeoutDht bounded(slow, clock, /*deadlineMs=*/20);
 
   std::vector<ApplyRequest> reqs;
-  reqs.push_back(ApplyRequest{"a", [](std::optional<Value>& v) { v = "1"; }});
-  reqs.push_back(ApplyRequest{"b", [](std::optional<Value>& v) { v = "2"; }});
+  reqs.push_back(ApplyRequest{"a", [](std::optional<Value>& v) { v = Value("1"); }});
+  reqs.push_back(ApplyRequest{"b", [](std::optional<Value>& v) { v = Value("2"); }});
   auto out = bounded.multiApply(reqs);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_FALSE(out[0].ok);
@@ -514,8 +514,8 @@ TEST(BatchRounds, CrashMidBatchAppliesThePrefix) {
   std::vector<ApplyRequest> reqs;
   for (int i = 0; i < 4; ++i) {
     reqs.push_back(ApplyRequest{
-        "k" + std::to_string(i),
-        [i](std::optional<Value>& v) { v = "v" + std::to_string(i); }});
+        common::numbered("k", i),
+        [i](std::optional<Value>& v) { v = common::numbered("v", i); }});
   }
   // The client dies partway through shipping the round: the entries it got
   // out the door are applied, the rest never happened.
@@ -534,7 +534,7 @@ TEST(BatchRounds, LatencyChargesOncePerRound) {
 
   std::vector<Key> keys;
   for (int i = 0; i < 10; ++i) {
-    keys.push_back("k" + std::to_string(i));
+    keys.push_back(common::numbered("k", i));
     store.storeDirect(keys.back(), "v");
   }
   lat.multiGet(keys);
@@ -543,8 +543,8 @@ TEST(BatchRounds, LatencyChargesOncePerRound) {
   std::vector<ApplyRequest> reqs;
   for (int i = 0; i < 5; ++i) {
     reqs.push_back(
-        ApplyRequest{"a" + std::to_string(i),
-                     [](std::optional<Value>& v) { v = "x"; }});
+        ApplyRequest{common::numbered("a", i),
+                     [](std::optional<Value>& v) { v = Value("x"); }});
   }
   lat.multiApply(reqs);
   EXPECT_EQ(clock.nowMs(), 20u);  // five applies, one more round-trip
@@ -560,7 +560,7 @@ TEST(BatchRounds, StackedFlakyOverLatencyChargesSurvivorsOneRound) {
 
   std::vector<Key> keys;
   for (int i = 0; i < 10; ++i) {
-    keys.push_back("k" + std::to_string(i));
+    keys.push_back(common::numbered("k", i));
     store.storeDirect(keys.back(), "v");
   }
   auto out = flaky.multiGet(keys);

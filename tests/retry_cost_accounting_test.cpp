@@ -31,10 +31,10 @@ TEST(RetryCostAccounting, LostRepliesDoNotInflateLogicalCount) {
 
   const size_t kOps = 200;
   for (size_t i = 0; i < kOps; ++i) {
-    retrying.put("k" + std::to_string(i), "v");
+    retrying.put(common::numbered("k", i), "v");
   }
   for (size_t i = 0; i < kOps; ++i) {
-    auto v = retrying.get("k" + std::to_string(i));
+    auto v = retrying.get(common::numbered("k", i));
     ASSERT_TRUE(v.has_value()) << i;
   }
   ASSERT_GT(retrying.retries(), 0u);
@@ -73,7 +73,7 @@ TEST(RetryCostAccounting, LostRequestsNeverReachTheSubstrate) {
 
   const size_t kOps = 200;
   for (size_t i = 0; i < kOps; ++i) {
-    retrying.put("k" + std::to_string(i), "v");
+    retrying.put(common::numbered("k", i), "v");
   }
   ASSERT_GT(flaky.injected(), 0u);
 
@@ -97,7 +97,7 @@ TEST(RetryCostAccounting, BatchRoundsCountLogicalPerEntry) {
 
   std::vector<Key> keys;
   for (size_t i = 0; i < 64; ++i) {
-    const Key k = "k" + std::to_string(i);
+    const Key k = common::numbered("k", i);
     store.storeDirect(k, "v");
     keys.push_back(k);
   }

@@ -173,7 +173,7 @@ class StaticCluster final : public AnyCluster {
       : hub(hopts) {
     for (size_t i = 0; i < n; ++i) {
       rpc::NodeServer::Options sopts;
-      sopts.name = "n" + std::to_string(i);
+      sopts.name = common::numbered("n", i);
       auto server = std::make_unique<rpc::NodeServer>(sopts);
       const auto port = static_cast<rpc::u16>(5000 + i);
       hub.registerHandler(
@@ -385,7 +385,7 @@ void expectMultiGetCompletesAcrossPrefixReplies(AnyCluster& c) {
   auto dht = c.client(1, nullptr);
   std::vector<Key> keys;
   for (int i = 0; i < 8; ++i) {
-    keys.push_back("big" + std::to_string(i));
+    keys.push_back(common::numbered("big", i));
     dht->put(keys.back(), std::string(20 * 1024, 'v') + std::to_string(i));
   }
   const auto before = dht->routedStats();
@@ -659,7 +659,7 @@ TEST(StaticCluster, ConcurrentClientsGrowPoolSafely) {
       while (ready.load() < kThreads) std::this_thread::yield();
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::string key =
-            "t" + std::to_string(t) + "-" + std::to_string(i);
+            common::numbered("t", t) + "-" + std::to_string(i);
         dht->put(key, key);
         EXPECT_EQ(dht->get(key), key);
       }
@@ -718,8 +718,8 @@ TEST(StaticCluster, MultiGetBatchesOneDatagramPerNode) {
   auto dht = c.makeDht();
   std::vector<Key> keys;
   for (int i = 0; i < 32; ++i) {
-    keys.push_back("key" + std::to_string(i));
-    if (i % 2 == 0) dht->put(keys.back(), "v" + std::to_string(i));
+    keys.push_back(common::numbered("key", i));
+    if (i % 2 == 0) dht->put(keys.back(), common::numbered("v", i));
   }
   const auto before = dht->routedStats();
   auto outcomes = dht->multiGet(keys);
@@ -728,7 +728,7 @@ TEST(StaticCluster, MultiGetBatchesOneDatagramPerNode) {
   for (int i = 0; i < 32; ++i) {
     ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
     if (i % 2 == 0) {
-      EXPECT_EQ(outcomes[i].value, "v" + std::to_string(i));
+      EXPECT_EQ(outcomes[i].value, common::numbered("v", i));
     } else {
       EXPECT_FALSE(outcomes[i].value.has_value());
     }
@@ -848,7 +848,7 @@ TEST(StaticCluster, RetryingStackSurvivesHeavyLoss) {
   auto dht = c.makeDht(/*replication=*/2, /*deadlineMs=*/5000);
   RetryingDht retrying(*dht, /*maxAttempts=*/4);
   for (int i = 0; i < 60; ++i) {
-    const std::string k = "k" + std::to_string(i);
+    const std::string k = common::numbered("k", i);
     retrying.put(k, std::to_string(i));
     EXPECT_EQ(retrying.get(k), std::to_string(i)) << k;
   }
@@ -933,7 +933,7 @@ std::vector<index::Record> distinctRecords(size_t n, common::u64 seed) {
   while (recs.size() < n) {
     const double k = rng.nextDouble();
     if (k <= 0.0 || k >= 1.0 || !used.insert(k).second) continue;
-    recs.push_back(index::Record{k, "p" + std::to_string(recs.size())});
+    recs.push_back(index::Record{k, common::numbered("p", recs.size())});
   }
   return recs;
 }

@@ -147,7 +147,7 @@ TEST(RpcClient, ManyInFlightSettleTogether) {
   std::vector<RpcClient::Token> tokens;
   for (int i = 0; i < 64; ++i) {
     tokens.push_back(cli.call(NetAddr{0, 1000},
-                              PutReq{"k" + std::to_string(i), "v"}));
+                              PutReq{common::numbered("k", i), "v"}));
   }
   // Replies are already queued (inline hub) but not yet processed.
   EXPECT_EQ(cli.pendingCount(), 64u);
@@ -173,7 +173,7 @@ TEST(RpcClient, SeededLossStillCompletes) {
   RpcClient cli(*endpoint, opts);
   for (int i = 0; i < 200; ++i) {
     auto r = cli.callOne(NetAddr{0, 1000},
-                         PutReq{"k" + std::to_string(i), std::to_string(i)});
+                         PutReq{common::numbered("k", i), std::to_string(i)});
     ASSERT_TRUE(r.ok()) << "op " << i;
   }
   EXPECT_EQ(server.primaryKeyCount(), 200u);
@@ -182,7 +182,7 @@ TEST(RpcClient, SeededLossStillCompletes) {
   // At-most-once held under duplicates+retransmits: every stored value
   // is the one its own put wrote.
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(server.primaryValue("k" + std::to_string(i)),
+    EXPECT_EQ(server.primaryValue(common::numbered("k", i)),
               std::to_string(i));
   }
 }
@@ -302,7 +302,7 @@ TEST(NodeServer, MultiGetAnswersTheLongestPrefixThatFits) {
   NodeServer server;
   const std::string value(20 * 1024, 'v');
   for (int i = 0; i < 5; ++i) {
-    server.installPrimary("k" + std::to_string(i), 1, value);
+    server.installPrimary(common::numbered("k", i), 1, value);
   }
   // Two 20 KB values fit one datagram, three do not: the reply answers
   // the first two, in order, and leaves room for a gossip hint trailer.

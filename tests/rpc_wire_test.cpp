@@ -30,12 +30,12 @@ std::vector<RequestBody> sampleRequests() {
   out.push_back(CasReq{"leaf/1", 41, true, "new-bytes"});
   out.push_back(CasReq{"leaf/2", 0, false, ""});  // expect-absent erase
   MultiGetReq mg;
-  for (int i = 0; i < 40; ++i) mg.entries.push_back(GetReq{"k" + std::to_string(i)});
+  for (int i = 0; i < 40; ++i) mg.entries.push_back(GetReq{common::numbered("k", i)});
   out.push_back(std::move(mg));
   MultiCasReq mc;
   for (int i = 0; i < 7; ++i) {
     const bool present = i % 2 == 0;
-    mc.entries.push_back(CasReq{"k" + std::to_string(i), u64(i), present,
+    mc.entries.push_back(CasReq{common::numbered("k", i), u64(i), present,
                                 present ? std::string(i * 3, 'v') : ""});
   }
   out.push_back(std::move(mc));

@@ -70,9 +70,9 @@ TEST(DurableEngine, CompactionSnapshotsAndTruncatesLog) {
   const auto dir = freshDir("compact");
   {
     DurableEngine e(optionsFor(dir));
-    for (int i = 0; i < 50; ++i) e.put("a" + std::to_string(i), "1");
+    for (int i = 0; i < 50; ++i) e.put(common::numbered("a", i), "1");
     e.compact();
-    for (int i = 0; i < 20; ++i) e.put("b" + std::to_string(i), "2");
+    for (int i = 0; i < 20; ++i) e.put(common::numbered("b", i), "2");
     e.erase("a0");
     e.sync();
     // One snapshot, and only the post-compaction segment.
@@ -130,7 +130,7 @@ TEST(DurableEngine, FallsBackToOlderSnapshotWhenNewestIsCorrupt) {
   u64 goodLsn = 0;
   {
     DurableEngine e(optionsFor(dir));
-    for (int i = 0; i < 30; ++i) e.put("k" + std::to_string(i), "v");
+    for (int i = 0; i < 30; ++i) e.put(common::numbered("k", i), "v");
     e.compact();
     goodLsn = e.appendedLsn();
     e.put("after", "snapshot");
@@ -174,7 +174,7 @@ TEST(DurableEngine, GroupCommitUnderConcurrentWriters) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kOps; ++i) {
-        e.put("t" + std::to_string(t) + "-" + std::to_string(i), "v");
+        e.put(common::numbered("t", t) + "-" + std::to_string(i), "v");
       }
     });
   }

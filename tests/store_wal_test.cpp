@@ -53,7 +53,7 @@ TEST(Wal, SnapLsnSkipsCoveredRecords) {
   {
     WalWriter w({.dir = dir}, 1, 1);
     for (int i = 0; i < 10; ++i) {
-      w.append(WalOp::Put, "k" + std::to_string(i), "v");
+      w.append(WalOp::Put, common::numbered("k", i), "v");
     }
   }
   WalScanResult res;

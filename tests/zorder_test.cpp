@@ -86,7 +86,7 @@ TEST(Lht2dIndex, RectQueryMatchesBruteForce) {
   common::Pcg32 rng(9);
   std::vector<Point2D> points;
   for (int i = 0; i < 600; ++i) {
-    Point2D p{rng.nextDouble(), rng.nextDouble(), "p" + std::to_string(i)};
+    Point2D p{rng.nextDouble(), rng.nextDouble(), common::numbered("p", i)};
     points.push_back(p);
     idx.insert(p);
   }
@@ -118,7 +118,7 @@ TEST(Lht2dIndex, KnnMatchesBruteForce) {
   common::Pcg32 rng(21);
   std::vector<Point2D> points;
   for (int i = 0; i < 500; ++i) {
-    Point2D p{rng.nextDouble(), rng.nextDouble(), "p" + std::to_string(i)};
+    Point2D p{rng.nextDouble(), rng.nextDouble(), common::numbered("p", i)};
     points.push_back(p);
     idx.insert(p);
   }
