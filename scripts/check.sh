@@ -127,7 +127,7 @@ if [[ "$tsan" -eq 1 ]]; then
   cmake --build --preset tsan -j "$jobs" --target lht_tests
   echo "== concurrency suites under ThreadSanitizer =="
   ctest --preset tsan -j "$jobs" -R \
-    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|PlannedRangeCampaign|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots|StaticCluster.ConcurrentClientsGrowPoolSafely|SharedDecoratorStack|RoutedNetDht\.|RoutedNetDhtReadSlot\.'
+    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|PlannedRangeCampaign|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots|StaticCluster.ConcurrentClientsGrowPoolSafely|SharedDecoratorStack|RoutedNetDht\.|RoutedNetDhtReadSlot\.|NetDhtFleet\.'
 fi
 
 if [[ "$bench" -eq 1 ]]; then
@@ -207,7 +207,7 @@ if [[ "$net" -eq 1 ]]; then
   cmake --build --preset asan-ubsan -j "$jobs" --target lht_tests \
     --target lht_noded
   ctest --test-dir build-asan -j "$jobs" --output-on-failure \
-    -R 'Varint|RpcWire|SimTransport|RpcClient|NodeServer|StaticCluster|NetDhtReadSlot|NetDhtIndex|NetLoopback'
+    -R 'Varint|RpcWire|SimTransport|RpcClient|NodeServer|StaticCluster|NetDhtReadSlot|NetDhtIndex|NetDhtFleet|NetDhtBytes|NetLoopback'
   echo "== networked bench (in-process vs N-process + batching, release) =="
   cmake --preset release "$werror"
   cmake --build --preset release -j "$jobs" --target bench_net \

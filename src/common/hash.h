@@ -18,6 +18,10 @@ u64 xxhash64(std::string_view data, u64 seed = 0);
 /// xxHash64 of a single 64-bit value (avalanche-quality integer hash).
 u64 xxhash64(u64 value, u64 seed = 0);
 
+/// Content digest of a stored value: what a conditional read carries to
+/// name the copy its caller holds (DESIGN.md §14). xxHash64, seed 0.
+inline u64 valueDigest(std::string_view value) { return xxhash64(value); }
+
 /// FNV-1a 64-bit hash of a byte string.
 u64 fnv1a64(std::string_view data);
 

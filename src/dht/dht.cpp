@@ -2,6 +2,8 @@
 
 #include <optional>
 
+#include "common/hash.h"
+#include "common/types.h"
 #include "net/sim_network.h"
 #include "obs/obs.h"
 
@@ -68,6 +70,16 @@ std::vector<Outcome> perEntryRound(const char* spanName,
   return out;
 }
 
+/// Settles a conditional read locally: a fetched value that still has the
+/// held digest is dropped and the outcome reads `unchanged`.
+void settleHeld(GetOutcome& o, u64 held) {
+  if (held != 0 && o.value.has_value() &&
+      common::hash::valueDigest(*o.value) == held) {
+    o.value.reset();
+    o.unchanged = true;
+  }
+}
+
 }  // namespace
 
 std::vector<GetOutcome> Dht::multiGet(const std::vector<Key>& keys) {
@@ -76,6 +88,23 @@ std::vector<GetOutcome> Dht::multiGet(const std::vector<Key>& keys) {
   return perEntryRound<GetOutcome>(
       "dht.multiGet", roundNetwork_, keys,
       [this](const Key& key, GetOutcome& o) { o.value = get(key); });
+}
+
+GetOutcome Dht::getIfChanged(const Key& key, u64 held) {
+  GetOutcome o;
+  o.value = get(key);
+  o.ok = true;
+  settleHeld(o, held);
+  return o;
+}
+
+std::vector<GetOutcome> Dht::multiGetIfChanged(const std::vector<Key>& keys,
+                                               const std::vector<u64>& held) {
+  common::checkInvariant(held.size() == keys.size(),
+                         "Dht::multiGetIfChanged: one held digest per key");
+  std::vector<GetOutcome> out = multiGet(keys);
+  for (size_t i = 0; i < out.size(); ++i) settleHeld(out[i], held[i]);
+  return out;
 }
 
 std::vector<ApplyOutcome> Dht::multiApply(const std::vector<ApplyRequest>& reqs) {

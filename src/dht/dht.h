@@ -115,8 +115,13 @@ using Mutator = std::function<void(std::optional<Value>&)>;
 /// so callers can retry / repair exactly the entries that failed.
 struct GetOutcome {
   bool ok = false;               ///< the entry's reply arrived
-  std::optional<Value> value;    ///< stored value (disengaged: key absent)
+  std::optional<Value> value;    ///< stored value (disengaged: key absent,
+                                 ///< or unchanged)
   std::string error;             ///< failure description when !ok
+  /// A conditional read only: the stored value still has the digest the
+  /// caller holds, so `value` stays disengaged and the caller's copy is
+  /// current. Plain reads never set it.
+  bool unchanged = false;
 };
 
 /// Per-entry result of one read-modify-write inside a multiApply round.
@@ -177,6 +182,23 @@ class Dht {
   /// network. Networked clients and wrappers override it to ship the round
   /// or to get round-level latency/fault semantics.
   virtual std::vector<GetOutcome> multiGet(const std::vector<Key>& keys);
+
+  /// Conditional reads (DESIGN.md §8, §14). `held` is the
+  /// common::hash::valueDigest of the copy the caller holds, 0 for none.
+  /// While the stored value still has that digest the outcome is
+  /// `unchanged` and carries no value; otherwise it is what get() /
+  /// multiGet() would return. getIfChanged costs one DHT-lookup, throws
+  /// what get() throws and returns an ok outcome; multiGetIfChanged takes
+  /// held[i] for keys[i] and fails per entry like multiGet.
+  ///
+  /// The base runs this object's own get() / multiGet() and compares
+  /// digests locally: every substrate and wrapper answers a conditional
+  /// read with exactly the calls, hops and faults of a plain one. A
+  /// networked client overrides both to keep an unchanged value off the
+  /// wire.
+  virtual GetOutcome getIfChanged(const Key& key, u64 held);
+  virtual std::vector<GetOutcome> multiGetIfChanged(
+      const std::vector<Key>& keys, const std::vector<u64>& held);
 
   /// Read-modify-write counterpart of multiGet: one round, independent
   /// per-entry outcomes. A failed entry may still have executed at the
@@ -256,6 +278,11 @@ class Dht {
 /// it and override only the calls they change, so a new Dht call reaches
 /// every wrapper through one edit here. The forwards count nothing: the
 /// substrate underneath keeps the DhtStats.
+///
+/// The conditional reads are the exception: they are not forwarded. The
+/// base runs them through the wrapper's own get() / multiGet(), so a read
+/// still passes every layer's faults, retries, renaming and accounting;
+/// forwarded, it would reach the substrate around them.
 class ForwardingDht : public Dht {
  public:
   explicit ForwardingDht(Dht& inner) : inner_(inner) {}

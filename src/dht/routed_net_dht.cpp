@@ -363,19 +363,40 @@ void RoutedNetDht::put(const Key& key, Value value) {
 }
 
 std::optional<Value> RoutedNetDht::get(const Key& key) {
+  return getIfChanged(key, 0).value;
+}
+
+GetOutcome RoutedNetDht::getIfChanged(const Key& key, u64 held) {
   RoutedOpScope scope(*this, "dht.get", key);
   readSlots_.clear();  // a get that throws leaves no read behind
   stats_.lookups += 1;
   stats_.gets += 1;
   stats_.hops += 1;
   Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, GetReq{key});
+  auto r = callRouted(lease.rpc(), key, GetReq{key, held});
   checkStatus(r, "get", key);
   auto& rep = std::get<GetRep>(r.body);
+  countConditional(held != 0 ? 1 : 0, rep.unchanged ? 1 : 0);
+  GetOutcome out;
+  out.ok = true;
+  if (rep.unchanged) {
+    // No bytes came back for an apply to start from: the slot stays empty.
+    out.unchanged = true;
+    return out;
+  }
   readSlots_.fill(key, rep);
-  if (!rep.present) return std::nullopt;
-  stats_.valueBytesMoved += rep.value.size();
-  return std::move(rep.value);
+  if (rep.present) {
+    stats_.valueBytesMoved += rep.value.size();
+    out.value = std::move(rep.value);
+  }
+  return out;
+}
+
+void RoutedNetDht::countConditional(u64 sent, u64 unchanged) {
+  if (sent == 0) return;
+  std::lock_guard<std::mutex> lock(statsMutex_);
+  routedStats_.conditionalReads += sent;
+  routedStats_.unchangedReads += unchanged;
 }
 
 bool RoutedNetDht::remove(const Key& key) {
@@ -452,7 +473,8 @@ bool RoutedNetDht::apply(const Key& key, const Mutator& fn) {
 // --- Batch rounds -----------------------------------------------------------
 
 std::vector<RoutedNetDht::Fetched> RoutedNetDht::fetch(
-    rpc::RpcClient& cli, const std::vector<Key>& keys) {
+    rpc::RpcClient& cli, const std::vector<Key>& keys,
+    const std::vector<u64>& held) {
   std::vector<Fetched> out(keys.size());
   std::vector<size_t> pending(keys.size());
   std::iota(pending.begin(), pending.end(), size_t{0});
@@ -477,7 +499,9 @@ std::vector<RoutedNetDht::Fetched> RoutedNetDht::fetch(
       if (it == v->addrs.end()) continue;  // stale view: regroup
       MultiGetReq req;
       req.entries.reserve(chunks[ci].entries.size());
-      for (size_t i : chunks[ci].entries) req.entries.push_back(GetReq{keys[i]});
+      for (size_t i : chunks[ci].entries) {
+        req.entries.push_back(GetReq{keys[i], held[i]});
+      }
       tokens[ci] = cli.call(it->second, std::move(req));
       sent[ci] = true;
     }
@@ -545,6 +569,13 @@ std::vector<RoutedNetDht::Fetched> RoutedNetDht::fetch(
 }
 
 std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
+  return multiGetIfChanged(keys, std::vector<u64>(keys.size(), 0));
+}
+
+std::vector<GetOutcome> RoutedNetDht::multiGetIfChanged(
+    const std::vector<Key>& keys, const std::vector<u64>& held) {
+  common::checkInvariant(held.size() == keys.size(),
+                         "RoutedNetDht::multiGetIfChanged: one held digest per key");
   readSlots_.clear();
   if (keys.empty()) return {};
   obs::SpanScope span("dht.multiGet", "dht");
@@ -554,17 +585,25 @@ std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
   stats_.hops += keys.size();
 
   Lease lease(*this);
-  std::vector<Fetched> fetched = fetch(lease.rpc(), keys);
+  std::vector<Fetched> fetched = fetch(lease.rpc(), keys, held);
   std::vector<GetOutcome> out(fetched.size());
+  u64 unchanged = 0;
   for (size_t i = 0; i < fetched.size(); ++i) {
     Fetched& f = fetched[i];
     out[i].ok = f.ok;
     out[i].error = std::move(f.error);
-    if (f.ok && f.rep.present) {
+    if (!f.ok) continue;
+    if (f.rep.unchanged) {
+      out[i].unchanged = true;
+      unchanged += 1;
+    } else if (f.rep.present) {
       stats_.valueBytesMoved += f.rep.value.size();
       out[i].value = std::move(f.rep.value);
     }
   }
+  countConditional(static_cast<u64>(std::count_if(
+                       held.begin(), held.end(), [](u64 h) { return h != 0; })),
+                   unchanged);
   return out;
 }
 
@@ -588,7 +627,7 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
   std::vector<Key> keys;
   keys.reserve(reqs.size());
   for (const ApplyRequest& req : reqs) keys.push_back(req.key);
-  std::vector<Fetched> state = fetch(cli, keys);
+  std::vector<Fetched> state = fetch(cli, keys, std::vector<u64>(keys.size(), 0));
   std::vector<bool> existedAtFirstCas(reqs.size(), false);
   std::vector<size_t> active;
   for (size_t i = 0; i < reqs.size(); ++i) {

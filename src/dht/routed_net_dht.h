@@ -58,6 +58,12 @@
 // entries, so a single mid-batch topology change costs one extra round
 // for those keys, not a failed batch.
 //
+// Conditional reads (DESIGN.md §14): getIfChanged and multiGetIfChanged
+// put the caller's held digest in each GetReq, and an entry the owner
+// answers `unchanged` comes back without its value. They go through the
+// same routing, redirect, regroup and prefix-tail paths as any read; an
+// overlay node relays or redirects the request with its digest intact.
+//
 // Transport is injected via factory: UdpTransport for real clusters,
 // SimHub endpoints for deterministic tests. Each concurrent caller
 // borrows a (transport, RpcClient) connection from an internal pool, so
@@ -123,6 +129,10 @@ class RoutedNetDht final : public Dht {
     common::u64 redirectsFollowed = 0;
     common::u64 staleHints = 0;       ///< hint version bumps observed
     common::u64 retriesAfterTimeout = 0;
+    /// Read entries sent with a held digest, and those answered
+    /// `unchanged` (no value shipped).
+    common::u64 conditionalReads = 0;
+    common::u64 unchangedReads = 0;
     common::u64 connections = 0;
     // Transport and RPC totals across the connection pool.
     common::u64 datagramsSent = 0;
@@ -158,6 +168,14 @@ class RoutedNetDht final : public Dht {
   /// for a no-change outcome, at the read).
   bool apply(const Key& key, const Mutator& fn) override;
   std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
+  /// One routed GetReq carrying `held`. An `unchanged` answer leaves the
+  /// calling thread's read slot empty (DESIGN.md §15): no bytes came back
+  /// for an apply to start from. A changed one fills it, like get().
+  GetOutcome getIfChanged(const Key& key, common::u64 held) override;
+  /// multiGet's rounds, each entry's GetReq carrying its held digest.
+  std::vector<GetOutcome> multiGetIfChanged(
+      const std::vector<Key>& keys,
+      const std::vector<common::u64>& held) override;
   std::vector<ApplyOutcome> multiApply(
       const std::vector<ApplyRequest>& reqs) override;
   void storeDirect(const Key& key, Value value) override;
@@ -253,10 +271,15 @@ class RoutedNetDht final : public Dht {
   /// are skipped).
   [[nodiscard]] std::vector<rpc::NetAddr> replicaAddrs(const View& v,
                                                        const Key& key) const;
-  /// MultiGet rounds for `keys` (multiGet and multiApply's snapshot
-  /// phase): groups by owner under the current view, re-sends prefix-reply
-  /// tails, and regroups Redirected or timed-out chunks after a refresh.
-  std::vector<Fetched> fetch(rpc::RpcClient& cli, const std::vector<Key>& keys);
+  /// MultiGet rounds for `keys` (the batch reads and multiApply's
+  /// snapshot phase): groups by owner under the current view, re-sends
+  /// prefix-reply tails, and regroups Redirected or timed-out chunks after
+  /// a refresh. Entry i's GetReq carries held[i].
+  std::vector<Fetched> fetch(rpc::RpcClient& cli, const std::vector<Key>& keys,
+                             const std::vector<common::u64>& held);
+  /// Adds to the conditional-read counters, under statsMutex_ once; a
+  /// call that sent no digest takes no lock.
+  void countConditional(common::u64 sent, common::u64 unchanged);
 
   Options opts_;
   TransportFactory makeTransport_;

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/hash.h"
 #include "common/types.h"
 
 namespace lht::core {
@@ -121,9 +122,10 @@ BucketStore::BucketStore(bool enabled, size_t capacity)
 
 BucketStore::Ref BucketStore::decode(const std::string& dhtKey,
                                      const std::string& raw) {
+  const common::u64 digest = enabled_ ? common::hash::valueDigest(raw) : 0;
   if (enabled_) {
     auto it = entries_.find(dhtKey);
-    if (it != entries_.end() && it->second.raw == raw) {
+    if (it != entries_.end() && it->second.digest == digest) {
       hits_ += 1;
       return it->second.bucket;
     }
@@ -133,23 +135,32 @@ BucketStore::Ref BucketStore::decode(const std::string& dhtKey,
   common::checkInvariant(parsed.has_value(),
                          "BucketStore: stored bucket failed to decode");
   auto ref = std::make_shared<const LeafBucket>(std::move(*parsed));
-  if (enabled_) {
-    if (entries_.size() >= capacity_ && entries_.find(dhtKey) == entries_.end()) {
-      entries_.clear();
-    }
-    entries_[dhtKey] = Entry{raw, ref};
-  }
+  if (enabled_) keep(dhtKey, Held{digest, ref});
   return ref;
 }
 
-void BucketStore::note(const std::string& dhtKey, std::string raw,
+BucketStore::Held BucketStore::held(const std::string& dhtKey) const {
+  auto it = entries_.find(dhtKey);
+  return it == entries_.end() ? Held{} : it->second;
+}
+
+BucketStore::Ref BucketStore::revalidated(const Held& copy) {
+  hits_ += 1;
+  return copy.bucket;
+}
+
+void BucketStore::note(const std::string& dhtKey, const std::string& raw,
                        LeafBucket bucket) {
   if (!enabled_) return;
+  keep(dhtKey, Held{common::hash::valueDigest(raw),
+                    std::make_shared<const LeafBucket>(std::move(bucket))});
+}
+
+void BucketStore::keep(const std::string& dhtKey, Held copy) {
   if (entries_.size() >= capacity_ && entries_.find(dhtKey) == entries_.end()) {
     entries_.clear();
   }
-  entries_[dhtKey] =
-      Entry{std::move(raw), std::make_shared<const LeafBucket>(std::move(bucket))};
+  entries_[dhtKey] = std::move(copy);
 }
 
 void BucketStore::forget(const std::string& dhtKey) { entries_.erase(dhtKey); }

@@ -26,11 +26,13 @@
 //
 // BucketStore — decoded-bucket cache: LHT stores buckets as opaque bytes,
 // so every read pays a full deserialize even when the bytes have not
-// changed. The store keys decoded buckets by DHT key and revalidates each
-// hit by comparing the raw bytes (a memcmp, not a decode): unchanged bytes
-// return the shared decoded value, changed bytes decode once and replace
-// it. Mutators copy-on-write, so shared values are never modified in
-// place.
+// changed. The store keeps, per DHT key, the digest of the bytes a bucket
+// was decoded from (common::hash::valueDigest) and the decoded bucket.
+// Fetched bytes with the held digest return the shared decoded value;
+// changed bytes decode once and replace it. The digest is also what a
+// conditional read sends (DESIGN.md §8): an `unchanged` answer means the
+// held bucket is current, and no bytes travel at all. Mutators
+// copy-on-write, so shared values are never modified in place.
 #pragma once
 
 #include <map>
@@ -147,15 +149,29 @@ class BucketStore {
 
   using Ref = std::shared_ptr<const LeafBucket>;
 
-  /// Decoded view of `raw` as stored under `dhtKey`. Hit: `raw` matches
-  /// the cached bytes and the shared decoded value is returned without
-  /// parsing. Miss: decodes (throwing InvariantError on corrupt bytes,
-  /// like the index's decode path always has) and caches.
+  /// The copy held for one DHT key: the digest of the bytes it was decoded
+  /// from (0: nothing held, or the store is off) and the decoded bucket.
+  struct Held {
+    common::u64 digest = 0;
+    Ref bucket;
+  };
+
+  /// Decoded view of `raw` as stored under `dhtKey`. Hit: `raw` has the
+  /// held digest and the shared decoded value is returned without parsing.
+  /// Miss: decodes (throwing InvariantError on corrupt bytes, like the
+  /// index's decode path always has) and caches.
   Ref decode(const std::string& dhtKey, const std::string& raw);
 
+  /// What a conditional read of `dhtKey` carries.
+  [[nodiscard]] Held held(const std::string& dhtKey) const;
+
+  /// A conditional read sent `copy` (from held()) and was answered
+  /// `unchanged`: the copy is current. Counts as a hit.
+  Ref revalidated(const Held& copy);
+
   /// Records the post-image of a write: `raw` is what was stored under
-  /// `dhtKey`, `bucket` its already-decoded form.
-  void note(const std::string& dhtKey, std::string raw, LeafBucket bucket);
+  /// `dhtKey`, `bucket` its already-decoded form. Hashes `raw` once.
+  void note(const std::string& dhtKey, const std::string& raw, LeafBucket bucket);
 
   /// Drops `dhtKey` (the stored value was erased).
   void forget(const std::string& dhtKey);
@@ -165,14 +181,12 @@ class BucketStore {
   [[nodiscard]] common::u64 misses() const { return misses_; }
 
  private:
-  struct Entry {
-    std::string raw;
-    Ref bucket;
-  };
+  /// Caches `copy` under `dhtKey`, first emptying a full store.
+  void keep(const std::string& dhtKey, Held copy);
 
   bool enabled_;
   size_t capacity_;
-  std::unordered_map<std::string, Entry> entries_;
+  std::unordered_map<std::string, Held> entries_;
   common::u64 hits_ = 0;
   common::u64 misses_ = 0;
 };

@@ -98,13 +98,33 @@ void LhtIndex::noteOp(const char* op, const cost::OpStats& st) {
 }
 
 LhtIndex::BucketRef LhtIndex::getBucketRef(const std::string& key,
-                                           cost::OpStats& st) {
+                                           cost::OpStats& st, Fetch fetch) {
   st.dhtLookups += 1;
-  auto v = dht_.get(key);
-  if (!v) return nullptr;
-  auto ref = store_.decode(key, *v);
-  noteLeaf(*ref);
+  const BucketStore::Held held =
+      fetch == Fetch::IfChanged ? store_.held(key) : BucketStore::Held{};
+  auto ref = bucketOf(key, dht_.getIfChanged(key, held.digest), held);
+  if (ref) noteLeaf(*ref);
   return ref;
+}
+
+std::vector<dht::GetOutcome> LhtIndex::readRound(
+    const std::vector<std::string>& keys, std::vector<BucketStore::Held>& held) {
+  held.clear();
+  std::vector<u64> digests;
+  digests.reserve(keys.size());
+  for (const std::string& key : keys) {
+    held.push_back(store_.held(key));
+    digests.push_back(held.back().digest);
+  }
+  return dht_.multiGetIfChanged(keys, digests);
+}
+
+LhtIndex::BucketRef LhtIndex::bucketOf(const std::string& key,
+                                       const dht::GetOutcome& got,
+                                       const BucketStore::Held& held) {
+  if (got.unchanged) return store_.revalidated(held);
+  if (!got.value) return nullptr;
+  return store_.decode(key, *got.value);
 }
 
 void LhtIndex::noteLeaf(const LeafBucket& bucket) {
@@ -282,7 +302,7 @@ LhtIndex::LookupOutcome LhtIndex::toOutcome(LookupRef&& ref) {
 // Lookup (Algorithm 2) + lookup-triggered repair
 // ---------------------------------------------------------------------------
 
-LhtIndex::LookupRef LhtIndex::lookupInternal(double key) {
+LhtIndex::LookupRef LhtIndex::lookupInternal(double key, Fetch fetch) {
   LookupRef out;
   key = common::clampToUnit(key);  // 1.0 belongs to the rightmost cell
   const Label mu = Label::fromKey(key, opts_.maxDepth);
@@ -316,7 +336,7 @@ LhtIndex::LookupRef LhtIndex::lookupInternal(double key) {
         }
         if (!bucket) {
           try {
-            bucket = getBucketRef(nm, out.stats);
+            bucket = getBucketRef(nm, out.stats, fetch);
           } catch (const dht::DhtError&) {
             // The peer holding the cached location is unreachable
             // (crashed and not yet repaired away). The leaf will move
@@ -351,7 +371,7 @@ LhtIndex::LookupRef LhtIndex::lookupInternal(double key) {
       const u32 mid = (shorter + longer) / 2;
       const Label x = mu.prefix(mid);
       const Label nm = name(x);
-      auto bucket = getBucketRef(nm.str(), out.stats);
+      auto bucket = getBucketRef(nm.str(), out.stats, fetch);
       if (!bucket) {
         // No leaf is named nm: every prefix longer than nm shares this name
         // (they all extend nm by a run of x's last bit), so only lengths up
@@ -421,7 +441,8 @@ LhtIndex::ProbeRound LhtIndex::probeCandidates(double key, bool retryFailed,
   // the key is stored under one of these names, and so is any
   // intent-holder responsible for a hole there.
   const auto names = candidateNames(key);
-  auto replies = dht_.multiGet(names);
+  std::vector<BucketStore::Held> held;
+  auto replies = readRound(names, held);
   st.dhtLookups += names.size();
   ProbeRound round;
   for (size_t i = 0; i < names.size(); ++i) {
@@ -430,8 +451,7 @@ LhtIndex::ProbeRound LhtIndex::probeCandidates(double key, bool retryFailed,
       round.anyFailed = true;
       // A single probe of this name: injected faults degrade, not corrupt.
       if (retryFailed) bucket = getBucketRef(names[i], st);
-    } else if (replies[i].value.has_value()) {
-      bucket = store_.decode(names[i], *replies[i].value);
+    } else if ((bucket = bucketOf(names[i], replies[i], held[i]))) {
       noteLeaf(*bucket);
     }
     if (!bucket) continue;
@@ -573,11 +593,11 @@ LhtIndex::LookupOutcome LhtIndex::lookup(double key) {
   return toOutcome(lookupInternal(key));
 }
 
-LhtIndex::LookupRef LhtIndex::lookupLinearRef(double key) {
+LhtIndex::LookupRef LhtIndex::lookupLinearRef(double key, Fetch fetch) {
   LookupRef out;
   key = common::clampToUnit(key);
   for (const std::string& nm : candidateNames(key)) {
-    auto bucket = getBucketRef(nm, out.stats);
+    auto bucket = getBucketRef(nm, out.stats, fetch);
     if (bucket && bucket->covers(key)) {
       out.bucket = std::move(bucket);
       out.dhtKey = nm;
@@ -594,13 +614,13 @@ LhtIndex::LookupOutcome LhtIndex::lookupLinear(double key) {
   return toOutcome(lookupLinearRef(key));
 }
 
-LhtIndex::LookupRef LhtIndex::resolveLeaf(double key) {
-  auto found = lookupInternal(key);
+LhtIndex::LookupRef LhtIndex::resolveLeaf(double key, Fetch fetch) {
+  auto found = lookupInternal(key, fetch);
   if (found.bucket) return found;
   // A null bucket would read as "key absent" or "tree hole", which is a
   // verdict, not a shrug: exhaust the linear walk first, and count the
   // failed search's probes with it.
-  auto linear = lookupLinearRef(key);
+  auto linear = lookupLinearRef(key, fetch);
   linear.stats += found.stats;
   return linear;
 }
@@ -615,7 +635,7 @@ LhtIndex::LeafWrite LhtIndex::writeLeaf(double key, const OpForLeaf& opFor,
   // state of that interval, so the depth budget bounds it.
   LeafWrite w;
   for (u32 attempt = 0;; ++attempt) {
-    w.leaf = resolveLeaf(key);
+    w.leaf = resolveLeaf(key, Fetch::Plain);  // the apply starts from its read
     checkInvariant(w.leaf.bucket != nullptr, hole);
     chargeInsertion(w.leaf.stats.dhtLookups, 0);
     st += w.leaf.stats;
@@ -849,13 +869,14 @@ bool LhtIndex::tryMerge(const Label& bucketLabel) {
   const Label sib = bucketLabel.sibling();
   // The sibling participates only if it is itself a leaf, i.e. a bucket
   // labelled exactly `sib` sits under name(sib).
+  // Plain reads: the merge's first apply may start from the second.
   cost::OpStats st;  // the merge's probes and steps, charged as maintenance
-  auto sibBucket = getBucketRef(dhtKeyFor(sib), st);
+  auto sibBucket = getBucketRef(dhtKeyFor(sib), st, Fetch::Plain);
   chargeMaintenance(1, 0);
   if (!sibBucket || sibBucket->label != sib) return false;
 
   // Refresh our own bucket to get an exact combined size.
-  auto ownBucket = getBucketRef(dhtKeyFor(bucketLabel), st);
+  auto ownBucket = getBucketRef(dhtKeyFor(bucketLabel), st, Fetch::Plain);
   chargeMaintenance(1, 0);
   if (!ownBucket || ownBucket->label != bucketLabel) return false;
 
@@ -1057,6 +1078,7 @@ u64 LhtIndex::runFanoutRounds(std::vector<FanoutTask> frontier,
                               RangeAnswer& out, cost::OpStats& st) {
   u64 rounds = 0;
   std::vector<std::string> keys;
+  std::vector<BucketStore::Held> held;
   std::vector<FanoutTask> next;
   while (!frontier.empty()) {
     rounds += 1;
@@ -1064,7 +1086,7 @@ u64 LhtIndex::runFanoutRounds(std::vector<FanoutTask> frontier,
     for (const auto& t : frontier) {
       keys.push_back(t.underName ? dhtKeyFor(t.branch) : t.branch.str());
     }
-    auto replies = dht_.multiGet(keys);
+    auto replies = readRound(keys, held);
     st.dhtLookups += keys.size();
     u64 stall = 0;  // longest re-resolution chain inside this round
     next.clear();
@@ -1074,9 +1096,8 @@ u64 LhtIndex::runFanoutRounds(std::vector<FanoutTask> frontier,
       if (!reply.ok) {
         throw dht::DhtError("LhtIndex: range fan-out entry failed: " + reply.error);
       }
-      BucketRef bucket;
-      if (reply.value.has_value()) {
-        bucket = store_.decode(keys[i], *reply.value);
+      BucketRef bucket = bucketOf(keys[i], reply, held[i]);
+      if (bucket) {
         noteLeaf(*bucket);
       } else if (!t.underName) {
         // The partial branch is itself a leaf (the paper's one failed

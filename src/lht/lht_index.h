@@ -126,8 +126,9 @@ class LhtIndex final : public index::OrderedIndex {
     common::u32 hotSplitDivisor = 4;
 
     /// Cache decoded buckets client-side keyed by DHT key, revalidated by
-    /// raw-bytes comparison (off by default). Removes the
-    /// deserialize-per-read wall-clock cost; mutators copy-on-write.
+    /// content digest (off by default). Removes the deserialize-per-read
+    /// wall-clock cost, and lets read-only operations send conditional
+    /// reads that skip shipping an unchanged bucket; mutators copy-on-write.
     bool cacheDecodedBuckets = false;
 
     /// Reattach a client to an index that already lives in the DHT
@@ -254,9 +255,26 @@ class LhtIndex final : public index::OrderedIndex {
   };
   static LookupOutcome toOutcome(LookupRef&& ref);
 
+  /// How a read goes out (DESIGN.md §8). IfChanged carries the digest of
+  /// the bucket store's copy, so a bucket that has not changed comes back
+  /// without its bytes. Plain ships the bucket: a read that an apply of
+  /// the same key follows, since RoutedNetDht's apply starts from the
+  /// thread's preceding get and an `unchanged` answer leaves it none.
+  enum class Fetch : common::u8 { Plain, IfChanged };
+
   /// One accounted DHT get, decoding through the bucket store and noting
   /// observed clean leaves in the location cache.
-  BucketRef getBucketRef(const std::string& key, cost::OpStats& st);
+  BucketRef getBucketRef(const std::string& key, cost::OpStats& st,
+                         Fetch fetch = Fetch::IfChanged);
+
+  /// One conditional multiGet round of `keys`; `held` gets the store's
+  /// copy of each, which bucketOf() needs to read the outcomes.
+  std::vector<dht::GetOutcome> readRound(const std::vector<std::string>& keys,
+                                         std::vector<BucketStore::Held>& held);
+  /// The bucket a read of `key` returned: the held copy when it came back
+  /// unchanged, the decoded value otherwise, nullptr when absent.
+  BucketRef bucketOf(const std::string& key, const dht::GetOutcome& got,
+                     const BucketStore::Held& held);
 
   /// One dht_.apply of `op` on `key`, through the one generic mutator
   /// (lht_index.cpp): decode via the bucket store, keepRun's rule.
@@ -300,11 +318,11 @@ class LhtIndex final : public index::OrderedIndex {
   [[nodiscard]] bool leafIsHot(const std::string& dhtKey) const;
 
   /// Shared walk for find/insert target resolution.
-  LookupRef lookupInternal(double key);
-  LookupRef lookupLinearRef(double key);
+  LookupRef lookupInternal(double key, Fetch fetch = Fetch::IfChanged);
+  LookupRef lookupLinearRef(double key, Fetch fetch = Fetch::IfChanged);
   /// lookupInternal, falling back to the linear walk when it finds no
   /// covering leaf; the stats count both walks.
-  LookupRef resolveLeaf(double key);
+  LookupRef resolveLeaf(double key, Fetch fetch = Fetch::IfChanged);
 
   /// Insert's and erase's write loop: resolves the leaf covering `key`,
   /// applies the op `opFor` builds for its DHT key, and re-resolves while

@@ -18,6 +18,10 @@
 // a missing or timed-out record is retried until the window closes, so
 // transient unavailability is separated from actual data loss.
 //
+// The fleet's readers send conditional reads (DESIGN.md §14) while its
+// writers change buckets on the live daemons; routed_stats counts the
+// read entries that carried a digest and those answered `unchanged`.
+//
 // Prints one JSON object on stdout. Exit codes: 0 ok, 2 flag error,
 // 3 cluster never came up, 4 trace ops failed, 5 oracle mismatch.
 
@@ -194,13 +198,16 @@ int main(int argc, char** argv) {
   std::printf(
       "\"routed_stats\": {\"bootstraps\": %llu, \"refreshes\": %llu, "
       "\"redirects_followed\": %llu, \"stale_hints\": %llu, "
-      "\"retries_after_timeout\": %llu, \"known_members\": %zu}, ",
+      "\"retries_after_timeout\": %llu, \"known_members\": %zu, "
+      "\"conditional_reads\": %llu, \"unchanged_reads\": %llu}, ",
       static_cast<unsigned long long>(rs.bootstraps),
       static_cast<unsigned long long>(rs.refreshes),
       static_cast<unsigned long long>(rs.redirectsFollowed),
       static_cast<unsigned long long>(rs.staleHints),
       static_cast<unsigned long long>(rs.retriesAfterTimeout),
-      ndht.knownMembers());
+      ndht.knownMembers(),
+      static_cast<unsigned long long>(rs.conditionalReads),
+      static_cast<unsigned long long>(rs.unchangedReads));
   std::printf(
       "\"net\": {\"datagrams_sent\": %llu, \"datagrams_received\": %llu, "
       "\"retransmits\": %llu, \"timeouts\": %llu, \"connections\": %llu}, ",

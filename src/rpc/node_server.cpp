@@ -1,5 +1,6 @@
 #include "rpc/node_server.h"
 
+#include "common/hash.h"
 #include "common/types.h"
 
 namespace lht::rpc {
@@ -140,15 +141,19 @@ size_t NodeServer::promoteReplica(
   return moved;
 }
 
-GetRep NodeServer::doGet(const std::string& key) const {
+GetRep NodeServer::doGet(const GetReq& req) const {
   // Caller holds mutex_.
   GetRep rep;
-  auto it = primary_.find(key);
-  if (it != primary_.end()) {
-    rep.present = true;
-    rep.version = it->second.version;
-    rep.value = it->second.value;
-  }
+  auto it = primary_.find(req.key);
+  if (it == primary_.end()) return rep;
+  rep.present = true;
+  rep.version = it->second.version;
+  // The digest is taken here, from the value being answered, and only
+  // when the request carries one: no write path keeps a digest that could
+  // go stale.
+  rep.unchanged =
+      req.held != 0 && common::hash::valueDigest(it->second.value) == req.held;
+  if (!rep.unchanged) rep.value = it->second.value;
   return rep;
 }
 
@@ -197,7 +202,9 @@ ReplyBody NodeServer::dispatch(const RequestBody& req, size_t bodyBudget) {
           s.value = body.value;
           return PutRep{s.version};
         } else if constexpr (std::is_same_v<T, GetReq>) {
-          return doGet(body.key);
+          GetRep rep = doGet(body);
+          if (rep.unchanged) stats_.unchangedReads += 1;
+          return rep;
         } else if constexpr (std::is_same_v<T, RemoveReq>) {
           const bool existed = primary_.erase(body.key) > 0;
           return RemoveRep{existed};
@@ -210,13 +217,16 @@ ReplyBody NodeServer::dispatch(const RequestBody& req, size_t bodyBudget) {
           MultiGetRep rep;
           const size_t countBytes = common::varintSize(body.entries.size());
           size_t room = bodyBudget > countBytes ? bodyBudget - countBytes : 0;
+          u64 unchanged = 0;
           for (const GetReq& g : body.entries) {
-            GetRep entry = doGet(g.key);
+            GetRep entry = doGet(g);
             const size_t bytes = getRepWireBytes(entry);
             if (bytes > room) break;
             room -= bytes;
+            unchanged += entry.unchanged ? 1 : 0;
             rep.entries.push_back(std::move(entry));
           }
+          if (unchanged != 0) stats_.unchangedReads += unchanged;
           return rep;
         } else if constexpr (std::is_same_v<T, MultiCasReq>) {
           MultiCasRep rep;

@@ -36,6 +36,15 @@
 // keeps the first matching reply, so a read stays linearizable, and the
 // cache never holds copies of bulky read replies.
 //
+// Conditional reads: a Get or MultiGet entry may carry the digest of the
+// copy its caller holds (GetReq::held, common::hash::valueDigest). When the
+// stored value still has that digest, the entry answers `unchanged` with
+// the version and no value. The digest is taken from the stored value
+// while answering, never kept beside it, so no write or install path can
+// leave a stale one behind; such a read is as linearizable as a plain one.
+// A digest names bytes, not a version, so a key recreated at a reused
+// version is still told apart. The accepted risk is a 64-bit collision.
+//
 // Datagram bound: every reply leaves room for the overlay's gossip hint
 // trailer under kMaxDatagramBytes. A MultiGet answers the longest prefix
 // of its entries that fits (the client re-sends the tail); any other
@@ -77,6 +86,8 @@ class NodeServer {
     common::RelaxedCounter oversizedReplies;  ///< downgraded to TooLarge
     /// MultiGets answered with a strict prefix of their entries.
     common::RelaxedCounter prefixReplies;
+    /// Get and MultiGet entries answered `unchanged` (no value shipped).
+    common::RelaxedCounter unchangedReads;
   };
 
   NodeServer() : NodeServer(Options{}) {}
@@ -160,7 +171,7 @@ class NodeServer {
   /// Executes a request. `bodyBudget` bounds the encoded reply body (a
   /// MultiGet answers the longest prefix of entries that fits it).
   wire::ReplyBody dispatch(const wire::RequestBody& req, size_t bodyBudget);
-  wire::GetRep doGet(const std::string& key) const;
+  wire::GetRep doGet(const wire::GetReq& req) const;
   wire::CasRep doCas(const wire::CasReq& entry);
 
   Options opts_;

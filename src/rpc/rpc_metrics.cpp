@@ -20,6 +20,7 @@ void exportNodeServerMetrics(const NodeServer::Stats& stats,
   registry.counter("rpc.server.bad_requests").add(stats.badRequests);
   registry.counter("rpc.server.oversized_replies").add(stats.oversizedReplies);
   registry.counter("rpc.server.prefix_replies").add(stats.prefixReplies);
+  registry.counter("rpc.server.unchanged_reads").add(stats.unchangedReads);
 }
 
 void exportTransportMetrics(const TransportStats& stats,

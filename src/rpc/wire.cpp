@@ -95,8 +95,14 @@ void fields(V& v, B& n) {
 
 // Requests. PingReq, SizeReq, SyncReq and CompactReq are empty.
 
-template <class V, OneOf<GetReq, RemoveReq, ReplicaRemoveReq, ReplicaGetReq> B>
+template <class V, OneOf<RemoveReq, ReplicaRemoveReq, ReplicaGetReq> B>
 void fields(V& v, B& b) { v.bytes(b.key); }
+
+template <class V, OneOf<GetReq> B>
+void fields(V& v, B& b) {
+  v.bytes(b.key);
+  v.varint(b.held);  // 0, one byte, for a caller that holds no copy
+}
 
 template <class V, OneOf<PutReq> B>
 void fields(V& v, B& b) {
@@ -160,7 +166,8 @@ void fields(V& v, B& b) {
   v.flag(b.present);
   if (b.present) {
     v.varint(b.version);
-    v.bytes(b.value);
+    v.flag(b.unchanged);
+    if (!b.unchanged) v.bytes(b.value);  // the caller already holds it
   }
 }
 

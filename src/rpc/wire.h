@@ -157,8 +157,12 @@ struct PutReq {
   std::string value;
   bool operator==(const PutReq&) const = default;
 };
+/// A read. `held` is the valueDigest of the copy the caller holds (0 =
+/// none): while the stored value still has it, the reply says `unchanged`
+/// instead of shipping the value back.
 struct GetReq {
   std::string key;
+  u64 held = 0;
   bool operator==(const GetReq&) const = default;
 };
 struct RemoveReq {
@@ -248,6 +252,9 @@ struct GetRep {
   bool present = false;
   u64 version = 0;
   std::string value;
+  /// Present, and still the value the request's held digest names: no
+  /// value follows, the caller's copy is current.
+  bool unchanged = false;
   bool operator==(const GetRep&) const = default;
 };
 struct RemoveRep {

@@ -1,11 +1,12 @@
 // Range answers under concurrent splits and merges, shared by the tier-1
-// slice (client_fleet_test.cpp) and the 16-seed slow run
-// (slow_campaign_test.cpp). A cached fleet over one store: two clients warm
-// their leaf caches with a [0, 1) sweep and then range over a hot interval,
-// so their ranges are planned from the cache; two others insert and then
-// erase there, so the hot leaves split and merge under those plans. Every
-// answer is checked against the history, then the tree by
-// scanAtomicSplits.
+// slice (client_fleet_test.cpp), the 16-seed slow run
+// (slow_campaign_test.cpp) and the networked run over one shared
+// RoutedNetDht (routed_net_dht_test.cpp). A cached fleet over one store:
+// two clients warm their leaf caches with a [0, 1) sweep and then range
+// over a hot interval, so their ranges are planned from the cache; two
+// others insert and then erase there, so the hot leaves split and merge
+// under those plans. Every answer is checked against the history, then
+// the tree by scanAtomicSplits.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -23,18 +24,22 @@
 
 namespace lht::testing_support {
 
-inline void runPlannedRangeCampaign(common::u64 seed) {
+/// The campaign over `store`, shared by all four clients. With
+/// `cacheDecodedBuckets` the clients keep bucket stores, so the readers'
+/// rounds carry held digests while the writers change those buckets.
+inline void runPlannedRangeCampaign(common::u64 seed, dht::Dht& store,
+                                    bool cacheDecodedBuckets = false) {
   using Kind = workload::Operation::Kind;
   constexpr size_t kClients = 4;  // 0, 1 range; 2, 3 insert and erase
   constexpr size_t kRounds = 150;
   constexpr double kHotLo = 0.25;
   constexpr double kHotHi = 0.375;
-  dht::LocalDht store;
   common::Pcg32 rng(seed, 0x4A46E);
 
   core::LhtIndex::Options io;
   io.thetaSplit = 8;
   io.crashConsistentSplits = true;
+  io.cacheDecodedBuckets = cacheDecodedBuckets;
   std::set<double> preloaded;
   {
     core::LhtIndex loader(store, io);
@@ -128,6 +133,12 @@ inline void runPlannedRangeCampaign(common::u64 seed) {
   for (double k : maybe) definite.erase(k);
   const auto scan = exec::scanAtomicSplits(fleet.clientIndex(0), definite, maybe);
   EXPECT_TRUE(scan.ok) << scan.explanation;
+}
+
+/// The campaign over an in-process LocalDht.
+inline void runPlannedRangeCampaign(common::u64 seed) {
+  dht::LocalDht store;
+  runPlannedRangeCampaign(seed, store);
 }
 
 }  // namespace lht::testing_support

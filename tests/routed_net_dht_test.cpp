@@ -4,20 +4,22 @@
 //  * StaticCluster — NodeServers inline in one SimHub, the client given
 //    their addresses as its launch set (Options::members). Deterministic:
 //    no threads, no retransmits, and a node taken offline times out on a
-//    short deadline. The StaticCluster, NetDhtReadSlot and NetDhtIndex
-//    suites run here: Dht conformance (put/get/remove/apply/batches/
-//    replica reads), failure mapping (offline node -> DhtTimeoutError,
-//    silent replica holder -> DhtPeerDownError), decorator stacking, the
-//    connection pool under concurrent callers, and the full LhtIndex
-//    against an oracle.
+//    short deadline. The StaticCluster, NetDhtReadSlot, NetDhtIndex,
+//    NetDhtFleet and NetDhtBytes suites run here: Dht conformance (put/
+//    get/remove/apply/batches/replica reads), failure mapping (offline
+//    node -> DhtTimeoutError, silent replica holder -> DhtPeerDownError),
+//    decorator stacking, the connection pool under concurrent callers, the
+//    full LhtIndex against an oracle, and the exact wire bytes of warm
+//    conditional reads.
 //  * ServedCluster — overlay nodes running serve() loops on background
 //    threads (the client's calls block inside settle(), so somebody must
 //    pump the servers); virtual clocks make that spin fast without
 //    wall-clock sleeps. The RoutedNetDht* suites run here: bootstrap
 //    from a single seed, a launch-set client on the daemons' own ring,
 //    warm one-hop routing, redirect-following across a membership
-//    change, and crash failover through replica promotion — the
-//    deterministic twin of the kernel-UDP paths bench_overlay measures.
+//    change (conditional reads included), and crash failover through
+//    replica promotion — the deterministic twin of the kernel-UDP paths
+//    bench_overlay measures.
 //
 // Cases that check the same behaviour run one body over both clusters.
 #include "dht/routed_net_dht.h"
@@ -27,6 +29,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,12 +38,15 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
+#include "common/varint.h"
 #include "dht/decorators.h"
 #include "lht/lht_index.h"
 #include "net/sim_clock.h"
 #include "net_index_check.h"
 #include "overlay/overlay_node.h"
+#include "range_campaign.h"
 #include "rpc/node_server.h"
 #include "rpc/sim_transport.h"
 
@@ -57,16 +63,33 @@ using rpc::wire::Op;
 // Transport wrappers
 // ---------------------------------------------------------------------------
 
-/// The distinct requests a client sent, per opcode. A retransmit repeats
-/// its request id, so it is not counted again.
+/// The distinct requests a client sent, per opcode, and the bytes it
+/// sent and received. A retransmit repeats its request id, so it is not
+/// counted again as a request (its bytes are).
 class RequestCounts {
  public:
+  /// Bytes on the wire, both ways.
+  struct Bytes {
+    size_t datagrams = 0;
+    size_t total = 0;
+    /// `total` less each datagram's header: 4 fixed bytes and the request
+    /// id varint, whose length varies with RpcClient's random first id.
+    size_t body = 0;
+  };
+
   void note(std::string_view datagram) {
     auto decoded = rpc::wire::decodeHeader(datagram);
     const auto* h = std::get_if<rpc::wire::Header>(&decoded);
-    if (h == nullptr || h->isReply) return;
+    if (h == nullptr) return;
     std::lock_guard<std::mutex> lock(mutex_);
-    seen_[h->op].insert(h->requestId);
+    bytes_.datagrams += 1;
+    bytes_.total += datagram.size();
+    bytes_.body += datagram.size() - 4 - common::varintSize(h->requestId);
+    if (!h->isReply) seen_[h->op].insert(h->requestId);
+  }
+  Bytes bytes() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return bytes_;
   }
   size_t operator()(Op op) const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -84,9 +107,11 @@ class RequestCounts {
  private:
   mutable std::mutex mutex_;
   std::map<Op, std::set<rpc::u64>> seen_;
+  Bytes bytes_;
 };
 
-/// A client endpoint that reports every datagram it sends to `counts`.
+/// A client endpoint that reports every datagram it sends or receives to
+/// `counts`.
 class CountingSim final : public rpc::Transport {
  public:
   CountingSim(std::unique_ptr<rpc::Transport> inner, RequestCounts& counts)
@@ -96,7 +121,9 @@ class CountingSim final : public rpc::Transport {
     return inner_->send(to, payload);
   }
   size_t receive(std::vector<rpc::Datagram>& out, rpc::u64 timeoutMs) override {
-    return inner_->receive(out, timeoutMs);
+    const size_t n = inner_->receive(out, timeoutMs);
+    for (size_t i = out.size() - n; i < out.size(); ++i) counts_.note(out[i].payload);
+    return n;
   }
   rpc::u64 nowMs() override { return inner_->nowMs(); }
   [[nodiscard]] NetAddr localAddr() const override {
@@ -938,6 +965,124 @@ std::vector<index::Record> distinctRecords(size_t n, common::u64 seed) {
   return recs;
 }
 
+// Conditional reads: a reader's held copies go stale under a writer.
+
+core::LhtIndex::Options cachedIndexOptions(common::u64 clientSeed, bool attach) {
+  core::LhtIndex::Options o;
+  o.thetaSplit = 8;
+  o.useLeafCache = true;
+  o.cacheDecodedBuckets = true;
+  o.crashConsistentSplits = true;
+  o.attachExisting = attach;
+  o.clientSeed = clientSeed;
+  return o;
+}
+
+/// A key strictly inside `leaf`'s interval, at fraction `at` of it.
+double keyIn(const core::LeafBucket& leaf, double at) {
+  const common::Interval iv = leaf.label.interval();
+  return iv.lo + (iv.hi - iv.lo) * at;
+}
+
+/// Five readers warm their leaf caches and bucket stores on a preload.
+/// Then a writer inserts into one of their leaves, splits another and adds
+/// a new maximum. Each reader then runs one read-only op that sends the
+/// digests of copies now stale, and must see the new records: find, a
+/// planned range, a range with a cold leaf cache, successorQuery and
+/// maxRecord.
+void expectStaleCopiesAreRefetched(AnyCluster& c) {
+  auto writerDht = c.client(1, nullptr);
+  auto readerDht = c.client(1, nullptr);
+  core::LhtIndex writer(*writerDht, cachedIndexOptions(1, false));
+  std::map<double, std::string> oracle;
+  for (const auto& r : distinctRecords(60, 17)) {
+    ASSERT_TRUE(writer.insert(r).ok);
+    oracle[r.key] = r.payload;
+  }
+  const auto expectRange = [&](core::LhtIndex& idx, double lo, double hi) {
+    std::vector<std::pair<double, std::string>> want(oracle.lower_bound(lo),
+                                                     oracle.lower_bound(hi));
+    std::vector<std::pair<double, std::string>> got;
+    for (const auto& r : idx.rangeQuery(lo, hi).records) got.emplace_back(r.key, r.payload);
+    EXPECT_EQ(got, want) << "[" << lo << ", " << hi << ")";
+  };
+
+  std::vector<std::unique_ptr<core::LhtIndex>> readers;
+  for (common::u64 i = 0; i < 5; ++i) {
+    readers.push_back(
+        std::make_unique<core::LhtIndex>(*readerDht, cachedIndexOptions(2 + i, true)));
+    expectRange(*readers.back(), 0.0, 1.0);  // cold: fills both caches
+  }
+  // A repeat sweep is planned from the cache, and the owners revalidate
+  // every copy it holds.
+  const auto before = readerDht->routedStats();
+  expectRange(*readers[0], 0.0, 1.0);
+  const auto after = readerDht->routedStats();
+  EXPECT_GT(after.conditionalReads, before.conditionalReads);
+  EXPECT_EQ(after.unchangedReads - before.unchangedReads,
+            after.conditionalReads - before.conditionalReads);
+
+  // Leaf `grown` takes one record and does not split; leaf `split` takes
+  // records until it splits; a new maximum lands in the rightmost leaf.
+  std::vector<core::LeafBucket> leaves;
+  writer.forEachBucket([&](const core::LeafBucket& b) { leaves.push_back(b); });
+  ASSERT_GE(leaves.size(), 4u);
+  const auto fewest = std::min_element(
+      leaves.begin(), leaves.end(),
+      [](const auto& a, const auto& b) { return a.records.size() < b.records.size(); });
+  const core::LeafBucket grown = *fewest;
+  const core::LeafBucket split = leaves[fewest == leaves.begin() ? 1 : 0];
+  const index::Record intoGrown{keyIn(grown, 0.37), "grown"};
+  auto res = writer.insert(intoGrown);
+  ASSERT_TRUE(res.ok);
+  ASSERT_FALSE(res.splitOrMerged);
+  oracle[intoGrown.key] = intoGrown.payload;
+  std::vector<index::Record> intoSplit;
+  for (int j = 0; j < 16; ++j) {
+    intoSplit.push_back(index::Record{keyIn(split, (j + 0.55) / 16), common::numbered("split", j)});
+    res = writer.insert(intoSplit.back());
+    ASSERT_TRUE(res.ok);
+    oracle[intoSplit.back().key] = intoSplit.back().payload;
+    if (res.splitOrMerged) break;
+  }
+  ASSERT_TRUE(res.splitOrMerged) << "leaf " << split.label.str() << " never split";
+  ASSERT_NE(writer.lookup(split.label.interval().lo).bucket->label, split.label);
+  const index::Record newMax{(oracle.rbegin()->first + 1.0) / 2, "max"};
+  ASSERT_TRUE(writer.insert(newMax).ok);
+  oracle[newMax.key] = newMax.payload;
+
+  // Each check below runs whatever the others found, so a stale answer
+  // shows in every op that served one.
+  const auto payloadOf = [](const index::FindResult& f) {
+    return f.record.has_value() ? f.record->payload : std::string("<absent>");
+  };
+  // find: the cached locations now name changed or moved buckets.
+  for (const index::Record& r : intoSplit) {
+    EXPECT_EQ(payloadOf(readers[0]->find(r.key)), r.payload) << "find " << r.key;
+  }
+  for (const index::Record& r : {intoGrown, newMax}) {
+    EXPECT_EQ(payloadOf(readers[0]->find(r.key)), r.payload) << "find " << r.key;
+  }
+  // A range planned from the cache.
+  const common::u64 planned = readers[1]->leafCache().hits();
+  expectRange(*readers[1], 0.0, 1.0);
+  EXPECT_GT(readers[1]->leafCache().hits(), planned);
+  // A range with no cached locations, only held buckets: Alg. 4's jump
+  // and Alg. 3's rounds.
+  readers[2]->leafCache().clear();
+  expectRange(*readers[2], std::min(grown.label.interval().lo, split.label.interval().lo),
+              std::max(grown.label.interval().hi, split.label.interval().hi));
+  // The order-statistic walks: the successor of a point just below the
+  // new record is that record.
+  const auto at = oracle.find(intoGrown.key);
+  const double below = at == oracle.begin() ? 0.0 : std::prev(at)->first;
+  EXPECT_EQ(payloadOf(readers[3]->successorQuery((below + intoGrown.key) / 2)),
+            intoGrown.payload);
+  EXPECT_EQ(payloadOf(readers[3]->successorQuery(intoSplit.back().key)),
+            intoSplit.back().payload);
+  EXPECT_EQ(payloadOf(readers[4]->maxRecord()), newMax.payload);
+}
+
 TEST(NetDhtIndex, LhtMatchesOracle) {
   StaticCluster c(4);
   auto dht = c.makeDht(/*replication=*/2);
@@ -1075,6 +1220,100 @@ TEST(NetDhtIndex, ReplicaTimeoutDropsLeaseAndAdvancesRotation) {
   EXPECT_EQ(idx.leafCache().misses(), missesBefore);
   EXPECT_EQ(idx.leafCache().leaseHits(), 0u);  // every replica turn timed out
   EXPECT_GT(idx.leafCache().primaryHits(), 0u);
+}
+
+TEST(NetDhtIndex, StaleCopiesAreRefetchedByEveryReadOnlyOp) {
+  StaticCluster c(4);
+  expectStaleCopiesAreRefetched(c);
+}
+
+// Readers and writers of one shared client, checked against the history.
+TEST(NetDhtFleet, PlannedRangeCampaignOverOneSharedClient) {
+  StaticCluster c(4);
+  auto dht = c.makeDht();
+  testing_support::runPlannedRangeCampaign(7, *dht, /*cacheDecodedBuckets=*/true);
+  const auto rs = dht->routedStats();
+  EXPECT_GT(rs.unchangedReads, 0u);
+  EXPECT_GT(rs.conditionalReads, rs.unchangedReads);  // the writers changed some
+  EXPECT_EQ(rs.timeouts, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Wire bytes of warm reads: exact, as inline servers never retransmit
+// ---------------------------------------------------------------------------
+
+/// perfbench's preload, scaled down: 7000 uniform keys with its 13-byte
+/// payloads, bulk-loaded at theta = 100 into leaves of ~1.4 KB.
+std::vector<index::Record> benchPreload() {
+  std::vector<index::Record> recs = distinctRecords(7000, 2023);
+  for (size_t i = 0; i < recs.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "rec-%09zu", i);
+    recs[i].payload = buf;
+  }
+  return recs;
+}
+
+TEST(NetDhtBytes, WarmReadsMoveDigestsInsteadOfBuckets) {
+  StaticCluster c(4);
+  core::LhtIndex::Options o;  // the clients lht_net_trace and perfbench run
+  o.useLeafCache = true;
+  o.cacheDecodedBuckets = true;
+  o.crashConsistentSplits = true;
+  auto loadDht = c.makeDht();
+  core::LhtIndex loader(*loadDht, o);
+  const auto recs = benchPreload();
+  ASSERT_TRUE(loader.insertBatch(recs).ok);
+
+  RequestCounts counts;
+  auto dht = c.makeDht(1, 2000, &counts);
+  o.attachExisting = true;
+  o.clientSeed = 2;
+  core::LhtIndex held(*dht, o);
+  o.cacheDecodedBuckets = false;  // the same reader, shipping whole buckets
+  o.clientSeed = 3;
+  core::LhtIndex plain(*dht, o);
+  for (core::LhtIndex* idx : {&held, &plain}) {
+    ASSERT_EQ(idx->rangeQuery(0.0, 1.0).records.size(), recs.size());  // warm
+  }
+  const auto bytesOf = [&](const auto& op) {
+    const RequestCounts::Bytes before = counts.bytes();
+    op();
+    const RequestCounts::Bytes after = counts.bytes();
+    return RequestCounts::Bytes{after.datagrams - before.datagrams,
+                                after.total - before.total, after.body - before.body};
+  };
+  constexpr size_t kHeader = 4 + common::kMaxVarintBytes;  // per datagram, at most
+
+  // A warm find: one GET of the cached leaf, answered `unchanged`.
+  const double key = recs[4321].key;
+  const auto find = bytesOf([&] { EXPECT_TRUE(held.find(key).record.has_value()); });
+  EXPECT_EQ(find.datagrams, 2u);
+  EXPECT_LE(find.total, 200u);
+  EXPECT_EQ(find.body, 20u);
+  const auto findPlain = bytesOf([&] { EXPECT_TRUE(plain.find(key).record.has_value()); });
+  EXPECT_EQ(findPlain.datagrams, 2u);
+  EXPECT_EQ(findPlain.body, 1444u);
+
+  // A warm planned range: one MultiGet per owner, every tile `unchanged`.
+  size_t tiles = 0;
+  const auto range = bytesOf([&] { tiles = held.rangeQuery(0.40, 0.45).stats.bucketsTouched; });
+  EXPECT_EQ(tiles, 6u);
+  EXPECT_LE(range.body, 60 * tiles);
+  EXPECT_LE(range.total, 60 * tiles + kHeader * range.datagrams);
+  EXPECT_EQ(range.datagrams, 6u);
+  EXPECT_EQ(range.body, 129u);
+  const auto rangePlain = bytesOf([&] { (void)plain.rangeQuery(0.40, 0.45); });
+  EXPECT_EQ(rangePlain.datagrams, range.datagrams);
+  EXPECT_EQ(rangePlain.body, 9420u);
+
+  // Every conditional entry was one of the held reader's, and came back
+  // `unchanged`; the servers counted the same answers.
+  const auto rs = dht->routedStats();
+  EXPECT_EQ(rs.unchangedReads, rs.conditionalReads);
+  common::u64 served = 0;
+  for (const auto& s : c.servers) served += s->stats().unchangedReads.load();
+  EXPECT_EQ(served, rs.unchangedReads);
 }
 
 // ---------------------------------------------------------------------------
@@ -1234,6 +1473,79 @@ TEST(RoutedNetDhtReadSlot, OnlyTheSameThreadsPreviousCallCounts) {
   ServedCluster c(2);
   c.serveAll();
   expectOnlyTheSameThreadsPreviousCallCounts(c);
+}
+
+TEST(RoutedNetDhtIndex, StaleCopiesAreRefetchedByEveryReadOnlyOp) {
+  OverlayNode::Options base;
+  base.gossipIntervalMs = 4'000'000'000;  // see Theta100BulkLoadAndSweeps...
+  ServedCluster c(4, base);
+  c.serveAll();
+  expectStaleCopiesAreRefetched(c);
+}
+
+/// Conditional reads from a client whose view predates a join: the old
+/// owners relay (forwarding on) or redirect (off) each read with its
+/// digest, so every answer is `unchanged`; none reads absent.
+void expectStaleViewRevalidates(bool forwardData) {
+  OverlayNode::Options base;
+  base.forwardData = forwardData;
+  ServedCluster c(2, base);
+  c.serveAll();
+  RoutedNetDht writer(patientClientOptions(c), c.endpoints());
+  ASSERT_TRUE(writer.bootstrap(20000));
+  std::vector<std::string> keys;
+  std::vector<common::u64> held;
+  for (int i = 0; i < 30; ++i) {
+    keys.push_back(common::numbered("key-", i));
+    const std::string value = common::numbered("val-", i);
+    writer.put(keys.back(), value);
+    held.push_back(common::hash::valueDigest(value));
+  }
+  auto joinTx = std::make_unique<ThrottledSim>(
+      c.hub.makeEndpoint(static_cast<rpc::u16>(kBasePort + 2)));
+  OverlayNode::Options jo = base;
+  jo.name = "joiner";
+  auto joiner = std::make_unique<OverlayNode>(jo, *joinTx);
+  ASSERT_TRUE(joiner->joinCluster(c.addr(0), /*deadlineMs=*/60000));
+  c.serveOne(joiner.get());
+
+  // A client launched with the two original members routes the joiner's
+  // keys to their old owners.
+  RoutedNetDht::Options o;
+  o.members = c.addrs();
+  o.rpc.requestDeadlineMs = 4'000'000;  // see patientClientOptions
+  RoutedNetDht stale(o, c.endpoints());
+  ASSERT_EQ(stale.knownMembers(), 2u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const GetOutcome got = stale.getIfChanged(keys[i], held[i]);
+    EXPECT_TRUE(got.unchanged) << keys[i] << " read "
+                               << got.value.value_or("absent");
+  }
+  const auto batch = stale.multiGetIfChanged(keys, held);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(batch[i].ok) << batch[i].error;
+    EXPECT_TRUE(batch[i].unchanged) << keys[i] << " read "
+                                    << batch[i].value.value_or("absent");
+  }
+  common::u64 joinerAnswered = joiner->server().stats().unchangedReads.load();
+  EXPECT_GT(joinerAnswered, 0u);  // the joiner's keys reached the joiner
+  if (forwardData) {
+    common::u64 relayed = 0;
+    for (const auto& n : c.nodes) relayed += n->overlayStats().forwards.load();
+    EXPECT_GT(relayed, 0u);
+  } else {
+    EXPECT_GT(stale.routedStats().redirectsFollowed, 0u);
+  }
+  c.tx.push_back(std::move(joinTx));
+  c.nodes.push_back(std::move(joiner));  // joined threads outlive the test body
+}
+
+TEST(RoutedNetDht, StaleViewRelaysConditionalReadsWithTheirDigest) {
+  expectStaleViewRevalidates(/*forwardData=*/true);
+}
+
+TEST(RoutedNetDht, StaleViewRedirectsConditionalReadsWithTheirDigest) {
+  expectStaleViewRevalidates(/*forwardData=*/false);
 }
 
 TEST(RoutedNetDhtIndex, Theta100BulkLoadAndSweepsMatchOracle) {

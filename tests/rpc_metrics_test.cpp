@@ -38,6 +38,7 @@ TEST(RpcMetrics, ServerCountersLand) {
   stats.badRequests += 5;
   stats.oversizedReplies += 4;
   stats.prefixReplies += 3;
+  stats.unchangedReads += 2;
   obs::MetricsRegistry reg;
   exportNodeServerMetrics(stats, reg);
   EXPECT_EQ(reg.counterValue("rpc.server.requests_handled"), 7u);
@@ -45,6 +46,7 @@ TEST(RpcMetrics, ServerCountersLand) {
   EXPECT_EQ(reg.counterValue("rpc.server.bad_requests"), 5u);
   EXPECT_EQ(reg.counterValue("rpc.server.oversized_replies"), 4u);
   EXPECT_EQ(reg.counterValue("rpc.server.prefix_replies"), 3u);
+  EXPECT_EQ(reg.counterValue("rpc.server.unchanged_reads"), 2u);
 }
 
 TEST(RpcMetrics, TransportCountersLand) {

@@ -1,6 +1,8 @@
 // RPC layer over the deterministic SimHub twin: retransmit-on-drop,
 // deadline timeouts, reordering tolerance, and at-most-once execution
-// (server dedup replaying a lost reply instead of re-executing).
+// (server dedup replaying a lost reply instead of re-executing); and
+// NodeServer's own answers: prefix replies, the datagram cap, and
+// conditional reads.
 #include "rpc/rpc_client.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
+#include "common/types.h"
 #include "rpc/node_server.h"
 #include "rpc/sim_transport.h"
 
@@ -355,8 +359,9 @@ TEST(NodeServer, EntryTooLargeForAnyDatagramIsTooLarge) {
 TEST(NodeServer, RepliesLeaveRoomForTheHintTrailer) {
   NodeServer server;
   // A Get reply is 4 header bytes + the id varint (1 byte for id 1) + a
-  // flag, a 1-byte version and a 3-byte length varint + the value.
-  const size_t overhead = 4 + 1 + 1 + 1 + 3;
+  // flag, a 1-byte version, the `unchanged` flag and a 3-byte length
+  // varint + the value.
+  const size_t overhead = 4 + 1 + 1 + 1 + 1 + 3;
   const size_t fits = kMaxDatagramBytes - kMaxGossipHintBytes - overhead;
   server.installPrimary("edge", 1, std::string(fits, 'e'));
   server.installPrimary("window", 1, std::string(fits + 5, 'w'));
@@ -370,6 +375,94 @@ TEST(NodeServer, RepliesLeaveRoomForTheHintTrailer) {
                                        encodeRequest(2, GetReq{"window"})))
                 .header.status,
             Status::TooLarge);
+}
+
+// Conditional reads: a Get carrying the digest of the copy its caller
+// holds is answered `unchanged`, with the version and no value, exactly
+// while the stored value still has that digest.
+
+GetRep getOf(NodeServer& server, u64 id, const std::string& key, u64 held) {
+  const Reply reply =
+      decodedReply(server.handle(NetAddr{0, 7}, encodeRequest(id, GetReq{key, held})));
+  EXPECT_EQ(reply.header.status, Status::Ok);
+  return std::get<GetRep>(reply.body);
+}
+
+TEST(NodeServer, MatchingDigestAnswersUnchangedWithTheVersion) {
+  NodeServer server;
+  const std::string value(1900, 'b');
+  server.installPrimary("leaf", 7, value);
+  const std::string bytes = server.handle(
+      NetAddr{0, 7}, encodeRequest(1, GetReq{"leaf", common::hash::valueDigest(value)}));
+  const GetRep rep = std::get<GetRep>(decodedReply(bytes).body);
+  EXPECT_TRUE(rep.present);
+  EXPECT_TRUE(rep.unchanged);
+  EXPECT_EQ(rep.version, 7u);
+  EXPECT_TRUE(rep.value.empty());
+  EXPECT_LE(bytes.size(), 8u);  // header, id, present, version, unchanged
+  EXPECT_EQ(server.stats().unchangedReads.load(), 1u);
+}
+
+TEST(NodeServer, ChangedAbsentOrUnheldReadsAnswerAsBefore) {
+  NodeServer server;
+  server.installPrimary("leaf", 1, "old");
+  const u64 held = common::hash::valueDigest("old");
+  server.installPrimary("leaf", 2, "new");
+  // The value changed since the caller's copy: it ships.
+  const GetRep changed = getOf(server, 1, "leaf", held);
+  EXPECT_TRUE(changed.present);
+  EXPECT_FALSE(changed.unchanged);
+  EXPECT_EQ(changed.version, 2u);
+  EXPECT_EQ(changed.value, "new");
+  // An absent key reads absent, whatever the caller holds.
+  const GetRep absent = getOf(server, 2, "gone", held);
+  EXPECT_FALSE(absent.present);
+  EXPECT_FALSE(absent.unchanged);
+  // Digest 0 holds nothing, even for a value whose digest is asked about.
+  const GetRep plain = getOf(server, 3, "leaf", 0);
+  EXPECT_FALSE(plain.unchanged);
+  EXPECT_EQ(plain.value, "new");
+  // The same entries inside a MultiGet.
+  MultiGetReq batch;
+  batch.entries = {GetReq{"leaf", held}, GetReq{"gone", held}, GetReq{"leaf", 0}};
+  const Reply reply =
+      decodedReply(server.handle(NetAddr{0, 7}, encodeRequest(4, batch)));
+  const auto& entries = std::get<MultiGetRep>(reply.body).entries;
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0], changed);
+  EXPECT_EQ(entries[1], absent);
+  EXPECT_EQ(entries[2], plain);
+  EXPECT_EQ(server.stats().unchangedReads.load(), 0u);
+}
+
+TEST(NodeServer, HeldMultiGetAnswersEveryEntryInOneReply) {
+  NodeServer server;
+  MultiGetReq full;
+  MultiGetReq held;
+  for (int i = 0; i < 40; ++i) {
+    const std::string key = common::numbered("leaf", i);
+    const std::string value = std::string(2000, 'v') + key;
+    server.installPrimary(key, 1, value);
+    full.entries.push_back(GetReq{key});
+    held.entries.push_back(GetReq{key, common::hash::valueDigest(value)});
+  }
+  // 80 KB of values need a prefix reply ...
+  const Reply prefix =
+      decodedReply(server.handle(NetAddr{0, 7}, encodeRequest(1, full)));
+  EXPECT_LT(std::get<MultiGetRep>(prefix.body).entries.size(), 40u);
+  EXPECT_EQ(server.stats().prefixReplies.load(), 1u);
+  // ... while the held copies are all revalidated in one small one.
+  const std::string bytes = server.handle(NetAddr{0, 7}, encodeRequest(2, held));
+  const Reply reply = decodedReply(bytes);
+  const auto& entries = std::get<MultiGetRep>(reply.body).entries;
+  ASSERT_EQ(entries.size(), 40u);
+  for (const GetRep& g : entries) {
+    EXPECT_TRUE(g.present && g.unchanged);
+    EXPECT_TRUE(g.value.empty());
+  }
+  EXPECT_LE(bytes.size(), 8 + 3 * 40u);
+  EXPECT_EQ(server.stats().prefixReplies.load(), 1u);
+  EXPECT_EQ(server.stats().unchangedReads.load(), 40u);
 }
 
 }  // namespace

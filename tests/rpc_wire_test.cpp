@@ -59,6 +59,12 @@ std::vector<RequestBody> sampleRequests() {
   ho.entries.push_back(HandoffEntry{"leaf/0101", 5, std::string("\x00z", 2)});
   ho.entries.push_back(HandoffEntry{"", 0, ""});
   out.push_back(std::move(ho));
+  // Conditional reads: the digest of the copy the caller holds.
+  out.push_back(GetReq{"leaf/0101", 0x9E3779B97F4A7C15ull});
+  MultiGetReq held;
+  held.entries.push_back(GetReq{"#01", 0xC0FFEEull});
+  held.entries.push_back(GetReq{"#1", 0});
+  out.push_back(std::move(held));
   return out;
 }
 
@@ -102,6 +108,13 @@ std::vector<SampleReply> sampleReplies() {
   out.push_back({Op::Join, std::move(jr)});
   out.push_back({Op::Leave, LeaveRep{true}});
   out.push_back({Op::Handoff, HandoffRep{32}});
+  // Answers to conditional reads: `unchanged` carries the version only.
+  out.push_back({Op::Get, GetRep{true, 6, "", true}});
+  MultiGetRep held;
+  held.entries.push_back(GetRep{true, 300, "", true});
+  held.entries.push_back(GetRep{true, 2, "b", false});
+  held.entries.push_back(GetRep{false, 0, "", false});
+  out.push_back({Op::MultiGet, std::move(held)});
   return out;
 }
 
@@ -116,24 +129,28 @@ const char* const kRequestHex[][2] = {
      "a7010201e88a8d09096c6561662f303130310900ff7f206275636b65"},
     {"a7010200cf959a120000",
      "a7010201cf959a120000"},
-    {"a7010300b6a0a71b096c6561662f30313031",
-     "a7010301b6a0a71b096c6561662f30313031"},
+    {"a7010300b6a0a71b096c6561662f3031303100",
+     "a7010301b6a0a71b096c6561662f3031303100"},
     {"a70104009dabb424016b",
      "a70104019dabb424016b"},
     {"a701050084b6c12d066c6561662f312901096e65772d6279746573",
      "a701050184b6c12d066c6561662f312901096e65772d6279746573"},
     {"a7010500ebc0ce36066c6561662f320000",
      "a7010501ebc0ce36066c6561662f320000"},
-    {"a7010600d2cbdb3f28026b30026b31026b32026b33026b34026b35026b36026b"
-     "37026b38026b39036b3130036b3131036b3132036b3133036b3134036b313503"
-     "6b3136036b3137036b3138036b3139036b3230036b3231036b3232036b323303"
-     "6b3234036b3235036b3236036b3237036b3238036b3239036b3330036b333103"
-     "6b3332036b3333036b3334036b3335036b3336036b3337036b3338036b3339",
-     "a7010601d2cbdb3f28026b30026b31026b32026b33026b34026b35026b36026b"
-     "37026b38026b39036b3130036b3131036b3132036b3133036b3134036b313503"
-     "6b3136036b3137036b3138036b3139036b3230036b3231036b3232036b323303"
-     "6b3234036b3235036b3236036b3237036b3238036b3239036b3330036b333103"
-     "6b3332036b3333036b3334036b3335036b3336036b3337036b3338036b3339"},
+    {"a7010600d2cbdb3f28026b3000026b3100026b3200026b3300026b3400026b35"
+     "00026b3600026b3700026b3800026b3900036b313000036b313100036b313200"
+     "036b313300036b313400036b313500036b313600036b313700036b313800036b"
+     "313900036b323000036b323100036b323200036b323300036b323400036b3235"
+     "00036b323600036b323700036b323800036b323900036b333000036b33310003"
+     "6b333200036b333300036b333400036b333500036b333600036b333700036b33"
+     "3800036b333900",
+     "a7010601d2cbdb3f28026b3000026b3100026b3200026b3300026b3400026b35"
+     "00026b3600026b3700026b3800026b3900036b313000036b313100036b313200"
+     "036b313300036b313400036b313500036b313600036b313700036b313800036b"
+     "313900036b323000036b323100036b323200036b323300036b323400036b3235"
+     "00036b323600036b323700036b323800036b323900036b333000036b33310003"
+     "6b333200036b333300036b333400036b333500036b333600036b333700036b33"
+     "3800036b333900"},
     {"a7010700b9d6e84807026b30000100026b310100026b32020106767676767676"
      "026b330300026b3404010c767676767676767676767676026b350500026b3606"
      "0112767676767676767676767676767676767676",
@@ -164,6 +181,10 @@ const char* const kRequestHex[][2] = {
      "a7011001bfc2eba301c488010c"},
     {"a7011100a6cdf8ac0102096c6561662f303130310502007a000000",
      "a7011101a6cdf8ac0102096c6561662f303130310502007a000000"},
+    {"a70103008dd885b601096c6561662f3031303195f8a9fa97b7de9b9e01",
+     "a70103018dd885b601096c6561662f3031303195f8a9fa97b7de9b9e01"},
+    {"a7010600f4e292bf010203233031eeff830602233100",
+     "a7010601f4e292bf010203233031eeff830602233100"},
 };
 
 const char* const kReplyHex[][2] = {
@@ -171,8 +192,8 @@ const char* const kReplyHex[][2] = {
      "a701818001066e6f64652d33edfd0317"},
     {"a7018200e88a8d0909",
      "a7018280e88a8d0909edfd0317"},
-    {"a7018300cf959a120104020102",
-     "a7018380cf959a120104020102edfd0317"},
+    {"a7018300cf959a12010400020102",
+     "a7018380cf959a12010400020102edfd0317"},
     {"a7018300b6a0a71b00",
      "a7018380b6a0a71b00edfd0317"},
     {"a70184009dabb42401",
@@ -181,16 +202,16 @@ const char* const kReplyHex[][2] = {
      "a701858084b6c12d01000101edfd0317"},
     {"a7018500ebc0ce3600010c010763757272656e74",
      "a7018580ebc0ce3600010c010763757272656e74edfd0317"},
-    {"a7018600d2cbdb3f020102016100",
-     "a7018680d2cbdb3f020102016100edfd0317"},
+    {"a7018600d2cbdb3f02010200016100",
+     "a7018680d2cbdb3f02010200016100edfd0317"},
     {"a7018700b9d6e84802010103010000080103637572",
      "a7018780b9d6e84802010103010000080103637572edfd0317"},
     {"a7018800a0e1f551",
      "a7018880a0e1f551edfd0317"},
     {"a701890087ec825b00",
      "a701898087ec825b00edfd0317"},
-    {"a7018a00eef68f640107077265706c696361",
-     "a7018a80eef68f640107077265706c696361edfd0317"},
+    {"a7018a00eef68f64010700077265706c696361",
+     "a7018a80eef68f64010700077265706c696361edfd0317"},
     {"a7018b00d5819d6dc0c407",
      "a7018b80d5819d6dc0c407edfd0317"},
     {"a7018c00bc8caa76",
@@ -205,6 +226,10 @@ const char* const kReplyHex[][2] = {
      "a7019080d8b7de9a0101edfd0317"},
     {"a7019100bfc2eba30120",
      "a7019180bfc2eba30120edfd0317"},
+    {"a7018300a6cdf8ac01010601",
+     "a7018380a6cdf8ac01010601edfd0317"},
+    {"a70186008dd885b6010301ac0201010200016200",
+     "a70186808dd885b6010301ac0201010200016200edfd0317"},
 };
 
 std::string hexOf(std::string_view bytes) {
@@ -253,6 +278,10 @@ TEST(RpcWire, FlaggedOffFieldsAreNotSent) {
   EXPECT_EQ(encodeReply(1, Op::Cas, Status::Ok, CasRep{true, true, 4, true, "v"}),
             encodeReply(1, Op::Cas, Status::Ok, CasRep{true, true, 4, true, ""}));
   EXPECT_EQ(encodeReply(1, Op::Get, Status::Ok, GetRep{false, 9, "v"}),
+            encodeReply(1, Op::Get, Status::Ok, GetRep{}));
+  EXPECT_EQ(encodeReply(1, Op::Get, Status::Ok, GetRep{true, 9, "v", true}),
+            encodeReply(1, Op::Get, Status::Ok, GetRep{true, 9, "", true}));
+  EXPECT_EQ(encodeReply(1, Op::Get, Status::Ok, GetRep{false, 0, "", true}),
             encodeReply(1, Op::Get, Status::Ok, GetRep{}));
 }
 
@@ -409,7 +438,7 @@ TEST(RpcWireFuzz, RandomGarbageNeverCrashes) {
 TEST(RpcWire, CompactEncoding) {
   // The design claim: a small GET is ~20 bytes on the wire.
   const std::string bytes = encodeRequest(1, GetReq{"leaf/01011010"});
-  EXPECT_LE(bytes.size(), 4 + 1 + 1 + 13u);  // header + id + len + key
+  EXPECT_LE(bytes.size(), 4 + 1 + 1 + 13 + 1u);  // header + id + len + key + held
 }
 
 TEST(RpcWire, NoForwardBitRoundTrips) {
