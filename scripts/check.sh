@@ -18,7 +18,7 @@
 #               lcov when available for the per-directory summary)
 #   --tsan      also build the tsan preset and run the concurrency suites
 #               (execution engine, shard-locked substrates, obs merging,
-#               the networked client's per-thread read slots and
+#               the networked client's applies from held starts and
 #               connection pool, the RoutedNetDht suites against overlay
 #               nodes serving on their own threads, cache-planned ranges
 #               racing splits and merges, one decorator stack shared by
@@ -127,7 +127,7 @@ if [[ "$tsan" -eq 1 ]]; then
   cmake --build --preset tsan -j "$jobs" --target lht_tests
   echo "== concurrency suites under ThreadSanitizer =="
   ctest --preset tsan -j "$jobs" -R \
-    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|PlannedRangeCampaign|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot.ThreadsKeepTheirOwnSlots|StaticCluster.ConcurrentClientsGrowPoolSafely|SharedDecoratorStack|RoutedNetDht\.|RoutedNetDhtReadSlot\.|NetDhtFleet\.'
+    'ThreadPoolTest|LinearizabilityTest|ConcurrentSubstrateTest|ClientFleetTest|PlannedRangeCampaign|ObsConcurrentTest|LoggingConcurrentTest|NetDhtReadSlot\.|StaticCluster.ConcurrentClientsGrowPoolSafely|SharedDecoratorStack|RoutedNetDht\.|RoutedNetDhtReadSlot\.|NetDhtFleet\.'
 fi
 
 if [[ "$bench" -eq 1 ]]; then
@@ -207,7 +207,7 @@ if [[ "$net" -eq 1 ]]; then
   cmake --build --preset asan-ubsan -j "$jobs" --target lht_tests \
     --target lht_noded
   ctest --test-dir build-asan -j "$jobs" --output-on-failure \
-    -R 'Varint|RpcWire|SimTransport|RpcClient|NodeServer|StaticCluster|NetDhtReadSlot|NetDhtIndex|NetDhtFleet|NetDhtBytes|NetLoopback'
+    -R 'Varint|RpcWire|SimTransport|RpcClient|NodeServer|StaticCluster|NetDhtReadSlot|NetDhtIndex|NetDhtFleet|NetDhtBytes|NetLoopback|LhtIndex.EveryWrittenBucket'
   echo "== networked bench (in-process vs N-process + batching, release) =="
   cmake --preset release "$werror"
   cmake --build --preset release -j "$jobs" --target bench_net \

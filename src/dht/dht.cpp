@@ -90,6 +90,11 @@ std::vector<GetOutcome> Dht::multiGet(const std::vector<Key>& keys) {
       [this](const Key& key, GetOutcome& o) { o.value = get(key); });
 }
 
+bool Dht::applyFrom(const Key& key, const Value& start, const Mutator& fn) {
+  (void)start;
+  return apply(key, fn);
+}
+
 GetOutcome Dht::getIfChanged(const Key& key, u64 held) {
   GetOutcome o;
   o.value = get(key);

@@ -160,13 +160,22 @@ class Dht {
   /// record travels to the peer; the bucket is rewritten locally.
   ///
   /// `fn` may run several times in one call, and only its last run is
-  /// stored. The networked client runs it client-side on a read and runs
-  /// it again after a CAS conflict, or after re-reading when a run changed
-  /// nothing (its first read can be the calling thread's get() of the key
-  /// just before, DESIGN.md §15); a retry layer re-runs it after a
-  /// lost reply. So a mutator resets what it reports to its caller at the
-  /// top of each run, and never consumes what it captured.
+  /// stored. The networked client runs it client-side on a read (or on
+  /// applyFrom's start) and runs it again after a CAS conflict, or after
+  /// re-reading when a run on the start changed nothing (DESIGN.md §15); a
+  /// retry layer re-runs it after a lost reply. So a mutator resets what
+  /// it reports to its caller at the top of each run, and never consumes
+  /// what it captured.
   virtual bool apply(const Key& key, const Mutator& fn) = 0;
+
+  /// apply(), starting from `start`: the caller's copy of the value it
+  /// believes is stored under `key`. The result is apply()'s whatever the
+  /// start: the start only saves the read when it is current. The base
+  /// ignores it and runs this object's own apply(), since a substrate that
+  /// runs `fn` atomically on what is stored needs no start; a networked
+  /// client overrides it to CAS straight from the start, guarded by its
+  /// digest, with no read round (DESIGN.md §15).
+  virtual bool applyFrom(const Key& key, const Value& start, const Mutator& fn);
 
   /// Issues every key as one *batch round*: the requests are independent,
   /// so a substrate dispatches them concurrently and the round costs one
@@ -279,10 +288,11 @@ class Dht {
 /// every wrapper through one edit here. The forwards count nothing: the
 /// substrate underneath keeps the DhtStats.
 ///
-/// The conditional reads are the exception: they are not forwarded. The
-/// base runs them through the wrapper's own get() / multiGet(), so a read
-/// still passes every layer's faults, retries, renaming and accounting;
-/// forwarded, it would reach the substrate around them.
+/// The conditional reads and applyFrom are the exception: they are not
+/// forwarded. The base runs them through the wrapper's own get() /
+/// multiGet() / apply(), so a call still passes every layer's faults,
+/// retries, renaming and accounting; forwarded, it would reach the
+/// substrate around them.
 class ForwardingDht : public Dht {
  public:
   explicit ForwardingDht(Dht& inner) : inner_(inner) {}

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/hash.h"
 #include "common/types.h"
 
 namespace lht::dht {
@@ -349,7 +350,6 @@ std::vector<rpc::NetAddr> RoutedNetDht::replicaAddrs(const View& v,
 
 void RoutedNetDht::put(const Key& key, Value value) {
   RoutedOpScope scope(*this, "dht.put", key);
-  readSlots_.clear();
   stats_.lookups += 1;
   stats_.puts += 1;
   stats_.hops += 1;
@@ -368,7 +368,6 @@ std::optional<Value> RoutedNetDht::get(const Key& key) {
 
 GetOutcome RoutedNetDht::getIfChanged(const Key& key, u64 held) {
   RoutedOpScope scope(*this, "dht.get", key);
-  readSlots_.clear();  // a get that throws leaves no read behind
   stats_.lookups += 1;
   stats_.gets += 1;
   stats_.hops += 1;
@@ -376,32 +375,28 @@ GetOutcome RoutedNetDht::getIfChanged(const Key& key, u64 held) {
   auto r = callRouted(lease.rpc(), key, GetReq{key, held});
   checkStatus(r, "get", key);
   auto& rep = std::get<GetRep>(r.body);
-  countConditional(held != 0 ? 1 : 0, rep.unchanged ? 1 : 0);
+  count(CallCounts{held != 0 ? 1u : 0u, rep.unchanged ? 1u : 0u});
   GetOutcome out;
   out.ok = true;
-  if (rep.unchanged) {
-    // No bytes came back for an apply to start from: the slot stays empty.
-    out.unchanged = true;
-    return out;
-  }
-  readSlots_.fill(key, rep);
-  if (rep.present) {
+  out.unchanged = rep.unchanged;
+  if (rep.present && !rep.unchanged) {
     stats_.valueBytesMoved += rep.value.size();
     out.value = std::move(rep.value);
   }
   return out;
 }
 
-void RoutedNetDht::countConditional(u64 sent, u64 unchanged) {
-  if (sent == 0) return;
+void RoutedNetDht::count(const CallCounts& c) {
+  if (c.conditionalReads == 0 && c.appliesFromStart == 0) return;
   std::lock_guard<std::mutex> lock(statsMutex_);
-  routedStats_.conditionalReads += sent;
-  routedStats_.unchangedReads += unchanged;
+  routedStats_.conditionalReads += c.conditionalReads;
+  routedStats_.unchangedReads += c.unchangedReads;
+  routedStats_.appliesFromStart += c.appliesFromStart;
+  routedStats_.startConflicts += c.startConflicts;
 }
 
 bool RoutedNetDht::remove(const Key& key) {
   RoutedOpScope scope(*this, "dht.remove", key);
-  readSlots_.clear();
   stats_.lookups += 1;
   stats_.removes += 1;
   stats_.hops += 1;
@@ -417,40 +412,64 @@ bool RoutedNetDht::remove(const Key& key) {
 }
 
 bool RoutedNetDht::apply(const Key& key, const Mutator& fn) {
+  return casLoop(key, nullptr, fn);
+}
+
+bool RoutedNetDht::applyFrom(const Key& key, const Value& start,
+                             const Mutator& fn) {
+  return casLoop(key, &start, fn);
+}
+
+bool RoutedNetDht::casLoop(const Key& key, const Value* start,
+                           const Mutator& fn) {
   RoutedOpScope scope(*this, "dht.apply", key);
-  std::optional<SlotRead> start = readSlots_.take(key);
   stats_.lookups += 1;
   stats_.applies += 1;
   stats_.hops += 1;
   Lease lease(*this);
   rpc::RpcClient& cli = lease.rpc();
-  auto readOwner = [&] {
-    auto g = callRouted(cli, key, GetReq{key});
+  // Counted under statsMutex_ once, however the call ends.
+  struct Tally {
+    RoutedNetDht& dht;
+    CallCounts counts;
+    ~Tally() { dht.count(counts); }
+  } tally{*this, CallCounts{0, 0, start != nullptr ? 1u : 0u, 0}};
+  auto readOwner = [&](u64 held) {
+    auto g = callRouted(cli, key, GetReq{key, held});
     checkStatus(g, "apply", key);
+    if (held != 0) {
+      tally.counts.conditionalReads += 1;
+      tally.counts.unchangedReads += std::get<GetRep>(g.body).unchanged ? 1 : 0;
+    }
     return std::move(std::get<GetRep>(g.body));
   };
-  // `early`: the state is the caller's read from before this call. A
-  // conflict proves it stale and replaces it; a no-change outcome on it
-  // proves nothing, so it re-reads first.
-  bool early = start.has_value();
-  GetRep state = early ? std::move(start->rep) : readOwner();
+  // The state `fn` runs on: the start, a read, or a conflict reply's
+  // value. The CAS is guarded by its digest (0: absent). `early`: the
+  // state is the caller's start, from before this call. A conflict proves
+  // it stale and replaces it; a no-change outcome on it proves nothing
+  // until a conditional read finds the start still stored.
+  bool early = start != nullptr;
+  GetRep state = early ? GetRep{true, 0, *start} : readOwner(0);
   for (size_t casRounds = 0; casRounds < opts_.casRetries;) {
     std::optional<Value> v =
         state.present ? std::optional<Value>(state.value) : std::nullopt;
     fn(v);
     const bool unchanged = v.has_value() ? state.present && *v == state.value
                                          : !state.present;
+    if (unchanged && !early) return state.present;
+    const u64 guard =
+        state.present ? common::hash::valueDigest(state.value) : 0;
     if (unchanged) {
-      if (!early) return state.present;
-      state = readOwner();
+      GetRep fresh = readOwner(guard);
+      if (fresh.unchanged) return true;  // the start is stored: it stands
+      state = std::move(fresh);
       early = false;
       continue;
     }
     ++casRounds;
     if (v.has_value()) stats_.valueBytesMoved += v->size();
     auto r = callRouted(cli, key,
-                        CasReq{key, state.version, v.has_value(),
-                               v.value_or(Value{})});
+                        CasReq{key, guard, v.has_value(), v.value_or(Value{})});
     checkStatus(r, "apply", key);
     auto& rep = std::get<CasRep>(r.body);
     if (rep.applied) {
@@ -458,10 +477,10 @@ bool RoutedNetDht::apply(const Key& key, const Mutator& fn) {
                 rep.currentVersion);
       return state.present;
     }
-    // Conflict: the reply carries the fresh state, so the mutator re-runs
+    if (early) tally.counts.startConflicts += 1;
+    // Conflict: the reply carries the stored value, so the mutator re-runs
     // on it without another GET round.
     state.present = rep.currentPresent;
-    state.version = rep.currentVersion;
     state.value = std::move(rep.currentValue);
     early = false;
   }
@@ -576,7 +595,6 @@ std::vector<GetOutcome> RoutedNetDht::multiGetIfChanged(
     const std::vector<Key>& keys, const std::vector<u64>& held) {
   common::checkInvariant(held.size() == keys.size(),
                          "RoutedNetDht::multiGetIfChanged: one held digest per key");
-  readSlots_.clear();
   if (keys.empty()) return {};
   obs::SpanScope span("dht.multiGet", "dht");
   stats_.batchRounds += 1;
@@ -601,15 +619,14 @@ std::vector<GetOutcome> RoutedNetDht::multiGetIfChanged(
       out[i].value = std::move(f.rep.value);
     }
   }
-  countConditional(static_cast<u64>(std::count_if(
-                       held.begin(), held.end(), [](u64 h) { return h != 0; })),
-                   unchanged);
+  count(CallCounts{static_cast<u64>(std::count_if(
+                        held.begin(), held.end(), [](u64 h) { return h != 0; })),
+                    unchanged});
   return out;
 }
 
 std::vector<ApplyOutcome> RoutedNetDht::multiApply(
     const std::vector<ApplyRequest>& reqs) {
-  readSlots_.clear();
   if (reqs.empty()) return {};
   obs::SpanScope span("dht.multiApply", "dht");
   stats_.batchRounds += 1;
@@ -663,8 +680,9 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
       if (v.has_value()) stats_.valueBytesMoved += v->size();
       existedAtFirstCas[i] = s.present;
       casEntries.push_back(i);
-      casReqs.push_back(
-          CasReq{reqs[i].key, s.version, v.has_value(), v.value_or(Value{})});
+      casReqs.push_back(CasReq{reqs[i].key,
+                               s.present ? common::hash::valueDigest(s.value) : 0,
+                               v.has_value(), v.value_or(Value{})});
     }
     active.clear();
     if (casEntries.empty()) break;
@@ -728,7 +746,6 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
         } else {
           GetRep& s = state[i].rep;
           s.present = cr.currentPresent;
-          s.version = cr.currentVersion;
           s.value = std::move(cr.currentValue);
           active.push_back(i);
         }
@@ -752,7 +769,6 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
 // --- Unrouted / admin -------------------------------------------------------
 
 void RoutedNetDht::storeDirect(const Key& key, Value value) {
-  readSlots_.clear();
   Lease lease(*this);
   auto r = callRouted(lease.rpc(), key, PutReq{key, value});
   checkStatus(r, "storeDirect", key);
@@ -763,7 +779,6 @@ void RoutedNetDht::storeDirect(const Key& key, Value value) {
 std::optional<Value> RoutedNetDht::getReplica(const Key& key,
                                               size_t replicaIndex) {
   RoutedOpScope scope(*this, "dht.get_replica", key);
-  readSlots_.clear();
   stats_.lookups += 1;
   stats_.gets += 1;
   stats_.hops += 1;
@@ -797,7 +812,6 @@ std::optional<Value> RoutedNetDht::getReplica(const Key& key,
 }
 
 void RoutedNetDht::syncStorage() {
-  readSlots_.clear();
   auto v = requireView();
   Lease lease(*this);
   std::vector<rpc::RpcClient::Token> tokens;
@@ -809,7 +823,6 @@ void RoutedNetDht::syncStorage() {
 }
 
 void RoutedNetDht::compactStorage() {
-  readSlots_.clear();
   auto v = requireView();
   Lease lease(*this);
   std::vector<rpc::RpcClient::Token> tokens;
@@ -821,7 +834,6 @@ void RoutedNetDht::compactStorage() {
 }
 
 size_t RoutedNetDht::size() const {
-  readSlots_.clear();
   auto v = requireView();
   Lease lease(*this);
   std::vector<rpc::RpcClient::Token> tokens;
@@ -838,34 +850,6 @@ size_t RoutedNetDht::size() const {
     total += static_cast<size_t>(std::get<SizeRep>(r.body).primaryKeys);
   }
   return total;
-}
-
-// --- Per-thread read slots --------------------------------------------------
-
-void RoutedNetDht::ReadSlots::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = slots_.find(std::this_thread::get_id());
-  if (it != slots_.end()) it->second.full = false;
-}
-
-void RoutedNetDht::ReadSlots::fill(const Key& key, const GetRep& rep) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Slot& s = slots_[std::this_thread::get_id()];
-  s.full = true;
-  s.read.key = key;
-  s.read.rep.present = rep.present;
-  s.read.rep.version = rep.version;
-  s.read.rep.value = rep.value;
-}
-
-std::optional<RoutedNetDht::SlotRead> RoutedNetDht::ReadSlots::take(
-    const Key& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = slots_.find(std::this_thread::get_id());
-  if (it == slots_.end() || !it->second.full) return std::nullopt;
-  it->second.full = false;
-  if (it->second.read.key != key) return std::nullopt;
-  return std::move(it->second.read);
 }
 
 }  // namespace lht::dht

@@ -38,14 +38,14 @@
 //
 // apply() over a network: the mutator is an arbitrary client-side
 // closure, so it cannot run at the server. apply() is a read-modify-write
-// loop over versioned CAS: the mutator runs locally on (value, version)
-// and the CAS applies iff the version is unchanged. The read is the
-// calling thread's get() of the same key when that was its previous call
-// (the index reads a leaf right before writing it), else a GET round. A
-// conflict reply carries the current (version, value), so each retry
-// costs one round, not two. GET and CAS are routed like any single-key
-// op, so a redirect or timeout inside the loop is followed like any
-// other.
+// loop over a digest-guarded CAS: the mutator runs locally on a value and
+// the CAS applies iff the stored value still has that value's digest
+// (DESIGN.md §14). applyFrom() starts from the caller's copy of the value
+// (the index passes the bucket it holds), so a current copy costs one
+// round, the CAS; apply() reads first, a GET round. A conflict reply
+// carries the current value, so each retry costs one round, not two. GET
+// and CAS are routed like any single-key op, so a redirect or timeout
+// inside the loop is followed like any other.
 //
 // Batched ops group keys by owner under the current view and pack them
 // into MultiGet/MultiCas datagrams (capped per datagram), so a round
@@ -80,7 +80,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -133,6 +132,10 @@ class RoutedNetDht final : public Dht {
     /// `unchanged` (no value shipped).
     common::u64 conditionalReads = 0;
     common::u64 unchangedReads = 0;
+    /// applyFrom calls, and those whose CAS from the start conflicted (the
+    /// start was stale).
+    common::u64 appliesFromStart = 0;
+    common::u64 startConflicts = 0;
     common::u64 connections = 0;
     // Transport and RPC totals across the connection pool.
     common::u64 datagramsSent = 0;
@@ -156,21 +159,23 @@ class RoutedNetDht final : public Dht {
   void put(const Key& key, Value value) override;
   std::optional<Value> get(const Key& key) override;
   bool remove(const Key& key) override;
-  /// Starts from the calling thread's preceding read of the key or, with
-  /// none, from a GET round; runs `fn` on the state, CASes the result
-  /// against the state's version, and on a conflict re-runs `fn` on the
-  /// (version, value) the conflict reply carries. A no-change outcome
-  /// (value unchanged, or absent stays absent) ends the call only when it
-  /// rests on a read made during the call; one reached on the preceding
-  /// read re-reads with a GET round and runs `fn` again. An applied CAS
-  /// is replicated. At most `casRetries` CAS rounds; throws DhtError when
-  /// all conflict. Returns whether the key existed before the write (or,
-  /// for a no-change outcome, at the read).
+  /// Starts from a GET round; runs `fn` on the state, CASes the result
+  /// guarded by the state's digest, and on a conflict re-runs `fn` on the
+  /// value the conflict reply carries. A no-change outcome (value
+  /// unchanged, or absent stays absent) ends the call. An applied CAS is
+  /// replicated. At most `casRetries` CAS rounds; throws DhtError when all
+  /// conflict. Returns whether the key existed before the write (or, for a
+  /// no-change outcome, at the read).
   bool apply(const Key& key, const Mutator& fn) override;
+  /// apply() with `start` as the first state instead of a GET round: the
+  /// first CAS is guarded by the start's digest. A no-change outcome on
+  /// the start stands only after a conditional GET carrying that digest
+  /// comes back `unchanged`; a changed answer becomes the state and `fn`
+  /// runs again.
+  bool applyFrom(const Key& key, const Value& start,
+                 const Mutator& fn) override;
   std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  /// One routed GetReq carrying `held`. An `unchanged` answer leaves the
-  /// calling thread's read slot empty (DESIGN.md §15): no bytes came back
-  /// for an apply to start from. A changed one fills it, like get().
+  /// One routed GetReq carrying `held`.
   GetOutcome getIfChanged(const Key& key, common::u64 held) override;
   /// multiGet's rounds, each entry's GetReq carrying its held digest.
   std::vector<GetOutcome> multiGetIfChanged(
@@ -212,41 +217,6 @@ class RoutedNetDht final : public Dht {
     std::string error;      ///< failure description when !ok
   };
 
-  /// One primary read of `key`: the (present, version, value) the owner
-  /// returned.
-  struct SlotRead {
-    Key key;
-    rpc::wire::GetRep rep;
-  };
-
-  /// The last primary get() of each calling thread (DESIGN.md §15). get()
-  /// fills its thread's slot; every other Dht call clears it when it
-  /// starts, and apply() takes it, so a slot holds the read immediately
-  /// preceding the call. (A thread that exits leaves its slot to a later
-  /// thread given the same id; that read is merely stale.) The slot is a
-  /// starting guess, never a verdict: the CAS validates it, and apply()
-  /// re-reads before it trusts a no-change outcome.
-  class ReadSlots {
-   public:
-    /// Empties the calling thread's slot.
-    void clear();
-    /// Replaces the calling thread's slot with a read of `key`.
-    void fill(const Key& key, const rpc::wire::GetRep& rep);
-    /// Empties the calling thread's slot and returns its read if it is
-    /// one of `key`.
-    [[nodiscard]] std::optional<SlotRead> take(const Key& key);
-
-   private:
-    /// An emptied slot keeps its strings, so the thread's next fill
-    /// reuses their buffers instead of allocating.
-    struct Slot {
-      bool full = false;
-      SlotRead read;
-    };
-    std::mutex mutex_;
-    std::unordered_map<std::thread::id, Slot> slots_;
-  };
-
   /// A view of `table`'s ring members; nullptr when it has none.
   [[nodiscard]] std::shared_ptr<const View> makeView(
       const std::vector<rpc::wire::NodeEntry>& table) const;
@@ -277,9 +247,20 @@ class RoutedNetDht final : public Dht {
   /// a refresh. Entry i's GetReq carries held[i].
   std::vector<Fetched> fetch(rpc::RpcClient& cli, const std::vector<Key>& keys,
                              const std::vector<common::u64>& held);
-  /// Adds to the conditional-read counters, under statsMutex_ once; a
-  /// call that sent no digest takes no lock.
-  void countConditional(common::u64 sent, common::u64 unchanged);
+  /// apply() and applyFrom(): the CAS loop from `start`, or from a GET
+  /// round when it is null.
+  bool casLoop(const Key& key, const Value* start, const Mutator& fn);
+
+  /// One call's additions to RoutedStats' read and start counters.
+  struct CallCounts {
+    common::u64 conditionalReads = 0;
+    common::u64 unchangedReads = 0;
+    common::u64 appliesFromStart = 0;
+    common::u64 startConflicts = 0;
+  };
+  /// Adds `c` under statsMutex_ once; a call that sent no digest and had
+  /// no start takes no lock.
+  void count(const CallCounts& c);
 
   Options opts_;
   TransportFactory makeTransport_;
@@ -295,9 +276,6 @@ class RoutedNetDht final : public Dht {
 
   mutable std::mutex statsMutex_;
   RoutedStats routedStats_;
-
-  /// Each thread's last get(), where apply() starts.
-  mutable ReadSlots readSlots_;
 };
 
 }  // namespace lht::dht

@@ -11,7 +11,8 @@
 // a stale entry is simply invalidated and the lookup falls back to the
 // full binary search (a range re-resolves only the tiles that moved).
 // This is the PHT-style location cache subsuming the single-slot depth
-// hint. Epochs (bucket wire format v2) are remembered so callers can
+// hint. A split the client completes notes both children it holds, so
+// the next write into either needs no search. Epochs (bucket wire format v2) are remembered so callers can
 // observe how stale an entry was.
 //
 // Leases (DESIGN.md §13): an entry can additionally carry a time-bounded
@@ -31,8 +32,11 @@
 // Fetched bytes with the held digest return the shared decoded value;
 // changed bytes decode once and replace it. The digest is also what a
 // conditional read sends (DESIGN.md §8): an `unchanged` answer means the
-// held bucket is current, and no bytes travel at all. Mutators
-// copy-on-write, so shared values are never modified in place.
+// held bucket is current, and no bytes travel at all. And the held bucket
+// is where a write starts: serialized again, it is the start of an
+// applyFrom whose CAS is guarded by that digest (DESIGN.md §15), so a
+// write into a leaf this cache names and the store holds sends no read.
+// Mutators copy-on-write, so shared values are never modified in place.
 #pragma once
 
 #include <map>

@@ -98,10 +98,9 @@ void LhtIndex::noteOp(const char* op, const cost::OpStats& st) {
 }
 
 LhtIndex::BucketRef LhtIndex::getBucketRef(const std::string& key,
-                                           cost::OpStats& st, Fetch fetch) {
+                                           cost::OpStats& st) {
   st.dhtLookups += 1;
-  const BucketStore::Held held =
-      fetch == Fetch::IfChanged ? store_.held(key) : BucketStore::Held{};
+  const BucketStore::Held held = store_.held(key);
   auto ref = bucketOf(key, dht_.getIfChanged(key, held.digest), held);
   if (ref) noteLeaf(*ref);
   return ref;
@@ -265,9 +264,17 @@ Label neighbor(const Label& l, Side side) {
 
 }  // namespace
 
-BucketOpResult LhtIndex::applyOp(const std::string& key, const BucketOp& op) {
+BucketOpResult LhtIndex::applyOp(const std::string& key, const BucketOp& op,
+                                 const LeafBucket* start) {
   BucketOpResult kept;
-  dht_.apply(key, bucketMutator(store_, key, op, kept));
+  const dht::Mutator fn = bucketMutator(store_, key, op, kept);
+  if (start != nullptr) {
+    // The held bucket's bytes: serialize inverts decode, so they are the
+    // bytes it was decoded from, and the CAS guard is their digest.
+    dht_.applyFrom(key, start->serialize(), fn);
+  } else {
+    dht_.apply(key, fn);
+  }
   return kept;
 }
 
@@ -284,7 +291,7 @@ std::vector<dht::ApplyOutcome> LhtIndex::applyOps(const std::vector<KeyedOp>& op
 
 BucketOpResult LhtIndex::applyStep(const std::string& key, const BucketOp& op,
                                    cost::OpStats& st) {
-  BucketOpResult r = applyOp(key, op);
+  BucketOpResult r = applyOp(key, op, store_.held(key).bucket.get());
   st.dhtLookups += 1;
   chargeMaintenance(1, 0);
   return r;
@@ -302,7 +309,7 @@ LhtIndex::LookupOutcome LhtIndex::toOutcome(LookupRef&& ref) {
 // Lookup (Algorithm 2) + lookup-triggered repair
 // ---------------------------------------------------------------------------
 
-LhtIndex::LookupRef LhtIndex::lookupInternal(double key, Fetch fetch) {
+LhtIndex::LookupRef LhtIndex::lookupInternal(double key, bool heldSuffices) {
   LookupRef out;
   key = common::clampToUnit(key);  // 1.0 belongs to the rightmost cell
   const Label mu = Label::fromKey(key, opts_.maxDepth);
@@ -324,6 +331,17 @@ LhtIndex::LookupRef LhtIndex::lookupInternal(double key, Fetch fetch) {
     if (opts_.useLeafCache) {
       if (auto cached = leafCache_.find(key)) {
         const std::string nm = dhtKeyFor(cached->label);
+        if (heldSuffices) {
+          // A warm write: the held copy of the cached leaf is the start of
+          // the write's apply, whose CAS validates it (DESIGN.md §8).
+          BucketRef held = store_.held(nm).bucket;
+          if (held && held->clean() && held->label == cached->label &&
+              held->covers(key)) {
+            out.bucket = std::move(held);
+            out.dhtKey = nm;
+            break;
+          }
+        }
         BucketRef bucket;
         bool leaseServed = false;
         if (leaseUsable(*cached)) {
@@ -336,7 +354,7 @@ LhtIndex::LookupRef LhtIndex::lookupInternal(double key, Fetch fetch) {
         }
         if (!bucket) {
           try {
-            bucket = getBucketRef(nm, out.stats, fetch);
+            bucket = getBucketRef(nm, out.stats);
           } catch (const dht::DhtError&) {
             // The peer holding the cached location is unreachable
             // (crashed and not yet repaired away). The leaf will move
@@ -371,7 +389,7 @@ LhtIndex::LookupRef LhtIndex::lookupInternal(double key, Fetch fetch) {
       const u32 mid = (shorter + longer) / 2;
       const Label x = mu.prefix(mid);
       const Label nm = name(x);
-      auto bucket = getBucketRef(nm.str(), out.stats, fetch);
+      auto bucket = getBucketRef(nm.str(), out.stats);
       if (!bucket) {
         // No leaf is named nm: every prefix longer than nm shares this name
         // (they all extend nm by a run of x's last bit), so only lengths up
@@ -515,6 +533,12 @@ void LhtIndex::completeSplit(const std::string& stayingKey,
     applyStep(movedKey, DropRecreatedChild{intent.token}, st);
   }
   dropCached(parent.interval());
+  // The children whose writes left clean copies in the bucket store are
+  // known leaves: the next write into either starts from its copy.
+  for (const Label& child : {parent.child(0), parent.child(1)}) {
+    const BucketRef held = store_.held(dhtKeyFor(child)).bucket;
+    if (held && held->clean() && held->label == child) noteLeaf(*held);
+  }
 }
 
 bool LhtIndex::mergeFrozenDonor(const std::string& donorKey,
@@ -593,11 +617,11 @@ LhtIndex::LookupOutcome LhtIndex::lookup(double key) {
   return toOutcome(lookupInternal(key));
 }
 
-LhtIndex::LookupRef LhtIndex::lookupLinearRef(double key, Fetch fetch) {
+LhtIndex::LookupRef LhtIndex::lookupLinearRef(double key) {
   LookupRef out;
   key = common::clampToUnit(key);
   for (const std::string& nm : candidateNames(key)) {
-    auto bucket = getBucketRef(nm, out.stats, fetch);
+    auto bucket = getBucketRef(nm, out.stats);
     if (bucket && bucket->covers(key)) {
       out.bucket = std::move(bucket);
       out.dhtKey = nm;
@@ -614,13 +638,13 @@ LhtIndex::LookupOutcome LhtIndex::lookupLinear(double key) {
   return toOutcome(lookupLinearRef(key));
 }
 
-LhtIndex::LookupRef LhtIndex::resolveLeaf(double key, Fetch fetch) {
-  auto found = lookupInternal(key, fetch);
+LhtIndex::LookupRef LhtIndex::resolveLeaf(double key, bool heldSuffices) {
+  auto found = lookupInternal(key, heldSuffices);
   if (found.bucket) return found;
   // A null bucket would read as "key absent" or "tree hole", which is a
   // verdict, not a shrug: exhaust the linear walk first, and count the
   // failed search's probes with it.
-  auto linear = lookupLinearRef(key, fetch);
+  auto linear = lookupLinearRef(key);
   linear.stats += found.stats;
   return linear;
 }
@@ -629,18 +653,21 @@ template <typename OpForLeaf>
 LhtIndex::LeafWrite LhtIndex::writeLeaf(double key, const OpForLeaf& opFor,
                                         const char* hole, const char* moving,
                                         cost::OpStats& st) {
-  // A concurrent client can split or merge the looked-up leaf between our
+  // The apply starts from the bucket the lookup returned: the held copy on
+  // a warm first try, else the one just read. A copy that is no longer
+  // stored costs one CAS conflict, and the op then runs on the stored
+  // bucket. A concurrent client can split or merge the leaf between our
   // lookup and our apply; the op then reports stale instead of applying,
-  // and the write re-resolves the leaf. Every retry sees a strictly newer
-  // state of that interval, so the depth budget bounds it.
+  // and the write re-resolves the leaf, reading it. Every retry sees a
+  // strictly newer state of that interval, so the depth budget bounds it.
   LeafWrite w;
   for (u32 attempt = 0;; ++attempt) {
-    w.leaf = resolveLeaf(key, Fetch::Plain);  // the apply starts from its read
+    w.leaf = resolveLeaf(key, /*heldSuffices=*/attempt == 0);
     checkInvariant(w.leaf.bucket != nullptr, hole);
     chargeInsertion(w.leaf.stats.dhtLookups, 0);
     st += w.leaf.stats;
     checkInvariant(attempt <= 2 * opts_.maxDepth + 2, moving);
-    w.result = applyOp(w.leaf.dhtKey, opFor(w.leaf.dhtKey));
+    w.result = applyOp(w.leaf.dhtKey, opFor(w.leaf.dhtKey), w.leaf.bucket.get());
     chargeInsertion(1, 0);
     st.dhtLookups += 1;
     st.parallelSteps += 1;
@@ -868,15 +895,15 @@ index::UpdateResult LhtIndex::erase(double key) {
 bool LhtIndex::tryMerge(const Label& bucketLabel) {
   const Label sib = bucketLabel.sibling();
   // The sibling participates only if it is itself a leaf, i.e. a bucket
-  // labelled exactly `sib` sits under name(sib).
-  // Plain reads: the merge's first apply may start from the second.
+  // labelled exactly `sib` sits under name(sib). The merge's steps start
+  // from the copies these two reads leave in the bucket store.
   cost::OpStats st;  // the merge's probes and steps, charged as maintenance
-  auto sibBucket = getBucketRef(dhtKeyFor(sib), st, Fetch::Plain);
+  auto sibBucket = getBucketRef(dhtKeyFor(sib), st);
   chargeMaintenance(1, 0);
   if (!sibBucket || sibBucket->label != sib) return false;
 
   // Refresh our own bucket to get an exact combined size.
-  auto ownBucket = getBucketRef(dhtKeyFor(bucketLabel), st, Fetch::Plain);
+  auto ownBucket = getBucketRef(dhtKeyFor(bucketLabel), st);
   chargeMaintenance(1, 0);
   if (!ownBucket || ownBucket->label != bucketLabel) return false;
 

@@ -127,8 +127,9 @@ class LhtIndex final : public index::OrderedIndex {
 
     /// Cache decoded buckets client-side keyed by DHT key, revalidated by
     /// content digest (off by default). Removes the deserialize-per-read
-    /// wall-clock cost, and lets read-only operations send conditional
-    /// reads that skip shipping an unchanged bucket; mutators copy-on-write.
+    /// wall-clock cost, lets every read send a conditional read that skips
+    /// shipping an unchanged bucket, and lets a write start from the held
+    /// bucket with no read at all; mutators copy-on-write.
     bool cacheDecodedBuckets = false;
 
     /// Reattach a client to an index that already lives in the DHT
@@ -255,17 +256,11 @@ class LhtIndex final : public index::OrderedIndex {
   };
   static LookupOutcome toOutcome(LookupRef&& ref);
 
-  /// How a read goes out (DESIGN.md §8). IfChanged carries the digest of
-  /// the bucket store's copy, so a bucket that has not changed comes back
-  /// without its bytes. Plain ships the bucket: a read that an apply of
-  /// the same key follows, since RoutedNetDht's apply starts from the
-  /// thread's preceding get and an `unchanged` answer leaves it none.
-  enum class Fetch : common::u8 { Plain, IfChanged };
-
   /// One accounted DHT get, decoding through the bucket store and noting
-  /// observed clean leaves in the location cache.
-  BucketRef getBucketRef(const std::string& key, cost::OpStats& st,
-                         Fetch fetch = Fetch::IfChanged);
+  /// observed clean leaves in the location cache. The get carries the
+  /// digest of the store's copy, so a bucket that has not changed comes
+  /// back without its bytes (DESIGN.md §8).
+  BucketRef getBucketRef(const std::string& key, cost::OpStats& st);
 
   /// One conditional multiGet round of `keys`; `held` gets the store's
   /// copy of each, which bucketOf() needs to read the outcomes.
@@ -277,16 +272,20 @@ class LhtIndex final : public index::OrderedIndex {
                      const BucketStore::Held& held);
 
   /// One dht_.apply of `op` on `key`, through the one generic mutator
-  /// (lht_index.cpp): decode via the bucket store, keepRun's rule.
-  BucketOpResult applyOp(const std::string& key, const BucketOp& op);
+  /// (lht_index.cpp): decode via the bucket store, keepRun's rule. With a
+  /// `start`, the bucket the caller holds for `key`, it is an applyFrom
+  /// of its bytes, which skips the read when the copy is current.
+  BucketOpResult applyOp(const std::string& key, const BucketOp& op,
+                         const LeafBucket* start);
 
   /// One dht_.multiApply round of every op; `kept` gets one result each.
   struct KeyedOp { std::string key; BucketOp op; };
   std::vector<dht::ApplyOutcome> applyOps(const std::vector<KeyedOp>& ops,
                                           std::vector<BucketOpResult>& kept);
 
-  /// One step of a split or merge: applyOp, charged as one maintenance
-  /// DHT-lookup and counted into `st`.
+  /// One step of a split or merge: applyOp from the store's copy of `key`
+  /// when it holds one, charged as one maintenance DHT-lookup and counted
+  /// into `st`.
   BucketOpResult applyStep(const std::string& key, const BucketOp& op,
                            cost::OpStats& st);
 
@@ -317,19 +316,23 @@ class LhtIndex final : public index::OrderedIndex {
   void noteLeafRead(const std::string& dhtKey);
   [[nodiscard]] bool leafIsHot(const std::string& dhtKey) const;
 
-  /// Shared walk for find/insert target resolution.
-  LookupRef lookupInternal(double key, Fetch fetch = Fetch::IfChanged);
-  LookupRef lookupLinearRef(double key, Fetch fetch = Fetch::IfChanged);
+  /// Shared walk for find/insert target resolution. With `heldSuffices`
+  /// (a write's first try), a cached leaf the bucket store holds clean,
+  /// under the cached label and covering the key, is returned with no
+  /// read: the write's CAS validates it.
+  LookupRef lookupInternal(double key, bool heldSuffices = false);
+  LookupRef lookupLinearRef(double key);
   /// lookupInternal, falling back to the linear walk when it finds no
   /// covering leaf; the stats count both walks.
-  LookupRef resolveLeaf(double key, Fetch fetch = Fetch::IfChanged);
+  LookupRef resolveLeaf(double key, bool heldSuffices = false);
 
-  /// Insert's and erase's write loop: resolves the leaf covering `key`,
-  /// applies the op `opFor` builds for its DHT key, and re-resolves while
-  /// the op finds the leaf stale; charges every lookup and apply to the
-  /// insertion meter and `st`. Returns the leaf that took the op and what
-  /// its apply kept. `hole` and `moving` are the invariant messages for an
-  /// uncovered key and for a leaf that kept moving.
+  /// Insert's and erase's write loop: resolves the leaf covering `key`
+  /// (a warm first try takes the held copy, with no read), applies the op
+  /// `opFor` builds for its DHT key starting from that bucket, and
+  /// re-resolves while the op finds the leaf stale; charges every lookup
+  /// and apply to the insertion meter and `st`. Returns the leaf that took
+  /// the op and what its apply kept. `hole` and `moving` are the invariant
+  /// messages for an uncovered key and for a leaf that kept moving.
   struct LeafWrite { LookupRef leaf; BucketOpResult result; };
   template <typename OpForLeaf>  // BucketOp(const std::string& leafKey)
   LeafWrite writeLeaf(double key, const OpForLeaf& opFor, const char* hole,

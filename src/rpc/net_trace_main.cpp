@@ -19,8 +19,10 @@
 // transient unavailability is separated from actual data loss.
 //
 // The fleet's readers send conditional reads (DESIGN.md §14) while its
-// writers change buckets on the live daemons; routed_stats counts the
-// read entries that carried a digest and those answered `unchanged`.
+// writers change buckets on the live daemons, starting from the buckets
+// they hold (DESIGN.md §15); routed_stats counts the read entries that
+// carried a digest and those answered `unchanged`, and the applies that
+// began from a start and those whose CAS from it conflicted.
 //
 // Prints one JSON object on stdout. Exit codes: 0 ok, 2 flag error,
 // 3 cluster never came up, 4 trace ops failed, 5 oracle mismatch.
@@ -199,7 +201,8 @@ int main(int argc, char** argv) {
       "\"routed_stats\": {\"bootstraps\": %llu, \"refreshes\": %llu, "
       "\"redirects_followed\": %llu, \"stale_hints\": %llu, "
       "\"retries_after_timeout\": %llu, \"known_members\": %zu, "
-      "\"conditional_reads\": %llu, \"unchanged_reads\": %llu}, ",
+      "\"conditional_reads\": %llu, \"unchanged_reads\": %llu, "
+      "\"applies_from_start\": %llu, \"start_conflicts\": %llu}, ",
       static_cast<unsigned long long>(rs.bootstraps),
       static_cast<unsigned long long>(rs.refreshes),
       static_cast<unsigned long long>(rs.redirectsFollowed),
@@ -207,7 +210,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(rs.retriesAfterTimeout),
       ndht.knownMembers(),
       static_cast<unsigned long long>(rs.conditionalReads),
-      static_cast<unsigned long long>(rs.unchangedReads));
+      static_cast<unsigned long long>(rs.unchangedReads),
+      static_cast<unsigned long long>(rs.appliesFromStart),
+      static_cast<unsigned long long>(rs.startConflicts));
   std::printf(
       "\"net\": {\"datagrams_sent\": %llu, \"datagrams_received\": %llu, "
       "\"retransmits\": %llu, \"timeouts\": %llu, \"connections\": %llu}, ",

@@ -163,9 +163,15 @@ CasRep NodeServer::doCas(const CasReq& entry) {
   auto it = primary_.find(entry.key);
   const u64 storedVersion = (it == primary_.end()) ? 0 : it->second.version;
   rep.existedBefore = it != primary_.end();
-  if (storedVersion != entry.expectedVersion) {
+  // The guard is the stored bytes' digest, taken here as doGet takes it:
+  // a version restarts after an erase, the bytes of a recreated key do not
+  // match an old copy's.
+  const u64 storedDigest =
+      it == primary_.end() ? 0 : common::hash::valueDigest(it->second.value);
+  if (storedDigest != entry.expected) {
     // Conflict: ship back current state so the client can re-run its
     // mutator without another GET round.
+    stats_.casConflicts += 1;
     rep.applied = false;
     rep.currentVersion = storedVersion;
     if (it != primary_.end()) {

@@ -13,17 +13,22 @@
 // client's view as it is, and Join/Leave with refusals. Handoff it
 // executes for real, since bulk key install is pure storage.
 //
-// Versioned CAS: every stored value carries a u64 version, bumped on each
-// mutation. Dht::apply's read-modify-write becomes read (value, version)
-// → run mutator client-side → CAS(expectedVersion). The read is the
-// client thread's own get() of the key when that was its previous call
-// (an index write right after its leaf read then costs one round, the
-// CAS), else a GET. A CAS against a stale version fails and returns the
-// current (version, value) so the client retries the mutator without an
-// extra round. expectedVersion 0 means "expect absent". A key created
-// again after an erase restarts at version 1, so a CAS cannot tell that
-// value from an older one with the same version; the client keeps the
-// read-to-CAS window to the caller's work between two adjacent calls.
+// Digest-guarded CAS: Dht::apply's read-modify-write becomes start from
+// a value → run the mutator client-side → CAS(expected). `expected` is
+// the valueDigest of the value the writer started from (0: it expects the
+// key absent): a fresh read, a conflict reply, or a copy the writer held
+// from before the call (a bucket the index already has). The CAS applies
+// only while the stored value still has that digest; doCas hashes the
+// stored value when the CAS arrives, as doGet does, and keeps no digest.
+// A CAS that fails returns the current value, so the client re-runs the
+// mutator without an extra round. The guard names bytes, not a version:
+// a key erased and created again restarts at version 1, but its new bytes
+// do not match a copy of the old ones, so a held copy cannot overwrite
+// the recreated value. Bytes equal to the start are safe to write over
+// because a mutator is a function of the bytes it runs on. The accepted
+// risk is a 64-bit collision. Every stored value still carries a u64
+// version, bumped on each mutation and returned in CasRep, which the
+// client's replica push carries.
 //
 // At-most-once: retransmitted requests must not re-execute mutations
 // (a retried CAS would spuriously conflict with its own first execution).
@@ -88,6 +93,8 @@ class NodeServer {
     common::RelaxedCounter prefixReplies;
     /// Get and MultiGet entries answered `unchanged` (no value shipped).
     common::RelaxedCounter unchangedReads;
+    /// Cas and MultiCas entries whose guard did not match (not applied).
+    common::RelaxedCounter casConflicts;
   };
 
   NodeServer() : NodeServer(Options{}) {}

@@ -18,8 +18,14 @@ RpcClient::RpcClient(Transport& transport, Options options)
   // inherits its predecessor's ephemeral port and restarts at id 1 would
   // otherwise match the server dedup cache's (host, port, requestId)
   // keys and be answered with replayed replies to someone else's calls.
+  // The start is uniform in [1, 2^34], so an id stays under 2^35, five
+  // varint bytes, for 2^34 calls: a 9-byte header. A restart on the same
+  // port collides only if its first ids fall within a dedup window
+  // (dedupCapacity 4096) of its predecessor's last: odds about
+  // 2 * 4096 / 2^34, 5e-7, per same-port restart.
   std::random_device rd;
-  nextId_ = (u64{rd()} << 16) | 1;
+  const u64 bits = (u64{rd()} << 32) | rd();
+  nextId_ = (bits & ((u64{1} << 34) - 1)) + 1;
 }
 
 RpcClient::Token RpcClient::call(const NetAddr& to, RequestBody body,

@@ -21,6 +21,7 @@ void exportNodeServerMetrics(const NodeServer::Stats& stats,
   registry.counter("rpc.server.oversized_replies").add(stats.oversizedReplies);
   registry.counter("rpc.server.prefix_replies").add(stats.prefixReplies);
   registry.counter("rpc.server.unchanged_reads").add(stats.unchangedReads);
+  registry.counter("rpc.server.cas_conflicts").add(stats.casConflicts);
 }
 
 void exportTransportMetrics(const TransportStats& stats,

@@ -27,7 +27,7 @@ void exportRpcClientMetrics(const RpcClient::Stats& stats,
                             obs::MetricsRegistry& registry);
 
 /// rpc.server.requests_handled / dedup_hits / bad_requests /
-/// oversized_replies / prefix_replies / unchanged_reads.
+/// oversized_replies / prefix_replies / unchanged_reads / cas_conflicts.
 void exportNodeServerMetrics(const NodeServer::Stats& stats,
                              obs::MetricsRegistry& registry);
 

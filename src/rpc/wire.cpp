@@ -113,7 +113,7 @@ void fields(V& v, B& b) {
 template <class V, OneOf<CasReq> B>
 void fields(V& v, B& b) {
   v.bytes(b.key);
-  v.varint(b.expectedVersion);
+  v.varint(b.expected);  // a digest, 0 for a writer that expects no value
   v.flag(b.present);
   if (b.present) v.bytes(b.value);  // an erase carries no value
 }

@@ -169,11 +169,12 @@ struct RemoveReq {
   std::string key;
   bool operator==(const RemoveReq&) const = default;
 };
-/// Optimistic read-modify-write: applies iff the key's stored version
-/// still equals expectedVersion (0 = expect absent). present=false erases.
+/// Optimistic read-modify-write: applies iff the key's stored value still
+/// has the valueDigest `expected`, the digest of the value the writer
+/// started from (0 = expect absent). present=false erases.
 struct CasReq {
   std::string key;
-  u64 expectedVersion = 0;
+  u64 expected = 0;
   bool present = true;
   std::string value;
   bool operator==(const CasReq&) const = default;
@@ -266,7 +267,8 @@ struct CasRep {
   bool existedBefore = false;
   /// Current state after (applied) or instead of (conflict) the write;
   /// on conflict the value rides along so the caller can re-run its
-  /// mutator without another GET round.
+  /// mutator without another GET round. The version is the daemon's own
+  /// (a replica push carries it); the guard never reads it.
   u64 currentVersion = 0;
   bool currentPresent = false;
   std::string currentValue;

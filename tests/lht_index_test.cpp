@@ -452,5 +452,69 @@ TEST(LhtIndexLookupFallback, WritesChargeTheSearchThatFoundNoLeaf) {
   checkStructure(local, idx);
 }
 
+/// Checks every bucket value written through it: it decodes, and
+/// serializing the decoded bucket gives back its bytes. A write that
+/// starts from a held bucket sends that bucket serialized again, and its
+/// CAS is guarded by the digest of those bytes, so a current copy matches
+/// only if serialize inverts decode.
+class ReserializeCheck final : public dht::ForwardingDht {
+ public:
+  using ForwardingDht::ForwardingDht;
+  void put(const dht::Key& key, dht::Value value) override {
+    check(value);
+    inner_.put(key, std::move(value));
+  }
+  void storeDirect(const dht::Key& key, dht::Value value) override {
+    check(value);
+    inner_.storeDirect(key, std::move(value));
+  }
+  bool apply(const dht::Key& key, const dht::Mutator& fn) override {
+    return inner_.apply(key, checked(fn));
+  }
+  std::vector<dht::ApplyOutcome> multiApply(
+      const std::vector<dht::ApplyRequest>& reqs) override {
+    std::vector<dht::ApplyRequest> wrapped;
+    for (const auto& r : reqs) wrapped.push_back({r.key, checked(r.fn)});
+    return inner_.multiApply(wrapped);
+  }
+  size_t written = 0;
+
+ private:
+  dht::Mutator checked(const dht::Mutator& fn) {
+    return [this, &fn](std::optional<dht::Value>& v) {
+      fn(v);
+      if (v.has_value()) check(*v);
+    };
+  }
+  void check(const std::string& bytes) {
+    written += 1;
+    const auto bucket = LeafBucket::deserialize(bytes);
+    ASSERT_TRUE(bucket.has_value());
+    EXPECT_EQ(bucket->serialize(), bytes);
+  }
+};
+
+TEST(LhtIndex, EveryWrittenBucketReserializesToItsBytes) {
+  // Each split mode, merges of both kinds, bulk loads and the caches.
+  std::vector<LhtIndex::Options> configs(3, smallOpts(8));
+  configs[0].crashConsistentSplits = true;
+  configs[0].useLeafCache = true;
+  configs[0].cacheDecodedBuckets = true;
+  configs[2].allowCascadingSplits = true;
+  for (const LhtIndex::Options& o : configs) {
+    dht::LocalDht local;
+    ReserializeCheck dht(local);
+    LhtIndex idx(dht, o);
+    auto recs = workload::makeDataset(workload::Distribution::Uniform, 600, 41);
+    const std::vector<index::Record> batch(recs.begin() + 400, recs.end());
+    recs.resize(400);
+    for (const auto& r : recs) ASSERT_TRUE(idx.insert(r).ok);
+    for (size_t i = 0; i < 300; ++i) (void)idx.erase(recs[i].key);
+    ASSERT_TRUE(idx.insertBatch(batch).ok);
+    EXPECT_GT(idx.meters().maintenance.merges, 0u);
+    EXPECT_GT(dht.written, 700u);
+  }
+}
+
 }  // namespace
 }  // namespace lht::core

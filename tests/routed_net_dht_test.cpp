@@ -6,7 +6,8 @@
 //    no threads, no retransmits, and a node taken offline times out on a
 //    short deadline. The StaticCluster, NetDhtReadSlot, NetDhtIndex,
 //    NetDhtFleet and NetDhtBytes suites run here: Dht conformance (put/
-//    get/remove/apply/batches/replica reads), failure mapping (offline
+//    get/remove/apply/batches/replica reads), applies from a read the
+//    caller kept (the ReadSlot suites), failure mapping (offline
 //    node -> DhtTimeoutError, silent replica holder -> DhtPeerDownError),
 //    decorator stacking, the connection pool under concurrent callers, the
 //    full LhtIndex against an oracle, and the exact wire bytes of warm
@@ -486,150 +487,176 @@ void expectOversizedEntryFailsAloneAndFast(AnyCluster& c) {
   }
 }
 
-// apply() starts from the calling thread's immediately preceding get().
+// applyFrom(): an apply that starts from the caller's copy of the value
+// (here a get() just before), its CAS guarded by the copy's digest. The
+// ReadSlot suites run these on both clusters.
 
 void expectGetThenApplySavesTheGetRound(AnyCluster& c) {
   RequestCounts sent;
   auto dht = c.client(/*replication=*/2, &sent);
   dht->put("k", "v");
-  // The requests an apply sends. Only an exact cluster pins the total too:
-  // on a threaded one a gossip hint's version bump can add a view pull.
-  const auto applyRequests = [&] {
-    return sent(Op::Get) + sent(Op::Cas) + sent(Op::ReplicaPut);
+  struct Sent { size_t get, cas, replicaPut, total; };
+  const auto now = [&] {
+    return Sent{sent(Op::Get), sent(Op::Cas), sent(Op::ReplicaPut), sent.total()};
   };
-  const auto expectSent = [&](size_t opBefore, size_t totalBefore, size_t n) {
-    EXPECT_EQ(applyRequests() - opBefore, n);
+  // Only an exact cluster pins the total too: on a threaded one a gossip
+  // hint's version bump can add a view pull.
+  const auto expectSent = [&](const Sent& before, size_t get, size_t cas) {
+    const Sent after = now();
+    EXPECT_EQ(after.get - before.get, get);
+    EXPECT_EQ(after.cas - before.cas, cas);
+    EXPECT_EQ(after.replicaPut - before.replicaPut, 1u);
     if (c.exact()) {
-      EXPECT_EQ(sent.total() - totalBefore, n);
+      EXPECT_EQ(after.total - before.total, get + cas + 1);
     }
   };
-  // No read before the apply: GET, CAS, replica push.
-  size_t opBefore = applyRequests();
-  size_t totalBefore = sent.total();
+  // No start: GET, CAS, replica push.
+  Sent before = now();
   EXPECT_TRUE(dht->apply("k", appendTo("+1")));
-  expectSent(opBefore, totalBefore, 3);
-  EXPECT_EQ(sent(Op::Get), 1u);
-  EXPECT_EQ(sent(Op::Cas), 1u);
-  // get(k) right before: the apply CASes against that read.
-  ASSERT_EQ(dht->get("k"), "v+1");
-  opBefore = applyRequests();
-  totalBefore = sent.total();
-  EXPECT_TRUE(dht->apply("k", appendTo("+2")));
-  expectSent(opBefore, totalBefore, 2);
-  EXPECT_EQ(sent(Op::Get), 2u);
-  EXPECT_EQ(sent(Op::Cas), 2u);
+  expectSent(before, 1, 1);
+  // A start equal to the stored value: the CAS and the replica push only.
+  const auto read = dht->get("k");
+  ASSERT_EQ(read, "v+1");
+  before = now();
+  EXPECT_TRUE(dht->applyFrom("k", *read, appendTo("+2")));
+  expectSent(before, 0, 1);
   EXPECT_EQ(dht->get("k"), "v+1+2");
   EXPECT_EQ(dht->getReplica("k", 0), "v+1+2");
-  // An absent read works the same way (expect-absent CAS).
-  ASSERT_FALSE(dht->get("fresh").has_value());
-  opBefore = applyRequests();
-  totalBefore = sent.total();
-  EXPECT_FALSE(dht->apply("fresh", appendTo("new")));
-  expectSent(opBefore, totalBefore, 2);
-  EXPECT_EQ(dht->get("fresh"), "new");
+  const auto rs = dht->routedStats();
+  EXPECT_EQ(rs.appliesFromStart, 1u);
+  EXPECT_EQ(rs.startConflicts, 0u);
   // Still one hop per DHT-lookup.
   EXPECT_EQ(dht->stats().hops.load(), dht->stats().lookups.load());
 }
 
 void expectWriteBetweenGetAndApplyConflictsAndRerunsOnFreshState(
     AnyCluster& c) {
-  auto dht = c.client(1, nullptr);
+  RequestCounts sent;
+  auto dht = c.client(1, &sent);
   auto rival = c.client(1, nullptr);
   dht->put("k", "base");
-  ASSERT_EQ(dht->get("k"), "base");
+  const auto read = dht->get("k");
+  ASSERT_EQ(read, "base");
   rival->put("k", "rival");
   std::vector<std::string> seen;
-  EXPECT_TRUE(dht->apply("k", [&](std::optional<Value>& v) {
+  const size_t gets = sent(Op::Get);
+  EXPECT_TRUE(dht->applyFrom("k", *read, [&](std::optional<Value>& v) {
     seen.push_back(v.value_or("<absent>"));
     v = v.value_or("") + "+applied";
   }));
-  // The first run used the stale read; the CAS conflict carried the
-  // rival's value, and the stored value is the mutator applied to it.
+  // The first run used the stale start; the CAS conflict carried the
+  // rival's value, with no GET round, and the stored value is the mutator
+  // applied to it.
   EXPECT_EQ(seen, (std::vector<std::string>{"base", "rival"}));
+  EXPECT_EQ(sent(Op::Get), gets);
   EXPECT_EQ(dht->get("k"), "rival+applied");
+  const auto rs = dht->routedStats();
+  EXPECT_EQ(rs.appliesFromStart, 1u);
+  EXPECT_EQ(rs.startConflicts, 1u);
+}
 
-  // The key vanishes between the read and the apply: the write lands on
-  // the absent state, and apply reports that the key did not exist.
-  ASSERT_TRUE(dht->get("k").has_value());
+/// The key vanishes between the read and the apply: the write lands on
+/// the absent state, and applyFrom reports that the key did not exist.
+void expectErasedAfterTheReadRerunsOnAbsent(AnyCluster& c) {
+  auto dht = c.client(1, nullptr);
+  auto rival = c.client(1, nullptr);
+  dht->put("k", "base");
+  const auto read = dht->get("k");
+  ASSERT_TRUE(read.has_value());
   ASSERT_TRUE(rival->remove("k"));
-  seen.clear();
-  EXPECT_FALSE(dht->apply("k", [&](std::optional<Value>& v) {
+  std::vector<std::string> seen;
+  EXPECT_FALSE(dht->applyFrom("k", *read, [&](std::optional<Value>& v) {
     seen.push_back(v.value_or("<absent>"));
     v = v.value_or("") + "!";
   }));
-  EXPECT_EQ(seen, (std::vector<std::string>{"rival+applied", "<absent>"}));
+  EXPECT_EQ(seen, (std::vector<std::string>{"base", "<absent>"}));
   EXPECT_EQ(dht->get("k"), "!");
 }
 
-void expectCreateIfAbsentRereadsBeforeTrustingAPresentRead(AnyCluster& c) {
+/// ROADMAP item 10's first probe case: a rival erases the key the client
+/// read, creates it again and writes it back up to the version the client
+/// read, with other bytes. A version guard would let the client's write
+/// land on the new bytes; the digest guard conflicts and the mutator runs
+/// on the rival's value.
+void expectRecreatedKeyAtTheSameVersionRerunsOnTheNewBytes(AnyCluster& c) {
   auto dht = c.client(1, nullptr);
   auto rival = c.client(1, nullptr);
-  dht->put("k", "old");
-  ASSERT_EQ(dht->get("k"), "old");
+  dht->put("k", "old-1");
+  dht->put("k", "old-2");
+  const auto read = dht->get("k");
+  ASSERT_EQ(read, "old-2");
   ASSERT_TRUE(rival->remove("k"));
-  // On the read, the key is present and the mutator changes nothing. That
-  // verdict must not stand on a read from before the call: the loop
-  // re-reads, finds the key gone, and the mutator creates it.
-  int runs = 0;
-  EXPECT_FALSE(dht->apply("k", [&](std::optional<Value>& v) {
-    ++runs;
-    if (!v.has_value()) v = "created";
+  rival->put("k", "new-1");
+  rival->put("k", "new-2");
+  size_t holders = 0;
+  for (rpc::NodeServer* s : c.stores()) {
+    if (auto rec = s->primaryRecord("k")) {
+      holders += 1;
+      EXPECT_EQ(rec->first, 2u);  // back at the version the client read
+    }
+  }
+  ASSERT_EQ(holders, 1u);
+  std::vector<std::string> seen;
+  EXPECT_TRUE(dht->applyFrom("k", *read, [&](std::optional<Value>& v) {
+    seen.push_back(v.value_or("<absent>"));
+    v = v.value_or("") + "+A";
   }));
-  EXPECT_EQ(runs, 2);
-  EXPECT_EQ(dht->get("k"), "created");
+  EXPECT_EQ(seen, (std::vector<std::string>{"old-2", "new-2"}));
+  EXPECT_EQ(dht->get("k"), "new-2+A");
 }
 
-void expectOnlyTheSameThreadsPreviousCallCounts(AnyCluster& c) {
+void expectCreateIfAbsentRereadsBeforeTrustingAPresentRead(AnyCluster& c) {
   RequestCounts sent;
   auto dht = c.client(1, &sent);
-  dht->put("k", "v");
-  dht->put("other", "o");
-  for (rpc::NodeServer* s : c.stores()) {  // on every node, so on the owner
-    s->installPrimary("huge", 1, std::string(rpc::kMaxDatagramBytes, 'x'));
-  }
-  // Rounds the apply itself sends: its GET, if any, and its CAS.
-  auto applyRounds = [&] {
-    const size_t before = sent(Op::Get) + sent(Op::Cas);
-    EXPECT_TRUE(dht->apply("k", appendTo(".")));
-    return sent(Op::Get) + sent(Op::Cas) - before;
+  auto rival = c.client(1, nullptr);
+  dht->put("k", "old");
+  const auto read = dht->get("k");
+  ASSERT_EQ(read, "old");
+  ASSERT_TRUE(rival->remove("k"));
+  // On the start, the key is present and the mutator changes nothing. That
+  // verdict must not stand on a value from before the call: the loop
+  // re-reads, finds the key gone, and the mutator creates it.
+  int runs = 0;
+  const auto createIfAbsent = [&](std::optional<Value>& v) {
+    ++runs;
+    if (!v.has_value()) v = "created";
   };
-  ASSERT_TRUE(dht->get("k").has_value());
-  EXPECT_EQ(applyRounds(), 1u);  // CAS only
+  EXPECT_FALSE(dht->applyFrom("k", *read, createIfAbsent));
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(dht->get("k"), "created");
 
-  // Each call between the get and the apply sends the apply back to the
-  // GET round.
-  ASSERT_TRUE(dht->get("k").has_value());
-  dht->put("other", "o2");
-  EXPECT_EQ(applyRounds(), 2u);
+  // On a start still stored, the re-read carries its digest and comes
+  // back `unchanged`: the outcome stands with no value shipped and no CAS.
+  const auto current = dht->get("k");
+  const size_t gets = sent(Op::Get);
+  const size_t cas = sent(Op::Cas);
+  const auto rs0 = dht->routedStats();
+  runs = 0;
+  EXPECT_TRUE(dht->applyFrom("k", *current, createIfAbsent));
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(sent(Op::Get) - gets, 1u);
+  EXPECT_EQ(sent(Op::Cas), cas);
+  const auto rs1 = dht->routedStats();
+  EXPECT_EQ(rs1.conditionalReads - rs0.conditionalReads, 1u);
+  EXPECT_EQ(rs1.unchangedReads - rs0.unchangedReads, 1u);
+}
 
-  ASSERT_TRUE(dht->get("k").has_value());
-  EXPECT_FALSE(dht->remove("absent"));
-  EXPECT_EQ(applyRounds(), 2u);
-
-  ASSERT_TRUE(dht->get("k").has_value());
-  (void)dht->multiGet({"other", "k"});
-  EXPECT_EQ(applyRounds(), 2u);
-
-  ASSERT_TRUE(dht->get("k").has_value());
-  ASSERT_TRUE(dht->get("other").has_value());
-  EXPECT_EQ(applyRounds(), 2u);
-
-  // A get that throws leaves no read behind: not even the one before it.
-  ASSERT_TRUE(dht->get("k").has_value());
-  EXPECT_THROW((void)dht->get("huge"), DhtError);
-  EXPECT_EQ(applyRounds(), 2u);
-
-  // Another thread's read is not this thread's read.
-  ASSERT_TRUE(dht->get("k").has_value());
-  size_t otherThreadRounds = 0;
-  std::thread([&] { otherThreadRounds = applyRounds(); }).join();
-  EXPECT_EQ(otherThreadRounds, 2u);
-  // This thread's read is now stale: the CAS conflicts and the mutator
-  // re-runs on the state the conflict reply carries, with no GET.
-  const size_t getsBefore = sent(Op::Get);
-  EXPECT_EQ(applyRounds(), 2u);
-  EXPECT_EQ(sent(Op::Get), getsBefore);
-  EXPECT_EQ(dht->get("k"), "v........");
+/// A start that was never stored costs a conflict round and ends where an
+/// apply with no start ends, on a present key and on an absent one.
+void expectGarbageStartEndsLikeNoStart(AnyCluster& c) {
+  auto dht = c.client(1, nullptr);
+  const std::string garbage("\x00\xff not a stored value", 22);
+  dht->put("a", "v");
+  dht->put("b", "v");
+  EXPECT_TRUE(dht->apply("a", appendTo("+x")));
+  EXPECT_TRUE(dht->applyFrom("b", garbage, appendTo("+x")));
+  EXPECT_EQ(dht->get("b"), "v+x");
+  EXPECT_EQ(dht->get("a"), dht->get("b"));
+  EXPECT_FALSE(dht->apply("c", appendTo("+x")));
+  EXPECT_FALSE(dht->applyFrom("d", garbage, appendTo("+x")));
+  EXPECT_EQ(dht->get("d"), "+x");
+  EXPECT_EQ(dht->get("c"), dht->get("d"));
+  EXPECT_EQ(dht->routedStats().startConflicts, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -893,33 +920,31 @@ TEST(NetDhtReadSlot, WriteBetweenGetAndApplyConflictsAndRerunsOnFreshState) {
   expectWriteBetweenGetAndApplyConflictsAndRerunsOnFreshState(c);
 }
 
+TEST(NetDhtReadSlot, ErasedAfterTheReadRerunsOnAbsent) {
+  StaticCluster c(2);
+  expectErasedAfterTheReadRerunsOnAbsent(c);
+}
+
+TEST(NetDhtReadSlot, RecreatedKeyAtTheSameVersionRerunsOnTheNewBytes) {
+  StaticCluster c(2);
+  expectRecreatedKeyAtTheSameVersionRerunsOnTheNewBytes(c);
+}
+
 TEST(NetDhtReadSlot, CreateIfAbsentRereadsBeforeTrustingAPresentRead) {
   StaticCluster c(2);
   expectCreateIfAbsentRereadsBeforeTrustingAPresentRead(c);
 }
 
-TEST(NetDhtReadSlot, OnlyTheSameThreadsPreviousCallCounts) {
+TEST(NetDhtReadSlot, GarbageStartEndsLikeNoStart) {
   StaticCluster c(2);
-  expectOnlyTheSameThreadsPreviousCallCounts(c);
-
-  // A get of the same key that times out leaves no read behind either (a
-  // short deadline only the inline hub honours deterministically).
-  RequestCounts sent;
-  auto dht = c.makeDht(/*replication=*/1, /*deadlineMs=*/200, &sent);
-  ASSERT_TRUE(dht->get("k").has_value());
-  const rpc::u16 owner = c.addrs[c.primaryOf("k")].port;
-  c.hub.setOnline(owner, false);
-  EXPECT_THROW((void)dht->get("k"), DhtTimeoutError);
-  c.hub.setOnline(owner, true);
-  const size_t before = sent(Op::Get) + sent(Op::Cas);
-  EXPECT_TRUE(dht->apply("k", appendTo(".")));
-  EXPECT_EQ(sent(Op::Get) + sent(Op::Cas) - before, 2u);
+  expectGarbageStartEndsLikeNoStart(c);
 }
 
-TEST(NetDhtReadSlot, ThreadsKeepTheirOwnSlots) {
-  // Every thread reads a shared counter and increments it through apply:
-  // each apply starts from its own thread's read, conflicts when another
-  // thread got there first, and no increment is lost.
+TEST(NetDhtReadSlot, ConcurrentStartsLoseNoIncrement) {
+  // Every thread reads a shared counter and increments it through an
+  // apply from its read: each conflicts when another thread got there
+  // first and re-runs on the value the conflict carries, and no increment
+  // is lost.
   StaticCluster c(2);
   RoutedNetDht::Options o;
   o.members = c.addrs;
@@ -928,17 +953,20 @@ TEST(NetDhtReadSlot, ThreadsKeepTheirOwnSlots) {
       std::make_unique<RoutedNetDht>(o, [&c] { return c.hub.makeEndpoint(); });
   dht->put("counter", "0");
   constexpr int kThreads = 4;
-  constexpr int kIncrements = 50;
+  constexpr int kIncrements = 200;
+  std::atomic<int> ready{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&dht, t] {
+    threads.emplace_back([&dht, &ready, t] {
       const std::string own = "own-" + std::to_string(t);
+      // Start together, so the reads and applies interleave.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
       for (int i = 0; i < kIncrements; ++i) {
-        (void)dht->get("counter");
-        EXPECT_TRUE(dht->apply("counter", [](std::optional<Value>& v) {
+        const auto read = dht->get("counter");
+        EXPECT_TRUE(dht->applyFrom("counter", read.value(), [](std::optional<Value>& v) {
           v = std::to_string(std::stoi(v.value()) + 1);
         }));
-        (void)dht->get(own);
         dht->apply(own, appendTo("x"));
       }
     });
@@ -949,6 +977,8 @@ TEST(NetDhtReadSlot, ThreadsKeepTheirOwnSlots) {
     EXPECT_EQ(dht->get("own-" + std::to_string(t)),
               std::string(kIncrements, 'x'));
   }
+  const auto rs = dht->routedStats();
+  EXPECT_EQ(rs.appliesFromStart, static_cast<common::u64>(kThreads * kIncrements));
 }
 
 // LhtIndex end-to-end over the static cluster.
@@ -1316,6 +1346,86 @@ TEST(NetDhtBytes, WarmReadsMoveDigestsInsteadOfBuckets) {
   EXPECT_EQ(served, rs.unchangedReads);
 }
 
+/// Index writes from held buckets, exact over CountingSim: theta = 100,
+/// perfbench's client options and replication. A warm insert sends its CAS
+/// from the held leaf and one replica push: four datagrams, no GET. A
+/// split's step 3 starts from the copy its step 1 left, so only step 2,
+/// which creates the moved child, reads. The children are then cached, and
+/// the next insert into either is warm again.
+TEST(NetDhtBytes, WarmInsertsCasFromTheHeldBucket) {
+  StaticCluster c(4);
+  core::LhtIndex::Options o;
+  o.useLeafCache = true;
+  o.cacheDecodedBuckets = true;
+  o.crashConsistentSplits = true;
+  auto loadDht = c.makeDht(2);
+  core::LhtIndex loader(*loadDht, o);
+  const auto recs = benchPreload();
+  ASSERT_TRUE(loader.insertBatch(recs).ok);
+
+  RequestCounts counts;
+  auto dht = c.makeDht(2, 2000, &counts);
+  o.attachExisting = true;
+  o.clientSeed = 2;
+  core::LhtIndex writer(*dht, o);
+  ASSERT_EQ(writer.rangeQuery(0.0, 1.0).records.size(), recs.size());  // warm
+  const auto leaf = writer.lookup(recs[4321].key).bucket;
+  ASSERT_TRUE(leaf.has_value());
+
+  struct Sent {
+    size_t datagrams = 0, get = 0, cas = 0, replicaPut = 0;
+    common::u64 lookups = 0, cacheMisses = 0;
+  };
+  const auto now = [&] {
+    return Sent{counts.bytes().datagrams, counts(Op::Get),
+                counts(Op::Cas),          counts(Op::ReplicaPut),
+                dht->stats().lookups.load(), writer.leafCache().misses()};
+  };
+  /// What one insert of `key` sent, and whether it split.
+  const auto insert = [&](double key, bool& split) {
+    const Sent b = now();
+    const auto r = writer.insert(index::Record{key, "rec-new"});
+    EXPECT_TRUE(r.ok);
+    split = r.splitOrMerged;
+    const Sent a = now();
+    return Sent{a.datagrams - b.datagrams, a.get - b.get,
+                a.cas - b.cas,             a.replicaPut - b.replicaPut,
+                a.lookups - b.lookups,     a.cacheMisses - b.cacheMisses};
+  };
+  const auto expectWarm = [](const Sent& s) {
+    EXPECT_EQ(s.datagrams, 4u);
+    EXPECT_EQ(s.get, 0u);
+    EXPECT_EQ(s.cas, 1u);
+    EXPECT_EQ(s.replicaPut, 1u);
+    EXPECT_EQ(s.lookups, 1u);
+    EXPECT_EQ(s.cacheMisses, 0u);
+  };
+
+  // Fill the leaf: every insert but the last is warm; the last splits it.
+  const size_t room = 99 - leaf->records.size();  // effective size 100 splits
+  ASSERT_GE(room, 2u);
+  bool split = false;
+  for (size_t i = 1; i < room; ++i) {
+    expectWarm(insert(keyIn(*leaf, (static_cast<double>(i) + 0.31) / (room + 1)), split));
+    ASSERT_FALSE(split) << i;
+  }
+  const Sent splitting = insert(keyIn(*leaf, 0.999), split);
+  ASSERT_TRUE(split);
+  EXPECT_EQ(splitting.get, 1u);  // step 2's read of the moved child's key
+  EXPECT_EQ(splitting.cas, 3u);  // the insert, step 2, step 3
+  EXPECT_EQ(splitting.replicaPut, 3u);
+  EXPECT_EQ(splitting.datagrams, 14u);
+  EXPECT_EQ(splitting.lookups, 3u);
+
+  // Both children are cached with their held copies.
+  expectWarm(insert(keyIn(*leaf, 0.25), split));
+  expectWarm(insert(keyIn(*leaf, 0.75), split));
+  ASSERT_FALSE(split);
+  const auto rs = dht->routedStats();
+  EXPECT_EQ(rs.startConflicts, 0u);
+  EXPECT_EQ(rs.appliesFromStart, room + 3);  // every insert, and step 3
+}
+
 // ---------------------------------------------------------------------------
 // Served overlay cluster
 // ---------------------------------------------------------------------------
@@ -1463,16 +1573,28 @@ TEST(RoutedNetDhtReadSlot, WriteBetweenGetAndApplyConflictsAndRerunsOnFreshState
   expectWriteBetweenGetAndApplyConflictsAndRerunsOnFreshState(c);
 }
 
+TEST(RoutedNetDhtReadSlot, ErasedAfterTheReadRerunsOnAbsent) {
+  ServedCluster c(2);
+  c.serveAll();
+  expectErasedAfterTheReadRerunsOnAbsent(c);
+}
+
+TEST(RoutedNetDhtReadSlot, RecreatedKeyAtTheSameVersionRerunsOnTheNewBytes) {
+  ServedCluster c(2);
+  c.serveAll();
+  expectRecreatedKeyAtTheSameVersionRerunsOnTheNewBytes(c);
+}
+
 TEST(RoutedNetDhtReadSlot, CreateIfAbsentRereadsBeforeTrustingAPresentRead) {
   ServedCluster c(2);
   c.serveAll();
   expectCreateIfAbsentRereadsBeforeTrustingAPresentRead(c);
 }
 
-TEST(RoutedNetDhtReadSlot, OnlyTheSameThreadsPreviousCallCounts) {
+TEST(RoutedNetDhtReadSlot, GarbageStartEndsLikeNoStart) {
   ServedCluster c(2);
   c.serveAll();
-  expectOnlyTheSameThreadsPreviousCallCounts(c);
+  expectGarbageStartEndsLikeNoStart(c);
 }
 
 TEST(RoutedNetDhtIndex, StaleCopiesAreRefetchedByEveryReadOnlyOp) {

@@ -39,6 +39,7 @@ TEST(RpcMetrics, ServerCountersLand) {
   stats.oversizedReplies += 4;
   stats.prefixReplies += 3;
   stats.unchangedReads += 2;
+  stats.casConflicts += 1;
   obs::MetricsRegistry reg;
   exportNodeServerMetrics(stats, reg);
   EXPECT_EQ(reg.counterValue("rpc.server.requests_handled"), 7u);
@@ -47,6 +48,7 @@ TEST(RpcMetrics, ServerCountersLand) {
   EXPECT_EQ(reg.counterValue("rpc.server.oversized_replies"), 4u);
   EXPECT_EQ(reg.counterValue("rpc.server.prefix_replies"), 3u);
   EXPECT_EQ(reg.counterValue("rpc.server.unchanged_reads"), 2u);
+  EXPECT_EQ(reg.counterValue("rpc.server.cas_conflicts"), 1u);
 }
 
 TEST(RpcMetrics, TransportCountersLand) {

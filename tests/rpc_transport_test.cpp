@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -110,10 +111,10 @@ TEST(RpcClient, LostReplyDoesNotReExecute) {
   auto endpoint = hub.makeEndpoint();
   RpcClient cli(*endpoint);
 
-  // CAS at expectedVersion 0 (expect-absent). The first request executes
-  // (version -> 1) but its reply is lost; the retransmit must be answered
-  // from the dedup cache, NOT re-executed — a re-execution would see
-  // version 1 != expected 0 and spuriously conflict.
+  // CAS expecting the key absent (guard 0). The first request executes
+  // but its reply is lost; the retransmit must be answered from the dedup
+  // cache, NOT re-executed — a re-execution would find the value it wrote
+  // where it expects none and spuriously conflict.
   auto r = cli.callOne(NetAddr{0, 1000}, CasReq{"k", 0, true, "v1"});
   ASSERT_TRUE(r.ok());
   const auto& rep = std::get<CasRep>(r.body);
@@ -121,6 +122,33 @@ TEST(RpcClient, LostReplyDoesNotReExecute) {
   EXPECT_GE(r.sends, 2u);
   EXPECT_GE(server.stats().dedupHits.load(), 1u);
   EXPECT_EQ(server.primaryValue("k"), "v1");
+}
+
+/// A fresh client's request ids start at a random point that encodes in
+/// at most five varint bytes, so its request header is at most 9 bytes.
+TEST(RpcClient, FreshClientsSendNineByteHeaders) {
+  SimHub hub;
+  std::vector<std::string> seen;
+  hub.registerHandler(1000, [&seen](const Datagram& d,
+                                    const std::function<void(std::string)>&) {
+    seen.push_back(d.payload);
+  });
+  for (int i = 0; i < 64; ++i) {
+    auto endpoint = hub.makeEndpoint();
+    RpcClient cli(*endpoint);
+    (void)cli.call(NetAddr{0, 1000}, PingReq{});
+  }
+  ASSERT_EQ(seen.size(), 64u);
+  std::set<u64> ids;
+  for (const std::string& d : seen) {
+    EXPECT_LE(d.size(), 9u);  // a Ping is all header
+    const Header h = std::get<Header>(decodeHeader(d));
+    EXPECT_GE(h.requestId, 1u);
+    EXPECT_LE(h.requestId, u64{1} << 34);
+    ids.insert(h.requestId);
+  }
+  // Random starts: 64 draws from 2^34 repeat with odds about 1e-7.
+  EXPECT_EQ(ids.size(), seen.size());
 }
 
 TEST(RpcClient, DeadEndpointTimesOut) {
@@ -280,10 +308,14 @@ TEST(NodeServer, VersionsAdvancePerKey) {
   };
   EXPECT_EQ(std::get<PutRep>(call(PutReq{"a", "1"})).version, 1u);
   EXPECT_EQ(std::get<PutRep>(call(PutReq{"a", "2"})).version, 2u);
-  auto cas = std::get<CasRep>(call(CasReq{"a", 2, true, "3"}));
+  // A CAS is guarded by the digest of the value it starts from; the
+  // daemon still numbers the versions.
+  auto cas = std::get<CasRep>(
+      call(CasReq{"a", common::hash::valueDigest("2"), true, "3"}));
   EXPECT_TRUE(cas.applied);
   EXPECT_EQ(cas.currentVersion, 3u);
-  auto conflict = std::get<CasRep>(call(CasReq{"a", 1, true, "x"}));
+  auto conflict = std::get<CasRep>(
+      call(CasReq{"a", common::hash::valueDigest("1"), true, "x"}));
   EXPECT_FALSE(conflict.applied);
   EXPECT_EQ(conflict.currentVersion, 3u);
   EXPECT_EQ(conflict.currentValue, "3");
@@ -294,6 +326,44 @@ Reply decodedReply(const std::string& bytes) {
   auto decoded = decodeReply(bytes);
   EXPECT_TRUE(std::holds_alternative<Reply>(decoded));
   return std::get<Reply>(std::move(decoded));
+}
+
+/// ROADMAP item 10's first probe case at the daemon. A key erased and
+/// created again restarts at version 1, so after as many writes it is back
+/// at the version of a copy of its erased incarnation. A CAS guarded by
+/// that copy's digest conflicts and carries the new value, alone and in a
+/// MultiCas; a guard naming the new bytes applies.
+TEST(NodeServer, CasFromAnErasedIncarnationConflicts) {
+  NodeServer server;
+  u64 id = 1;
+  const auto send = [&](const RequestBody& body) {
+    return decodedReply(server.handle(NetAddr{0, 7}, encodeRequest(id++, body))).body;
+  };
+  (void)send(PutReq{"leaf", "old-1"});
+  (void)send(PutReq{"leaf", "old-2"});
+  const u64 erased = common::hash::valueDigest("old-2");  // a copy at version 2
+  EXPECT_TRUE(std::get<RemoveRep>(send(RemoveReq{"leaf"})).existed);
+  (void)send(PutReq{"leaf", "new-1"});
+  EXPECT_EQ(std::get<PutRep>(send(PutReq{"leaf", "new-2"})).version, 2u);
+
+  const auto conflict = std::get<CasRep>(send(CasReq{"leaf", erased, true, "old-2+x"}));
+  EXPECT_FALSE(conflict.applied);
+  EXPECT_TRUE(conflict.currentPresent);
+  EXPECT_EQ(conflict.currentVersion, 2u);
+  EXPECT_EQ(conflict.currentValue, "new-2");
+  MultiCasReq batch;
+  batch.entries = {CasReq{"leaf", erased, true, "old-2+y"}};
+  const auto multi = std::get<MultiCasRep>(send(batch));
+  ASSERT_EQ(multi.entries.size(), 1u);
+  EXPECT_EQ(multi.entries[0], conflict);
+  EXPECT_EQ(server.primaryValue("leaf"), "new-2");
+  EXPECT_EQ(server.stats().casConflicts.load(), 2u);
+
+  const auto applied = std::get<CasRep>(
+      send(CasReq{"leaf", common::hash::valueDigest("new-2"), true, "new-2+x"}));
+  EXPECT_TRUE(applied.applied);
+  EXPECT_EQ(applied.currentVersion, 3u);
+  EXPECT_EQ(server.primaryValue("leaf"), "new-2+x");
 }
 
 MultiGetReq multiGetOf(const std::vector<std::string>& keys) {

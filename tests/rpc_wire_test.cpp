@@ -12,6 +12,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 
 namespace lht::rpc::wire {
@@ -27,7 +28,9 @@ std::vector<RequestBody> sampleRequests() {
   out.push_back(PutReq{"", ""});
   out.push_back(GetReq{"leaf/0101"});
   out.push_back(RemoveReq{"k"});
-  out.push_back(CasReq{"leaf/1", 41, true, "new-bytes"});
+  // A CAS guard is the digest of the value the writer started from.
+  out.push_back(CasReq{"leaf/1", common::hash::valueDigest("old-bytes"), true,
+                       "new-bytes"});
   out.push_back(CasReq{"leaf/2", 0, false, ""});  // expect-absent erase
   MultiGetReq mg;
   for (int i = 0; i < 40; ++i) mg.entries.push_back(GetReq{common::numbered("k", i)});
@@ -35,8 +38,9 @@ std::vector<RequestBody> sampleRequests() {
   MultiCasReq mc;
   for (int i = 0; i < 7; ++i) {
     const bool present = i % 2 == 0;
-    mc.entries.push_back(CasReq{common::numbered("k", i), u64(i), present,
-                                present ? std::string(i * 3, 'v') : ""});
+    mc.entries.push_back(CasReq{common::numbered("k", i),
+                                i == 0 ? 0 : common::hash::valueDigest(std::string(i, 'o')),
+                                present, present ? std::string(i * 3, 'v') : ""});
   }
   out.push_back(std::move(mc));
   out.push_back(ReplicaPutReq{"leaf/0", "copy", 17});
@@ -133,8 +137,8 @@ const char* const kRequestHex[][2] = {
      "a7010301b6a0a71b096c6561662f3031303100"},
     {"a70104009dabb424016b",
      "a70104019dabb424016b"},
-    {"a701050084b6c12d066c6561662f312901096e65772d6279746573",
-     "a701050184b6c12d066c6561662f312901096e65772d6279746573"},
+    {"a701050084b6c12d066c6561662f31f8a9c2dda3cd89d47c01096e65772d6279746573",
+     "a701050184b6c12d066c6561662f31f8a9c2dda3cd89d47c01096e65772d6279746573"},
     {"a7010500ebc0ce36066c6561662f320000",
      "a7010501ebc0ce36066c6561662f320000"},
     {"a7010600d2cbdb3f28026b3000026b3100026b3200026b3300026b3400026b35"
@@ -151,12 +155,16 @@ const char* const kRequestHex[][2] = {
      "00036b323600036b323700036b323800036b323900036b333000036b33310003"
      "6b333200036b333300036b333400036b333500036b333600036b333700036b33"
      "3800036b333900"},
-    {"a7010700b9d6e84807026b30000100026b310100026b32020106767676767676"
-     "026b330300026b3404010c767676767676767676767676026b350500026b3606"
-     "0112767676767676767676767676767676767676",
-     "a7010701b9d6e84807026b30000100026b310100026b32020106767676767676"
-     "026b330300026b3404010c767676767676767676767676026b350500026b3606"
-     "0112767676767676767676767676767676767676"},
+    {"a7010700b9d6e84807026b30000100026b31dac2ea8cbfda9ddd4600026b32fb"
+     "ebe2b2dc86c19aa0010106767676767676026b33aea8bdb9b1daf896b6010002"
+     "6b34d9d6d2fcd7fab8d257010c767676767676767676767676026b358fc68bea"
+     "ecdab784a80100026b36f8d0f5c0c795d2ac0501127676767676767676767676"
+     "76767676767676",
+     "a7010701b9d6e84807026b30000100026b31dac2ea8cbfda9ddd4600026b32fb"
+     "ebe2b2dc86c19aa0010106767676767676026b33aea8bdb9b1daf896b6010002"
+     "6b34d9d6d2fcd7fab8d257010c767676767676767676767676026b358fc68bea"
+     "ecdab784a80100026b36f8d0f5c0c795d2ac0501127676767676767676767676"
+     "76767676767676"},
     {"a7010800a0e1f551066c6561662f3004636f707911",
      "a7010801a0e1f551066c6561662f3004636f707911"},
     {"a701090087ec825b066c6561662f30",
@@ -308,7 +316,7 @@ TEST(RpcWire, RequestFieldFidelity) {
   ASSERT_TRUE(std::holds_alternative<Request>(decoded));
   const auto& cas = std::get<CasReq>(std::get<Request>(decoded).body);
   EXPECT_EQ(cas.key, "key-π");
-  EXPECT_EQ(cas.expectedVersion, 0xDEADBEEFCAFEull);
+  EXPECT_EQ(cas.expected, 0xDEADBEEFCAFEull);
   EXPECT_TRUE(cas.present);
   EXPECT_EQ(cas.value, "value");
 }
