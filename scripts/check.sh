@@ -10,7 +10,7 @@
 #
 # Usage: scripts/check.sh [--fast] [--no-bench] [--coverage] [--tsan]
 #                         [--durability] [--churn] [--skew] [--net]
-#                         [--overlay]
+#                         [--overlay] [--outputs=<rev>]
 #   --fast      skip the sanitizer pass (normal build + tests only)
 #   --no-bench  skip the release build + perf-baseline diff
 #   --coverage  also build the coverage preset, run the tests under it, and
@@ -60,6 +60,14 @@
 #               the committed BENCH_PR10.json, and an 8-node
 #               run_cluster.sh --churn run (live join, graceful leave,
 #               crash — oracle-verified after every step)
+#   --outputs=<rev>  also build git revision <rev> (a commit, branch or
+#               tag) from a `git archive` export under build-outputs/ (an
+#               ignored tree, reused by later runs), then run the six
+#               examples and every fig/table/ablation bench with
+#               --csv true against it and against the default build of
+#               the working tree; any difference in stdout fails the gate.
+#               A change meant to keep every printed number (a refactor)
+#               runs e.g. --fast --no-bench --outputs=HEAD~1.
 #
 # The full crash-restart campaigns (ctest label `slow`, excluded from a
 # plain ctest run) execute here under the AddressSanitizer preset: every
@@ -77,6 +85,7 @@ churn=0
 skew=0
 net=0
 overlay=0
+outputs=""
 for arg in "$@"; do
   case "$arg" in
     --fast) fast=1 ;;
@@ -88,6 +97,7 @@ for arg in "$@"; do
     --skew) skew=1 ;;
     --net) net=1 ;;
     --overlay) overlay=1 ;;
+    --outputs=?*) outputs="${arg#--outputs=}" ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -239,6 +249,55 @@ if [[ "$overlay" -eq 1 ]]; then
             "committed baseline (warn-only, see above)"
   echo "== 8-node live grow/shrink cluster run (run_cluster.sh --churn) =="
   BUILD_DIR=build-release scripts/run_cluster.sh 8 8 2000 --churn
+fi
+
+if [[ -n "$outputs" ]]; then
+  echo "== examples + fig/table/ablation stdout vs $outputs =="
+  if ! rev="$(git rev-parse --verify --quiet "$outputs^{commit}")"; then
+    echo "check.sh: --outputs: unknown revision '$outputs'" >&2
+    exit 2
+  fi
+  base="build-outputs/$rev"
+  if [[ ! -f "$base/src/CMakeLists.txt" ]]; then
+    rm -rf "$base"
+    mkdir -p "$base/src"
+    git archive "$rev" | tar -x -C "$base/src"
+  fi
+  examples=(quickstart file_sharing p2p_database spatial_zorder
+            substrate_comparison marketplace)
+  benches=(fig6_alpha fig7_maintenance fig8_lookup fig9_range_bandwidth
+           fig10_range_latency table_saving_ratio table_churn
+           table_resilience table_load_balance table_minmax
+           ablation_baselines ablation_bulk_load ablation_cascading
+           ablation_lookup_depth ablation_dst ablation_locality)
+  targets=()
+  for t in "${examples[@]}" "${benches[@]}"; do targets+=(--target "$t"); done
+  cmake -S "$base/src" -B "$base/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build "$base/build" -j "$jobs" "${targets[@]}"
+  mkdir -p "$base/stdout"
+  differ=0
+  for t in "${examples[@]}" "${benches[@]}"; do
+    dir=examples
+    args=()
+    if [[ " ${benches[*]} " == *" $t "* ]]; then
+      dir=bench
+      args=(--csv true)
+    fi
+    "$base/build/$dir/$t" "${args[@]}" > "$base/stdout/$t.old"
+    "build/$dir/$t" "${args[@]}" > "$base/stdout/$t.new"
+    if cmp -s "$base/stdout/$t.old" "$base/stdout/$t.new"; then
+      echo "same: $t"
+    else
+      echo "DIFFERS: $t"
+      diff "$base/stdout/$t.old" "$base/stdout/$t.new" | head -20 || true
+      differ=$((differ + 1))
+    fi
+  done
+  if [[ "$differ" -ne 0 ]]; then
+    echo "check.sh: ERROR: $differ of $(( ${#examples[@]} + ${#benches[@]} ))" \
+         "outputs differ from $outputs" >&2
+    exit 1
+  fi
 fi
 
 if [[ "$coverage" -eq 1 ]]; then

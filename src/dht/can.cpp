@@ -40,10 +40,9 @@ bool touches1d(double ahi, double blo) {
 }  // namespace
 
 CanDht::CanDht(net::SimNetwork& network, Options options)
-    : Dht(network),
-      net_(network),
-      opts_(options),
-      rng_(options.seed, /*stream=*/0xCA17u) {
+    : SimDht(network, options.replication, options.randomEntry, options.seed,
+             /*rngStream=*/0xCA17u),
+      opts_(options) {
   common::checkInvariant(opts_.initialPeers >= 1, "CanDht: need >= 1 peer");
   for (size_t i = 0; i < opts_.initialPeers; ++i) {
     join("can-peer-" + std::to_string(i));
@@ -74,11 +73,6 @@ u64 CanDht::ownerOfUnlocked(const Key& key) const {
   double x, y;
   keyPoint(key, x, y);
   return ownerAt(x, y);
-}
-
-u64 CanDht::ownerOf(const Key& key) const {
-  std::shared_lock topo(topoMutex_);
-  return ownerOfUnlocked(key);
 }
 
 void CanDht::splitZone(ZNode* leaf, u64 newOwner, double px, double py) {
@@ -115,7 +109,7 @@ u64 CanDht::join(const std::string& name) {
   std::unique_lock topo(topoMutex_);
   const u64 id = nextPeerId_++;
   PeerState st;
-  st.netId = net_.addPeer(name);
+  st.peer = net_.addPeer(name);
   owners_.emplace(id, std::move(st));
 
   if (!root_) {
@@ -130,8 +124,7 @@ u64 CanDht::join(const std::string& name) {
     splitZone(zoneAt(px, py), id, px, py);
   }
   rebuildNeighbors();
-  rehomeAllKeys();
-  rebuildReplicas();
+  resettle(/*ship=*/false);
   return id;
 }
 
@@ -166,32 +159,20 @@ CanDht::ZNode* CanDht::deepestLeafPair() const {
   return best;
 }
 
-void CanDht::leave(u64 peerId) {
-  std::unique_lock topo(topoMutex_);
-  removePeerLocked(peerId, /*graceful=*/true);
-}
-
-void CanDht::fail(u64 peerId) {
-  std::unique_lock topo(topoMutex_);
-  removePeerLocked(peerId, /*graceful=*/false);
-}
-
-void CanDht::removePeerLocked(u64 peerId, bool graceful) {
-  common::checkInvariant(owners_.size() >= 2, "CanDht::removePeer: last peer");
+SimDht::Departure CanDht::detach(u64 peerId, bool graceful) {
+  common::checkInvariant(owners_.size() >= 2, "CanDht::detach: last peer");
   auto it = owners_.find(peerId);
-  common::checkInvariant(it != owners_.end(), "CanDht::removePeer: unknown peer");
+  common::checkInvariant(it != owners_.end(), "CanDht::detach: unknown peer");
   ZNode* zone = it->second.zone;
   ZNode* parent = zone->parent;
   common::checkInvariant(parent != nullptr,
-                         "CanDht::removePeer: root with peers left");
+                         "CanDht::detach: root with peers left");
 
   ZNode* sibling =
       parent->left.get() == zone ? parent->right.get() : parent->left.get();
-  // Park the departing peer's data for re-homing below (a failed peer's
-  // data is simply gone).
-  auto orphans =
-      graceful ? it->second.store.drain() : std::vector<std::pair<Key, Value>>{};
-  const net::PeerId fromNet = it->second.netId;
+  // A failed peer's data is simply gone.
+  Departure gone{it->second.peer, {}};
+  if (graceful) gone.primaries = it->second.store.drain();
 
   if (sibling->splitDim == -1) {
     // Simple takeover: the sibling's owner absorbs the merged parent zone.
@@ -206,7 +187,7 @@ void CanDht::removePeerLocked(u64 peerId, bool graceful) {
     // one peer — its pair merges, and the donated peer adopts this zone.
     ZNode* pairParent = deepestLeafPair();
     common::checkInvariant(pairParent != nullptr,
-                           "CanDht::removePeer: no leaf pair");
+                           "CanDht::detach: no leaf pair");
     const u64 donated = pairParent->left->owner;
     const u64 keeper = pairParent->right->owner;
     pairParent->splitDim = -1;
@@ -220,41 +201,12 @@ void CanDht::removePeerLocked(u64 peerId, bool graceful) {
 
   owners_.erase(it);
   rebuildNeighbors();
-  if (graceful) {
-    // Ship the departing peer's keys to their (new) owners, then fix any
-    // keys displaced by the takeover merge.
-    for (auto& [k, v] : orphans) {
-      double x, y;
-      keyPoint(k, x, y);
-      PeerState& owner = peer(ownerAt(x, y));
-      net_.send(fromNet, owner.netId, k.size() + v.size());
-      owner.store.put(k, std::move(v));
-    }
-  } else {
-    // Promote surviving replicas whose primary died onto the new owners.
-    std::vector<std::pair<Key, Value>> recovered;
-    for (auto& [id, st] : owners_) {
-      st.replicas.forEach([&](const Key& k, const Value& v) {
-        if (!peer(ownerOfUnlocked(k)).store.contains(k)) {
-          recovered.emplace_back(k, v);
-        }
-      });
-    }
-    for (auto& [k, v] : recovered) {
-      PeerState& owner = peer(ownerOfUnlocked(k));
-      if (!owner.store.contains(k)) owner.store.put(k, std::move(v));
-    }
-  }
-  net_.setOnline(fromNet, false);
-  rehomeAllKeys();
-  rebuildReplicas();
+  return gone;
 }
 
 std::vector<u64> CanDht::replicaHoldersOf(u64 ownerId) const {
-  std::vector<u64> out;
-  if (opts_.replication <= 1) return out;
-  const size_t want = std::min(opts_.replication, owners_.size()) - 1;
-  out = peer(ownerId).neighbors;
+  const size_t want = std::min(replication_, owners_.size()) - 1;
+  std::vector<u64> out = peer(ownerId).neighbors;
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   if (out.size() > want) {
@@ -262,9 +214,7 @@ std::vector<u64> CanDht::replicaHoldersOf(u64 ownerId) const {
   } else if (out.size() < want) {
     // Tiny network or few-neighbor corner zone: pad deterministically
     // from the sorted peer list.
-    std::vector<u64> all;
-    all.reserve(owners_.size());
-    for (const auto& [id, st] : owners_) all.push_back(id);
+    std::vector<u64> all = nodeIdsUnlocked();
     std::sort(all.begin(), all.end());
     for (u64 id : all) {
       if (out.size() >= want) break;
@@ -275,49 +225,9 @@ std::vector<u64> CanDht::replicaHoldersOf(u64 ownerId) const {
   return out;
 }
 
-std::vector<u64> CanDht::writeSetOf(u64 ownerId) const {
-  std::vector<u64> set{ownerId};
-  for (u64 hid : replicaHoldersOf(ownerId)) set.push_back(hid);
-  return set;
-}
-
-void CanDht::pushReplicas(const PeerState& owner, u64 ownerId, const Key& key,
-                          const Value& value) {
-  for (u64 hid : replicaHoldersOf(ownerId)) {
-    PeerState& holder = peer(hid);
-    net_.send(owner.netId, holder.netId, key.size() + value.size());
-    holder.replicas.put(key, value);
-  }
-}
-
-void CanDht::dropReplicas(u64 ownerId, const Key& key) {
-  for (u64 hid : replicaHoldersOf(ownerId)) {
-    peer(hid).replicas.erase(key);
-  }
-}
-
-void CanDht::rebuildReplicas() {
-  if (opts_.replication <= 1) return;
-  for (auto& [id, st] : owners_) st.replicas.clear();
-  for (auto& [id, st] : owners_) {
-    st.store.forEach([&, ownerId = id](const Key& k, const Value& v) {
-      pushReplicas(st, ownerId, k, v);
-    });
-  }
-}
-
 size_t CanDht::peerCount() const {
   std::shared_lock topo(topoMutex_);
   return owners_.size();
-}
-
-std::vector<u64> CanDht::peerIds() const {
-  std::shared_lock topo(topoMutex_);
-  std::vector<u64> ids;
-  ids.reserve(owners_.size());
-  for (const auto& [id, st] : owners_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  return ids;
 }
 
 void CanDht::rebuildNeighbors() {
@@ -341,51 +251,14 @@ void CanDht::rebuildNeighbors() {
   }
 }
 
-void CanDht::rehomeAllKeys() {
-  std::vector<std::pair<Key, Value>> moving;
-  for (auto& [id, st] : owners_) {
-    std::vector<Key> out;
-    st.store.forEach([&, peerId = id](const Key& k, const Value&) {
-      if (ownerOfUnlocked(k) != peerId) out.push_back(k);
-    });
-    for (const auto& k : out) {
-      moving.emplace_back(k, std::move(*st.store.take(k)));
-    }
-  }
-  for (auto& [k, v] : moving) {
-    peer(ownerOfUnlocked(k)).store.put(k, std::move(v));
-  }
-}
-
 double CanDht::torusDistToRect(double x, double y, const ZRect& r) {
   return torus1dToInterval(x, r.xlo, r.xhi) + torus1dToInterval(y, r.ylo, r.yhi);
 }
 
-CanDht::PeerState& CanDht::peer(u64 id) {
-  auto it = owners_.find(id);
-  common::checkInvariant(it != owners_.end(), "CanDht: unknown peer id");
-  return it->second;
-}
-
-const CanDht::PeerState& CanDht::peer(u64 id) const {
-  auto it = owners_.find(id);
-  common::checkInvariant(it != owners_.end(), "CanDht: unknown peer id");
-  return it->second;
-}
-
-u64 CanDht::route(double x, double y, u64 requestBytes) {
-  stats_.lookups += 1;
-  auto it = owners_.begin();
-  if (opts_.randomEntry && owners_.size() > 1) {
-    u32 skip;
-    {
-      std::lock_guard rngLock(rngMutex_);
-      skip = rng_.below(static_cast<u32>(owners_.size()));
-    }
-    std::advance(it, skip);
-  }
-  u64 cur = it->first;
-  stats_.hops += 1;  // client -> entry peer
+u64 CanDht::route(const Key& key, u64 requestBytes) {
+  double x, y;
+  keyPoint(key, x, y);
+  u64 cur = enter(owners_)->first;
 
   for (;;) {
     const PeerState& st = peer(cur);
@@ -404,95 +277,12 @@ u64 CanDht::route(double x, double y, u64 requestBytes) {
       // Greedy dead end (possible only at exact corner geometries): hand
       // the request straight to the owner, like Pastry's rare-case scan.
       const u64 owner = ownerAt(x, y);
-      net_.send(st.netId, peer(owner).netId, requestBytes);
-      stats_.hops += 1;
+      hop(st.peer, peer(owner).peer, requestBytes);
       return owner;
     }
-    net_.send(st.netId, peer(next).netId, requestBytes);
-    stats_.hops += 1;
+    hop(st.peer, peer(next).peer, requestBytes);
     cur = next;
   }
-}
-
-void CanDht::put(const Key& key, Value value) {
-  RoutedOpScope scope(*this, "dht.put", key);
-  stats_.puts += 1;
-  std::shared_lock topo(topoMutex_);
-  double x, y;
-  keyPoint(key, x, y);
-  u64 owner = route(x, y, key.size() + value.size());
-  stats_.valueBytesMoved += value.size();
-  common::StripedMutex::MultiGuard guard(storeLocks_, writeSetOf(owner));
-  PeerState& st = peer(owner);
-  pushReplicas(st, owner, key, value);
-  st.store.put(key, std::move(value));
-}
-
-std::optional<Value> CanDht::get(const Key& key) {
-  RoutedOpScope scope(*this, "dht.get", key);
-  stats_.gets += 1;
-  std::shared_lock topo(topoMutex_);
-  double x, y;
-  keyPoint(key, x, y);
-  u64 owner = route(x, y, key.size());
-  auto lock = storeLocks_.guard(owner);
-  const PeerState& st = peer(owner);
-  const Value* v = st.store.find(key);
-  if (v == nullptr) return std::nullopt;
-  stats_.valueBytesMoved += v->size();
-  return *v;
-}
-
-bool CanDht::remove(const Key& key) {
-  RoutedOpScope scope(*this, "dht.remove", key);
-  stats_.removes += 1;
-  std::shared_lock topo(topoMutex_);
-  double x, y;
-  keyPoint(key, x, y);
-  u64 owner = route(x, y, key.size());
-  common::StripedMutex::MultiGuard guard(storeLocks_, writeSetOf(owner));
-  dropReplicas(owner, key);
-  return peer(owner).store.erase(key);
-}
-
-bool CanDht::apply(const Key& key, const Mutator& fn) {
-  RoutedOpScope scope(*this, "dht.apply", key);
-  stats_.applies += 1;
-  std::shared_lock topo(topoMutex_);
-  double x, y;
-  keyPoint(key, x, y);
-  u64 owner = route(x, y, key.size());
-  // Mutator runs under the write set's stripes: atomic per key.
-  common::StripedMutex::MultiGuard guard(storeLocks_, writeSetOf(owner));
-  PeerState& st = peer(owner);
-  std::optional<Value> v = st.store.take(key);
-  const bool existed = v.has_value();
-  fn(v);
-  if (v.has_value()) {
-    stats_.valueBytesMoved += v->size();
-    pushReplicas(st, owner, key, *v);
-    st.store.put(key, std::move(*v));
-  } else if (existed) {
-    dropReplicas(owner, key);
-  }
-  return existed;
-}
-
-void CanDht::storeDirect(const Key& key, Value value) {
-  std::shared_lock topo(topoMutex_);
-  const u64 owner = ownerOfUnlocked(key);
-  common::StripedMutex::MultiGuard guard(storeLocks_, writeSetOf(owner));
-  PeerState& st = peer(owner);
-  pushReplicas(st, owner, key, value);
-  st.store.put(key, std::move(value));
-}
-
-size_t CanDht::size() const {
-  std::shared_lock topo(topoMutex_);
-  common::StripedMutex::AllGuard guard(storeLocks_);
-  size_t n = 0;
-  for (const auto& [id, st] : owners_) n += st.store.size();
-  return n;
 }
 
 bool CanDht::checkZones() const {
@@ -514,13 +304,9 @@ bool CanDht::checkZones() const {
   }
   if (std::fabs(area - 1.0) > 1e-12) return false;
   // Keys sit with the owner of the zone containing their point.
+  if (!primariesPlaced()) return false;
+  // Neighbor symmetry.
   for (const auto& [id, st] : owners_) {
-    bool placed = true;
-    st.store.forEach([&, peerId = id](const Key& k, const Value&) {
-      if (ownerOfUnlocked(k) != peerId) placed = false;
-    });
-    if (!placed) return false;
-    // Neighbor symmetry.
     for (u64 nb : st.neighbors) {
       const auto& back = peer(nb).neighbors;
       if (std::find(back.begin(), back.end(), id) == back.end()) return false;

@@ -28,10 +28,9 @@ bool inRangeOpen(u64 x, u64 a, u64 b) {
 }  // namespace
 
 ChordDht::ChordDht(net::SimNetwork& network, Options options)
-    : Dht(network),
-      net_(network),
-      opts_(options),
-      rng_(options.seed, /*stream=*/0x9E37u) {
+    : SimDht(network, options.replication, options.randomEntry, options.seed,
+             /*rngStream=*/0x9E37u),
+      opts_(options) {
   common::checkInvariant(opts_.initialPeers >= 1, "ChordDht: need >= 1 peer");
   common::checkInvariant(opts_.virtualNodes >= 1, "ChordDht: need >= 1 vnode");
   for (size_t i = 0; i < opts_.initialPeers; ++i) {
@@ -50,88 +49,38 @@ u64 ChordDht::join(const std::string& name) {
     // Extremely unlikely collision: perturb deterministically until free.
     while (nodes_.count(id) != 0) id = common::hash::splitmix64(id);
     Node node;
-    node.id = id;
     node.peer = peer;
     nodes_.emplace(id, std::move(node));
     if (v == 0) firstId = id;
   }
   rebuildFingers();
-  // Pull over every key the new ring points now own.
-  for (auto& [id, node] : nodes_) {
-    if (node.peer == peer) continue;
-    std::vector<Key> moving;
-    node.store.forEach([&](const Key& k, const Value&) {
-      if (nodeById(ownerOfId(common::hash::xxhash64(k, 0))).peer == peer) {
-        moving.push_back(k);
-      }
-    });
-    for (const auto& k : moving) {
-      auto v = node.store.take(k);
-      Node& owner = nodeById(ownerOfId(common::hash::xxhash64(k, 0)));
-      net_.send(node.peer, owner.peer, k.size() + v->size());
-      owner.store.put(k, std::move(*v));
-    }
-  }
-  rebuildReplicas();
+  // The new ring points pull over every key they now own.
+  resettle(/*ship=*/true);
   return firstId;
 }
 
-void ChordDht::leave(u64 nodeId) {
-  std::unique_lock topo(topoMutex_);
-  removePeerLocked(nodeId, /*graceful=*/true);
-}
-
-void ChordDht::fail(u64 nodeId) {
-  std::unique_lock topo(topoMutex_);
-  removePeerLocked(nodeId, /*graceful=*/false);
-}
-
-void ChordDht::removePeerLocked(u64 nodeId, bool graceful) {
+SimDht::Departure ChordDht::detach(u64 nodeId, bool graceful) {
   common::checkInvariant(peerCountUnlocked() >= 2,
-                         "ChordDht::removePeer: last peer");
+                         "ChordDht::detach: last peer");
   // Graceful departures and instant-recovery failures assume a clean ring:
   // with crashes pending, excision must run first so the handoff targets
   // (new owners, replica holders) are all live.
   common::checkInvariant(crashedPeers_.empty(),
-                         "ChordDht::removePeer: crashes pending — run repairStep");
-  const net::PeerId peer = nodeById(nodeId).peer;
-
+                         "ChordDht::detach: crashes pending — run repairStep");
+  Departure gone{nodeById(nodeId).peer, {}};
   std::vector<u64> ids;
-  std::vector<std::pair<Key, Value>> orphans;
   for (auto& [id, node] : nodes_) {
-    if (node.peer != peer) continue;
+    if (node.peer != gone.peer) continue;
     ids.push_back(id);
     if (graceful) {
-      for (auto& kv : node.store.drain()) orphans.push_back(std::move(kv));
+      for (auto& kv : node.store.drain()) {
+        gone.primaries.push_back(std::move(kv));
+      }
     }
   }
   for (u64 id : ids) nodes_.erase(id);
   rebuildFingers();
-
-  if (graceful) {
-    // The departing peer pushes its primaries to their new owners.
-    for (auto& [k, v] : orphans) {
-      Node& owner = nodeById(ownerOfId(common::hash::xxhash64(k, 0)));
-      net_.send(peer, owner.peer, k.size() + v.size());
-      owner.store.put(k, std::move(v));
-    }
-  } else {
-    // Ungraceful: the peer's primaries and replicas are gone. Promote
-    // surviving replicas whose primary died onto the new owners.
-    std::vector<std::pair<Key, Value>> recovered;
-    for (auto& [id, node] : nodes_) {
-      node.replicas.forEach([&](const Key& k, const Value& v) {
-        const u64 owner = ownerOfId(common::hash::xxhash64(k, 0));
-        if (!nodeById(owner).store.contains(k)) recovered.emplace_back(k, v);
-      });
-    }
-    for (auto& [k, v] : recovered) {
-      Node& owner = nodeById(ownerOfId(common::hash::xxhash64(k, 0)));
-      owner.store.put(k, std::move(v));
-    }
-  }
-  net_.setOnline(peer, false);
-  rebuildReplicas();
+  return gone;
 }
 
 size_t ChordDht::peerCountUnlocked() const {
@@ -147,35 +96,10 @@ size_t ChordDht::peerCount() const {
   return peerCountUnlocked();
 }
 
-std::vector<u64> ChordDht::nodeIds() const {
-  std::shared_lock topo(topoMutex_);
-  std::vector<u64> ids;
-  ids.reserve(nodes_.size());
-  for (const auto& [id, n] : nodes_) ids.push_back(id);
-  return ids;
-}
-
-u64 ChordDht::ownerOf(const Key& key) const {
-  std::shared_lock topo(topoMutex_);
-  return ownerOfId(common::hash::xxhash64(key, 0));
-}
-
 size_t ChordDht::keysOn(u64 nodeId) const {
   std::shared_lock topo(topoMutex_);
   auto lock = storeLocks_.guard(nodeId);
   return nodeById(nodeId).store.size();
-}
-
-ChordDht::Node& ChordDht::nodeById(u64 id) {
-  auto it = nodes_.find(id);
-  common::checkInvariant(it != nodes_.end(), "ChordDht: unknown node id");
-  return it->second;
-}
-
-const ChordDht::Node& ChordDht::nodeById(u64 id) const {
-  auto it = nodes_.find(id);
-  common::checkInvariant(it != nodes_.end(), "ChordDht: unknown node id");
-  return it->second;
 }
 
 u64 ChordDht::successorOf(u64 id) const {
@@ -208,50 +132,6 @@ std::vector<u64> ChordDht::successorsOf(u64 id, size_t count) const {
   return out;
 }
 
-std::vector<u64> ChordDht::writeSetOf(u64 ownerId) const {
-  std::vector<u64> set{ownerId};
-  if (opts_.replication > 1) {
-    for (u64 sid : successorsOf(ownerId, opts_.replication - 1))
-      set.push_back(sid);
-  }
-  return set;
-}
-
-void ChordDht::pushReplicas(const Node& owner, const Key& key, const Value& value) {
-  if (opts_.replication <= 1) return;
-  for (u64 sid : successorsOf(owner.id, opts_.replication - 1)) {
-    Node& holder = nodeById(sid);
-    // A dark holder cannot take the copy; anti-entropy re-pushes it after
-    // the crashed peer is excised and placement settles.
-    if (nodeDown(holder)) continue;
-    net_.send(owner.peer, holder.peer, key.size() + value.size());
-    holder.replicas.put(key, value);
-  }
-}
-
-void ChordDht::dropReplicas(u64 ownerId, const Key& key) {
-  if (opts_.replication <= 1) return;
-  // Between membership changes replicas live exactly on the owner's
-  // replica holders (rebuildReplicas restores that after every churn
-  // event), so the targeted erase is complete.
-  for (u64 sid : successorsOf(ownerId, opts_.replication - 1)) {
-    Node& holder = nodeById(sid);
-    // A dark holder keeps its stale copy; it dies with the peer at
-    // excision (the copy never rejoins the ring).
-    if (nodeDown(holder)) continue;
-    holder.replicas.erase(key);
-  }
-}
-
-void ChordDht::rebuildReplicas() {
-  if (opts_.replication <= 1) return;
-  for (auto& [id, node] : nodes_) node.replicas.clear();
-  for (auto& [id, node] : nodes_) {
-    node.store.forEach(
-        [&](const Key& k, const Value& v) { pushReplicas(node, k, v); });
-  }
-}
-
 void ChordDht::rebuildFingers() {
   for (auto& [id, node] : nodes_) {
     node.fingers.clear();
@@ -265,20 +145,9 @@ void ChordDht::rebuildFingers() {
   }
 }
 
-u64 ChordDht::route(u64 keyId, u64 requestBytes) {
-  common::checkInvariant(!nodes_.empty(), "ChordDht: empty ring");
-  stats_.lookups += 1;
-
+u64 ChordDht::routeTo(u64 keyId, u64 requestBytes) {
   // Pick the entry peer (the querying client's gateway into the ring).
-  auto it = nodes_.begin();
-  if (opts_.randomEntry && nodes_.size() > 1) {
-    common::u32 skip;
-    {
-      std::lock_guard rngLock(rngMutex_);
-      skip = rng_.below(static_cast<common::u32>(nodes_.size()));
-    }
-    std::advance(it, skip);
-  }
+  auto it = enter(nodes_);
   // Clients never enter through a dark peer (a gateway that does not
   // answer is re-picked immediately; the fast path costs nothing).
   if (!crashedPeers_.empty()) {
@@ -290,14 +159,12 @@ u64 ChordDht::route(u64 keyId, u64 requestBytes) {
     }
   }
   u64 cur = it->first;
-  stats_.hops += 1;  // client -> entry peer
 
   for (;;) {
     u64 succ = successorOf(cur);
     if (inRangeOpenClosed(keyId, cur, succ)) {
       if (succ != cur) {
-        net_.send(nodeById(cur).peer, nodeById(succ).peer, requestBytes);
-        stats_.hops += 1;
+        hop(nodeById(cur).peer, nodeById(succ).peer, requestBytes);
       }
       return succ;
     }
@@ -311,103 +178,16 @@ u64 ChordDht::route(u64 keyId, u64 requestBytes) {
       }
     }
     if (next == cur) next = succ;  // guarantee progress
-    net_.send(node.peer, nodeById(next).peer, requestBytes);
-    stats_.hops += 1;
+    hop(node.peer, nodeById(next).peer, requestBytes);
     cur = next;
   }
-}
-
-void ChordDht::put(const Key& key, Value value) {
-  RoutedOpScope scope(*this, "dht.put", key);
-  stats_.puts += 1;
-  std::shared_lock topo(topoMutex_);
-  u64 owner = route(common::hash::xxhash64(key, 0), key.size() + value.size());
-  throwIfDown(owner, "put");
-  accountValueBytes(value.size());
-  common::StripedMutex::MultiGuard guard(storeLocks_, writeSetOf(owner));
-  Node& node = nodeById(owner);
-  pushReplicas(node, key, value);
-  node.store.put(key, std::move(value));
-}
-
-std::optional<Value> ChordDht::get(const Key& key) {
-  RoutedOpScope scope(*this, "dht.get", key);
-  stats_.gets += 1;
-  std::shared_lock topo(topoMutex_);
-  u64 owner = route(common::hash::xxhash64(key, 0), key.size());
-  throwIfDown(owner, "get");
-  auto lock = storeLocks_.guard(owner);
-  Node& node = nodeById(owner);
-  node.servedReads += 1;
-  const Value* v = node.store.find(key);
-  if (v == nullptr) return std::nullopt;
-  accountValueBytes(v->size());
-  return *v;
-}
-
-bool ChordDht::remove(const Key& key) {
-  RoutedOpScope scope(*this, "dht.remove", key);
-  stats_.removes += 1;
-  std::shared_lock topo(topoMutex_);
-  u64 owner = route(common::hash::xxhash64(key, 0), key.size());
-  throwIfDown(owner, "remove");
-  common::StripedMutex::MultiGuard guard(storeLocks_, writeSetOf(owner));
-  const bool existed = nodeById(owner).store.erase(key);
-  if (existed) dropReplicas(owner, key);
-  return existed;
-}
-
-bool ChordDht::apply(const Key& key, const Mutator& fn) {
-  RoutedOpScope scope(*this, "dht.apply", key);
-  stats_.applies += 1;
-  std::shared_lock topo(topoMutex_);
-  u64 owner = route(common::hash::xxhash64(key, 0), key.size());
-  throwIfDown(owner, "apply");
-  // The mutator runs under the owner's stripe: apply() is atomic per key
-  // against every other routed op touching that node.
-  common::StripedMutex::MultiGuard guard(storeLocks_, writeSetOf(owner));
-  Node& node = nodeById(owner);
-  std::optional<Value> v = node.store.take(key);
-  const bool existed = v.has_value();
-  fn(v);
-  if (v.has_value()) {
-    accountValueBytes(v->size());
-    pushReplicas(node, key, *v);
-    node.store.put(key, std::move(*v));
-  } else if (existed) {
-    dropReplicas(owner, key);
-  }
-  return existed;
-}
-
-void ChordDht::storeDirect(const Key& key, Value value) {
-  std::shared_lock topo(topoMutex_);
-  u64 owner = ownerOfId(common::hash::xxhash64(key, 0));
-  common::StripedMutex::MultiGuard guard(storeLocks_, writeSetOf(owner));
-  Node& node = nodeById(owner);
-  pushReplicas(node, key, value);
-  node.store.put(key, std::move(value));
-}
-
-size_t ChordDht::size() const {
-  std::shared_lock topo(topoMutex_);
-  common::StripedMutex::AllGuard guard(storeLocks_);
-  size_t n = 0;
-  for (const auto& [id, node] : nodes_) n += node.store.size();
-  return n;
 }
 
 bool ChordDht::checkRing() const {
   std::shared_lock topo(topoMutex_);
   common::StripedMutex::AllGuard guard(storeLocks_);
   // Every stored key must sit on its owner.
-  for (const auto& [id, node] : nodes_) {
-    bool placed = true;
-    node.store.forEach([&, nodeId = id](const Key& k, const Value&) {
-      if (ownerOfId(common::hash::xxhash64(k, 0)) != nodeId) placed = false;
-    });
-    if (!placed) return false;
-  }
+  if (!primariesPlaced()) return false;
   // Finger entries must be the true successors of their targets.
   for (const auto& [id, node] : nodes_) {
     size_t fi = 0;
@@ -446,7 +226,7 @@ bool ChordDht::checkReplication() const {
     });
     // Every replica must back a live primary somewhere.
     node.replicas.forEach([&](const Key& k, const Value&) {
-      const u64 owner = ownerOfId(common::hash::xxhash64(k, 0));
+      const u64 owner = ownerOfUnlocked(k);
       if (!nodeById(owner).store.contains(k)) consistent = false;
     });
     if (!consistent) return false;
@@ -467,7 +247,7 @@ void ChordDht::crash(u64 nodeId) {
   net_.setOnline(peer, false);
 }
 
-void ChordDht::throwIfDown(u64 ownerId, const char* op) const {
+void ChordDht::checkOwnerUp(u64 ownerId, const char* op) const {
   const Node& owner = nodeById(ownerId);
   if (nodeDown(owner)) {
     throw DhtPeerDownError(std::string("ChordDht::") + op + ": peer '" +
@@ -544,30 +324,10 @@ void ChordDht::exciseCrashedLocked() {
   // Promote surviving replicas whose primary died onto the new owners, in
   // the same exclusive section as the excision: between the two, a routed
   // get would report the key absent (a silent miss) instead of failing.
-  struct Recovered {
-    Key key;
-    Value value;
-    net::PeerId from;
-  };
-  std::vector<Recovered> recovered;
-  for (auto& [id, node] : nodes_) {
-    node.replicas.forEach([&, holder = node.peer](const Key& k, const Value& v) {
-      const u64 owner = ownerOfId(common::hash::xxhash64(k, 0));
-      if (!nodeById(owner).store.contains(k)) recovered.push_back({k, v, holder});
-    });
-  }
-  for (auto& r : recovered) {
-    Node& owner = nodeById(ownerOfId(common::hash::xxhash64(r.key, 0)));
-    if (owner.store.contains(r.key)) continue;  // an earlier copy won
-    if (owner.peer != r.from) {
-      net_.send(r.from, owner.peer, r.key.size() + r.value.size());
-    }
-    owner.store.put(r.key, std::move(r.value));
-  }
+  // Each copy that changes peer costs a message.
+  promoteReplicas(/*ship=*/true);
   for (const Key& k : atRisk) {
-    if (!nodeById(ownerOfId(common::hash::xxhash64(k, 0))).store.contains(k)) {
-      lostKeys_ += 1;
-    }
+    if (!nodeById(ownerOfUnlocked(k)).store.contains(k)) lostKeys_ += 1;
   }
 }
 
@@ -588,7 +348,7 @@ void ChordDht::collectRepairActions(std::vector<RepairAction>& out) const {
     // Pass 2: held replicas that back no primary, or sit off-placement
     // (promotion leaves both behind; checkReplication rejects either).
     node.replicas.forEach([&, holderId = id](const Key& k, const Value&) {
-      const u64 ownerId = ownerOfId(common::hash::xxhash64(k, 0));
+      const u64 ownerId = ownerOfUnlocked(k);
       const auto want = successorsOf(ownerId, copies);
       const bool placed =
           std::find(want.begin(), want.end(), holderId) != want.end();
@@ -659,7 +419,7 @@ std::optional<Value> ChordDht::getReplica(const Key& key, size_t replicaIndex) {
   if (opts_.replication <= 1) {
     throw DhtError("ChordDht::getReplica: replication disabled");
   }
-  const u64 ownerId = ownerOfId(common::hash::xxhash64(key, 0));
+  const u64 ownerId = ownerOfUnlocked(key);
   const auto holders = successorsOf(ownerId, opts_.replication - 1);
   if (replicaIndex >= holders.size()) {
     throw DhtError("ChordDht::getReplica: no replica " +
@@ -668,15 +428,15 @@ std::optional<Value> ChordDht::getReplica(const Key& key, size_t replicaIndex) {
   // Route to the holder's own ring id — it is the successor of itself, so
   // the normal lookup machinery (and its accounting) reaches the holder.
   const u64 holderId = holders[replicaIndex];
-  route(holderId, key.size());
-  throwIfDown(holderId, "getReplica");
+  routeTo(holderId, key.size());
+  checkOwnerUp(holderId, "getReplica");
   auto lock = storeLocks_.guard(holderId);
   Node& holder = nodeById(holderId);
   holder.servedReads += 1;
   const Value* v = holder.replicas.find(key);
   if (v == nullptr) v = holder.store.find(key);  // promoted home post-repair
   if (v == nullptr) return std::nullopt;
-  accountValueBytes(v->size());
+  stats_.valueBytesMoved += v->size();
   return *v;
 }
 

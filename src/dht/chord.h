@@ -8,31 +8,22 @@
 // hand keys off to the new owner, so the stored state stays consistent
 // under churn.
 //
-// Thread safety (DESIGN.md §10): topology (the node map, fingers) is
-// guarded by a shared mutex — routed ops hold it shared for their whole
-// duration, membership changes hold it exclusive. Per-node key stores are
-// guarded by a striped mutex keyed by OWNER NODE ID (not raw key: one
-// node's unordered_map is a single object, so the stripe must cover the
-// whole node). Ops touching several nodes (replica pushes) take their
-// stripes via deadlock-free MultiGuard; membership changes need no stripe
-// locks because the exclusive topology lock already excludes every routed
-// op.
+// Storage, replication, churn handling and locking are SimDht's. Chord
+// adds crash mode (a dark peer stays in the ring until repair excises it)
+// and replica reads, and reaches the shared routed ops through SimDht's
+// crash-mode hooks.
 #pragma once
 
 #include <map>
 #include <set>
-#include <shared_mutex>
 #include <vector>
 
-#include "common/random.h"
-#include "common/striped_mutex.h"
-#include "dht/dht.h"
-#include "net/sim_network.h"
-#include "store/mem_table.h"
+#include "common/hash.h"
+#include "dht/sim_dht.h"
 
 namespace lht::dht {
 
-class ChordDht final : public Dht {
+class ChordDht final : public SimDht {
  public:
   struct Options {
     size_t initialPeers = 32;   ///< ring size at construction
@@ -52,32 +43,17 @@ class ChordDht final : public Dht {
 
   ChordDht(net::SimNetwork& network, Options options);
 
-  // Dht interface ----------------------------------------------------------
-  void put(const Key& key, Value value) override;
-  std::optional<Value> get(const Key& key) override;
-  bool remove(const Key& key) override;
-  bool apply(const Key& key, const Mutator& fn) override;
-  void storeDirect(const Key& key, Value value) override;
-  [[nodiscard]] size_t size() const override;
-
   // Membership -------------------------------------------------------------
   /// Adds a peer named `name` (with Options::virtualNodes ring points);
-  /// keys it now owns move from their previous successors. Returns the
-  /// peer's first ring identifier.
+  /// keys it now owns move from their previous successors, one message
+  /// per key. Returns the peer's first ring identifier.
   common::u64 join(const std::string& name);
 
-  /// Gracefully removes the *peer* owning ring id `nodeId` — all of its
-  /// virtual nodes leave together and its keys move to their new owners.
-  /// Requires at least two peers.
-  void leave(common::u64 nodeId);
-
-  /// Ungraceful failure of the peer owning ring id `nodeId`: it vanishes
-  /// without handing anything off. Surviving replicas
-  /// (Options::replication >= 2) are promoted on the new owners; without
-  /// replication the failed peer's keys are lost. Requires >= two peers.
-  /// Recovery is INSTANT — fail() models a ring whose stabilization
-  /// outruns the observer. Use crash() to model the window in between.
-  void fail(common::u64 nodeId);
+  // leave(nodeId) and fail(nodeId) (SimDht) remove the *peer* owning ring
+  // id `nodeId`: all of its virtual nodes go together. Both require at
+  // least two peers and no pending crash. fail()'s recovery is INSTANT —
+  // it models a ring whose stabilization outruns the observer. Use
+  // crash() to model the window in between.
 
   // Crash mode (availability under churn) -----------------------------------
   /// Crash-mode failure of the peer owning ring id `nodeId`: the peer goes
@@ -159,12 +135,6 @@ class ChordDht final : public Dht {
   /// Copies kept of every key (Options::replication as configured).
   [[nodiscard]] size_t replicationFactor() const { return opts_.replication; }
 
-  /// Ring ids of all current peers (sorted).
-  [[nodiscard]] std::vector<common::u64> nodeIds() const;
-
-  /// Ring id of the peer that owns `key` (no routing, no accounting).
-  [[nodiscard]] common::u64 ownerOf(const Key& key) const;
-
   /// Number of keys stored on the peer with ring id `nodeId`.
   [[nodiscard]] size_t keysOn(common::u64 nodeId) const;
 
@@ -178,53 +148,62 @@ class ChordDht final : public Dht {
   [[nodiscard]] bool checkReplication() const;
 
  private:
-  struct Node {
-    common::u64 id = 0;
-    net::PeerId peer = net::kInvalidPeer;
+  struct Node : Tables {
     std::vector<common::u64> fingers;  // finger[k] = successor(id + 2^k)
-    store::MemTable store;     // keys this node owns
-    store::MemTable replicas;  // copies held for predecessors
     /// Reads this node served (primary or as replica holder). Guarded by
     /// the node's store stripe, like the tables it measures.
     common::u64 servedReads = 0;
   };
 
+  // SimDht hooks.
+  common::u64 route(const Key& key, u64 requestBytes) override {
+    return routeTo(common::hash::xxhash64(key, 0), requestBytes);
+  }
+  [[nodiscard]] common::u64 ownerOfUnlocked(const Key& key) const override {
+    return ownerOfId(common::hash::xxhash64(key, 0));
+  }
+  /// The replication-1 distinct-peer successors of `ownerId`.
+  [[nodiscard]] std::vector<common::u64> replicaHoldersOf(
+      common::u64 ownerId) const override {
+    return successorsOf(ownerId, opts_.replication - 1);
+  }
+  [[nodiscard]] std::vector<common::u64> nodeIdsUnlocked() const override {
+    return keysOf(nodes_);
+  }
+  Tables& tablesOf(common::u64 id) override { return nodeById(id); }
+  [[nodiscard]] const Tables& tablesOf(common::u64 id) const override {
+    return nodeById(id);
+  }
+  /// Removes all ring nodes of the peer owning `nodeId`.
+  Departure detach(common::u64 nodeId, bool graceful) override;
+  /// Throws DhtPeerDownError when the routed-to owner is dark.
+  void checkOwnerUp(common::u64 ownerId, const char* op) const override;
+  [[nodiscard]] bool holderDark(common::u64 holderId) const override {
+    return nodeDown(nodeById(holderId));
+  }
+  void noteServedRead(common::u64 id) override {
+    nodeById(id).servedReads += 1;
+  }
+
   // Every private helper below assumes topoMutex_ is held (shared suffices
   // unless noted); helpers that read/write node stores additionally expect
   // the caller to hold the relevant store stripes — or the exclusive
   // topology lock, which subsumes them.
-  Node& nodeById(common::u64 id);
-  const Node& nodeById(common::u64 id) const;
+  Node& nodeById(common::u64 id) { return nodeIn(nodes_, id); }
+  const Node& nodeById(common::u64 id) const { return nodeIn(nodes_, id); }
   [[nodiscard]] common::u64 successorOf(common::u64 id) const;  // first id > given (wrap)
   [[nodiscard]] common::u64 ownerOfId(common::u64 keyId) const;
   [[nodiscard]] size_t peerCountUnlocked() const;
   void rebuildFingers();
-  /// Removes all ring nodes of the peer owning `nodeId`. Gracefully
-  /// re-homes their primaries (leave) or drops them and recovers from
-  /// replicas (fail). Requires the exclusive topology lock.
-  void removePeerLocked(common::u64 nodeId, bool graceful);
   /// The `count` ring nodes following `id` clockwise that belong to a
   /// *different peer* than `id` (replicas on one's own virtual nodes would
   /// not survive that peer's failure).
   [[nodiscard]] std::vector<common::u64> successorsOf(common::u64 id,
                                                       size_t count) const;
-  /// The stripe set a write to `key`'s owner must hold: the owner node
-  /// plus its replica holders.
-  [[nodiscard]] std::vector<common::u64> writeSetOf(common::u64 ownerId) const;
-  /// Pushes fresh copies of (key, value) from its owner to the replica set.
-  void pushReplicas(const Node& owner, const Key& key, const Value& value);
-  /// Drops `key`'s replicas from its owner's replica holders (the only
-  /// nodes that can hold them between membership changes).
-  void dropReplicas(common::u64 ownerId, const Key& key);
-  /// Recomputes every replica placement from the primaries (after churn).
-  /// Requires the exclusive topology lock.
-  void rebuildReplicas();
   /// Whether the node's peer is crashed (caller holds topoMutex_).
   [[nodiscard]] bool nodeDown(const Node& node) const {
     return crashedPeers_.count(node.peer) != 0;
   }
-  /// Throws DhtPeerDownError when the routed-to owner is dark.
-  void throwIfDown(common::u64 ownerId, const char* op) const;
   /// Distinct live peers (caller holds topoMutex_).
   [[nodiscard]] size_t livePeerCountUnlocked() const;
   /// Removes crashed peers' ring nodes and promotes surviving replicas
@@ -244,26 +223,16 @@ class ChordDht final : public Dht {
   /// caller holds topoMutex_ plus the store stripes (or the exclusive
   /// lock).
   void collectRepairActions(std::vector<RepairAction>& out) const;
-  /// Routes from a (random or fixed) entry peer to the owner of keyId,
-  /// accounting hops and messages. Returns the owner node id.
-  common::u64 route(common::u64 keyId, u64 requestBytes);
-  void accountValueBytes(u64 n) { stats_.valueBytesMoved += n; }
+  /// Routes from a (random or fixed) entry peer to the node owning ring
+  /// id `keyId`, accounting hops and messages. Returns the owner node id.
+  common::u64 routeTo(common::u64 keyId, u64 requestBytes);
 
-  net::SimNetwork& net_;
   Options opts_;
-  common::Pcg32 rng_;
   std::map<common::u64, Node> nodes_;  // ordered by ring id
   /// Peers that crashed and await excision by repairStep(). Guarded by
   /// topoMutex_ like the node map it shadows.
   std::set<net::PeerId> crashedPeers_;
   common::u64 lostKeys_ = 0;  ///< keys destroyed with no surviving replica
-
-  /// Routed ops shared, membership exclusive.
-  mutable std::shared_mutex topoMutex_;
-  /// Per-node store/replica maps, striped by owner node id.
-  mutable common::StripedMutex storeLocks_{64};
-  /// Entry-point randomness; Pcg32 is not concurrency-safe.
-  mutable std::mutex rngMutex_;
 };
 
 }  // namespace lht::dht

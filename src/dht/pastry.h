@@ -17,24 +17,17 @@
 // takes O(log_16 N) hops. When the required table entry's subtree is empty
 // (Pastry's "rare case"), the simulator hands the message directly to the
 // owner in one hop, standing in for Pastry's closest-known-node scan.
-// Thread safety (DESIGN.md §10): shared mutex on topology (routed ops
-// shared, join/leave exclusive), striped store locks keyed by owner node
-// id, a small mutex around the entry-point rng.
+// Storage, replication, churn handling and locking are SimDht's.
 #pragma once
 
 #include <map>
-#include <shared_mutex>
 #include <vector>
 
-#include "common/random.h"
-#include "common/striped_mutex.h"
-#include "dht/dht.h"
-#include "net/sim_network.h"
-#include "store/mem_table.h"
+#include "dht/sim_dht.h"
 
 namespace lht::dht {
 
-class PastryDht final : public Dht {
+class PastryDht final : public SimDht {
  public:
   struct Options {
     size_t initialPeers = 32;
@@ -49,69 +42,45 @@ class PastryDht final : public Dht {
 
   PastryDht(net::SimNetwork& network, Options options);
 
-  void put(const Key& key, Value value) override;
-  std::optional<Value> get(const Key& key) override;
-  bool remove(const Key& key) override;
-  bool apply(const Key& key, const Mutator& fn) override;
-  void storeDirect(const Key& key, Value value) override;
-  [[nodiscard]] size_t size() const override;
-
   /// Adds a peer; keys it now owns move over. Returns its id.
   common::u64 join(const std::string& name);
-  /// Gracefully removes a peer; its keys move to their new owners.
-  void leave(common::u64 nodeId);
-  /// Ungraceful failure: the peer vanishes without handing anything off.
-  /// Surviving replicas (Options::replication >= 2) are promoted on the
-  /// new owners; without replication its keys are lost.
-  void fail(common::u64 nodeId);
-
-  [[nodiscard]] std::vector<common::u64> nodeIds() const;
-  [[nodiscard]] common::u64 ownerOf(const Key& key) const;
 
   /// Validates routing-table and leaf-set invariants plus key placement.
   [[nodiscard]] bool checkTables() const;
 
  private:
-  struct Node {
+  struct Node : Tables {
     common::u64 id = 0;
-    net::PeerId peer = net::kInvalidPeer;
     // routing[l][d]: a node sharing l leading hex digits, digit d at l.
     // 0 is used as "empty" (node ids of 0 are excluded at join).
     common::u64 routing[16][16] = {};
     std::vector<common::u64> leafSet;  // sorted circular neighbors, both sides
-    store::MemTable store;
-    store::MemTable replicas;  ///< copies held for other owners
   };
 
-  // Private helpers assume topoMutex_ held; store accesses additionally
-  // need the owner's stripe (or the exclusive topology lock).
-  Node& nodeById(common::u64 id);
-  const Node& nodeById(common::u64 id) const;
-  [[nodiscard]] common::u64 ownerOfId(common::u64 keyId) const;
-  [[nodiscard]] std::vector<common::u64> nodeIdsUnlocked() const;
-  void rebuildTables();
-  void rehomeAllKeys();
-  /// The replication-1 nodes numerically closest to `ownerId` (excluding
-  /// it) — the holders of its keys' replica copies.
+  common::u64 route(const Key& key, u64 requestBytes) override;
+  [[nodiscard]] common::u64 ownerOfUnlocked(const Key& key) const override;
+  /// The replication-1 nodes numerically closest to `ownerId` (its
+  /// nearest leaf-set members).
   [[nodiscard]] std::vector<common::u64> replicaHoldersOf(
-      common::u64 ownerId) const;
-  /// The stripe set a write to `ownerId` must hold: owner plus holders.
-  [[nodiscard]] std::vector<common::u64> writeSetOf(common::u64 ownerId) const;
-  void pushReplicas(const Node& owner, const Key& key, const Value& value);
-  void dropReplicas(common::u64 ownerId, const Key& key);
-  /// Recomputes every replica placement from the primaries (after churn).
-  /// Requires the exclusive topology lock.
-  void rebuildReplicas();
-  common::u64 route(common::u64 keyId, u64 requestBytes);
+      common::u64 ownerId) const override;
+  [[nodiscard]] std::vector<common::u64> nodeIdsUnlocked() const override {
+    return keysOf(nodes_);
+  }
+  Tables& tablesOf(common::u64 id) override { return nodeById(id); }
+  [[nodiscard]] const Tables& tablesOf(common::u64 id) const override {
+    return nodeById(id);
+  }
+  /// Removing a node cannot change the numerically closest node of keys
+  /// stored on the survivors, so only its own keys move.
+  Departure detach(common::u64 nodeId, bool graceful) override;
 
-  net::SimNetwork& net_;
+  Node& nodeById(common::u64 id) { return nodeIn(nodes_, id); }
+  const Node& nodeById(common::u64 id) const { return nodeIn(nodes_, id); }
+  [[nodiscard]] common::u64 ownerOfId(common::u64 keyId) const;
+  void rebuildTables();
+
   Options opts_;
-  common::Pcg32 rng_;
   std::map<common::u64, Node> nodes_;
-
-  mutable std::shared_mutex topoMutex_;
-  mutable common::StripedMutex storeLocks_{64};
-  mutable std::mutex rngMutex_;
 };
 
 }  // namespace lht::dht

@@ -13,6 +13,10 @@ using namespace rpc::wire;  // NOLINT — this file IS the protocol client
 
 namespace {
 
+/// Batch regroup rounds (after a Redirect, a timeout, or an owner missing
+/// from the view). Re-sending a prefix reply's tail is free.
+constexpr size_t kMaxBatchRounds = 4;
+
 /// One outgoing batch datagram: entry positions packed for one owner.
 struct Chunk {
   u64 owner = 0;
@@ -20,12 +24,11 @@ struct Chunk {
 };
 
 /// Groups `items` by `ownerOf(i)`, opening a new chunk whenever one hits
-/// `maxKeys` entries or `maxBytes` of `byteCost(i)` (the entry's request
-/// footprint).
+/// rpc::kBatchKeysPerDatagram entries or rpc::kBatchBytesPerDatagram of
+/// `byteCost(i)` (the entry's request footprint).
 template <typename OwnerOf, typename ByteCost>
-std::vector<Chunk> packChunks(const std::vector<size_t>& items, size_t maxKeys,
-                              size_t maxBytes, OwnerOf ownerOf,
-                              ByteCost byteCost) {
+std::vector<Chunk> packChunks(const std::vector<size_t>& items,
+                              OwnerOf ownerOf, ByteCost byteCost) {
   std::vector<Chunk> chunks;
   std::vector<size_t> chunkBytes;
   std::unordered_map<u64, size_t> open;  // owner -> open chunk
@@ -33,8 +36,9 @@ std::vector<Chunk> packChunks(const std::vector<size_t>& items, size_t maxKeys,
     const u64 owner = ownerOf(i);
     const size_t cost = byteCost(i);
     auto it = open.find(owner);
-    if (it == open.end() || chunks[it->second].entries.size() >= maxKeys ||
-        chunkBytes[it->second] + cost > maxBytes) {
+    if (it == open.end() ||
+        chunks[it->second].entries.size() >= rpc::kBatchKeysPerDatagram ||
+        chunkBytes[it->second] + cost > rpc::kBatchBytesPerDatagram) {
       it = open.insert_or_assign(owner, chunks.size()).first;
       chunks.push_back(Chunk{owner, {}});
       chunkBytes.push_back(0);
@@ -179,7 +183,6 @@ void RoutedNetDht::noteHint(const std::optional<GossipHint>& hint) {
     // Someone's table moved since we last looked: our ring may be stale.
     it->second = hint->version;
     refreshWanted_ = true;
-    std::lock_guard<std::mutex> slock(statsMutex_);
     routedStats_.staleHints += 1;
   }
 }
@@ -199,12 +202,7 @@ bool RoutedNetDht::pullView(rpc::RpcClient& cli, const rpc::NetAddr& from) {
     const bool first = view_ == nullptr;
     view_ = std::move(v);
     refreshWanted_ = false;
-    std::lock_guard<std::mutex> slock(statsMutex_);
-    if (first) {
-      routedStats_.bootstraps += 1;
-    } else {
-      routedStats_.refreshes += 1;
-    }
+    (first ? routedStats_.bootstraps : routedStats_.refreshes) += 1;
   }
   noteHint(r.hint);
   return true;
@@ -241,11 +239,7 @@ size_t RoutedNetDht::knownMembers() const {
 }
 
 RoutedNetDht::RoutedStats RoutedNetDht::routedStats() const {
-  RoutedStats s;
-  {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    s = routedStats_;
-  }
+  RoutedStats s = routedStats_;
   std::lock_guard<std::mutex> lock(poolMutex_);
   s.connections = conns_.size();
   for (const auto& conn : conns_) {
@@ -298,19 +292,13 @@ rpc::RpcClient::Result RoutedNetDht::callRouted(rpc::RpcClient& cli,
     if (last.timedOut) {
       // The owner may have crashed; a fresher view routes to whoever the
       // survivors promoted for its range.
-      {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        routedStats_.retriesAfterTimeout += 1;
-      }
+      routedStats_.retriesAfterTimeout += 1;
       refreshView(cli);
       v = view();
       continue;
     }
     if (last.status == Status::Redirect) {
-      {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        routedStats_.redirectsFollowed += 1;
-      }
+      routedStats_.redirectsFollowed += 1;
       // The fresh owner itself is the best node to pull the table from.
       const auto* red = std::get_if<RedirectRep>(&last.body);
       const bool pulled =
@@ -375,7 +363,8 @@ GetOutcome RoutedNetDht::getIfChanged(const Key& key, u64 held) {
   auto r = callRouted(lease.rpc(), key, GetReq{key, held});
   checkStatus(r, "get", key);
   auto& rep = std::get<GetRep>(r.body);
-  count(CallCounts{held != 0 ? 1u : 0u, rep.unchanged ? 1u : 0u});
+  if (held != 0) routedStats_.conditionalReads += 1;
+  if (rep.unchanged) routedStats_.unchangedReads += 1;
   GetOutcome out;
   out.ok = true;
   out.unchanged = rep.unchanged;
@@ -384,15 +373,6 @@ GetOutcome RoutedNetDht::getIfChanged(const Key& key, u64 held) {
     out.value = std::move(rep.value);
   }
   return out;
-}
-
-void RoutedNetDht::count(const CallCounts& c) {
-  if (c.conditionalReads == 0 && c.appliesFromStart == 0) return;
-  std::lock_guard<std::mutex> lock(statsMutex_);
-  routedStats_.conditionalReads += c.conditionalReads;
-  routedStats_.unchangedReads += c.unchangedReads;
-  routedStats_.appliesFromStart += c.appliesFromStart;
-  routedStats_.startConflicts += c.startConflicts;
 }
 
 bool RoutedNetDht::remove(const Key& key) {
@@ -428,18 +408,13 @@ bool RoutedNetDht::casLoop(const Key& key, const Value* start,
   stats_.hops += 1;
   Lease lease(*this);
   rpc::RpcClient& cli = lease.rpc();
-  // Counted under statsMutex_ once, however the call ends.
-  struct Tally {
-    RoutedNetDht& dht;
-    CallCounts counts;
-    ~Tally() { dht.count(counts); }
-  } tally{*this, CallCounts{0, 0, start != nullptr ? 1u : 0u, 0}};
+  if (start != nullptr) routedStats_.appliesFromStart += 1;
   auto readOwner = [&](u64 held) {
     auto g = callRouted(cli, key, GetReq{key, held});
     checkStatus(g, "apply", key);
     if (held != 0) {
-      tally.counts.conditionalReads += 1;
-      tally.counts.unchangedReads += std::get<GetRep>(g.body).unchanged ? 1 : 0;
+      routedStats_.conditionalReads += 1;
+      if (std::get<GetRep>(g.body).unchanged) routedStats_.unchangedReads += 1;
     }
     return std::move(std::get<GetRep>(g.body));
   };
@@ -477,7 +452,7 @@ bool RoutedNetDht::casLoop(const Key& key, const Value* start,
                 rep.currentVersion);
       return state.present;
     }
-    if (early) tally.counts.startConflicts += 1;
+    if (early) routedStats_.startConflicts += 1;
     // Conflict: the reply carries the stored value, so the mutator re-runs
     // on it without another GET round.
     state.present = rep.currentPresent;
@@ -498,18 +473,17 @@ std::vector<RoutedNetDht::Fetched> RoutedNetDht::fetch(
   std::vector<size_t> pending(keys.size());
   std::iota(pending.begin(), pending.end(), size_t{0});
   // Only regroups (a Redirect, a timeout, an owner missing from the view)
-  // spend maxBatchRounds. Re-sending the tail of a prefix reply is free:
+  // spend kMaxBatchRounds. Re-sending the tail of a prefix reply is free:
   // every reply answers or fails at least one entry.
   size_t regroups = 0;
-  while (!pending.empty() && regroups < opts_.maxBatchRounds) {
+  while (!pending.empty() && regroups < kMaxBatchRounds) {
     auto v = view();
     if (!v) {
       if (!refreshView(cli)) break;
       v = requireView();
     }
     const auto chunks = packChunks(
-        pending, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
-        [&](size_t i) { return v->ring.owner(keys[i]); },
+        pending, [&](size_t i) { return v->ring.owner(keys[i]); },
         [&](size_t i) { return keys[i].size() + 8; });
     std::vector<rpc::RpcClient::Token> tokens(chunks.size(), 0);
     std::vector<bool> sent(chunks.size(), false);
@@ -565,10 +539,7 @@ std::vector<RoutedNetDht::Fetched> RoutedNetDht::fetch(
         // Stale grouping (join/leave in flight) or a dead owner: refresh
         // and regroup just these entries.
         regroup.insert(regroup.end(), entries.begin(), entries.end());
-        if (r.status == Status::Redirect) {
-          std::lock_guard<std::mutex> lock(statsMutex_);
-          routedStats_.redirectsFollowed += 1;
-        }
+        if (r.status == Status::Redirect) routedStats_.redirectsFollowed += 1;
         continue;
       }
       const std::string err =
@@ -619,9 +590,9 @@ std::vector<GetOutcome> RoutedNetDht::multiGetIfChanged(
       out[i].value = std::move(f.rep.value);
     }
   }
-  count(CallCounts{static_cast<u64>(std::count_if(
-                        held.begin(), held.end(), [](u64 h) { return h != 0; })),
-                    unchanged});
+  routedStats_.conditionalReads += static_cast<u64>(
+      std::count_if(held.begin(), held.end(), [](u64 h) { return h != 0; }));
+  routedStats_.unchangedReads += unchanged;
   return out;
 }
 
@@ -691,8 +662,7 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
     std::vector<size_t> positions(casEntries.size());
     std::iota(positions.begin(), positions.end(), size_t{0});
     const auto chunks = packChunks(
-        positions, opts_.maxKeysPerDatagram, opts_.maxBytesPerDatagram,
-        [&](size_t j) { return v->ring.owner(casReqs[j].key); },
+        positions, [&](size_t j) { return v->ring.owner(casReqs[j].key); },
         [&](size_t j) {
           return casReqs[j].key.size() + casReqs[j].value.size() + 16;
         });

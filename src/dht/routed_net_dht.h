@@ -108,41 +108,36 @@ class RoutedNetDht final : public Dht {
     /// member count. 1 = no replication.
     size_t replication = 1;
     rpc::RpcClient::Options rpc;
-    /// Batch packing caps: keys per MultiGet/MultiCas datagram, and a
-    /// soft byte budget per datagram (hard cap is kMaxDatagramBytes).
-    size_t maxKeysPerDatagram = 32;
-    size_t maxBytesPerDatagram = 48 * 1024;
     /// CAS attempts per apply before giving up (contention bound).
     size_t casRetries = 16;
     /// Client-side attempts per op (each attempt = route + one RPC);
     /// redirects and refresh-retries consume attempts.
     size_t maxAttempts = 4;
-    /// Batch regroup rounds (after a Redirect, a timeout, or an owner
-    /// missing from the view). Re-sending a prefix reply's tail is free.
-    size_t maxBatchRounds = 4;
   };
 
+  /// Relaxed counters, like DhtStats: concurrent callers bump them with
+  /// no lock, and a copy is a snapshot.
   struct RoutedStats {
-    common::u64 bootstraps = 0;       ///< successful table pulls
-    common::u64 refreshes = 0;        ///< view rebuilds after the first
-    common::u64 redirectsFollowed = 0;
-    common::u64 staleHints = 0;       ///< hint version bumps observed
-    common::u64 retriesAfterTimeout = 0;
+    common::RelaxedCounter bootstraps;  ///< successful table pulls
+    common::RelaxedCounter refreshes;   ///< view rebuilds after the first
+    common::RelaxedCounter redirectsFollowed;
+    common::RelaxedCounter staleHints;  ///< hint version bumps observed
+    common::RelaxedCounter retriesAfterTimeout;
     /// Read entries sent with a held digest, and those answered
     /// `unchanged` (no value shipped).
-    common::u64 conditionalReads = 0;
-    common::u64 unchangedReads = 0;
+    common::RelaxedCounter conditionalReads;
+    common::RelaxedCounter unchangedReads;
     /// applyFrom calls, and those whose CAS from the start conflicted (the
     /// start was stale).
-    common::u64 appliesFromStart = 0;
-    common::u64 startConflicts = 0;
-    common::u64 connections = 0;
+    common::RelaxedCounter appliesFromStart;
+    common::RelaxedCounter startConflicts;
+    common::RelaxedCounter connections;
     // Transport and RPC totals across the connection pool.
-    common::u64 datagramsSent = 0;
-    common::u64 datagramsReceived = 0;
-    common::u64 requestsStarted = 0;
-    common::u64 retransmits = 0;
-    common::u64 timeouts = 0;
+    common::RelaxedCounter datagramsSent;
+    common::RelaxedCounter datagramsReceived;
+    common::RelaxedCounter requestsStarted;
+    common::RelaxedCounter retransmits;
+    common::RelaxedCounter timeouts;
   };
 
   RoutedNetDht(Options options, TransportFactory makeTransport);
@@ -251,17 +246,6 @@ class RoutedNetDht final : public Dht {
   /// round when it is null.
   bool casLoop(const Key& key, const Value* start, const Mutator& fn);
 
-  /// One call's additions to RoutedStats' read and start counters.
-  struct CallCounts {
-    common::u64 conditionalReads = 0;
-    common::u64 unchangedReads = 0;
-    common::u64 appliesFromStart = 0;
-    common::u64 startConflicts = 0;
-  };
-  /// Adds `c` under statsMutex_ once; a call that sent no digest and had
-  /// no start takes no lock.
-  void count(const CallCounts& c);
-
   Options opts_;
   TransportFactory makeTransport_;
 
@@ -274,7 +258,6 @@ class RoutedNetDht final : public Dht {
   mutable std::vector<std::unique_ptr<Conn>> conns_;
   mutable std::vector<size_t> freeConns_;
 
-  mutable std::mutex statsMutex_;
   RoutedStats routedStats_;
 };
 

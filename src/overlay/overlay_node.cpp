@@ -11,6 +11,20 @@ using namespace rpc::wire;  // NOLINT — implementation file for the protocol
 using rpc::Datagram;
 using rpc::RpcClient;
 
+namespace {
+
+/// Consecutive gossip-round timeouts before Suspect / Dead.
+constexpr size_t kSuspectAfterFailures = 2;
+constexpr size_t kDeadAfterFailures = 4;
+/// Warm window after joinCluster(): primary misses are fetched from the
+/// previous owner instead of answered absent.
+constexpr u64 kWarmupMs = 3000;
+/// Bounded relay bookkeeping: in-flight/replayable forwarded requests per
+/// origin (at-most-once across the forwarding hop).
+constexpr size_t kRelayDedupCapacity = 1024;
+
+}  // namespace
+
 OverlayNode::OverlayNode(Options options, rpc::Transport& transport)
     : opts_(std::move(options)),
       transport_(transport),
@@ -293,7 +307,7 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
 void OverlayNode::trackRelay(const RelayKey& key) {
   relays_.emplace(key, RelayState{});
   relayOrder_.push_back(key);
-  while (relayOrder_.size() > opts_.relayDedupCapacity) {
+  while (relayOrder_.size() > kRelayDedupCapacity) {
     relays_.erase(relayOrder_.front());
     relayOrder_.pop_front();
   }
@@ -358,11 +372,11 @@ void OverlayNode::resolveGossip(const PendingGossip& p,
   if (r.timedOut) {
     stats_.gossipTimeouts += 1;
     const size_t fails = ++gossipFailures_[p.peerId];
-    if (fails == opts_.suspectAfterFailures && table_.markSuspect(p.peerId)) {
+    if (fails == kSuspectAfterFailures && table_.markSuspect(p.peerId)) {
       stats_.suspectsRaised += 1;
       noteMembershipChanged();
     }
-    if (fails >= opts_.deadAfterFailures && table_.markDead(p.peerId)) {
+    if (fails >= kDeadAfterFailures && table_.markDead(p.peerId)) {
       stats_.deadRaised += 1;
       noteMembershipChanged();
     }
@@ -521,8 +535,8 @@ void OverlayNode::pumpHandoffJobs() {
     size_t bytes = 0;
     size_t i = job.cursor;
     while (i < job.entries.size() &&
-           req.entries.size() < opts_.handoffBatchKeys &&
-           bytes < opts_.handoffBatchBytes) {
+           req.entries.size() < rpc::kBatchKeysPerDatagram &&
+           bytes < rpc::kBatchBytesPerDatagram) {
       bytes += job.entries[i].key.size() + job.entries[i].value.size() + 16;
       req.entries.push_back(job.entries[i]);
       i += 1;
@@ -648,7 +662,7 @@ bool OverlayNode::joinCluster(const NetAddr& seed, u64 deadlineMs) {
   noteMembershipChanged();
   // The launch state (pre-join keys) must stay reachable while streams
   // drain: warm-fetch misses from the previous owner.
-  warmUntilMs_ = transport_.nowMs() + opts_.warmupMs;
+  warmUntilMs_ = transport_.nowMs() + kWarmupMs;
   reconciledVersion_ = table_.version();  // no replica promotion on join
   return accepted > 0;
 }

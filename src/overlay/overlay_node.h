@@ -73,18 +73,6 @@ class OverlayNode {
     /// Forward single-key ops one hop (true) or always redirect (false).
     bool forwardData = true;
     u64 gossipIntervalMs = 250;
-    /// Consecutive gossip-round timeouts before Suspect / Dead.
-    size_t suspectAfterFailures = 2;
-    size_t deadAfterFailures = 4;
-    /// Warm window after joinCluster(): primary misses are fetched from
-    /// the previous owner instead of answered absent.
-    u64 warmupMs = 3000;
-    /// Handoff batch packing (keys and soft bytes per datagram).
-    size_t handoffBatchKeys = 32;
-    size_t handoffBatchBytes = 48 * 1024;
-    /// Bounded relay bookkeeping: in-flight/replayable forwarded
-    /// requests per origin (at-most-once across the forwarding hop).
-    size_t relayDedupCapacity = 1024;
     /// Deadline/backoff for the node's own outgoing calls. Kept tighter
     /// than the client default: a forward that cannot complete quickly
     /// should fail over to a redirect.

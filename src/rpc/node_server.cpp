@@ -92,15 +92,18 @@ std::vector<HandoffEntry> NodeServer::collectPrimary(
   return out;
 }
 
+bool NodeServer::installNewer(Table& table, const std::string& key,
+                              Stored copy) {
+  auto [it, fresh] = table.try_emplace(key);
+  if (!fresh && it->second.version >= copy.version) return false;
+  it->second = std::move(copy);
+  return true;
+}
+
 bool NodeServer::installPrimary(const std::string& key, u64 version,
                                 const std::string& value) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = primary_.find(key);
-  if (it != primary_.end() && it->second.version >= version) return false;
-  Stored& s = primary_[key];
-  s.version = version;
-  s.value = value;
-  return true;
+  return installNewer(primary_, key, Stored{version, value});
 }
 
 size_t NodeServer::demotePrimary(
@@ -112,10 +115,7 @@ size_t NodeServer::demotePrimary(
       ++it;
       continue;
     }
-    auto rit = replica_.find(it->first);
-    if (rit == replica_.end() || rit->second.version < it->second.version) {
-      replica_[it->first] = std::move(it->second);
-    }
+    installNewer(replica_, it->first, std::move(it->second));
     it = primary_.erase(it);
     moved += 1;
   }
@@ -131,10 +131,7 @@ size_t NodeServer::promoteReplica(
       ++it;
       continue;
     }
-    auto pit = primary_.find(it->first);
-    if (pit == primary_.end() || pit->second.version < it->second.version) {
-      primary_[it->first] = std::move(it->second);
-    }
+    installNewer(primary_, it->first, std::move(it->second));
     it = replica_.erase(it);
     moved += 1;
   }
@@ -268,14 +265,9 @@ ReplyBody NodeServer::dispatch(const RequestBody& req, size_t bodyBudget) {
           // write that raced ahead of the stream is never rolled back.
           HandoffRep rep;
           for (const HandoffEntry& h : body.entries) {
-            auto it = primary_.find(h.key);
-            if (it != primary_.end() && it->second.version >= h.version) {
-              continue;
+            if (installNewer(primary_, h.key, Stored{h.version, h.value})) {
+              rep.installed += 1;
             }
-            Stored& s = primary_[h.key];
-            s.version = h.version;
-            s.value = h.value;
-            rep.installed += 1;
           }
           return rep;
         } else if constexpr (std::is_same_v<T, GossipSyncReq>) {

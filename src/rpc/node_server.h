@@ -158,6 +158,11 @@ class NodeServer {
     u64 version = 0;
     std::string value;
   };
+  using Table = std::unordered_map<std::string, Stored>;
+  /// The install rule for a copy arriving from elsewhere (handoff,
+  /// demotion, promotion): the higher version wins, and a tie keeps the
+  /// stored copy. Returns whether `copy` was stored.
+  static bool installNewer(Table& table, const std::string& key, Stored copy);
   struct DedupKey {
     u32 host = 0;
     u16 port = 0;
@@ -183,8 +188,8 @@ class NodeServer {
 
   Options opts_;
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, Stored> primary_;
-  std::unordered_map<std::string, Stored> replica_;
+  Table primary_;
+  Table replica_;
   // Dedup: map for lookup + deque for FIFO eviction.
   std::unordered_map<DedupKey, std::string, DedupKeyHash> dedup_;
   std::deque<DedupKey> dedupOrder_;

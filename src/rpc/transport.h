@@ -93,4 +93,10 @@ class Transport {
 /// keeps the simulated twin honest about what a real socket accepts.
 inline constexpr size_t kMaxDatagramBytes = 56 * 1024;
 
+/// Batch packing caps, for the client's MultiGet/MultiCas chunks and the
+/// daemon's handoff batches alike: keys per datagram, and a soft byte
+/// budget per datagram (kMaxDatagramBytes is the hard cap).
+inline constexpr size_t kBatchKeysPerDatagram = 32;
+inline constexpr size_t kBatchBytesPerDatagram = 48 * 1024;
+
 }  // namespace lht::rpc
