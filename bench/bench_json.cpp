@@ -7,7 +7,11 @@
 // index's only path for them.
 //
 // Metrics per phase:
-//   lookup    exact-match finds: avg DHT-lookups, avg rounds, wall ns/op
+//   lookup    exact-match finds: avg DHT-lookups, avg rounds, wall ns/op.
+//             The two sides are timed in alternating slices (baseline
+//             slice i, then optimized slice i), so a machine-wide slowdown
+//             lands on both sides of a slice; speedup.lookup_ns is the
+//             median of the per-slice ratios.
 //   range     fixed-span queries: avg DHT-lookups, avg rounds, max rounds,
 //             max B+3 bound (rounds must stay within it), wall ns/op
 //   bulk      one insertBatch of fresh records into a built index: wall
@@ -20,10 +24,13 @@
 // trace-event JSON (load in chrome://tracing or ui.perfetto.dev). Tracing
 // adds per-op span bookkeeping, so traced ns/op numbers are for inspection,
 // not for baseline comparison.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/random.h"
@@ -65,29 +72,49 @@ core::LhtIndex::Options indexOpts(const Config& cfg, bool optimized) {
   return o;
 }
 
-PhaseStats measureLookups(core::LhtIndex& idx, const Config& cfg) {
-  // One untimed warm pass so the optimized side measures the steady state
-  // (cache populated), not the fill; the baseline is unaffected.
-  common::Pcg32 warm(cfg.seed ^ 0xF00Dull, /*stream=*/7);
-  for (size_t i = 0; i < cfg.lookups; ++i) idx.find(warm.nextDouble());
+/// Slices per side of the lookup phase.
+constexpr size_t kLookupSlices = 10;
 
-  common::Pcg32 rng(cfg.seed ^ 0xF00Dull, /*stream=*/7);
-  PhaseStats out;
-  const auto t0 = Clock::now();
-  for (size_t i = 0; i < cfg.lookups; ++i) {
-    auto res = idx.find(rng.nextDouble());
-    out.dhtLookups += static_cast<double>(res.stats.dhtLookups);
-    out.rounds += static_cast<double>(res.stats.parallelSteps);
+/// Times `cfg.lookups` finds on each side in alternating slices, each side
+/// under its own registry and running the same finds in the same order.
+/// Fills each side's stats and returns the median over slices of
+/// baseline ns / optimized ns.
+double measureLookups(std::unique_ptr<core::LhtIndex> (&idx)[2],
+                      obs::MetricsRegistry (&reg)[2], obs::Tracer* tracer,
+                      const Config& cfg, PhaseStats (&out)[2]) {
+  common::Pcg32 rng[2] = {common::Pcg32(cfg.seed ^ 0xF00Dull, /*stream=*/7),
+                          common::Pcg32(cfg.seed ^ 0xF00Dull, /*stream=*/7)};
+  const size_t slices = std::min(kLookupSlices, cfg.lookups);
+  double ns[2] = {0.0, 0.0};
+  std::vector<double> ratios;
+  for (size_t slice = 0; slice < slices; ++slice) {
+    double sliceNs[2];
+    for (int side = 0; side < 2; ++side) {
+      obs::ScopedObservability install(&reg[side], tracer);
+      const auto t0 = Clock::now();
+      for (size_t i = cfg.lookups * slice / slices;
+           i < cfg.lookups * (slice + 1) / slices; ++i) {
+        auto res = idx[side]->find(rng[side].nextDouble());
+        out[side].dhtLookups += static_cast<double>(res.stats.dhtLookups);
+        out[side].rounds += static_cast<double>(res.stats.parallelSteps);
+      }
+      const auto t1 = Clock::now();
+      sliceNs[side] = static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+      ns[side] += sliceNs[side];
+    }
+    ratios.push_back(sliceNs[0] / sliceNs[1]);
   }
-  const auto t1 = Clock::now();
   const double n = static_cast<double>(cfg.lookups);
-  out.dhtLookups /= n;
-  out.rounds /= n;
-  out.nsPerOp = static_cast<double>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                        .count()) /
-                n;
-  return out;
+  for (int side = 0; side < 2; ++side) {
+    out[side].dhtLookups /= n;
+    out[side].rounds /= n;
+    out[side].nsPerOp = ns[side] / n;
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const size_t mid = ratios.size() / 2;
+  return ratios.size() % 2 == 1 ? ratios[mid]
+                                : (ratios[mid - 1] + ratios[mid]) / 2.0;
 }
 
 PhaseStats measureRanges(core::LhtIndex& idx, const Config& cfg) {
@@ -224,17 +251,29 @@ int main(int argc, char** argv) {
   double bulkNs[2];
   common::u64 bulkRounds[2];
   obs::MetricsRegistry reg[2];
+  dht::LocalDht store[2];
+  std::unique_ptr<core::LhtIndex> idx[2];
+  const auto sideName = [](int side) {
+    return side == 1 ? "bench.optimized" : "bench.baseline";
+  };
   for (int side = 0; side < 2; ++side) {
-    const bool optimized = side == 1;
     obs::ScopedObservability install(&reg[side], tracerPtr);
-    obs::SpanScope sideSpan(optimized ? "bench.optimized" : "bench.baseline",
-                            "bench");
-    dht::LocalDht store;
-    core::LhtIndex idx(store, indexOpts(cfg, optimized));
-    for (const auto& r : dataset) idx.insert(r);
-    lookup[side] = measureLookups(idx, cfg);
-    range[side] = measureRanges(idx, cfg);
-    std::tie(bulkNs[side], bulkRounds[side]) = measureBulk(cfg, optimized);
+    obs::SpanScope sideSpan(sideName(side), "bench");
+    idx[side] =
+        std::make_unique<core::LhtIndex>(store[side], indexOpts(cfg, side == 1));
+    for (const auto& r : dataset) idx[side]->insert(r);
+    // One untimed warm pass so the optimized side measures the steady
+    // state (cache populated), not the fill; the baseline is unaffected.
+    common::Pcg32 warm(cfg.seed ^ 0xF00Dull, /*stream=*/7);
+    for (size_t i = 0; i < cfg.lookups; ++i) idx[side]->find(warm.nextDouble());
+  }
+  const double lookupSpeedup =
+      measureLookups(idx, reg, tracerPtr, cfg, lookup);
+  for (int side = 0; side < 2; ++side) {
+    obs::ScopedObservability install(&reg[side], tracerPtr);
+    obs::SpanScope sideSpan(sideName(side), "bench");
+    range[side] = measureRanges(*idx[side], cfg);
+    std::tie(bulkNs[side], bulkRounds[side]) = measureBulk(cfg, side == 1);
   }
 
   std::ostringstream os;
@@ -260,7 +299,7 @@ int main(int argc, char** argv) {
     os << "  },\n";
   }
   os << "  \"speedup\": {\n"
-     << "    \"lookup_ns\": " << lookup[0].nsPerOp / lookup[1].nsPerOp << ",\n"
+     << "    \"lookup_ns\": " << lookupSpeedup << ",\n"
      << "    \"lookup_dht\": " << lookup[0].dhtLookups / lookup[1].dhtLookups
      << ",\n"
      << "    \"range_ns\": " << range[0].nsPerOp / range[1].nsPerOp << ",\n"

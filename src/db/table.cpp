@@ -20,49 +20,6 @@ double Normalizer::toKey(double raw) const {
 
 double Normalizer::fromKey(double key) const { return lo_ + key * (hi_ - lo_); }
 
-// --- namespaced DHT adapter -------------------------------------------------
-
-void NamespacedDht::put(const dht::Key& key, dht::Value value) {
-  inner_.put(prefix_ + key, std::move(value));
-}
-
-std::optional<dht::Value> NamespacedDht::get(const dht::Key& key) {
-  return inner_.get(prefix_ + key);
-}
-
-bool NamespacedDht::remove(const dht::Key& key) {
-  return inner_.remove(prefix_ + key);
-}
-
-bool NamespacedDht::apply(const dht::Key& key, const dht::Mutator& fn) {
-  return inner_.apply(prefix_ + key, fn);
-}
-
-std::vector<dht::GetOutcome> NamespacedDht::multiGet(
-    const std::vector<dht::Key>& keys) {
-  std::vector<dht::Key> prefixed;
-  prefixed.reserve(keys.size());
-  for (const auto& key : keys) prefixed.push_back(prefix_ + key);
-  return inner_.multiGet(prefixed);
-}
-
-std::vector<dht::ApplyOutcome> NamespacedDht::multiApply(
-    const std::vector<dht::ApplyRequest>& reqs) {
-  std::vector<dht::ApplyRequest> prefixed;
-  prefixed.reserve(reqs.size());
-  for (const auto& req : reqs) prefixed.push_back({prefix_ + req.key, req.fn});
-  return inner_.multiApply(prefixed);
-}
-
-void NamespacedDht::storeDirect(const dht::Key& key, dht::Value value) {
-  inner_.storeDirect(prefix_ + key, std::move(value));
-}
-
-std::optional<dht::Value> NamespacedDht::getReplica(const dht::Key& key,
-                                                    size_t replicaIndex) {
-  return inner_.getReplica(prefix_ + key, replicaIndex);
-}
-
 Table::Table(dht::Dht& dht, Options options)
     : columns_(std::move(options.indexedColumns)) {
   checkInvariant(!columns_.empty(), "Table: need at least one indexed column");

@@ -28,19 +28,20 @@ class NamespacedDht final : public dht::ForwardingDht {
   NamespacedDht(dht::Dht& inner, std::string prefix)
       : ForwardingDht(inner), prefix_(std::move(prefix)) {}
 
-  void put(const dht::Key& key, dht::Value value) override;
-  std::optional<dht::Value> get(const dht::Key& key) override;
-  bool remove(const dht::Key& key) override;
-  bool apply(const dht::Key& key, const dht::Mutator& fn) override;
-  std::vector<dht::GetOutcome> multiGet(
-      const std::vector<dht::Key>& keys) override;
-  std::vector<dht::ApplyOutcome> multiApply(
-      const std::vector<dht::ApplyRequest>& reqs) override;
-  void storeDirect(const dht::Key& key, dht::Value value) override;
-  std::optional<dht::Value> getReplica(const dht::Key& key,
-                                       size_t replicaIndex) override;
+  void storeDirect(const dht::Key& key, dht::Value value) override {
+    inner_.storeDirect(prefix_ + key, std::move(value));
+  }
 
  private:
+  void onCall(Call& call, const Forward& forward) override {
+    call.key = prefix_ + call.key;
+    forward();
+  }
+  void onRound(Round& round, const Issue& issue) override {
+    for (dht::Key& key : round.keys) key = prefix_ + key;
+    issue(round.all());
+  }
+
   std::string prefix_;
 };
 

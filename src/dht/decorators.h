@@ -3,9 +3,11 @@
 // Real DHT requests get lost; over-DHT indexes assume the substrate
 // resolves that (the paper leaves robustness "to and well done by [the]
 // underlying DHT"). These decorators make the assumption testable. Each
-// is a ForwardingDht (dht/dht.h) that overrides only the calls it
-// changes. FaultDht separates the two fundamentally different loss modes
-// by where the fault strikes:
+// is a ForwardingDht (dht/dht.h) that overrides its two hooks: one sees
+// every single-key call, the other every round. A conditional read passes
+// them as a get and a start as an apply, and the inner call still carries
+// the caller's digest or start. FaultDht separates the two fundamentally
+// different loss modes by where the fault strikes:
 //
 //  * FaultDht at Point::Request injects lost *requests*: with probability
 //    p an operation throws DhtError *before* executing. Retries are always
@@ -17,17 +19,10 @@
 //    lht/bucket.h) necessary rather than theoretical.
 //  * LatencyDht charges each routed operation simulated time on a shared
 //    SimClock (base + deterministic jitter).
-//  * TimeoutDht enforces a deadline against that clock: an operation
-//    whose inner call consumed more than the deadline throws
-//    DhtTimeoutError *after* executing — a timeout on a write that in
-//    fact landed is exactly a lost reply.
 //  * RetryingDht retries failed operations with exponential backoff and
 //    deterministic jitter, advancing the clock while "waiting", and keeps
 //    full diagnostics (per-op retry counts, attempt histogram, last
 //    error) instead of a bare rethrow.
-//  * CircuitBreakerDht fails fast after a run of consecutive failures and
-//    re-probes after a cooldown (half-open), protecting a client from
-//    hammering a dead substrate.
 //  * FailoverDht rescues failed reads from the key's replica holders
 //    (Dht::getReplica) and optionally hedges tail-latency reads against a
 //    replica — first answer wins. This is what keeps queries answerable
@@ -38,13 +33,13 @@
 //    fault campaign uses it to abandon multi-step index protocols at
 //    every intermediate step.
 //
-// Stack them: RetryingDht over CircuitBreakerDht over TimeoutDht over
-// LatencyDht over a reply-point FaultDht over a real substrate.
+// Stack them: RetryingDht over LatencyDht over a reply-point FaultDht over
+// a real substrate.
 //
 // Thread safety (DESIGN.md §10): every decorator is re-entrant, so one
 // stack may be shared by many threads — inner calls run outside any
 // decorator lock; only the small mutable islands (rng draws, diagnostics,
-// breaker/crash state machines) are mutex-guarded, and event counters are
+// the crash state machine) are mutex-guarded, and event counters are
 // relaxed atomics (SharedDecoratorStack.* runs a shared stack under
 // ThreadSanitizer). Diagnostic accessors that return references
 // (lastError, attemptHistogram) are exact only once concurrent callers
@@ -64,12 +59,11 @@
 namespace lht::dht {
 
 // The failure taxonomy (DhtError, DhtTimeoutError, DhtRetriesExhausted,
-// DhtCircuitOpenError, CrashError) lives in dht/dht.h next to the batch
-// outcome types that carry the same errors per entry.
+// CrashError) lives in dht/dht.h next to the batch outcome types that
+// carry the same errors per entry.
 
-/// Operation categories for per-op diagnostics.
-enum class DhtOp : size_t { Put = 0, Get = 1, Remove = 2, Apply = 3 };
-inline constexpr size_t kDhtOpCount = 4;
+inline constexpr size_t kDhtOpCount = 5;
+/// "put", "get", "remove", "apply" or "getReplica".
 const char* dhtOpName(DhtOp op);
 
 class FaultDht final : public ForwardingDht {
@@ -85,39 +79,27 @@ class FaultDht final : public ForwardingDht {
     Reply,
   };
 
-  /// Faults each routed call (put, get, remove, apply, every batch entry,
-  /// getReplica) with probability `probability` at `point`, deterministic
-  /// given `seed`. storeDirect never fails (bootstrap).
+  /// Faults each routed call (every single-key call, getReplica included,
+  /// and every batch entry) with probability `probability` at `point`,
+  /// deterministic given `seed`. storeDirect never fails (bootstrap).
   FaultDht(Dht& inner, Point point, double probability, common::u64 seed = 1);
-
-  void put(const Key& key, Value value) override;
-  std::optional<Value> get(const Key& key) override;
-  bool remove(const Key& key) override;
-  bool apply(const Key& key, const Mutator& fn) override;
-
-  /// Per-entry faults. Request: each entry independently fails before
-  /// execution and the survivors travel to the inner DHT as one round.
-  /// Reply: the whole round executes, then each answered entry's reply is
-  /// independently dropped (ok=false, value discarded).
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
-  /// Replica reads are routed calls too: they fault like any other.
-  std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override;
 
   /// Faults injected so far (lost requests, or lost replies each of which
   /// is a successfully executed call).
   [[nodiscard]] size_t injected() const { return injected_; }
 
  private:
+  void onCall(Call& call, const Forward& forward) override;
+  /// Per-entry faults. Request: each entry independently fails before
+  /// execution and the survivors travel to the inner DHT as one round.
+  /// Reply: the whole round executes, then each answered entry's reply is
+  /// independently dropped (failed, value discarded).
+  void onRound(Round& round, const Issue& issue) override;
+
   bool shouldFault();
-  [[nodiscard]] std::string message(const char* op) const;
+  [[nodiscard]] std::string message(DhtOp op) const;
   /// Throws the fault for `op` when it strikes at `point`.
-  void maybeFault(Point point, const char* op);
-  template <typename Outcome, typename Item, typename Round>
-  std::vector<Outcome> faultRound(const char* op,
-                                  const std::vector<Item>& items, Round round);
+  void maybeFault(Point point, DhtOp op);
 
   Point point_;
   double probability_;
@@ -135,27 +117,17 @@ class LatencyDht final : public ForwardingDht {
   };
 
   /// Advances `clock` by a sampled latency for each routed operation
-  /// (before it executes). storeDirect costs nothing.
+  /// (before it executes), a replica read included. A batch round is
+  /// dispatched concurrently: it is charged ONE sampled latency (the
+  /// critical-path RTT), not one per entry. storeDirect costs nothing.
   LatencyDht(Dht& inner, net::SimClock& clock, Options options);
-
-  void put(const Key& key, Value value) override;
-  std::optional<Value> get(const Key& key) override;
-  bool remove(const Key& key) override;
-  bool apply(const Key& key, const Mutator& fn) override;
-
-  /// A batch round is dispatched concurrently: it is charged ONE sampled
-  /// latency (the critical-path RTT), not one per entry.
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
-  /// Each replica read is its own round trip and is charged like one.
-  std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override;
 
   /// Total simulated milliseconds injected so far.
   [[nodiscard]] common::u64 injectedLatencyMs() const { return injectedMs_; }
 
  private:
+  void onCall(Call& call, const Forward& forward) override;
+  void onRound(Round& round, const Issue& issue) override;
   void charge();
 
   net::SimClock& clock_;
@@ -165,57 +137,13 @@ class LatencyDht final : public ForwardingDht {
   common::RelaxedCounter injectedMs_;
 };
 
-class TimeoutDht final : public ForwardingDht {
- public:
-  /// Throws DhtTimeoutError when an inner operation consumed more than
-  /// `deadlineMs` of simulated time. The throw happens *after* the inner
-  /// call returns: a timed-out write has still executed (lost reply).
-  TimeoutDht(Dht& inner, net::SimClock& clock, common::u64 deadlineMs);
-
-  void put(const Key& key, Value value) override;
-  std::optional<Value> get(const Key& key) override;
-  bool remove(const Key& key) override;
-  bool apply(const Key& key, const Mutator& fn) override;
-
-  /// The deadline applies to the whole round (it is one critical-path
-  /// RTT). A missed deadline fails every entry in the round — but the
-  /// round has executed (lost-reply semantics), and counts as ONE timeout.
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
-  /// Each replica read gets its own deadline (it is an independent
-  /// request, not part of the primary's budget).
-  std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override;
-
-  /// Deadline misses so far.
-  [[nodiscard]] size_t timeouts() const { return timeouts_; }
-
- private:
-  /// Runs `call` and throws DhtTimeoutError when it overran the deadline.
-  template <typename F>
-  auto timed(const char* op, F&& call) -> decltype(call());
-  template <typename Outcome, typename Round>
-  std::vector<Outcome> timedRound(const char* op, const char* what,
-                                  Round round);
-  /// Counts and describes a missed deadline of a call that started at
-  /// `startMs`; nullopt when the call made it.
-  std::optional<std::string> missedDeadline(common::u64 startMs,
-                                            const char* op, const char* what);
-
-  net::SimClock& clock_;
-  common::u64 deadlineMs_;
-  common::RelaxedCounter timeouts_;
-};
-
 class RetryingDht final : public ForwardingDht {
  public:
+  /// Each retry waits baseBackoffMs * 2^(attempt-1), capped at 10 s.
   struct Options {
     size_t maxAttempts = 8;
     /// First retry delay; 0 disables backoff entirely (immediate retry).
     common::u64 baseBackoffMs = 0;
-    double backoffMultiplier = 2.0;
-    common::u64 maxBackoffMs = 10'000;
     /// Fraction of each delay replaced by deterministic jitter: the delay
     /// becomes d*(1-jitter) + uniform[0, d*jitter]. Avoids retry
     /// synchronization across clients while staying reproducible.
@@ -229,24 +157,6 @@ class RetryingDht final : public ForwardingDht {
   /// Legacy shape: immediate retries, no backoff.
   RetryingDht(Dht& inner, size_t maxAttempts = 8);
   RetryingDht(Dht& inner, Options options);
-
-  void put(const Key& key, Value value) override;
-  std::optional<Value> get(const Key& key) override;
-  bool remove(const Key& key) override;
-  bool apply(const Key& key, const Mutator& fn) override;
-
-  /// Retries only the entries that failed: each attempt re-issues the
-  /// still-failing subset as one inner round, with backoff between
-  /// rounds. Unlike the single-op path this never throws
-  /// DhtRetriesExhausted — an exhausted entry stays ok=false so the rest
-  /// of the batch still lands.
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
-  // Replica reads forward untouched: FailoverDht owns the iteration over
-  // holders, so wrapping each rescue in this decorator's retry loop would
-  // multiply the recovery machinery against itself.
 
   // Diagnostics --------------------------------------------------------------
   /// Retries performed so far (failures absorbed), total and per op type.
@@ -269,11 +179,17 @@ class RetryingDht final : public ForwardingDht {
   [[nodiscard]] common::u64 backoffWaitedMs() const { return backoffWaitedMs_; }
 
  private:
-  template <typename F>
-  auto withRetries(DhtOp op, F&& f) -> decltype(f());
-  template <typename Outcome, typename Item, typename Round>
-  std::vector<Outcome> retryRound(DhtOp op, const std::vector<Item>& items,
-                                  Round round);
+  /// Retries a failed call, and throws DhtRetriesExhausted when it runs out
+  /// of attempts. Replica reads forward untouched: FailoverDht owns the
+  /// iteration over holders, so wrapping each rescue in this decorator's
+  /// retry loop would multiply the recovery machinery against itself.
+  void onCall(Call& call, const Forward& forward) override;
+  /// Retries only the entries that failed: each attempt re-issues the
+  /// still-failing subset as one inner round, with backoff between
+  /// rounds. Unlike the single-op path this never throws
+  /// DhtRetriesExhausted — an exhausted entry stays failed so the rest of
+  /// the batch still lands.
+  void onRound(Round& round, const Issue& issue) override;
   /// Caller must hold mutex_ (rng draw).
   common::u64 backoffDelayMs(size_t attempt);
 
@@ -290,80 +206,18 @@ class RetryingDht final : public ForwardingDht {
   common::u64 backoffWaitedMs_ = 0;
 };
 
-class CircuitBreakerDht final : public ForwardingDht {
- public:
-  struct Options {
-    /// Consecutive failures that trip the breaker open.
-    size_t failureThreshold = 5;
-    /// Simulated time the breaker stays open before a half-open probe.
-    common::u64 cooldownMs = 1'000;
-  };
-
-  enum class State { Closed, Open, HalfOpen };
-
-  CircuitBreakerDht(Dht& inner, net::SimClock& clock, Options options);
-
-  void put(const Key& key, Value value) override;
-  std::optional<Value> get(const Key& key) override;
-  bool remove(const Key& key) override;
-  bool apply(const Key& key, const Mutator& fn) override;
-
-  /// While open, the whole round fast-fails (every entry rejected, no
-  /// inner call). Otherwise the round counts as a single observation:
-  /// success iff every entry succeeded.
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
-  // Replica rescues bypass the breaker: a rescue read is what *prevents*
-  // a primary failure from becoming a client-visible one, so it must run
-  // exactly when the substrate looks unhealthy. The primary op's outcome
-  // still feeds the state machine (FailoverDht sits below this layer).
-
-  [[nodiscard]] State state() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return state_;
-  }
-  /// Times the breaker tripped open.
-  [[nodiscard]] size_t timesOpened() const { return timesOpened_; }
-  /// Operations rejected without touching the inner DHT.
-  [[nodiscard]] size_t fastFailures() const { return fastFailures_; }
-
- private:
-  template <typename F>
-  auto guarded(const char* op, F&& f) -> decltype(f());
-  template <typename Outcome, typename Round>
-  std::vector<Outcome> guardedRound(const char* op, size_t entries,
-                                    Round round);
-  void onSuccess();
-  void onFailure();
-  /// Admission decision under mutex_: throws when open and cooling down,
-  /// moves Open -> HalfOpen when the cooldown elapsed. Under concurrency
-  /// several probes may pass the half-open gate together; the state
-  /// machine stays consistent (first completion decides), it is only the
-  /// single-probe property that is relaxed.
-  void admit(const char* op, size_t rejectedOps);
-
-  net::SimClock& clock_;
-  Options opts_;
-  /// Guards the state machine; never held across inner DHT calls.
-  mutable std::mutex mutex_;
-  State state_ = State::Closed;
-  size_t consecutiveFailures_ = 0;
-  common::u64 openedAtMs_ = 0;
-  common::RelaxedCounter timesOpened_;
-  common::RelaxedCounter fastFailures_;
-};
-
 /// Availability layer for reads: when the primary lookup fails (its owner
 /// crashed, the request or reply was lost, the deadline passed), the read
-/// is retried against the key's replica holders via Dht::getReplica — the
-/// first holder that answers wins and the caller never sees the failure.
-/// Optionally hedges slow reads: once the primary has consumed more
-/// simulated time than a configured quantile of the observed
-/// "dht.get.latency_ms" histogram, a backup read is (conceptually) in
-/// flight at a replica; if the primary still answers first the hedge is
-/// cancelled, if the primary fails the hedge's answer is the rescue.
+/// is retried against every one of the key's replica holders via
+/// Dht::getReplica — the first holder that answers wins and the caller
+/// never sees the failure. A rescued conditional read is settled against
+/// the caller's digest, so a rescued value that matches it answers
+/// `unchanged`. Optionally hedges
+/// slow reads: once the primary has consumed more simulated time than the
+/// 95th percentile of the observed "dht.get.latency_ms" histogram, a
+/// backup read is (conceptually) in flight at a replica; if the primary
+/// still answers first the hedge is cancelled, if the primary fails the
+/// hedge's answer is the rescue.
 ///
 /// Accounting discipline: a rescued read stays ONE logical operation.
 /// Rescue reads bump dht.get.attempts and dht.failover.attempts (plus the
@@ -372,36 +226,23 @@ class CircuitBreakerDht final : public ForwardingDht {
 /// The cost model prices logical ops only, so failover overhead is visible
 /// but never inflates the paper's DHT-lookup metric.
 ///
-/// Stack position: below RetryingDht and CircuitBreakerDht (a rescued read
-/// is a success — it must not trip the breaker or burn retry attempts) and
-/// above TimeoutDht/LatencyDht (each rescue is charged and deadlined like
-/// the independent request it models).
+/// Stack position: below RetryingDht (a rescued read is a success — it
+/// must not burn retry attempts) and above LatencyDht (each rescue is
+/// charged like the independent request it models).
 class FailoverDht final : public ForwardingDht {
  public:
   struct Options {
     /// Rescue failed reads from replicas. Off = pure pass-through (the
     /// baseline configuration storm campaigns compare against).
     bool failover = true;
-    /// Hedge slow reads once their latency crosses the quantile below.
+    /// Hedge slow reads once their latency crosses the 95th percentile.
     bool hedging = false;
-    /// Quantile of the ambient "dht.get.latency_ms" histogram that arms
-    /// the hedge (tail-latency trigger, "the 95th percentile rule").
-    double hedgeQuantile = 0.95;
     /// Floor under the sampled threshold: with an empty histogram (cold
     /// start) the hedge arms at this latency.
     common::u64 hedgeMinMs = 1;
-    /// Cap on rescue fan-out (default: every available replica).
-    size_t maxReplicas = static_cast<size_t>(-1);
   };
 
   FailoverDht(Dht& inner, net::SimClock& clock, Options options);
-
-  std::optional<Value> get(const Key& key) override;
-
-  /// Batch reads: the round executes once, then each failed entry is
-  /// individually rescued from replicas (batches are not hedged — the
-  /// round already costs one critical-path RTT).
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
 
   // Diagnostics --------------------------------------------------------------
   /// Replica reads issued while rescuing failed primaries.
@@ -419,6 +260,12 @@ class FailoverDht final : public ForwardingDht {
   [[nodiscard]] common::u64 hedgeThresholdMs() const;
 
  private:
+  /// Reads, plain and conditional: rescued and hedged.
+  void onCall(Call& call, const Forward& forward) override;
+  /// Batch reads: the round executes once, then each failed entry is
+  /// individually rescued from replicas (batches are not hedged — the
+  /// round already costs one critical-path RTT).
+  void onRound(Round& round, const Issue& issue) override;
   /// Rescue loop over the replica holders; returns the first answer.
   /// Rethrows the in-flight primary failure when every holder fails.
   /// `hedged` routes the success accounting to hedge wins.
@@ -439,8 +286,9 @@ class CrashDht final : public ForwardingDht {
 
   /// Arms the crash: exactly `allowedWrites` more writes (put/apply/
   /// remove) are allowed to complete; the next write after that — and
-  /// every operation once crashed — throws CrashError before executing.
-  /// `allowedWrites = 0` kills the very next write.
+  /// every operation once crashed, a rescue read included — throws
+  /// CrashError before executing. `allowedWrites = 0` kills the very next
+  /// write.
   void armAfterWrites(size_t allowedWrites);
   void disarm();
 
@@ -459,26 +307,13 @@ class CrashDht final : public ForwardingDht {
     writesCompleted_ = 0;
   }
 
-  void put(const Key& key, Value value) override;
-  std::optional<Value> get(const Key& key) override;
-  bool remove(const Key& key) override;
-  bool apply(const Key& key, const Mutator& fn) override;
-
+ private:
+  void onCall(Call& call, const Forward& forward) override;
   /// A crash can strike mid-round: if the armed write budget runs out
   /// inside a multiApply, only the allowed prefix of entries is forwarded
   /// (as one inner round) before CrashError — modelling a client that
   /// dies while its batch is in flight.
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override;
-  std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override;
-
-  /// A dead client cannot issue rescue reads either.
-  std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override {
-    beforeRead();
-    return inner_.getReplica(key, replicaIndex);
-  }
-
- private:
+  void onRound(Round& round, const Issue& issue) override;
   void beforeWrite();
   void beforeRead();
   void noteWriteCompleted();

@@ -70,8 +70,25 @@ std::vector<Outcome> perEntryRound(const char* spanName,
   return out;
 }
 
-/// Settles a conditional read locally: a fetched value that still has the
-/// held digest is dropped and the outcome reads `unchanged`.
+/// The entries `which` of `all`, in that order.
+template <typename T>
+std::vector<T> pick(const std::vector<T>& all, const std::vector<size_t>& which) {
+  std::vector<T> out;
+  out.reserve(which.size());
+  for (size_t i : which) out.push_back(all[i]);
+  return out;
+}
+
+/// Stores outcome j of an inner round of the entries `which` as entry
+/// which[j] of `all`.
+template <typename T>
+void scatter(std::vector<T>& all, const std::vector<size_t>& which,
+             std::vector<T> got) {
+  for (size_t j = 0; j < which.size(); ++j) all[which[j]] = std::move(got[j]);
+}
+
+}  // namespace
+
 void settleHeld(GetOutcome& o, u64 held) {
   if (held != 0 && o.value.has_value() &&
       common::hash::valueDigest(*o.value) == held) {
@@ -79,8 +96,6 @@ void settleHeld(GetOutcome& o, u64 held) {
     o.unchanged = true;
   }
 }
-
-}  // namespace
 
 std::vector<GetOutcome> Dht::multiGet(const std::vector<Key>& keys) {
   if (keys.empty()) return {};
@@ -120,6 +135,124 @@ std::vector<ApplyOutcome> Dht::multiApply(const std::vector<ApplyRequest>& reqs)
       [this](const ApplyRequest& req, ApplyOutcome& o) {
         o.existed = apply(req.key, req.fn);
       });
+}
+
+// ---------------------------------------------------------------------------
+// ForwardingDht: each routed verb once, through the two hooks
+// ---------------------------------------------------------------------------
+
+void ForwardingDht::put(const Key& key, Value value) {
+  Call call{.op = DhtOp::Put, .key = key, .value = std::move(value)};
+  onCall(call, [&] { inner_.put(call.key, call.value); });
+}
+
+std::optional<Value> ForwardingDht::get(const Key& key) {
+  Call call{.op = DhtOp::Get, .key = key};
+  onCall(call, [&] { call.read.value = inner_.get(call.key); });
+  return std::move(call.read.value);
+}
+
+bool ForwardingDht::remove(const Key& key) {
+  Call call{.op = DhtOp::Remove, .key = key};
+  onCall(call, [&] { call.existed = inner_.remove(call.key); });
+  return call.existed;
+}
+
+bool ForwardingDht::apply(const Key& key, const Mutator& fn) {
+  Call call{.op = DhtOp::Apply, .key = key, .fn = fn};
+  onCall(call, [&] { call.existed = inner_.apply(call.key, call.fn); });
+  return call.existed;
+}
+
+bool ForwardingDht::applyFrom(const Key& key, const Value& start,
+                              const Mutator& fn) {
+  Call call{.op = DhtOp::Apply, .key = key, .fn = fn};
+  onCall(call,
+         [&] { call.existed = inner_.applyFrom(call.key, start, call.fn); });
+  return call.existed;
+}
+
+GetOutcome ForwardingDht::getIfChanged(const Key& key, u64 held) {
+  Call call{.op = DhtOp::Get, .key = key, .held = held};
+  onCall(call, [&] { call.read = inner_.getIfChanged(call.key, call.held); });
+  return std::move(call.read);
+}
+
+std::optional<Value> ForwardingDht::getReplica(const Key& key,
+                                               size_t replicaIndex) {
+  Call call{.op = DhtOp::GetReplica, .key = key};
+  onCall(call, [&] {
+    call.read.value = inner_.getReplica(call.key, replicaIndex);
+  });
+  return std::move(call.read.value);
+}
+
+std::vector<GetOutcome> ForwardingDht::multiGet(const std::vector<Key>& keys) {
+  return getRound(keys, std::vector<u64>(keys.size(), 0), false);
+}
+
+std::vector<GetOutcome> ForwardingDht::multiGetIfChanged(
+    const std::vector<Key>& keys, const std::vector<u64>& held) {
+  common::checkInvariant(held.size() == keys.size(),
+                         "Dht::multiGetIfChanged: one held digest per key");
+  return getRound(keys, held, true);
+}
+
+std::vector<GetOutcome> ForwardingDht::getRound(const std::vector<Key>& keys,
+                                                std::vector<u64> held,
+                                                bool conditional) {
+  if (keys.empty()) return {};
+  Round round{.op = DhtOp::Get, .keys = keys, .held = std::move(held)};
+  round.gets.resize(keys.size());
+  onRound(round, [&](const std::vector<size_t>& which) {
+    std::vector<Key> sub = pick(round.keys, which);
+    scatter(round.gets, which,
+            conditional
+                ? inner_.multiGetIfChanged(sub, pick(round.held, which))
+                : inner_.multiGet(sub));
+  });
+  return std::move(round.gets);
+}
+
+std::vector<ApplyOutcome> ForwardingDht::multiApply(
+    const std::vector<ApplyRequest>& reqs) {
+  if (reqs.empty()) return {};
+  Round round{.op = DhtOp::Apply};
+  for (const ApplyRequest& req : reqs) {
+    round.keys.push_back(req.key);
+    round.fns.push_back(req.fn);
+  }
+  round.applies.resize(reqs.size());
+  onRound(round, [&](const std::vector<size_t>& which) {
+    std::vector<ApplyRequest> sub;
+    sub.reserve(which.size());
+    for (size_t i : which) sub.push_back({round.keys[i], round.fns[i]});
+    scatter(round.applies, which, inner_.multiApply(sub));
+  });
+  return std::move(round.applies);
+}
+
+std::vector<size_t> ForwardingDht::Round::all() const {
+  std::vector<size_t> every(size());
+  for (size_t i = 0; i < every.size(); ++i) every[i] = i;
+  return every;
+}
+
+bool ForwardingDht::Round::ok(size_t i) const {
+  return op == DhtOp::Apply ? applies[i].ok : gets[i].ok;
+}
+
+const std::string& ForwardingDht::Round::error(size_t i) const {
+  return op == DhtOp::Apply ? applies[i].error : gets[i].error;
+}
+
+void ForwardingDht::Round::fail(size_t i, std::string error) {
+  if (op == DhtOp::Apply) {
+    applies[i].ok = false;
+    applies[i].error = std::move(error);
+    return;
+  }
+  gets[i] = GetOutcome{false, std::nullopt, std::move(error)};
 }
 
 }  // namespace lht::dht

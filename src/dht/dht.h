@@ -59,13 +59,6 @@ class DhtRetriesExhausted : public DhtError {
   std::string lastError_;
 };
 
-/// CircuitBreakerDht is open: the operation was rejected without being
-/// attempted.
-class DhtCircuitOpenError : public DhtError {
- public:
-  explicit DhtCircuitOpenError(const std::string& what) : DhtError(what) {}
-};
-
 /// The peer responsible for the key is down (crashed, not yet repaired).
 /// Distinct from a key that is absent — an absent key is a successful
 /// lookup returning nothing, a down owner is a failed lookup. Failover
@@ -123,6 +116,10 @@ struct GetOutcome {
   /// current. Plain reads never set it.
   bool unchanged = false;
 };
+
+/// Settles a conditional read locally: a fetched value that still has the
+/// `held` digest is dropped and the outcome reads `unchanged`.
+void settleHeld(GetOutcome& o, u64 held);
 
 /// Per-entry result of one read-modify-write inside a multiApply round.
 /// As with single-op lost replies, !ok does NOT imply the mutation did
@@ -188,8 +185,8 @@ class Dht {
   /// The base implementation is the one per-entry loop: it runs get()
   /// per entry, translating DhtError into a failed outcome, inside one
   /// SimNetwork::ParallelRound when the substrate runs on a simulated
-  /// network. Networked clients and wrappers override it to ship the round
-  /// or to get round-level latency/fault semantics.
+  /// network. Networked clients override it to ship the round; a wrapper
+  /// sees it through ForwardingDht's round hook.
   virtual std::vector<GetOutcome> multiGet(const std::vector<Key>& keys);
 
   /// Conditional reads (DESIGN.md §8, §14). `held` is the
@@ -201,10 +198,10 @@ class Dht {
   /// held[i] for keys[i] and fails per entry like multiGet.
   ///
   /// The base runs this object's own get() / multiGet() and compares
-  /// digests locally: every substrate and wrapper answers a conditional
-  /// read with exactly the calls, hops and faults of a plain one. A
-  /// networked client overrides both to keep an unchanged value off the
-  /// wire.
+  /// digests locally: every substrate answers a conditional read with
+  /// exactly the calls and hops of a plain one, and every wrapper treats
+  /// it as a get. A networked client overrides both to keep an unchanged
+  /// value off the wire.
   virtual GetOutcome getIfChanged(const Key& key, u64 held);
   virtual std::vector<GetOutcome> multiGetIfChanged(
       const std::vector<Key>& keys, const std::vector<u64>& held);
@@ -282,51 +279,99 @@ class Dht {
   net::SimNetwork* roundNetwork_ = nullptr;
 };
 
-/// A Dht over another Dht: forwards every call to `inner_`. Wrappers
-/// (fault injection, recovery, key namespacing, test doubles) derive from
-/// it and override only the calls they change, so a new Dht call reaches
-/// every wrapper through one edit here. The forwards count nothing: the
-/// substrate underneath keeps the DhtStats.
-///
-/// The conditional reads and applyFrom are the exception: they are not
-/// forwarded. The base runs them through the wrapper's own get() /
-/// multiGet() / apply(), so a call still passes every layer's faults,
-/// retries, renaming and accounting; forwarded, it would reach the
-/// substrate around them.
+/// The kind of a routed call, as a ForwardingDht hook sees it: a
+/// conditional read is a Get, and an apply from a start is an Apply.
+enum class DhtOp : size_t { Put, Get, Remove, Apply, GetReplica };
+
+/// A Dht over another Dht (fault injection, recovery, key namespacing,
+/// test doubles). Each routed verb is defined once here and is final: it
+/// hands the call to one of two hooks, onCall for a single-key call and
+/// onRound for a round, with a callable that makes the inner call with the
+/// caller's value, digest, start or replica index. A wrapper overrides the
+/// hooks, never the verbs, so it sees every routed call, and a conditional
+/// read or a start reaches the inner Dht as itself. The unrouted calls
+/// forward as they are. The forwards count nothing: the substrate
+/// underneath keeps the DhtStats.
 class ForwardingDht : public Dht {
  public:
   explicit ForwardingDht(Dht& inner) : inner_(inner) {}
 
-  void put(const Key& key, Value value) override {
-    inner_.put(key, std::move(value));
-  }
-  std::optional<Value> get(const Key& key) override { return inner_.get(key); }
-  bool remove(const Key& key) override { return inner_.remove(key); }
-  bool apply(const Key& key, const Mutator& fn) override {
-    return inner_.apply(key, fn);
-  }
-  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override {
-    return inner_.multiGet(keys);
-  }
+  void put(const Key& key, Value value) final;
+  std::optional<Value> get(const Key& key) final;
+  bool remove(const Key& key) final;
+  bool apply(const Key& key, const Mutator& fn) final;
+  bool applyFrom(const Key& key, const Value& start, const Mutator& fn) final;
+  GetOutcome getIfChanged(const Key& key, u64 held) final;
+  std::optional<Value> getReplica(const Key& key, size_t replicaIndex) final;
+  std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) final;
+  std::vector<GetOutcome> multiGetIfChanged(
+      const std::vector<Key>& keys, const std::vector<u64>& held) final;
   std::vector<ApplyOutcome> multiApply(
-      const std::vector<ApplyRequest>& reqs) override {
-    return inner_.multiApply(reqs);
-  }
+      const std::vector<ApplyRequest>& reqs) final;
+
   void storeDirect(const Key& key, Value value) override {
     inner_.storeDirect(key, std::move(value));
   }
   [[nodiscard]] size_t replicaFanout() const override {
     return inner_.replicaFanout();
   }
-  std::optional<Value> getReplica(const Key& key, size_t replicaIndex) override {
-    return inner_.getReplica(key, replicaIndex);
-  }
   void syncStorage() override { inner_.syncStorage(); }
   void compactStorage() override { inner_.compactStorage(); }
   [[nodiscard]] size_t size() const override { return inner_.size(); }
 
  protected:
+  /// One single-key call. A hook may rename `key` and wrap `fn` before it
+  /// forwards, and may replace the answer after.
+  struct Call {
+    DhtOp op{};
+    Key key{};
+    Value value{};         ///< Put: the value to store
+    Mutator fn{};          ///< Apply: the mutator
+    u64 held = 0;          ///< Get: the caller's digest (0 for none)
+    GetOutcome read{};     ///< Get, GetReplica: the answer
+    bool existed = false;  ///< Remove, Apply: the answer
+  };
+  /// Makes the inner call with the call's current key and mutator and
+  /// stores the answer in the call. It may run again (a retry).
+  using Forward = std::function<void()>;
+  virtual void onCall(Call& /*call*/, const Forward& forward) { forward(); }
+
+  /// One round of a Get or an Apply: entry i is keys[i], with held[i] (0
+  /// for none) or fns[i], and its outcome in gets[i] or applies[i]. A hook
+  /// may rename keys and wrap mutators before it issues entries, and may
+  /// replace outcomes after. An entry never issued stays failed.
+  struct Round {
+    DhtOp op{};
+    std::vector<Key> keys{};
+    std::vector<u64> held{};
+    std::vector<Mutator> fns{};
+    std::vector<GetOutcome> gets{};
+    std::vector<ApplyOutcome> applies{};
+
+    [[nodiscard]] size_t size() const { return keys.size(); }
+    /// Every entry's index, in order.
+    [[nodiscard]] std::vector<size_t> all() const;
+    [[nodiscard]] bool ok(size_t i) const;
+    [[nodiscard]] const std::string& error(size_t i) const;
+    /// Fails entry i: its reply never arrived, so it carries no value and
+    /// is not `unchanged`.
+    void fail(size_t i, std::string error);
+  };
+  /// Issues the entries `which` (indices into the round) as one inner
+  /// round and stores their outcomes. It may run again on any subset.
+  using Issue = std::function<void(const std::vector<size_t>& which)>;
+  /// Never sees an empty round: the verbs answer one themselves.
+  virtual void onRound(Round& round, const Issue& issue) {
+    issue(round.all());
+  }
+
   Dht& inner_;
+
+ private:
+  /// multiGet and multiGetIfChanged: one Get round, issued to the inner
+  /// Dht's `conditional` verb.
+  std::vector<GetOutcome> getRound(const std::vector<Key>& keys,
+                                   std::vector<u64> held, bool conditional);
 };
 
 }  // namespace lht::dht

@@ -2,7 +2,7 @@
 // histograms with quantile export.
 //
 // The registry is the single sink for cost attribution across the stack:
-// LhtIndex ops, decorator retries/timeouts/breaker trips, substrate routing,
+// LhtIndex ops, decorator retries and failovers, substrate routing,
 // and SimNetwork RTT charges all report here through the ambient helpers in
 // obs/obs.h. Series are created lazily on first touch and live for the
 // registry's lifetime, so exporters see a stable snapshot of everything the

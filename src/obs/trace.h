@@ -4,7 +4,7 @@
 // routed substrate op); parentage mirrors the call stack, and flow links
 // connect the entries of a batched multiGet/multiApply round back to the
 // round span even though they execute as one parallel step. Instant events
-// mark point occurrences (a retry, a breaker trip, an injected fault).
+// mark point occurrences (a retry, a failover rescue, an injected fault).
 //
 // Exporters:
 //   writeChromeTrace  Chrome trace-event JSON ({"traceEvents": [...]}) that

@@ -1,10 +1,12 @@
-// Tests for the Dht wrapper shape (dht::ForwardingDht): every wrapper
-// forwards what it does not override, so a call a wrapper should intercept
-// but inherits by mistake silently escapes its faults, or (for the Table's
-// namespacing adapter) reaches the DHT with no column prefix. These tests
-// drive every routed call through each wrapper over a recording inner Dht.
-// The last suite shares one decorator stack between threads (run under
-// ThreadSanitizer by scripts/check.sh --tsan).
+// Tests for the Dht wrapper shape (dht::ForwardingDht): every routed call
+// passes a wrapper's hooks, and the inner call still carries the caller's
+// digest or start. A call that escaped the hooks would skip the wrapper's
+// faults, or (for the Table's namespacing adapter) reach the DHT with no
+// column prefix; one that lost its digest or start would turn a warm read
+// or write back into a whole-bucket one. These tests drive every routed
+// call through each wrapper over a recording inner Dht. The last suite
+// shares one decorator stack between threads (run under ThreadSanitizer by
+// scripts/check.sh --tsan).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -15,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "db/table.h"
 #include "dht/decorators.h"
 #include "dht/local_dht.h"
@@ -24,8 +27,8 @@ namespace lht::dht {
 namespace {
 
 /// The innermost Dht of the wrapper checks: a map-backed store that records
-/// the name and keys of every call reaching it, serves getReplica from the
-/// same map, and moves a clock by kInnerMs per call.
+/// the name, keys, held digests and start of every call reaching it, serves
+/// getReplica from the same map, and moves a clock by kInnerMs per call.
 class RecordingDht final : public Dht {
  public:
   static constexpr common::u64 kInnerMs = 20;
@@ -33,6 +36,8 @@ class RecordingDht final : public Dht {
   struct Call {
     std::string op;
     std::vector<Key> keys;
+    std::vector<u64> held = {};
+    Value start = {};
   };
 
   explicit RecordingDht(net::SimClock& clock) : clock_(clock) {}
@@ -53,10 +58,25 @@ class RecordingDht final : public Dht {
     note("apply", {key});
     return applyLocal(key, fn);
   }
+  bool applyFrom(const Key& key, const Value& start, const Mutator& fn) override {
+    note("applyFrom", {key}, {}, start);
+    return applyLocal(key, fn);
+  }
+  GetOutcome getIfChanged(const Key& key, u64 held) override {
+    note("getIfChanged", {key}, {held});
+    return read(key, held);
+  }
   std::vector<GetOutcome> multiGet(const std::vector<Key>& keys) override {
     note("multiGet", keys);
     std::vector<GetOutcome> out;
-    for (const Key& key : keys) out.push_back({true, lookup(key), ""});
+    for (const Key& key : keys) out.push_back(read(key, 0));
+    return out;
+  }
+  std::vector<GetOutcome> multiGetIfChanged(
+      const std::vector<Key>& keys, const std::vector<u64>& held) override {
+    note("multiGetIfChanged", keys, held);
+    std::vector<GetOutcome> out;
+    for (size_t i = 0; i < keys.size(); ++i) out.push_back(read(keys[i], held[i]));
     return out;
   }
   std::vector<ApplyOutcome> multiApply(
@@ -84,14 +104,21 @@ class RecordingDht final : public Dht {
   std::vector<Call> calls;
 
  private:
-  void note(std::string op, std::vector<Key> keys) {
-    calls.push_back({std::move(op), std::move(keys)});
+  void note(std::string op, std::vector<Key> keys, std::vector<u64> held = {},
+            Value start = {}) {
+    calls.push_back({std::move(op), std::move(keys), std::move(held),
+                     std::move(start)});
     clock_.advance(kInnerMs);
   }
   std::optional<Value> lookup(const Key& key) const {
     auto it = store_.find(key);
     if (it == store_.end()) return std::nullopt;
     return it->second;
+  }
+  GetOutcome read(const Key& key, u64 held) const {
+    GetOutcome o{true, lookup(key), ""};
+    settleHeld(o, held);
+    return o;
   }
   bool applyLocal(const Key& key, const Mutator& fn) {
     std::optional<Value> v = lookup(key);
@@ -109,12 +136,19 @@ class RecordingDht final : public Dht {
   std::map<Key, Value> store_;
 };
 
-/// One routed call made through a wrapper. Returns whether it succeeded
-/// (for a batch: every entry); throws what the wrapper threw.
+/// One routed call made through a wrapper. `run` returns whether it
+/// succeeded (for a batch: every entry) and throws what the wrapper threw.
+/// `held` and `start` are the digests and start the caller passed, which
+/// the inner Dht must receive as they are.
 struct RoutedCall {
   const char* op;
   std::function<bool(Dht&)> run;
+  std::vector<u64> held = {};
+  Value start = {};
 };
+
+/// The digest of the value the recording store holds under both keys.
+const u64 kHeld = common::hash::valueDigest("v");
 
 const std::vector<RoutedCall>& routedCalls() {
   static const std::vector<RoutedCall> calls = {
@@ -137,6 +171,21 @@ const std::vector<RoutedCall>& routedCalls() {
          return out.size() == 2 && out[0].ok && out[1].ok;
        }},
       {"getReplica", [](Dht& d) { return d.getReplica("k", 0).has_value(); }},
+      {"getIfChanged",
+       [](Dht& d) { return d.getIfChanged("k", kHeld).unchanged; }, {kHeld}},
+      {"multiGetIfChanged",
+       [](Dht& d) {
+         const auto out = d.multiGetIfChanged({"k", "k2"}, {kHeld, 7});
+         return out.size() == 2 && out[0].unchanged && out[1].value == "v";
+       },
+       {kHeld, 7}},
+      {"applyFrom",
+       [](Dht& d) {
+         return d.applyFrom("k", "start",
+                            [](std::optional<Value>& v) { v = "v2"; });
+       },
+       {},
+       "start"},
   };
   return calls;
 }
@@ -190,12 +239,6 @@ TEST(WrapperForwards, EveryWrapperInterceptsEveryRoutedCall) {
              LatencyDht::Options{.baseMs = 7, .jitterMs = 0, .seed = 1});
        },
        Seen::Ok, true, 7},
-      {"TimeoutDht",
-       [](Dht& inner, net::SimClock& clock) -> std::unique_ptr<Dht> {
-         return std::make_unique<TimeoutDht>(inner, clock,
-                                             RecordingDht::kInnerMs - 1);
-       },
-       Seen::Failed, true, 0},
   };
   for (const auto& c : cases) {
     for (const auto& call : routedCalls()) {
@@ -212,6 +255,8 @@ TEST(WrapperForwards, EveryWrapperInterceptsEveryRoutedCall) {
       if (c.reachesInner) {
         ASSERT_EQ(inner.calls.size(), 1u);
         EXPECT_EQ(inner.calls[0].op, call.op);
+        EXPECT_EQ(inner.calls[0].held, call.held);
+        EXPECT_EQ(inner.calls[0].start, call.start);
       } else {
         EXPECT_TRUE(inner.calls.empty());
       }
@@ -240,6 +285,8 @@ TEST(WrapperForwards, TableAdapterPrefixesEveryKey) {
     EXPECT_EQ(outcome(call, adapter), Seen::Ok);
     ASSERT_EQ(inner.calls.size(), 1u);
     EXPECT_EQ(inner.calls[0].op, call.op);
+    EXPECT_EQ(inner.calls[0].held, call.held);
+    EXPECT_EQ(inner.calls[0].start, call.start);
     ASSERT_FALSE(inner.calls[0].keys.empty());
     for (const Key& key : inner.calls[0].keys) {
       EXPECT_EQ(key.rfind("col/", 0), 0u) << key;
@@ -258,11 +305,13 @@ TEST(WrapperForwards, TableAdapterPrefixesEveryKey) {
 TEST(SharedDecoratorStack, ThreadsShareOneRetryingStack) {
   // decorators.h promises every decorator is safe to call from many
   // threads at once. Four threads drive one RetryingDht over LatencyDht
-  // over FaultDht (one LocalDht, one SimClock) on disjoint keys; the
-  // shared diagnostics must still add up exactly after the join.
+  // over FaultDht (one LocalDht, one SimClock) on disjoint keys, through
+  // both hooks and every call shape; the shared diagnostics must still add
+  // up exactly after the join.
   constexpr int kThreads = 4;
   constexpr int kRounds = 150;
-  constexpr common::u64 kEntriesPerRound = 4;  // put, get, 2-key multiGet
+  // put, get, getIfChanged, 2-key multiGet, applyFrom
+  constexpr common::u64 kEntriesPerRound = 6;
   for (const auto point : {FaultDht::Point::Request, FaultDht::Point::Reply}) {
     SCOPED_TRACE(point == FaultDht::Point::Request ? "request" : "reply");
     LocalDht store;
@@ -279,11 +328,15 @@ TEST(SharedDecoratorStack, ThreadsShareOneRetryingStack) {
               "t" + std::to_string(t) + "/" + std::to_string(i);
           retry.put(key, key);
           EXPECT_EQ(retry.get(key), std::optional<Value>(key));
+          EXPECT_TRUE(retry.getIfChanged(key, common::hash::valueDigest(key))
+                          .unchanged);
           const auto out = retry.multiGet({key, key + "/absent"});
           ASSERT_EQ(out.size(), 2u);
           EXPECT_TRUE(out[0].ok && out[1].ok);
           EXPECT_EQ(out[0].value, std::optional<Value>(key));
           EXPECT_FALSE(out[1].value.has_value());
+          EXPECT_TRUE(retry.applyFrom(
+              key, key, [&key](std::optional<Value>& v) { v = key + "/2"; }));
         }
       });
     }

@@ -1,6 +1,7 @@
 // Churn-storm survival building blocks: Chord's crash mode (dark peers,
 // replica reads, bounded anti-entropy repair), the FailoverDht decorator
-// (replica failover + hedged reads, composing with retry/breaker), the
+// (replica failover + hedged reads, conditional reads settled against the
+// held digest, composing under retry), the
 // leaf-location cache's dead-peer invalidation, the churn event log with
 // deterministic replay, and the RepairScheduler's bounded convergence.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "dht/chord.h"
 #include "dht/decorators.h"
 #include "lht/lht_index.h"
@@ -242,16 +244,13 @@ TEST(FailoverDht, ComposesUnderRetryAndCircuitBreaker) {
   ChordDht d(net, chordOpts(10, 3));
   const auto keys = preload(d, 64);
 
-  // Stack order from DESIGN.md §12: breaker and retry sit ABOVE the
-  // failover layer, so a rescued read is simply a success to both.
+  // Stack order from DESIGN.md §12: retry sits ABOVE the failover layer,
+  // so a rescued read is simply a success to it.
   dht::FailoverDht failover(d, clock, {});
-  dht::CircuitBreakerDht::Options bo;
-  bo.failureThreshold = 3;
-  dht::CircuitBreakerDht breaker(failover, clock, bo);
   dht::RetryingDht::Options ro;
   ro.maxAttempts = 4;
   ro.clock = &clock;
-  dht::RetryingDht retry(breaker, ro);
+  dht::RetryingDht retry(failover, ro);
 
   const std::string& k = keys[7];
   d.crash(d.ownerOf(k));
@@ -260,9 +259,8 @@ TEST(FailoverDht, ComposesUnderRetryAndCircuitBreaker) {
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, "v7");
   }
-  // Every read was rescued on the first attempt: nothing tripped.
+  // Every read was rescued on the first attempt: nothing was retried.
   EXPECT_EQ(failover.rescues(), 8u);
-  EXPECT_EQ(breaker.timesOpened(), 0u);
   EXPECT_EQ(retry.retries(), 0u);
 }
 
@@ -284,6 +282,71 @@ TEST(FailoverDht, MultiGetRescuesFailedEntries) {
     EXPECT_EQ(*out[i].value, common::numbered("v", i));
   }
   EXPECT_GE(failover.rescues(), 1u);
+}
+
+TEST(FailoverDht, RescuedConditionalReadsSettleAgainstTheHeldDigest) {
+  net::SimNetwork net;
+  net::SimClock clock;
+  ChordDht d(net, chordOpts(10, 3));
+  const auto keys = preload(d, 64);
+
+  dht::FailoverDht failover(d, clock, {});
+  const std::string& k = keys[9];
+  const common::u64 dark = d.ownerOf(k);
+  d.crash(dark);
+
+  // The replica holds what the caller holds: `unchanged`, no value.
+  const auto same = failover.getIfChanged(k, common::hash::valueDigest("v9"));
+  EXPECT_TRUE(same.ok);
+  EXPECT_TRUE(same.unchanged);
+  EXPECT_FALSE(same.value.has_value());
+  // The caller holds something else: the rescued value.
+  const auto other = failover.getIfChanged(k, common::hash::valueDigest("v8"));
+  EXPECT_TRUE(other.ok);
+  EXPECT_FALSE(other.unchanged);
+  EXPECT_EQ(other.value, std::optional<dht::Value>("v9"));
+  EXPECT_EQ(failover.rescues(), 2u);
+
+  // Per entry: current copies (even entries) and stale ones (odd), on the
+  // dark owner and elsewhere.
+  std::vector<dht::Key> batch;
+  std::vector<common::u64> held;
+  size_t onDark = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const bool current = i % 2 == 0;
+    onDark += d.ownerOf(keys[i]) == dark ? 1 : 0;
+    batch.push_back(keys[i]);
+    held.push_back(common::hash::valueDigest(
+        current ? common::numbered("v", i) : std::string("stale")));
+  }
+  ASSERT_GE(onDark, 2u);
+  const auto out = failover.multiGetIfChanged(batch, held);
+  ASSERT_EQ(out.size(), batch.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    SCOPED_TRACE(batch[i]);
+    EXPECT_TRUE(out[i].ok) << out[i].error;
+    if (i % 2 == 0) {
+      EXPECT_TRUE(out[i].unchanged);
+      EXPECT_FALSE(out[i].value.has_value());
+    } else {
+      EXPECT_FALSE(out[i].unchanged);
+      EXPECT_EQ(out[i].value, std::optional<dht::Value>(common::numbered("v", i)));
+    }
+  }
+  EXPECT_EQ(failover.rescues(), 2u + onDark);
+
+  // A lost reply carries nothing, not even `unchanged`: every held copy
+  // is current, and every answer is dropped.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    held[i] = common::hash::valueDigest(common::numbered("v", i));
+  }
+  dht::FaultDht lossy(d, dht::FaultDht::Point::Reply, 1.0);
+  for (const auto& o : lossy.multiGetIfChanged(batch, held)) {
+    EXPECT_FALSE(o.ok);
+    EXPECT_FALSE(o.unchanged);
+    EXPECT_FALSE(o.value.has_value());
+  }
+  EXPECT_EQ(lossy.injected(), batch.size() - onDark);
 }
 
 // ---------------------------------------------------------------------------

@@ -303,8 +303,8 @@ TEST(LhtIndex, DuplicateKeysSupported) {
 /// its mutator once on a copy of the stored bucket relabelled to a leaf
 /// that does not cover the op's key, and discards the result: the run a
 /// mutator gets before a CAS conflict, a re-read or a lost-reply retry
-/// shows it the state the write then really applies to. Batched applies
-/// run through Dht's per-entry loop, so they count (and can be armed) too.
+/// shows it the state the write then really applies to. Each entry of a
+/// batched apply counts (and can be armed) too.
 class StaleFirstRunDht final : public dht::ForwardingDht {
  public:
   explicit StaleFirstRunDht(dht::Dht& inner) : ForwardingDht(inner) {}
@@ -312,24 +312,28 @@ class StaleFirstRunDht final : public dht::ForwardingDht {
   void armNextApply(const Label& elsewhere) { armed_ = elsewhere; }
   [[nodiscard]] size_t applies() const { return applies_; }
 
-  bool apply(const dht::Key& key, const dht::Mutator& fn) override {
-    ++applies_;
-    if (armed_) {
-      auto stored = inner_.get(key);
-      auto bucket = LeafBucket::deserialize(stored.value());
-      bucket->label = *armed_;
-      armed_.reset();
-      std::optional<dht::Value> elsewhere = bucket->serialize();
-      fn(elsewhere);
-    }
-    return inner_.apply(key, fn);
+ private:
+  void onCall(Call& call, const Forward& forward) override {
+    if (call.op == dht::DhtOp::Apply) staleRun(call.key, call.fn);
+    forward();
   }
-  std::vector<dht::ApplyOutcome> multiApply(
-      const std::vector<dht::ApplyRequest>& reqs) override {
-    return Dht::multiApply(reqs);
+  void onRound(Round& round, const Issue& issue) override {
+    for (size_t i = 0; i < round.fns.size(); ++i) {
+      staleRun(round.keys[i], round.fns[i]);
+    }
+    issue(round.all());
+  }
+  void staleRun(const dht::Key& key, const dht::Mutator& fn) {
+    ++applies_;
+    if (!armed_) return;
+    auto stored = inner_.get(key);
+    auto bucket = LeafBucket::deserialize(stored.value());
+    bucket->label = *armed_;
+    armed_.reset();
+    std::optional<dht::Value> elsewhere = bucket->serialize();
+    fn(elsewhere);
   }
 
- private:
   std::optional<Label> armed_;
   size_t applies_ = 0;
 };
@@ -389,23 +393,22 @@ class HidingDht final : public dht::ForwardingDht {
     roundsLeft_ = rounds;
   }
 
-  std::optional<dht::Value> get(const dht::Key& key) override {
-    auto v = inner_.get(key);
-    if (hiding(key)) return std::nullopt;
-    return v;
-  }
-  std::vector<dht::GetOutcome> multiGet(const std::vector<dht::Key>& keys) override {
-    auto out = inner_.multiGet(keys);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (hiding(keys[i])) out[i].value.reset();
-    }
-    if (roundsLeft_ > 0) --roundsLeft_;
-    return out;
-  }
-
  private:
-  [[nodiscard]] bool hiding(const dht::Key& key) const {
-    return roundsLeft_ > 0 && key == hidden_;
+  void onCall(Call& call, const Forward& forward) override {
+    forward();
+    if (call.op == dht::DhtOp::Get) hideIf(call.key, call.read);
+  }
+  void onRound(Round& round, const Issue& issue) override {
+    issue(round.all());
+    if (round.op != dht::DhtOp::Get) return;
+    for (size_t i = 0; i < round.size(); ++i) hideIf(round.keys[i], round.gets[i]);
+    if (roundsLeft_ > 0) --roundsLeft_;
+  }
+  /// A hidden key reads as absent.
+  void hideIf(const dht::Key& key, dht::GetOutcome& o) const {
+    if (roundsLeft_ == 0 || key != hidden_) return;
+    o.value.reset();
+    o.unchanged = false;
   }
 
   std::string hidden_;
@@ -460,28 +463,24 @@ TEST(LhtIndexLookupFallback, WritesChargeTheSearchThatFoundNoLeaf) {
 class ReserializeCheck final : public dht::ForwardingDht {
  public:
   using ForwardingDht::ForwardingDht;
-  void put(const dht::Key& key, dht::Value value) override {
-    check(value);
-    inner_.put(key, std::move(value));
-  }
   void storeDirect(const dht::Key& key, dht::Value value) override {
     check(value);
     inner_.storeDirect(key, std::move(value));
   }
-  bool apply(const dht::Key& key, const dht::Mutator& fn) override {
-    return inner_.apply(key, checked(fn));
-  }
-  std::vector<dht::ApplyOutcome> multiApply(
-      const std::vector<dht::ApplyRequest>& reqs) override {
-    std::vector<dht::ApplyRequest> wrapped;
-    for (const auto& r : reqs) wrapped.push_back({r.key, checked(r.fn)});
-    return inner_.multiApply(wrapped);
-  }
   size_t written = 0;
 
  private:
-  dht::Mutator checked(const dht::Mutator& fn) {
-    return [this, &fn](std::optional<dht::Value>& v) {
+  void onCall(Call& call, const Forward& forward) override {
+    if (call.op == dht::DhtOp::Put) check(call.value);
+    if (call.op == dht::DhtOp::Apply) call.fn = checked(std::move(call.fn));
+    forward();
+  }
+  void onRound(Round& round, const Issue& issue) override {
+    for (dht::Mutator& fn : round.fns) fn = checked(std::move(fn));
+    issue(round.all());
+  }
+  dht::Mutator checked(dht::Mutator fn) {
+    return [this, fn = std::move(fn)](std::optional<dht::Value>& v) {
       fn(v);
       if (v.has_value()) check(*v);
     };

@@ -175,8 +175,8 @@ TEST(Maintenance, MergeIsDualOfSplit) {
 
 /// Forwards to an inner Dht, and runs a one-shot hook just before the
 /// next apply to one key: another client's write, slipped in between two
-/// steps of a protocol. Batched applies run through Dht's per-entry loop,
-/// so the hook fires on them too.
+/// steps of a protocol. A batched apply to the key fires it too, before
+/// its round.
 class HookBeforeApply final : public dht::ForwardingDht {
  public:
   explicit HookBeforeApply(dht::Dht& inner) : ForwardingDht(inner) {}
@@ -184,16 +184,22 @@ class HookBeforeApply final : public dht::ForwardingDht {
     key_ = std::move(key);
     hook_ = std::move(hook);
   }
-  bool apply(const dht::Key& key, const dht::Mutator& fn) override {
-    if (hook_ && key == key_) std::exchange(hook_, nullptr)();
-    return inner_.apply(key, fn);
-  }
-  std::vector<dht::ApplyOutcome> multiApply(
-      const std::vector<dht::ApplyRequest>& reqs) override {
-    return Dht::multiApply(reqs);
-  }
 
  private:
+  void onCall(Call& call, const Forward& forward) override {
+    if (call.op == dht::DhtOp::Apply) fire(call.key);
+    forward();
+  }
+  void onRound(Round& round, const Issue& issue) override {
+    if (round.op == dht::DhtOp::Apply) {
+      for (const dht::Key& key : round.keys) fire(key);
+    }
+    issue(round.all());
+  }
+  void fire(const dht::Key& key) {
+    if (hook_ && key == key_) std::exchange(hook_, nullptr)();
+  }
+
   std::string key_;
   std::function<void()> hook_;
 };

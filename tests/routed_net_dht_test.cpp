@@ -1209,15 +1209,19 @@ TEST(NetDhtIndex, DeadReplicaHolderDropsLeaseKeepsLocation) {
 }
 
 /// Forwards everything to an inner Dht but makes every replica read hit a
-/// transport-style deadline — the substrate shape the DhtTimeoutError
-/// branch of tryLeaseRead exists for (a TimeoutDht over the networked
-/// client, where the replica deadline surfaces as DhtTimeoutError, not
-/// PeerDown).
+/// deadline: a substrate whose replica reads time out (DhtTimeoutError)
+/// instead of reporting the holder down, the shape the DhtTimeoutError
+/// branch of tryLeaseRead exists for.
 class TimeoutReplicaDht final : public ForwardingDht {
  public:
   explicit TimeoutReplicaDht(Dht& inner) : ForwardingDht(inner) {}
-  std::optional<Value> getReplica(const Key& key, size_t) override {
-    throw DhtTimeoutError("replica read deadline for \"" + key + "\"");
+
+ private:
+  void onCall(Call& call, const Forward& forward) override {
+    if (call.op == DhtOp::GetReplica) {
+      throw DhtTimeoutError("replica read deadline for \"" + call.key + "\"");
+    }
+    forward();
   }
 };
 
@@ -1284,7 +1288,23 @@ std::vector<index::Record> benchPreload() {
   return recs;
 }
 
-TEST(NetDhtBytes, WarmReadsMoveDigestsInsteadOfBuckets) {
+/// What an index runs over a networked client: the client itself, or
+/// (`decorated`) RetryingDht over a zero-rate FaultDht over it. A wrapper
+/// hands digests and starts on to the client, so both send the same
+/// datagrams.
+struct ClientView {
+  ClientView(Dht& client, bool decorated)
+      : fault(client, FaultDht::Point::Reply, 0.0),
+        retry(fault),
+        top(decorated ? static_cast<Dht&>(retry) : client) {}
+  FaultDht fault;
+  RetryingDht retry;
+  Dht& top;
+};
+
+/// The held side reads through the bare client or the decorated stack;
+/// the plain side always reads through the bare client.
+void expectWarmReadsMoveDigests(bool decorated) {
   StaticCluster c(4);
   core::LhtIndex::Options o;  // the clients lht_net_trace and perfbench run
   o.useLeafCache = true;
@@ -1299,7 +1319,8 @@ TEST(NetDhtBytes, WarmReadsMoveDigestsInsteadOfBuckets) {
   auto dht = c.makeDht(1, 2000, &counts);
   o.attachExisting = true;
   o.clientSeed = 2;
-  core::LhtIndex held(*dht, o);
+  ClientView view(*dht, decorated);
+  core::LhtIndex held(view.top, o);
   o.cacheDecodedBuckets = false;  // the same reader, shipping whole buckets
   o.clientSeed = 3;
   core::LhtIndex plain(*dht, o);
@@ -1346,13 +1367,21 @@ TEST(NetDhtBytes, WarmReadsMoveDigestsInsteadOfBuckets) {
   EXPECT_EQ(served, rs.unchangedReads);
 }
 
+TEST(NetDhtBytes, WarmReadsMoveDigestsInsteadOfBuckets) {
+  for (const bool decorated : {false, true}) {
+    SCOPED_TRACE(decorated ? "Retrying(Fault(client))" : "bare client");
+    expectWarmReadsMoveDigests(decorated);
+  }
+}
+
 /// Index writes from held buckets, exact over CountingSim: theta = 100,
 /// perfbench's client options and replication. A warm insert sends its CAS
 /// from the held leaf and one replica push: four datagrams, no GET. A
 /// split's step 3 starts from the copy its step 1 left, so only step 2,
 /// which creates the moved child, reads. The children are then cached, and
-/// the next insert into either is warm again.
-TEST(NetDhtBytes, WarmInsertsCasFromTheHeldBucket) {
+/// the next insert into either is warm again. The writer runs over the
+/// bare client or the decorated stack.
+void expectWarmInsertsCasFromTheHeldBucket(bool decorated) {
   StaticCluster c(4);
   core::LhtIndex::Options o;
   o.useLeafCache = true;
@@ -1367,7 +1396,8 @@ TEST(NetDhtBytes, WarmInsertsCasFromTheHeldBucket) {
   auto dht = c.makeDht(2, 2000, &counts);
   o.attachExisting = true;
   o.clientSeed = 2;
-  core::LhtIndex writer(*dht, o);
+  ClientView view(*dht, decorated);
+  core::LhtIndex writer(view.top, o);
   ASSERT_EQ(writer.rangeQuery(0.0, 1.0).records.size(), recs.size());  // warm
   const auto leaf = writer.lookup(recs[4321].key).bucket;
   ASSERT_TRUE(leaf.has_value());
@@ -1424,6 +1454,13 @@ TEST(NetDhtBytes, WarmInsertsCasFromTheHeldBucket) {
   const auto rs = dht->routedStats();
   EXPECT_EQ(rs.startConflicts, 0u);
   EXPECT_EQ(rs.appliesFromStart, room + 3);  // every insert, and step 3
+}
+
+TEST(NetDhtBytes, WarmInsertsCasFromTheHeldBucket) {
+  for (const bool decorated : {false, true}) {
+    SCOPED_TRACE(decorated ? "Retrying(Fault(client))" : "bare client");
+    expectWarmInsertsCasFromTheHeldBucket(decorated);
+  }
 }
 
 // ---------------------------------------------------------------------------
