@@ -32,9 +32,8 @@
 #include "common/flags.h"
 #include "common/random.h"
 #include "dht/routed_net_dht.h"
-#include "rpc/node_server.h"
 #include "rpc/noded_process.h"
-#include "rpc/sim_transport.h"
+#include "rpc/sim_cluster.h"
 #include "rpc/udp_transport.h"
 
 using lht::common::u64;
@@ -112,35 +111,19 @@ WorkloadResult runWorkload(lht::dht::Dht& dht, u64 ops, u64 seed) {
   return res;
 }
 
-/// N NodeServers inline in a SimHub, ports 6000..6000+N-1.
-struct SimCluster {
-  rpc::SimHub hub;
-  std::vector<std::unique_ptr<rpc::NodeServer>> servers;
-  std::vector<rpc::NetAddr> addrs;
+/// A client of `cluster`, given its servers as the launch set.
+std::unique_ptr<RoutedNetDht> inProcessClient(rpc::SimCluster& cluster,
+                                              size_t replication) {
+  RoutedNetDht::Options o;
+  o.members = cluster.addrs;
+  o.replication = replication;
+  return std::make_unique<RoutedNetDht>(
+      o, [&cluster] { return cluster.hub.makeEndpoint(); });
+}
 
-  explicit SimCluster(size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      auto server = std::make_unique<rpc::NodeServer>();
-      const auto port = static_cast<rpc::u16>(6000 + i);
-      hub.registerHandler(
-          port, [srv = server.get()](const rpc::Datagram& d,
-                                     const std::function<void(std::string)>& reply) {
-            std::string out = srv->handle(d.from, d.payload);
-            if (!out.empty()) reply(std::move(out));
-          });
-      servers.push_back(std::move(server));
-      addrs.push_back(rpc::NetAddr{0, port});
-    }
-  }
-
-  std::unique_ptr<RoutedNetDht> makeDht(size_t replication) {
-    RoutedNetDht::Options o;
-    o.members = addrs;
-    o.replication = replication;
-    return std::make_unique<RoutedNetDht>(
-        o, [this] { return hub.makeEndpoint(); });
-  }
-};
+/// The in-process phases' servers sit on ports 6000.. (the ring depends
+/// on the ports, and the batching phase's datagram counts on the ring).
+constexpr rpc::u16 kSimBasePort = 6000;
 
 void emitWorkload(std::ostringstream& os, const char* name,
                   const WorkloadResult& r,
@@ -183,8 +166,8 @@ int main(int argc, char** argv) {
   WorkloadResult inProc;
   RoutedNetDht::RoutedStats inProcNet;
   {
-    SimCluster cluster(nodes);
-    auto dht = cluster.makeDht(replication);
+    rpc::SimCluster cluster(nodes, kSimBasePort);
+    auto dht = inProcessClient(cluster, replication);
     inProc = runWorkload(*dht, ops, seed);
     inProcNet = dht->routedStats();
   }
@@ -247,8 +230,8 @@ int main(int argc, char** argv) {
   u64 batchRounds = 0;
   bool batchOracleOk = true;
   {
-    SimCluster cluster(nodes);
-    auto dht = cluster.makeDht(replication);
+    rpc::SimCluster cluster(nodes, kSimBasePort);
+    auto dht = inProcessClient(cluster, replication);
     std::vector<std::string> keys;
     for (size_t i = 0; i < batchKeys; ++i) {
       keys.push_back("batch" + std::to_string(i));

@@ -51,7 +51,7 @@
 #               smoke run (seed first, then joiners) with oracle
 #               verification
 #   --overlay   also run the overlay membership/routing/elasticity suites
-#               under ASan+UBSan (gossip merge, forward/redirect, live
+#               under ASan+UBSan (gossip merge, redirects, live
 #               join/leave/crash in the sim twin, RoutedNetDht, dedup
 #               bounds, rpc.* exporters), then the release overlay bench
 #               (warm hops ceiling + live-join availability floor + zero

@@ -35,8 +35,10 @@ DURABILITY_CHECKS = [
     (("insert", "buffered_overhead_vs_mem"), "ratio", 2.0),
 ]
 
-# The storm campaign runs in simulated time, so every metric is a
-# deterministic protocol-level counter: all exact.
+# The storm campaign runs in simulated time. The keys gated below repeat
+# exactly run to run: availability, op and failure counts, rescues, lost
+# keys. The hedge counters (hedges_fired, hedge_wins) do not: they vary
+# between runs of one build, so they are reported and not gated.
 STORM_CHECKS = [
     (("failover_on", "availability"), "exact", None),
     (("failover_on", "ops_total"), "exact", None),

@@ -1,7 +1,7 @@
 #include "dht/routed_net_dht.h"
 
 #include <algorithm>
-#include <numeric>
+#include <tuple>
 
 #include "common/hash.h"
 #include "common/types.h"
@@ -13,78 +13,91 @@ using namespace rpc::wire;  // NOLINT — this file IS the protocol client
 
 namespace {
 
-/// Batch regroup rounds (after a Redirect, a timeout, or an owner missing
-/// from the view). Re-sending a prefix reply's tail is free.
-constexpr size_t kMaxBatchRounds = 4;
+/// Routes per entry and call: the first, and up to three re-routes after
+/// a Redirect, a timeout or an owner missing from the view. Re-sending a
+/// prefix reply's tail is not a route.
+constexpr size_t kMaxRoutes = 4;
 
-/// One outgoing batch datagram: entry positions packed for one owner.
-struct Chunk {
-  u64 owner = 0;
-  std::vector<size_t> entries;
-};
-
-/// Groups `items` by `ownerOf(i)`, opening a new chunk whenever one hits
-/// rpc::kBatchKeysPerDatagram entries or rpc::kBatchBytesPerDatagram of
-/// `byteCost(i)` (the entry's request footprint).
-template <typename OwnerOf, typename ByteCost>
-std::vector<Chunk> packChunks(const std::vector<size_t>& items,
-                              OwnerOf ownerOf, ByteCost byteCost) {
-  std::vector<Chunk> chunks;
-  std::vector<size_t> chunkBytes;
-  std::unordered_map<u64, size_t> open;  // owner -> open chunk
-  for (size_t i : items) {
-    const u64 owner = ownerOf(i);
-    const size_t cost = byteCost(i);
-    auto it = open.find(owner);
-    if (it == open.end() ||
-        chunks[it->second].entries.size() >= rpc::kBatchKeysPerDatagram ||
-        chunkBytes[it->second] + cost > rpc::kBatchBytesPerDatagram) {
-      it = open.insert_or_assign(owner, chunks.size()).first;
-      chunks.push_back(Chunk{owner, {}});
-      chunkBytes.push_back(0);
-    }
-    chunks[it->second].entries.push_back(i);
-    chunkBytes[it->second] += cost;
-  }
-  return chunks;
+/// The key a single-key request routes on.
+const Key& keyOf(const RequestBody& body) {
+  return std::visit(
+      [](const auto& b) -> const Key& {
+        if constexpr (requires { b.key; }) {
+          return b.key;
+        } else {
+          throw common::InvariantError(
+              "RoutedNetDht: a routed request has no key");
+        }
+      },
+      body);
 }
 
-/// Throws for a single-key reply that is not Ok: DhtTimeoutError when the
-/// request timed out, DhtError otherwise. `op` names the Dht call.
-void checkStatus(const rpc::RpcClient::Result& r, const char* op,
-                 const Key& key) {
-  if (r.timedOut) {
-    throw DhtTimeoutError(std::string("RoutedNetDht::") + op +
-                          ": rpc timeout on \"" + key + "\"");
+/// An entry's footprint in a batch datagram, against
+/// rpc::kBatchBytesPerDatagram.
+size_t requestBytes(const RequestBody& body) {
+  if (const auto* c = std::get_if<CasReq>(&body)) {
+    return c->key.size() + c->value.size() + 16;
   }
-  if (r.status != Status::Ok) {
-    throw DhtError(std::string("RoutedNetDht::") + op + ": status " +
-                   statusName(r.status) + " on \"" + key + "\"");
-  }
+  return keyOf(body).size() + 8;
 }
 
-/// Pushes one mutated key to its replica holders and settles: a
-/// ReplicaPut of (`value`, `version`) to each, or a ReplicaRemove when
-/// `value` is empty. The replies are dropped (best-effort, see header).
-void replicate(rpc::RpcClient& cli, const std::vector<rpc::NetAddr>& replicas,
-               const Key& key, const std::optional<Value>& value, u64 version) {
-  if (replicas.empty()) return;
-  std::vector<rpc::RpcClient::Token> tokens;
-  tokens.reserve(replicas.size());
-  for (const rpc::NetAddr& holder : replicas) {
-    if (value.has_value()) {
-      tokens.push_back(cli.call(holder, ReplicaPutReq{key, *value, version}));
-    } else {
-      tokens.push_back(cli.call(holder, ReplicaRemoveReq{key}));
-    }
+/// The batch request (MultiGetReq or MultiCasReq) carrying `count`
+/// entries of one opcode, entry j being `request(j)`.
+template <typename Batch, typename Entry, typename At>
+Batch packed(size_t count, const At& request) {
+  Batch batch;
+  batch.entries.reserve(count);
+  for (size_t j = 0; j < count; ++j) {
+    batch.entries.push_back(std::get<Entry>(request(j)));
   }
-  cli.settle();
-  for (auto t : tokens) (void)cli.take(t);
+  return batch;
+}
+
+/// Why an answer is not Ok, for the Dht call `op` on `key`.
+std::string failure(const rpc::RpcClient::Result& r, const char* op,
+                    const Key& key) {
+  const std::string why = r.timedOut
+                              ? std::string("rpc timeout")
+                              : std::string("status ") + statusName(r.status);
+  return std::string("RoutedNetDht::") + op + ": " + why + " on \"" + key +
+         "\"";
+}
+
+/// Throws unless a single-key answer is Ok: DhtTimeoutError when the
+/// request timed out, DhtError otherwise.
+void check(const rpc::RpcClient::Result& r, const char* op, const Key& key) {
+  if (r.ok()) return;
+  if (r.timedOut) throw DhtTimeoutError(failure(r, op, key));
+  throw DhtError(failure(r, op, key));
 }
 
 }  // namespace
 
 // --- Connection pool --------------------------------------------------------
+
+struct RoutedNetDht::Conn {
+  /// A pending entry of a routing pass, and the owner it goes to.
+  struct Slot {
+    u64 owner = 0;
+    size_t entry = 0;
+  };
+  /// One datagram of a routing pass: slots[first, first + count), all to
+  /// one owner under one opcode.
+  struct Send {
+    size_t first = 0;
+    size_t count = 0;
+    size_t bytes = 0;  ///< the entries' batch footprint
+    bool sent = false;  ///< the view had an address for the owner
+    rpc::RpcClient::Token token = 0;
+  };
+
+  std::unique_ptr<rpc::Transport> transport;
+  std::unique_ptr<rpc::RpcClient> rpc;
+  // route()'s scratch, kept so a warm connection routes without
+  // allocating: the pending entries in send order, and the sends.
+  std::vector<Slot> slots;
+  std::vector<Send> sends;
+};
 
 class RoutedNetDht::Lease {
  public:
@@ -114,6 +127,7 @@ class RoutedNetDht::Lease {
   Lease(const Lease&) = delete;
   Lease& operator=(const Lease&) = delete;
 
+  [[nodiscard]] Conn& conn() { return *conn_; }
   [[nodiscard]] rpc::RpcClient& rpc() { return *conn_->rpc; }
 
  private:
@@ -128,8 +142,6 @@ RoutedNetDht::RoutedNetDht(Options options, TransportFactory makeTransport)
     : opts_(std::move(options)), makeTransport_(std::move(makeTransport)) {
   common::checkInvariant(opts_.replication >= 1,
                          "RoutedNetDht: replication >= 1");
-  common::checkInvariant(opts_.maxAttempts >= 1,
-                         "RoutedNetDht: maxAttempts >= 1");
   common::checkInvariant(
       (opts_.seed != rpc::NetAddr{}) == opts_.members.empty(),
       "RoutedNetDht: set exactly one of seed and members");
@@ -254,63 +266,145 @@ RoutedNetDht::RoutedStats RoutedNetDht::routedStats() const {
   return s;
 }
 
-// --- Routed single-key calls ------------------------------------------------
+// --- Routing ----------------------------------------------------------------
 
-rpc::RpcClient::Result RoutedNetDht::callRouted(rpc::RpcClient& cli,
-                                                const Key& key,
-                                                const RequestBody& body) {
-  bool wantRefresh;
+void RoutedNetDht::route(Conn& conn, std::span<Routed> round, bool batched) {
+  rpc::RpcClient& cli = *conn.rpc;
+  bool stale;
   {
     std::lock_guard<std::mutex> lock(viewMutex_);
-    wantRefresh = refreshWanted_;
+    stale = refreshWanted_ || view_ == nullptr;
   }
-  if (wantRefresh) refreshView(cli);
-
+  if (stale) refreshView(cli);
+  for (Routed& e : round) {
+    if (!e.pending) continue;
+    e.answer = {};
+    e.answer.timedOut = true;  // until some node answers it
+  }
+  std::vector<Conn::Slot>& slots = conn.slots;
+  std::vector<Conn::Send>& sends = conn.sends;
   auto v = view();
-  rpc::RpcClient::Result last;
-  last.timedOut = true;
-  for (size_t attempt = 0; attempt < opts_.maxAttempts; ++attempt) {
-    if (!v) {
-      if (!refreshView(cli)) break;
-      v = requireView();
+  size_t routes = 1;
+  while (v != nullptr) {
+    slots.clear();
+    for (size_t i = 0; i < round.size(); ++i) {
+      if (!round[i].pending) continue;
+      slots.push_back(Conn::Slot{v->ring.owner(keyOf(round[i].request)), i});
     }
-    const u64 owner = v->ring.owner(key);
-    auto addrIt = v->addrs.find(owner);
-    if (owner == 0 || addrIt == v->addrs.end()) {
-      if (!refreshView(cli)) break;
-      v = requireView();
-      continue;
+    if (slots.empty()) break;
+    const auto kind = [&](const Conn::Slot& slot) {
+      return round[slot.entry].request.index();
+    };
+    if (batched) {
+      // Each owner's entries in call order, one opcode at a time, cut
+      // into datagrams at the key and byte caps below.
+      std::sort(slots.begin(), slots.end(),
+                [&](const Conn::Slot& a, const Conn::Slot& b) {
+                  return std::tuple(a.owner, kind(a), a.entry) <
+                         std::tuple(b.owner, kind(b), b.entry);
+                });
     }
-    // Hop accounting: the op's first route is charged by the caller, one
-    // hop straight to the owner the view names; only extra rounds
-    // (redirects, refresh-retries after a timeout) add hops — so warm
-    // mean hops sits at 1.0, and every topology stumble shows up as the
-    // excess.
-    if (attempt > 0) stats_.hops += 1;
-    last = cli.callOne(addrIt->second, body);
-    noteHint(last.hint);
-    if (last.timedOut) {
-      // The owner may have crashed; a fresher view routes to whoever the
-      // survivors promoted for its range.
-      routedStats_.retriesAfterTimeout += 1;
-      refreshView(cli);
-      v = view();
-      continue;
+    sends.clear();
+    for (size_t k = 0; k < slots.size(); ++k) {
+      const size_t cost =
+          batched ? requestBytes(round[slots[k].entry].request) : 0;
+      const bool joins =
+          batched && !sends.empty() &&
+          slots[sends.back().first].owner == slots[k].owner &&
+          kind(slots[sends.back().first]) == kind(slots[k]) &&
+          sends.back().count < rpc::kBatchKeysPerDatagram &&
+          sends.back().bytes + cost <= rpc::kBatchBytesPerDatagram;
+      if (!joins) sends.push_back(Conn::Send{k});
+      sends.back().count += 1;
+      sends.back().bytes += cost;
     }
-    if (last.status == Status::Redirect) {
-      routedStats_.redirectsFollowed += 1;
-      // The fresh owner itself is the best node to pull the table from.
-      const auto* red = std::get_if<RedirectRep>(&last.body);
-      const bool pulled =
-          red != nullptr && red->host != 0 &&
-          pullView(cli, rpc::NetAddr{red->host, red->port});
-      if (!pulled) refreshView(cli);
-      v = view();
-      continue;
+
+    for (Conn::Send& s : sends) {
+      auto it = v->addrs.find(slots[s.first].owner);
+      s.sent = it != v->addrs.end();
+      if (!s.sent) continue;
+      const auto request = [&](size_t j) -> const RequestBody& {
+        return round[slots[s.first + j].entry].request;
+      };
+      if (!batched) {
+        s.token = cli.call(it->second, request(0));
+      } else if (std::holds_alternative<GetReq>(request(0))) {
+        s.token = cli.call(it->second,
+                           packed<MultiGetReq, GetReq>(s.count, request));
+      } else {
+        s.token = cli.call(it->second,
+                           packed<MultiCasReq, CasReq>(s.count, request));
+      }
     }
-    return last;
+    cli.settle();
+
+    size_t rerouted = 0;
+    std::optional<rpc::NetAddr> pullFrom;
+    for (const Conn::Send& s : sends) {
+      const auto entry = [&](size_t j) -> Routed& {
+        return round[slots[s.first + j].entry];
+      };
+      rpc::RpcClient::Result r;
+      r.timedOut = true;  // what an unsent entry is left with
+      if (s.sent) {
+        r = cli.take(s.token);
+        noteHint(r.hint);
+      }
+      size_t done = 0;  // entries [0, done) are answered; the rest go again
+      if (!s.sent || r.timedOut || r.status == Status::Redirect) {
+        // A stale view, a dead owner, or a node that disowns the key: the
+        // request did not execute (or may run again, as a lost reply's
+        // may), so these entries route again on a fresher view.
+        if (s.sent && r.timedOut) routedStats_.retriesAfterTimeout += 1;
+        if (const auto* red = std::get_if<RedirectRep>(&r.body)) {
+          routedStats_.redirectsFollowed += 1;
+          if (!pullFrom && red->host != 0) {
+            pullFrom = rpc::NetAddr{red->host, red->port};
+          }
+        }
+        rerouted += s.count;
+      } else if (r.status != Status::Ok) {
+        // TooLarge: the first entry alone does not fit a datagram; it
+        // fails and the rest go out again. Any other status fails all.
+        done = r.status == Status::TooLarge ? 1 : s.count;
+      } else if (!batched) {
+        done = 1;
+        entry(0).answer.body = std::move(r.body);
+      } else {
+        // A batch reply answers a prefix of its entries; the rest go out
+        // again next pass, which spends no route.
+        const auto answer = [&](auto& reps) {
+          done = reps.size();
+          common::checkInvariant(
+              done >= 1 && done <= s.count,
+              "RoutedNetDht: a batch reply answered no prefix of its send");
+          for (size_t j = 0; j < done; ++j) {
+            entry(j).answer.body = std::move(reps[j]);
+          }
+        };
+        if (auto* gets = std::get_if<MultiGetRep>(&r.body)) {
+          answer(gets->entries);
+        } else {
+          answer(std::get<MultiCasRep>(r.body).entries);
+        }
+      }
+      // Answered entries are done; a re-routed one keeps this answer in
+      // case it is its last.
+      for (size_t j = 0; j < (done == 0 ? s.count : done); ++j) {
+        entry(j).answer.timedOut = r.timedOut;
+        entry(j).answer.status = r.status;
+        entry(j).pending = done == 0;
+      }
+    }
+    if (rerouted == 0) continue;  // tails only, or nothing left
+    // The fresh owner itself is the best node to pull the table from.
+    if (!pullFrom || !pullView(cli, *pullFrom)) refreshView(cli);
+    if (++routes > kMaxRoutes) break;
+    stats_.hops += rerouted;  // each re-routed entry routes again
+    v = view();
   }
-  return last;  // timed out / redirect-looped: caller's checkStatus throws
+  // What is left keeps its last answer: a timeout or a Redirect.
+  for (Routed& e : round) e.pending = false;
 }
 
 // --- Replication ------------------------------------------------------------
@@ -334,6 +428,41 @@ std::vector<rpc::NetAddr> RoutedNetDht::replicaAddrs(const View& v,
   return out;
 }
 
+void RoutedNetDht::replicate(rpc::RpcClient& cli,
+                             std::span<const Routed> round) {
+  if (replicaFanout() == 0) return;
+  auto v = requireView();
+  std::vector<rpc::RpcClient::Token> tokens;
+  for (const Routed& e : round) {
+    if (!e.answer.ok()) continue;
+    const Key& key = keyOf(e.request);
+    RequestBody push;
+    if (const auto* put = std::get_if<PutReq>(&e.request)) {
+      push = ReplicaPutReq{key, put->value,
+                           std::get<PutRep>(e.answer.body).version};
+    } else if (const auto* cas = std::get_if<CasReq>(&e.request)) {
+      const auto& rep = std::get<CasRep>(e.answer.body);
+      if (!rep.applied) continue;
+      if (cas->present) {
+        push = ReplicaPutReq{key, cas->value, rep.currentVersion};
+      } else {
+        push = ReplicaRemoveReq{key};
+      }
+    } else if (std::holds_alternative<RemoveReq>(e.request) &&
+               std::get<RemoveRep>(e.answer.body).existed) {
+      push = ReplicaRemoveReq{key};
+    } else {
+      continue;  // a read, or a remove of an absent key
+    }
+    for (const rpc::NetAddr& holder : replicaAddrs(*v, key)) {
+      tokens.push_back(cli.call(holder, push));
+    }
+  }
+  if (tokens.empty()) return;
+  cli.settle();
+  for (auto t : tokens) (void)cli.take(t);
+}
+
 // --- Single-key ops ---------------------------------------------------------
 
 void RoutedNetDht::put(const Key& key, Value value) {
@@ -343,11 +472,10 @@ void RoutedNetDht::put(const Key& key, Value value) {
   stats_.hops += 1;
   stats_.valueBytesMoved += value.size();
   Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, PutReq{key, value});
-  checkStatus(r, "put", key);
-  const u64 version = std::get<PutRep>(r.body).version;
-  replicate(lease.rpc(), replicaAddrs(*requireView(), key), key, value,
-            version);
+  Routed r{PutReq{key, std::move(value)}};
+  route(lease.conn(), {&r, 1}, /*batched=*/false);
+  check(r.answer, "put", key);
+  replicate(lease.rpc(), {&r, 1});
 }
 
 std::optional<Value> RoutedNetDht::get(const Key& key) {
@@ -360,12 +488,22 @@ GetOutcome RoutedNetDht::getIfChanged(const Key& key, u64 held) {
   stats_.gets += 1;
   stats_.hops += 1;
   Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, GetReq{key, held});
-  checkStatus(r, "get", key);
-  auto& rep = std::get<GetRep>(r.body);
-  if (held != 0) routedStats_.conditionalReads += 1;
-  if (rep.unchanged) routedStats_.unchangedReads += 1;
+  Routed r{GetReq{key, held}};
+  route(lease.conn(), {&r, 1}, /*batched=*/false);
+  check(r.answer, "get", key);
+  return readOutcome(r, "get");
+}
+
+GetOutcome RoutedNetDht::readOutcome(Routed& r, const char* op) {
   GetOutcome out;
+  const GetReq& req = std::get<GetReq>(r.request);
+  if (!r.answer.ok()) {
+    out.error = failure(r.answer, op, req.key);
+    return out;
+  }
+  auto& rep = std::get<GetRep>(r.answer.body);
+  if (req.held != 0) routedStats_.conditionalReads += 1;
+  if (rep.unchanged) routedStats_.unchangedReads += 1;
   out.ok = true;
   out.unchanged = rep.unchanged;
   if (rep.present && !rep.unchanged) {
@@ -381,182 +519,128 @@ bool RoutedNetDht::remove(const Key& key) {
   stats_.removes += 1;
   stats_.hops += 1;
   Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, RemoveReq{key});
-  checkStatus(r, "remove", key);
-  const bool existed = std::get<RemoveRep>(r.body).existed;
-  if (existed) {
-    replicate(lease.rpc(), replicaAddrs(*requireView(), key), key,
-              std::nullopt, 0);
-  }
-  return existed;
+  Routed r{RemoveReq{key}};
+  route(lease.conn(), {&r, 1}, /*batched=*/false);
+  check(r.answer, "remove", key);
+  replicate(lease.rpc(), {&r, 1});
+  return std::get<RemoveRep>(r.answer.body).existed;
 }
 
+// --- The CAS step -----------------------------------------------------------
+
 bool RoutedNetDht::apply(const Key& key, const Mutator& fn) {
-  return casLoop(key, nullptr, fn);
+  return applyOne(key, nullptr, fn);
 }
 
 bool RoutedNetDht::applyFrom(const Key& key, const Value& start,
                              const Mutator& fn) {
-  return casLoop(key, &start, fn);
+  return applyOne(key, &start, fn);
 }
 
-bool RoutedNetDht::casLoop(const Key& key, const Value* start,
-                           const Mutator& fn) {
+bool RoutedNetDht::applyOne(const Key& key, const Value* start,
+                            const Mutator& fn) {
   RoutedOpScope scope(*this, "dht.apply", key);
   stats_.lookups += 1;
   stats_.applies += 1;
   stats_.hops += 1;
-  Lease lease(*this);
-  rpc::RpcClient& cli = lease.rpc();
-  if (start != nullptr) routedStats_.appliesFromStart += 1;
-  auto readOwner = [&](u64 held) {
-    auto g = callRouted(cli, key, GetReq{key, held});
-    checkStatus(g, "apply", key);
-    if (held != 0) {
-      routedStats_.conditionalReads += 1;
-      if (std::get<GetRep>(g.body).unchanged) routedStats_.unchangedReads += 1;
-    }
-    return std::move(std::get<GetRep>(g.body));
-  };
-  // The state `fn` runs on: the start, a read, or a conflict reply's
-  // value. The CAS is guarded by its digest (0: absent). `early`: the
-  // state is the caller's start, from before this call. A conflict proves
-  // it stale and replaces it; a no-change outcome on it proves nothing
-  // until a conditional read finds the start still stored.
-  bool early = start != nullptr;
-  GetRep state = early ? GetRep{true, 0, *start} : readOwner(0);
-  for (size_t casRounds = 0; casRounds < opts_.casRetries;) {
-    std::optional<Value> v =
-        state.present ? std::optional<Value>(state.value) : std::nullopt;
-    fn(v);
-    const bool unchanged = v.has_value() ? state.present && *v == state.value
-                                         : !state.present;
-    if (unchanged && !early) return state.present;
-    const u64 guard =
-        state.present ? common::hash::valueDigest(state.value) : 0;
-    if (unchanged) {
-      GetRep fresh = readOwner(guard);
-      if (fresh.unchanged) return true;  // the start is stored: it stands
-      state = std::move(fresh);
-      early = false;
-      continue;
-    }
-    ++casRounds;
-    if (v.has_value()) stats_.valueBytesMoved += v->size();
-    auto r = callRouted(cli, key,
-                        CasReq{key, guard, v.has_value(), v.value_or(Value{})});
-    checkStatus(r, "apply", key);
-    auto& rep = std::get<CasRep>(r.body);
-    if (rep.applied) {
-      replicate(cli, replicaAddrs(*requireView(), key), key, v,
-                rep.currentVersion);
-      return state.present;
-    }
-    if (early) routedStats_.startConflicts += 1;
-    // Conflict: the reply carries the stored value, so the mutator re-runs
-    // on it without another GET round.
-    state.present = rep.currentPresent;
-    state.value = std::move(rep.currentValue);
-    early = false;
+  Applying a;
+  a.key = &key;
+  a.fn = &fn;
+  if (start != nullptr) {
+    routedStats_.appliesFromStart += 1;
+    a.present = true;
+    a.value = *start;
+    a.early = true;
   }
-  throw DhtError("RoutedNetDht::apply: CAS contention exhausted " +
-                 std::to_string(opts_.casRetries) + " attempts on \"" + key +
-                 "\"");
+  Routed r;
+  Lease lease(*this);
+  applyAll(lease.conn(), {&a, 1}, {&r, 1}, /*batched=*/false);
+  if (a.outcome.ok) return a.outcome.existed;
+  // The last answer says why: a timeout, or a status or CAS conflict.
+  if (r.answer.timedOut) throw DhtTimeoutError(a.outcome.error);
+  throw DhtError(a.outcome.error);
+}
+
+void RoutedNetDht::applyAll(Conn& conn, std::span<Applying> applies,
+                            std::span<Routed> round, bool batched) {
+  for (bool more = true; more;) {
+    more = false;
+    for (size_t i = 0; i < applies.size(); ++i) {
+      round[i].pending = !applies[i].done && casStep(applies[i], round[i]);
+      more = more || round[i].pending;
+    }
+    if (more) route(conn, round, batched);
+  }
+  replicate(*conn.rpc, round);
+}
+
+bool RoutedNetDht::casStep(Applying& a, Routed& r) {
+  const Key& key = *a.key;
+  const auto finish = [&](bool existed) {
+    a.done = true;
+    a.outcome.ok = true;
+    a.outcome.existed = existed;
+    return false;
+  };
+  const auto fail = [&](std::string error) {
+    a.done = true;
+    a.outcome.error = std::move(error);
+    return false;
+  };
+  if (a.sent) {
+    if (!r.answer.ok()) return fail(failure(r.answer, "apply", key));
+    if (auto* read = std::get_if<GetRep>(&r.answer.body)) {
+      if (std::get<GetReq>(r.request).held != 0) {
+        routedStats_.conditionalReads += 1;
+        if (read->unchanged) routedStats_.unchangedReads += 1;
+      }
+      // The start is still stored: the no-change outcome stands.
+      if (read->unchanged) return finish(true);
+      a.present = read->present;
+      a.value = std::move(read->value);
+    } else {
+      auto& cas = std::get<CasRep>(r.answer.body);
+      if (cas.applied) return finish(a.present);
+      if (a.early) routedStats_.startConflicts += 1;
+      // Conflict: the reply carries the stored value, so the mutator
+      // re-runs on it without another GET round.
+      a.present = cas.currentPresent;
+      a.value = std::move(cas.currentValue);
+    }
+    a.early = false;
+  } else if (!a.early) {
+    a.sent = true;
+    r.request = GetReq{key, 0};
+    return true;
+  }
+  if (a.casRounds >= opts_.casRetries) {
+    return fail("RoutedNetDht::apply: CAS contention exhausted " +
+                std::to_string(opts_.casRetries) + " attempts on \"" + key +
+                "\"");
+  }
+  // The state `fn` runs on: the start, a read, or a conflict reply's
+  // value. The CAS is guarded by its digest (0: absent).
+  std::optional<Value> v =
+      a.present ? std::optional<Value>(a.value) : std::nullopt;
+  (*a.fn)(v);
+  const bool unchanged =
+      v.has_value() ? a.present && *v == a.value : !a.present;
+  if (unchanged && !a.early) return finish(a.present);
+  const u64 guard = a.present ? common::hash::valueDigest(a.value) : 0;
+  a.sent = true;
+  if (unchanged) {
+    // A no-change outcome on the start proves nothing until a read
+    // carrying its digest finds it still stored.
+    r.request = GetReq{key, guard};
+    return true;
+  }
+  ++a.casRounds;
+  if (v.has_value()) stats_.valueBytesMoved += v->size();
+  r.request = CasReq{key, guard, v.has_value(), std::move(v).value_or(Value{})};
+  return true;
 }
 
 // --- Batch rounds -----------------------------------------------------------
-
-std::vector<RoutedNetDht::Fetched> RoutedNetDht::fetch(
-    rpc::RpcClient& cli, const std::vector<Key>& keys,
-    const std::vector<u64>& held) {
-  std::vector<Fetched> out(keys.size());
-  std::vector<size_t> pending(keys.size());
-  std::iota(pending.begin(), pending.end(), size_t{0});
-  // Only regroups (a Redirect, a timeout, an owner missing from the view)
-  // spend kMaxBatchRounds. Re-sending the tail of a prefix reply is free:
-  // every reply answers or fails at least one entry.
-  size_t regroups = 0;
-  while (!pending.empty() && regroups < kMaxBatchRounds) {
-    auto v = view();
-    if (!v) {
-      if (!refreshView(cli)) break;
-      v = requireView();
-    }
-    const auto chunks = packChunks(
-        pending, [&](size_t i) { return v->ring.owner(keys[i]); },
-        [&](size_t i) { return keys[i].size() + 8; });
-    std::vector<rpc::RpcClient::Token> tokens(chunks.size(), 0);
-    std::vector<bool> sent(chunks.size(), false);
-    for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      auto it = v->addrs.find(chunks[ci].owner);
-      if (it == v->addrs.end()) continue;  // stale view: regroup
-      MultiGetReq req;
-      req.entries.reserve(chunks[ci].entries.size());
-      for (size_t i : chunks[ci].entries) {
-        req.entries.push_back(GetReq{keys[i], held[i]});
-      }
-      tokens[ci] = cli.call(it->second, std::move(req));
-      sent[ci] = true;
-    }
-    cli.settle();
-
-    std::vector<size_t> tail;
-    std::vector<size_t> regroup;
-    for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      const auto& entries = chunks[ci].entries;
-      if (!sent[ci]) {
-        regroup.insert(regroup.end(), entries.begin(), entries.end());
-        continue;
-      }
-      auto r = cli.take(tokens[ci]);
-      noteHint(r.hint);
-      if (!r.timedOut &&
-          (r.status == Status::Ok || r.status == Status::TooLarge)) {
-        // Ok answers a prefix of the chunk. TooLarge means the first
-        // entry alone exceeds a datagram: it fails, the rest go on. Either
-        // way the unanswered rest is re-sent next round.
-        size_t answered = 1;
-        if (r.status == Status::TooLarge) {
-          out[entries.front()].error =
-              "RoutedNetDht::multiGet: status too_large";
-        } else {
-          auto& rep = std::get<MultiGetRep>(r.body);
-          answered = rep.entries.size();
-          common::checkInvariant(
-              answered >= 1 && answered <= entries.size(),
-              "MultiGet reply answered no prefix of its chunk");
-          for (size_t j = 0; j < answered; ++j) {
-            Fetched& f = out[entries[j]];
-            f.ok = true;
-            f.rep = std::move(rep.entries[j]);
-          }
-        }
-        tail.insert(tail.end(), entries.begin() + static_cast<long>(answered),
-                    entries.end());
-        continue;
-      }
-      if (r.timedOut || r.status == Status::Redirect) {
-        // Stale grouping (join/leave in flight) or a dead owner: refresh
-        // and regroup just these entries.
-        regroup.insert(regroup.end(), entries.begin(), entries.end());
-        if (r.status == Status::Redirect) routedStats_.redirectsFollowed += 1;
-        continue;
-      }
-      const std::string err =
-          std::string("RoutedNetDht::multiGet: status ") + statusName(r.status);
-      for (size_t i : entries) out[i].error = err;
-    }
-    if (!regroup.empty()) {
-      regroups += 1;
-      stats_.hops += regroup.size();  // each regrouped entry routes again
-      refreshView(cli);
-    }
-    pending = std::move(tail);
-    pending.insert(pending.end(), regroup.begin(), regroup.end());
-  }
-  for (size_t i : pending) out[i].error = "RoutedNetDht::multiGet: rpc timeout";
-  return out;
-}
 
 std::vector<GetOutcome> RoutedNetDht::multiGet(const std::vector<Key>& keys) {
   return multiGetIfChanged(keys, std::vector<u64>(keys.size(), 0));
@@ -573,26 +657,16 @@ std::vector<GetOutcome> RoutedNetDht::multiGetIfChanged(
   stats_.gets += keys.size();
   stats_.hops += keys.size();
 
-  Lease lease(*this);
-  std::vector<Fetched> fetched = fetch(lease.rpc(), keys, held);
-  std::vector<GetOutcome> out(fetched.size());
-  u64 unchanged = 0;
-  for (size_t i = 0; i < fetched.size(); ++i) {
-    Fetched& f = fetched[i];
-    out[i].ok = f.ok;
-    out[i].error = std::move(f.error);
-    if (!f.ok) continue;
-    if (f.rep.unchanged) {
-      out[i].unchanged = true;
-      unchanged += 1;
-    } else if (f.rep.present) {
-      stats_.valueBytesMoved += f.rep.value.size();
-      out[i].value = std::move(f.rep.value);
-    }
+  std::vector<Routed> round;
+  round.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    round.push_back(Routed{GetReq{keys[i], held[i]}});
   }
-  routedStats_.conditionalReads += static_cast<u64>(
-      std::count_if(held.begin(), held.end(), [](u64 h) { return h != 0; }));
-  routedStats_.unchangedReads += unchanged;
+  Lease lease(*this);
+  route(lease.conn(), round, /*batched=*/true);
+  std::vector<GetOutcome> out;
+  out.reserve(keys.size());
+  for (Routed& r : round) out.push_back(readOutcome(r, "multiGet"));
   return out;
 }
 
@@ -605,134 +679,17 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
   stats_.applies += reqs.size();
   stats_.hops += reqs.size();
 
-  Lease lease(*this);
-  rpc::RpcClient& cli = lease.rpc();
-  std::vector<ApplyOutcome> out(reqs.size());
-
-  // Snapshot phase: every key through the MultiGet path (prefix tails,
-  // regroups on redirect/timeout); the fetched (present, version, value)
-  // is each entry's CAS state, refreshed by conflict replies.
-  std::vector<Key> keys;
-  keys.reserve(reqs.size());
-  for (const ApplyRequest& req : reqs) keys.push_back(req.key);
-  std::vector<Fetched> state = fetch(cli, keys, std::vector<u64>(keys.size(), 0));
-  std::vector<bool> existedAtFirstCas(reqs.size(), false);
-  std::vector<size_t> active;
+  std::vector<Applying> applies(reqs.size());
   for (size_t i = 0; i < reqs.size(); ++i) {
-    if (state[i].ok) {
-      active.push_back(i);
-    } else {
-      out[i].error =
-          "RoutedNetDht::multiApply: snapshot failed (" + state[i].error + ")";
-    }
+    applies[i].key = &reqs[i].key;
+    applies[i].fn = &reqs[i].fn;
   }
-
-  // CAS rounds. A Redirect means the CAS did NOT execute, so retrying it
-  // (after a view refresh) is safe; a conflict carries fresh state.
-  std::vector<std::pair<Key, std::pair<std::optional<Value>, u64>>> toReplicate;
-  for (size_t round = 0; round < opts_.casRetries && !active.empty(); ++round) {
-    std::vector<size_t> casEntries;
-    std::vector<CasReq> casReqs;
-    for (size_t i : active) {
-      GetRep& s = state[i].rep;
-      std::optional<Value> v =
-          s.present ? std::optional<Value>(s.value) : std::nullopt;
-      reqs[i].fn(v);
-      if (!v.has_value() && !s.present) {
-        out[i].ok = true;
-        out[i].existed = false;
-        continue;
-      }
-      if (v.has_value() && s.present && *v == s.value) {
-        out[i].ok = true;
-        out[i].existed = true;
-        continue;
-      }
-      if (v.has_value()) stats_.valueBytesMoved += v->size();
-      existedAtFirstCas[i] = s.present;
-      casEntries.push_back(i);
-      casReqs.push_back(CasReq{reqs[i].key,
-                               s.present ? common::hash::valueDigest(s.value) : 0,
-                               v.has_value(), v.value_or(Value{})});
-    }
-    active.clear();
-    if (casEntries.empty()) break;
-
-    auto v = requireView();
-    std::vector<size_t> positions(casEntries.size());
-    std::iota(positions.begin(), positions.end(), size_t{0});
-    const auto chunks = packChunks(
-        positions, [&](size_t j) { return v->ring.owner(casReqs[j].key); },
-        [&](size_t j) {
-          return casReqs[j].key.size() + casReqs[j].value.size() + 16;
-        });
-    std::vector<rpc::RpcClient::Token> tokens(chunks.size(), 0);
-    std::vector<bool> sent(chunks.size(), false);
-    for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      auto it = v->addrs.find(chunks[ci].owner);
-      if (it == v->addrs.end()) continue;
-      MultiCasReq req;
-      for (size_t j : chunks[ci].entries) req.entries.push_back(casReqs[j]);
-      tokens[ci] = cli.call(it->second, std::move(req));
-      sent[ci] = true;
-    }
-    cli.settle();
-    bool wantRefresh = false;
-    for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      if (!sent[ci]) {
-        for (size_t j : chunks[ci].entries) active.push_back(casEntries[j]);
-        wantRefresh = true;
-        continue;
-      }
-      auto r = cli.take(tokens[ci]);
-      noteHint(r.hint);
-      if (r.status == Status::Redirect && !r.timedOut) {
-        for (size_t j : chunks[ci].entries) active.push_back(casEntries[j]);
-        wantRefresh = true;
-        continue;
-      }
-      if (r.timedOut || r.status != Status::Ok) {
-        // Lost reply: the CAS may or may not have executed — the
-        // documented lost-reply semantics for a failed apply entry.
-        for (size_t j : chunks[ci].entries) {
-          out[casEntries[j]].error = "RoutedNetDht::multiApply: cas rpc timeout";
-        }
-        continue;
-      }
-      auto& rep = std::get<MultiCasRep>(r.body);
-      for (size_t k = 0; k < rep.entries.size(); ++k) {
-        const size_t j = chunks[ci].entries[k];
-        const size_t i = casEntries[j];
-        CasRep& cr = rep.entries[k];
-        if (cr.applied) {
-          out[i].ok = true;
-          out[i].existed = existedAtFirstCas[i];
-          toReplicate.emplace_back(
-              reqs[i].key,
-              std::make_pair(casReqs[j].present
-                                 ? std::optional<Value>(casReqs[j].value)
-                                 : std::nullopt,
-                             cr.currentVersion));
-        } else {
-          GetRep& s = state[i].rep;
-          s.present = cr.currentPresent;
-          s.value = std::move(cr.currentValue);
-          active.push_back(i);
-        }
-      }
-    }
-    if (wantRefresh && !active.empty()) refreshView(cli);
-  }
-  for (size_t i : active) {
-    out[i].error = "RoutedNetDht::multiApply: CAS contention exhausted";
-  }
-
-  if (replicaFanout() > 0 && !toReplicate.empty()) {
-    auto v = requireView();
-    for (const auto& [key, vv] : toReplicate) {
-      replicate(cli, replicaAddrs(*v, key), key, vv.first, vv.second);
-    }
-  }
+  std::vector<Routed> round(reqs.size());
+  Lease lease(*this);
+  applyAll(lease.conn(), applies, round, /*batched=*/true);
+  std::vector<ApplyOutcome> out;
+  out.reserve(applies.size());
+  for (Applying& a : applies) out.push_back(std::move(a.outcome));
   return out;
 }
 
@@ -740,10 +697,10 @@ std::vector<ApplyOutcome> RoutedNetDht::multiApply(
 
 void RoutedNetDht::storeDirect(const Key& key, Value value) {
   Lease lease(*this);
-  auto r = callRouted(lease.rpc(), key, PutReq{key, value});
-  checkStatus(r, "storeDirect", key);
-  replicate(lease.rpc(), replicaAddrs(*requireView(), key), key, value,
-            std::get<PutRep>(r.body).version);
+  Routed r{PutReq{key, std::move(value)}};
+  route(lease.conn(), {&r, 1}, /*batched=*/false);
+  check(r.answer, "storeDirect", key);
+  replicate(lease.rpc(), {&r, 1});
 }
 
 std::optional<Value> RoutedNetDht::getReplica(const Key& key,
@@ -774,7 +731,7 @@ std::optional<Value> RoutedNetDht::getReplica(const Key& key,
                            it->second.str() + " unresponsive for \"" + key +
                            "\"");
   }
-  checkStatus(r, "getReplica", key);
+  check(r, "getReplica", key);
   auto& rep = std::get<GetRep>(r.body);
   if (!rep.present) return std::nullopt;
   stats_.valueBytesMoved += rep.value.size();

@@ -13,56 +13,57 @@
 //  * seed — any one live member. bootstrap() gossip-pulls its table
 //    (GossipSync with senderId 0 marks a client pull).
 //
-// Either way the view then heals itself from its members, three ways,
-// all lazy:
-//  * Redirect — an op that lands on the wrong node (stale view during a
-//    join/leave) comes back Status::Redirect with the fresh owner
-//    endpoint; the client re-pulls the table and retries. When
-//    forwarding is enabled server-side the op instead succeeds in one
-//    client round trip and only the hint reveals the staleness.
+// Either way the view then heals itself from its members, lazily:
 //  * Gossip hints — every overlay reply trailer carries (senderId, table
 //    version). A version bump from a node we've heard before means the
-//    membership changed; the next op triggers a background-free re-pull.
-//  * Timeouts — a silent owner gets one view refresh + retry before the
-//    op fails with DhtTimeoutError (a crashed node's range moves to the
-//    promoted survivor, so the retry usually lands).
+//    membership changed; the next request pulls a fresh table first.
+//  * Re-routes — a node that does not own a request's key answers
+//    Status::Redirect naming the owner it believes in (a stale view during
+//    a join or leave); a silent node times out (a crash: its range moves
+//    to the promoted survivor); a view can also name an owner it has no
+//    address for. One policy covers all three: the client pulls the table
+//    from the redirect's owner when the redirect names one, else
+//    refreshes from any member, charges the entry one more hop and routes
+//    it again, at most kMaxRoutes times per call.
 // A member that answers a pull with an empty table (a bare NodeServer)
 // leaves the view as it is.
+//
+// One routing loop, route(), sends every request. A single-key call is a
+// round of one entry sent under its own opcode; a batch call groups its
+// entries by owner under the current view and packs them into
+// MultiGet/MultiCas datagrams (capped per datagram), so a round costs
+// ~one datagram per involved node instead of one per key. A node answers
+// the longest prefix of a MultiGet that fits one reply datagram (DESIGN.md
+// §14); the tail goes out again next pass without spending a route. Every
+// reply answers at least one entry, or fails the first one with TooLarge,
+// so re-sending tails terminates.
 //
 // Replication is client-driven: the writer pushes copies to the key's
 // successor holders, mirroring ChordDht's primary/replica split so
 // getReplica and the failover decorators behave identically. The push is
 // best-effort: the primary already committed, and a silent holder only
 // shows up in the timeout count (a later read of that replica misses,
-// which failover treats as any other replica miss).
+// which failover treats as any other replica miss). A call pushes all of
+// its writes in one settle.
 //
 // apply() over a network: the mutator is an arbitrary client-side
-// closure, so it cannot run at the server. apply() is a read-modify-write
-// loop over a digest-guarded CAS: the mutator runs locally on a value and
-// the CAS applies iff the stored value still has that value's digest
-// (DESIGN.md §14). applyFrom() starts from the caller's copy of the value
-// (the index passes the bucket it holds), so a current copy costs one
-// round, the CAS; apply() reads first, a GET round. A conflict reply
-// carries the current value, so each retry costs one round, not two. GET
-// and CAS are routed like any single-key op, so a redirect or timeout
-// inside the loop is followed like any other.
-//
-// Batched ops group keys by owner under the current view and pack them
-// into MultiGet/MultiCas datagrams (capped per datagram), so a round
-// costs ~one datagram per involved node instead of one per key. A node
-// answers the longest prefix of a MultiGet that fits one reply datagram
-// (DESIGN.md §14); the tail goes out again next round without spending a
-// regroup round. Every reply answers at least one entry, or fails the
-// first one with TooLarge, so re-sending tails terminates. A Redirect or
-// timeout on a chunk refreshes the view and regroups just the affected
-// entries, so a single mid-batch topology change costs one extra round
-// for those keys, not a failed batch.
+// closure, so it cannot run at the server. apply(), applyFrom() and
+// multiApply() share one per-entry CAS step, a read-modify-write over a
+// digest-guarded CAS: the mutator runs locally on a value and the CAS
+// applies iff the stored value still has that value's digest (DESIGN.md
+// §14). applyFrom() starts from the caller's copy of the value (the index
+// passes the bucket it holds), so a current copy costs one round, the
+// CAS; apply() and multiApply() read first, a GET round. A conflict reply
+// carries the current value, so each retry costs one round, not two. Each
+// round of the step's requests goes through route() like any other, so a
+// redirect or timeout inside it is re-routed like any other; a CAS whose
+// reply was lost may run again, which the Dht contract allows.
 //
 // Conditional reads (DESIGN.md §14): getIfChanged and multiGetIfChanged
 // put the caller's held digest in each GetReq, and an entry the owner
-// answers `unchanged` comes back without its value. They go through the
-// same routing, redirect, regroup and prefix-tail paths as any read; an
-// overlay node relays or redirects the request with its digest intact.
+// answers `unchanged` comes back without its value. A redirect names the
+// owner and leaves the request, digest included, for the client to send
+// there.
 //
 // Transport is injected via factory: UdpTransport for real clusters,
 // SimHub endpoints for deterministic tests. Each concurrent caller
@@ -79,6 +80,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -110,9 +112,6 @@ class RoutedNetDht final : public Dht {
     rpc::RpcClient::Options rpc;
     /// CAS attempts per apply before giving up (contention bound).
     size_t casRetries = 16;
-    /// Client-side attempts per op (each attempt = route + one RPC);
-    /// redirects and refresh-retries consume attempts.
-    size_t maxAttempts = 4;
   };
 
   /// Relaxed counters, like DhtStats: concurrent callers bump them with
@@ -160,7 +159,8 @@ class RoutedNetDht final : public Dht {
   /// unchanged, or absent stays absent) ends the call. An applied CAS is
   /// replicated. At most `casRetries` CAS rounds; throws DhtError when all
   /// conflict. Returns whether the key existed before the write (or, for a
-  /// no-change outcome, at the read).
+  /// no-change outcome, at the read). multiApply runs the same step per
+  /// entry, one batched round at a time.
   bool apply(const Key& key, const Mutator& fn) override;
   /// apply() with `start` as the first state instead of a GET round: the
   /// first CAS is guarded by the start's digest. A no-change outcome on
@@ -191,10 +191,7 @@ class RoutedNetDht final : public Dht {
   [[nodiscard]] size_t knownMembers() const;
 
  private:
-  struct Conn {
-    std::unique_ptr<rpc::Transport> transport;
-    std::unique_ptr<rpc::RpcClient> rpc;
-  };
+  struct Conn;  // one pooled connection and its routing scratch
   class Lease;  // RAII borrow of one Conn
 
   /// Immutable routing view, atomically swapped on refresh. Readers copy
@@ -205,11 +202,33 @@ class RoutedNetDht final : public Dht {
     std::vector<rpc::NetAddr> pullTargets;  // members to refresh from
   };
 
-  /// One entry's MultiGet result: the stored record, or why it failed.
-  struct Fetched {
-    bool ok = false;
-    rpc::wire::GetRep rep;  ///< present/version/value (valid when ok)
-    std::string error;      ///< failure description when !ok
+  /// One entry of a routed round: a single-key request (PutReq, GetReq,
+  /// RemoveReq or CasReq) and the answer route() leaves in it.
+  struct Routed {
+    Routed() = default;
+    explicit Routed(rpc::wire::RequestBody req) : request(std::move(req)) {}
+
+    rpc::wire::RequestBody request;
+    /// The entry's reply (body GetRep, CasRep, ...) once answered;
+    /// otherwise why it was not: timed out, or the last status.
+    rpc::RpcClient::Result answer;
+    bool pending = true;  ///< in this round and not yet answered
+  };
+
+  /// One apply as the CAS step drives it.
+  struct Applying {
+    const Key* key = nullptr;
+    const Mutator* fn = nullptr;
+    bool present = false;  ///< the state `fn` runs on
+    Value value;
+    /// The state is the caller's start, from before this call: a conflict
+    /// proves it stale, and a no-change outcome on it stands only once a
+    /// conditional read finds it still stored.
+    bool early = false;
+    bool sent = false;  ///< a request has been routed
+    size_t casRounds = 0;
+    bool done = false;
+    ApplyOutcome outcome;
   };
 
   /// A view of `table`'s ring members; nullptr when it has none.
@@ -223,28 +242,43 @@ class RoutedNetDht final : public Dht {
   /// seed).
   bool refreshView(rpc::RpcClient& cli);
   /// Tracks per-sender table versions from reply hints; a bump schedules
-  /// a refresh before the next routed attempt.
+  /// a refresh before the next routed round.
   void noteHint(const std::optional<rpc::wire::GossipHint>& hint);
 
-  /// Routes a single-key op: resolve owner, call, follow one redirect /
-  /// refresh-and-retry on timeout, up to maxAttempts. Each attempt after
-  /// the first adds one to stats_.hops.
-  rpc::RpcClient::Result callRouted(rpc::RpcClient& cli, const Key& key,
-                                    const rpc::wire::RequestBody& body);
+  /// The one routing loop: sends every pending entry of `round` to its
+  /// key's owner and leaves each answer in its entry. `batched` packs the
+  /// entries per owner into MultiGet/MultiCas datagrams; otherwise each
+  /// goes under its own opcode. Re-routes Redirected, timed-out and
+  /// unaddressable entries (see the header comment), each re-route one
+  /// more hop; prefix tails go out again for free.
+  void route(Conn& conn, std::span<Routed> round, bool batched);
 
+  /// A read's answer as a GetOutcome (its error names `op`), counted in
+  /// the conditional-read stats.
+  GetOutcome readOutcome(Routed& r, const char* op);
+
+  /// The CAS step: absorbs the answer to the apply's last request (none
+  /// on its first call) and either ends the apply or leaves its next
+  /// request — a read, a conditional re-read of the start, or a CAS — in
+  /// `r`. Returns whether a request is pending.
+  bool casStep(Applying& a, Routed& r);
+  /// Runs every apply to its end, routing each round of their requests
+  /// together, then replicates what they wrote. `round` holds one entry
+  /// per apply.
+  void applyAll(Conn& conn, std::span<Applying> applies,
+                std::span<Routed> round, bool batched);
+  /// apply() and applyFrom(): one apply from `start`, or from a read when
+  /// it is null.
+  bool applyOne(const Key& key, const Value* start, const Mutator& fn);
+
+  /// Pushes every write the round's answers acknowledge — a put, an
+  /// applied CAS, a remove of a present key — to the key's replica
+  /// holders, in one settle.
+  void replicate(rpc::RpcClient& cli, std::span<const Routed> round);
   /// The key's replica holders under `v` (members missing from the view
   /// are skipped).
   [[nodiscard]] std::vector<rpc::NetAddr> replicaAddrs(const View& v,
                                                        const Key& key) const;
-  /// MultiGet rounds for `keys` (the batch reads and multiApply's
-  /// snapshot phase): groups by owner under the current view, re-sends
-  /// prefix-reply tails, and regroups Redirected or timed-out chunks after
-  /// a refresh. Entry i's GetReq carries held[i].
-  std::vector<Fetched> fetch(rpc::RpcClient& cli, const std::vector<Key>& keys,
-                             const std::vector<common::u64>& held);
-  /// apply() and applyFrom(): the CAS loop from `start`, or from a GET
-  /// round when it is null.
-  bool casLoop(const Key& key, const Value* start, const Mutator& fn);
 
   Options opts_;
   TransportFactory makeTransport_;

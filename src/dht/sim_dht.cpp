@@ -169,6 +169,10 @@ void SimDht::promoteReplicas(bool ship) {
 void SimDht::place(std::vector<Move>& moves, bool ship) {
   for (Move& m : moves) {
     Tables& owner = tablesOf(ownerOfUnlocked(m.key));
+    // A node keeps no replica copy of a key it owns: a later remove drops
+    // copies only at the owner's holders, and the next promotion would
+    // bring a stale one back as a primary.
+    owner.replicas.erase(m.key);
     if (owner.store.contains(m.key)) continue;
     if (ship && owner.peer != m.from) {
       net_.send(m.from, owner.peer, m.key.size() + m.value.size());
@@ -211,10 +215,12 @@ void SimDht::pushReplicas(u64 ownerId, const Key& key, const Value& value) {
 }
 
 void SimDht::dropReplicas(u64 ownerId, const Key& key) {
-  // Between membership changes replicas live exactly on the owner's
-  // holders (rebuildReplicas restores that after every churn event), so
-  // the targeted erase is complete. A dark holder keeps its stale copy; it
-  // dies with the peer at excision.
+  // Between membership changes replicas live only on the owner's holders:
+  // rebuildReplicas restores that after a join, leave or fail, and after a
+  // crash's excision the copies left behind sit on the new owner's holders
+  // or on the new owner, which place() clears. So the targeted erase is
+  // complete. A dark holder keeps its stale copy; it dies with the peer at
+  // excision.
   for (u64 hid : holdersOf(ownerId)) {
     if (holderDark(hid)) continue;
     tablesOf(hid).replicas.erase(key);

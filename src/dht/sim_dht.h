@@ -194,8 +194,8 @@ class SimDht : public Dht {
   };
 
   /// Puts each move on its owner, unless the owner already holds the key
-  /// (the first promoted copy wins); with `ship`, one message per move
-  /// that changes peer.
+  /// (the first promoted copy wins), and drops the owner's replica copy
+  /// of it; with `ship`, one message per move that changes peer.
   void place(std::vector<Move>& moves, bool ship);
   /// enter()'s accounting and draw: the entry's position among `nodes`.
   size_t entryIndex(size_t nodes);

@@ -19,9 +19,9 @@ constexpr size_t kDeadAfterFailures = 4;
 /// Warm window after joinCluster(): primary misses are fetched from the
 /// previous owner instead of answered absent.
 constexpr u64 kWarmupMs = 3000;
-/// Bounded relay bookkeeping: in-flight/replayable forwarded requests per
-/// origin (at-most-once across the forwarding hop).
-constexpr size_t kRelayDedupCapacity = 1024;
+/// Join and warm-window requests whose replies (or in-flight marks) the
+/// node keeps for at-most-once replay.
+constexpr size_t kReplyCacheCapacity = 1024;
 
 }  // namespace
 
@@ -31,7 +31,8 @@ OverlayNode::OverlayNode(Options options, rpc::Transport& transport)
       server_(opts_.server),
       table_(launchEntry(transport.localAddr()), /*incarnation=*/1),
       client_(transport, opts_.rpc),
-      rng_(table_.selfId(), 0x5eed) {
+      rng_(table_.selfId(), 0x5eed),
+      replies_(kReplyCacheCapacity) {
   refreshRing();
 }
 
@@ -43,9 +44,8 @@ void OverlayNode::stampHint(std::string& reply) {
   appendGossipHint(reply, hint);
   if (reply.size() <= rpc::kMaxDatagramBytes) return;
   // The cap holds on the final bytes. NodeServer leaves room for the
-  // trailer, but this node's own encodes bypass it (a relayed reply
-  // re-encoded under the origin's request id, a read served from a
-  // replica copy). No transport would carry an overflowing reply, and the
+  // trailer, but this node's own encode of a read served from a replica
+  // copy bypasses it. No transport would carry an overflowing reply, and the
   // client would retransmit until its deadline: answer TooLarge instead.
   const Header h = std::get<Header>(decodeHeader(reply));
   reply = encodeReply(h.requestId, h.op, Status::TooLarge, EmptyRep{});
@@ -96,6 +96,14 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
   }
   Request& req = std::get<Request>(decoded);
   const u64 reqId = req.header.requestId;
+  // At-most-once for the requests whose reply this node defers (a Join,
+  // which must not stream the key range twice, and a warm-window request
+  // waiting on its fetch): a retransmit gets the first reply's bytes, or
+  // nothing while it is still in flight.
+  if (const std::string* cached = replies_.find(from, reqId)) {
+    stats_.dedupHits += 1;
+    return *cached;
+  }
 
   // Overlay protocol ops.
   if (auto* gs = std::get_if<GossipSyncReq>(&req.body)) {
@@ -110,13 +118,6 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
     return reply;
   }
   if (auto* join = std::get_if<JoinReq>(&req.body)) {
-    // At-most-once across retransmits: announcing twice must not stream
-    // the key range twice.
-    const RelayKey rkey{from.host, from.port, reqId};
-    if (auto it = relays_.find(rkey); it != relays_.end()) {
-      stats_.relayDedupHits += 1;
-      return it->second.done ? it->second.reply : std::string{};
-    }
     JoinRep rep;
     if (join->joiner.id != 0 && join->joiner.id != table_.selfId()) {
       table_.merge(join->joiner);
@@ -137,9 +138,8 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
     rep.entries = table_.snapshot();
     std::string reply = encodeReply(reqId, Op::Join, Status::Ok, rep);
     stampHint(reply);
-    trackRelay(rkey);
-    finishRelay(rkey, from, reply);
-    return {};  // finishRelay already sent it
+    finishReply(from, reqId, std::move(reply));
+    return {};  // finishReply already sent it
   }
   if (auto* leave = std::get_if<LeaveReq>(&req.body)) {
     LeaveRep rep;
@@ -157,51 +157,26 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
   if (const std::string* key = routedKey(req.body)) {
     const u64 owner = ring_.empty() ? 0 : ring_.owner(*key);
     if (owner != 0 && owner != table_.selfId()) {
-      if (req.header.noForward) {
-        // Forwarded here on a stale view (or we just demoted the key):
-        // answer locally; a read can still be served from the demoted
-        // replica copy.
-        if (std::holds_alternative<GetReq>(req.body)) {
-          if (!server_.primaryRecord(*key).has_value()) {
-            if (auto rec = server_.replicaRecord(*key)) {
-              GetRep rep;
-              rep.present = true;
-              rep.version = rec->first;
-              rep.value = std::move(rec->second);
-              std::string reply = encodeReply(reqId, Op::Get, Status::Ok, rep);
-              stampHint(reply);
-              return reply;
-            }
+      if (!req.header.noForward) {
+        return makeRedirect(reqId, req.header.op, owner);
+      }
+      // A joiner's warm fetch, on a ring where we are no longer the owner
+      // (or we just demoted the key): answer locally; a read can still be
+      // served from the demoted replica copy.
+      if (std::holds_alternative<GetReq>(req.body)) {
+        if (!server_.primaryRecord(*key).has_value()) {
+          if (auto rec = server_.replicaRecord(*key)) {
+            GetRep rep;
+            rep.present = true;
+            rep.version = rec->first;
+            rep.value = std::move(rec->second);
+            std::string reply = encodeReply(reqId, Op::Get, Status::Ok, rep);
+            stampHint(reply);
+            return reply;
           }
         }
-        return finishLocal(from, req);
       }
-      auto entry = table_.find(owner);
-      const bool ownerAlive =
-          entry && entry->state == static_cast<u8>(NodeState::Alive);
-      if (opts_.forwardData && ownerAlive) {
-        const RelayKey rkey{from.host, from.port, reqId};
-        if (auto it = relays_.find(rkey); it != relays_.end()) {
-          stats_.relayDedupHits += 1;
-          return it->second.done ? it->second.reply : std::string{};
-        }
-        PendingRelay relay;
-        relay.origin = from;
-        relay.originId = reqId;
-        relay.op = req.header.op;
-        relay.ownerId = owner;
-        const RpcClient::Token t =
-            client_.call(addrOf(*entry), std::move(req.body),
-                         /*noForward=*/true);
-        Pending p;
-        p.kind = Pending::Kind::Relay;
-        p.relay = std::move(relay);
-        pending_.emplace(t, std::move(p));
-        trackRelay(rkey);
-        stats_.forwards += 1;
-        return {};  // reply follows when the relayed call resolves
-      }
-      return makeRedirect(reqId, req.header.op, owner);
+      return finishLocal(from, req);
     }
     // We own the key (or the ring is unknown — stand-alone node).
     if (owner != 0 && warming() && !server_.primaryRecord(*key).has_value()) {
@@ -209,11 +184,6 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
       auto prevEntry = prev == 0 ? std::nullopt : table_.find(prev);
       if (prevEntry &&
           prevEntry->state <= static_cast<u8>(NodeState::Suspect)) {
-        const RelayKey rkey{from.host, from.port, reqId};
-        if (auto it = relays_.find(rkey); it != relays_.end()) {
-          stats_.relayDedupHits += 1;
-          return it->second.done ? it->second.reply : std::string{};
-        }
         auto job = std::make_shared<WarmJob>();
         job->origin = from;
         job->originId = reqId;
@@ -228,7 +198,7 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
         p.kind = Pending::Kind::WarmFetch;
         p.warm = std::move(fetch);
         pending_.emplace(t, std::move(p));
-        trackRelay(rkey);
+        replies_.store(from, reqId, {});  // in flight
         stats_.warmFetches += 1;
         return {};  // reply follows once the previous owner answered
       }
@@ -236,8 +206,8 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
     return finishLocal(from, req);
   }
 
-  // Batched ops: never forwarded — a foreign key means the client's
-  // grouping is stale, so redirect and let it regroup.
+  // Batched ops: a foreign key means the client's grouping is stale, so
+  // the whole batch is redirected and the client regroups it.
   const std::vector<GetReq>* multiGets = nullptr;
   const std::vector<CasReq>* multiCass = nullptr;
   if (const auto* mg = std::get_if<MultiGetReq>(&req.body)) {
@@ -271,14 +241,9 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
           continue;
         }
         if (job->outstanding == 0) {
-          const RelayKey rkey{from.host, from.port, reqId};
-          if (auto it = relays_.find(rkey); it != relays_.end()) {
-            stats_.relayDedupHits += 1;
-            return it->second.done ? it->second.reply : std::string{};
-          }
           job->origin = from;
           job->originId = reqId;
-          trackRelay(rkey);
+          replies_.store(from, reqId, {});  // in flight
         }
         PendingWarmFetch fetch;
         fetch.job = job;
@@ -304,22 +269,10 @@ std::string OverlayNode::handleRequest(const NetAddr& from,
   return finishLocal(from, req);
 }
 
-void OverlayNode::trackRelay(const RelayKey& key) {
-  relays_.emplace(key, RelayState{});
-  relayOrder_.push_back(key);
-  while (relayOrder_.size() > kRelayDedupCapacity) {
-    relays_.erase(relayOrder_.front());
-    relayOrder_.pop_front();
-  }
-}
-
-void OverlayNode::finishRelay(const RelayKey& key, const NetAddr& origin,
+void OverlayNode::finishReply(const NetAddr& origin, u64 requestId,
                               std::string reply) {
-  if (auto it = relays_.find(key); it != relays_.end()) {
-    it->second.done = true;
-    it->second.reply = reply;
-  }
-  if (!reply.empty()) transport_.send(origin, reply);
+  replies_.store(origin, requestId, reply);
+  transport_.send(origin, reply);
 }
 
 // --- Continuation resolution ------------------------------------------------
@@ -343,28 +296,12 @@ void OverlayNode::drainResolved() {
       }
     }
     switch (p.kind) {
-      case Pending::Kind::Relay: resolveRelay(p.relay, std::move(r)); break;
       case Pending::Kind::Gossip: resolveGossip(p.gossip, r); break;
       case Pending::Kind::WarmFetch: resolveWarmFetch(p.warm, r); break;
       case Pending::Kind::Handoff: resolveHandoff(p.handoff, r); break;
       case Pending::Kind::ReplicaPush: break;  // best-effort, like the client's
     }
   }
-}
-
-void OverlayNode::resolveRelay(const PendingRelay& p, RpcClient::Result r) {
-  const RelayKey rkey{p.origin.host, p.origin.port, p.originId};
-  std::string reply;
-  if (r.timedOut) {
-    // The owner went quiet under us: hand the origin a redirect so it can
-    // retry against its own (possibly fresher) view.
-    stats_.forwardTimeouts += 1;
-    reply = makeRedirect(p.originId, p.op, p.ownerId);
-  } else {
-    reply = encodeReply(p.originId, p.op, r.status, r.body);
-    stampHint(reply);
-  }
-  finishRelay(rkey, p.origin, std::move(reply));
 }
 
 void OverlayNode::resolveGossip(const PendingGossip& p,
@@ -401,8 +338,7 @@ void OverlayNode::resolveWarmFetch(const PendingWarmFetch& p,
   common::checkInvariant(job.outstanding > 0,
                          "OverlayNode: warm job underflow");
   if (--job.outstanding > 0) return;
-  const RelayKey rkey{job.origin.host, job.origin.port, job.originId};
-  finishRelay(rkey, job.origin, finishLocal(job.origin, job.request));
+  finishReply(job.origin, job.originId, finishLocal(job.origin, job.request));
 }
 
 void OverlayNode::resolveHandoff(const PendingHandoff& p,

@@ -10,14 +10,12 @@
 //    hint trailer (own id + table version), so clients and peers notice
 //    staleness for free.
 //
-//  * Server-side routing — a keyed request for a key this node does not
-//    own is forwarded ONE hop to the owner (re-issued with the
-//    no-forward bit; the reply is relayed back under the origin's
-//    request id) or answered with Status::Redirect carrying the fresh
-//    owner endpoint. Forwarding is loop-free by construction: a
-//    no-forward request is always answered locally. Batched (Multi*) ops
-//    are never forwarded, only redirected — the client regroups against
-//    its refreshed table, keeping the batch packing owner-aligned.
+//  * Server-side routing — a node answers a keyed request for a key it
+//    does not own with Status::Redirect carrying the owner it believes
+//    in; the client pulls a fresh view and re-routes (single-key and
+//    batched requests alike, so the client's batches stay grouped by
+//    owner). A request stamped no-forward (a joiner's warm-window fetch,
+//    below) is always answered where it lands.
 //
 //  * Elasticity — joinCluster() bootstraps from any live seed: pull the
 //    table, announce via JoinReq to every member; each member streams
@@ -36,17 +34,16 @@
 //
 // Threading: the node is single-driver — pumpOnce()/serve()/join/leave
 // must be called from one thread. That thread multiplexes the node's one
-// transport between the server role and outgoing RPCs (forward, gossip,
-// handoff): inbound replies are routed to the internal RpcClient, and
-// every outgoing call is a *continuation* resolved on a later pump, so
-// the serve loop never blocks on a remote — the property that keeps
-// availability high mid-join and makes two nodes forwarding at each
-// other deadlock-free. Storage (NodeServer) and the membership table
-// have their own locks, so observers may read them from other threads.
+// transport between the server role and outgoing RPCs (warm fetches,
+// gossip, handoff): inbound replies are routed to the internal RpcClient,
+// and every outgoing call is a *continuation* resolved on a later pump,
+// so the serve loop never blocks on a remote — the property that keeps
+// availability high mid-join and makes two nodes calling each other
+// deadlock-free. Storage (NodeServer) and the membership table have their
+// own locks, so observers may read them from other threads.
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -55,6 +52,7 @@
 #include "common/random.h"
 #include "overlay/membership.h"
 #include "rpc/node_server.h"
+#include "rpc/reply_cache.h"
 #include "rpc/rpc_client.h"
 #include "rpc/transport.h"
 
@@ -70,12 +68,10 @@ class OverlayNode {
     /// Distinct successor holders promoted on crash repair; must match
     /// the clients' replication factor for crash-loss-free operation.
     size_t replication = 1;
-    /// Forward single-key ops one hop (true) or always redirect (false).
-    bool forwardData = true;
     u64 gossipIntervalMs = 250;
     /// Deadline/backoff for the node's own outgoing calls. Kept tighter
-    /// than the client default: a forward that cannot complete quickly
-    /// should fail over to a redirect.
+    /// than the client default: a warm fetch that cannot complete quickly
+    /// degrades to answering from local state.
     rpc::RpcClient::Options rpc{/*initialRetransmitMs=*/40,
                                 /*maxRetransmitMs=*/200,
                                 /*requestDeadlineMs=*/800};
@@ -83,10 +79,10 @@ class OverlayNode {
   };
 
   struct OverlayStats {
-    common::RelaxedCounter forwards;          ///< relayed one hop
-    common::RelaxedCounter forwardTimeouts;   ///< relay fell back to redirect
     common::RelaxedCounter redirects;         ///< Status::Redirect answers
-    common::RelaxedCounter relayDedupHits;    ///< origin retransmits absorbed
+    /// Retransmitted Join and warm-window requests answered from the
+    /// reply cache instead of running again.
+    common::RelaxedCounter dedupHits;
     common::RelaxedCounter gossipRounds;
     common::RelaxedCounter gossipTimeouts;
     common::RelaxedCounter suspectsRaised;
@@ -126,7 +122,7 @@ class OverlayNode {
 
   /// One event-loop turn: receive (≤ `maxWaitMs`, bounded by the next
   /// internal timer), dispatch requests/replies, advance retransmits,
-  /// resolve forward/handoff/gossip continuations, maybe start a gossip
+  /// resolve warm-fetch/handoff/gossip continuations, maybe start a gossip
   /// round. Returns the number of datagrams processed.
   size_t pumpOnce(u64 maxWaitMs);
 
@@ -145,37 +141,7 @@ class OverlayNode {
   [[nodiscard]] size_t pendingHandoffJobs() const { return handoffJobs_.size(); }
 
  private:
-  struct RelayKey {
-    u32 host = 0;
-    u16 port = 0;
-    u64 requestId = 0;
-    bool operator==(const RelayKey& o) const {
-      return host == o.host && port == o.port && requestId == o.requestId;
-    }
-  };
-  struct RelayKeyHash {
-    size_t operator()(const RelayKey& k) const {
-      u64 h = k.requestId * 0x9E3779B97F4A7C15ull;
-      h ^= (u64(k.host) << 16) | k.port;
-      h *= 0xFF51AFD7ED558CCDull;
-      return static_cast<size_t>(h ^ (h >> 33));
-    }
-  };
-  /// One forwarded origin request: pending until the relayed call (or
-  /// warm fetch set) resolves, then the cached reply bytes absorb origin
-  /// retransmits.
-  struct RelayState {
-    bool done = false;
-    std::string reply;  // valid when done
-  };
-
-  /// Continuations keyed by outgoing-call token.
-  struct PendingRelay {
-    NetAddr origin;
-    u64 originId = 0;
-    rpc::wire::Op op = rpc::wire::Op::Ping;
-    u64 ownerId = 0;
-  };
+  // Continuations keyed by outgoing-call token.
   struct PendingGossip {
     u64 peerId = 0;
   };
@@ -205,8 +171,7 @@ class OverlayNode {
     std::shared_ptr<HandoffJob> job;
   };
   struct Pending {
-    enum class Kind { Relay, Gossip, WarmFetch, Handoff, ReplicaPush } kind;
-    PendingRelay relay;
+    enum class Kind { Gossip, WarmFetch, Handoff, ReplicaPush } kind;
     PendingGossip gossip;
     PendingWarmFetch warm;
     PendingHandoff handoff;
@@ -224,7 +189,6 @@ class OverlayNode {
 
   // Continuation resolution.
   void drainResolved();
-  void resolveRelay(const PendingRelay& p, rpc::RpcClient::Result r);
   void resolveGossip(const PendingGossip& p, const rpc::RpcClient::Result& r);
   void resolveWarmFetch(const PendingWarmFetch& p,
                         const rpc::RpcClient::Result& r);
@@ -239,10 +203,9 @@ class OverlayNode {
                       std::vector<rpc::wire::HandoffEntry> entries,
                       bool demoteOnDone);
   void pumpHandoffJobs();
-  /// Registers a relay key for at-most-once replay, FIFO-bounded.
-  void trackRelay(const RelayKey& key);
-  void finishRelay(const RelayKey& key, const NetAddr& origin,
-                   std::string reply);
+  /// Holds `reply` for `origin`'s request `requestId` in the reply cache
+  /// and sends it.
+  void finishReply(const NetAddr& origin, u64 requestId, std::string reply);
   [[nodiscard]] bool warming() const;
 
   Options opts_;
@@ -261,8 +224,8 @@ class OverlayNode {
   std::unordered_map<u64, size_t> gossipFailures_;  // peerId -> consecutive
 
   std::unordered_map<rpc::RpcClient::Token, Pending> pending_;
-  std::unordered_map<RelayKey, RelayState, RelayKeyHash> relays_;
-  std::deque<RelayKey> relayOrder_;  // FIFO eviction
+  /// At-most-once replies to Join and warm-window requests.
+  rpc::ReplyCache replies_;
   std::vector<std::shared_ptr<HandoffJob>> handoffJobs_;
   std::vector<rpc::Datagram> batch_;
   OverlayStats stats_;

@@ -2,8 +2,8 @@
 //
 // Binds a UDP port on localhost and answers the wire protocol
 // (rpc/wire.h) until SIGTERM/SIGINT. The store sits inside an
-// overlay::OverlayNode — gossip membership, server-side forward/redirect
-// for misrouted ops, and live join/leave. The node starts from one of:
+// overlay::OverlayNode — gossip membership, a redirect to the owner for
+// every misrouted op, and live join/leave. The node starts from one of:
 //
 //  * a static launch set (--peers=9301,9302,... — every daemon of a
 //    fixed launch seeds the same table, the one a client given the same
@@ -52,7 +52,9 @@ void onLeave(int) { g_leave.store(true, std::memory_order_relaxed); }
 int main(int argc, char** argv) {
   using namespace lht;
   common::Flags flags("lht_noded",
-                      "networked LHT storage peer (UDP, localhost)");
+                      "networked LHT storage peer (UDP, localhost): an overlay "
+                      "node that gossips membership and redirects misrouted "
+                      "ops to their owner");
   flags.define("port", "0", "UDP port to bind (0 = ephemeral)");
   flags.define("name", "node", "peer name reported by ping");
   flags.define("quiet", "false", "suppress the shutdown summary");
@@ -170,12 +172,11 @@ int main(int argc, char** argv) {
     const auto& st = node.overlayStats();
     std::fprintf(
         stderr,
-        "lht_noded: %s stopping (handled=%llu forwards=%llu redirects=%llu "
+        "lht_noded: %s stopping (handled=%llu redirects=%llu "
         "gossip_rounds=%llu joins_served=%llu handoff_keys=%llu "
         "promoted=%llu left_streamed=%zu primary_keys=%zu)\n",
         name.c_str(),
         static_cast<unsigned long long>(node.server().stats().requestsHandled),
-        static_cast<unsigned long long>(st.forwards),
         static_cast<unsigned long long>(st.redirects),
         static_cast<unsigned long long>(st.gossipRounds),
         static_cast<unsigned long long>(st.joinsServed),

@@ -32,7 +32,8 @@ bool changesStore(Op op) {
 
 }  // namespace
 
-NodeServer::NodeServer(Options options) : opts_(std::move(options)) {}
+NodeServer::NodeServer(Options options)
+    : opts_(std::move(options)), dedup_(opts_.dedupCapacity) {}
 
 size_t NodeServer::dedupSize() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -310,13 +311,11 @@ std::string NodeServer::handle(const NetAddr& from, std::string_view payload) {
 std::string NodeServer::handle(const NetAddr& from, const Request& req) {
   const u64 id = req.header.requestId;
   const bool cacheable = changesStore(req.header.op);
-  const DedupKey dkey{from.host, from.port, id};
   std::lock_guard<std::mutex> lock(mutex_);
   if (cacheable) {
-    auto cached = dedup_.find(dkey);
-    if (cached != dedup_.end()) {
+    if (const std::string* cached = dedup_.find(from, id)) {
       stats_.dedupHits += 1;
-      return cached->second;
+      return *cached;
     }
   }
   // Header: magic, version, op, status, then the request id varint.
@@ -334,14 +333,7 @@ std::string NodeServer::handle(const NetAddr& from, const Request& req) {
     encoded = encodeReply(id, req.header.op, Status::TooLarge, EmptyRep{});
     stats_.oversizedReplies += 1;
   }
-  if (cacheable) {
-    dedup_.emplace(dkey, encoded);
-    dedupOrder_.push_back(dkey);
-    while (dedupOrder_.size() > opts_.dedupCapacity) {
-      dedup_.erase(dedupOrder_.front());
-      dedupOrder_.pop_front();
-    }
-  }
+  if (cacheable) dedup_.store(from, id, encoded);
   stats_.requestsHandled += 1;
   return encoded;
 }

@@ -32,9 +32,9 @@
 //
 // At-most-once: retransmitted requests must not re-execute mutations
 // (a retried CAS would spuriously conflict with its own first execution).
-// A bounded FIFO cache keyed by (source host, port, requestId) replays
-// the original reply bytes instead. It holds only replies to requests
-// that change the store (Put, Remove, Cas, MultiCas, ReplicaPut,
+// A ReplyCache (rpc/reply_cache.h) keyed by (source host, port, requestId)
+// replays the original reply bytes instead. It holds only replies to
+// requests that change the store (Put, Remove, Cas, MultiCas, ReplicaPut,
 // ReplicaRemove, Handoff). Reads (Get, MultiGet, ReplicaGet) and the
 // inert admin/membership ops run again on a retransmit: the re-run
 // happens inside the op's own invocation-response window and the client
@@ -63,7 +63,6 @@
 // inline from concurrent fleet clients).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -72,6 +71,7 @@
 #include <utility>
 #include <vector>
 
+#include "rpc/reply_cache.h"
 #include "rpc/transport.h"
 #include "rpc/wire.h"
 
@@ -120,8 +120,8 @@ class NodeServer {
   [[nodiscard]] std::optional<std::string> replicaValue(
       const std::string& key) const;
   /// Records with their versions — the overlay's warm-miss check and its
-  /// read fallback for a key this node just demoted (a forwarded read
-  /// racing the handoff).
+  /// read fallback for a key this node just demoted (a joiner's warm-window
+  /// fetch racing the handoff).
   [[nodiscard]] std::optional<std::pair<u64, std::string>> primaryRecord(
       const std::string& key) const;
   [[nodiscard]] std::optional<std::pair<u64, std::string>> replicaRecord(
@@ -163,23 +163,6 @@ class NodeServer {
   /// demotion, promotion): the higher version wins, and a tie keeps the
   /// stored copy. Returns whether `copy` was stored.
   static bool installNewer(Table& table, const std::string& key, Stored copy);
-  struct DedupKey {
-    u32 host = 0;
-    u16 port = 0;
-    u64 requestId = 0;
-    bool operator==(const DedupKey& o) const {
-      return host == o.host && port == o.port && requestId == o.requestId;
-    }
-  };
-  struct DedupKeyHash {
-    size_t operator()(const DedupKey& k) const {
-      u64 h = k.requestId * 0x9E3779B97F4A7C15ull;
-      h ^= (u64(k.host) << 16) | k.port;
-      h *= 0xFF51AFD7ED558CCDull;
-      return static_cast<size_t>(h ^ (h >> 33));
-    }
-  };
-
   /// Executes a request. `bodyBudget` bounds the encoded reply body (a
   /// MultiGet answers the longest prefix of entries that fits it).
   wire::ReplyBody dispatch(const wire::RequestBody& req, size_t bodyBudget);
@@ -190,9 +173,7 @@ class NodeServer {
   mutable std::mutex mutex_;
   Table primary_;
   Table replica_;
-  // Dedup: map for lookup + deque for FIFO eviction.
-  std::unordered_map<DedupKey, std::string, DedupKeyHash> dedup_;
-  std::deque<DedupKey> dedupOrder_;
+  ReplyCache dedup_;
   Stats stats_;
 };
 

@@ -28,7 +28,7 @@ RpcClient::RpcClient(Transport& transport, Options options)
   nextId_ = (bits & ((u64{1} << 34) - 1)) + 1;
 }
 
-RpcClient::Token RpcClient::call(const NetAddr& to, RequestBody body,
+RpcClient::Token RpcClient::call(const NetAddr& to, const RequestBody& body,
                                  bool noForward) {
   const u64 id = nextId_++;
   const u64 now = transport_.nowMs();
@@ -149,8 +149,9 @@ RpcClient::Result RpcClient::take(Token token) {
   return r;
 }
 
-RpcClient::Result RpcClient::callOne(const NetAddr& to, RequestBody body) {
-  const Token t = call(to, std::move(body));
+RpcClient::Result RpcClient::callOne(const NetAddr& to,
+                                     const RequestBody& body) {
+  const Token t = call(to, body);
   settle();
   return take(t);
 }

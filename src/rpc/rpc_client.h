@@ -77,9 +77,10 @@ class RpcClient {
 
   /// Starts a request: encodes, sends, registers in the table. The token
   /// stays valid until take()n. Does not block. `noForward` stamps
-  /// wire::kNoForwardBit — set by overlay nodes when relaying a request
-  /// one hop, so the receiver never forwards it again.
-  Token call(const NetAddr& to, RequestBody body, bool noForward = false);
+  /// wire::kNoForwardBit — set by an overlay node's warm-window fetch, so
+  /// the receiver answers it instead of redirecting.
+  Token call(const NetAddr& to, const RequestBody& body,
+             bool noForward = false);
 
   /// Drives the transport (receive + retransmit + expire) until every
   /// pending request is resolved. Safe to call with none pending.
@@ -90,7 +91,7 @@ class RpcClient {
   Result take(Token token);
 
   /// Convenience for the one-shot case.
-  Result callOne(const NetAddr& to, RequestBody body);
+  Result callOne(const NetAddr& to, const RequestBody& body);
 
   // --- Shared-transport driving ---------------------------------------------
   // An overlay node multiplexes one socket between its server role and its

@@ -60,9 +60,9 @@ inline constexpr u8 kGossipHintBit = 0x80;
 /// Longest gossip hint trailer (two u64 varints). A server leaves this
 /// much room under the datagram cap so a hint never pushes a reply over.
 inline constexpr size_t kMaxGossipHintBytes = 2 * common::kMaxVarintBytes;
-/// Request status byte, bit 0: this request was already forwarded once by
-/// an overlay node — the receiver must answer locally or redirect, never
-/// forward again (one-hop forwarding, loop-free by construction).
+/// Request status byte, bit 0: answer here. An overlay node stamps it on
+/// its warm-window fetches, and the receiver answers from its own store
+/// even for a key it does not own, instead of redirecting.
 inline constexpr u8 kNoForwardBit = 0x01;
 
 /// Request opcodes. Replica* ops address a holder's replica table (the

@@ -1,8 +1,9 @@
-// OverlayNode tests over the deterministic sim transport: server-side
-// forwarding and redirects, relay dedup, the join handshake with key
-// streaming, graceful leave, and gossip-driven crash detection with
-// replica promotion — the in-process twin of what run_cluster.sh --churn
-// exercises over kernel UDP (DESIGN.md §15).
+// OverlayNode tests over the deterministic sim transport: redirects for
+// misrouted requests, the answer-here bit, the reply cache's at-most-once
+// Join, the join handshake with key streaming, graceful leave, and
+// gossip-driven crash detection with replica promotion — the in-process
+// twin of what run_cluster.sh --churn exercises over kernel UDP
+// (DESIGN.md §15).
 #include "overlay/overlay_node.h"
 
 #include <gtest/gtest.h>
@@ -90,6 +91,19 @@ struct TestClient {
     if (!cli.resolved(t)) cli.pump(~u64{0});  // force-expire: test failure
     return cli.take(t);
   }
+
+  /// call() to `via`, following Redirects to the owner they name.
+  RpcClient::Result callOwner(OverlayCluster& c, NetAddr via,
+                              const rpc::wire::RequestBody& body) {
+    for (int hop = 0;; ++hop) {
+      auto r = call(c, via, body);
+      const auto* redirect = std::get_if<RedirectRep>(&r.body);
+      if (r.status != Status::Redirect || redirect == nullptr || hop == 3) {
+        return r;
+      }
+      via = NetAddr{redirect->host, redirect->port};
+    }
+  }
 };
 
 /// The key → node-index map every participant must agree on.
@@ -113,39 +127,13 @@ std::string keyOwnedBy(const OverlayCluster& c, size_t want) {
   return "";
 }
 
-TEST(OverlayNode, ForwardsToOwnerAndRelaysTheReply) {
+TEST(OverlayNode, RedirectsMisroutedOpsToTheOwner) {
   OverlayCluster c(2);
   TestClient client(c.hub);
   const std::string key = keyOwnedBy(c, 1);
 
-  // Put sent to the WRONG node: forwarded one hop, answered under the
-  // origin's request id, stored on the owner only.
-  auto put = client.call(c, c.addr(0), PutReq{key, "v1"});
-  ASSERT_TRUE(put.ok());
-  EXPECT_EQ(std::get<PutRep>(put.body).version, 1u);
-  EXPECT_EQ(c.nodes[0]->overlayStats().forwards, 1u);
-  EXPECT_TRUE(c.nodes[1]->server().primaryRecord(key).has_value());
-  EXPECT_FALSE(c.nodes[0]->server().primaryRecord(key).has_value());
-
-  // The relayed reply is re-stamped by the forwarder: the hint names
-  // node 0, so the client learns about staleness from the node it spoke to.
-  ASSERT_TRUE(put.hint.has_value());
-  EXPECT_EQ(put.hint->senderId, c.nodes[0]->selfId());
-
-  auto get = client.call(c, c.addr(0), GetReq{key});
-  ASSERT_TRUE(get.ok());
-  const auto& rep = std::get<GetRep>(get.body);
-  EXPECT_TRUE(rep.present);
-  EXPECT_EQ(rep.value, "v1");
-}
-
-TEST(OverlayNode, RedirectsWhenForwardingDisabled) {
-  OverlayNode::Options base;
-  base.forwardData = false;
-  OverlayCluster c(2, base);
-  TestClient client(c.hub);
-  const std::string key = keyOwnedBy(c, 1);
-
+  // Put sent to the WRONG node: answered with a Redirect naming the owner,
+  // and nothing stored anywhere.
   auto r = client.call(c, c.addr(0), PutReq{key, "v"});
   EXPECT_FALSE(r.timedOut);
   ASSERT_EQ(r.status, Status::Redirect);
@@ -153,11 +141,19 @@ TEST(OverlayNode, RedirectsWhenForwardingDisabled) {
   EXPECT_EQ(redirect.ownerId, c.nodes[1]->selfId());
   EXPECT_EQ(redirect.port, c.addr(1).port);
   EXPECT_EQ(c.nodes[0]->overlayStats().redirects, 1u);
-  EXPECT_EQ(c.nodes[0]->overlayStats().forwards, 0u);
+  EXPECT_FALSE(c.nodes[0]->server().primaryRecord(key).has_value());
+  EXPECT_FALSE(c.nodes[1]->server().primaryRecord(key).has_value());
+  // The redirect is stamped by the node that sent it: the hint names
+  // node 0, so the client learns about staleness from the node it spoke to.
+  ASSERT_TRUE(r.hint.has_value());
+  EXPECT_EQ(r.hint->senderId, c.nodes[0]->selfId());
 
-  // Following the redirect lands the op.
+  // Following the redirect lands the op on the owner only.
   auto r2 = client.call(c, c.addr(1), PutReq{key, "v"});
-  EXPECT_TRUE(r2.ok());
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(std::get<PutRep>(r2.body).version, 1u);
+  EXPECT_TRUE(c.nodes[1]->server().primaryRecord(key).has_value());
+  EXPECT_FALSE(c.nodes[0]->server().primaryRecord(key).has_value());
 }
 
 TEST(OverlayNode, NoForwardIsAnsweredLocally) {
@@ -165,12 +161,12 @@ TEST(OverlayNode, NoForwardIsAnsweredLocally) {
   TestClient client(c.hub);
   const std::string key = keyOwnedBy(c, 1);
 
-  // The no-forward bit is the loop-breaker: even a misrouted op executes
-  // where it lands instead of bouncing again.
+  // The no-forward bit means "answer here": even a misrouted op executes
+  // where it lands instead of being redirected.
   auto r = client.call(c, c.addr(0), PutReq{key, "local"},
                        /*noForward=*/true);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(c.nodes[0]->overlayStats().forwards, 0u);
+  EXPECT_EQ(c.nodes[0]->overlayStats().redirects, 0u);
   EXPECT_TRUE(c.nodes[0]->server().primaryRecord(key).has_value());
   EXPECT_FALSE(c.nodes[1]->server().primaryRecord(key).has_value());
 }
@@ -181,7 +177,7 @@ TEST(OverlayNode, NoForwardGetFallsBackToReplica) {
   const std::string key = keyOwnedBy(c, 1);
 
   // Node 0 holds only a replica copy (the state right after it demoted
-  // the key, or a fanout write landed here). A forwarded read that
+  // the key, or a fanout write landed here). A joiner's warm fetch that
   // arrives anyway must serve it rather than answer "absent".
   auto rp = client.call(c, c.addr(0), rpc::wire::ReplicaPutReq{key, "copy", 7});
   ASSERT_TRUE(rp.ok());
@@ -210,7 +206,7 @@ TEST(OverlayNode, GetReplyNearTheCapFailsFastWithTooLarge) {
   EXPECT_EQ(r.sends, 1u);  // answered at once, never retransmitted
   EXPECT_TRUE(r.hint.has_value());
 
-  // The same on the overlay's own encode path: a forwarded read of a key
+  // The same on the overlay's own encode path: a warm fetch of a key
   // node 0 just demoted, served from its replica copy.
   const std::string theirs = keyOwnedBy(c, 1);
   c.nodes[0]->server().installPrimary(theirs, 3, value);
@@ -230,27 +226,56 @@ TEST(OverlayNode, GetReplyNearTheCapFailsFastWithTooLarge) {
   EXPECT_EQ(std::get<GetRep>(ok.body).value, "small");
 }
 
-TEST(OverlayNode, RelayAbsorbsOriginRetransmits) {
+TEST(OverlayNode, RetransmittedJoinStreamsItsRangeOnce) {
   OverlayCluster c(2);
-  const std::string key = keyOwnedBy(c, 1);
+  // A joiner endpoint that only records what reaches it: the Join replies
+  // and the Handoff stream node 0 sends it.
+  auto joinTx = c.hub.makeEndpoint(kBasePort + 2);
+  const NodeEntry joiner = launchEntry(joinTx->localAddr());
+  std::vector<NodeEntry> grown = c.entries;
+  grown.push_back(joiner);
+  const MemberRing ring(grown, OverlayNode::Options{}.virtualNodes);
+  size_t joinersKeys = 0;
+  for (int i = 0; i < 60; ++i) {
+    const std::string key = common::numbered("key-", i);
+    if (ownerIndex(c, key) != 0) continue;
+    c.nodes[0]->server().installPrimary(key, 1, "v");
+    joinersKeys += ring.owner(key) == joiner.id ? 1 : 0;
+  }
+  ASSERT_GT(joinersKeys, 0u);
+  ASSERT_LE(joinersKeys, rpc::kBatchKeysPerDatagram);  // one Handoff batch
 
-  // Raw datagrams with a pinned request id stand in for an origin
-  // retransmitting into a slow forward.
-  auto origin = c.hub.makeEndpoint();
-  const std::string wire = rpc::wire::encodeRequest(777, PutReq{key, "v"});
-  origin->send(c.addr(0), wire);
+  // The same announcement twice under one request id, as a retransmit
+  // after a lost reply. Frozen clocks: nothing is retransmitted by the
+  // node itself.
+  const std::string wire =
+      rpc::wire::encodeRequest(777, rpc::wire::JoinReq{joiner});
+  joinTx->send(c.addr(0), wire);
   for (int i = 0; i < 10; ++i) c.pumpAll();
-  origin->send(c.addr(0), wire);  // retransmit after the relay completed
+  joinTx->send(c.addr(0), wire);
   for (int i = 0; i < 10; ++i) c.pumpAll();
 
   std::vector<Datagram> got;
-  origin->receive(got, 1);
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].payload, got[1].payload);  // replayed bytes, verbatim
-  EXPECT_EQ(c.nodes[0]->overlayStats().relayDedupHits, 1u);
-  EXPECT_EQ(c.nodes[0]->overlayStats().forwards, 1u);  // relayed only once
-  // And the mutation ran once on the owner.
-  EXPECT_EQ(c.nodes[1]->server().primaryRecord(key)->first, 1u);
+  joinTx->receive(got, 1);
+  std::vector<std::string> joinReplies;
+  size_t streamed = 0;
+  for (const Datagram& d : got) {
+    const auto h =
+        std::get<rpc::wire::Header>(rpc::wire::decodeHeader(d.payload));
+    if (h.isReply && h.op == rpc::wire::Op::Join) {
+      joinReplies.push_back(d.payload);
+    } else if (!h.isReply && h.op == rpc::wire::Op::Handoff) {
+      const auto req =
+          std::get<rpc::wire::Request>(rpc::wire::decodeRequest(d.payload));
+      streamed += std::get<rpc::wire::HandoffReq>(req.body).entries.size();
+    }
+  }
+  ASSERT_EQ(joinReplies.size(), 2u);
+  EXPECT_EQ(joinReplies[0], joinReplies[1]);  // replayed bytes, verbatim
+  EXPECT_EQ(c.nodes[0]->overlayStats().joinsServed, 1u);
+  EXPECT_EQ(c.nodes[0]->overlayStats().dedupHits, 1u);
+  EXPECT_EQ(c.nodes[0]->pendingHandoffJobs(), 1u);
+  EXPECT_EQ(streamed, joinersKeys);  // the range went out once
 }
 
 TEST(OverlayNode, BatchesRedirectInsteadOfForwarding) {
@@ -266,7 +291,6 @@ TEST(OverlayNode, BatchesRedirectInsteadOfForwarding) {
   // A single foreign key fails the whole batch over to the client: the
   // packing must be regrouped against a fresh table, not split server-side.
   EXPECT_EQ(r.status, Status::Redirect);
-  EXPECT_EQ(c.nodes[0]->overlayStats().forwards, 0u);
 
   rpc::wire::MultiGetReq local;
   local.entries.push_back(GetReq{mine});
@@ -275,14 +299,15 @@ TEST(OverlayNode, BatchesRedirectInsteadOfForwarding) {
   EXPECT_EQ(std::get<rpc::wire::MultiGetRep>(r2.body).entries.size(), 1u);
 }
 
-// Preloads `n` records through node 0 (forwarding spreads them to their
+// Preloads `n` records through node 0 (its redirects spread them to their
 // owners) and returns the keys.
 std::vector<std::string> preload(OverlayCluster& c, TestClient& client,
                                  size_t n) {
   std::vector<std::string> keys;
   for (size_t i = 0; i < n; ++i) {
     std::string key = "key-" + std::to_string(i);
-    auto r = client.call(c, c.addr(0), PutReq{key, "val-" + std::to_string(i)});
+    auto r = client.callOwner(c, c.addr(0),
+                              PutReq{key, "val-" + std::to_string(i)});
     EXPECT_TRUE(r.ok()) << key;
     keys.push_back(std::move(key));
   }
@@ -294,7 +319,7 @@ void expectAllReadable(OverlayCluster& c, TestClient& client,
                        const std::vector<size_t>& viaNodes) {
   for (size_t i = 0; i < keys.size(); ++i) {
     const NetAddr via = c.addr(viaNodes[i % viaNodes.size()]);
-    auto r = client.call(c, via, GetReq{keys[i]});
+    auto r = client.callOwner(c, via, GetReq{keys[i]});
     ASSERT_TRUE(r.ok()) << keys[i];
     const auto& rep = std::get<GetRep>(r.body);
     EXPECT_TRUE(rep.present) << keys[i];
@@ -348,8 +373,9 @@ TEST(OverlayNode, JoinStreamsKeysAndKeepsEveryReadServed) {
 
   // The joiner took over a share of the range, the incumbents demoted
   // their streamed copies, and NOT ONE record became unreadable: every
-  // key answers through every entry point — including the joiner, whose
-  // warm-window misses fall back to the previous owner.
+  // key answers through every entry point, whose redirects agree on the
+  // grown ring — the joiner included, whose warm-window misses fall back
+  // to the previous owner.
   EXPECT_GT(c.nodes[2]->server().primaryKeyCount(), 0u);
   const size_t totalPrimaries = c.nodes[0]->server().primaryKeyCount() +
                                 c.nodes[1]->server().primaryKeyCount() +

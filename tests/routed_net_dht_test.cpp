@@ -49,6 +49,7 @@
 #include "overlay/overlay_node.h"
 #include "range_campaign.h"
 #include "rpc/node_server.h"
+#include "rpc/sim_cluster.h"
 #include "rpc/sim_transport.h"
 
 namespace lht::dht {
@@ -190,30 +191,12 @@ class AnyCluster {
   [[nodiscard]] virtual bool exact() const = 0;
 };
 
-/// N NodeServers living inline in one SimHub, ports 5000..5000+N-1.
-class StaticCluster final : public AnyCluster {
+/// rpc::SimCluster's inline NodeServers on ports 5000..5000+N-1, and
+/// clients given them as their launch set.
+class StaticCluster final : public rpc::SimCluster, public AnyCluster {
  public:
-  rpc::SimHub hub;
-  std::vector<std::unique_ptr<rpc::NodeServer>> servers;
-  std::vector<NetAddr> addrs;
-
   explicit StaticCluster(size_t n, rpc::SimHub::Options hopts = {})
-      : hub(hopts) {
-    for (size_t i = 0; i < n; ++i) {
-      rpc::NodeServer::Options sopts;
-      sopts.name = common::numbered("n", i);
-      auto server = std::make_unique<rpc::NodeServer>(sopts);
-      const auto port = static_cast<rpc::u16>(5000 + i);
-      hub.registerHandler(
-          port, [srv = server.get()](const rpc::Datagram& d,
-                                     const std::function<void(std::string)>& reply) {
-            std::string out = srv->handle(d.from, d.payload);
-            if (!out.empty()) reply(std::move(out));
-          });
-      servers.push_back(std::move(server));
-      addrs.push_back(NetAddr{0, port});
-    }
-  }
+      : SimCluster(n, 5000, hopts) {}
 
   std::unique_ptr<RoutedNetDht> makeDht(size_t replication = 1,
                                         common::u64 deadlineMs = 2000,
@@ -1480,12 +1463,11 @@ TEST(RoutedNetDht, BootstrapsFromOneSeedAndRoutesWarmOpsInOneHop) {
 TEST(RoutedNetDht, LaunchSetClientRoutesOnTheDaemonsRingWithoutGossip) {
   // The client's first view is the launch set the daemons were seeded
   // with: its ring is theirs, so a static cluster is an overlay that never
-  // churns. With forwarding off, an op sent to a node that does not own
-  // its key would come back as a Redirect; none does, nothing is pulled.
-  // (No gossip rounds either: under a slow build the sim clocks jump by
-  // whole idle waits, and a timed-out round would bump the table.)
+  // churns. An op sent to a node that does not own its key would come back
+  // as a Redirect; none does, nothing is pulled. (No gossip rounds either:
+  // under a slow build the sim clocks jump by whole idle waits, and a
+  // timed-out round would bump the table.)
   OverlayNode::Options base;
-  base.forwardData = false;
   base.gossipIntervalMs = 4'000'000'000;
   ServedCluster c(3, base);
   c.serveAll();
@@ -1504,13 +1486,14 @@ TEST(RoutedNetDht, LaunchSetClientRoutesOnTheDaemonsRingWithoutGossip) {
 }
 
 TEST(RoutedNetDht, FollowsRedirectsAcrossAliveJoin) {
-  // Forwarding off: every stale-view op comes back as an explicit
-  // Redirect, so this pins the client's follow-and-refresh path.
+  // Every stale-view op comes back as an explicit Redirect, so this pins
+  // the client's follow-and-refresh path. No request here needs to time
+  // out, so the client is a patient one: no put may time out on a loaded
+  // host.
   OverlayNode::Options base;
-  base.forwardData = false;
   ServedCluster c(2, base);
   c.serveAll();
-  RoutedNetDht dht(clientOptions(c), c.endpoints());
+  RoutedNetDht dht(patientClientOptions(c), c.endpoints());
   ASSERT_TRUE(dht.bootstrap(20000));
   EXPECT_EQ(dht.knownMembers(), 2u);
 
@@ -1553,16 +1536,21 @@ TEST(RoutedNetDht, CrashFailoverPromotesReplicasBehindTheClient) {
   base.replication = 2;  // overlay promotes one replica per key on crash
   ServedCluster c(3, base);
   c.serveAll();
-  // replication=2 on the client too: every put fans a replica copy to the
-  // key's ring successor, which is what the survivors promote from.
-  RoutedNetDht dht(clientOptions(c, /*replication=*/2), c.endpoints());
-  ASSERT_TRUE(dht.bootstrap(20000));
-
+  // replication=2 on the clients too: every put fans a replica copy to
+  // the key's ring successor, which is what the survivors promote from.
+  // The preload goes through a patient client: no put may time out on a
+  // loaded host. The reads after the crash use the default 2 s deadline,
+  // so a request to the dead node times out and the client heals.
+  RoutedNetDht loader(patientClientOptions(c, /*replication=*/2),
+                      c.endpoints());
+  ASSERT_TRUE(loader.bootstrap(20000));
   std::vector<std::string> keys;
   for (int i = 0; i < 20; ++i) {
     keys.push_back("key-" + std::to_string(i));
-    dht.put(keys.back(), "val-" + std::to_string(i));
+    loader.put(keys.back(), "val-" + std::to_string(i));
   }
+  RoutedNetDht dht(clientOptions(c, /*replication=*/2), c.endpoints());
+  ASSERT_TRUE(dht.bootstrap(20000));
 
   // Node 2 drops off the network without a goodbye. The survivors'
   // failure detector marks it Dead, reconcile promotes their replica
@@ -1643,12 +1631,10 @@ TEST(RoutedNetDhtIndex, StaleCopiesAreRefetchedByEveryReadOnlyOp) {
 }
 
 /// Conditional reads from a client whose view predates a join: the old
-/// owners relay (forwarding on) or redirect (off) each read with its
-/// digest, so every answer is `unchanged`; none reads absent.
-void expectStaleViewRevalidates(bool forwardData) {
-  OverlayNode::Options base;
-  base.forwardData = forwardData;
-  ServedCluster c(2, base);
+/// owners redirect each read, and the client sends it on to the joiner
+/// with its digest, so every answer is `unchanged`; none reads absent.
+TEST(RoutedNetDht, StaleViewRedirectsConditionalReadsWithTheirDigest) {
+  ServedCluster c(2);
   c.serveAll();
   RoutedNetDht writer(patientClientOptions(c), c.endpoints());
   ASSERT_TRUE(writer.bootstrap(20000));
@@ -1662,7 +1648,7 @@ void expectStaleViewRevalidates(bool forwardData) {
   }
   auto joinTx = std::make_unique<ThrottledSim>(
       c.hub.makeEndpoint(static_cast<rpc::u16>(kBasePort + 2)));
-  OverlayNode::Options jo = base;
+  OverlayNode::Options jo;
   jo.name = "joiner";
   auto joiner = std::make_unique<OverlayNode>(jo, *joinTx);
   ASSERT_TRUE(joiner->joinCluster(c.addr(0), /*deadlineMs=*/60000));
@@ -1688,23 +1674,9 @@ void expectStaleViewRevalidates(bool forwardData) {
   }
   common::u64 joinerAnswered = joiner->server().stats().unchangedReads.load();
   EXPECT_GT(joinerAnswered, 0u);  // the joiner's keys reached the joiner
-  if (forwardData) {
-    common::u64 relayed = 0;
-    for (const auto& n : c.nodes) relayed += n->overlayStats().forwards.load();
-    EXPECT_GT(relayed, 0u);
-  } else {
-    EXPECT_GT(stale.routedStats().redirectsFollowed, 0u);
-  }
+  EXPECT_GT(stale.routedStats().redirectsFollowed, 0u);
   c.tx.push_back(std::move(joinTx));
   c.nodes.push_back(std::move(joiner));  // joined threads outlive the test body
-}
-
-TEST(RoutedNetDht, StaleViewRelaysConditionalReadsWithTheirDigest) {
-  expectStaleViewRevalidates(/*forwardData=*/true);
-}
-
-TEST(RoutedNetDht, StaleViewRedirectsConditionalReadsWithTheirDigest) {
-  expectStaleViewRevalidates(/*forwardData=*/false);
 }
 
 TEST(RoutedNetDhtIndex, Theta100BulkLoadAndSweepsMatchOracle) {

@@ -5,7 +5,8 @@
 // replication or churn handling changes what it costs. Two replica
 // properties ride along on every substrate: after remove(k), failing k's
 // owner does not bring k back; after an apply rewrite, the fail keeps the
-// new value.
+// new value. On Chord's crash mode the first property holds across a
+// crash whose replicas repair has not yet re-placed.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -207,6 +208,40 @@ TYPED_TEST(SimSubstrate, RewrittenKeyKeepsNewValueAfterOwnerFails) {
     }
   }
   EXPECT_EQ(d.size(), 8u);
+}
+
+/// Excision promotes a surviving replica onto the crashed owner's
+/// successor. Keys removed before anti-entropy re-places the replicas must
+/// stay removed through the next fail(), which promotes every surviving
+/// replica copy again: the new owner keeps no replica copy of its own key.
+TEST(SimSubstrate, ChordKeysRemovedAfterACrashStayGoneThroughAFail) {
+  for (u64 seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    net::SimNetwork net;
+    dht::ChordDht::Options o;
+    o.initialPeers = 8;
+    o.replication = 3;
+    o.seed = seed;
+    dht::ChordDht d(net, o);
+    for (int i = 0; i < 64; ++i) d.put(common::numbered("k", i), "v");
+
+    common::Pcg32 rng(seed, 7);
+    std::vector<u64> safe;
+    for (u64 id : d.liveNodeIds()) {
+      if (!d.crashWouldLoseData(id)) safe.push_back(id);
+    }
+    ASSERT_FALSE(safe.empty());
+    d.crash(safe[rng.below(static_cast<common::u32>(safe.size()))]);
+    d.repairStep(0);  // excise and promote; re-place no replica yet
+    for (int i = 0; i < 64; ++i) EXPECT_TRUE(d.remove(common::numbered("k", i)));
+
+    const auto ids = d.nodeIds();
+    d.fail(ids[rng.below(static_cast<common::u32>(ids.size()))]);
+    EXPECT_EQ(d.size(), 0u);
+    for (int i = 0; i < 64; ++i) {
+      EXPECT_FALSE(d.get(common::numbered("k", i)).has_value()) << i;
+    }
+  }
 }
 
 }  // namespace
