@@ -242,6 +242,8 @@ class LhtIndex final : public index::OrderedIndex {
   /// Client-side cache observability (tests, benches).
   [[nodiscard]] LeafCache& leafCache() { return leafCache_; }
   [[nodiscard]] const BucketStore& bucketStore() const { return store_; }
+  /// Entries the leaf cache and the decoded-bucket store each hold.
+  static constexpr size_t kCacheCapacity = 4096;
 
  private:
   using BucketRef = BucketStore::Ref;
@@ -463,9 +465,6 @@ class LhtIndex final : public index::OrderedIndex {
   /// failed entry on its own).
   struct ProbeRound { bool repaired = false, anyFailed = false; BucketRef covering; };
   ProbeRound probeCandidates(double key, bool retryFailed, cost::OpStats& st);
-
-  /// Entries the leaf cache and the decoded-bucket store each hold.
-  static constexpr size_t kCacheCapacity = 4096;
 
   dht::Dht& dht_;
   Options opts_;

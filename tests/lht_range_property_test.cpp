@@ -11,6 +11,7 @@
 #include "dht/local_dht.h"
 #include "index/reference_index.h"
 #include "lht/lht_index.h"
+#include "lht/tree_stats.h"
 #include "workload/generators.h"
 
 namespace lht::core {
@@ -143,6 +144,25 @@ INSTANTIATE_TEST_SUITE_P(
       return workload::distributionName(c.dist) + "_n" + std::to_string(c.n) +
              "_t" + std::to_string(c.theta);
     });
+
+TEST(LhtRange, AnswerOutlivesABucketStoreFlush) {
+  // More leaves than the decoded-bucket store holds: a full-range query
+  // empties the store partway through its fan-out, so the answer must
+  // keep alive every bucket whose records it has not copied yet.
+  dht::LocalDht d;
+  LhtIndex idx(d, {.thetaSplit = 4, .maxDepth = 30, .cacheDecodedBuckets = true});
+  index::ReferenceIndex oracle;
+  auto data = workload::makeDataset(workload::Distribution::Uniform, 12000, 13);
+  for (const auto& r : data) oracle.insert(r);
+  idx.insertBatch(std::move(data));
+  ASSERT_GT(TreeStats::collect(idx).leafCount, LhtIndex::kCacheCapacity);
+
+  auto truth = oracle.rangeQuery(0.0, 1.0);
+  std::sort(truth.records.begin(), truth.records.end(), index::recordLess);
+  const auto mine = idx.rangeQuery(0.0, 1.0);
+  EXPECT_LT(idx.bucketStore().size(), mine.stats.bucketsTouched);
+  EXPECT_EQ(mine.records, truth.records);
+}
 
 TEST(LhtRange, EmptyAndDegenerateRanges) {
   dht::LocalDht d;
