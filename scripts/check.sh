@@ -217,7 +217,7 @@ if [[ "$net" -eq 1 ]]; then
   cmake --build --preset asan-ubsan -j "$jobs" --target lht_tests \
     --target lht_noded
   ctest --test-dir build-asan -j "$jobs" --output-on-failure \
-    -R 'Varint|RpcWire|SimTransport|RpcClient|NodeServer|StaticCluster|NetDhtReadSlot|NetDhtIndex|NetDhtFleet|NetDhtBytes|NetLoopback|LhtIndex.EveryWrittenBucket'
+    -R 'Varint|RpcWire|SimTransport|UdpTransport|RpcClient|NodeServer|StaticCluster|NetDhtReadSlot|NetDhtIndex|NetDhtFleet|NetDhtBytes|NetLoopback|LhtIndex.EveryWrittenBucket'
   echo "== networked bench (in-process vs N-process + batching, release) =="
   cmake --preset release "$werror"
   cmake --build --preset release -j "$jobs" --target bench_net \

@@ -28,6 +28,18 @@ git tree ids of the src/ and perfbench/ they built, the host block, every
 pair's result line and set-up times, per-side quartiles of every
 end-to-end metric with the pairs each side won (the direction comes from
 BENCHMARK.json), and the traced pairs' per-layer metrics.
+
+Each metric's summary also holds the quartiles of the per-pair ratio
+change/parent, which cancels the drift between pairs that a host shared
+with other work shows, and a verdict:
+
+    gain        at least ten pairs ran, the change is better in at least
+                nine tenths of them (ties count for neither side), and its
+                median is better than the parent's by more than the
+                parent's own IQR;
+    regression  the change's median is worse than the parent's by more
+                than the metric's BENCHMARK.json bound;
+    unresolved  neither.
 """
 
 import argparse
@@ -102,28 +114,43 @@ def parse_plan(entry):
             "trace": 1 if len(parts) == 4 else 0}
 
 
-def summarize(pairs, directions):
+def verdict(parent, change, wins, pairs, better, bound):
+    """gain, regression or unresolved, by the rules in the module doc."""
+    sign = 1 if better == "higher" else -1
+    ahead = sign * (change["median"] - parent["median"])
+    if pairs >= 10 and wins >= 0.9 * pairs and ahead > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -ahead > bound * abs(parent["median"]):
+        return "regression"
+    return "unresolved"
+
+
+def summarize(pairs, metrics):
     summary = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         runs = [p for p in pairs if p["workload"] == workload and p["trace"] == 0]
         if not runs:
             continue
         block = {"pairs": len(runs)}
-        for metric, better in directions.items():
+        for metric, (better, bound) in metrics.items():
             values = {side: [p[side]["result"]["metrics"][metric]["value"] for p in runs]
                       for side in ("parent", "change")}
+            pairwise = list(zip(values["parent"], values["change"]))
             sign = 1 if better == "higher" else -1
-            wins = sum(1 for a, b in zip(values["parent"], values["change"])
-                       if sign * (b - a) > 0)
-            ties = sum(1 for a, b in zip(values["parent"], values["change"]) if a == b)
-            block[metric] = {"parent": quartiles(values["parent"]),
-                             "change": quartiles(values["change"]),
-                             "change_better_pairs": wins, "tied_pairs": ties}
+            wins = sum(1 for a, b in pairwise if sign * (b - a) > 0)
+            ties = sum(1 for a, b in pairwise if a == b)
+            ratios = [b / a for a, b in pairwise if a != 0]
+            parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            block[metric] = {"parent": parent, "change": change,
+                             "change_better_pairs": wins, "tied_pairs": ties,
+                             "ratio": quartiles(ratios) if ratios else None,
+                             "verdict": verdict(parent, change, wins, len(runs),
+                                                better, bound)}
         summary[workload] = block
     return summary
 
 
-def document(args, base_commit, change_tree, pairs, hosts, directions):
+def document(args, base_commit, change_tree, pairs, hosts, metrics):
     """The BENCH file's contents for the pairs run so far."""
     return {
         "bench": "lht_perfbench_pairs",
@@ -134,7 +161,13 @@ def document(args, base_commit, change_tree, pairs, hosts, directions):
             "seed, one after the other; pair i (in the order listed) runs the parent "
             "first when i is even. Quartiles are Python statistics.quantiles("
             "method='inclusive'); a pair counts for the change when its value is "
-            "strictly better, ties count for neither side. src_tree and perfbench_tree "
+            "strictly better, ties count for neither side. ratio holds the quartiles of "
+            "the per-pair change/parent values (pairs with a parent value of 0 left out); "
+            "verdict is gain when at least ten pairs ran, the change is better in at least "
+            "9/10 of them and "
+            "its median beats the parent's by more than the parent's IQR, regression when "
+            "its median is worse by more than the BENCHMARK.json bound, else unresolved. "
+            "src_tree and perfbench_tree "
             "are the git tree ids of the src/ and perfbench/ each side built. Each run "
             "keeps its result line and its set-up times; the host block is the runs' "
             "shared host and config. Produced by scripts/perf_pairs.py."),
@@ -147,7 +180,7 @@ def document(args, base_commit, change_tree, pairs, hosts, directions):
         # What every run shared: per-workload settings (seed, client threads,
         # op counts) drop out.
         "host": {k: v for k, v in hosts[0].items() if all(h.get(k) == v for h in hosts)},
-        "summary": summarize(pairs, directions),
+        "summary": summarize(pairs, metrics),
         "traced": {p["workload"]: {"seed": p["seed"],
                                    "parent": p["parent"]["result"]["metrics"],
                                    "change": p["change"]["result"]["metrics"]}
@@ -177,7 +210,7 @@ def main():
         build(d)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        directions = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        metrics = {m["name"]: (m["better"], m["bound"]) for m in json.load(f)["end_to_end"]}
 
     pairs, hosts = [], []
     index = 0
@@ -197,7 +230,7 @@ def main():
             # After every pair, so a failed run keeps the pairs before it.
             with open(args.out, "w") as f:
                 json.dump(document(args, base_commit, change_tree, pairs, hosts,
-                                   directions), f, indent=1)
+                                   metrics), f, indent=1)
                 f.write("\n")
             index += 1
             print(f"perf_pairs: {plan['workload']} seed {seed} trace {plan['trace']} done",

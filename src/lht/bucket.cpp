@@ -206,8 +206,15 @@ LeafBucket splitBucket(LeafBucket& bucket) {
   const Label oldLabel = bucket.label;
   const double mid = 0.5 * (oldLabel.interval().lo + oldLabel.interval().hi);
 
+  // Each child is reserved to its exact count, so a record moves once
+  // and not again each time a growing child reallocates.
   LeafBucket left{oldLabel.child(0), {}};
   LeafBucket right{oldLabel.child(1), {}};
+  const auto below = static_cast<size_t>(
+      std::count_if(bucket.records.begin(), bucket.records.end(),
+                    [mid](const index::Record& r) { return r.key < mid; }));
+  left.records.reserve(below);
+  right.records.reserve(bucket.records.size() - below);
   for (auto& r : bucket.records) {
     (r.key < mid ? left : right).records.push_back(std::move(r));
   }

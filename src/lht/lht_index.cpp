@@ -995,83 +995,77 @@ Label LhtIndex::computeLca(const Interval& range) const {
   return node;
 }
 
-/// A range answer assembled one piece per expanded bucket: the bucket's
-/// records inside the clip, copied once, in recordLess order, keyed by the
-/// low end of bucket interval ∩ clip. Pieces cover disjoint key intervals:
-/// the fan-out's clips partition the range, and a leaf holds only keys its
-/// interval covers. So concatenating the pieces by low end gives the answer
-/// in order, with no sort over records.
+/// A range answer assembled one piece per expanded bucket: the bucket
+/// itself, which keeps its records alive whatever the store drops, and
+/// pointers to its records inside the clip, in recordLess order, keyed by
+/// the low end of bucket interval ∩ clip. Pieces cover disjoint key
+/// intervals: the fan-out's clips partition the range, and a leaf holds
+/// only keys its interval covers. So concatenating the pieces by low end
+/// gives the answer in order, with no sort over records, and take() copies
+/// each record once, into a vector reserved to the exact total.
 class LhtIndex::RangeAnswer {
  public:
-  /// Appends bucket ∩ clip as one piece (nothing when it is empty).
-  void addPiece(const LeafBucket& bucket, const Interval& clip);
-  /// The records of every piece, in recordLess order. A planned range's
-  /// pieces usually arrive in order, and then this is a move; otherwise
-  /// the pieces are sorted and each record moves once.
+  /// Keeps bucket ∩ clip as one piece (nothing when it is empty).
+  void addPiece(BucketRef bucket, const Interval& clip);
+  /// The records of every piece, in recordLess order.
   std::vector<index::Record> take() &&;
 
  private:
   struct Piece {
     double lo;
-    size_t begin, end;  ///< [begin, end) of records_
+    size_t begin, end;  ///< [begin, end) of picked_
   };
-  std::vector<index::Record> records_;
+  std::vector<BucketRef> buckets_;  ///< the owners of picked_'s records
+  std::vector<const index::Record*> picked_;
   std::vector<Piece> pieces_;
-  std::vector<const index::Record*> picked_;  ///< reused by addPiece
 };
 
-void LhtIndex::RangeAnswer::addPiece(const LeafBucket& bucket,
-                                     const Interval& clip) {
+void LhtIndex::RangeAnswer::addPiece(BucketRef bucket, const Interval& clip) {
   // Point at the records inside the clip, checking their order on the
   // way: a bulk load leaves a bucket sorted and a split keeps its order,
   // but single inserts append out of order. Sorting pointers, not the
   // shared records, keeps the copy single.
-  picked_.clear();
-  picked_.reserve(bucket.records.size());
+  const size_t begin = picked_.size();
   bool sorted = true;
-  for (const auto& r : bucket.records) {
+  for (const auto& r : bucket->records) {
     if (!clip.contains(r.key)) continue;
-    if (!picked_.empty() && index::recordLess(r, *picked_.back())) sorted = false;
+    if (picked_.size() > begin && index::recordLess(r, *picked_.back())) {
+      sorted = false;
+    }
     picked_.push_back(&r);
   }
-  if (picked_.empty()) return;
+  if (picked_.size() == begin) return;
   if (!sorted) {
-    std::sort(picked_.begin(), picked_.end(),
+    std::sort(picked_.begin() + static_cast<std::ptrdiff_t>(begin), picked_.end(),
               [](const index::Record* a, const index::Record* b) {
                 return index::recordLess(*a, *b);
               });
   }
-  const size_t begin = records_.size();
-  if (records_.capacity() < begin + picked_.size()) {
-    records_.reserve(std::max(2 * records_.capacity(), begin + picked_.size()));
-  }
-  for (const index::Record* r : picked_) records_.push_back(*r);
   pieces_.push_back(
-      Piece{std::max(bucket.label.interval().lo, clip.lo), begin, records_.size()});
+      Piece{std::max(bucket->label.interval().lo, clip.lo), begin, picked_.size()});
+  buckets_.push_back(std::move(bucket));
 }
 
 std::vector<index::Record> LhtIndex::RangeAnswer::take() && {
   const auto byLo = [](const Piece& a, const Piece& b) { return a.lo < b.lo; };
-  if (std::is_sorted(pieces_.begin(), pieces_.end(), byLo)) {
-    return std::move(records_);
+  if (!std::is_sorted(pieces_.begin(), pieces_.end(), byLo)) {
+    std::sort(pieces_.begin(), pieces_.end(), byLo);
   }
-  std::sort(pieces_.begin(), pieces_.end(), byLo);
   std::vector<index::Record> ordered;
-  ordered.reserve(records_.size());
+  ordered.reserve(picked_.size());
   for (const Piece& p : pieces_) {
-    for (size_t i = p.begin; i < p.end; ++i) {
-      ordered.push_back(std::move(records_[i]));
-    }
+    for (size_t i = p.begin; i < p.end; ++i) ordered.push_back(*picked_[i]);
   }
   return ordered;
 }
 
-void LhtIndex::expandBucket(const LeafBucket& bucket, const Interval& clip,
+void LhtIndex::expandBucket(BucketRef bucket, const Interval& clip,
                             std::vector<FanoutTask>& next, RangeAnswer& out,
                             cost::OpStats& st) {
   st.bucketsTouched += 1;
-  out.addPiece(bucket, clip);
-  const Interval mine = bucket.label.interval();
+  const Label label = bucket->label;
+  out.addPiece(std::move(bucket), clip);
+  const Interval mine = label.interval();
 
   // Sweep right, then left: cover the rest of the clip on each side through
   // the branch nodes beta_1, beta_2, ... of the local tree. All fully
@@ -1081,7 +1075,7 @@ void LhtIndex::expandBucket(const LeafBucket& bucket, const Interval& clip,
   for (const Side side : {Side::Right, Side::Left}) {
     const bool right = side == Side::Right;
     if (right ? clip.hi <= mine.hi : clip.lo >= mine.lo) continue;
-    for (Label beta = bucket.label; !atEnd(beta, side);) {
+    for (Label beta = label; !atEnd(beta, side);) {
       beta = neighbor(beta, side);
       const Interval inv = beta.interval();
       if (right ? inv.lo >= clip.hi : inv.hi <= clip.lo) break;
@@ -1146,7 +1140,7 @@ u64 LhtIndex::runFanoutRounds(std::vector<FanoutTask> frontier,
         dropCached(t.clip);
         bucket = resolveRangeEntry(t.clip, stall, st);
       }
-      expandBucket(*bucket, t.clip, next, out, st);
+      expandBucket(std::move(bucket), t.clip, next, out, st);
     }
     rounds += stall;
     std::swap(frontier, next);
@@ -1190,11 +1184,11 @@ index::RangeResult LhtIndex::rangeQuery(double lo, double hi) {
       result.stats.dhtLookups += found.stats.dhtLookups;
       steps += found.stats.parallelSteps;
       result.stats.bucketsTouched += 1;
-      collected.addPiece(*found.bucket, range);
+      collected.addPiece(std::move(found.bucket), range);
     } else if (entry->label.interval().overlaps(range)) {
       // Case 2: the entry leaf holds one of the range bounds; it forwards
       // the rest of the range directly.
-      expandBucket(*entry, range, frontier, collected, result.stats);
+      expandBucket(std::move(entry), range, frontier, collected, result.stats);
     } else {
       // Case 3: the entry leaf lies outside the range; both halves of the
       // LCA contain part of it and are entered in parallel.

@@ -357,10 +357,11 @@ class LhtIndex final : public index::OrderedIndex {
   /// bucket (defined in lht_index.cpp).
   class RangeAnswer;
 
-  /// Adds bucket ∩ clip to `out` as one piece and enqueues the branch
-  /// nodes the bucket forwards the rest of the clip to (Alg. 3, both
-  /// sweep directions; a pure local-tree computation, no DHT traffic).
-  void expandBucket(const LeafBucket& bucket, const common::Interval& clip,
+  /// Adds bucket ∩ clip to `out` as one piece (`out` keeps the bucket)
+  /// and enqueues the branch nodes the bucket forwards the rest of the
+  /// clip to (Alg. 3, both sweep directions; a pure local-tree
+  /// computation, no DHT traffic).
+  void expandBucket(BucketRef bucket, const common::Interval& clip,
                     std::vector<FanoutTask>& next, RangeAnswer& out,
                     cost::OpStats& st);
 

@@ -347,13 +347,18 @@ void OverlayNode::resolveHandoff(const PendingHandoff& p,
   job.inFlight = false;
   if (r.ok()) {
     job.cursor += job.lastBatch;
-    job.retries = 0;
     return;
   }
-  job.retries += 1;
-  if (job.retries > 3) {
-    // The receiver is gone. Keep the keys — we stay primary for them, so
-    // nothing is lost; a later reconcile settles ownership.
+  // A lost batch goes again while the ring still names the receiver
+  // (Alive or Suspect): no reconcile streams a primary, so a job that gave
+  // up would strand these keys on a node the ring no longer names for
+  // them. Once the receiver is Dead or Left the ring drops it, its range
+  // returns to this node, and the keys stay primary here. A batch that
+  // was refused (an error reply, or TooLarge before it left) would only
+  // be refused again, so it ends the job too.
+  const auto target = table_.find(job.targetNodeId);
+  if (!r.timedOut || !target ||
+      target->state > static_cast<u8>(NodeState::Suspect)) {
     job.done = true;
   }
 }

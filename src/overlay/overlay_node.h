@@ -162,7 +162,6 @@ class OverlayNode {
     std::vector<rpc::wire::HandoffEntry> entries;
     size_t cursor = 0;     // entries[0..cursor) acknowledged
     size_t lastBatch = 0;  // size of the in-flight batch
-    size_t retries = 0;
     bool demoteOnDone = false;  // join streaming demotes; leave exits anyway
     bool inFlight = false;
     bool done = false;

@@ -55,7 +55,7 @@ std::optional<std::string> NodeServer::primaryValue(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = primary_.find(key);
   if (it == primary_.end()) return std::nullopt;
-  return it->second.value;
+  return it->second.value();
 }
 
 std::optional<std::string> NodeServer::replicaValue(
@@ -63,7 +63,7 @@ std::optional<std::string> NodeServer::replicaValue(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = replica_.find(key);
   if (it == replica_.end()) return std::nullopt;
-  return it->second.value;
+  return it->second.value();
 }
 
 std::optional<std::pair<u64, std::string>> NodeServer::primaryRecord(
@@ -71,7 +71,7 @@ std::optional<std::pair<u64, std::string>> NodeServer::primaryRecord(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = primary_.find(key);
   if (it == primary_.end()) return std::nullopt;
-  return std::make_pair(it->second.version, it->second.value);
+  return std::make_pair(it->second.version(), it->second.value());
 }
 
 std::optional<std::pair<u64, std::string>> NodeServer::replicaRecord(
@@ -79,7 +79,7 @@ std::optional<std::pair<u64, std::string>> NodeServer::replicaRecord(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = replica_.find(key);
   if (it == replica_.end()) return std::nullopt;
-  return std::make_pair(it->second.version, it->second.value);
+  return std::make_pair(it->second.version(), it->second.value());
 }
 
 std::vector<HandoffEntry> NodeServer::collectPrimary(
@@ -88,7 +88,7 @@ std::vector<HandoffEntry> NodeServer::collectPrimary(
   std::vector<HandoffEntry> out;
   for (const auto& [key, stored] : primary_) {
     if (!pred(key)) continue;
-    out.push_back(HandoffEntry{key, stored.version, stored.value});
+    out.push_back(HandoffEntry{key, stored.version(), stored.value()});
   }
   return out;
 }
@@ -96,7 +96,7 @@ std::vector<HandoffEntry> NodeServer::collectPrimary(
 bool NodeServer::installNewer(Table& table, const std::string& key,
                               Stored copy) {
   auto [it, fresh] = table.try_emplace(key);
-  if (!fresh && it->second.version >= copy.version) return false;
+  if (!fresh && it->second.version() >= copy.version()) return false;
   it->second = std::move(copy);
   return true;
 }
@@ -139,19 +139,22 @@ size_t NodeServer::promoteReplica(
   return moved;
 }
 
+u64 NodeServer::Stored::digest() const {
+  if (!digest_) digest_ = common::hash::valueDigest(value_);
+  return *digest_;
+}
+
 GetRep NodeServer::doGet(const GetReq& req) const {
   // Caller holds mutex_.
   GetRep rep;
   auto it = primary_.find(req.key);
   if (it == primary_.end()) return rep;
   rep.present = true;
-  rep.version = it->second.version;
-  // The digest is taken here, from the value being answered, and only
-  // when the request carries one: no write path keeps a digest that could
-  // go stale.
-  rep.unchanged =
-      req.held != 0 && common::hash::valueDigest(it->second.value) == req.held;
-  if (!rep.unchanged) rep.value = it->second.value;
+  rep.version = it->second.version();
+  // Only a request that carries a digest asks for the stored one, and a
+  // plain read never hashes the value.
+  rep.unchanged = req.held != 0 && it->second.digest() == req.held;
+  if (!rep.unchanged) rep.value = it->second.value();
   return rep;
 }
 
@@ -159,13 +162,12 @@ CasRep NodeServer::doCas(const CasReq& entry) {
   // Caller holds mutex_.
   CasRep rep;
   auto it = primary_.find(entry.key);
-  const u64 storedVersion = (it == primary_.end()) ? 0 : it->second.version;
+  const u64 storedVersion = (it == primary_.end()) ? 0 : it->second.version();
   rep.existedBefore = it != primary_.end();
-  // The guard is the stored bytes' digest, taken here as doGet takes it:
-  // a version restarts after an erase, the bytes of a recreated key do not
+  // The guard is the stored bytes' digest, the one doGet compares with: a
+  // version restarts after an erase, the bytes of a recreated key do not
   // match an old copy's.
-  const u64 storedDigest =
-      it == primary_.end() ? 0 : common::hash::valueDigest(it->second.value);
+  const u64 storedDigest = it == primary_.end() ? 0 : it->second.digest();
   if (storedDigest != entry.expected) {
     // Conflict: ship back current state so the client can re-run its
     // mutator without another GET round.
@@ -174,16 +176,14 @@ CasRep NodeServer::doCas(const CasReq& entry) {
     rep.currentVersion = storedVersion;
     if (it != primary_.end()) {
       rep.currentPresent = true;
-      rep.currentValue = it->second.value;
+      rep.currentValue = it->second.value();
     }
     return rep;
   }
   rep.applied = true;
   if (entry.present) {
-    Stored& s = primary_[entry.key];
-    s.version = storedVersion + 1;
-    s.value = entry.value;
-    rep.currentVersion = s.version;
+    primary_[entry.key].set(storedVersion + 1, entry.value);
+    rep.currentVersion = storedVersion + 1;
     rep.currentPresent = true;
   } else {
     if (it != primary_.end()) primary_.erase(it);
@@ -202,9 +202,8 @@ ReplyBody NodeServer::dispatch(const RequestBody& req, size_t bodyBudget) {
           return PingRep{opts_.name};
         } else if constexpr (std::is_same_v<T, PutReq>) {
           Stored& s = primary_[body.key];
-          s.version += 1;
-          s.value = body.value;
-          return PutRep{s.version};
+          s.set(s.version() + 1, body.value);
+          return PutRep{s.version()};
         } else if constexpr (std::is_same_v<T, GetReq>) {
           GetRep rep = doGet(body);
           if (rep.unchanged) stats_.unchangedReads += 1;
@@ -238,9 +237,7 @@ ReplyBody NodeServer::dispatch(const RequestBody& req, size_t bodyBudget) {
           for (const CasReq& c : body.entries) rep.entries.push_back(doCas(c));
           return rep;
         } else if constexpr (std::is_same_v<T, ReplicaPutReq>) {
-          Stored& s = replica_[body.key];
-          s.version = body.version;
-          s.value = body.value;
+          replica_[body.key].set(body.version, body.value);
           return ReplicaPutRep{};
         } else if constexpr (std::is_same_v<T, ReplicaRemoveReq>) {
           const bool existed = replica_.erase(body.key) > 0;
@@ -250,8 +247,8 @@ ReplyBody NodeServer::dispatch(const RequestBody& req, size_t bodyBudget) {
           auto it = replica_.find(body.key);
           if (it != replica_.end()) {
             rep.present = true;
-            rep.version = it->second.version;
-            rep.value = it->second.value;
+            rep.version = it->second.version();
+            rep.value = it->second.value();
           }
           return rep;
         } else if constexpr (std::is_same_v<T, SizeReq>) {

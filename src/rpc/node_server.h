@@ -18,15 +18,14 @@
 // the valueDigest of the value the writer started from (0: it expects the
 // key absent): a fresh read, a conflict reply, or a copy the writer held
 // from before the call (a bucket the index already has). The CAS applies
-// only while the stored value still has that digest; doCas hashes the
-// stored value when the CAS arrives, as doGet does, and keeps no digest.
-// A CAS that fails returns the current value, so the client re-runs the
-// mutator without an extra round. The guard names bytes, not a version:
-// a key erased and created again restarts at version 1, but its new bytes
-// do not match a copy of the old ones, so a held copy cannot overwrite
-// the recreated value. Bytes equal to the start are safe to write over
-// because a mutator is a function of the bytes it runs on. The accepted
-// risk is a 64-bit collision. Every stored value still carries a u64
+// only while the stored value still has that digest, the one kept beside
+// it (below). A CAS that fails returns the current value, so the client
+// re-runs the mutator without an extra round. The guard names bytes, not
+// a version: a key erased and created again restarts at version 1, but
+// its new bytes do not match a copy of the old ones, so a held copy cannot
+// overwrite the recreated value. Bytes equal to the start are safe to
+// write over because a mutator is a function of the bytes it runs on. The
+// accepted risk is a 64-bit collision. Every stored value still carries a u64
 // version, bumped on each mutation and returned in CasRep, which the
 // client's replica push carries.
 //
@@ -44,11 +43,14 @@
 // Conditional reads: a Get or MultiGet entry may carry the digest of the
 // copy its caller holds (GetReq::held, common::hash::valueDigest). When the
 // stored value still has that digest, the entry answers `unchanged` with
-// the version and no value. The digest is taken from the stored value
-// while answering, never kept beside it, so no write or install path can
-// leave a stale one behind; such a read is as linearizable as a plain one.
-// A digest names bytes, not a version, so a key recreated at a reused
-// version is still told apart. The accepted risk is a 64-bit collision.
+// the version and no value. The digest is kept with the value: computed
+// the first time a read or a CAS asks for it, and cleared by the one
+// member that assigns a stored value (Stored::set), which every write and
+// install path goes through. So a warm read compares two integers instead
+// of hashing a ~2 KB bucket, and no path can leave a stale digest behind;
+// such a read is as linearizable as a plain one. A digest names bytes,
+// not a version, so a key recreated at a reused version is still told
+// apart. The accepted risk is a 64-bit collision.
 //
 // Datagram bound: every reply leaves room for the overlay's gossip hint
 // trailer under kMaxDatagramBytes. A MultiGet answers the longest prefix
@@ -154,9 +156,30 @@ class NodeServer {
   size_t promoteReplica(const std::function<bool(const std::string&)>& pred);
 
  private:
-  struct Stored {
-    u64 version = 0;
-    std::string value;
+  /// A stored record: its version, its value and the value's digest. The
+  /// digest is computed on first use and kept; set() is the one member
+  /// that assigns a value, and it clears the digest with it. Moving a
+  /// Stored moves the three together. So a kept digest always names the
+  /// bytes beside it, on every write and install path.
+  class Stored {
+   public:
+    Stored() = default;
+    Stored(u64 version, const std::string& value) { set(version, value); }
+    /// Copy-assigns, so a rewrite reuses the stored value's buffer.
+    void set(u64 version, const std::string& value) {
+      version_ = version;
+      value_ = value;
+      digest_.reset();
+    }
+    [[nodiscard]] u64 version() const { return version_; }
+    [[nodiscard]] const std::string& value() const { return value_; }
+    /// common::hash::valueDigest(value()), hashed once per value.
+    [[nodiscard]] u64 digest() const;
+
+   private:
+    u64 version_ = 0;
+    std::string value_;
+    mutable std::optional<u64> digest_;  // guarded by the server's mutex_
   };
   using Table = std::unordered_map<std::string, Stored>;
   /// The install rule for a copy arriving from elsewhere (handoff,

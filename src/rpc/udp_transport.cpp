@@ -120,16 +120,18 @@ size_t UdpTransport::drain(std::vector<Datagram>& out) {
 }
 
 size_t UdpTransport::receive(std::vector<Datagram>& out, u64 timeoutMs) {
-  size_t appended = drain(out);
-  if (appended > 0 || timeoutMs == 0) return appended;
-  constexpr u64 kMaxWait = 1u << 30;
-  pollfd pfd{fd_, POLLIN, 0};
-  // A signal ends the wait early (EINTR); the caller re-checks its state.
-  if (::poll(&pfd, 1, static_cast<int>(std::min(timeoutMs, kMaxWait))) < 0 &&
-      errno != EINTR) {
-    throwErrno("UdpTransport: poll");
+  if (timeoutMs > 0) {
+    // Poll first: it returns at once when a datagram is queued, so a wait
+    // on an empty socket costs no recvfrom that finds nothing. A signal
+    // ends the wait early (EINTR); the caller re-checks its state.
+    constexpr u64 kMaxWait = 1u << 30;
+    pollfd pfd{fd_, POLLIN, 0};
+    const int ready =
+        ::poll(&pfd, 1, static_cast<int>(std::min(timeoutMs, kMaxWait)));
+    if (ready == 0) return 0;
+    if (ready < 0 && errno != EINTR) throwErrno("UdpTransport: poll");
   }
-  return appended + drain(out);
+  return drain(out);
 }
 
 u64 UdpTransport::nowMs() {

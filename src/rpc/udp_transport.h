@@ -1,9 +1,10 @@
 // Real-socket transport: one non-blocking UDP socket.
 //
-// send() is a sendto(); receive() drains the socket without blocking and,
-// when it found nothing, waits in one poll() on the socket up to the
-// caller's timeout, then drains again. A signal ends the wait early (no
-// SA_RESTART), which is how lht_noded notices SIGTERM. One UdpTransport is
+// send() is a sendto(); receive() waits in one poll() on the socket up to
+// the caller's timeout, which returns at once when a datagram is already
+// queued, then drains the socket without blocking (timeout 0 only
+// drains). A signal ends the wait early (no SA_RESTART), which is how
+// lht_noded notices SIGTERM. One UdpTransport is
 // one endpoint: a daemon binds a fixed port, a client binds an ephemeral
 // one (bindPort 0) and learns it from localAddr(). All RPC reliability
 // (retransmit, deadlines, dedup) lives above, in rpc_client/node_server —

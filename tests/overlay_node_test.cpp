@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -382,6 +385,100 @@ TEST(OverlayNode, JoinStreamsKeysAndKeepsEveryReadServed) {
                                 c.nodes[2]->server().primaryKeyCount();
   EXPECT_EQ(totalPrimaries, keys.size());
   expectAllReadable(c, client, keys, {0, 1, 2});
+}
+
+/// A joiner's endpoint that runs the join on the test's one thread: each
+/// wait first gives the incumbents a turn of the same length, and while
+/// `lossy` every Handoff batch that reaches it is lost (gossip is not, so
+/// the incumbents keep it Alive).
+class LossyJoinerEndpoint final : public rpc::Transport {
+ public:
+  LossyJoinerEndpoint(SimTransport& inner, OverlayCluster& incumbents)
+      : inner_(inner), incumbents_(&incumbents) {}
+
+  bool send(const NetAddr& to, std::string_view payload) override {
+    return inner_.send(to, payload);
+  }
+  size_t receive(std::vector<Datagram>& out, u64 timeoutMs) override {
+    if (incumbents_ != nullptr) incumbents_->pumpAll(timeoutMs);
+    const auto first = static_cast<std::ptrdiff_t>(out.size());
+    inner_.receive(out, timeoutMs);
+    if (lossy) {
+      out.erase(std::remove_if(out.begin() + first, out.end(),
+                               [](const Datagram& d) {
+                                 const auto h = rpc::wire::decodeHeader(d.payload);
+                                 const auto* hd = std::get_if<rpc::wire::Header>(&h);
+                                 return hd != nullptr && !hd->isReply &&
+                                        hd->op == rpc::wire::Op::Handoff;
+                               }),
+                out.end());
+    }
+    return out.size() - static_cast<size_t>(first);
+  }
+  u64 nowMs() override { return inner_.nowMs(); }
+  [[nodiscard]] NetAddr localAddr() const override { return inner_.localAddr(); }
+
+  /// The joiner joined the cluster's pump loop: stop pumping it from here.
+  void detach() { incumbents_ = nullptr; }
+
+  bool lossy = true;
+
+ private:
+  SimTransport& inner_;
+  OverlayCluster* incumbents_;
+};
+
+TEST(OverlayNode, HandoffOutlastsLostBatchesWhileTheJoinerIsAlive) {
+  OverlayCluster c(2);
+  TestClient client(c.hub);
+  const auto keys = preload(c, client, 40);
+
+  auto joinTx = c.hub.makeEndpoint(kBasePort + 2);
+  LossyJoinerEndpoint joinEp(*joinTx, c);
+  std::vector<NodeEntry> grown = c.entries;
+  grown.push_back(launchEntry(joinTx->localAddr()));
+  const MemberRing ring(grown, OverlayNode::Options{}.virtualNodes);
+  size_t joinersKeys = 0;
+  for (const std::string& key : keys) {
+    joinersKeys += ring.owner(key) == grown.back().id ? 1 : 0;
+  }
+  ASSERT_GT(joinersKeys, 0u);
+
+  OverlayNode::Options jo;
+  jo.name = "joiner";
+  auto joiner = std::make_unique<OverlayNode>(jo, joinEp);
+  ASSERT_TRUE(joiner->joinCluster(c.addr(0), /*deadlineMs=*/10'000));
+  joinEp.detach();
+  c.nodes.push_back(std::move(joiner));  // pumped with the incumbents now
+  const auto clocks = [&] {
+    return std::min({c.tx[0]->nowMs(), c.tx[1]->nowMs(), joinTx->nowMs()});
+  };
+  const auto pumpFor = [&](u64 ms) {
+    const u64 until = clocks() + ms;
+    for (int i = 0; i < 100'000 && clocks() < until; ++i) c.pumpAll(50);
+    ASSERT_GE(clocks(), until);
+  };
+
+  // Every Handoff batch is lost for longer than four failed batches take
+  // (4 x the 800 ms call deadline) and than the joiner's 3 s warm window.
+  pumpFor(6000);
+  EXPECT_EQ(c.nodes[2]->server().primaryKeyCount(), 0u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(c.nodes[i]->membership().ringMemberCount(), 3u) << i;
+  }
+  // The streams still run: once batches get through, the joiner's range
+  // lands and the incumbents demote it. A stream that gave up instead
+  // would leave those keys primary on a node the ring no longer names,
+  // and reading absent at their owner.
+  joinEp.lossy = false;
+  pumpFor(3000);
+  EXPECT_EQ(c.nodes[0]->pendingHandoffJobs(), 0u);
+  EXPECT_EQ(c.nodes[1]->pendingHandoffJobs(), 0u);
+  EXPECT_EQ(c.nodes[2]->server().primaryKeyCount(), joinersKeys);
+  EXPECT_EQ(c.nodes[0]->server().primaryKeyCount() +
+                c.nodes[1]->server().primaryKeyCount() + joinersKeys,
+            keys.size());
+  expectAllReadable(c, client, keys, {0, 1});
 }
 
 TEST(OverlayNode, GracefulLeaveStreamsEverythingOut) {

@@ -23,7 +23,7 @@ constexpr u64 kPromptMs = 500;
 
 UdpTransport bound() { return UdpTransport(UdpTransport::Options{}); }
 
-/// Waits until `n` datagrams sent over loopback sit in `to`'s socket.
+/// Lets datagrams just sent over loopback reach the receiving socket.
 /// Loopback queues a datagram inside sendto, so this settles at once; the
 /// sleep only makes the "queued before receive()" premise explicit.
 void letThemLand() { std::this_thread::sleep_for(std::chrono::milliseconds(20)); }
